@@ -10,7 +10,7 @@ is a documented simplification).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .units import EJ_PER_YR_PER_GW, Quantity, Unit
 
 #: Default linear sink rate band supported by the observational record.
 SIGMA_BAND = (0.019, 0.027)
+
+_NEGATIVE_PERTURBATION = "concentration perturbation cannot be negative"
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ class AtmosphereState:
 
     def __post_init__(self) -> None:
         if self.delta_co2 < 0:
-            raise DomainError("concentration perturbation cannot be negative")
+            raise DomainError(_NEGATIVE_PERTURBATION)
 
 
 @dataclass(frozen=True)
@@ -206,6 +208,41 @@ def predicted_emissions_growth(eta_c: float, lambda_eps: float) -> float:
 EmissionsRate = Union[float, Callable[[float], float]]
 
 
+def _rk4_deltas(
+    delta0: float,
+    at_grid: Sequence[float],
+    at_mid: Iterable[float],
+    dt: float,
+    kappa: float,
+    sigma: float,
+) -> list[float]:
+    """Classical RK4 for d(delta)/dt = kappa*C(t) - sigma*delta on a fixed step.
+
+    ``at_grid`` is the source C at the n+1 grid times and ``at_mid`` at the n
+    step midpoints (consumed lazily). Returns the n+1 perturbations starting
+    with ``delta0``. ``step_atmosphere`` and the scenario engine all step
+    through this loop.
+    """
+    deltas = [delta0]
+    append = deltas.append
+    d = delta0
+    grid = iter(at_grid)
+    k_start = kappa * next(grid)
+    for c_end, c_mid in zip(grid, at_mid):
+        k_mid = kappa * c_mid
+        k_end = kappa * c_end
+        k1 = k_start - sigma * d
+        k2 = k_mid - sigma * (d + dt * k1 / 2.0)
+        k3 = k_mid - sigma * (d + dt * k2 / 2.0)
+        k4 = k_end - sigma * (d + dt * k3)
+        d = d + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        if d < 0:
+            raise DomainError(_NEGATIVE_PERTURBATION)
+        append(d)
+        k_start = k_end
+    return deltas
+
+
 def step_atmosphere(
     state: AtmosphereState,
     emissions_rate: EmissionsRate,
@@ -222,24 +259,15 @@ def step_atmosphere(
     """
     if not 0.0 < dt <= 1.0:
         raise DomainError("dt must be in (0, 1] years")
-    source: Callable[[float], float]
+    t0 = state.year
     if callable(emissions_rate):
-        source = emissions_rate
+        grid = (emissions_rate(t0), emissions_rate(t0 + dt))
+        mid = (emissions_rate(t0 + dt / 2.0),)
     else:
         constant = float(emissions_rate)
-        source = lambda _t: constant  # noqa: E731 - tiny closure
-
-    def derivative(t: float, delta: float) -> float:
-        return params.kappa_a * source(t) - params.sigma * delta
-
-    t0, d0 = state.year, state.delta_co2
-    k1 = derivative(t0, d0)
-    k2 = derivative(t0 + dt / 2.0, d0 + dt * k1 / 2.0)
-    k3 = derivative(t0 + dt / 2.0, d0 + dt * k2 / 2.0)
-    k4 = derivative(t0 + dt, d0 + dt * k3)
-    return AtmosphereState(
-        year=t0 + dt, delta_co2=d0 + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    )
+        grid, mid = (constant, constant), (constant,)
+    deltas = _rk4_deltas(state.delta_co2, grid, mid, dt, params.kappa_a, params.sigma)
+    return AtmosphereState(year=t0 + dt, delta_co2=deltas[-1])
 
 
 def _scale_to_ej_per_tusd(scale: Quantity) -> float:

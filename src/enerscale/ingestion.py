@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -120,9 +121,8 @@ def load_series(d: DataSourceDescriptor) -> AnnualSeries:
     if not points:
         raise ParseError(f"{d.path}: no data rows")
     points.sort()
-    years = [y for y, _ in points]
-    if len(set(years)) != len(years):
-        dupes = sorted({y for y in years if years.count(y) > 1})
+    dupes = sorted(y for y, n in Counter(y for y, _ in points).items() if n > 1)
+    if dupes:
         raise DomainError(f"{d.path}: duplicate years {dupes}")
     return AnnualSeries.from_points(d.kind, d.unit, points)
 

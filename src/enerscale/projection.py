@@ -9,10 +9,11 @@ every step. Identical scenarios produce bit-identical trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .carbon import AtmosphereState, CarbonCycleParams, step_atmosphere
+from .carbon import CarbonCycleParams, _rk4_deltas
 from .errors import DomainError
 from .series import AnnualSeries
 from .units import DAYS_PER_YEAR, EJ_PER_YR_PER_GW, Quantity, Unit
@@ -68,7 +69,7 @@ class Scenario:
         return p.kappa_a * self.emissions_at(year) / p.sigma
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryPoint:
     year: float
     wealth: float
@@ -82,20 +83,37 @@ class TrajectoryPoint:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """State columns of a run, one entry per grid time, and their points.
+
+    The remaining ``TrajectoryPoint`` fields follow from these columns, the
+    scaling and the carbon-cycle parameters; ``points`` is built from them
+    once, when the trajectory is made.
+    """
+
     scenario: Scenario
-    points: tuple[TrajectoryPoint, ...]
+    years: tuple[float, ...]
+    wealth: tuple[float, ...]
+    emissions: tuple[float, ...]
+    deltas: tuple[float, ...]
+    points: tuple[TrajectoryPoint, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        params = self.scenario.carbon_params
+        lam, pre = self.scenario.lambda_ej, params.preindustrial
+        committed = (params.kappa_a * e / params.sigma for e in self.emissions)
+        rows = zip(self.years, self.wealth, self.emissions, self.deltas, committed)
+        points = tuple(
+            TrajectoryPoint(t, w, lam * w, e, d, c, pre + d, pre + c) for t, w, e, d, c in rows
+        )
+        object.__setattr__(self, "points", points)
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def years(self) -> tuple[float, ...]:
-        return tuple(p.year for p in self.points)
+        return len(self.years)
 
     def at_year(self, year: float, tol: float = 1e-9) -> TrajectoryPoint:
-        for point in self.points:
-            if abs(point.year - year) <= tol:
-                return point
+        i = bisect_left(self.years, year - tol)
+        if i < len(self.years) and abs(self.years[i] - year) <= tol:
+            return self.points[i]
         raise DomainError(f"trajectory has no step at year {year}")
 
     def first_crossing(self, committed_concentration: float) -> float | None:
@@ -106,38 +124,30 @@ class Trajectory:
         return None
 
 
-def _point(s: Scenario, year: float, delta: float) -> TrajectoryPoint:
-    params = s.carbon_params
-    wealth = s.wealth_at(year)
-    committed = s.committed_delta_at(year)
-    return TrajectoryPoint(
-        year=year,
-        wealth=wealth,
-        energy_ej=s.lambda_ej * wealth,
-        emissions_gtc=s.emissions_at(year),
-        delta_co2=delta,
-        committed_delta=committed,
-        concentration=params.preindustrial + delta,
-        committed_concentration=params.preindustrial + committed,
-    )
-
-
-def run_scenario(s: Scenario) -> Trajectory:
-    """Integrate a scenario over its horizon.
-
-    Wealth and carbonization follow their closed forms; the concentration
-    perturbation is advanced by the fourth-order atmosphere stepper with the
-    analytic emissions path sampled at the substage times.
-    """
+def _columns(s: Scenario) -> tuple[tuple[float, ...], ...]:
+    """Years, wealth, emissions and perturbation on the grid start + i*dt."""
     n_steps = round(s.horizon_years / s.dt)
     if abs(n_steps * s.dt - s.horizon_years) > 1e-9:
         n_steps = math.ceil(s.horizon_years / s.dt)
-    state = AtmosphereState(year=s.start_year, delta_co2=s.delta0)
-    points = [_point(s, state.year, state.delta_co2)]
-    for _ in range(n_steps):
-        state = step_atmosphere(state, s.emissions_at, s.carbon_params, s.dt)
-        points.append(_point(s, state.year, state.delta_co2))
-    return Trajectory(scenario=s, points=tuple(points))
+    start, dt = s.start_year, s.dt
+    years = tuple([start + i * dt for i in range(n_steps + 1)])
+    wealth = tuple(map(s.wealth_at, years))
+    emissions = tuple(map(s.emissions_at, years))
+    half = dt / 2.0
+    at_mid = map(s.emissions_at, (t + half for t in years))
+    params = s.carbon_params
+    deltas = _rk4_deltas(s.delta0, emissions, at_mid, dt, params.kappa_a, params.sigma)
+    return years, wealth, emissions, tuple(deltas)
+
+
+def run_scenario(s: Scenario) -> Trajectory:
+    """Integrate a scenario over its horizon on the grid start + i*dt.
+
+    Wealth and carbonization follow their closed forms; the concentration
+    perturbation is advanced by the fourth-order atmosphere stepper with the
+    analytic emissions path sampled at the grid times and step midpoints.
+    """
+    return Trajectory(s, *_columns(s))
 
 
 def committed_curve(
@@ -209,48 +219,28 @@ def steady_state_commitment(
     """
     if not s.start_year <= freeze_year:
         raise DomainError("freeze year precedes the scenario start")
-    grow_years = freeze_year - s.start_year
-    if grow_years > 0:
-        growth_phase = run_scenario(
-            Scenario(
-                start_year=s.start_year,
-                horizon_years=grow_years,
-                w0=s.w0,
-                lambda_gw=s.lambda_gw,
-                c0=s.c0,
-                eta_w=s.eta_w,
-                eta_c=s.eta_c,
-                delta0=s.delta0,
-                carbon_params=s.carbon_params,
-                dt=s.dt,
-            )
-        )
-        head = growth_phase.points
-        last = head[-1]
-        frozen_delta0 = last.delta_co2
-    else:
-        head = ()
-        frozen_delta0 = s.delta0
-    frozen = Scenario(
+    head, delta0 = None, s.delta0
+    if freeze_year > s.start_year:
+        head = _columns(replace(s, horizon_years=freeze_year - s.start_year))
+        delta0 = head[-1][-1]
+    frozen = replace(
+        s,
         start_year=freeze_year,
         horizon_years=settle_years,
         w0=s.wealth_at(freeze_year),
-        lambda_gw=s.lambda_gw,
         c0=s.carbonization_at(freeze_year),
         eta_w=0.0,
         eta_c=0.0,
-        delta0=frozen_delta0,
-        carbon_params=s.carbon_params,
-        dt=s.dt,
+        delta0=delta0,
     )
-    tail = run_scenario(frozen)
-    points = tuple(head[:-1]) + tail.points if head else tail.points
-    asymptote = frozen.committed_delta_at(freeze_year)
+    columns = _columns(frozen)
+    if head is not None:
+        columns = tuple(a[:-1] + b for a, b in zip(head, columns))
     return SteadyStateResult(
-        trajectory=Trajectory(scenario=frozen, points=points),
+        trajectory=Trajectory(frozen, *columns),
         freeze_year=freeze_year,
         freeze_wealth=frozen.w0,
-        asymptote_delta=asymptote,
+        asymptote_delta=frozen.committed_delta_at(freeze_year),
     )
 
 
@@ -268,11 +258,14 @@ def historical_spinup_delta(
     """
     if not emissions.is_contiguous():
         raise DomainError("spin-up needs a contiguous emissions series")
+    if not 0.0 < dt <= 1.0:
+        raise DomainError("dt must be in (0, 1] years")
+    if delta0 < 0:
+        raise DomainError("initial perturbation cannot be negative")
     last = emissions.last_year if end_year is None else end_year
-    state = AtmosphereState(year=float(emissions.first_year), delta_co2=delta0)
     steps_per_year = round(1.0 / dt)
+    delta = delta0
     for year in range(emissions.first_year, last):
-        rate = emissions.value_at(year)
-        for _ in range(steps_per_year):
-            state = step_atmosphere(state, rate, params, dt)
-    return state.delta_co2
+        held = [emissions.value_at(year)] * (steps_per_year + 1)
+        delta = _rk4_deltas(delta, held, held, dt, params.kappa_a, params.sigma)[-1]
+    return delta

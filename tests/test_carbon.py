@@ -97,6 +97,11 @@ def test_callable_source_matches_constant():
     assert called.delta_co2 == pytest.approx(const.delta_co2, rel=1e-15)
 
 
+def test_step_rejects_negative_result():
+    with pytest.raises(DomainError, match="cannot be negative"):
+        step_atmosphere(AtmosphereState(0.0, 0.0), -1.0, PARAMS, 1.0)
+
+
 def test_step_rejects_bad_dt():
     with pytest.raises(DomainError):
         step_atmosphere(AtmosphereState(0.0, 0.0), 1.0, PARAMS, 0.0)

@@ -74,6 +74,13 @@ def test_duplicate_years_rejected(tmp_path):
         load_series(descriptor(path))
 
 
+def test_duplicate_years_listed_sorted(tmp_path):
+    path = write(tmp_path, "dup2.csv",
+                 "year,value\n2003,1.0\n2001,2.0\n2002,3.0\n2003,4.0\n2001,5.0\n")
+    with pytest.raises(DomainError, match=r"duplicate years \[2001, 2003\]$"):
+        load_series(descriptor(path))
+
+
 def test_extra_columns_ignored(tmp_path):
     path = write(tmp_path, "extra.csv", "year,value,source\n2000,1.0,eia\n2001,2.0,bp\n")
     s = load_series(descriptor(path))

@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enerscale import datasets
-from enerscale.carbon import CarbonCycleParams, committed_equilibrium
+from enerscale.carbon import (
+    SIGMA_BAND,
+    AtmosphereState,
+    CarbonCycleParams,
+    committed_equilibrium,
+    step_atmosphere,
+)
 from enerscale.errors import DomainError
 from enerscale.projection import (
     Scenario,
@@ -83,6 +89,66 @@ def test_wealth_and_emissions_follow_closed_forms():
     assert last.emissions_gtc == pytest.approx(
         s.lambda_ej * s.c0 * math.exp((0.024 - 0.01) * t) * s.w0, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("sigma", SIGMA_BAND)
+@pytest.mark.parametrize("dt", [1.0, 0.5, 0.25, 0.1])
+def test_delta_matches_exponential_source_closed_form(dt, sigma):
+    """delta0 e^{-s t} + kappa C0 e^{-s t} expm1((g+s) t)/(g+s) for C = C0 e^{g t}."""
+    params = CarbonCycleParams(sigma=sigma)
+    s = scenario(eta_c=-0.01, dt=dt, carbon_params=params)
+    trajectory = run_scenario(s)
+    rate = s.eta_w + s.eta_c + sigma
+    c0 = s.emissions_at(s.start_year)
+    for year, delta in zip(trajectory.years, trajectory.deltas):
+        t = year - s.start_year
+        decay = math.exp(-sigma * t)
+        exact = s.delta0 * decay + params.kappa_a * c0 * decay * math.expm1(rate * t) / rate
+        assert delta == pytest.approx(exact, rel=1e-7 * dt**4 + 1e-9)
+
+
+def test_delta_column_equals_public_stepper_bit_for_bit():
+    s = scenario(eta_c=-0.01, dt=0.25)
+    state = AtmosphereState(s.start_year, s.delta0)
+    stepped = [state.delta_co2]
+    for _ in range(len(run_scenario(s)) - 1):
+        state = step_atmosphere(state, s.emissions_at, s.carbon_params, s.dt)
+        stepped.append(state.delta_co2)
+    assert run_scenario(s).deltas == tuple(stepped)
+
+
+def test_points_are_built_from_columns():
+    trajectory = run_scenario(scenario(dt=0.5))
+    points = trajectory.points
+    assert isinstance(points, tuple) and len(points) == len(trajectory) == 81
+    assert tuple(p.year for p in points) == trajectory.years
+    assert tuple(p.delta_co2 for p in points) == trajectory.deltas
+    assert trajectory.at_year(2037.0) == points[40]
+    assert points[-1].year == 2057.0
+
+
+def test_fine_grid_has_no_drift():
+    # 20000 steps of 0.01: repeated addition drifted past the 1e-9 tolerance.
+    trajectory = run_scenario(scenario(horizon_years=200.0, dt=0.01))
+    assert trajectory.at_year(2117.0).year == pytest.approx(2117.0, abs=1e-9)
+    assert trajectory.years[-1] == 2217.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dt=st.floats(min_value=0.005, max_value=1.0),
+    horizon=st.floats(min_value=1.0, max_value=100.0),
+)
+def test_every_grid_time_is_found(dt, horizon):
+    s = scenario(horizon_years=horizon, dt=dt)
+    trajectory = run_scenario(s)
+    for k in range(len(trajectory)):
+        assert trajectory.at_year(s.start_year + k * dt).year == trajectory.years[k]
+
+
+def test_at_year_rejects_off_grid_year():
+    with pytest.raises(DomainError):
+        run_scenario(scenario()).at_year(2017.1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -199,6 +265,17 @@ def test_freeze_with_vanishing_carbonization_decays():
     assert result.trajectory.points[-1].delta_co2 < 0.05
 
 
+def test_off_grid_freeze_joins_phases_in_order():
+    s = scenario(dt=0.25)
+    result = steady_state_commitment(s, freeze_year=2030.1, settle_years=20.0)
+    years = result.trajectory.years
+    assert all(a < b for a, b in zip(years, years[1:]))
+    assert years[0] == 2017.0 and years[-1] == 2050.1
+    frozen = result.trajectory.at_year(2030.1)
+    assert frozen.wealth == s.wealth_at(2030.1)
+    assert result.trajectory.at_year(2030.0).wealth == s.wealth_at(2030.0)
+
+
 # ---------------------------------------------------------------------- spinup
 
 def test_historical_spinup_matches_reference_integrator(snapshot):
@@ -220,3 +297,10 @@ def test_historical_spinup_matches_reference_integrator(snapshot):
     # linear sink model ends below the observed 2017 perturbation
     observed = snapshot.concentration.value_at(2017) - params.preindustrial
     assert 0.7 * observed < got < observed
+
+
+def test_spinup_rejects_bad_inputs(snapshot):
+    with pytest.raises(DomainError):
+        historical_spinup_delta(snapshot.emissions, dt=1.5)
+    with pytest.raises(DomainError):
+        historical_spinup_delta(snapshot.emissions, delta0=-1.0)
