@@ -9,15 +9,23 @@ is a documented simplification).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
-
-import numpy as np
 
 from .errors import DomainError, EmptySlice
 from .growth import GrowthMethod, growth_rate
 from .reconstruction import WealthSeries
-from .series import AnnualSeries, Period, SeriesKind, aligned_values, slice_series
+from .series import (
+    AnnualSeries,
+    Period,
+    SeriesKind,
+    aligned_values,
+    log_slope,
+    mean,
+    sample_std,
+    slice_series,
+)
 from .units import EJ_PER_YR_PER_GW, Quantity, Unit
 
 #: Default linear sink rate band supported by the observational record.
@@ -84,13 +92,9 @@ def carbonization_series(emissions: AnnualSeries, energy: AnnualSeries) -> Annua
     """Per-year carbon intensity C/E in GtC per EJ."""
     years, c_values, e_values = aligned_values(emissions, energy)
     if energy.unit is Unit.GW:
-        e_values = e_values * EJ_PER_YR_PER_GW
-    return AnnualSeries(
-        SeriesKind.CARBONIZATION,
-        Unit.GTC_PER_EJ,
-        years,
-        tuple(float(v) for v in c_values / e_values),
-    )
+        e_values = [e * EJ_PER_YR_PER_GW for e in e_values]
+    intensity = tuple(c / e for c, e in zip(c_values, e_values))
+    return AnnualSeries(SeriesKind.CARBONIZATION, Unit.GTC_PER_EJ, years, intensity)
 
 
 def carbonization(
@@ -116,12 +120,11 @@ def carbonization(
         ]
         if not in_window:
             raise EmptySlice(f"no emissions/wealth overlap inside {p}")
-        arr = np.asarray(in_window)
-        lambda_c = float(arr.mean())
-        lambda_c_std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
+        lambda_c = mean(in_window)
+        lambda_c_std = sample_std(in_window)
     return CarbonizationEstimate(
         period=p,
-        c=float(c_window.values_array().mean()),
+        c=mean(c_window.values),
         eta_c=eta_c,
         lambda_c=lambda_c,
         lambda_c_std=lambda_c_std,
@@ -163,17 +166,16 @@ def _ratio_growth(
 ) -> float:
     """Growth rate of the per-year ratio of two aligned series."""
     years, num, den = aligned_values(numerator, denominator)
-    ratio = num / den
+    ratio = [a / b for a, b in zip(num, den)]
     if method is GrowthMethod.ENDPOINT_LOG:
         try:
             i0 = years.index(p.start_year)
             i1 = years.index(p.end_year)
         except ValueError:
             raise EmptySlice(f"ratio series does not cover both endpoints of {p}") from None
-        return float(np.log(ratio[i1] / ratio[i0]) / p.span)
-    mask = [(p.start_year <= y <= p.end_year) for y in years]
-    yrs = np.asarray(years, dtype=float)[mask]
-    return float(np.polyfit(yrs, np.log(ratio[mask]), 1)[0])
+        return math.log(ratio[i1] / ratio[i0]) / p.span
+    inside = [(y, r) for y, r in zip(years, ratio) if p.start_year <= y <= p.end_year]
+    return log_slope([y for y, _ in inside], [r for _, r in inside])
 
 
 def kaya_decomposition(

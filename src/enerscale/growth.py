@@ -10,13 +10,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+import math
 from typing import Sequence
-
-import numpy as np
 
 from .errors import DomainError, EmptySlice
 from .reconstruction import WealthSeries
-from .series import AnnualSeries, Period, SeriesKind, aligned_values, slice_series
+from .series import (
+    AnnualSeries,
+    Period,
+    SeriesKind,
+    aligned_values,
+    log_slope,
+    mean,
+    slice_series,
+)
 from .units import EJ_PER_YR_PER_GW, Quantity, Unit
 
 
@@ -61,12 +68,15 @@ def growth_rate(
     if method is GrowthMethod.ENDPOINT_LOG:
         if not (s.has_year(p.start_year) and s.has_year(p.end_year)):
             raise EmptySlice(f"series does not cover both endpoints of {p}")
-        value = float(np.log(s.value_at(p.end_year) / s.value_at(p.start_year)) / p.span)
+        start, end = s.value_at(p.start_year), s.value_at(p.end_year)
+        if start <= 0.0 or end <= 0.0:
+            raise DomainError(f"log growth over {p} needs positive endpoint values")
+        value = math.log(end / start) / p.span
     else:
         window = slice_series(s, p)
         if len(window) < 2:
             raise EmptySlice(f"need at least two points in {p} for an OLS rate")
-        value = float(np.polyfit(window.years_array(), np.log(window.values_array()), 1)[0])
+        value = log_slope(window.years, window.values)
     return GrowthRate(value=value, period=p, method=method)
 
 
@@ -74,11 +84,9 @@ def energy_productivity(gdp: AnnualSeries, energy: AnnualSeries) -> AnnualSeries
     """Per-year production per unit energy, in T$2010 per EJ."""
     years, y_values, e_values = aligned_values(gdp, energy)
     if energy.unit is Unit.GW:
-        e_values = e_values * EJ_PER_YR_PER_GW
-    eps = y_values / e_values
-    return AnnualSeries(
-        SeriesKind.PRODUCTIVITY, Unit.TUSD_PER_EJ, years, tuple(float(v) for v in eps)
-    )
+        e_values = [e * EJ_PER_YR_PER_GW for e in e_values]
+    eps = tuple(y / e for y, e in zip(y_values, e_values))
+    return AnnualSeries(SeriesKind.PRODUCTIVITY, Unit.TUSD_PER_EJ, years, eps)
 
 
 def mean_scaled_productivity(scale: Quantity, eps: AnnualSeries, p: Period) -> float:
@@ -92,7 +100,7 @@ def mean_scaled_productivity(scale: Quantity, eps: AnnualSeries, p: Period) -> f
         raise DomainError("scaled productivity needs the scaling in GW per T$2010")
     window = slice_series(eps, p)
     lam_ej = scale.value * EJ_PER_YR_PER_GW  # EJ/yr per T$
-    return float(lam_ej * window.values_array().mean())
+    return lam_ej * mean(window.values)
 
 
 def predicted_energy_growth(scale: Quantity, eps: AnnualSeries, p: Period) -> GrowthRate:
@@ -122,12 +130,9 @@ def wealth_growth_series(wealth: WealthSeries) -> AnnualSeries:
     exactly, so this needs no external production series. The series starts
     one year after the wealth series does.
     """
-    w = wealth.series.values_array()
-    years = wealth.series.years[1:]
-    rates = np.diff(w) / w[1:]
-    return AnnualSeries(
-        SeriesKind.RATE, Unit.PER_YR, tuple(years), tuple(float(r) for r in rates)
-    )
+    w = wealth.series.values
+    rates = tuple((b - a) / b for a, b in zip(w, w[1:]))
+    return AnnualSeries(SeriesKind.RATE, Unit.PER_YR, wealth.series.years[1:], rates)
 
 
 def rates_table(

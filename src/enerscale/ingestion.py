@@ -11,16 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-import math
-
-import numpy as np
-
 from .errors import DomainError, EmptySlice, ParseError, SchemaError
-from .series import AnnualSeries, Period, SeriesKind, slice_series
+from .series import AnnualSeries, Period, SeriesKind, mean, sample_std, slice_series
 from .units import Unit
 
 
@@ -160,9 +157,8 @@ def production_consumption_ratio(
     years = sorted(set(prod_p.years) & set(cons_p.years))
     if not years:
         raise EmptySlice(f"production and consumption share no years over {p}")
-    ratios = np.array([prod_p.value_at(y) / cons_p.value_at(y) for y in years])
-    std = float(ratios.std(ddof=1)) if len(ratios) > 1 else 0.0
-    return RatioStats(mean=float(ratios.mean()), std=std, n=len(ratios))
+    ratios = [prod_p.value_at(y) / cons_p.value_at(y) for y in years]
+    return RatioStats(mean=mean(ratios), std=sample_std(ratios), n=len(ratios))
 
 
 def write_series(s: AnnualSeries, path: Path | str, value_column: str = "value") -> Path:

@@ -255,6 +255,10 @@ def historical_spinup_delta(
 
     Each calendar year's emission rate is held constant across that year
     (the data are annual totals). Used by the optional spin-up start mode.
+    Every year is covered exactly: it takes ``n = round(1/dt)`` steps when
+    ``n*dt`` is within 1e-9 of a year and ``n = ceil(1/dt)`` otherwise, each
+    of length ``1/n``, so a ``dt`` that does not divide the year is refined
+    to the next step that does (0.3 -> 1/4, 0.4 -> 1/3, 0.7 -> 1/2).
     """
     if not emissions.is_contiguous():
         raise DomainError("spin-up needs a contiguous emissions series")
@@ -264,8 +268,11 @@ def historical_spinup_delta(
         raise DomainError("initial perturbation cannot be negative")
     last = emissions.last_year if end_year is None else end_year
     steps_per_year = round(1.0 / dt)
+    if abs(steps_per_year * dt - 1.0) > 1e-9:
+        steps_per_year = math.ceil(1.0 / dt)
+    h = 1.0 / steps_per_year
     delta = delta0
     for year in range(emissions.first_year, last):
         held = [emissions.value_at(year)] * (steps_per_year + 1)
-        delta = _rk4_deltas(delta, held, held, dt, params.kappa_a, params.sigma)[-1]
+        delta = _rk4_deltas(delta, held, held, h, params.kappa_a, params.sigma)[-1]
     return delta

@@ -18,9 +18,11 @@ Numerical choices that are not forced by the data:
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate
+from typing import Iterable, Sequence
 
 from .errors import (
     DomainError,
@@ -31,7 +33,7 @@ from .errors import (
     NonPositiveResult,
     TooFewPoints,
 )
-from .series import AnnualSeries, Period, SeriesKind, slice_series
+from .series import AnnualSeries, Period, SeriesKind, mean, slice_series
 from .units import Quantity, Unit
 
 #: Ancient population growth rate (fraction/yr): ~10 million more people per
@@ -47,51 +49,61 @@ class NaturalCubicSpline:
     piecewise cubic. Evaluation outside the knot range is not supported.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.ndim != 1 or x.shape != y.shape:
-            raise DomainError("spline knots must be two equal-length 1-d arrays")
+    def __init__(self, x: Sequence[float], y: Sequence[float]) -> None:
+        try:
+            x = [float(v) for v in x]
+            y = [float(v) for v in y]
+        except (TypeError, ValueError):
+            raise DomainError("spline knots must be two equal-length 1-d sequences") from None
+        if len(x) != len(y):
+            raise DomainError("spline knots must be two equal-length 1-d sequences")
         if len(x) < 4:
             raise TooFewPoints(f"cubic spline needs at least 4 knots, got {len(x)}")
-        if np.any(np.diff(x) <= 0):
+        if any(b <= a for a, b in zip(x, x[1:])):
             raise DomainError("spline knot abscissae must be strictly increasing")
         n = len(x)
-        h = np.diff(x)
-        # Tridiagonal system for interior second derivatives m[1..n-2];
-        # natural conditions pin m[0] = m[n-1] = 0.
-        lower = h[:-1].copy()
-        diag = 2.0 * (h[:-1] + h[1:])
-        upper = h[1:].copy()
-        rhs = 6.0 * (np.diff(y[1:]) / h[1:] - np.diff(y[:-1]) / h[:-1])
+        h = [b - a for a, b in zip(x, x[1:])]
+        # Tridiagonal system for interior second derivatives m[1..n-2]: row i
+        # has sub- and super-diagonal h[i] and h[i+1]; natural conditions pin
+        # m[0] = m[n-1] = 0.
+        diag = [2.0 * (h[i] + h[i + 1]) for i in range(n - 2)]
+        rhs = [
+            6.0 * ((y[i + 2] - y[i + 1]) / h[i + 1] - (y[i + 1] - y[i]) / h[i])
+            for i in range(n - 2)
+        ]
         for i in range(1, n - 2):
-            w = lower[i] / diag[i - 1]
-            diag[i] -= w * upper[i - 1]
+            w = h[i] / diag[i - 1]
+            diag[i] -= w * h[i]
             rhs[i] -= w * rhs[i - 1]
-        m = np.zeros(n)
-        if n > 2:
-            m[n - 2] = rhs[-1] / diag[-1]
-            for i in range(n - 3, 0, -1):
-                m[i] = (rhs[i - 1] - upper[i - 1] * m[i + 1]) / diag[i - 1]
+        m = [0.0] * n
+        m[n - 2] = rhs[-1] / diag[-1]
+        for i in range(n - 3, 0, -1):
+            m[i] = (rhs[i - 1] - h[i] * m[i + 1]) / diag[i - 1]
         self._x = x
         self._y = y
         self._h = h
         self._m = m
 
-    def __call__(self, xq) -> np.ndarray:
-        xq = np.asarray(xq, dtype=float)
-        if np.any(xq < self._x[0]) or np.any(xq > self._x[-1]):
-            raise DomainError("spline evaluated outside its knot range")
-        idx = np.clip(np.searchsorted(self._x, xq, side="right") - 1, 0, len(self._x) - 2)
-        x0 = self._x[idx]
-        h = self._h[idx]
-        a = (self._x[idx + 1] - xq) / h
-        b = (xq - x0) / h
-        return (
-            a * self._y[idx]
-            + b * self._y[idx + 1]
-            + ((a**3 - a) * self._m[idx] + (b**3 - b) * self._m[idx + 1]) * h**2 / 6.0
-        )
+    def __call__(self, xq: Iterable[float]) -> list[float]:
+        x, y, h, m = self._x, self._y, self._h, self._m
+        last = len(x) - 2
+        out = []
+        left, right = x[-1], x[0]  # an empty interval: the first query looks one up
+        for q in xq:
+            if not left <= q < right:
+                if not x[0] <= q <= x[-1]:
+                    raise DomainError("spline evaluated outside its knot range")
+                # Sorted queries mostly stay in one interval, so it is looked
+                # up only on leaving it; searching x[1:-1] puts the right end
+                # in the last interval.
+                i = bisect_right(x, q, 1, last + 1) - 1
+                x0, x1, hi, y0, y1, m0, m1 = x[i], x[i + 1], h[i], y[i], y[i + 1], m[i], m[i + 1]
+                h2 = hi**2
+                left, right = x0, x1 if i < last else math.nextafter(x1, math.inf)
+            a = (x1 - q) / hi
+            b = (q - x0) / hi
+            out.append(a * y0 + b * y1 + ((a**3 - a) * m0 + (b**3 - b) * m1) * h2 / 6.0)
+        return out
 
 
 @dataclass(frozen=True)
@@ -137,7 +149,7 @@ def estimate_ppp_mer_ratio(
     if not years:
         raise EmptySlice(f"PPP and MER series share no years in {window}")
     ratios = [ppp_w.value_at(y) / mer_w.value_at(y) for y in years]
-    return PppMerRatio(value=float(np.mean(ratios)), window=window)
+    return PppMerRatio(value=mean(ratios), window=window)
 
 
 def ppp_to_mer(s: AnnualSeries, r: PppMerRatio) -> AnnualSeries:
@@ -157,20 +169,19 @@ def spline_infill(sparse: AnnualSeries, log_values: bool = True) -> AnnualSeries
     NonPositiveResult is raised if the spline undershoots zero, signalling the
     caller to fall back to log space. Knots are reproduced exactly either way.
     """
-    x = sparse.years_array()
-    y = sparse.values_array()
-    spline = NaturalCubicSpline(x, np.log(y) if log_values else y)
-    years = np.arange(sparse.first_year, sparse.last_year + 1)
-    interp = spline(years.astype(float))
-    values = np.exp(interp) if log_values else interp
-    if np.any(values <= 0.0):
+    y = sparse.values
+    spline = NaturalCubicSpline(sparse.years, [math.log(v) for v in y] if log_values else y)
+    years = range(sparse.first_year, sparse.last_year + 1)
+    interp = spline(years)
+    values = [math.exp(v) for v in interp] if log_values else interp
+    if any(v <= 0.0 for v in values):
         raise NonPositiveResult(
             "linear-space spline undershot zero between knots; use log_values=True"
         )
     # Re-impose knot values exactly: exp(log) round-trips only to ~1 ulp.
-    by_year = dict(zip(sparse.years, sparse.values))
-    out = [by_year.get(int(year), float(value)) for year, value in zip(years, values)]
-    return sparse.with_data(tuple(int(y) for y in years), tuple(out))
+    by_year = dict(zip(sparse.years, y))
+    out = [by_year.get(year, value) for year, value in zip(years, values)]
+    return sparse.with_data(years, out)
 
 
 def calibrate_initial_wealth(gdp: AnnualSeries, pop_growth: float = ANCIENT_POP_GROWTH) -> Quantity:
@@ -225,8 +236,8 @@ def cumulative_production(gdp: AnnualSeries, w1: Quantity) -> WealthSeries:
         raise KindError("W(1) must be expressed in T$2010")
     if w1.value < 0:
         raise DomainError("W(1) must be nonnegative")
-    wealth = w1.value + np.cumsum(gdp.values_array())
-    series = AnnualSeries(SeriesKind.WEALTH, Unit.TUSD, gdp.years, tuple(float(w) for w in wealth))
+    wealth = tuple(w1.value + total for total in accumulate(gdp.values))
+    series = AnnualSeries(SeriesKind.WEALTH, Unit.TUSD, gdp.years, wealth)
     return WealthSeries(series=series, w1=w1, method="annual left sum of production")
 
 

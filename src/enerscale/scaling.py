@@ -9,13 +9,21 @@ intervals including both endpoint years.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 from .reconstruction import WealthSeries, cumulative_production
-from .series import AnnualSeries, Period, SeriesKind, aligned_values, slice_series
+from .series import (
+    AnnualSeries,
+    Period,
+    SeriesKind,
+    aligned_values,
+    log_slope,
+    mean,
+    sample_std,
+    slice_series,
+)
 from .units import EJ_PER_YR_PER_GW, Quantity, Unit
 
 
@@ -49,33 +57,25 @@ def scaling_series(energy: AnnualSeries, wealth: WealthSeries) -> AnnualSeries:
     """Per-year energy/wealth ratio in GW per T$2010 on the common years."""
     years, e_values, w_values = aligned_values(energy, wealth.series)
     if energy.unit is Unit.EJ_PER_YR:
-        e_values = e_values / EJ_PER_YR_PER_GW
+        e_values = [e / EJ_PER_YR_PER_GW for e in e_values]
     elif energy.unit is not Unit.GW:  # pragma: no cover - kinds force EJ/yr or GW
         raise DomainError(f"unsupported energy unit {energy.unit.value}")
-    ratios = e_values / w_values
-    return AnnualSeries(
-        SeriesKind.SCALING, Unit.GW_PER_TUSD, years, tuple(float(r) for r in ratios)
-    )
+    ratios = tuple(e / w for e, w in zip(e_values, w_values))
+    return AnnualSeries(SeriesKind.SCALING, Unit.GW_PER_TUSD, years, ratios)
 
 
 def scaling_stats(ls: AnnualSeries, p: Period) -> ScalingEstimate:
     """Mean, sample std, normal 95% CI halfwidth and OLS log-trend over ``p``."""
     window = slice_series(ls, p)
-    values = window.values_array()
-    mean = float(values.mean())
-    std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
-    halfwidth = 1.96 * std / np.sqrt(len(values)) if len(values) > 1 else 0.0
-    if len(values) > 1:
-        trend = float(np.polyfit(window.years_array(), np.log(values), 1)[0])
-    else:
-        trend = 0.0
+    n = len(window)
+    std = sample_std(window.values)
     unit = ls.unit
     return ScalingEstimate(
         period=p,
-        mean=Quantity(mean, unit),
+        mean=Quantity(mean(window.values), unit),
         std=Quantity(std, unit),
-        ci95_halfwidth=Quantity(float(halfwidth), unit),
-        trend_per_year=trend,
+        ci95_halfwidth=Quantity(1.96 * std / math.sqrt(n) if n > 1 else 0.0, unit),
+        trend_per_year=log_slope(window.years, window.values) if n > 1 else 0.0,
     )
 
 

@@ -3,17 +3,18 @@
 An AnnualSeries value for year ``t`` is the annual average or total for that
 calendar year, matching the reporting conventions of the underlying sources.
 All series types are immutable; every operation returns a new series.
+Values are tuples of Python floats; a contiguous series looks a year up at
+offset ``year - first_year``. The mean, sample standard deviation and OLS
+log slope that the analysis layers share are defined here once.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
-
-import math
-
-import numpy as np
 
 from .errors import DomainError, EmptySlice, InvalidPeriod, KindError
 from .units import Unit
@@ -104,7 +105,8 @@ class AnnualSeries:
             raise DomainError("years must be strictly increasing with no duplicates")
         if any(not math.isfinite(v) for v in values):
             raise DomainError("series values must be finite")
-        if any(v <= 0.0 for v in values):
+        # A rate may decline; every other kind is a stock, flow or ratio > 0.
+        if self.kind is not SeriesKind.RATE and any(v <= 0.0 for v in values):
             raise DomainError(f"{self.kind.value} values must be strictly positive")
         if self.unit not in KIND_UNITS[self.kind]:
             raise KindError(
@@ -129,20 +131,27 @@ class AnnualSeries:
     def last_year(self) -> int:
         return self.years[-1]
 
+    def _index(self, year: int) -> int:
+        """Position of ``year`` in ``years``, or -1 when absent.
+
+        A contiguous series holds ``year`` at offset ``year - first_year``;
+        a sparse one falls back to bisection.
+        """
+        years = self.years
+        i = year - years[0]
+        if type(i) is int and 0 <= i < len(years) and years[i] == year:
+            return i
+        i = bisect_left(years, year)
+        return i if i < len(years) and years[i] == year else -1
+
     def has_year(self, year: int) -> bool:
-        return year in set(self.years)
+        return self._index(year) >= 0
 
     def value_at(self, year: int) -> float:
-        try:
-            return self.values[self.years.index(year)]
-        except ValueError:
-            raise EmptySlice(f"series has no value for year {year}") from None
-
-    def years_array(self) -> np.ndarray:
-        return np.asarray(self.years, dtype=float)
-
-    def values_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+        i = self._index(year)
+        if i < 0:
+            raise EmptySlice(f"series has no value for year {year}")
+        return self.values[i]
 
     def to_points(self) -> list[tuple[int, float]]:
         return list(zip(self.years, self.values))
@@ -187,9 +196,37 @@ def common_years(a: AnnualSeries, b: AnnualSeries) -> tuple[int, ...]:
     return tuple(shared)
 
 
-def aligned_values(a: AnnualSeries, b: AnnualSeries) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+def aligned_values(
+    a: AnnualSeries, b: AnnualSeries
+) -> tuple[tuple[int, ...], list[float], list[float]]:
     """Values of both series on their common years."""
     years = common_years(a, b)
-    va = np.array([a.value_at(y) for y in years])
-    vb = np.array([b.value_at(y) for y in years])
-    return years, va, vb
+    return years, [a.value_at(y) for y in years], [b.value_at(y) for y in years]
+
+
+def mean(values: Sequence[float]) -> float:
+    """Arithmetic mean, from the correctly rounded sum."""
+    return math.fsum(values) / len(values)
+
+
+def sample_std(values: Sequence[float]) -> float:
+    """Sample (n-1) standard deviation; 0 for a single point."""
+    n = len(values)
+    if n < 2:
+        return 0.0
+    m = mean(values)
+    deviations = [v - m for v in values]
+    return math.sqrt(math.fsum(d * d for d in deviations) / (n - 1))
+
+
+def log_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Ordinary least-squares slope of ln(y) on x, computed on centered data."""
+    if len(xs) < 2:
+        raise EmptySlice("need at least two points for a log-linear slope")
+    if any(y <= 0.0 for y in ys):
+        raise DomainError("a log-linear slope needs strictly positive values")
+    logs = [math.log(y) for y in ys]
+    x_bar, log_bar = mean(xs), mean(logs)
+    dx = [x - x_bar for x in xs]
+    sxy = math.fsum(d * (v - log_bar) for d, v in zip(dx, logs))
+    return sxy / math.fsum(d * d for d in dx)

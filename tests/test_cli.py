@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import enerscale
 from enerscale.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 from enerscale.ingestion import canonical_descriptor, load_series
 from enerscale.series import SeriesKind
@@ -216,3 +221,26 @@ def test_repeated_runs_are_byte_identical(tmp_path):
 
 def test_usage_error_exit_code():
     assert main(["frobnicate"]) == EXIT_USAGE
+
+
+def test_cli_runs_without_numpy(tmp_path):
+    """The runtime path uses only the standard library; numpy is a test oracle."""
+    script = (
+        "import sys\n"
+        "from enerscale.cli import main\n"
+        "out = sys.argv[1]\n"
+        "assert main(['report', '--out-dir', out + '/report']) == 0\n"
+        "assert main(['tables', '--table', '3', '--out-dir', out + '/tables']) == 0\n"
+        "assert main(['project', '--preset', 'paper-2017', '--out', out + '/traj.csv']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = str(Path(enerscale.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "tables" / "table3.csv").exists()

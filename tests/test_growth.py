@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from enerscale.errors import EmptySlice, InvalidPeriod
+from enerscale.errors import DomainError, EmptySlice, InvalidPeriod
 from enerscale.growth import (
     GrowthMethod,
     energy_productivity,
@@ -43,6 +43,13 @@ def test_endpoint_requires_endpoints():
     s = series(SeriesKind.ENERGY, Unit.GW, (2000, 2002, 2004), (1.0, 2.0, 3.0))
     with pytest.raises(EmptySlice):
         growth_rate(s, Period(2000, 2003))
+
+
+def test_log_growth_of_a_rate_that_turns_negative_is_rejected():
+    s = series(SeriesKind.RATE, Unit.PER_YR, (2000, 2001, 2002), (0.02, 0.01, -0.01))
+    for method in GrowthMethod:
+        with pytest.raises(DomainError):
+            growth_rate(s, Period(2000, 2002), method)
 
 
 @given(alpha=st.floats(min_value=1e-3, max_value=1e3))
@@ -86,7 +93,9 @@ def test_productivity_homogeneous():
         series(SeriesKind.ENERGY, Unit.EJ_PER_YR, years, (800.0, 820.0)),
     )
     np.testing.assert_allclose(
-        doubled.values_array(), energy_productivity(gdp, energy).values_array(), rtol=1e-12
+        np.asarray(doubled.values),
+        np.asarray(energy_productivity(gdp, energy).values),
+        rtol=1e-12,
     )
 
 

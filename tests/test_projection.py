@@ -304,3 +304,29 @@ def test_spinup_rejects_bad_inputs(snapshot):
         historical_spinup_delta(snapshot.emissions, dt=1.5)
     with pytest.raises(DomainError):
         historical_spinup_delta(snapshot.emissions, delta0=-1.0)
+
+
+def _spinup_from_1959(snapshot, dt):
+    return historical_spinup_delta(snapshot.emissions, end_year=2017, delta0=40.0, dt=dt)
+
+
+def test_spinup_covers_whole_years_when_dt_does_not_divide_one(snapshot):
+    """dt 0.3/0.4/0.7 used to take round(1/dt) steps of dt per year and ended
+    at 106.79/101.66/96.08 instead of 111.52."""
+    reference = _spinup_from_1959(snapshot, 0.25)
+    assert reference == pytest.approx(111.52, abs=0.01)
+    for dt in (0.3, 0.4, 0.7):
+        assert _spinup_from_1959(snapshot, dt) == pytest.approx(reference, rel=1e-8)
+
+
+def test_spinup_refines_dt_to_the_next_divisor_of_a_year(snapshot):
+    """0.3 does not divide the year, so spin-up steps by 1/4 instead."""
+    assert _spinup_from_1959(snapshot, 0.3) == _spinup_from_1959(snapshot, 0.25)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dt=st.floats(min_value=0.05, max_value=1.0, exclude_min=True))
+def test_spinup_converges_at_fourth_order_in_dt(snapshot, dt):
+    reference = _spinup_from_1959(snapshot, 0.25)
+    got = _spinup_from_1959(snapshot, dt)
+    assert abs(got - reference) <= (2e-9 * dt**4 + 1e-11) * reference

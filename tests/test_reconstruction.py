@@ -109,13 +109,13 @@ def test_constant_production_accumulates_linearly():
 
 
 def test_first_difference_recovers_production(recon):
-    w = recon.wealth.series.values_array()
+    w = np.asarray(recon.wealth.series.values)
     y = np.array([recon.gdp.value_at(year) for year in recon.wealth.series.years])
     np.testing.assert_allclose(np.diff(w), y[1:], rtol=1e-12)
 
 
 def test_wealth_strictly_increasing(recon):
-    w = recon.wealth.series.values_array()
+    w = np.asarray(recon.wealth.series.values)
     assert np.all(np.diff(w) > 0)
 
 

@@ -68,7 +68,7 @@ def test_scale_invariance(alpha):
         energy, cumulative_production(scaled_gdp, Quantity(5.0 * alpha, Unit.TUSD))
     )
     np.testing.assert_allclose(
-        scaled.values_array(), base.values_array() / alpha, rtol=1e-12
+        np.asarray(scaled.values), np.asarray(base.values) / alpha, rtol=1e-12
     )
 
 

@@ -1,9 +1,21 @@
+import math
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from enerscale.errors import DomainError, EmptySlice, InvalidPeriod, KindError
-from enerscale.series import AnnualSeries, Period, SeriesKind, slice_series
+from enerscale.series import (
+    AnnualSeries,
+    Period,
+    SeriesKind,
+    log_slope,
+    mean,
+    sample_std,
+    slice_series,
+)
 from enerscale.units import Unit
 
 
@@ -36,6 +48,18 @@ def test_rejects_nonpositive_values():
         AnnualSeries(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, (2000,), (0.0,))
     with pytest.raises(DomainError):
         AnnualSeries(SeriesKind.CONCENTRATION, Unit.PPMV, (2000,), (-3.0,))
+
+
+def test_rate_may_be_negative():
+    s = AnnualSeries(SeriesKind.RATE, Unit.PER_YR, (2000, 2001, 2002), (0.01, 0.0, -0.02))
+    assert s.value_at(2002) == -0.02
+    with pytest.raises(DomainError):
+        AnnualSeries(SeriesKind.RATE, Unit.PER_YR, (2000,), (math.inf,))
+
+
+def test_zero_gdp_still_rejected():
+    with pytest.raises(DomainError, match="strictly positive"):
+        AnnualSeries(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, (2000, 2001), (1.0, 0.0))
 
 
 def test_rejects_unit_kind_mismatch():
@@ -104,3 +128,87 @@ def test_value_at_missing_year():
     s = make_series(2000, 2005)
     with pytest.raises(EmptySlice):
         s.value_at(1999)
+
+
+def test_value_at_contiguous_offsets():
+    s = AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (1990, 1991, 1992), (1.0, 2.0, 3.0))
+    assert [s.value_at(y) for y in (1990, 1991, 1992)] == [1.0, 2.0, 3.0]
+    assert s.has_year(1991) and not s.has_year(1993) and not s.has_year(1989)
+
+
+def test_value_at_sparse_knots(snapshot):
+    """The PPP record is sparse (year 1, 1000, 1500, ...), so lookups bisect."""
+    ppp = snapshot.gdp_ppp
+    assert not ppp.is_contiguous()
+    for i, (year, value) in enumerate(ppp.to_points()):
+        assert ppp.value_at(year) == value
+        assert ppp.has_year(year)
+        assert ppp.value_at(float(year)) == value
+        if i + 1 < len(ppp) and ppp.years[i + 1] > year + 1:
+            assert not ppp.has_year(year + 1)
+            with pytest.raises(EmptySlice, match=f"no value for year {year + 1}"):
+                ppp.value_at(year + 1)
+
+
+def test_value_at_missing_year_inside_gap():
+    s = AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (2000, 2002, 2003), (1.0, 2.0, 3.0))
+    # Offset 1 holds 2002, not 2001; offset 2 holds 2003, not 2002.
+    assert s.value_at(2002) == 2.0
+    assert not s.has_year(2001)
+    with pytest.raises(EmptySlice, match="series has no value for year 2001"):
+        s.value_at(2001)
+    with pytest.raises(EmptySlice):
+        s.value_at(2004)
+
+
+# ------------------------------------------------------------- statistics
+
+def test_mean_and_std_match_numpy(snapshot, recon):
+    samples = [
+        snapshot.energy.values,
+        recon.wealth.series.values,
+        slice_series(snapshot.emissions, Period(1980, 2017)).values,
+        (1.0, 1.0 + 2.0**-40, 1.0 - 2.0**-41),
+    ]
+    for values in samples:
+        arr = np.asarray(values)
+        assert mean(values) == pytest.approx(arr.mean(), rel=1e-15, abs=0.0)
+        assert sample_std(values) == pytest.approx(arr.std(ddof=1), rel=1e-15, abs=0.0)
+
+
+def test_std_of_one_point_is_zero():
+    assert sample_std((3.0,)) == 0.0
+    assert mean((3.0,)) == 3.0
+
+
+def _exact_log_slope(xs, ys):
+    """OLS slope of the float logs in exact rational arithmetic, then rounded."""
+    fx = [Fraction(x) for x in xs]
+    fy = [Fraction(math.log(y)) for y in ys]
+    x_bar = sum(fx) / len(fx)
+    y_bar = sum(fy) / len(fy)
+    sxy = sum((x - x_bar) * (y - y_bar) for x, y in zip(fx, fy))
+    sxx = sum((x - x_bar) ** 2 for x in fx)
+    return float(sxy / sxx)
+
+
+def test_log_slope_matches_polyfit_and_exact(snapshot, recon):
+    cases = [
+        slice_series(snapshot.energy, Period(1980, 2017)),
+        slice_series(snapshot.population, Period(1980, 2010)),
+        slice_series(recon.wealth.series, Period(1, 2017)),
+        snapshot.gdp_ppp,  # sparse years
+    ]
+    for s in cases:
+        got = log_slope(s.years, s.values)
+        fit = np.polyfit(np.asarray(s.years, dtype=float), np.log(np.asarray(s.values)), 1)[0]
+        assert got == pytest.approx(fit, rel=1e-12, abs=0.0)
+        exact = _exact_log_slope(s.years, s.values)
+        assert abs(got - exact) <= 4 * math.ulp(exact)
+
+
+def test_log_slope_rejects_degenerate_input():
+    with pytest.raises(EmptySlice):
+        log_slope((2000,), (1.0,))
+    with pytest.raises(DomainError):
+        log_slope((2000, 2001), (1.0, -1.0))

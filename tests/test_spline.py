@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from enerscale.errors import NonPositiveResult, TooFewPoints
+from enerscale.errors import DomainError, NonPositiveResult, TooFewPoints
 from enerscale.reconstruction import NaturalCubicSpline, ppp_to_mer, spline_infill
 from enerscale.series import AnnualSeries, SeriesKind
 from enerscale.units import Unit
@@ -59,8 +59,8 @@ def test_against_textbook_oracle_on_historical_knots(snapshot, recon):
     """The infilled value at year 1500... is checked against an independently
     coded dense-solve natural spline (and scipy agrees with both)."""
     mer = ppp_to_mer(snapshot.gdp_ppp, recon.ratio)
-    x = mer.years_array()
-    logy = np.log(mer.values_array())
+    x = np.asarray(mer.years, dtype=float)
+    logy = np.log(np.asarray(mer.values))
     probe_years = np.array([500.0, 1500.0, 1750.0, 1925.0, 1960.0])
 
     expected = np.exp(textbook_natural_spline(x, logy, probe_years))
@@ -110,15 +110,24 @@ def test_linear_space_undershoot_raises():
 
 
 def test_spline_rejects_unsorted_input():
-    from enerscale.errors import DomainError
-
     with pytest.raises(DomainError):
         NaturalCubicSpline(np.array([0.0, 2.0, 1.0, 3.0]), np.zeros(4))
 
 
 def test_evaluation_outside_range_rejected():
-    from enerscale.errors import DomainError
-
     spline = NaturalCubicSpline(np.arange(4.0), np.arange(4.0))
     with pytest.raises(DomainError):
         spline(np.array([5.0]))
+
+
+def test_query_order_does_not_change_values():
+    """Unsorted queries, repeated intervals and both ends give the values of
+    one-at-a-time evaluation."""
+    x = np.array([0.0, 1.0, 2.5, 4.0, 7.0])
+    spline = NaturalCubicSpline(x, np.sin(x))
+    queries = [7.0, 0.0, 3.0, 0.5, 6.9, 2.5, 1.0, 0.25, 7.0]
+    assert spline(queries) == [spline([q])[0] for q in queries]
+    assert spline([0.0, 7.0]) == [0.0, pytest.approx(np.sin(7.0), rel=1e-15)]
+    with pytest.raises(DomainError):
+        spline([0.5, np.nextafter(7.0, 8.0)])
+    np.testing.assert_allclose(spline(queries), textbook_natural_spline(x, np.sin(x), queries))
