@@ -10,6 +10,7 @@ is a documented simplification).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
 
@@ -112,14 +113,16 @@ def carbonization(
     eta_c = growth_rate(c_series, p, method).value
     lambda_c = lambda_c_std = None
     if wealth is not None:
-        years, c_values, w_values = aligned_values(emissions, wealth.series)
+        try:
+            _, c_values, w_values = aligned_values(
+                slice_series(emissions, p), slice_series(wealth.series, p)
+            )
+        except EmptySlice:
+            raise EmptySlice(f"no emissions/wealth overlap inside {p}") from None
         in_window = [
             (kc / w) * params.kappa_a * 1e3  # per quadrillion = 1000 T$
-            for year, kc, w in zip(years, c_values, w_values)
-            if p.start_year <= year <= p.end_year
+            for kc, w in zip(c_values, w_values)
         ]
-        if not in_window:
-            raise EmptySlice(f"no emissions/wealth overlap inside {p}")
         lambda_c = mean(in_window)
         lambda_c_std = sample_std(in_window)
     return CarbonizationEstimate(
@@ -164,18 +167,17 @@ def _ratio_growth(
     p: Period,
     method: GrowthMethod,
 ) -> float:
-    """Growth rate of the per-year ratio of two aligned series."""
-    years, num, den = aligned_values(numerator, denominator)
-    ratio = [a / b for a, b in zip(num, den)]
+    """Growth rate of the per-year ratio of two aligned series over ``p``."""
+    try:
+        years, num, den = aligned_values(slice_series(numerator, p), slice_series(denominator, p))
+    except EmptySlice:
+        years, num, den = (), (), ()
+    ratio = list(map(operator.truediv, num, den))
     if method is GrowthMethod.ENDPOINT_LOG:
-        try:
-            i0 = years.index(p.start_year)
-            i1 = years.index(p.end_year)
-        except ValueError:
-            raise EmptySlice(f"ratio series does not cover both endpoints of {p}") from None
-        return math.log(ratio[i1] / ratio[i0]) / p.span
-    inside = [(y, r) for y, r in zip(years, ratio) if p.start_year <= y <= p.end_year]
-    return log_slope([y for y, _ in inside], [r for _, r in inside])
+        if not years or years[0] != p.start_year or years[-1] != p.end_year:
+            raise EmptySlice(f"ratio series does not cover both endpoints of {p}")
+        return math.log(ratio[-1] / ratio[0]) / p.span
+    return log_slope(years, ratio)
 
 
 def kaya_decomposition(

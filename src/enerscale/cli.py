@@ -35,7 +35,7 @@ from . import __version__, datasets, tables
 from .carbon import CarbonCycleParams
 from .errors import EnerscaleError
 from .ingestion import load_manifest, load_series, validate, write_series
-from .projection import Scenario, committed_curve, run_scenario
+from .projection import Scenario, committed_curve, run_scenario, time_grid
 from .reconstruction import (
     calibrate_initial_wealth,
     calibrate_initial_wealth_iterative,
@@ -92,6 +92,13 @@ class RunManifest:
 
     def add_input(self, path: Path) -> None:
         self.inputs[str(path)] = _sha256(path)
+
+    def add_series_inputs(self, manifest_path: Path | None = None) -> None:
+        """Checksum a series manifest (default: the bundled snapshot's) and every file it names."""
+        path = datasets.manifest_path() if manifest_path is None else manifest_path
+        self.add_input(path)
+        for entry in load_manifest(path).values():
+            self.add_input(entry.descriptor.path)
 
     def add_output(self, path: Path) -> None:
         if str(path) not in self.outputs:
@@ -165,13 +172,11 @@ def _build_parser() -> _Parser:
 def _cmd_ingest(args, manifest: RunManifest) -> int:
     manifest_path = args.manifest if args.manifest is not None else datasets.manifest_path()
     entries = load_manifest(manifest_path)
-    manifest.add_input(manifest_path)
     out_dir: Path = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     any_invalid = False
     for name, entry in sorted(entries.items()):
         series = load_series(entry.descriptor)
-        manifest.add_input(entry.descriptor.path)
         report = validate(series, require_contiguous=entry.contiguous)
         csv_path = write_series(series, out_dir / f"{name}.csv")
         report_path = out_dir / f"{name}.validation.json"
@@ -183,13 +188,13 @@ def _cmd_ingest(args, manifest: RunManifest) -> int:
         if not report.is_empty():
             any_invalid = True
             print(f"validation failure in {name}: gaps={list(report.gaps)}", file=sys.stderr)
+    manifest.add_series_inputs(manifest_path)
     manifest.write(out_dir / "run_manifest.json")
     return EXIT_VALIDATION if any_invalid else EXIT_OK
 
 
 def _cmd_reconstruct(args, manifest: RunManifest) -> int:
-    for entry in datasets.manifest().values():
-        manifest.add_input(entry.descriptor.path)
+    manifest.add_series_inputs()
     recon = datasets.baseline()
     out_dir: Path = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -226,14 +231,16 @@ def _cmd_calibrate(args, manifest: RunManifest) -> int:
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(text + "\n", encoding="utf-8")
+        manifest.add_series_inputs()
         manifest.add_output(args.out)
         manifest.write(args.out.with_suffix(".manifest.json"))
     return EXIT_OK
 
 
-def _tables_inputs(data_dir: Path | None):
+def _tables_inputs(data_dir: Path | None, manifest: RunManifest):
     """Snapshot plus either recomputed or on-disk reconstruction outputs."""
     snapshot = datasets.load_snapshot()
+    manifest.add_series_inputs()
     if data_dir is None:
         return snapshot, datasets.baseline()
     for required in ("gdp_annual.csv", "wealth.csv", "reconstruction.json"):
@@ -241,6 +248,7 @@ def _tables_inputs(data_dir: Path | None):
             raise EnerscaleError(
                 f"missing reconstruction output {data_dir / required}; run `enerscale reconstruct`"
             )
+        manifest.add_input(data_dir / required)
     from .ingestion import canonical_descriptor
     from .reconstruction import ReconstructionResult, WealthSeries, PppMerRatio
     from .series import SeriesKind
@@ -268,7 +276,7 @@ def _tables_inputs(data_dir: Path | None):
 def _cmd_tables(args, manifest: RunManifest) -> int:
     if args.table not in (1, 2, 3, 4, 5):
         raise UsageError(f"--table must be 1-5, got {args.table}")
-    snapshot, recon = _tables_inputs(args.data_dir)
+    snapshot, recon = _tables_inputs(args.data_dir, manifest)
     result = tables.build_table(args.table, snapshot, recon)
     out_dir: Path = args.out_dir
     csv_path = _write_rows(out_dir / f"table{args.table}.csv", result.header, result.rows)
@@ -338,6 +346,12 @@ def _cmd_project(args, manifest: RunManifest) -> int:
     else:
         scenario = _scenario_from_args(args)
         trajectory = run_scenario(scenario)
+        n_steps, step = time_grid(scenario.horizon_years, scenario.dt)
+        manifest.parameters["grid"] = {
+            "steps": n_steps,
+            "dt": step,
+            "horizon_years": trajectory.years[-1] - scenario.start_year,
+        }
         rows = [
             (
                 p.year, p.wealth, p.energy_ej, p.emissions_gtc, p.delta_co2,
@@ -368,6 +382,8 @@ def _cmd_project(args, manifest: RunManifest) -> int:
         "kappa_a": scenario.carbon_params.kappa_a,
         "preindustrial": scenario.carbon_params.preindustrial,
     }
+    if args.preset is not None:
+        manifest.add_series_inputs()
     manifest.add_output(out)
     manifest.write(out.with_suffix(out.suffix + ".manifest.json"))
     return EXIT_OK
@@ -404,6 +420,7 @@ def _cmd_report(args, manifest: RunManifest) -> int:
         "clean_capacity_gw_per_yr": capacity.gw_per_year,
         "clean_capacity_gw_per_day": capacity.gw_per_day,
     }
+    manifest.add_series_inputs()
     out_dir: Path = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.json"

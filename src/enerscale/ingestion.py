@@ -12,12 +12,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DomainError, EmptySlice, ParseError, SchemaError
-from .series import AnnualSeries, Period, SeriesKind, mean, sample_std, slice_series
+from .series import AnnualSeries, Period, SeriesKind, aligned_values, mean, sample_std, slice_series
 from .units import Unit
 
 
@@ -84,22 +84,36 @@ def load_series(d: DataSourceDescriptor) -> AnnualSeries:
     """Read one series from disk, scale it, and tag kind and unit.
 
     Raises ParseError for malformed rows (with the offending row number),
-    SchemaError for missing columns and DomainError for sign violations.
+    SchemaError for missing columns and DomainError for sign violations
+    (the kind's rule: a rate may be negative, every other kind is positive).
+    Row numbers count the header as row 1 and skip blank lines.
     """
     try:
         handle = open(d.path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot open {d.path}: {exc}") from exc
     with handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        # A repeated column name reads its last occurrence, as csv.DictReader would.
+        index = {name: i for i, name in enumerate(header)}
         for column in (d.year_column, d.value_column):
-            if column not in header:
+            if column not in index:
                 raise SchemaError(f"{d.path}: missing column {column!r} (header: {header})")
+        year_at, value_at = index[d.year_column], index[d.value_column]
+        scale, positive = d.scale, d.kind is not SeriesKind.RATE
         points: list[tuple[int, float]] = []
-        for row_number, row in enumerate(reader, start=2):
-            raw_year = (row.get(d.year_column) or "").strip()
-            raw_value = (row.get(d.value_column) or "").strip()
+        append, isfinite = points.append, math.isfinite
+        row_number = 1
+        for row in reader:
+            if not row:
+                continue
+            row_number += 1
+            try:
+                raw_year, raw_value = row[year_at].strip(), row[value_at].strip()
+            except IndexError:  # a short row's missing cells read as empty
+                row += [""] * len(header)
+                raw_year, raw_value = row[year_at].strip(), row[value_at].strip()
             try:
                 year = int(raw_year)
                 value = float(raw_value)
@@ -107,21 +121,22 @@ def load_series(d: DataSourceDescriptor) -> AnnualSeries:
                 raise ParseError(
                     f"{d.path}: row {row_number}: cannot parse year={raw_year!r} value={raw_value!r}"
                 ) from None
-            if not math.isfinite(value):
+            if not isfinite(value):
                 raise ParseError(f"{d.path}: row {row_number}: non-finite value")
-            value *= d.scale
-            if value <= 0.0:
+            value *= scale
+            if positive and value <= 0.0:
                 raise DomainError(
                     f"{d.path}: row {row_number}: nonpositive value {value!r} for kind {d.kind.value}"
                 )
-            points.append((year, value))
+            append((year, value))
     if not points:
         raise ParseError(f"{d.path}: no data rows")
     points.sort()
-    dupes = sorted(y for y, n in Counter(y for y, _ in points).items() if n > 1)
-    if dupes:
+    years, values = zip(*points)
+    if any(map(operator.eq, years, years[1:])):
+        dupes = sorted({a for a, b in zip(years, years[1:]) if a == b})
         raise DomainError(f"{d.path}: duplicate years {dupes}")
-    return AnnualSeries.from_points(d.kind, d.unit, points)
+    return AnnualSeries(d.kind, d.unit, years, values)
 
 
 def validate(s: AnnualSeries, require_contiguous: bool = True) -> ValidationReport:
@@ -154,10 +169,11 @@ def production_consumption_ratio(
     """Mean and standard deviation of annual production/consumption ratios."""
     prod_p = slice_series(prod, p)
     cons_p = slice_series(cons, p)
-    years = sorted(set(prod_p.years) & set(cons_p.years))
-    if not years:
-        raise EmptySlice(f"production and consumption share no years over {p}")
-    ratios = [prod_p.value_at(y) / cons_p.value_at(y) for y in years]
+    try:
+        _, prod_values, cons_values = aligned_values(prod_p, cons_p)
+    except EmptySlice:
+        raise EmptySlice(f"production and consumption share no years over {p}") from None
+    ratios = list(map(operator.truediv, prod_values, cons_values))
     return RatioStats(mean=mean(ratios), std=sample_std(ratios), n=len(ratios))
 
 
@@ -171,8 +187,7 @@ def write_series(s: AnnualSeries, path: Path | str, value_column: str = "value")
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["year", value_column])
-        for year, value in zip(s.years, s.values):
-            writer.writerow([year, repr(value)])
+        writer.writerows(zip(s.years, map(repr, s.values)))
     return path
 
 

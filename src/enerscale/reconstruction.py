@@ -19,9 +19,10 @@ Numerical choices that are not forced by the data:
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -33,7 +34,7 @@ from .errors import (
     NonPositiveResult,
     TooFewPoints,
 )
-from .series import AnnualSeries, Period, SeriesKind, mean, slice_series
+from .series import AnnualSeries, Period, SeriesKind, aligned_values, mean, slice_series
 from .units import Quantity, Unit
 
 #: Ancient population growth rate (fraction/yr): ~10 million more people per
@@ -130,7 +131,7 @@ class WealthSeries:
         if self.series.kind is not SeriesKind.WEALTH:
             raise KindError("WealthSeries wraps a series of kind 'wealth'")
         values = self.series.values
-        if any(b <= a for a, b in zip(values, values[1:])):
+        if any(map(operator.ge, values, values[1:])):
             raise DomainError("wealth must be strictly increasing")
         if values[0] < self.w1.value:
             raise DomainError("wealth at the first year cannot be below W(1)")
@@ -145,10 +146,11 @@ def estimate_ppp_mer_ratio(
     """Mean of annual PPP/MER ratios over the overlap window."""
     ppp_w = slice_series(ppp, window)
     mer_w = slice_series(mer, window)
-    years = sorted(set(ppp_w.years) & set(mer_w.years))
-    if not years:
-        raise EmptySlice(f"PPP and MER series share no years in {window}")
-    ratios = [ppp_w.value_at(y) / mer_w.value_at(y) for y in years]
+    try:
+        _, ppp_values, mer_values = aligned_values(ppp_w, mer_w)
+    except EmptySlice:
+        raise EmptySlice(f"PPP and MER series share no years in {window}") from None
+    ratios = list(map(operator.truediv, ppp_values, mer_values))
     return PppMerRatio(value=mean(ratios), window=window)
 
 
@@ -170,18 +172,17 @@ def spline_infill(sparse: AnnualSeries, log_values: bool = True) -> AnnualSeries
     caller to fall back to log space. Knots are reproduced exactly either way.
     """
     y = sparse.values
-    spline = NaturalCubicSpline(sparse.years, [math.log(v) for v in y] if log_values else y)
+    spline = NaturalCubicSpline(sparse.years, list(map(math.log, y)) if log_values else y)
     years = range(sparse.first_year, sparse.last_year + 1)
     interp = spline(years)
-    values = [math.exp(v) for v in interp] if log_values else interp
-    if any(v <= 0.0 for v in values):
+    values = list(map(math.exp, interp)) if log_values else interp
+    if min(values) <= 0.0:
         raise NonPositiveResult(
             "linear-space spline undershot zero between knots; use log_values=True"
         )
     # Re-impose knot values exactly: exp(log) round-trips only to ~1 ulp.
     by_year = dict(zip(sparse.years, y))
-    out = [by_year.get(year, value) for year, value in zip(years, values)]
-    return sparse.with_data(years, out)
+    return sparse.with_data(years, tuple(map(by_year.get, years, values)))
 
 
 def calibrate_initial_wealth(gdp: AnnualSeries, pop_growth: float = ANCIENT_POP_GROWTH) -> Quantity:
@@ -236,7 +237,7 @@ def cumulative_production(gdp: AnnualSeries, w1: Quantity) -> WealthSeries:
         raise KindError("W(1) must be expressed in T$2010")
     if w1.value < 0:
         raise DomainError("W(1) must be nonnegative")
-    wealth = tuple(w1.value + total for total in accumulate(gdp.values))
+    wealth = tuple(map(operator.add, repeat(w1.value), accumulate(gdp.values)))
     series = AnnualSeries(SeriesKind.WEALTH, Unit.TUSD, gdp.years, wealth)
     return WealthSeries(series=series, w1=w1, method="annual left sum of production")
 
@@ -259,12 +260,14 @@ def reconstruct_production(
 ) -> AnnualSeries:
     """Annual MER production from year 1: spline-infilled PPP record, then
     modern statistics from their first year onward."""
-    mer_sparse = ppp_to_mer(historical_ppp, ratio)
-    infilled = spline_infill(mer_sparse)
-    cut = modern_mer.first_year
-    points = [(y, v) for y, v in infilled.to_points() if y < cut]
-    points.extend(modern_mer.to_points())
-    return AnnualSeries.from_points(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, points)
+    infilled = spline_infill(ppp_to_mer(historical_ppp, ratio))
+    k = bisect_left(infilled.years, modern_mer.first_year)
+    return AnnualSeries(
+        SeriesKind.GDP_MER,
+        Unit.TUSD_PER_YR,
+        infilled.years[:k] + modern_mer.years,
+        infilled.values[:k] + modern_mer.values,
+    )
 
 
 def build_wealth(

@@ -11,10 +11,11 @@ log slope that the analysis layers share are defined here once.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, EmptySlice, InvalidPeriod, KindError
 from .units import Unit
@@ -93,32 +94,26 @@ class AnnualSeries:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        years = tuple(int(y) for y in self.years)
-        values = tuple(float(v) for v in self.values)
+        years = tuple(map(int, self.years))
+        values = tuple(map(float, self.values))
         object.__setattr__(self, "years", years)
         object.__setattr__(self, "values", values)
         if len(years) != len(values):
             raise DomainError("years and values must have equal length")
         if not years:
             raise EmptySlice("a series needs at least one point")
-        if any(b <= a for a, b in zip(years, years[1:])):
+        if any(map(operator.ge, years, years[1:])):
             raise DomainError("years must be strictly increasing with no duplicates")
-        if any(not math.isfinite(v) for v in values):
+        if not all(map(math.isfinite, values)):
             raise DomainError("series values must be finite")
         # A rate may decline; every other kind is a stock, flow or ratio > 0.
-        if self.kind is not SeriesKind.RATE and any(v <= 0.0 for v in values):
+        # NaN is rejected above, so min() sees only ordered values.
+        if self.kind is not SeriesKind.RATE and min(values) <= 0.0:
             raise DomainError(f"{self.kind.value} values must be strictly positive")
         if self.unit not in KIND_UNITS[self.kind]:
             raise KindError(
                 f"unit {self.unit.value} is not valid for kind {self.kind.value}"
             )
-
-    @classmethod
-    def from_points(
-        cls, kind: SeriesKind, unit: Unit, points: Iterable[tuple[int, float]]
-    ) -> "AnnualSeries":
-        pts = sorted(points)
-        return cls(kind, unit, tuple(y for y, _ in pts), tuple(v for _, v in pts))
 
     def __len__(self) -> int:
         return len(self.years)
@@ -180,28 +175,34 @@ def slice_series(s: AnnualSeries, p: Period) -> AnnualSeries:
 
     Raises EmptySlice when the period does not overlap the series.
     """
-    points = [(y, v) for y, v in zip(s.years, s.values) if p.start_year <= y <= p.end_year]
-    if not points:
+    lo = bisect_left(s.years, p.start_year)
+    hi = bisect_right(s.years, p.end_year)
+    if lo >= hi:
         raise EmptySlice(
             f"period {p} does not overlap series covering {s.first_year}-{s.last_year}"
         )
-    return AnnualSeries.from_points(s.kind, s.unit, points)
-
-
-def common_years(a: AnnualSeries, b: AnnualSeries) -> tuple[int, ...]:
-    """Years present in both series, ascending."""
-    shared = sorted(set(a.years) & set(b.years))
-    if not shared:
-        raise EmptySlice("series share no years")
-    return tuple(shared)
+    return s.with_data(s.years[lo:hi], s.values[lo:hi])
 
 
 def aligned_values(
     a: AnnualSeries, b: AnnualSeries
-) -> tuple[tuple[int, ...], list[float], list[float]]:
-    """Values of both series on their common years."""
-    years = common_years(a, b)
-    return years, [a.value_at(y) for y in years], [b.value_at(y) for y in years]
+) -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
+    """Values of both series on their common years.
+
+    Both series are cut to the span they share; two contiguous cuts over the
+    same years are already aligned, otherwise (a sparse series) the years
+    are intersected.
+    """
+    first, last = max(a.first_year, b.first_year), min(a.last_year, b.last_year)
+    a_lo, a_hi = bisect_left(a.years, first), bisect_right(a.years, last)
+    b_lo, b_hi = bisect_left(b.years, first), bisect_right(b.years, last)
+    years, b_years = a.years[a_lo:a_hi], b.years[b_lo:b_hi]
+    if len(years) == len(b_years) == last - first + 1 > 0:
+        return years, a.values[a_lo:a_hi], b.values[b_lo:b_hi]
+    years = tuple(sorted(set(years).intersection(b_years)))
+    if not years:
+        raise EmptySlice("series share no years")
+    return years, tuple(map(a.value_at, years)), tuple(map(b.value_at, years))
 
 
 def mean(values: Sequence[float]) -> float:

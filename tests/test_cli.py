@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import enerscale
+from enerscale import datasets
 from enerscale.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 from enerscale.ingestion import canonical_descriptor, load_series
 from enerscale.series import SeriesKind
@@ -217,6 +219,58 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     ma = json.loads((a / "traj.csv.manifest.json").read_text())
     mb = json.loads((b / "traj.csv.manifest.json").read_text())
     assert ma["parameters"]["scenario"] == mb["parameters"]["scenario"]
+
+
+def _digests(*paths):
+    return {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths}
+
+
+def _snapshot_digests():
+    entries = datasets.manifest().values()
+    return _digests(datasets.manifest_path(), *(e.descriptor.path for e in entries))
+
+
+def test_every_manifest_checksums_its_inputs(tmp_path):
+    recon = tmp_path / "recon"
+    recon_files = [recon / n for n in ("gdp_annual.csv", "wealth.csv", "reconstruction.json")]
+    snapshot = _snapshot_digests()
+    # (argv, manifest written, reads the snapshot, other files read)
+    runs = [
+        (["ingest", "--out-dir", str(tmp_path / "ingest")],
+         tmp_path / "ingest" / "run_manifest.json", True, []),
+        (["reconstruct", "--out-dir", str(recon)], recon / "run_manifest.json", True, []),
+        (["calibrate", "--out", str(tmp_path / "cal.json")],
+         tmp_path / "cal.manifest.json", True, []),
+        (["tables", "--table", "3", "--out-dir", str(tmp_path)],
+         tmp_path / "table3.manifest.json", True, []),
+        (["tables", "--table", "4", "--data-dir", str(recon), "--out-dir", str(tmp_path)],
+         tmp_path / "table4.manifest.json", True, recon_files),
+        (["report", "--out-dir", str(tmp_path / "report")],
+         tmp_path / "report" / "run_manifest.json", True, []),
+        (["project", "--preset", "paper-2017", "--out", str(tmp_path / "traj.csv")],
+         tmp_path / "traj.csv.manifest.json", True, []),
+        (["project", "--preset", "paper-2017", "--curve", "--out", str(tmp_path / "curve.csv")],
+         tmp_path / "curve.csv.manifest.json", True, []),
+        (["project", "--w0", "3400", "--lambda-gw", "5.7", "--c0", "0.0162", "--delta0", "130",
+          "--out", str(tmp_path / "free.csv")],
+         tmp_path / "free.csv.manifest.json", False, []),
+    ]
+    for argv, manifest_path, reads_snapshot, files in runs:
+        assert main(argv) == EXIT_OK, argv
+        expected = {**(snapshot if reads_snapshot else {}), **_digests(*files)}
+        assert json.loads(manifest_path.read_text())["inputs"] == expected, argv
+
+
+def test_project_manifest_records_the_grid(tmp_path):
+    out = tmp_path / "traj.csv"
+    assert main(["project", "--preset", "paper-2017", "--horizon", "40", "--dt", "0.3",
+                 "--out", str(out)]) == EXIT_OK
+    grid = json.loads((tmp_path / "traj.csv.manifest.json").read_text())["parameters"]["grid"]
+    assert grid["steps"] == 134
+    assert grid["dt"] == pytest.approx(40.0 / 134, rel=1e-15)
+    assert grid["horizon_years"] == pytest.approx(40.0, abs=1e-9)
+    rows = read_rows(out)
+    assert len(rows) == 135 and float(rows[-1]["year"]) == pytest.approx(2057.0, abs=1e-9)
 
 
 def test_usage_error_exit_code():

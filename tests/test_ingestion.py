@@ -87,6 +87,42 @@ def test_extra_columns_ignored(tmp_path):
     assert s.values == (1.0, 2.0)
 
 
+def test_blank_lines_skipped_and_not_counted(tmp_path):
+    path = write(tmp_path, "blank.csv", "year,value\n\n2000,1.0\n\n\n2001,x\n")
+    with pytest.raises(ParseError, match=r"row 3: cannot parse year='2001' value='x'"):
+        load_series(descriptor(path))
+
+
+def test_short_row_reads_as_empty_cells(tmp_path):
+    path = write(tmp_path, "short.csv", "year,source,value\n2000,eia,1.0\n2001\n")
+    with pytest.raises(ParseError, match=r"row 3: cannot parse year='2001' value=''"):
+        load_series(descriptor(path))
+
+
+def test_repeated_column_reads_last_occurrence(tmp_path):
+    path = write(tmp_path, "twice.csv", "year,value,value\n2000,1.0,2.0\n2001,3.0,4.0\n")
+    assert load_series(descriptor(path)).values == (2.0, 4.0)
+
+
+def test_cells_are_stripped(tmp_path):
+    path = write(tmp_path, "pad.csv", "year,value\n 2000 , 1.5 \n")
+    s = load_series(descriptor(path))
+    assert (s.years, s.values) == ((2000,), (1.5,))
+
+
+def test_negative_rate_round_trips(tmp_path):
+    # load_series used to apply the positive-kind rule to rates as well.
+    s = AnnualSeries(SeriesKind.RATE, Unit.PER_YR, (2000, 2001), (0.01, -0.02))
+    path = write_series(s, tmp_path / "rate.csv")
+    assert load_series(canonical_descriptor(path, s.kind, s.unit)) == s
+
+
+def test_nonfinite_rate_still_rejected(tmp_path):
+    path = write(tmp_path, "rate.csv", "year,value\n2000,0.01\n2001,nan\n")
+    with pytest.raises(ParseError, match="row 3: non-finite"):
+        load_series(descriptor(path, kind=SeriesKind.RATE, unit=Unit.PER_YR))
+
+
 # ------------------------------------------------------------------ validate
 
 def test_validate_contiguous_is_empty():

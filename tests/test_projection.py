@@ -21,6 +21,7 @@ from enerscale.projection import (
     required_clean_capacity,
     run_scenario,
     steady_state_commitment,
+    time_grid,
 )
 from enerscale.units import Quantity, Unit
 
@@ -134,6 +135,22 @@ def test_fine_grid_has_no_drift():
     assert trajectory.years[-1] == 2217.0
 
 
+def test_horizon_is_not_overshot():
+    # 40 yr at dt 0.3 used to take 134 steps of 0.3 and end at 2057.2.
+    trajectory = run_scenario(scenario(horizon_years=40.0, dt=0.3))
+    assert len(trajectory) == 135
+    assert trajectory.years[-1] == pytest.approx(2057.0, abs=1e-9)
+    assert trajectory.at_year(2057.0).year == trajectory.years[-1]
+    assert trajectory.years[1] - trajectory.years[0] == pytest.approx(40.0 / 134, rel=1e-12)
+
+
+def test_time_grid_keeps_a_dividing_step():
+    assert time_grid(40.0, 0.25) == (160, 0.25)
+    assert time_grid(100.0, 0.1) == (1000, 0.1)
+    assert time_grid(40.0, 0.3) == (134, 40.0 / 134)
+    assert time_grid(0.1, 0.25) == (1, 0.1)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     dt=st.floats(min_value=0.005, max_value=1.0),
@@ -142,8 +159,11 @@ def test_fine_grid_has_no_drift():
 def test_every_grid_time_is_found(dt, horizon):
     s = scenario(horizon_years=horizon, dt=dt)
     trajectory = run_scenario(s)
+    n_steps, step = time_grid(horizon, dt)
+    assert len(trajectory) == n_steps + 1
     for k in range(len(trajectory)):
-        assert trajectory.at_year(s.start_year + k * dt).year == trajectory.years[k]
+        assert trajectory.at_year(s.start_year + k * step).year == trajectory.years[k]
+    assert trajectory.years[-1] == pytest.approx(s.start_year + horizon, abs=1e-9)
 
 
 def test_at_year_rejects_off_grid_year():

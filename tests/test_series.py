@@ -11,6 +11,7 @@ from enerscale.series import (
     AnnualSeries,
     Period,
     SeriesKind,
+    aligned_values,
     log_slope,
     mean,
     sample_std,
@@ -122,6 +123,70 @@ def test_slice_never_mutates_input(s):
     except EmptySlice:
         pass
     assert (s.years, s.values) == before
+
+
+@given(s=annual_series(min_size=1), start=years_strategy, span=st.integers(1, 300))
+def test_slice_keeps_the_points_inside(s, start, span):
+    p = Period(start, start + span)
+    inside = [(y, v) for y, v in zip(s.years, s.values) if p.start_year <= y <= p.end_year]
+    if not inside:
+        with pytest.raises(EmptySlice, match="does not overlap"):
+            slice_series(s, p)
+        return
+    out = slice_series(s, p)
+    assert out.to_points() == inside
+    assert (out.kind, out.unit) == (s.kind, s.unit)
+
+
+# ----------------------------------------------------------------- alignment
+
+def test_aligned_values_contiguous_overlap():
+    a = make_series(2000, 2003)
+    a = a.with_data(a.years, (1.0, 2.0, 3.0, 4.0))
+    b = AnnualSeries(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, (2002, 2003, 2004), (5.0, 6.0, 7.0))
+    assert aligned_values(a, b) == ((2002, 2003), (3.0, 4.0), (5.0, 6.0))
+
+
+def test_aligned_values_sparse_knots(snapshot):
+    """The sparse PPP knots align with the annual MER record on their shared years."""
+    years, ppp, mer = aligned_values(snapshot.gdp_ppp, snapshot.gdp_mer)
+    shared = sorted(set(snapshot.gdp_ppp.years) & set(snapshot.gdp_mer.years))
+    assert list(years) == shared and len(shared) > 1
+    assert list(ppp) == [snapshot.gdp_ppp.value_at(y) for y in shared]
+    assert list(mer) == [snapshot.gdp_mer.value_at(y) for y in shared]
+
+
+def test_aligned_values_disjoint_raises():
+    a = make_series(1990, 1995)
+    b = AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (1989, 1996), (1.0, 1.0))
+    with pytest.raises(EmptySlice, match="series share no years"):
+        aligned_values(a, b)
+    with pytest.raises(EmptySlice, match="series share no years"):
+        aligned_values(a, make_series(2000, 2001))
+
+
+@st.composite
+def contiguous_series(draw):
+    first = draw(st.integers(min_value=1, max_value=60))
+    years = range(first, first + draw(st.integers(min_value=1, max_value=60)))
+    values = [draw(st.floats(min_value=1e-6, max_value=1e6)) for _ in years]
+    return AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, tuple(years), tuple(values))
+
+
+either_series = st.one_of(contiguous_series(), annual_series(min_size=1))
+
+
+@given(a=either_series, b=either_series)
+def test_aligned_values_matches_year_intersection(a, b):
+    shared = sorted(set(a.years) & set(b.years))
+    if not shared:
+        with pytest.raises(EmptySlice):
+            aligned_values(a, b)
+        return
+    years, a_values, b_values = aligned_values(a, b)
+    assert list(years) == shared
+    assert list(a_values) == [a.value_at(y) for y in shared]
+    assert list(b_values) == [b.value_at(y) for y in shared]
 
 
 def test_value_at_missing_year():
