@@ -21,7 +21,7 @@ from .errors import (
     SchemaError,
     TooFewPoints,
 )
-from .units import EJ_PER_YR_PER_GW, Quantity, Unit, convert
+from .units import EJ_PER_YR_PER_GW, Quantity, Unit, to_unit
 from .series import AnnualSeries, Period, SeriesKind, slice_series
 from .ingestion import (
     DataSourceDescriptor,
@@ -63,8 +63,6 @@ from .growth import (
     RatesRow,
     energy_productivity,
     growth_rate,
-    innovation_rate,
-    predicted_energy_growth,
     predicted_gdp_growth,
     rates_table,
     wealth_growth_series,
@@ -80,7 +78,6 @@ from .carbon import (
     kaya_decomposition,
     max_carbonization,
     max_carbonization_coefficient,
-    predicted_emissions_growth,
     step_atmosphere,
     wealth_per_ppmv,
 )

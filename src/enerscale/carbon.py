@@ -27,7 +27,7 @@ from .series import (
     sample_std,
     slice_series,
 )
-from .units import EJ_PER_YR_PER_GW, Quantity, Unit
+from .units import Quantity, Unit, to_unit
 
 #: Default linear sink rate band supported by the observational record.
 SIGMA_BAND = (0.019, 0.027)
@@ -92,9 +92,8 @@ class CarbonizationEstimate:
 def carbonization_series(emissions: AnnualSeries, energy: AnnualSeries) -> AnnualSeries:
     """Per-year carbon intensity C/E in GtC per EJ."""
     years, c_values, e_values = aligned_values(emissions, energy)
-    if energy.unit is Unit.GW:
-        e_values = [e * EJ_PER_YR_PER_GW for e in e_values]
-    intensity = tuple(c / e for c, e in zip(c_values, e_values))
+    unit = energy.unit
+    intensity = tuple(c / to_unit(e, unit, Unit.EJ_PER_YR) for c, e in zip(c_values, e_values))
     return AnnualSeries(SeriesKind.CARBONIZATION, Unit.GTC_PER_EJ, years, intensity)
 
 
@@ -204,11 +203,6 @@ def kaya_decomposition(
     )
 
 
-def predicted_emissions_growth(eta_c: float, lambda_eps: float) -> float:
-    """Emissions growth implied by constant scaling: eta_c + lambda*eps."""
-    return eta_c + lambda_eps
-
-
 EmissionsRate = Union[float, Callable[[float], float]]
 
 
@@ -274,12 +268,6 @@ def step_atmosphere(
     return AtmosphereState(year=t0 + dt, delta_co2=deltas[-1])
 
 
-def _scale_to_ej_per_tusd(scale: Quantity) -> float:
-    if scale.unit is Unit.GW_PER_TUSD:
-        return scale.value * EJ_PER_YR_PER_GW
-    raise DomainError("scaling must be expressed in GW per T$2010")
-
-
 def committed_equilibrium(
     w: Quantity,
     scale: Quantity,
@@ -296,7 +284,7 @@ def committed_equilibrium(
         raise DomainError("carbonization must be in GtC per EJ")
     if w.value < 0 or c.value <= 0:
         raise DomainError("inputs must be positive")
-    lam_ej = _scale_to_ej_per_tusd(scale)
+    lam_ej = to_unit(scale.value, scale.unit, Unit.EJ_PER_YR_PER_TUSD)
     delta = params.kappa_a * lam_ej * c.value * w.value / params.sigma
     return Quantity(delta, Unit.PPMV)
 
@@ -305,7 +293,7 @@ def wealth_per_ppmv(
     scale: Quantity, c: Quantity, params: CarbonCycleParams = CarbonCycleParams()
 ) -> Quantity:
     """Reciprocal commitment coefficient sigma/(kappa*lambda*c), T$2010 per ppmv."""
-    lam_ej = _scale_to_ej_per_tusd(scale)
+    lam_ej = to_unit(scale.value, scale.unit, Unit.EJ_PER_YR_PER_TUSD)
     if c.unit is not Unit.GTC_PER_EJ or c.value <= 0:
         raise DomainError("carbonization must be positive, in GtC per EJ")
     return Quantity(
@@ -317,7 +305,8 @@ def max_carbonization_coefficient(
     scale: Quantity, params: CarbonCycleParams = CarbonCycleParams()
 ) -> float:
     """sigma/(kappa*lambda): GtC * T$ per (ppmv * EJ)."""
-    return params.sigma / (params.kappa_a * _scale_to_ej_per_tusd(scale))
+    lam_ej = to_unit(scale.value, scale.unit, Unit.EJ_PER_YR_PER_TUSD)
+    return params.sigma / (params.kappa_a * lam_ej)
 
 
 def max_carbonization(

@@ -59,20 +59,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt(value) -> str:
-    """Shortest round-trip rendering for CSV cells."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_rows(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)  # floats are written as their shortest round-trip repr
     return path
 
 
@@ -426,7 +418,7 @@ def _cmd_report(args, manifest: RunManifest) -> int:
     report_path = out_dir / "report.json"
     report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     width = max(len(k) for k in payload)
-    lines = [f"{k.ljust(width)}  {_fmt(v)}" for k, v in sorted(payload.items())]
+    lines = [f"{k.ljust(width)}  {v}" for k, v in sorted(payload.items())]
     text = "\n".join(lines) + "\n"
     print(text, end="")
     manifest.add_output(report_path)

@@ -17,7 +17,7 @@ from .projection import Scenario
 from .reconstruction import ReconstructionResult, build_wealth
 from .series import AnnualSeries, Period
 from .carbon import CarbonCycleParams
-from .units import EJ_PER_YR_PER_GW
+from .units import Unit, to_unit
 
 #: Window over which concurrent PPP and MER statistics exist.
 PPP_MER_WINDOW = Period(1970, 1992)
@@ -101,7 +101,7 @@ def preset_scenario(
     year = 2017
     w0 = recon.wealth.value_at(year)
     energy_ej = snap.energy.value_at(year)
-    lambda_gw = energy_ej / EJ_PER_YR_PER_GW / w0
+    lambda_gw = to_unit(energy_ej, Unit.EJ_PER_YR, Unit.GW) / w0
     c0 = snap.emissions.value_at(year) / energy_ej
     if spinup:
         from .projection import historical_spinup_delta

@@ -5,16 +5,16 @@ class EnerscaleError(Exception):
     """Base class for every error raised by this package."""
 
 
-class IncompatibleUnits(EnerscaleError):
-    """No conversion path exists between the requested unit tags."""
-
-
 class KindError(EnerscaleError):
     """A series of the wrong kind (or a unit inconsistent with its kind) was supplied."""
 
 
 class DomainError(EnerscaleError):
     """A value violates the domain rules of its quantity (sign, finiteness, ordering)."""
+
+
+class IncompatibleUnits(DomainError):
+    """No conversion path exists between the requested unit tags."""
 
 
 class InvalidPeriod(EnerscaleError):

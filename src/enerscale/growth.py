@@ -24,7 +24,7 @@ from .series import (
     mean,
     slice_series,
 )
-from .units import EJ_PER_YR_PER_GW, Quantity, Unit
+from .units import Quantity, Unit, to_unit
 
 
 class GrowthMethod(str, Enum):
@@ -83,9 +83,8 @@ def growth_rate(
 def energy_productivity(gdp: AnnualSeries, energy: AnnualSeries) -> AnnualSeries:
     """Per-year production per unit energy, in T$2010 per EJ."""
     years, y_values, e_values = aligned_values(gdp, energy)
-    if energy.unit is Unit.GW:
-        e_values = [e * EJ_PER_YR_PER_GW for e in e_values]
-    eps = tuple(y / e for y, e in zip(y_values, e_values))
+    unit = energy.unit
+    eps = tuple(y / to_unit(e, unit, Unit.EJ_PER_YR) for y, e in zip(y_values, e_values))
     return AnnualSeries(SeriesKind.PRODUCTIVITY, Unit.TUSD_PER_EJ, years, eps)
 
 
@@ -93,28 +92,12 @@ def mean_scaled_productivity(scale: Quantity, eps: AnnualSeries, p: Period) -> f
     """Period mean of lambda * eps(t), a fractional rate per year.
 
     ``scale`` is held fixed (conventionally at its full-sample mean) while the
-    productivity series varies; GW/T$ times T$/EJ reduces to 1/yr through the
-    fixed GW <-> EJ/yr factor.
+    productivity series varies; EJ/yr per T$ times T$/EJ reduces to 1/yr. This
+    is also the energy-demand growth implied by constant scaling.
     """
-    if scale.unit is not Unit.GW_PER_TUSD:
-        raise DomainError("scaled productivity needs the scaling in GW per T$2010")
+    lam_ej = to_unit(scale.value, scale.unit, Unit.EJ_PER_YR_PER_TUSD)
     window = slice_series(eps, p)
-    lam_ej = scale.value * EJ_PER_YR_PER_GW  # EJ/yr per T$
     return lam_ej * mean(window.values)
-
-
-def predicted_energy_growth(scale: Quantity, eps: AnnualSeries, p: Period) -> GrowthRate:
-    """Energy-demand growth implied by constant scaling: mean of lambda*eps."""
-    value = mean_scaled_productivity(scale, eps, p)
-    return GrowthRate(value=value, period=p, method=GrowthMethod.ENDPOINT_LOG)
-
-
-def innovation_rate(
-    s: AnnualSeries, p: Period, method: GrowthMethod = GrowthMethod.ENDPOINT_LOG
-) -> GrowthRate:
-    """Growth rate of a productivity or rate series (eta_eps, or eta_I when
-    applied to the wealth-growth series)."""
-    return growth_rate(s, p, method)
 
 
 def predicted_gdp_growth(scale: Quantity, eps: AnnualSeries, p: Period) -> GrowthRate:

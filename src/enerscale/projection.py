@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 from .carbon import CarbonCycleParams, _rk4_deltas
 from .errors import DomainError
 from .series import AnnualSeries
-from .units import DAYS_PER_YEAR, EJ_PER_YR_PER_GW, Quantity, Unit
+from .units import DAYS_PER_YEAR, Quantity, Unit, to_unit
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,14 @@ class Scenario:
     delta0: float = 0.0
     carbon_params: CarbonCycleParams = field(default_factory=CarbonCycleParams)
     dt: float = 0.25
+    #: The scaling in EJ/yr per T$2010, derived from ``lambda_gw``.
+    lambda_ej: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        not_finite = [f.name for f in fields(self) if f.init and f.name != "carbon_params"
+                      and not math.isfinite(getattr(self, f.name))]
+        if not_finite:
+            raise DomainError(f"scenario fields must be finite: {', '.join(not_finite)}")
         if self.horizon_years <= 0:
             raise DomainError("horizon must be positive")
         if not 0.0 < self.dt <= 1.0:
@@ -47,11 +53,8 @@ class Scenario:
             raise DomainError("w0, lambda and c0 must be positive")
         if self.delta0 < 0:
             raise DomainError("initial perturbation cannot be negative")
-
-    @property
-    def lambda_ej(self) -> float:
-        """Scaling in EJ/yr per T$2010."""
-        return self.lambda_gw * EJ_PER_YR_PER_GW
+        lambda_ej = to_unit(self.lambda_gw, Unit.GW_PER_TUSD, Unit.EJ_PER_YR_PER_TUSD)
+        object.__setattr__(self, "lambda_ej", lambda_ej)
 
     def wealth_at(self, year: float) -> float:
         return self.w0 * math.exp(self.eta_w * (year - self.start_year))
@@ -189,16 +192,10 @@ class CapacityRequirement:
 
 
 def required_clean_capacity(energy: Quantity, eta_e: float) -> CapacityRequirement:
-    """Capacity additions covering growth ``eta_e`` of consumption ``energy``."""
+    """Capacity additions covering growth ``eta_e`` of consumption ``energy`` (GW or EJ/yr)."""
     if eta_e < 0:
         raise DomainError("growth rate must be nonnegative")
-    if energy.unit is Unit.GW:
-        total_gw = energy.value
-    elif energy.unit is Unit.EJ_PER_YR:
-        total_gw = energy.to(Unit.GW).value
-    else:
-        raise DomainError("energy must be in GW or EJ/yr")
-    per_year = total_gw * eta_e
+    per_year = to_unit(energy.value, energy.unit, Unit.GW) * eta_e
     return CapacityRequirement(gw_per_year=per_year, gw_per_day=per_year / DAYS_PER_YEAR)
 
 

@@ -185,6 +185,15 @@ def spline_infill(sparse: AnnualSeries, log_values: bool = True) -> AnnualSeries
     return sparse.with_data(years, tuple(map(by_year.get, years, values)))
 
 
+def _year_one_production(gdp: AnnualSeries, pop_growth: float) -> float:
+    """Y(1), after the checks both calibrations share."""
+    if not (math.isfinite(pop_growth) and pop_growth > 0):
+        raise DomainError(f"pop_growth must be positive and finite, got {pop_growth}")
+    if not gdp.has_year(1):
+        raise MissingYearOne("calibration requires the production series to cover year 1 CE")
+    return gdp.value_at(1)
+
+
 def calibrate_initial_wealth(gdp: AnnualSeries, pop_growth: float = ANCIENT_POP_GROWTH) -> Quantity:
     """Initial stock W(1) such that wealth growth at year 1 matches population growth.
 
@@ -192,11 +201,7 @@ def calibrate_initial_wealth(gdp: AnnualSeries, pop_growth: float = ANCIENT_POP_
     form W(1) = Y(1)/pop_growth; see ``calibrate_initial_wealth_iterative``
     for the fixed-point formulation it collapses from.
     """
-    if pop_growth <= 0:
-        raise DomainError("pop_growth must be positive")
-    if not gdp.has_year(1):
-        raise MissingYearOne("calibration requires the production series to cover year 1 CE")
-    return Quantity(gdp.value_at(1) / pop_growth, Unit.TUSD)
+    return Quantity(_year_one_production(gdp, pop_growth) / pop_growth, Unit.TUSD)
 
 
 def calibrate_initial_wealth_iterative(
@@ -212,11 +217,7 @@ def calibrate_initial_wealth_iterative(
     closed form after one step, so the loop converges immediately; both
     entry points are kept so the agreement can be asserted.
     """
-    if pop_growth <= 0:
-        raise DomainError("pop_growth must be positive")
-    if not gdp.has_year(1):
-        raise MissingYearOne("calibration requires the production series to cover year 1 CE")
-    y1 = gdp.value_at(1)
+    y1 = _year_one_production(gdp, pop_growth)
     w = float(initial_guess)
     for _ in range(max_iterations):
         eta = y1 / w

@@ -24,7 +24,7 @@ from .series import (
     sample_std,
     slice_series,
 )
-from .units import EJ_PER_YR_PER_GW, Quantity, Unit
+from .units import Quantity, Unit, to_unit
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,8 @@ class PotentialParams:
 def scaling_series(energy: AnnualSeries, wealth: WealthSeries) -> AnnualSeries:
     """Per-year energy/wealth ratio in GW per T$2010 on the common years."""
     years, e_values, w_values = aligned_values(energy, wealth.series)
-    if energy.unit is Unit.EJ_PER_YR:
-        e_values = [e / EJ_PER_YR_PER_GW for e in e_values]
-    elif energy.unit is not Unit.GW:  # pragma: no cover - kinds force EJ/yr or GW
-        raise DomainError(f"unsupported energy unit {energy.unit.value}")
-    ratios = tuple(e / w for e, w in zip(e_values, w_values))
+    unit = energy.unit
+    ratios = tuple(to_unit(e, unit, Unit.GW) / w for e, w in zip(e_values, w_values))
     return AnnualSeries(SeriesKind.SCALING, Unit.GW_PER_TUSD, years, ratios)
 
 
@@ -106,11 +103,6 @@ def potential_per_dollar(scale: Quantity, pp: PotentialParams = PotentialParams(
 
 
 def civilization_potential(energy: Quantity, pp: PotentialParams = PotentialParams()) -> Quantity:
-    """Total stored potential G = E * tau_d in joules."""
-    if energy.unit is Unit.GW:
-        watts = energy.value * 1e9
-    elif energy.unit is Unit.EJ_PER_YR:
-        watts = energy.to(Unit.GW).value * 1e9
-    else:
-        raise DomainError("civilization_potential expects energy in GW or EJ/yr")
+    """Total stored potential G = E * tau_d in joules, for energy in GW or EJ/yr."""
+    watts = to_unit(energy.value, energy.unit, Unit.GW) * 1e9
     return Quantity(watts * pp.tau_d, Unit.JOULE)

@@ -14,6 +14,7 @@ from .growth import (
     energy_productivity,
     growth_rate,
     mean_scaled_productivity,
+    predicted_gdp_growth,
     rates_table,
 )
 from .reconstruction import ReconstructionResult
@@ -123,9 +124,6 @@ def build_table3(
     for p in RATE_PERIODS:
         est = carbonization(snapshot.emissions, snapshot.energy, p,
                             wealth=recon.wealth, params=params)
-        kaya = kaya_decomposition(
-            snapshot.population, recon.gdp, snapshot.energy, snapshot.emissions, p
-        )
         lam_eps = mean_scaled_productivity(scale, eps, p)
         rows.append(
             (
@@ -133,7 +131,7 @@ def build_table3(
                 est.lambda_c,
                 est.lambda_c_std,
                 est.eta_c * 100.0,
-                kaya.eta_emissions * 100.0,
+                growth_rate(snapshot.emissions, p).value * 100.0,
                 (est.eta_c + lam_eps) * 100.0,
             )
         )
@@ -157,7 +155,7 @@ def build_table4(snapshot: Snapshot, recon: ReconstructionResult) -> TableResult
         kaya = kaya_decomposition(
             snapshot.population, recon.gdp, snapshot.energy, snapshot.emissions, p
         )
-        predicted = mean_scaled_productivity(scale, eps, p) + growth_rate(eps, p).value
+        predicted = predicted_gdp_growth(scale, eps, p).value
         rows.append(
             (
                 str(p),

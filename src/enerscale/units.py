@@ -8,6 +8,7 @@ presentation boundaries.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,6 +40,7 @@ class Unit(str, Enum):
     JOULE = "J"
     J_PER_USD = "J/$"
     GW_PER_TUSD = "GW/T$2010"
+    EJ_PER_YR_PER_TUSD = "(EJ/yr)/T$2010"
     TUSD_PER_PPMV = "T$2010/ppmv"
     TUSD_PER_EJ = "T$2010/EJ"
     DIMENSIONLESS = "1"
@@ -47,25 +49,31 @@ class Unit(str, Enum):
         return self.value
 
 
-#: Multiplicative conversion factors between convertible unit pairs.
-_CONVERSIONS: dict[tuple[Unit, Unit], float] = {
-    (Unit.GW, Unit.EJ_PER_YR): EJ_PER_YR_PER_GW,
-    (Unit.EJ_PER_YR, Unit.GW): 1.0 / EJ_PER_YR_PER_GW,
+#: How each convertible pair applies EJ_PER_YR_PER_GW: GW -> EJ/yr multiplies,
+#: EJ/yr -> GW divides, and a scaling per T$2010 converts like its numerator.
+_CONVERSIONS = {
+    (Unit.GW, Unit.EJ_PER_YR): operator.mul,
+    (Unit.EJ_PER_YR, Unit.GW): operator.truediv,
+    (Unit.GW_PER_TUSD, Unit.EJ_PER_YR_PER_TUSD): operator.mul,
 }
 
 
-def conversion_factor(source: Unit, target: Unit) -> float:
-    """Return the factor taking ``source`` to ``target``.
+def to_unit(value: float, source: Unit, target: Unit) -> float:
+    """``value`` in ``source`` expressed in ``target``: the one GW <-> EJ/yr path.
 
+    GW -> EJ/yr multiplies by ``EJ_PER_YR_PER_GW`` and EJ/yr -> GW divides by
+    it (multiplying by the reciprocal rounds differently for some inputs).
     Raises IncompatibleUnits when no conversion path exists (context-dependent
     conversions such as GtC/yr -> ppmv are deliberately not unit conversions).
     """
     if source is target:
-        return 1.0
+        return value
     try:
-        return _CONVERSIONS[(source, target)]
+        direction = _CONVERSIONS[(source, target)]
     except KeyError:
-        raise IncompatibleUnits(f"no conversion path from {source.value} to {target.value}") from None
+        message = f"no conversion path from {source.value} to {target.value}"
+        raise IncompatibleUnits(message) from None
+    return direction(value, EJ_PER_YR_PER_GW)
 
 
 @dataclass(frozen=True)
@@ -84,7 +92,7 @@ class Quantity:
             raise DomainError(f"quantity value must be finite, got {self.value!r}")
 
     def to(self, target: Unit) -> "Quantity":
-        return Quantity(self.value * conversion_factor(self.unit, target), target)
+        return Quantity(to_unit(self.value, self.unit, target), target)
 
     def __add__(self, other: "Quantity") -> "Quantity":
         self._check_same_unit(other, "add")
@@ -109,8 +117,3 @@ class Quantity:
             raise IncompatibleUnits(
                 f"cannot {verb} {self.unit.value} and {other.unit.value}"
             )
-
-
-def convert(q: Quantity, target: Unit) -> Quantity:
-    """Convert ``q`` to ``target``; round-trips are exact to ~1 ulp."""
-    return q.to(target)

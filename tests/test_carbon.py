@@ -13,7 +13,6 @@ from enerscale.carbon import (
     kaya_decomposition,
     max_carbonization,
     max_carbonization_coefficient,
-    predicted_emissions_growth,
     step_atmosphere,
     wealth_per_ppmv,
 )
@@ -264,9 +263,16 @@ def test_kaya_residual_vanishes(inputs):
 
 # ----------------------------------------------------------------- predictions
 
-def test_predicted_emissions_growth_values():
-    assert predicted_emissions_growth(-0.0021, 0.0209) == pytest.approx(0.0188)
-    assert predicted_emissions_growth(0.0, 0.0) == 0.0
+def test_predicted_emissions_growth_values(snapshot, recon):
+    # table 3's predicted emissions growth is eta_c + lambda*eps, with
+    # lambda*eps the column table 2 reports for the same period
+    from enerscale.tables import build_table2, build_table3
+
+    lambda_eps = {row[0]: row[3] for row in build_table2(snapshot, recon).rows}
+    rows = build_table3(snapshot, recon).rows
+    assert [row[0] for row in rows] == list(lambda_eps)
+    for period, _, _, eta_c, _, predicted in rows:
+        assert predicted == pytest.approx(eta_c + lambda_eps[period], abs=1e-12)
 
 
 def test_snapshot_predicted_vs_measured_emissions(snapshot, recon):
@@ -278,7 +284,5 @@ def test_snapshot_predicted_vs_measured_emissions(snapshot, recon):
     lam = scaling_series(snapshot.energy, recon.wealth)
     scale = scaling_stats(lam, Period(1980, 2017)).mean
     eps = energy_productivity(recon.gdp, snapshot.energy)
-    predicted = predicted_emissions_growth(
-        est.eta_c, mean_scaled_productivity(scale, eps, p)
-    )
+    predicted = est.eta_c + mean_scaled_productivity(scale, eps, p)
     assert predicted * 100 == pytest.approx(1.88, abs=0.2)

@@ -83,6 +83,13 @@ def test_calibrate_prints_json(capsys):
     assert payload["w1_closed_form_tusd"] == pytest.approx(payload["w1_iterative_tusd"])
 
 
+def test_calibrate_rejects_non_finite_pop_growth(capsys):
+    assert main(["calibrate", "--pop-growth", "inf"]) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: pop_growth must be positive and finite")
+
+
 # -------------------------------------------------------------------- tables
 
 def test_tables_all_ids(tmp_path):
@@ -99,15 +106,17 @@ def test_tables_rejects_unknown_id(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-def test_tables_from_reconstruction_dir(tmp_path):
+@pytest.mark.parametrize("table", range(1, 6))
+def test_tables_from_reconstruction_dir(tmp_path, table):
     recon_dir = tmp_path / "recon"
     assert main(["reconstruct", "--out-dir", str(recon_dir)]) == EXIT_OK
     out = tmp_path / "tables"
-    assert main(["tables", "--table", "1", "--data-dir", str(recon_dir),
+    assert main(["tables", "--table", str(table), "--data-dir", str(recon_dir),
                  "--out-dir", str(out)]) == EXIT_OK
     fresh = tmp_path / "tables_fresh"
-    assert main(["tables", "--table", "1", "--out-dir", str(fresh)]) == EXIT_OK
-    assert (out / "table1.csv").read_bytes() == (fresh / "table1.csv").read_bytes()
+    assert main(["tables", "--table", str(table), "--out-dir", str(fresh)]) == EXIT_OK
+    for name in (f"table{table}.csv", f"table{table}.txt"):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
 
 
 def test_tables_missing_reconstruction_inputs(tmp_path, capsys):
@@ -145,6 +154,27 @@ def test_project_rejects_bad_dt(tmp_path, capsys):
                  "--out", str(tmp_path / "t.csv")])
     assert code == EXIT_RUNTIME
     assert "dt must be in (0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--preset", "paper-2017", "--eta-w", "nan"],
+        ["--preset", "paper-2017", "--eta-c", "inf"],
+        ["--w0", "nan", "--lambda-gw", "5.9", "--c0", "0.02", "--delta0", "130"],
+        ["--w0", "300", "--lambda-gw", "5.9", "--c0", "0.02", "--delta0", "nan"],
+        ["--preset", "paper-2017", "--horizon", "inf"],
+        ["--preset", "paper-2017", "--horizon", "nan"],
+    ],
+)
+def test_project_rejects_non_finite_scenario(tmp_path, capsys, flags):
+    # main returning exit 1 means no exception escaped it, so no traceback
+    code = main(["project", *flags, "--out", str(tmp_path / "t.csv")])
+    err = capsys.readouterr().err
+    assert code == EXIT_RUNTIME
+    assert err.startswith("error: scenario fields must be finite")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_project_unknown_preset(tmp_path, capsys):

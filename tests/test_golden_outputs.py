@@ -3,8 +3,9 @@
 The digests below are the SHA-256 of every non-manifest output of
 ``reconstruct``, ``tables --table 1..5``, ``report`` and
 ``project --preset paper-2017`` (defaults), recorded from commit 3b1b4b8
-with Python 3.11.7 on x86-64 Linux. A refactor must reproduce them byte for
-byte. A change that alters an output on purpose updates the digest here and
+with Python 3.11.7 on x86-64 Linux; the ``project --curve`` and
+``project --spinup`` digests were recorded the same way from commit
+115ed34. A refactor must reproduce them byte for byte. A change that alters an output on purpose updates the digest here and
 says in CHANGES.md which output moved and why. Run manifests are left out:
 they hold the checkout's absolute paths.
 """
@@ -16,6 +17,8 @@ import pytest
 from enerscale.cli import EXIT_OK, main
 
 GOLDEN = {
+    "project/curve.csv": "2b7e72dea95e2219efae2da6da3cd054684e5920014cc56c3ea47f291d18450f",
+    "project/spinup.csv": "c4209cc5187d5bca33ffa2d0d5504cfe3e3f6f8238e02ef017ed8be2f1b9228b",
     "project/trajectory.csv": "9760d68355e8fae7c0cd74b98ff300370df77e0c54623d6c51418201d8d35cd7",
     "reconstruct/gdp_annual.csv": "90b93f8706a095309658c3601b357e369aa609957efe492a5bfefb66f0420335",
     "reconstruct/reconstruction.json": "c7c53ababe7e06d39821c941d00063c2a356cfbabf4c5d38909de58bd44986f5",
@@ -35,11 +38,14 @@ GOLDEN = {
 
 
 def commands(root):
+    project = root / "project"
     return [
         ["reconstruct", "--out-dir", str(root / "reconstruct")],
         *[["tables", "--table", str(n), "--out-dir", str(root / "tables")] for n in range(1, 6)],
         ["report", "--out-dir", str(root / "report")],
-        ["project", "--preset", "paper-2017", "--out", str(root / "project" / "trajectory.csv")],
+        ["project", "--preset", "paper-2017", "--out", str(project / "trajectory.csv")],
+        ["project", "--preset", "paper-2017", "--curve", "--out", str(project / "curve.csv")],
+        ["project", "--preset", "paper-2017", "--spinup", "--out", str(project / "spinup.csv")],
     ]
 
 

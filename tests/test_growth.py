@@ -10,9 +10,7 @@ from enerscale.growth import (
     GrowthMethod,
     energy_productivity,
     growth_rate,
-    innovation_rate,
     mean_scaled_productivity,
-    predicted_energy_growth,
     predicted_gdp_growth,
     rates_table,
     wealth_growth_series,
@@ -115,22 +113,22 @@ def test_snapshot_scaled_productivity(snapshot, recon):
 
 def test_predicted_energy_growth_zero_scale_is_zero():
     eps = series(SeriesKind.PRODUCTIVITY, Unit.TUSD_PER_EJ, (2000, 2001), (0.1, 0.2))
-    zero = predicted_energy_growth(Quantity(0.0, Unit.GW_PER_TUSD), eps, Period(2000, 2001))
-    assert zero.value == 0.0
+    zero = mean_scaled_productivity(Quantity(0.0, Unit.GW_PER_TUSD), eps, Period(2000, 2001))
+    assert zero == 0.0
 
 
 # -------------------------------------------------------------- innovation
 
 def test_innovation_rate_constant_productivity_is_zero():
     eps = series(SeriesKind.PRODUCTIVITY, Unit.TUSD_PER_EJ, range(2000, 2005), [0.12] * 5)
-    assert innovation_rate(eps, Period(2000, 2004)).value == pytest.approx(0.0, abs=1e-15)
+    assert growth_rate(eps, Period(2000, 2004)).value == pytest.approx(0.0, abs=1e-15)
 
 
 def test_snapshot_innovation_rates(snapshot, recon):
     eps = energy_productivity(recon.gdp, snapshot.energy)
-    eta_eps = innovation_rate(eps, Period(1980, 2010)).value
+    eta_eps = growth_rate(eps, Period(1980, 2010)).value
     assert eta_eps * 100 == pytest.approx(0.91, abs=0.2)
-    eta_i = innovation_rate(wealth_growth_series(recon.wealth), Period(1980, 2010)).value
+    eta_i = growth_rate(wealth_growth_series(recon.wealth), Period(1980, 2010)).value
     assert eta_i * 100 == pytest.approx(0.82, abs=0.15)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -85,6 +87,16 @@ def test_initial_wealth_rejects_zero_growth():
     gdp = gdp_series((1, 2), (1.0, 1.1))
     with pytest.raises(DomainError):
         calibrate_initial_wealth(gdp, 0.0)
+
+
+@pytest.mark.parametrize(
+    "calibrate", [calibrate_initial_wealth, calibrate_initial_wealth_iterative]
+)
+@pytest.mark.parametrize("pop_growth", [math.inf, math.nan])
+def test_initial_wealth_rejects_non_finite_growth(calibrate, pop_growth):
+    gdp = gdp_series((1, 2), (1.0, 1.1))
+    with pytest.raises(DomainError, match="pop_growth must be positive and finite"):
+        calibrate(gdp, pop_growth)
 
 
 def test_initial_wealth_needs_year_one():

@@ -5,30 +5,30 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from enerscale.errors import DomainError, IncompatibleUnits
-from enerscale.units import EJ_PER_YR_PER_GW, Quantity, Unit, convert
+from enerscale.units import EJ_PER_YR_PER_GW, Quantity, Unit, to_unit
 
 CONVERTIBLE_PAIRS = [(Unit.GW, Unit.EJ_PER_YR), (Unit.EJ_PER_YR, Unit.GW)]
 
 
 def test_gw_to_ej_definitional_constant():
-    assert convert(Quantity(1.0, Unit.GW), Unit.EJ_PER_YR).value == 0.0315360
+    assert Quantity(1.0, Unit.GW).to(Unit.EJ_PER_YR).value == 0.0315360
 
 
 def test_gw_to_ej_scales():
     # 20000 x 0.031536, by hand
-    q = convert(Quantity(20000.0, Unit.GW), Unit.EJ_PER_YR)
+    q = Quantity(20000.0, Unit.GW).to(Unit.EJ_PER_YR)
     assert q.value == pytest.approx(630.72, rel=1e-12)
     assert q.unit is Unit.EJ_PER_YR
 
 
 def test_identity_conversion():
     q = Quantity(3.5, Unit.PPMV)
-    assert convert(q, Unit.PPMV) == q
+    assert q.to(Unit.PPMV) == q
 
 
 def test_no_path_between_unrelated_units():
     with pytest.raises(IncompatibleUnits):
-        convert(Quantity(1.0, Unit.GTC_PER_YR), Unit.PPMV)
+        Quantity(1.0, Unit.GTC_PER_YR).to(Unit.PPMV)
 
 
 @given(
@@ -37,7 +37,7 @@ def test_no_path_between_unrelated_units():
 )
 def test_round_trip_exact(value, pair):
     source, target = pair
-    back = convert(convert(Quantity(value, source), target), source)
+    back = Quantity(value, source).to(target).to(source)
     assert back.value == pytest.approx(value, rel=1e-12)
 
 
@@ -66,3 +66,58 @@ def test_arithmetic_rejects_mixed_units():
 
 def test_conversion_factor_is_365_day_year():
     assert math.isclose(EJ_PER_YR_PER_GW, 86400 * 365 * 1e9 / 1e18, rel_tol=1e-15)
+
+
+def test_gw_to_ej_multiplies_and_ej_to_gw_divides(snapshot):
+    # The reciprocal 1/k rounds differently: 3 of the 38 bundled energy values
+    # (e.g. 337.72 EJ/yr) land on other bits as e * (1/k) than as e / k.
+    values = snapshot.energy.values
+    assert sum(e / EJ_PER_YR_PER_GW != e * (1.0 / EJ_PER_YR_PER_GW) for e in values) == 3
+    for e in values:
+        assert to_unit(e, Unit.EJ_PER_YR, Unit.GW) == e / EJ_PER_YR_PER_GW
+        assert Quantity(e, Unit.EJ_PER_YR).to(Unit.GW).value == e / EJ_PER_YR_PER_GW
+        assert to_unit(e, Unit.GW, Unit.EJ_PER_YR) == e * EJ_PER_YR_PER_GW
+        assert to_unit(e, Unit.GW_PER_TUSD, Unit.EJ_PER_YR_PER_TUSD) == e * EJ_PER_YR_PER_GW
+
+
+def test_public_functions_reject_units_without_a_path():
+    from enerscale.carbon import committed_equilibrium, max_carbonization_coefficient
+    from enerscale.projection import required_clean_capacity
+    from enerscale.scaling import civilization_potential
+
+    with pytest.raises(DomainError):
+        civilization_potential(Quantity(1.0, Unit.TUSD))
+    with pytest.raises(DomainError):
+        required_clean_capacity(Quantity(1.0, Unit.PPMV), 0.02)
+    with pytest.raises(DomainError):
+        max_carbonization_coefficient(Quantity(5.9, Unit.GW))
+    with pytest.raises(DomainError):
+        committed_equilibrium(
+            Quantity(1.0, Unit.TUSD), Quantity(5.9, Unit.EJ_PER_YR), Quantity(0.02, Unit.GTC_PER_EJ)
+        )
+
+
+def test_gw_ej_factor_is_used_only_in_units():
+    """Every GW <-> EJ/yr conversion goes through ``units.to_unit``.
+
+    Outside ``units.py`` the factor may be re-exported (``__init__.py``) but
+    never read, and neither it nor its reciprocal may appear as a literal.
+    """
+    import ast
+    from pathlib import Path
+
+    import enerscale
+
+    factors = {EJ_PER_YR_PER_GW, 1.0 / EJ_PER_YR_PER_GW}
+    offenders = []
+    for path in sorted(Path(enerscale.__file__).parent.glob("*.py")):
+        if path.name == "units.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            read = (isinstance(node, ast.Name) and node.id == "EJ_PER_YR_PER_GW") or (
+                isinstance(node, ast.Attribute) and node.attr == "EJ_PER_YR_PER_GW"
+            )
+            literal = isinstance(node, ast.Constant) and node.value in factors
+            if read or literal:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
