@@ -4,8 +4,15 @@ Reconstructs world cumulative economic production from the historical GDP
 record, estimates the scaling between current primary energy consumption and
 that integral, reproduces the associated growth and emissions identities, and
 projects committed CO2 concentrations under configurable scenarios.
+
+``import enerscale`` loads only the error types; every other public name
+(and each submodule) is imported on first access (PEP 562), so a process
+compiles and runs only the modules it uses.
 """
 
+import importlib
+
+from . import errors
 from .errors import (
     DomainError,
     EmptySlice,
@@ -21,90 +28,58 @@ from .errors import (
     SchemaError,
     TooFewPoints,
 )
-from .units import EJ_PER_YR_PER_GW, Quantity, Unit, to_unit
-from .series import AnnualSeries, Period, SeriesKind, slice_series
-from .ingestion import (
-    DataSourceDescriptor,
-    ManifestEntry,
-    RatioStats,
-    ValidationReport,
-    load_manifest,
-    load_series,
-    production_consumption_ratio,
-    validate,
-    write_series,
-)
-from .reconstruction import (
-    NaturalCubicSpline,
-    PppMerRatio,
-    ReconstructionResult,
-    WealthSeries,
-    build_wealth,
-    calibrate_initial_wealth,
-    calibrate_initial_wealth_iterative,
-    cumulative_production,
-    estimate_ppp_mer_ratio,
-    ppp_to_mer,
-    reconstruct_production,
-    spline_infill,
-)
-from .scaling import (
-    PotentialParams,
-    ScalingEstimate,
-    civilization_potential,
-    potential_per_dollar,
-    scaling_series,
-    scaling_stats,
-    w1_sensitivity,
-)
-from .growth import (
-    GrowthMethod,
-    GrowthRate,
-    RatesRow,
-    energy_productivity,
-    growth_rate,
-    predicted_gdp_growth,
-    rates_table,
-    wealth_growth_series,
-)
-from .carbon import (
-    AtmosphereState,
-    CarbonCycleParams,
-    CarbonizationEstimate,
-    KayaComponents,
-    carbonization,
-    carbonization_series,
-    committed_equilibrium,
-    kaya_decomposition,
-    max_carbonization,
-    max_carbonization_coefficient,
-    step_atmosphere,
-    wealth_per_ppmv,
-)
-from .projection import (
-    CapacityRequirement,
-    Scenario,
-    SteadyStateResult,
-    Trajectory,
-    TrajectoryPoint,
-    committed_curve,
-    halving_time,
-    historical_spinup_delta,
-    required_clean_capacity,
-    run_scenario,
-    steady_state_commitment,
-)
-from .thermo import (
-    ThermoState,
-    node_production_rate,
-    potential_growth_rate,
-    productivity_bridge,
-    simulate_partition,
-    surplus_fraction,
-    sustenance_power,
-)
-from . import datasets
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_SUBMODULES = (
+    "carbon", "datasets", "growth", "ingestion", "projection", "reconstruction",
+    "scaling", "series", "thermo", "units",
+)
+
+#: Public name -> the submodule that defines it.
+_LAZY = {
+    name: module
+    for module, names in {
+        "units": "EJ_PER_YR_PER_GW Quantity Unit to_unit",
+        "series": "AnnualSeries Period SeriesKind slice_series",
+        "ingestion": "DataSourceDescriptor ManifestEntry RatioStats ValidationReport"
+                     " load_manifest load_series production_consumption_ratio validate"
+                     " write_series",
+        "reconstruction": "NaturalCubicSpline PppMerRatio ReconstructionResult WealthSeries"
+                          " build_wealth calibrate_initial_wealth"
+                          " calibrate_initial_wealth_iterative cumulative_production"
+                          " estimate_ppp_mer_ratio ppp_to_mer reconstruct_production"
+                          " spline_infill",
+        "scaling": "PotentialParams ScalingEstimate civilization_potential"
+                   " potential_per_dollar scaling_series scaling_stats w1_sensitivity",
+        "growth": "GrowthMethod GrowthRate RatesRow energy_productivity growth_rate"
+                  " predicted_gdp_growth rates_table wealth_growth_series",
+        "carbon": "AtmosphereState CarbonCycleParams CarbonizationEstimate KayaComponents"
+                  " carbonization carbonization_series committed_equilibrium"
+                  " kaya_decomposition max_carbonization max_carbonization_coefficient"
+                  " step_atmosphere wealth_per_ppmv",
+        "projection": "CapacityRequirement Scenario SteadyStateResult Trajectory"
+                      " TrajectoryPoint committed_curve halving_time historical_spinup_delta"
+                      " required_clean_capacity run_scenario steady_state_commitment",
+        "thermo": "ThermoState node_production_rate potential_growth_rate"
+                  " productivity_bridge simulate_partition surplus_fraction sustenance_power",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(["errors", *_SUBMODULES, *_LAZY, *(n for n in vars(errors) if n[0] != "_")])
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    elif name in _LAZY:
+        value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import DomainError, EmptySlice
-from .growth import GrowthMethod, growth_rate
+from .growth import GrowthMethod, energy_productivity, growth_rate
 from .reconstruction import WealthSeries
 from .series import (
     AnnualSeries,
@@ -189,8 +189,6 @@ def kaya_decomposition(
 ) -> KayaComponents:
     """Decompose emissions growth into population, affluence, productivity and
     carbonization rates."""
-    from .growth import energy_productivity  # local import keeps module deps one-way
-
     eps = energy_productivity(gdp, energy)
     c_series = carbonization_series(emissions, energy)
     return KayaComponents(

@@ -26,23 +26,19 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import __version__, datasets, tables
-from .carbon import CarbonCycleParams
+# Model modules are imported inside the command that uses them, so each
+# process loads only what its subcommand needs.
+from . import __version__, datasets
 from .errors import EnerscaleError
-from .ingestion import load_manifest, load_series, validate, write_series
-from .projection import Scenario, committed_curve, run_scenario, time_grid
-from .reconstruction import (
-    calibrate_initial_wealth,
-    calibrate_initial_wealth_iterative,
-)
-from .scaling import scaling_series, scaling_stats
-from .series import Period
-from .units import Quantity, Unit
+
+if TYPE_CHECKING:
+    from .projection import Scenario
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -87,6 +83,8 @@ class RunManifest:
 
     def add_series_inputs(self, manifest_path: Path | None = None) -> None:
         """Checksum a series manifest (default: the bundled snapshot's) and every file it names."""
+        from .ingestion import load_manifest
+
         path = datasets.manifest_path() if manifest_path is None else manifest_path
         self.add_input(path)
         for entry in load_manifest(path).values():
@@ -162,6 +160,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_ingest(args, manifest: RunManifest) -> int:
+    from .ingestion import load_manifest, load_series, validate, write_series
+
     manifest_path = args.manifest if args.manifest is not None else datasets.manifest_path()
     entries = load_manifest(manifest_path)
     out_dir: Path = args.out_dir
@@ -186,6 +186,8 @@ def _cmd_ingest(args, manifest: RunManifest) -> int:
 
 
 def _cmd_reconstruct(args, manifest: RunManifest) -> int:
+    from .ingestion import write_series
+
     manifest.add_series_inputs()
     recon = datasets.baseline()
     out_dir: Path = args.out_dir
@@ -208,6 +210,8 @@ def _cmd_reconstruct(args, manifest: RunManifest) -> int:
 
 
 def _cmd_calibrate(args, manifest: RunManifest) -> int:
+    from .reconstruction import calibrate_initial_wealth, calibrate_initial_wealth_iterative
+
     recon = datasets.baseline()
     closed = calibrate_initial_wealth(recon.gdp, args.pop_growth)
     iterative = calibrate_initial_wealth_iterative(recon.gdp, args.pop_growth)
@@ -231,6 +235,11 @@ def _cmd_calibrate(args, manifest: RunManifest) -> int:
 
 def _tables_inputs(data_dir: Path | None, manifest: RunManifest):
     """Snapshot plus either recomputed or on-disk reconstruction outputs."""
+    from .ingestion import canonical_descriptor, load_series
+    from .reconstruction import PppMerRatio, ReconstructionResult, WealthSeries
+    from .series import Period, SeriesKind
+    from .units import Quantity, Unit
+
     snapshot = datasets.load_snapshot()
     manifest.add_series_inputs()
     if data_dir is None:
@@ -241,10 +250,6 @@ def _tables_inputs(data_dir: Path | None, manifest: RunManifest):
                 f"missing reconstruction output {data_dir / required}; run `enerscale reconstruct`"
             )
         manifest.add_input(data_dir / required)
-    from .ingestion import canonical_descriptor
-    from .reconstruction import ReconstructionResult, WealthSeries, PppMerRatio
-    from .series import SeriesKind
-
     gdp = load_series(canonical_descriptor(data_dir / "gdp_annual.csv",
                                            SeriesKind.GDP_MER, Unit.TUSD_PER_YR, "gdp"))
     wealth_series = load_series(canonical_descriptor(data_dir / "wealth.csv",
@@ -266,6 +271,8 @@ def _tables_inputs(data_dir: Path | None, manifest: RunManifest):
 
 
 def _cmd_tables(args, manifest: RunManifest) -> int:
+    from . import tables
+
     if args.table not in (1, 2, 3, 4, 5):
         raise UsageError(f"--table must be 1-5, got {args.table}")
     snapshot, recon = _tables_inputs(args.data_dir, manifest)
@@ -283,6 +290,9 @@ def _cmd_tables(args, manifest: RunManifest) -> int:
 
 
 def _scenario_from_args(args) -> Scenario:
+    from .carbon import CarbonCycleParams
+    from .projection import Scenario
+
     params = CarbonCycleParams(sigma=args.sigma)
     eta_w = args.eta_w if args.eta_w is not None else datasets.PRESET_GROWTH
     if args.preset is not None:
@@ -318,8 +328,15 @@ def _scenario_from_args(args) -> Scenario:
 
 
 def _cmd_project(args, manifest: RunManifest) -> int:
+    from .projection import committed_curve, run_scenario, time_grid
+    from .units import Quantity, Unit
+
     out: Path = args.out
     if args.curve:
+        not_finite = [flag for flag, value in (("--from-w", args.from_w), ("--to-w", args.to_w))
+                      if not math.isfinite(value)]
+        if not_finite:
+            raise EnerscaleError(f"curve bounds must be finite: {', '.join(not_finite)}")
         if args.from_w <= 0 or args.to_w <= args.from_w or args.points < 2:
             raise EnerscaleError("curve needs 0 < from-w < to-w and at least 2 points")
         scenario = _scenario_from_args(args)
@@ -382,7 +399,10 @@ def _cmd_project(args, manifest: RunManifest) -> int:
 
 
 def _cmd_report(args, manifest: RunManifest) -> int:
-    from .projection import halving_time, required_clean_capacity
+    from .projection import halving_time, required_clean_capacity, run_scenario
+    from .scaling import scaling_series, scaling_stats
+    from .series import Period
+    from .units import Quantity, Unit
 
     snapshot = datasets.load_snapshot()
     recon = datasets.baseline()

@@ -11,13 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .ingestion import ManifestEntry, load_manifest, load_series
-from .projection import Scenario
-from .reconstruction import ReconstructionResult, build_wealth
 from .series import AnnualSeries, Period
-from .carbon import CarbonCycleParams
 from .units import Unit, to_unit
+
+# baseline() and preset_scenario() import the model modules they call, so
+# loading the snapshot (``enerscale ingest``) runs no model code.
+if TYPE_CHECKING:
+    from .carbon import CarbonCycleParams
+    from .projection import Scenario
+    from .reconstruction import ReconstructionResult
 
 #: Window over which concurrent PPP and MER statistics exist.
 PPP_MER_WINDOW = Period(1970, 1992)
@@ -70,6 +75,8 @@ def load_snapshot() -> Snapshot:
 @lru_cache(maxsize=1)
 def baseline() -> ReconstructionResult:
     """Reconstruction of annual production and cumulative wealth from the snapshot."""
+    from .reconstruction import build_wealth
+
     snap = load_snapshot()
     return build_wealth(snap.gdp_ppp, snap.gdp_mer, overlap_window=PPP_MER_WINDOW)
 
@@ -93,6 +100,9 @@ def preset_scenario(
     baseline. With ``spinup`` the perturbation is instead integrated from the
     observed emissions record.
     """
+    from .carbon import CarbonCycleParams
+    from .projection import Scenario, historical_spinup_delta
+
     if name != "paper-2017":
         raise KeyError(f"unknown preset {name!r}")
     params = carbon_params if carbon_params is not None else CarbonCycleParams()
@@ -104,8 +114,6 @@ def preset_scenario(
     lambda_gw = to_unit(energy_ej, Unit.EJ_PER_YR, Unit.GW) / w0
     c0 = snap.emissions.value_at(year) / energy_ej
     if spinup:
-        from .projection import historical_spinup_delta
-
         first = snap.concentration.value_at(snap.emissions.first_year)
         delta0 = historical_spinup_delta(
             snap.emissions,

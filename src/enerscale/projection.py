@@ -134,6 +134,10 @@ def time_grid(horizon_years: float, dt: float) -> tuple[int, float]:
     horizon; otherwise ``n = ceil(h/dt)`` steps of ``h/n``, the largest step
     no longer than ``dt`` that divides the horizon (40 yr at 0.3 -> 134 steps).
     """
+    if not (math.isfinite(horizon_years) and horizon_years >= 0):
+        raise DomainError(f"horizon must be finite and non-negative, got {horizon_years}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise DomainError(f"dt must be finite and positive, got {dt}")
     n_steps = round(horizon_years / dt)
     if abs(n_steps * dt - horizon_years) <= 1e-9:
         return n_steps, dt
@@ -230,6 +234,8 @@ def steady_state_commitment(
     Both phases take ``time_grid``'s step count but step by ``dt`` itself, so
     a phase that ``dt`` does not divide runs up to one step past its span.
     """
+    if not math.isfinite(freeze_year):
+        raise DomainError(f"freeze year must be finite, got {freeze_year}")
     if not s.start_year <= freeze_year:
         raise DomainError("freeze year precedes the scenario start")
     head, delta0 = None, s.delta0

@@ -206,6 +206,16 @@ def test_project_curve_monotone(tmp_path):
     assert all(b > a for a, b in zip(deltas, deltas[1:]))
 
 
+@pytest.mark.parametrize("flag", ["--from-w", "--to-w"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_project_curve_rejects_non_finite_bounds(tmp_path, capsys, flag, value):
+    code = main(["project", "--preset", "paper-2017", "--curve", flag, value,
+                 "--out", str(tmp_path / "curve.csv")])
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err == f"error: curve bounds must be finite: {flag}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_project_outputs_parse_through_ingestion(tmp_path):
     out = tmp_path / "traj.csv"
     main(["project", "--preset", "paper-2017", "--horizon", "10", "--dt", "1",
@@ -307,6 +317,18 @@ def test_usage_error_exit_code():
     assert main(["frobnicate"]) == EXIT_USAGE
 
 
+def run_python(script, *args):
+    """Run ``script`` in a fresh interpreter that imports this checkout's enerscale."""
+    src = str(Path(enerscale.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+
+
 def test_cli_runs_without_numpy(tmp_path):
     """The runtime path uses only the standard library; numpy is a test oracle."""
     script = (
@@ -318,13 +340,58 @@ def test_cli_runs_without_numpy(tmp_path):
         "assert main(['project', '--preset', 'paper-2017', '--out', out + '/traj.csv']) == 0\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
     )
-    src = str(Path(enerscale.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-    )
+    result = run_python(script, tmp_path)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "tables" / "table3.csv").exists()
+
+
+# Prints the sorted enerscale modules a fresh process holds after running
+# the argv given as JSON (after a bare ``import enerscale`` when it is null).
+LOADED_MODULES = (
+    "import json, sys\n"
+    "argv = json.loads(sys.argv[1])\n"
+    "if argv is None:\n"
+    "    import enerscale\n"
+    "else:\n"
+    "    from enerscale.cli import main\n"
+    "    assert main(argv) == 0\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'enerscale')))\n"
+)
+CLI_BASE = {"cli", "datasets", "errors", "ingestion", "series", "units"}
+PACKAGE = CLI_BASE | {"carbon", "growth", "projection", "reconstruction", "scaling", "tables",
+                      "thermo"}
+PRESET = ["project", "--preset", "paper-2017"]
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        pytest.param(["ingest", "--out-dir", "{d}"], CLI_BASE, id="ingest"),
+        pytest.param(["reconstruct", "--out-dir", "{d}"], CLI_BASE | {"reconstruction"},
+                     id="reconstruct"),
+        pytest.param(["calibrate"], CLI_BASE | {"reconstruction"}, id="calibrate"),
+        *(pytest.param(["tables", "--table", str(n), "--out-dir", "{d}"],
+                       PACKAGE - {"projection", "thermo"}, id=f"tables-{n}")
+          for n in range(1, 6)),
+        pytest.param([*PRESET, "--out", "{d}/t.csv"], PACKAGE - {"scaling", "tables", "thermo"},
+                     id="project"),
+        pytest.param([*PRESET, "--curve", "--out", "{d}/c.csv"],
+                     PACKAGE - {"scaling", "tables", "thermo"}, id="project-curve"),
+        pytest.param([*PRESET, "--spinup", "--out", "{d}/s.csv"],
+                     PACKAGE - {"scaling", "tables", "thermo"}, id="project-spinup"),
+        pytest.param(["report", "--out-dir", "{d}"], PACKAGE - {"tables", "thermo"}, id="report"),
+    ],
+)
+def test_subcommand_loads_only_its_modules(tmp_path, argv, modules):
+    argv = [a.replace("{d}", str(tmp_path)) for a in argv]
+    result = run_python(LOADED_MODULES, json.dumps(argv))
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout.splitlines()[-1])
+    assert loaded == sorted(["enerscale", *(f"enerscale.{m}" for m in modules)])
+    assert "enerscale.thermo" not in loaded
+
+
+def test_bare_import_loads_only_the_errors():
+    result = run_python(LOADED_MODULES, "null")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == ["enerscale", "enerscale.errors"]

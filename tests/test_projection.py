@@ -151,6 +151,16 @@ def test_time_grid_keeps_a_dividing_step():
     assert time_grid(0.1, 0.25) == (1, 0.1)
 
 
+@pytest.mark.parametrize(
+    "horizon, dt",
+    [(math.inf, 0.25), (math.nan, 0.25), (-1.0, 0.25),
+     (40.0, 0.0), (40.0, -0.25), (40.0, math.inf), (40.0, math.nan)],
+)
+def test_time_grid_rejects_bad_horizon_or_step(horizon, dt):
+    with pytest.raises(DomainError, match="horizon must be|dt must be"):
+        time_grid(horizon, dt)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     dt=st.floats(min_value=0.005, max_value=1.0),
@@ -283,6 +293,17 @@ def test_freeze_with_vanishing_carbonization_decays():
     result = steady_state_commitment(s, freeze_year=2017.0, settle_years=400.0)
     assert result.asymptote_delta < 1e-6
     assert result.trajectory.points[-1].delta_co2 < 0.05
+
+
+@pytest.mark.parametrize("freeze_year", [math.inf, math.nan])
+def test_freeze_year_must_be_finite(freeze_year):
+    with pytest.raises(DomainError, match="freeze year must be finite"):
+        steady_state_commitment(scenario(), freeze_year=freeze_year)
+
+
+def test_freeze_year_before_start_rejected():
+    with pytest.raises(DomainError, match="freeze year precedes the scenario start"):
+        steady_state_commitment(scenario(), freeze_year=2000.0)
 
 
 def test_off_grid_freeze_joins_phases_in_order():
