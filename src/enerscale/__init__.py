@@ -23,7 +23,6 @@ from .errors import (
     KindError,
     MissingYearOne,
     NonPositiveResult,
-    NonPositiveValue,
     ParseError,
     SchemaError,
     TooFewPoints,
@@ -53,7 +52,7 @@ _LAZY = {
         "scaling": "PotentialParams ScalingEstimate civilization_potential"
                    " potential_per_dollar scaling_series scaling_stats w1_sensitivity",
         "growth": "GrowthMethod GrowthRate RatesRow energy_productivity growth_rate"
-                  " predicted_gdp_growth rates_table wealth_growth_series",
+                  " rates_table wealth_growth_series",
         "carbon": "AtmosphereState CarbonCycleParams CarbonizationEstimate KayaComponents"
                   " carbonization carbonization_series committed_equilibrium"
                   " kaya_decomposition max_carbonization max_carbonization_coefficient"

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -35,7 +36,7 @@ from typing import TYPE_CHECKING, Sequence
 # Model modules are imported inside the command that uses them, so each
 # process loads only what its subcommand needs.
 from . import __version__, datasets
-from .errors import EnerscaleError
+from .errors import EnerscaleError, ParseError
 
 if TYPE_CHECKING:
     from .projection import Scenario
@@ -125,7 +126,8 @@ def _build_parser() -> _Parser:
     p_cal.add_argument("--out", type=Path, default=None, help="optional JSON output path")
 
     p_tab = sub.add_parser("tables", help="reproduce a summary table")
-    p_tab.add_argument("--table", type=int, required=True, help="table number, 1-5")
+    p_tab.add_argument("--table", type=int, choices=range(1, 6), required=True,
+                       help="table number, 1-5")
     p_tab.add_argument("--data-dir", type=Path, default=None,
                        help="directory with reconstruct outputs (default: recompute)")
     p_tab.add_argument("--out-dir", type=Path, default=Path("."))
@@ -235,7 +237,7 @@ def _cmd_calibrate(args, manifest: RunManifest) -> int:
 
 def _tables_inputs(data_dir: Path | None, manifest: RunManifest):
     """Snapshot plus either recomputed or on-disk reconstruction outputs."""
-    from .ingestion import canonical_descriptor, load_series
+    from .ingestion import canonical_descriptor, json_field, load_series
     from .reconstruction import PppMerRatio, ReconstructionResult, WealthSeries
     from .series import Period, SeriesKind
     from .units import Quantity, Unit
@@ -254,18 +256,24 @@ def _tables_inputs(data_dir: Path | None, manifest: RunManifest):
                                            SeriesKind.GDP_MER, Unit.TUSD_PER_YR, "gdp"))
     wealth_series = load_series(canonical_descriptor(data_dir / "wealth.csv",
                                                      SeriesKind.WEALTH, Unit.TUSD, "wealth"))
-    prov = json.loads((data_dir / "reconstruction.json").read_text(encoding="utf-8"))
+    prov_path = data_dir / "reconstruction.json"
+    try:
+        prov = json.loads(prov_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ParseError(f"{prov_path} is not valid JSON: {exc}") from None
+    field = functools.partial(json_field, str(prov_path), prov)
     wealth = WealthSeries(
         series=wealth_series,
-        w1=Quantity(prov["w1_tusd"], Unit.TUSD),
+        w1=Quantity(field("w1_tusd", float), Unit.TUSD),
         method=prov.get("method", "loaded from disk"),
     )
+    window = field("kappa_x_window", lambda years: Period(*map(int, years)))
     recon = ReconstructionResult(
         gdp=gdp,
         wealth=wealth,
-        ratio=PppMerRatio(prov["kappa_x"], Period(*prov["kappa_x_window"])),
+        ratio=PppMerRatio(field("kappa_x", float), window),
         w1=wealth.w1,
-        spline_knot_years=tuple(prov.get("spline_knot_years", ())),
+        spline_knot_years=field("spline_knot_years", tuple, ()),
     )
     return snapshot, recon
 
@@ -273,8 +281,6 @@ def _tables_inputs(data_dir: Path | None, manifest: RunManifest):
 def _cmd_tables(args, manifest: RunManifest) -> int:
     from . import tables
 
-    if args.table not in (1, 2, 3, 4, 5):
-        raise UsageError(f"--table must be 1-5, got {args.table}")
     snapshot, recon = _tables_inputs(args.data_dir, manifest)
     result = tables.build_table(args.table, snapshot, recon)
     out_dir: Path = args.out_dir

@@ -47,7 +47,3 @@ class NonPositiveResult(EnerscaleError):
 
 class MissingYearOne(EnerscaleError):
     """Initial-wealth calibration needs the series to cover year 1 CE."""
-
-
-class NonPositiveValue(EnerscaleError):
-    """Logarithmic growth rates require strictly positive values."""

@@ -100,12 +100,6 @@ def mean_scaled_productivity(scale: Quantity, eps: AnnualSeries, p: Period) -> f
     return lam_ej * mean(window.values)
 
 
-def predicted_gdp_growth(scale: Quantity, eps: AnnualSeries, p: Period) -> GrowthRate:
-    """Production growth implied by constant scaling: lambda*eps + eta_eps."""
-    value = mean_scaled_productivity(scale, eps, p) + growth_rate(eps, p).value
-    return GrowthRate(value=value, period=p, method=GrowthMethod.ENDPOINT_LOG)
-
-
 def wealth_growth_series(wealth: WealthSeries) -> AnnualSeries:
     """Per-year fractional wealth growth Y(t)/W(t), from first differences.
 
@@ -124,19 +118,19 @@ def rates_table(
     wealth: WealthSeries,
     periods: Sequence[Period],
     method: GrowthMethod = GrowthMethod.ENDPOINT_LOG,
-    scale: Quantity | None = None,
 ) -> list[RatesRow]:
     """Measured and derived growth rates for each period.
 
-    ``scale`` defaults to the mean energy/wealth ratio over the full overlap
-    of the energy and wealth series.
+    The scaling lambda is held at its mean over the full overlap of the
+    energy and wealth series.
     """
-    from .scaling import scaling_series, scaling_stats  # local import avoids a cycle
+    # Imported here, not at module level, so that loading growth (as
+    # ``project`` does through carbon) does not load scaling.
+    from .scaling import scaling_series, scaling_stats
 
     lam_series = scaling_series(energy, wealth)
-    if scale is None:
-        full = Period(lam_series.first_year, lam_series.last_year)
-        scale = scaling_stats(lam_series, full).mean
+    full = Period(lam_series.first_year, lam_series.last_year)
+    scale = scaling_stats(lam_series, full).mean
     eps = energy_productivity(gdp, energy)
     eta_w_series = wealth_growth_series(wealth)
     rows = []

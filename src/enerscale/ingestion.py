@@ -10,6 +10,7 @@ infilling is an explicit reconstruction step.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import operator
@@ -200,6 +201,29 @@ def canonical_descriptor(
     )
 
 
+def json_field(where: str, record, key: str, convert, default=None):
+    """``convert(record[key])``, or ``default`` if one is given and ``key`` is absent.
+
+    A missing required field, a record that is not a JSON object and a value
+    ``convert`` rejects all raise ``SchemaError`` naming ``where`` and ``key``.
+    """
+    try:
+        return default if default is not None and key not in record else convert(record[key])
+    except (KeyError, TypeError, ValueError):
+        raise SchemaError(f"{where} has a missing or invalid {key!r}") from None
+
+
+def _exactly(kind: type):
+    """Converter that passes a JSON value through only if it already is a ``kind``."""
+
+    def check(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+        return value
+
+    return check
+
+
 def load_manifest(path: Path | str) -> dict[str, ManifestEntry]:
     """Read a JSON manifest binding series names to data source descriptors.
 
@@ -210,22 +234,22 @@ def load_manifest(path: Path | str) -> dict[str, ManifestEntry]:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ParseError(f"cannot open manifest {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"manifest {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise SchemaError(f"manifest {path} must map series names to entries")
     entries: dict[str, ManifestEntry] = {}
     for name, spec in raw.items():
-        try:
-            descriptor = DataSourceDescriptor(
-                path=path.parent / spec["path"],
-                kind=SeriesKind(spec["kind"]),
-                unit=Unit(spec["unit"]),
-                year_column=spec.get("year_column", "year"),
-                value_column=spec.get("value_column", "value"),
-                scale=float(spec.get("scale", 1.0)),
-            )
-        except KeyError as exc:
-            raise SchemaError(f"manifest entry {name!r} lacks required field {exc}") from None
+        field = functools.partial(json_field, f"manifest entry {name!r}", spec)
+        descriptor = DataSourceDescriptor(
+            path=path.parent / field("path", _exactly(str)),
+            kind=field("kind", SeriesKind),
+            unit=field("unit", Unit),
+            year_column=field("year_column", _exactly(str), "year"),
+            value_column=field("value_column", _exactly(str), "value"),
+            scale=field("scale", float, 1.0),
+        )
         entries[name] = ManifestEntry(
-            name=name, descriptor=descriptor, contiguous=bool(spec.get("contiguous", True))
+            name=name, descriptor=descriptor, contiguous=field("contiguous", _exactly(bool), True)
         )
     return entries

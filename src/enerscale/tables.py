@@ -10,13 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .carbon import CarbonCycleParams, carbonization, kaya_decomposition
-from .growth import (
-    energy_productivity,
-    growth_rate,
-    mean_scaled_productivity,
-    predicted_gdp_growth,
-    rates_table,
-)
+from .growth import growth_rate, rates_table
 from .reconstruction import ReconstructionResult
 from .scaling import scaling_series, scaling_stats
 from .series import Period
@@ -110,21 +104,12 @@ def build_table2(snapshot: Snapshot, recon: ReconstructionResult) -> TableResult
     )
 
 
-def build_table3(
-    snapshot: Snapshot,
-    recon: ReconstructionResult,
-    params: CarbonCycleParams = CarbonCycleParams(),
-) -> TableResult:
+def build_table3(snapshot: Snapshot, recon: ReconstructionResult) -> TableResult:
     """Emissions/wealth scaling, carbonization trend and emissions growth (%/yr)."""
-    lam = scaling_series(snapshot.energy, recon.wealth)
-    full = Period(lam.first_year, lam.last_year)
-    scale = scaling_stats(lam, full).mean
-    eps = energy_productivity(recon.gdp, snapshot.energy)
     rows = []
-    for p in RATE_PERIODS:
-        est = carbonization(snapshot.emissions, snapshot.energy, p,
-                            wealth=recon.wealth, params=params)
-        lam_eps = mean_scaled_productivity(scale, eps, p)
+    for rates in rates_table(recon.gdp, snapshot.energy, recon.wealth, RATE_PERIODS):
+        p = rates.period
+        est = carbonization(snapshot.emissions, snapshot.energy, p, wealth=recon.wealth)
         rows.append(
             (
                 str(p),
@@ -132,7 +117,7 @@ def build_table3(
                 est.lambda_c_std,
                 est.eta_c * 100.0,
                 growth_rate(snapshot.emissions, p).value * 100.0,
-                (est.eta_c + lam_eps) * 100.0,
+                (est.eta_c + rates.lambda_eps) * 100.0,
             )
         )
     return TableResult(
@@ -146,23 +131,19 @@ def build_table3(
 
 def build_table4(snapshot: Snapshot, recon: ReconstructionResult) -> TableResult:
     """Population and affluence growth vs the derived sum (%/yr)."""
-    lam = scaling_series(snapshot.energy, recon.wealth)
-    full = Period(lam.first_year, lam.last_year)
-    scale = scaling_stats(lam, full).mean
-    eps = energy_productivity(recon.gdp, snapshot.energy)
     rows = []
-    for p in RATE_PERIODS:
+    for rates in rates_table(recon.gdp, snapshot.energy, recon.wealth, RATE_PERIODS):
+        p = rates.period
         kaya = kaya_decomposition(
             snapshot.population, recon.gdp, snapshot.energy, snapshot.emissions, p
         )
-        predicted = predicted_gdp_growth(scale, eps, p).value
         rows.append(
             (
                 str(p),
                 kaya.eta_pop * 100.0,
                 kaya.eta_affluence * 100.0,
                 (kaya.eta_pop + kaya.eta_affluence) * 100.0,
-                predicted * 100.0,
+                rates.predicted_eta_y * 100.0,
             )
         )
     return TableResult(
@@ -173,18 +154,14 @@ def build_table4(snapshot: Snapshot, recon: ReconstructionResult) -> TableResult
     )
 
 
-def build_table5(
-    snapshot: Snapshot,
-    recon: ReconstructionResult,
-    params: CarbonCycleParams = CarbonCycleParams(),
-) -> TableResult:
+def build_table5(snapshot: Snapshot, recon: ReconstructionResult) -> TableResult:
     """Wealth per committed ppmv, sigma/(kappa c lambda), T$2010 per ppmv."""
+    sigma = CarbonCycleParams().sigma
     rows = []
     for p in COEFFICIENT_PERIODS:
-        est = carbonization(snapshot.emissions, snapshot.energy, p,
-                            wealth=recon.wealth, params=params)
+        est = carbonization(snapshot.emissions, snapshot.energy, p, wealth=recon.wealth)
         # lambda_c is per quadrillion (1000 T$); the coefficient is per T$.
-        coefficient = 1000.0 * params.sigma / est.lambda_c
+        coefficient = 1000.0 * sigma / est.lambda_c
         rows.append((str(p), coefficient))
     return TableResult(
         table_id=5,

@@ -275,6 +275,18 @@ def test_predicted_emissions_growth_values(snapshot, recon):
         assert predicted == pytest.approx(eta_c + lambda_eps[period], abs=1e-12)
 
 
+def test_table4_predicted_sum_is_table2_derived_rate(snapshot, recon):
+    # table 4's predicted production growth is table 2's lambda*eps + eta_eps,
+    # read from the same rates row, so the two columns agree bit for bit
+    from enerscale.tables import build_table2, build_table4
+
+    derived = {row[0]: row[7] for row in build_table2(snapshot, recon).rows}
+    rows = build_table4(snapshot, recon).rows
+    assert [row[0] for row in rows] == list(derived)
+    for period, *_, sum_predicted in rows:
+        assert sum_predicted == derived[period]
+
+
 def test_snapshot_predicted_vs_measured_emissions(snapshot, recon):
     from enerscale.growth import energy_productivity, mean_scaled_productivity
     from enerscale.scaling import scaling_series, scaling_stats

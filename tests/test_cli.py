@@ -126,6 +126,40 @@ def test_tables_missing_reconstruction_inputs(tmp_path, capsys):
     assert "reconstruct" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("not json", "not valid JSON"),
+        ("{}", "'w1_tusd'"),
+        ("[]", "'w1_tusd'"),
+        ('{"w1_tusd": "abc", "kappa_x": 1.5, "kappa_x_window": [1970, 1992]}', "'w1_tusd'"),
+        ('{"w1_tusd": 50.0, "kappa_x": null, "kappa_x_window": [1970, 1992]}', "'kappa_x'"),
+        ('{"w1_tusd": 50.0, "kappa_x": 1.5, "kappa_x_window": "1970"}', "'kappa_x_window'"),
+        ('{"w1_tusd": 50.0, "kappa_x": 1.5, "kappa_x_window": [1970, 1992],'
+         ' "spline_knot_years": 5}', "'spline_knot_years'"),
+    ],
+)
+def test_tables_rejects_malformed_reconstruction_json(tmp_path, capsys, text, message):
+    recon_dir = tmp_path / "recon"
+    assert main(["reconstruct", "--out-dir", str(recon_dir)]) == EXIT_OK
+    capsys.readouterr()
+    (recon_dir / "reconstruction.json").write_text(text, encoding="utf-8")
+    code = main(["tables", "--table", "1", "--data-dir", str(recon_dir),
+                 "--out-dir", str(tmp_path / "tables")])
+    assert code == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+def test_ingest_manifest_with_bad_field_exits_1(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"x": {"path": "x.csv", "kind": "bogus", "unit": "EJ/yr"}}),
+                        encoding="utf-8")
+    code = main(["ingest", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_table1_rows_match_library(tmp_path, snapshot, recon):
     from enerscale.scaling import scaling_series, scaling_stats
     from enerscale.series import Period

@@ -11,7 +11,6 @@ from enerscale.growth import (
     energy_productivity,
     growth_rate,
     mean_scaled_productivity,
-    predicted_gdp_growth,
     rates_table,
     wealth_growth_series,
 )
@@ -133,14 +132,14 @@ def test_snapshot_innovation_rates(snapshot, recon):
 
 
 def test_predicted_gdp_growth_constant_productivity():
-    # with constant eps the prediction reduces to the scaled-productivity term
-    years = range(2000, 2011)
-    eps = series(SeriesKind.PRODUCTIVITY, Unit.TUSD_PER_EJ, years, [0.1] * 11)
-    scale = Quantity(5.0, Unit.GW_PER_TUSD)
+    # with constant eps the predicted production growth reduces to the
+    # scaled-productivity term lambda*eps
+    _, energy, wealth = synthetic_continuous_model(lam_gw=5.0, n=11)
+    gdp = series(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, energy.years,
+                 [0.1 * e * EJ_PER_YR_PER_GW for e in energy.values])
+    (row,) = rates_table(gdp, energy, wealth, [Period(2001, 2010)])
     expected = 5.0 * EJ_PER_YR_PER_GW * 0.1
-    assert predicted_gdp_growth(scale, eps, Period(2000, 2010)).value == pytest.approx(
-        expected, rel=1e-12
-    )
+    assert row.predicted_eta_y == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------- identities

@@ -217,6 +217,31 @@ def test_manifest_missing_field(tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("kind", "bogus"),
+        ("unit", "parsec"),
+        ("scale", "abc"),
+        ("scale", [2]),
+        ("contiguous", "false"),
+        ("path", 7),
+        ("value_column", None),
+    ],
+)
+def test_manifest_invalid_field_names_entry_and_field(tmp_path, field, value):
+    spec = {"path": "x.csv", "kind": "energy", "unit": "EJ/yr", field: value}
+    path = write(tmp_path, "m.json", json.dumps({"x": spec}))
+    with pytest.raises(SchemaError, match=f"'x'.*'{field}'"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("text", ["[]", '{"x": "x.csv"}'])
+def test_manifest_wrong_shape(tmp_path, text):
+    with pytest.raises(SchemaError):
+        load_manifest(write(tmp_path, "m.json", text))
+
+
 def test_manifest_bad_json(tmp_path):
     path = write(tmp_path, "m.json", "{not json")
     with pytest.raises(ParseError):

@@ -13,8 +13,8 @@ PUBLIC_NAMES = [
     "CarbonizationEstimate", "DataSourceDescriptor", "DomainError", "EJ_PER_YR_PER_GW",
     "EmptySlice", "EnerscaleError", "GapError", "GrowthMethod", "GrowthRate",
     "IncompatibleUnits", "InvalidPeriod", "KayaComponents", "KindError", "ManifestEntry",
-    "MissingYearOne", "NaturalCubicSpline", "NonPositiveResult", "NonPositiveValue",
-    "ParseError", "Period", "PotentialParams", "PppMerRatio", "Quantity", "RatesRow",
+    "MissingYearOne", "NaturalCubicSpline", "NonPositiveResult", "ParseError", "Period",
+    "PotentialParams", "PppMerRatio", "Quantity", "RatesRow",
     "RatioStats", "ReconstructionResult", "ScalingEstimate", "Scenario", "SchemaError",
     "SeriesKind", "SteadyStateResult", "ThermoState", "TooFewPoints", "Trajectory",
     "TrajectoryPoint", "Unit", "ValidationReport", "WealthSeries", "build_wealth",
@@ -25,7 +25,7 @@ PUBLIC_NAMES = [
     "historical_spinup_delta", "ingestion", "kaya_decomposition", "load_manifest",
     "load_series", "max_carbonization", "max_carbonization_coefficient",
     "node_production_rate", "potential_growth_rate", "potential_per_dollar", "ppp_to_mer",
-    "predicted_gdp_growth", "production_consumption_ratio", "productivity_bridge",
+    "production_consumption_ratio", "productivity_bridge",
     "projection", "rates_table", "reconstruct_production", "reconstruction",
     "required_clean_capacity", "run_scenario", "scaling", "scaling_series", "scaling_stats",
     "series", "simulate_partition", "slice_series", "spline_infill",
@@ -59,3 +59,26 @@ def test_star_import_binds_every_public_name():
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         enerscale.no_such_name
+
+
+def test_every_error_type_is_raised():
+    """Each ``EnerscaleError`` type in ``errors.py`` is raised somewhere in the package."""
+    import ast
+    from pathlib import Path
+
+    from enerscale import errors
+
+    defined = {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.EnerscaleError)
+    }
+    raised = set()
+    for path in Path(enerscale.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    assert sorted(defined - raised) == []
