@@ -22,7 +22,6 @@ from .errors import (
     InvalidPeriod,
     KindError,
     MissingYearOne,
-    NonPositiveResult,
     ParseError,
     SchemaError,
     TooFewPoints,

@@ -45,8 +45,9 @@ class CarbonCycleParams:
     allow_sigma_out_of_band: bool = False
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0 or self.kappa_a <= 0 or self.preindustrial <= 0:
-            raise DomainError("carbon-cycle parameters must be strictly positive")
+        values = (self.sigma, self.kappa_a, self.preindustrial)
+        if not all(math.isfinite(v) and v > 0 for v in values):
+            raise DomainError("carbon-cycle parameters must be finite and strictly positive")
         low, high = SIGMA_BAND
         if not self.allow_sigma_out_of_band and not (low <= self.sigma <= high):
             raise DomainError(
@@ -63,6 +64,8 @@ class AtmosphereState:
     delta_co2: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.year) and math.isfinite(self.delta_co2)):
+            raise DomainError(f"atmosphere state must be finite, got {self}")
         if self.delta_co2 < 0:
             raise DomainError(_NEGATIVE_PERTURBATION)
 

@@ -14,10 +14,11 @@ enerscale report --out-dir out/report
 ```
 
 Exit codes: 0 success, 1 runtime error, 2 validation failure, 64 usage error.
-Every run writes a JSON manifest (command line, parameters, input checksums,
-version, outputs); identical manifests reproduce byte-identical outputs, so
-run manifests carry no timestamps. All numeric output uses shortest
-round-trip decimal formatting.
+Every run that writes files also writes a JSON manifest (command line,
+parameters, input checksums, version, outputs); ``calibrate`` without
+``--out`` only prints and writes nothing. Identical manifests reproduce
+byte-identical outputs, so run manifests carry no timestamps. All numeric
+output uses shortest round-trip decimal formatting.
 """
 
 from __future__ import annotations
@@ -26,12 +27,14 @@ import argparse
 import csv
 import functools
 import hashlib
+import io
 import json
 import math
+import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 # Model modules are imported inside the command that uses them, so each
 # process loads only what its subcommand needs.
@@ -56,22 +59,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_rows(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)  # floats are written as their shortest round-trip repr
-    return path
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _json_text(payload) -> str:
+    """The CLI's one JSON format: 2-space indent, sorted keys, trailing newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 @dataclass
 class RunManifest:
-    """Reproducibility record emitted alongside every command's outputs."""
+    """Reproducibility record of one command, and the writer of all its files.
+
+    ``write_text``, ``write_json`` and ``write_rows`` make the parent
+    directory, write UTF-8 with LF line ends, record the path as an output
+    and return it; ``write`` writes the manifest itself.
+    """
 
     command: list[str]
     parameters: dict
@@ -80,7 +80,7 @@ class RunManifest:
     outputs: list[str] = field(default_factory=list)
 
     def add_input(self, path: Path) -> None:
-        self.inputs[str(path)] = _sha256(path)
+        self.inputs[str(path)] = hashlib.sha256(path.read_bytes()).hexdigest()
 
     def add_series_inputs(self, manifest_path: Path | None = None) -> None:
         """Checksum a series manifest (default: the bundled snapshot's) and every file it names."""
@@ -91,12 +91,32 @@ class RunManifest:
         for entry in load_manifest(path).values():
             self.add_input(entry.descriptor.path)
 
-    def add_output(self, path: Path) -> None:
+    def add_output(self, path: Path) -> Path:
         if str(path) not in self.outputs:
             self.outputs.append(str(path))
+        return path
+
+    @staticmethod
+    def _save(path: Path, text: str) -> None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline="")
+
+    def write_text(self, path: Path, text: str) -> Path:
+        self._save(path, text)
+        return self.add_output(path)
+
+    def write_json(self, path: Path, payload) -> Path:
+        return self.write_text(path, _json_text(payload))
+
+    def write_rows(self, path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)  # floats are written as their shortest round-trip repr
+        return self.write_text(path, buffer.getvalue())
 
     def write(self, path: Path) -> Path:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        """Write the manifest, which lists the outputs recorded so far but not itself."""
         payload = {
             "command": self.command,
             "parameters": self.parameters,
@@ -104,7 +124,7 @@ class RunManifest:
             "inputs": self.inputs,
             "outputs": sorted(self.outputs),
         }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        self._save(path, _json_text(payload))
         return path
 
 
@@ -167,18 +187,12 @@ def _cmd_ingest(args, manifest: RunManifest) -> int:
     manifest_path = args.manifest if args.manifest is not None else datasets.manifest_path()
     entries = load_manifest(manifest_path)
     out_dir: Path = args.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     any_invalid = False
     for name, entry in sorted(entries.items()):
         series = load_series(entry.descriptor)
         report = validate(series, require_contiguous=entry.contiguous)
-        csv_path = write_series(series, out_dir / f"{name}.csv")
-        report_path = out_dir / f"{name}.validation.json"
-        report_path.write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        manifest.add_output(csv_path)
-        manifest.add_output(report_path)
+        manifest.add_output(write_series(series, out_dir / f"{name}.csv"))
+        manifest.write_json(out_dir / f"{name}.validation.json", report.to_dict())
         if not report.is_empty():
             any_invalid = True
             print(f"validation failure in {name}: gaps={list(report.gaps)}", file=sys.stderr)
@@ -193,20 +207,17 @@ def _cmd_reconstruct(args, manifest: RunManifest) -> int:
     manifest.add_series_inputs()
     recon = datasets.baseline()
     out_dir: Path = args.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    gdp_path = write_series(recon.gdp, out_dir / "gdp_annual.csv", value_column="gdp")
-    wealth_path = write_series(recon.wealth.series, out_dir / "wealth.csv", value_column="wealth")
-    provenance = {
+    manifest.add_output(write_series(recon.gdp, out_dir / "gdp_annual.csv", value_column="gdp"))
+    manifest.add_output(
+        write_series(recon.wealth.series, out_dir / "wealth.csv", value_column="wealth")
+    )
+    manifest.write_json(out_dir / "reconstruction.json", {
         "w1_tusd": recon.w1.value,
         "kappa_x": recon.ratio.value,
         "kappa_x_window": [recon.ratio.window.start_year, recon.ratio.window.end_year],
         "spline_knot_years": list(recon.spline_knot_years),
         "method": recon.wealth.method,
-    }
-    prov_path = out_dir / "reconstruction.json"
-    prov_path.write_text(json.dumps(provenance, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    for p in (gdp_path, wealth_path, prov_path):
-        manifest.add_output(p)
+    })
     manifest.write(out_dir / "run_manifest.json")
     return EXIT_OK
 
@@ -217,20 +228,17 @@ def _cmd_calibrate(args, manifest: RunManifest) -> int:
     recon = datasets.baseline()
     closed = calibrate_initial_wealth(recon.gdp, args.pop_growth)
     iterative = calibrate_initial_wealth_iterative(recon.gdp, args.pop_growth)
-    payload = {
+    text = _json_text({
         "kappa_x": recon.ratio.value,
         "pop_growth": args.pop_growth,
         "w1_closed_form_tusd": closed.value,
         "w1_iterative_tusd": iterative.value,
         "production_year1_tusd": recon.gdp.value_at(1),
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
+    })
+    print(text, end="")
     if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text + "\n", encoding="utf-8")
         manifest.add_series_inputs()
-        manifest.add_output(args.out)
+        manifest.write_text(args.out, text)
         manifest.write(args.out.with_suffix(".manifest.json"))
     return EXIT_OK
 
@@ -283,15 +291,12 @@ def _cmd_tables(args, manifest: RunManifest) -> int:
 
     snapshot, recon = _tables_inputs(args.data_dir, manifest)
     result = tables.build_table(args.table, snapshot, recon)
-    out_dir: Path = args.out_dir
-    csv_path = _write_rows(out_dir / f"table{args.table}.csv", result.header, result.rows)
+    stem = args.out_dir / f"table{args.table}"
+    manifest.write_rows(stem.with_suffix(".csv"), result.header, result.rows)
     text = tables.render_text(result)
-    text_path = out_dir / f"table{args.table}.txt"
-    text_path.write_text(text, encoding="utf-8")
+    manifest.write_text(stem.with_suffix(".txt"), text)
     print(text, end="")
-    manifest.add_output(csv_path)
-    manifest.add_output(text_path)
-    manifest.write(out_dir / f"table{args.table}.manifest.json")
+    manifest.write(stem.with_suffix(".manifest.json"))
     return EXIT_OK
 
 
@@ -334,7 +339,7 @@ def _scenario_from_args(args) -> Scenario:
 
 
 def _cmd_project(args, manifest: RunManifest) -> int:
-    from .projection import committed_curve, run_scenario, time_grid
+    from .projection import TrajectoryPoint, committed_curve, run_scenario, time_grid
     from .units import Quantity, Unit
 
     out: Path = args.out
@@ -354,10 +359,9 @@ def _cmd_project(args, manifest: RunManifest) -> int:
             Quantity(scenario.c0, Unit.GTC_PER_EJ),
             scenario.carbon_params,
         )
-        rows = [
-            (w, d, scenario.carbon_params.preindustrial + d) for w, d in pairs
-        ]
-        _write_rows(out, ("wealth_tusd", "committed_delta_ppmv", "committed_concentration_ppmv"), rows)
+        rows = [(w, d, scenario.carbon_params.preindustrial + d) for w, d in pairs]
+        header = ("wealth_tusd", "committed_delta_ppmv", "committed_concentration_ppmv")
+        manifest.write_rows(out, header, rows)
     else:
         scenario = _scenario_from_args(args)
         trajectory = run_scenario(scenario)
@@ -367,39 +371,23 @@ def _cmd_project(args, manifest: RunManifest) -> int:
             "dt": step,
             "horizon_years": trajectory.years[-1] - scenario.start_year,
         }
-        rows = [
-            (
-                p.year, p.wealth, p.energy_ej, p.emissions_gtc, p.delta_co2,
-                p.committed_delta, p.concentration, p.committed_concentration,
-            )
-            for p in trajectory.points
-        ]
-        _write_rows(
-            out,
-            (
-                "year", "wealth_tusd", "energy_ej_per_yr", "emissions_gtc_per_yr",
-                "delta_co2_ppmv", "committed_delta_ppmv", "concentration_ppmv",
-                "committed_concentration_ppmv",
-            ),
-            rows,
+        header = (
+            "year", "wealth_tusd", "energy_ej_per_yr", "emissions_gtc_per_yr", "delta_co2_ppmv",
+            "committed_delta_ppmv", "concentration_ppmv", "committed_concentration_ppmv",
         )
+        # TrajectoryPoint declares its fields in the CSV's column order.
+        row = operator.attrgetter(*(f.name for f in fields(TrajectoryPoint)))
+        manifest.write_rows(out, header, map(row, trajectory.points))
+    params = scenario.carbon_params
     manifest.parameters["scenario"] = {
-        "start_year": scenario.start_year,
-        "horizon_years": scenario.horizon_years,
-        "w0": scenario.w0,
-        "lambda_gw": scenario.lambda_gw,
-        "c0": scenario.c0,
-        "eta_w": scenario.eta_w,
-        "eta_c": scenario.eta_c,
-        "delta0": scenario.delta0,
-        "dt": scenario.dt,
-        "sigma": scenario.carbon_params.sigma,
-        "kappa_a": scenario.carbon_params.kappa_a,
-        "preindustrial": scenario.carbon_params.preindustrial,
+        **{f.name: getattr(scenario, f.name) for f in fields(scenario)
+           if f.init and f.name != "carbon_params"},
+        "sigma": params.sigma,
+        "kappa_a": params.kappa_a,
+        "preindustrial": params.preindustrial,
     }
     if args.preset is not None:
         manifest.add_series_inputs()
-    manifest.add_output(out)
     manifest.write(out.with_suffix(out.suffix + ".manifest.json"))
     return EXIT_OK
 
@@ -439,16 +427,12 @@ def _cmd_report(args, manifest: RunManifest) -> int:
         "clean_capacity_gw_per_day": capacity.gw_per_day,
     }
     manifest.add_series_inputs()
-    out_dir: Path = args.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    manifest.write_json(args.out_dir / "report.json", payload)
     width = max(len(k) for k in payload)
     lines = [f"{k.ljust(width)}  {v}" for k, v in sorted(payload.items())]
     text = "\n".join(lines) + "\n"
     print(text, end="")
-    manifest.add_output(report_path)
-    manifest.write(out_dir / "run_manifest.json")
+    manifest.write(args.out_dir / "run_manifest.json")
     return EXIT_OK
 
 

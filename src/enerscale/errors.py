@@ -41,9 +41,5 @@ class TooFewPoints(EnerscaleError):
     """Not enough knots for the requested interpolation."""
 
 
-class NonPositiveResult(EnerscaleError):
-    """Interpolation in linear space undershot zero; caller should fall back to log space."""
-
-
 class MissingYearOne(EnerscaleError):
     """Initial-wealth calibration needs the series to cover year 1 CE."""

@@ -147,21 +147,15 @@ def validate(s: AnnualSeries, require_contiguous: bool = True) -> ValidationRepo
     so a report built from an in-memory series can only flag interior gaps.
     The report is pure: validating twice yields identical results.
     """
-    gaps: list[tuple[int, int]] = []
-    if require_contiguous:
-        present = set(s.years)
-        missing_run: list[int] = []
-        for year in range(s.first_year, s.last_year + 1):
-            if year in present:
-                if missing_run:
-                    gaps.append((missing_run[0], missing_run[-1]))
-                    missing_run = []
-            else:
-                missing_run.append(year)
+    years = s.years
+    gaps = (
+        tuple((a + 1, b - 1) for a, b in zip(years, years[1:]) if b - a > 1)
+        if require_contiguous else ()
+    )
     coverage = (
         Period(s.first_year, s.last_year) if s.last_year > s.first_year else None
     )
-    return ValidationReport(gaps=tuple(gaps), coverage=coverage)
+    return ValidationReport(gaps=gaps, coverage=coverage)
 
 
 def production_consumption_ratio(
@@ -182,9 +176,11 @@ def write_series(s: AnnualSeries, path: Path | str, value_column: str = "value")
     """Export a series in the canonical format understood by ``load_series``.
 
     Values are rendered with shortest round-trip decimal formatting, so
-    load_series(write_series(s)) reproduces ``s`` bit for bit.
+    load_series(write_series(s)) reproduces ``s`` bit for bit. The parent
+    directory is created if needed.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["year", value_column])

@@ -197,8 +197,8 @@ class CapacityRequirement:
 
 def required_clean_capacity(energy: Quantity, eta_e: float) -> CapacityRequirement:
     """Capacity additions covering growth ``eta_e`` of consumption ``energy`` (GW or EJ/yr)."""
-    if eta_e < 0:
-        raise DomainError("growth rate must be nonnegative")
+    if not (math.isfinite(eta_e) and eta_e >= 0):
+        raise DomainError(f"growth rate must be finite and nonnegative, got {eta_e}")
     per_year = to_unit(energy.value, energy.unit, Unit.GW) * eta_e
     return CapacityRequirement(gw_per_year=per_year, gw_per_day=per_year / DAYS_PER_YEAR)
 
@@ -274,24 +274,21 @@ def historical_spinup_delta(
 
     Each calendar year's emission rate is held constant across that year
     (the data are annual totals). Used by the optional spin-up start mode.
-    Every year is covered exactly: it takes ``n = round(1/dt)`` steps when
-    ``n*dt`` is within 1e-9 of a year and ``n = ceil(1/dt)`` otherwise, each
-    of length ``1/n``, so a ``dt`` that does not divide the year is refined
-    to the next step that does (0.3 -> 1/4, 0.4 -> 1/3, 0.7 -> 1/2).
+    Every year is covered exactly: it takes ``time_grid``'s step count for one
+    year, ``n``, in steps of ``1/n``, so a ``dt`` that does not divide the year
+    is refined to the next step that does (0.3 -> 1/4, 0.4 -> 1/3, 0.7 -> 1/2).
     """
     if not emissions.is_contiguous():
         raise DomainError("spin-up needs a contiguous emissions series")
     if not 0.0 < dt <= 1.0:
         raise DomainError("dt must be in (0, 1] years")
-    if delta0 < 0:
-        raise DomainError("initial perturbation cannot be negative")
+    if not (math.isfinite(delta0) and delta0 >= 0):
+        raise DomainError(f"initial perturbation must be finite and non-negative, got {delta0}")
     last = emissions.last_year if end_year is None else end_year
-    steps_per_year = round(1.0 / dt)
-    if abs(steps_per_year * dt - 1.0) > 1e-9:
-        steps_per_year = math.ceil(1.0 / dt)
-    h = 1.0 / steps_per_year
+    n = time_grid(1.0, dt)[0]
+    h = 1.0 / n
     delta = delta0
     for year in range(emissions.first_year, last):
-        held = [emissions.value_at(year)] * (steps_per_year + 1)
+        held = [emissions.value_at(year)] * (n + 1)
         delta = _rk4_deltas(delta, held, held, h, params.kappa_a, params.sigma)[-1]
     return delta

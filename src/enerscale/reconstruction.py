@@ -31,7 +31,6 @@ from .errors import (
     GapError,
     KindError,
     MissingYearOne,
-    NonPositiveResult,
     TooFewPoints,
 )
 from .series import AnnualSeries, Period, SeriesKind, aligned_values, mean, slice_series
@@ -163,23 +162,16 @@ def ppp_to_mer(s: AnnualSeries, r: PppMerRatio) -> AnnualSeries:
     )
 
 
-def spline_infill(sparse: AnnualSeries, log_values: bool = True) -> AnnualSeries:
+def spline_infill(sparse: AnnualSeries) -> AnnualSeries:
     """Evaluate a natural cubic spline through the knots at every integer year.
 
-    With ``log_values`` (the default) the spline is fit to ln(value) and the
-    result exponentiated, which keeps the infill positive. In linear space a
-    NonPositiveResult is raised if the spline undershoots zero, signalling the
-    caller to fall back to log space. Knots are reproduced exactly either way.
+    The spline is fit to ln(value) and the result exponentiated, which keeps
+    the infill positive (see the module notes). Knots are reproduced exactly.
     """
     y = sparse.values
-    spline = NaturalCubicSpline(sparse.years, list(map(math.log, y)) if log_values else y)
+    spline = NaturalCubicSpline(sparse.years, list(map(math.log, y)))
     years = range(sparse.first_year, sparse.last_year + 1)
-    interp = spline(years)
-    values = list(map(math.exp, interp)) if log_values else interp
-    if min(values) <= 0.0:
-        raise NonPositiveResult(
-            "linear-space spline undershot zero between knots; use log_values=True"
-        )
+    values = map(math.exp, spline(years))
     # Re-impose knot values exactly: exp(log) round-trips only to ~1 ulp.
     by_year = dict(zip(sparse.years, y))
     return sparse.with_data(years, tuple(map(by_year.get, years, values)))

@@ -75,11 +75,6 @@ class Period:
         """Number of year steps between the endpoints (end - start)."""
         return self.end_year - self.start_year
 
-    @property
-    def n_years(self) -> int:
-        """Number of calendar years in the closed interval."""
-        return self.end_year - self.start_year + 1
-
     def __str__(self) -> str:
         return f"{self.start_year}-{self.end_year}"
 
@@ -147,9 +142,6 @@ class AnnualSeries:
         if i < 0:
             raise EmptySlice(f"series has no value for year {year}")
         return self.values[i]
-
-    def to_points(self) -> list[tuple[int, float]]:
-        return list(zip(self.years, self.values))
 
     def is_contiguous(self) -> bool:
         return self.last_year - self.first_year + 1 == len(self.years)

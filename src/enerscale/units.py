@@ -34,7 +34,6 @@ class Unit(str, Enum):
     GTC_PER_YR = "GtC/yr"
     GTC_PER_EJ = "GtC/EJ"
     PPMV = "ppmv"
-    PPMV_PER_GTC = "ppmv/GtC"
     PER_YR = "1/yr"
     PERSONS = "persons"
     JOULE = "J"
@@ -43,7 +42,6 @@ class Unit(str, Enum):
     EJ_PER_YR_PER_TUSD = "(EJ/yr)/T$2010"
     TUSD_PER_PPMV = "T$2010/ppmv"
     TUSD_PER_EJ = "T$2010/EJ"
-    DIMENSIONLESS = "1"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value

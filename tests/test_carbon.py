@@ -44,6 +44,21 @@ def test_sigma_band_enforced():
     CarbonCycleParams(sigma=0.01, allow_sigma_out_of_band=True)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["sigma", "kappa_a", "preindustrial"])
+def test_non_finite_carbon_params_rejected(name, value):
+    """kappa_a=nan or inf used to be accepted and run_scenario ended at nan."""
+    with pytest.raises(DomainError, match="finite"):
+        CarbonCycleParams(**{name: value}, allow_sigma_out_of_band=True)
+
+
+@pytest.mark.parametrize("year, delta", [(math.nan, 0.0), (math.inf, 0.0), (0.0, math.nan),
+                                         (0.0, math.inf)])
+def test_non_finite_atmosphere_state_rejected(year, delta):
+    with pytest.raises(DomainError, match="finite"):
+        AtmosphereState(year, delta)
+
+
 def test_negative_perturbation_rejected():
     with pytest.raises(DomainError):
         AtmosphereState(2000.0, -1.0)

@@ -335,6 +335,31 @@ def test_every_manifest_checksums_its_inputs(tmp_path):
         assert json.loads(manifest_path.read_text())["inputs"] == expected, argv
 
 
+@pytest.mark.parametrize(
+    "argv, manifest_name",
+    [
+        pytest.param(["ingest", "--out-dir", "{d}"], "run_manifest.json", id="ingest"),
+        pytest.param(["reconstruct", "--out-dir", "{d}"], "run_manifest.json", id="reconstruct"),
+        pytest.param(["calibrate", "--out", "{d}/cal.json"], "cal.manifest.json", id="calibrate"),
+        *(pytest.param(["tables", "--table", str(n), "--out-dir", "{d}"],
+                       f"table{n}.manifest.json", id=f"tables-{n}") for n in range(1, 6)),
+        pytest.param(["report", "--out-dir", "{d}"], "run_manifest.json", id="report"),
+        pytest.param(["project", "--preset", "paper-2017", "--out", "{d}/t.csv"],
+                     "t.csv.manifest.json", id="project"),
+        pytest.param(["project", "--preset", "paper-2017", "--curve", "--out", "{d}/c.csv"],
+                     "c.csv.manifest.json", id="project-curve"),
+    ],
+)
+def test_manifest_lists_every_file_the_command_writes(tmp_path, capsys, argv, manifest_name):
+    out = tmp_path / "nested" / "out"  # commands make missing directories
+    assert main([a.replace("{d}", str(out)) for a in argv]) == EXIT_OK
+    manifest = out / manifest_name
+    outputs = json.loads(manifest.read_text(encoding="utf-8"))["outputs"]
+    written = sorted(str(p) for p in out.rglob("*") if p.is_file())
+    assert written == sorted([*outputs, str(manifest)])
+    assert outputs == sorted(outputs)
+
+
 def test_project_manifest_records_the_grid(tmp_path):
     out = tmp_path / "traj.csv"
     assert main(["project", "--preset", "paper-2017", "--horizon", "40", "--dt", "0.3",

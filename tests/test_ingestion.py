@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from enerscale.errors import DomainError, ParseError, SchemaError
 from enerscale.ingestion import (
@@ -155,6 +157,20 @@ def test_validate_sparse_historical_record():
     )
     assert report.gaps == expected
     assert validate(s, require_contiguous=False).is_empty()
+
+
+@given(years=st.sets(st.integers(-50, 50), min_size=1, max_size=30), contiguous=st.booleans())
+def test_validate_gaps_match_a_year_by_year_walk(years, contiguous):
+    years = sorted(years)
+    s = AnnualSeries(SeriesKind.RATE, Unit.PER_YR, tuple(years), tuple(0.0 for _ in years))
+    present, gaps, run = set(years), [], []
+    for year in range(years[0], years[-1] + 1):
+        if year not in present:
+            run.append(year)
+        elif run:
+            gaps.append((run[0], run[-1]))
+            run = []
+    assert validate(s, require_contiguous=contiguous).gaps == (tuple(gaps) if contiguous else ())
 
 
 def test_validate_is_pure():

@@ -13,7 +13,7 @@ PUBLIC_NAMES = [
     "CarbonizationEstimate", "DataSourceDescriptor", "DomainError", "EJ_PER_YR_PER_GW",
     "EmptySlice", "EnerscaleError", "GapError", "GrowthMethod", "GrowthRate",
     "IncompatibleUnits", "InvalidPeriod", "KayaComponents", "KindError", "ManifestEntry",
-    "MissingYearOne", "NaturalCubicSpline", "NonPositiveResult", "ParseError", "Period",
+    "MissingYearOne", "NaturalCubicSpline", "ParseError", "Period",
     "PotentialParams", "PppMerRatio", "Quantity", "RatesRow",
     "RatioStats", "ReconstructionResult", "ScalingEstimate", "Scenario", "SchemaError",
     "SeriesKind", "SteadyStateResult", "ThermoState", "TooFewPoints", "Trajectory",

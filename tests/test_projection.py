@@ -253,6 +253,12 @@ def test_required_capacity_lower_growth():
     assert cap.gw_per_day < 1.0
 
 
+@pytest.mark.parametrize("eta_e", [math.nan, math.inf])
+def test_required_capacity_rejects_non_finite_growth(eta_e):
+    with pytest.raises(DomainError, match="finite"):
+        required_clean_capacity(Quantity(20000.0, Unit.GW), eta_e)
+
+
 def test_required_capacity_zero_energy():
     cap = required_clean_capacity(Quantity(1e-12, Unit.GW), 0.024)
     assert cap.gw_per_year == pytest.approx(0.0, abs=1e-12)
@@ -347,6 +353,12 @@ def test_spinup_rejects_bad_inputs(snapshot):
         historical_spinup_delta(snapshot.emissions, delta0=-1.0)
 
 
+@pytest.mark.parametrize("delta0", [math.nan, math.inf])
+def test_spinup_rejects_non_finite_delta0(snapshot, delta0):
+    with pytest.raises(DomainError, match="finite"):
+        historical_spinup_delta(snapshot.emissions, delta0=delta0)
+
+
 def _spinup_from_1959(snapshot, dt):
     return historical_spinup_delta(snapshot.emissions, end_year=2017, delta0=40.0, dt=dt)
 
@@ -363,6 +375,26 @@ def test_spinup_covers_whole_years_when_dt_does_not_divide_one(snapshot):
 def test_spinup_refines_dt_to_the_next_divisor_of_a_year(snapshot):
     """0.3 does not divide the year, so spin-up steps by 1/4 instead."""
     assert _spinup_from_1959(snapshot, 0.3) == _spinup_from_1959(snapshot, 0.25)
+
+
+#: Spin-up 1959 -> 2017 from delta0 = 40 ppmv, recorded from commit 981556c
+#: (Python 3.11.7, x86-64 Linux), before the step count came from time_grid.
+SPINUP_1959_2017 = {
+    1.0: 111.51771643537121,
+    0.7: 111.51771653670878,
+    0.5: 111.51771653670878,
+    0.4: 111.5177165420792,
+    0.3: 111.51771654297994,
+    0.25: 111.51771654297994,
+    0.2: 111.51771654322572,
+    0.1: 111.51771654338525,
+    0.01: 111.51771654339585,
+}
+
+
+@pytest.mark.parametrize("dt", sorted(SPINUP_1959_2017))
+def test_spinup_is_bit_identical_to_recorded_values(snapshot, dt):
+    assert _spinup_from_1959(snapshot, dt) == SPINUP_1959_2017[dt]
 
 
 @settings(max_examples=30, deadline=None)

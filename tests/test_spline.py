@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from enerscale.errors import DomainError, NonPositiveResult, TooFewPoints
+from enerscale.errors import DomainError, TooFewPoints
 from enerscale.reconstruction import NaturalCubicSpline, ppp_to_mer, spline_infill
 from enerscale.series import AnnualSeries, SeriesKind
 from enerscale.units import Unit
@@ -48,10 +48,8 @@ def test_constant_knots_reproduced():
 
 def test_linear_data_reproduced():
     years = (0, 3, 7, 12)
-    values = tuple(2.0 * y + 5.0 for y in years)
-    s = AnnualSeries(SeriesKind.GDP_PPP, Unit.TUSD_PER_YR, years, values)
-    out = spline_infill(s, log_values=False)
-    for year, value in out.to_points():
+    spline = NaturalCubicSpline(years, [2.0 * y + 5.0 for y in years])
+    for year, value in zip(range(13), spline(range(13))):
         assert value == pytest.approx(2.0 * year + 5.0, abs=1e-9)
 
 
@@ -77,7 +75,7 @@ def test_against_textbook_oracle_on_historical_knots(snapshot, recon):
 def test_knots_exact_on_historical_record(snapshot, recon):
     mer = ppp_to_mer(snapshot.gdp_ppp, recon.ratio)
     infilled = spline_infill(mer)
-    for year, value in mer.to_points():
+    for year, value in zip(mer.years, mer.values):
         assert infilled.value_at(year) == pytest.approx(value, rel=1e-9)
 
 
@@ -94,7 +92,7 @@ def test_too_few_points():
         spline_infill(s)
 
 
-def test_linear_space_undershoot_raises():
+def test_log_space_infill_stays_positive_where_linear_undershoots():
     # Steep descent into a long flat tail drives the linear-space cubic
     # below zero inside the wide gap.
     s = AnnualSeries(
@@ -103,9 +101,8 @@ def test_linear_space_undershoot_raises():
         (1, 2, 3, 4, 16),
         (1000.0, 500.0, 100.0, 1.0, 1.0),
     )
-    with pytest.raises(NonPositiveResult):
-        spline_infill(s, log_values=False)
-    # The default log-space fit handles the same knots.
+    assert min(NaturalCubicSpline(s.years, s.values)(range(1, 17))) < 0.0
+    # The log-space fit spline_infill uses handles the same knots.
     assert min(spline_infill(s).values) > 0.0
 
 
