@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
-from typing import Sequence
+from math import exp
 
 from .carbon import CarbonCycleParams, _rk4_deltas
 from .errors import DomainError
@@ -84,13 +85,51 @@ class TrajectoryPoint:
     committed_concentration: float
 
 
+class TrajectoryPoints(Sequence):
+    """Read-only sequence of a trajectory's points, built on access.
+
+    Indexing (an int, negative allowed, or a slice) and iteration build only
+    the ``TrajectoryPoint``s they return, from the trajectory's columns; no
+    point is stored. Two views are equal when their points are.
+    """
+
+    __slots__ = ("_trajectory",)
+
+    def __init__(self, trajectory: Trajectory) -> None:
+        self._trajectory = trajectory
+
+    def __len__(self) -> int:
+        return len(self._trajectory.years)
+
+    def __getitem__(self, index: int | slice) -> TrajectoryPoint | tuple[TrajectoryPoint, ...]:
+        if isinstance(index, slice):
+            return tuple(map(self._point, range(len(self))[index]))
+        return self._point(range(len(self))[index])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrajectoryPoints):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def _point(self, i: int) -> TrajectoryPoint:
+        t = self._trajectory
+        params = t.scenario.carbon_params
+        pre = params.preindustrial
+        w, e, d = t.wealth[i], t.emissions[i], t.deltas[i]
+        c = params.kappa_a * e / params.sigma
+        return TrajectoryPoint(t.years[i], w, t.scenario.lambda_ej * w, e, d, c, pre + d, pre + c)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """State columns of a run, one entry per grid time, and their points.
 
     The remaining ``TrajectoryPoint`` fields follow from these columns, the
-    scaling and the carbon-cycle parameters; ``points`` is built from them
-    once, when the trajectory is made.
+    scaling and the carbon-cycle parameters; ``points`` is a view that builds
+    each point from them when it is accessed, and no point is stored.
     """
 
     scenario: Scenario
@@ -98,20 +137,13 @@ class Trajectory:
     wealth: tuple[float, ...]
     emissions: tuple[float, ...]
     deltas: tuple[float, ...]
-    points: tuple[TrajectoryPoint, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        params = self.scenario.carbon_params
-        lam, pre = self.scenario.lambda_ej, params.preindustrial
-        committed = (params.kappa_a * e / params.sigma for e in self.emissions)
-        rows = zip(self.years, self.wealth, self.emissions, self.deltas, committed)
-        points = tuple(
-            TrajectoryPoint(t, w, lam * w, e, d, c, pre + d, pre + c) for t, w, e, d, c in rows
-        )
-        object.__setattr__(self, "points", points)
 
     def __len__(self) -> int:
         return len(self.years)
+
+    @property
+    def points(self) -> TrajectoryPoints:
+        return TrajectoryPoints(self)
 
     def at_year(self, year: float, tol: float = 1e-9) -> TrajectoryPoint:
         i = bisect_left(self.years, year - tol)
@@ -121,9 +153,13 @@ class Trajectory:
 
     def first_crossing(self, committed_concentration: float) -> float | None:
         """First grid year whose committed concentration reaches the threshold."""
-        for point in self.points:
-            if point.committed_concentration >= committed_concentration:
-                return point.year
+        if not math.isfinite(committed_concentration):
+            raise DomainError(f"threshold must be finite, got {committed_concentration}")
+        params = self.scenario.carbon_params
+        pre, kappa, sigma = params.preindustrial, params.kappa_a, params.sigma
+        for year, e in zip(self.years, self.emissions):
+            if pre + kappa * e / sigma >= committed_concentration:
+                return year
         return None
 
 
@@ -146,13 +182,21 @@ def time_grid(horizon_years: float, dt: float) -> tuple[int, float]:
 
 
 def _columns(s: Scenario, n_steps: int, dt: float) -> tuple[tuple[float, ...], ...]:
-    """Years, wealth, emissions and perturbation on the grid start + i*dt."""
-    start = s.start_year
+    """Years, wealth, emissions and perturbation on the grid start + i*dt.
+
+    Wealth and emissions are ``Scenario.wealth_at`` and ``emissions_at``
+    written out over the grid, with each grid wealth reused in its emissions.
+    """
+    start, w0, eta_w = s.start_year, s.w0, s.eta_w
+    lam, c0, eta_c = s.lambda_ej, s.c0, s.eta_c
     years = tuple([start + i * dt for i in range(n_steps + 1)])
-    wealth = tuple(map(s.wealth_at, years))
-    emissions = tuple(map(s.emissions_at, years))
+    wealth = tuple([w0 * exp(eta_w * (t - start)) for t in years])
+    emissions = tuple([lam * (c0 * exp(eta_c * (t - start))) * w for t, w in zip(years, wealth)])
     half = dt / 2.0
-    at_mid = map(s.emissions_at, (t + half for t in years))
+    at_mid = [
+        lam * (c0 * exp(eta_c * (t + half - start))) * (w0 * exp(eta_w * (t + half - start)))
+        for t in years[:-1]
+    ]
     params = s.carbon_params
     deltas = _rk4_deltas(s.delta0, emissions, at_mid, dt, params.kappa_a, params.sigma)
     return years, wealth, emissions, tuple(deltas)
@@ -167,6 +211,8 @@ def run_scenario(s: Scenario) -> Trajectory:
     Wealth and carbonization follow their closed forms; the concentration
     perturbation is advanced by the fourth-order atmosphere stepper with the
     analytic emissions path sampled at the grid times and step midpoints.
+    The trajectory holds only these columns: it builds no ``TrajectoryPoint``
+    until one is read through ``points`` or ``at_year``.
     """
     return Trajectory(s, *_columns(s, *time_grid(s.horizon_years, s.dt)))
 
@@ -274,6 +320,8 @@ def historical_spinup_delta(
 
     Each calendar year's emission rate is held constant across that year
     (the data are annual totals). Used by the optional spin-up start mode.
+    The run covers the record's first year up to the start of ``end_year``
+    (default: its last year), an int in ``[first_year, last_year + 1]``.
     Every year is covered exactly: it takes ``time_grid``'s step count for one
     year, ``n``, in steps of ``1/n``, so a ``dt`` that does not divide the year
     is refined to the next step that does (0.3 -> 1/4, 0.4 -> 1/3, 0.7 -> 1/2).
@@ -285,6 +333,12 @@ def historical_spinup_delta(
     if not (math.isfinite(delta0) and delta0 >= 0):
         raise DomainError(f"initial perturbation must be finite and non-negative, got {delta0}")
     last = emissions.last_year if end_year is None else end_year
+    if not (isinstance(last, int) and not isinstance(last, bool)
+            and emissions.first_year <= last <= emissions.last_year + 1):
+        raise DomainError(
+            f"end_year must be an int in [{emissions.first_year}, {emissions.last_year + 1}],"
+            f" got {end_year!r}"
+        )
     n = time_grid(1.0, dt)[0]
     h = 1.0 / n
     delta = delta0

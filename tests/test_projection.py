@@ -4,17 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enerscale import datasets
+from enerscale import datasets, projection
 from enerscale.carbon import (
     SIGMA_BAND,
     AtmosphereState,
     CarbonCycleParams,
+    _rk4_deltas,
     committed_equilibrium,
     step_atmosphere,
 )
 from enerscale.errors import DomainError
 from enerscale.projection import (
     Scenario,
+    TrajectoryPoint,
+    TrajectoryPoints,
     committed_curve,
     halving_time,
     historical_spinup_delta,
@@ -121,11 +124,93 @@ def test_delta_column_equals_public_stepper_bit_for_bit():
 def test_points_are_built_from_columns():
     trajectory = run_scenario(scenario(dt=0.5))
     points = trajectory.points
-    assert isinstance(points, tuple) and len(points) == len(trajectory) == 81
+    assert isinstance(points, TrajectoryPoints) and len(points) == len(trajectory) == 81
     assert tuple(p.year for p in points) == trajectory.years
     assert tuple(p.delta_co2 for p in points) == trajectory.deltas
     assert trajectory.at_year(2037.0) == points[40]
     assert points[-1].year == 2057.0
+
+
+def _points_from_columns(trajectory):
+    s = trajectory.scenario
+    p = s.carbon_params
+    return [
+        TrajectoryPoint(t, w, s.lambda_ej * w, e, d, p.kappa_a * e / p.sigma,
+                        p.preindustrial + d, p.preindustrial + p.kappa_a * e / p.sigma)
+        for t, w, e, d in zip(trajectory.years, trajectory.wealth,
+                              trajectory.emissions, trajectory.deltas)
+    ]
+
+
+def test_points_view_is_a_sequence_over_the_columns():
+    trajectory = run_scenario(scenario(eta_c=-0.01, dt=0.5))
+    points = trajectory.points
+    expected = _points_from_columns(trajectory)
+    assert len(points) == len(expected) == 81
+    assert points[0] == expected[0] and points[-1] == expected[-1]
+    assert points[-81] == expected[0]
+    for index in (81, -82):
+        with pytest.raises(IndexError):
+            points[index]
+    assert points[2:5] == tuple(expected[2:5])
+    assert points[::-40] == tuple(expected[::-40])
+    assert points[90:] == ()
+    assert list(points) == expected
+    assert trajectory.at_year(2037.5) == points[41]
+    assert points == run_scenario(scenario(eta_c=-0.01, dt=0.5)).points
+    assert points != run_scenario(scenario(eta_c=-0.01, dt=0.25)).points
+
+
+def test_runs_build_no_points_until_one_is_read(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args[0])
+        return TrajectoryPoint(*args)
+
+    monkeypatch.setattr(projection, "TrajectoryPoint", counting)
+    trajectory = run_scenario(scenario())
+    steady = steady_state_commitment(scenario(), freeze_year=2030.0, settle_years=50.0)
+    assert trajectory.first_crossing(560.0) is not None
+    assert steady.trajectory.first_crossing(1e6) is None
+    assert built == []
+    assert trajectory.points[-1].year == 2057.0
+    assert built == [2057.0]
+    assert trajectory.at_year(2030.0).year == 2030.0
+    assert built == [2057.0, 2030.0]
+
+
+def _columns_by_scalar_calls(s, n_steps, dt):
+    """The columns as they were once built: one Scenario method call per value."""
+    years = tuple([s.start_year + i * dt for i in range(n_steps + 1)])
+    emissions = tuple(map(s.emissions_at, years))
+    at_mid = map(s.emissions_at, (t + dt / 2.0 for t in years))
+    p = s.carbon_params
+    deltas = _rk4_deltas(s.delta0, emissions, at_mid, dt, p.kappa_a, p.sigma)
+    return years, tuple(map(s.wealth_at, years)), emissions, tuple(deltas)
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.3, 0.25, 0.01])
+@pytest.mark.parametrize("eta_c", [0.0, -0.013])
+def test_columns_equal_scalar_closed_forms_bit_for_bit(dt, eta_c):
+    s = scenario(eta_c=eta_c, dt=dt)
+    trajectory = run_scenario(s)
+    expected = _columns_by_scalar_calls(s, *time_grid(s.horizon_years, s.dt))
+    got = (trajectory.years, trajectory.wealth, trajectory.emissions, trajectory.deltas)
+    assert got == expected
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.3, 0.25])
+def test_steady_state_columns_equal_scalar_closed_forms_bit_for_bit(dt):
+    s = scenario(eta_c=-0.013, dt=dt)
+    result = steady_state_commitment(s, freeze_year=2030.0, settle_years=20.0)
+    frozen = result.trajectory.scenario
+    head = _columns_by_scalar_calls(s, time_grid(13.0, dt)[0], dt)
+    assert frozen.delta0 == head[-1][-1]
+    tail = _columns_by_scalar_calls(frozen, time_grid(20.0, dt)[0], dt)
+    trajectory = result.trajectory
+    got = (trajectory.years, trajectory.wealth, trajectory.emissions, trajectory.deltas)
+    assert got == tuple(a[:-1] + b for a, b in zip(head, tail))
 
 
 def test_fine_grid_has_no_drift():
@@ -174,6 +259,12 @@ def test_every_grid_time_is_found(dt, horizon):
     for k in range(len(trajectory)):
         assert trajectory.at_year(s.start_year + k * step).year == trajectory.years[k]
     assert trajectory.years[-1] == pytest.approx(s.start_year + horizon, abs=1e-9)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_first_crossing_rejects_non_finite_threshold(threshold):
+    with pytest.raises(DomainError, match="threshold must be finite"):
+        run_scenario(scenario()).first_crossing(threshold)
 
 
 def test_at_year_rejects_off_grid_year():
@@ -351,6 +442,18 @@ def test_spinup_rejects_bad_inputs(snapshot):
         historical_spinup_delta(snapshot.emissions, dt=1.5)
     with pytest.raises(DomainError):
         historical_spinup_delta(snapshot.emissions, delta0=-1.0)
+
+
+@pytest.mark.parametrize("end_year", [1000, 1958, 2019, True, 2017.5, 2017.0, "2017"])
+def test_spinup_rejects_end_year_outside_the_record(snapshot, end_year):
+    with pytest.raises(DomainError, match=r"end_year must be an int in \[1959, 2018\]"):
+        historical_spinup_delta(snapshot.emissions, end_year=end_year, delta0=40.0)
+
+
+def test_spinup_end_year_spans_the_whole_record(snapshot):
+    assert historical_spinup_delta(snapshot.emissions, end_year=1959, delta0=40.0) == 40.0
+    through_2017 = historical_spinup_delta(snapshot.emissions, end_year=2018, delta0=40.0)
+    assert through_2017 > _spinup_from_1959(snapshot, 0.25)
 
 
 @pytest.mark.parametrize("delta0", [math.nan, math.inf])
