@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 _SUBMODULES = (
     "carbon", "datasets", "growth", "ingestion", "projection", "reconstruction",
-    "scaling", "series", "thermo", "units",
+    "scaling", "series", "units",
 )
 
 #: Public name -> the submodule that defines it.
@@ -48,19 +48,16 @@ _LAZY = {
                           " calibrate_initial_wealth_iterative cumulative_production"
                           " estimate_ppp_mer_ratio ppp_to_mer reconstruct_production"
                           " spline_infill",
-        "scaling": "PotentialParams ScalingEstimate civilization_potential"
-                   " potential_per_dollar scaling_series scaling_stats w1_sensitivity",
+        "scaling": "ScalingEstimate scaling_series scaling_stats w1_sensitivity",
         "growth": "GrowthMethod GrowthRate RatesRow energy_productivity growth_rate"
                   " rates_table wealth_growth_series",
         "carbon": "AtmosphereState CarbonCycleParams CarbonizationEstimate KayaComponents"
                   " carbonization carbonization_series committed_equilibrium"
                   " kaya_decomposition max_carbonization max_carbonization_coefficient"
-                  " step_atmosphere wealth_per_ppmv",
+                  " step_atmosphere",
         "projection": "CapacityRequirement Scenario SteadyStateResult Trajectory"
                       " TrajectoryPoint committed_curve halving_time historical_spinup_delta"
                       " required_clean_capacity run_scenario steady_state_commitment",
-        "thermo": "ThermoState node_production_rate potential_growth_rate"
-                  " productivity_bridge simulate_partition surplus_fraction sustenance_power",
     }.items()
     for name in names.split()
 }

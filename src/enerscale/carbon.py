@@ -290,18 +290,6 @@ def committed_equilibrium(
     return Quantity(delta, Unit.PPMV)
 
 
-def wealth_per_ppmv(
-    scale: Quantity, c: Quantity, params: CarbonCycleParams = CarbonCycleParams()
-) -> Quantity:
-    """Reciprocal commitment coefficient sigma/(kappa*lambda*c), T$2010 per ppmv."""
-    lam_ej = to_unit(scale.value, scale.unit, Unit.EJ_PER_YR_PER_TUSD)
-    if c.unit is not Unit.GTC_PER_EJ or c.value <= 0:
-        raise DomainError("carbonization must be positive, in GtC per EJ")
-    return Quantity(
-        params.sigma / (params.kappa_a * lam_ej * c.value), Unit.TUSD_PER_PPMV
-    )
-
-
 def max_carbonization_coefficient(
     scale: Quantity, params: CarbonCycleParams = CarbonCycleParams()
 ) -> float:

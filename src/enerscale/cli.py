@@ -30,7 +30,6 @@ import hashlib
 import io
 import json
 import math
-import operator
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -339,7 +338,7 @@ def _scenario_from_args(args) -> Scenario:
 
 
 def _cmd_project(args, manifest: RunManifest) -> int:
-    from .projection import TrajectoryPoint, committed_curve, run_scenario, time_grid
+    from .projection import committed_curve, run_scenario, time_grid
     from .units import Quantity, Unit
 
     out: Path = args.out
@@ -375,9 +374,7 @@ def _cmd_project(args, manifest: RunManifest) -> int:
             "year", "wealth_tusd", "energy_ej_per_yr", "emissions_gtc_per_yr", "delta_co2_ppmv",
             "committed_delta_ppmv", "concentration_ppmv", "committed_concentration_ppmv",
         )
-        # TrajectoryPoint declares its fields in the CSV's column order.
-        row = operator.attrgetter(*(f.name for f in fields(TrajectoryPoint)))
-        manifest.write_rows(out, header, map(row, trajectory.points))
+        manifest.write_rows(out, header, trajectory.points)
     params = scenario.carbon_params
     manifest.parameters["scenario"] = {
         **{f.name: getattr(scenario, f.name) for f in fields(scenario)

@@ -13,8 +13,9 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from math import exp
+from typing import NamedTuple
 
-from .carbon import CarbonCycleParams, _rk4_deltas
+from .carbon import CarbonCycleParams, _rk4_deltas, committed_equilibrium
 from .errors import DomainError
 from .series import AnnualSeries
 from .units import DAYS_PER_YEAR, Quantity, Unit, to_unit
@@ -73,8 +74,9 @@ class Scenario:
         return p.kappa_a * self.emissions_at(year) / p.sigma
 
 
-@dataclass(frozen=True, slots=True)
-class TrajectoryPoint:
+class TrajectoryPoint(NamedTuple):
+    """One grid time of a trajectory, its fields in the ``project`` CSV's column order."""
+
     year: float
     wealth: float
     energy_ej: float
@@ -224,8 +226,6 @@ def committed_curve(
     params: CarbonCycleParams = CarbonCycleParams(),
 ) -> list[tuple[float, float]]:
     """(W, delta_eq) pairs tracing the equilibrium line."""
-    from .carbon import committed_equilibrium
-
     pairs = []
     for w in w_values:
         delta = committed_equilibrium(Quantity(float(w), Unit.TUSD), scale, c, params)

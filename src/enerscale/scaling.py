@@ -1,4 +1,4 @@
-"""Estimation of the energy-to-cumulative-production scaling and derived potentials.
+"""Estimation of the energy-to-cumulative-production scaling.
 
 The central empirical object is the per-year ratio of primary energy
 consumption to accumulated production, reported in gigawatts per trillion
@@ -42,17 +42,6 @@ class ScalingEstimate:
             raise DomainError("dispersion statistics cannot be negative")
 
 
-@dataclass(frozen=True)
-class PotentialParams:
-    """Dissipation timescale used to express rates as stored potentials."""
-
-    tau_d: float = 86400.0  # seconds
-
-    def __post_init__(self) -> None:
-        if self.tau_d <= 0:
-            raise DomainError("tau_d must be positive")
-
-
 def scaling_series(energy: AnnualSeries, wealth: WealthSeries) -> AnnualSeries:
     """Per-year energy/wealth ratio in GW per T$2010 on the common years."""
     years, e_values, w_values = aligned_values(energy, wealth.series)
@@ -89,20 +78,3 @@ def w1_sensitivity(
     wealth = cumulative_production(gdp, Quantity(w1.value * factor, w1.unit))
     return scaling_stats(scaling_series(energy, wealth), p)
 
-
-def potential_per_dollar(scale: Quantity, pp: PotentialParams = PotentialParams()) -> Quantity:
-    """Stored potential per unit of cumulative production, in J per 2010 USD.
-
-    A scaling of lambda GW/T$ corresponds to lambda * tau_d joules per dollar
-    (1 GW/T$ = 1e9 W / 1e12 $ = 1e-3 W/$).
-    """
-    if scale.unit is not Unit.GW_PER_TUSD:
-        raise DomainError("potential_per_dollar expects GW per T$2010")
-    watts_per_dollar = scale.value * 1e9 / 1e12
-    return Quantity(watts_per_dollar * pp.tau_d, Unit.J_PER_USD)
-
-
-def civilization_potential(energy: Quantity, pp: PotentialParams = PotentialParams()) -> Quantity:
-    """Total stored potential G = E * tau_d in joules, for energy in GW or EJ/yr."""
-    watts = to_unit(energy.value, energy.unit, Unit.GW) * 1e9
-    return Quantity(watts * pp.tau_d, Unit.JOULE)

@@ -18,9 +18,7 @@ from .errors import DomainError, IncompatibleUnits
 # 365-day year: 86400 * 365 * 1e9 J / 1e18).
 EJ_PER_YR_PER_GW = 0.0315360
 
-# Seconds per (Julian) year, used wherever a duration in years meets one in
-# seconds (thermodynamic identities, capacity-per-day arithmetic).
-SECONDS_PER_YEAR = 365.25 * 86400.0
+# Days per (Julian) year, for capacity-per-day arithmetic.
 DAYS_PER_YEAR = 365.25
 
 
@@ -36,11 +34,8 @@ class Unit(str, Enum):
     PPMV = "ppmv"
     PER_YR = "1/yr"
     PERSONS = "persons"
-    JOULE = "J"
-    J_PER_USD = "J/$"
     GW_PER_TUSD = "GW/T$2010"
     EJ_PER_YR_PER_TUSD = "(EJ/yr)/T$2010"
-    TUSD_PER_PPMV = "T$2010/ppmv"
     TUSD_PER_EJ = "T$2010/EJ"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic

@@ -14,7 +14,6 @@ from enerscale.carbon import (
     max_carbonization,
     max_carbonization_coefficient,
     step_atmosphere,
-    wealth_per_ppmv,
 )
 from enerscale.errors import DomainError
 from enerscale.series import AnnualSeries, Period, SeriesKind
@@ -140,14 +139,6 @@ def test_wealth_per_ppmv_snapshot_calibration(snapshot, recon):
     )
     coefficient = 1000.0 * PARAMS.sigma / est.lambda_c
     assert coefficient == pytest.approx(15.4, abs=0.8)
-
-
-def test_wealth_per_ppmv_definition():
-    scale = Quantity(5.9, Unit.GW_PER_TUSD)
-    c = Quantity(0.017, Unit.GTC_PER_EJ)
-    coeff = wealth_per_ppmv(scale, c)
-    delta = committed_equilibrium(Quantity(coeff.value, Unit.TUSD), scale, c)
-    assert delta.value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_max_carbonization_coefficient_value():

@@ -417,37 +417,44 @@ LOADED_MODULES = (
     "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'enerscale')))\n"
 )
 CLI_BASE = {"cli", "datasets", "errors", "ingestion", "series", "units"}
-PACKAGE = CLI_BASE | {"carbon", "growth", "projection", "reconstruction", "scaling", "tables",
-                      "thermo"}
+PACKAGE = CLI_BASE | {"carbon", "growth", "projection", "reconstruction", "scaling", "tables"}
 PRESET = ["project", "--preset", "paper-2017"]
 
 
-@pytest.mark.parametrize(
-    "argv, modules",
-    [
-        pytest.param(["ingest", "--out-dir", "{d}"], CLI_BASE, id="ingest"),
-        pytest.param(["reconstruct", "--out-dir", "{d}"], CLI_BASE | {"reconstruction"},
-                     id="reconstruct"),
-        pytest.param(["calibrate"], CLI_BASE | {"reconstruction"}, id="calibrate"),
-        *(pytest.param(["tables", "--table", str(n), "--out-dir", "{d}"],
-                       PACKAGE - {"projection", "thermo"}, id=f"tables-{n}")
-          for n in range(1, 6)),
-        pytest.param([*PRESET, "--out", "{d}/t.csv"], PACKAGE - {"scaling", "tables", "thermo"},
-                     id="project"),
-        pytest.param([*PRESET, "--curve", "--out", "{d}/c.csv"],
-                     PACKAGE - {"scaling", "tables", "thermo"}, id="project-curve"),
-        pytest.param([*PRESET, "--spinup", "--out", "{d}/s.csv"],
-                     PACKAGE - {"scaling", "tables", "thermo"}, id="project-spinup"),
-        pytest.param(["report", "--out-dir", "{d}"], PACKAGE - {"tables", "thermo"}, id="report"),
-    ],
-)
+#: (argv, the package modules a fresh process running it loads), per subcommand.
+SUBCOMMAND_MODULES = [
+    pytest.param(["ingest", "--out-dir", "{d}"], CLI_BASE, id="ingest"),
+    pytest.param(["reconstruct", "--out-dir", "{d}"], CLI_BASE | {"reconstruction"},
+                 id="reconstruct"),
+    pytest.param(["calibrate"], CLI_BASE | {"reconstruction"}, id="calibrate"),
+    *(pytest.param(["tables", "--table", str(n), "--out-dir", "{d}"],
+                   PACKAGE - {"projection"}, id=f"tables-{n}")
+      for n in range(1, 6)),
+    pytest.param([*PRESET, "--out", "{d}/t.csv"], PACKAGE - {"scaling", "tables"},
+                 id="project"),
+    pytest.param([*PRESET, "--curve", "--out", "{d}/c.csv"],
+                 PACKAGE - {"scaling", "tables"}, id="project-curve"),
+    pytest.param([*PRESET, "--spinup", "--out", "{d}/s.csv"],
+                 PACKAGE - {"scaling", "tables"}, id="project-spinup"),
+    pytest.param(["report", "--out-dir", "{d}"], PACKAGE - {"tables"}, id="report"),
+]
+
+
+@pytest.mark.parametrize("argv, modules", SUBCOMMAND_MODULES)
 def test_subcommand_loads_only_its_modules(tmp_path, argv, modules):
     argv = [a.replace("{d}", str(tmp_path)) for a in argv]
     result = run_python(LOADED_MODULES, json.dumps(argv))
     assert result.returncode == 0, result.stderr
     loaded = json.loads(result.stdout.splitlines()[-1])
     assert loaded == sorted(["enerscale", *(f"enerscale.{m}" for m in modules)])
-    assert "enerscale.thermo" not in loaded
+
+
+def test_every_module_is_loaded_by_some_subcommand():
+    """No package module is left that no subcommand reaches."""
+    loaded = set().union(*(param.values[1] for param in SUBCOMMAND_MODULES))
+    package = Path(enerscale.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__", "__main__"}
+    assert loaded == modules
 
 
 def test_bare_import_loads_only_the_errors():

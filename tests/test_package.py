@@ -13,25 +13,21 @@ PUBLIC_NAMES = [
     "CarbonizationEstimate", "DataSourceDescriptor", "DomainError", "EJ_PER_YR_PER_GW",
     "EmptySlice", "EnerscaleError", "GapError", "GrowthMethod", "GrowthRate",
     "IncompatibleUnits", "InvalidPeriod", "KayaComponents", "KindError", "ManifestEntry",
-    "MissingYearOne", "NaturalCubicSpline", "ParseError", "Period",
-    "PotentialParams", "PppMerRatio", "Quantity", "RatesRow",
-    "RatioStats", "ReconstructionResult", "ScalingEstimate", "Scenario", "SchemaError",
-    "SeriesKind", "SteadyStateResult", "ThermoState", "TooFewPoints", "Trajectory",
-    "TrajectoryPoint", "Unit", "ValidationReport", "WealthSeries", "build_wealth",
-    "calibrate_initial_wealth", "calibrate_initial_wealth_iterative", "carbon",
-    "carbonization", "carbonization_series", "civilization_potential", "committed_curve",
+    "MissingYearOne", "NaturalCubicSpline", "ParseError", "Period", "PppMerRatio",
+    "Quantity", "RatesRow", "RatioStats", "ReconstructionResult", "ScalingEstimate",
+    "Scenario", "SchemaError", "SeriesKind", "SteadyStateResult", "TooFewPoints",
+    "Trajectory", "TrajectoryPoint", "Unit", "ValidationReport", "WealthSeries",
+    "build_wealth", "calibrate_initial_wealth", "calibrate_initial_wealth_iterative",
+    "carbon", "carbonization", "carbonization_series", "committed_curve",
     "committed_equilibrium", "cumulative_production", "datasets", "energy_productivity",
     "errors", "estimate_ppp_mer_ratio", "growth", "growth_rate", "halving_time",
     "historical_spinup_delta", "ingestion", "kaya_decomposition", "load_manifest",
-    "load_series", "max_carbonization", "max_carbonization_coefficient",
-    "node_production_rate", "potential_growth_rate", "potential_per_dollar", "ppp_to_mer",
-    "production_consumption_ratio", "productivity_bridge",
-    "projection", "rates_table", "reconstruct_production", "reconstruction",
-    "required_clean_capacity", "run_scenario", "scaling", "scaling_series", "scaling_stats",
-    "series", "simulate_partition", "slice_series", "spline_infill",
-    "steady_state_commitment", "step_atmosphere", "surplus_fraction", "sustenance_power",
-    "thermo", "to_unit", "units", "validate", "w1_sensitivity", "wealth_growth_series",
-    "wealth_per_ppmv", "write_series",
+    "load_series", "max_carbonization", "max_carbonization_coefficient", "ppp_to_mer",
+    "production_consumption_ratio", "projection", "rates_table", "reconstruct_production",
+    "reconstruction", "required_clean_capacity", "run_scenario", "scaling",
+    "scaling_series", "scaling_stats", "series", "slice_series", "spline_infill",
+    "steady_state_commitment", "step_atmosphere", "to_unit", "units", "validate",
+    "w1_sensitivity", "wealth_growth_series", "write_series",
 ]
 
 

@@ -5,9 +5,6 @@ from hypothesis import strategies as st
 
 from enerscale.reconstruction import WealthSeries, cumulative_production
 from enerscale.scaling import (
-    PotentialParams,
-    civilization_potential,
-    potential_per_dollar,
     scaling_series,
     scaling_stats,
     w1_sensitivity,
@@ -131,33 +128,3 @@ def test_sensitivity_to_doubled_initial_stock(snapshot, recon):
     assert doubled.mean.value == pytest.approx(5.2, abs=0.2)
     assert halved.mean.value == pytest.approx(6.2, abs=0.2)
 
-
-# ---------------------------------------------------------------- potentials
-
-def test_potential_per_dollar_snapshot_scale():
-    # 5.88e9 W / 1e12 $ * 86400 s = 508.032 J/$
-    q = potential_per_dollar(Quantity(5.88, Unit.GW_PER_TUSD))
-    assert q.value == pytest.approx(508.032, rel=1e-12)
-    assert q.unit is Unit.J_PER_USD
-
-
-def test_potential_per_dollar_headline_value():
-    q = potential_per_dollar(Quantity(5.9, Unit.GW_PER_TUSD))
-    assert q.value == pytest.approx(510.0, abs=1.0)
-
-
-def test_potential_per_dollar_unit_bookkeeping():
-    q = potential_per_dollar(Quantity(1.0, Unit.GW_PER_TUSD), PotentialParams(tau_d=1.0))
-    assert q.value == pytest.approx(1e-3, rel=1e-12)
-
-
-def test_civilization_potential_20tw():
-    q = civilization_potential(Quantity(20000.0, Unit.GW))
-    assert q.value == pytest.approx(1.728e18, rel=1e-12)
-    assert q.unit is Unit.JOULE
-
-
-def test_civilization_potential_small_values():
-    assert civilization_potential(
-        Quantity(1e-9, Unit.GW), PotentialParams(tau_d=1.0)
-    ).value == pytest.approx(1.0)

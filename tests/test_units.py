@@ -83,10 +83,7 @@ def test_gw_to_ej_multiplies_and_ej_to_gw_divides(snapshot):
 def test_public_functions_reject_units_without_a_path():
     from enerscale.carbon import committed_equilibrium, max_carbonization_coefficient
     from enerscale.projection import required_clean_capacity
-    from enerscale.scaling import civilization_potential
 
-    with pytest.raises(DomainError):
-        civilization_potential(Quantity(1.0, Unit.TUSD))
     with pytest.raises(DomainError):
         required_clean_capacity(Quantity(1.0, Unit.PPMV), 0.02)
     with pytest.raises(DomainError):
