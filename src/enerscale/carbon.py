@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import DomainError, EmptySlice
 from .growth import GrowthMethod, energy_productivity, growth_rate
 from .reconstruction import WealthSeries
+from .records import Record, set_field
 from .series import (
     AnnualSeries,
     Period,
@@ -35,43 +35,53 @@ SIGMA_BAND = (0.019, 0.027)
 _NEGATIVE_PERTURBATION = "concentration perturbation cannot be negative"
 
 
-@dataclass(frozen=True)
-class CarbonCycleParams:
+class CarbonCycleParams(Record):
     """Sink rate (1/yr), airborne conversion (ppmv/GtC) and baseline (ppmv)."""
 
-    sigma: float = 0.023
-    kappa_a: float = 0.47
-    preindustrial: float = 275.0
-    allow_sigma_out_of_band: bool = False
+    __slots__ = _fields = ("sigma", "kappa_a", "preindustrial", "allow_sigma_out_of_band")
+    sigma: float
+    kappa_a: float
+    preindustrial: float
+    allow_sigma_out_of_band: bool
 
-    def __post_init__(self) -> None:
-        values = (self.sigma, self.kappa_a, self.preindustrial)
-        if not all(math.isfinite(v) and v > 0 for v in values):
+    def __init__(
+        self,
+        sigma: float = 0.023,
+        kappa_a: float = 0.47,
+        preindustrial: float = 275.0,
+        allow_sigma_out_of_band: bool = False,
+    ) -> None:
+        if not all(math.isfinite(v) and v > 0 for v in (sigma, kappa_a, preindustrial)):
             raise DomainError("carbon-cycle parameters must be finite and strictly positive")
         low, high = SIGMA_BAND
-        if not self.allow_sigma_out_of_band and not (low <= self.sigma <= high):
+        if not allow_sigma_out_of_band and not (low <= sigma <= high):
             raise DomainError(
-                f"sigma={self.sigma} outside the supported band {SIGMA_BAND}; "
+                f"sigma={sigma} outside the supported band {SIGMA_BAND}; "
                 "pass allow_sigma_out_of_band=True to override"
             )
+        set_field(self, "sigma", sigma)
+        set_field(self, "kappa_a", kappa_a)
+        set_field(self, "preindustrial", preindustrial)
+        set_field(self, "allow_sigma_out_of_band", allow_sigma_out_of_band)
 
 
-@dataclass(frozen=True)
-class AtmosphereState:
+class AtmosphereState(Record):
     """CO2 perturbation above the pre-industrial baseline at a point in time."""
 
+    __slots__ = _fields = ("year", "delta_co2")
     year: float
     delta_co2: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.year) and math.isfinite(self.delta_co2)):
+    def __init__(self, year: float, delta_co2: float) -> None:
+        set_field(self, "year", year)
+        set_field(self, "delta_co2", delta_co2)
+        if not (math.isfinite(year) and math.isfinite(delta_co2)):
             raise DomainError(f"atmosphere state must be finite, got {self}")
-        if self.delta_co2 < 0:
+        if delta_co2 < 0:
             raise DomainError(_NEGATIVE_PERTURBATION)
 
 
-@dataclass(frozen=True)
-class CarbonizationEstimate:
+class CarbonizationEstimate(Record):
     """Carbonization of energy and the emissions-to-wealth scaling over a period.
 
     ``c`` is the period-mean carbon intensity of primary energy, GtC per EJ.
@@ -81,15 +91,28 @@ class CarbonizationEstimate:
     kappa_a recovers the emission-mass form in GtC yr^-1 per quadrillion.
     """
 
+    __slots__ = _fields = ("period", "c", "eta_c", "lambda_c", "lambda_c_std")
     period: Period
     c: float
     eta_c: float
-    lambda_c: float | None = None
-    lambda_c_std: float | None = None
+    lambda_c: float | None
+    lambda_c_std: float | None
 
-    def __post_init__(self) -> None:
-        if self.c <= 0:
+    def __init__(
+        self,
+        period: Period,
+        c: float,
+        eta_c: float,
+        lambda_c: float | None = None,
+        lambda_c_std: float | None = None,
+    ) -> None:
+        if c <= 0:
             raise DomainError("carbonization must be positive")
+        set_field(self, "period", period)
+        set_field(self, "c", c)
+        set_field(self, "eta_c", eta_c)
+        set_field(self, "lambda_c", lambda_c)
+        set_field(self, "lambda_c_std", lambda_c_std)
 
 
 def carbonization_series(emissions: AnnualSeries, energy: AnnualSeries) -> AnnualSeries:
@@ -136,8 +159,7 @@ def carbonization(
     )
 
 
-@dataclass(frozen=True)
-class KayaComponents:
+class KayaComponents(Record):
     """Endpoint growth rates of the Kaya factors over one period, fraction/yr.
 
     ``residual`` is eta_pop + eta_affluence - eta_productivity + eta_carbonization
@@ -145,12 +167,32 @@ class KayaComponents:
     log rates.
     """
 
+    __slots__ = _fields = (
+        "period", "eta_pop", "eta_affluence", "eta_productivity", "eta_carbonization",
+        "eta_emissions",
+    )
     period: Period
     eta_pop: float
     eta_affluence: float
     eta_productivity: float
     eta_carbonization: float
     eta_emissions: float
+
+    def __init__(
+        self,
+        period: Period,
+        eta_pop: float,
+        eta_affluence: float,
+        eta_productivity: float,
+        eta_carbonization: float,
+        eta_emissions: float,
+    ) -> None:
+        set_field(self, "period", period)
+        set_field(self, "eta_pop", eta_pop)
+        set_field(self, "eta_affluence", eta_affluence)
+        set_field(self, "eta_productivity", eta_productivity)
+        set_field(self, "eta_carbonization", eta_carbonization)
+        set_field(self, "eta_emissions", eta_emissions)
 
     @property
     def residual(self) -> float:

@@ -31,7 +31,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -39,6 +38,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 # process loads only what its subcommand needs.
 from . import __version__, datasets
 from .errors import EnerscaleError, ParseError
+from .records import Record
 
 if TYPE_CHECKING:
     from .projection import Scenario
@@ -63,20 +63,38 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-@dataclass
-class RunManifest:
+class RunManifest(Record):
     """Reproducibility record of one command, and the writer of all its files.
 
+    Unlike the package's other records it is mutable (and so unhashable).
     ``write_text``, ``write_json`` and ``write_rows`` make the parent
     directory, write UTF-8 with LF line ends, record the path as an output
     and return it; ``write`` writes the manifest itself.
     """
 
+    __slots__ = _fields = ("command", "parameters", "version", "inputs", "outputs")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
     command: list[str]
     parameters: dict
-    version: str = __version__
-    inputs: dict[str, str] = field(default_factory=dict)
-    outputs: list[str] = field(default_factory=list)
+    version: str
+    inputs: dict[str, str]
+    outputs: list[str]
+
+    def __init__(
+        self,
+        command: list[str],
+        parameters: dict,
+        version: str = __version__,
+        inputs: dict[str, str] | None = None,
+        outputs: list[str] | None = None,
+    ) -> None:
+        self.command = command
+        self.parameters = parameters
+        self.version = version
+        self.inputs = {} if inputs is None else inputs
+        self.outputs = [] if outputs is None else outputs
 
     def add_input(self, path: Path) -> None:
         self.inputs[str(path)] = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -242,6 +260,17 @@ def _cmd_calibrate(args, manifest: RunManifest) -> int:
     return EXIT_OK
 
 
+def _integral_years(values) -> tuple[int, ...]:
+    """A JSON list of years as ints; ValueError if one is not integral.
+
+    1970.0 is read as 1970; 1970.9, "1970" and Infinity are rejected.
+    """
+    years = tuple(map(int, values))
+    if years != tuple(values):
+        raise ValueError(f"years must be integers, got {values!r}")
+    return years
+
+
 def _tables_inputs(data_dir: Path | None, manifest: RunManifest):
     """Snapshot plus either recomputed or on-disk reconstruction outputs."""
     from .ingestion import canonical_descriptor, json_field, load_series
@@ -274,13 +303,13 @@ def _tables_inputs(data_dir: Path | None, manifest: RunManifest):
         w1=Quantity(field("w1_tusd", float), Unit.TUSD),
         method=prov.get("method", "loaded from disk"),
     )
-    window = field("kappa_x_window", lambda years: Period(*map(int, years)))
+    window = field("kappa_x_window", lambda years: Period(*_integral_years(years)))
     recon = ReconstructionResult(
         gdp=gdp,
         wealth=wealth,
         ratio=PppMerRatio(field("kappa_x", float), window),
         w1=wealth.w1,
-        spline_knot_years=field("spline_knot_years", tuple, ()),
+        spline_knot_years=field("spline_knot_years", _integral_years, ()),
     )
     return snapshot, recon
 
@@ -377,8 +406,7 @@ def _cmd_project(args, manifest: RunManifest) -> int:
         manifest.write_rows(out, header, trajectory.points)
     params = scenario.carbon_params
     manifest.parameters["scenario"] = {
-        **{f.name: getattr(scenario, f.name) for f in fields(scenario)
-           if f.init and f.name != "carbon_params"},
+        **{name: getattr(scenario, name) for name in scenario._fields if name != "carbon_params"},
         "sigma": params.sigma,
         "kappa_a": params.kappa_a,
         "preindustrial": params.preindustrial,

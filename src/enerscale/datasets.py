@@ -8,12 +8,12 @@ reconstruction once per process and caches the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .ingestion import ManifestEntry, load_manifest, load_series
+from .records import Record, set_field
 from .series import AnnualSeries, Period
 from .units import Unit, to_unit
 
@@ -44,10 +44,13 @@ def manifest() -> dict[str, ManifestEntry]:
     return load_manifest(manifest_path())
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(Record):
     """The bundled series, loaded and validated."""
 
+    __slots__ = _fields = (
+        "gdp_mer", "gdp_ppp", "energy", "energy_production", "emissions", "population",
+        "concentration",
+    )
     gdp_mer: AnnualSeries
     gdp_ppp: AnnualSeries
     energy: AnnualSeries
@@ -55,6 +58,24 @@ class Snapshot:
     emissions: AnnualSeries
     population: AnnualSeries
     concentration: AnnualSeries
+
+    def __init__(
+        self,
+        gdp_mer: AnnualSeries,
+        gdp_ppp: AnnualSeries,
+        energy: AnnualSeries,
+        energy_production: AnnualSeries,
+        emissions: AnnualSeries,
+        population: AnnualSeries,
+        concentration: AnnualSeries,
+    ) -> None:
+        set_field(self, "gdp_mer", gdp_mer)
+        set_field(self, "gdp_ppp", gdp_ppp)
+        set_field(self, "energy", energy)
+        set_field(self, "energy_production", energy_production)
+        set_field(self, "emissions", emissions)
+        set_field(self, "population", population)
+        set_field(self, "concentration", concentration)
 
 
 @lru_cache(maxsize=1)

@@ -8,13 +8,13 @@ rates can reasonably be read either way; both are reported in the docs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 import math
 from typing import Sequence
 
 from .errors import DomainError, EmptySlice
 from .reconstruction import WealthSeries
+from .records import Record, set_field
 from .series import (
     AnnualSeries,
     Period,
@@ -32,22 +32,27 @@ class GrowthMethod(str, Enum):
     OLS_LOG = "ols_log"
 
 
-@dataclass(frozen=True)
-class GrowthRate:
+class GrowthRate(Record):
     """A fractional growth rate (1/yr) with its period and estimator."""
 
+    __slots__ = _fields = ("value", "period", "method")
     value: float
     period: Period
     method: GrowthMethod
 
+    def __init__(self, value: float, period: Period, method: GrowthMethod) -> None:
+        set_field(self, "value", value)
+        set_field(self, "period", period)
+        set_field(self, "method", method)
 
-@dataclass(frozen=True)
-class RatesRow:
+
+class RatesRow(Record):
     """One period's measured and derived growth rates, in fraction/yr.
 
     ``predicted_eta_y`` is constructed as lambda_eps + eta_eps, never measured.
     """
 
+    __slots__ = _fields = ("period", "eta_w", "eta_e", "lambda_eps", "eta_i", "eta_eps", "eta_y")
     period: Period
     eta_w: float
     eta_e: float
@@ -55,6 +60,24 @@ class RatesRow:
     eta_i: float
     eta_eps: float
     eta_y: float
+
+    def __init__(
+        self,
+        period: Period,
+        eta_w: float,
+        eta_e: float,
+        lambda_eps: float,
+        eta_i: float,
+        eta_eps: float,
+        eta_y: float,
+    ) -> None:
+        set_field(self, "period", period)
+        set_field(self, "eta_w", eta_w)
+        set_field(self, "eta_e", eta_e)
+        set_field(self, "lambda_eps", lambda_eps)
+        set_field(self, "eta_i", eta_i)
+        set_field(self, "eta_eps", eta_eps)
+        set_field(self, "eta_y", eta_y)
 
     @property
     def predicted_eta_y(self) -> float:

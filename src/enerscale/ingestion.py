@@ -14,50 +14,82 @@ import functools
 import json
 import math
 import operator
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DomainError, EmptySlice, ParseError, SchemaError
+from .records import Record, set_field
 from .series import AnnualSeries, Period, SeriesKind, aligned_values, mean, sample_std, slice_series
 from .units import Unit
 
 
-@dataclass(frozen=True)
-class DataSourceDescriptor:
+class DataSourceDescriptor(Record):
     """Where and how to read one series from disk."""
 
+    __slots__ = _fields = ("path", "kind", "unit", "year_column", "value_column", "scale")
     path: Path
     kind: SeriesKind
     unit: Unit
-    year_column: str = "year"
-    value_column: str = "value"
-    scale: float = 1.0
+    year_column: str
+    value_column: str
+    scale: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "path", Path(self.path))
-        if self.scale <= 0:
+    def __init__(
+        self,
+        path: Path,
+        kind: SeriesKind,
+        unit: Unit,
+        year_column: str = "year",
+        value_column: str = "value",
+        scale: float = 1.0,
+    ) -> None:
+        set_field(self, "path", Path(path))
+        set_field(self, "kind", kind)
+        set_field(self, "unit", unit)
+        set_field(self, "year_column", year_column)
+        set_field(self, "value_column", value_column)
+        set_field(self, "scale", scale)
+        if scale <= 0:
             raise DomainError("descriptor scale must be positive")
-        if not self.year_column or not self.value_column:
+        if not year_column or not value_column:
             raise SchemaError("year_column and value_column must be nonempty")
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
+class ManifestEntry(Record):
     """A named descriptor plus its validation policy."""
 
+    __slots__ = _fields = ("name", "descriptor", "contiguous")
     name: str
     descriptor: DataSourceDescriptor
-    contiguous: bool = True
+    contiguous: bool
+
+    def __init__(
+        self, name: str, descriptor: DataSourceDescriptor, contiguous: bool = True
+    ) -> None:
+        set_field(self, "name", name)
+        set_field(self, "descriptor", descriptor)
+        set_field(self, "contiguous", contiguous)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Outcome of validating one series; empty means no findings."""
 
-    gaps: tuple[tuple[int, int], ...] = ()
-    nonpositive_count: int = 0
-    duplicate_years: tuple[int, ...] = ()
-    coverage: Period | None = None
+    __slots__ = _fields = ("gaps", "nonpositive_count", "duplicate_years", "coverage")
+    gaps: tuple[tuple[int, int], ...]
+    nonpositive_count: int
+    duplicate_years: tuple[int, ...]
+    coverage: Period | None
+
+    def __init__(
+        self,
+        gaps: tuple[tuple[int, int], ...] = (),
+        nonpositive_count: int = 0,
+        duplicate_years: tuple[int, ...] = (),
+        coverage: Period | None = None,
+    ) -> None:
+        set_field(self, "gaps", gaps)
+        set_field(self, "nonpositive_count", nonpositive_count)
+        set_field(self, "duplicate_years", duplicate_years)
+        set_field(self, "coverage", coverage)
 
     def is_empty(self) -> bool:
         return not self.gaps and self.nonpositive_count == 0 and not self.duplicate_years
@@ -74,11 +106,16 @@ class ValidationReport:
         }
 
 
-@dataclass(frozen=True)
-class RatioStats:
+class RatioStats(Record):
+    __slots__ = _fields = ("mean", "std", "n")
     mean: float
     std: float
     n: int
+
+    def __init__(self, mean: float, std: float, n: int) -> None:
+        set_field(self, "mean", mean)
+        set_field(self, "std", std)
+        set_field(self, "n", n)
 
 
 def load_series(d: DataSourceDescriptor) -> AnnualSeries:
@@ -182,9 +219,10 @@ def write_series(s: AnnualSeries, path: Path | str, value_column: str = "value")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["year", value_column])
-        writer.writerows(zip(s.years, map(repr, s.values)))
+        csv.writer(handle, lineterminator="\n").writerow(["year", value_column])
+        # An int or a finite float's repr never needs quoting, so the rows
+        # are joined directly: the same bytes csv.writer would write.
+        handle.write("".join([f"{y},{v!r}\n" for y, v in zip(s.years, s.values)]))
     return path
 
 
@@ -201,11 +239,12 @@ def json_field(where: str, record, key: str, convert, default=None):
     """``convert(record[key])``, or ``default`` if one is given and ``key`` is absent.
 
     A missing required field, a record that is not a JSON object and a value
-    ``convert`` rejects all raise ``SchemaError`` naming ``where`` and ``key``.
+    ``convert`` rejects (an integer too large for a float included) all raise
+    ``SchemaError`` naming ``where`` and ``key``.
     """
     try:
         return default if default is not None and key not in record else convert(record[key])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise SchemaError(f"{where} has a missing or invalid {key!r}") from None
 
 

@@ -11,52 +11,79 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, replace
 from math import exp
 from typing import NamedTuple
 
 from .carbon import CarbonCycleParams, _rk4_deltas, committed_equilibrium
 from .errors import DomainError
+from .records import Record, set_field
 from .series import AnnualSeries
 from .units import DAYS_PER_YEAR, Quantity, Unit, to_unit
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """Forward-run configuration.
 
     Units: wealth in T$2010, scaling in GW per T$2010, carbonization in
-    GtC/EJ, rates in fraction/yr, concentrations in ppmv.
+    GtC/EJ, rates in fraction/yr, concentrations in ppmv. ``lambda_ej``, the
+    scaling in EJ/yr per T$2010, is derived from ``lambda_gw`` and is not a
+    field: it takes no part in equality, the repr or ``_replace``.
     """
 
+    _fields = (
+        "start_year", "horizon_years", "w0", "lambda_gw", "c0", "eta_w", "eta_c", "delta0",
+        "carbon_params", "dt",
+    )
+    __slots__ = (*_fields, "lambda_ej")
     start_year: float
     horizon_years: float
     w0: float
     lambda_gw: float
     c0: float
     eta_w: float
-    eta_c: float = 0.0
-    delta0: float = 0.0
-    carbon_params: CarbonCycleParams = field(default_factory=CarbonCycleParams)
-    dt: float = 0.25
-    #: The scaling in EJ/yr per T$2010, derived from ``lambda_gw``.
-    lambda_ej: float = field(init=False, repr=False, compare=False)
+    eta_c: float
+    delta0: float
+    carbon_params: CarbonCycleParams
+    dt: float
+    lambda_ej: float
 
-    def __post_init__(self) -> None:
-        not_finite = [f.name for f in fields(self) if f.init and f.name != "carbon_params"
-                      and not math.isfinite(getattr(self, f.name))]
+    def __init__(
+        self,
+        start_year: float,
+        horizon_years: float,
+        w0: float,
+        lambda_gw: float,
+        c0: float,
+        eta_w: float,
+        eta_c: float = 0.0,
+        delta0: float = 0.0,
+        carbon_params: CarbonCycleParams = CarbonCycleParams(),
+        dt: float = 0.25,
+    ) -> None:
+        set_field(self, "start_year", start_year)
+        set_field(self, "horizon_years", horizon_years)
+        set_field(self, "w0", w0)
+        set_field(self, "lambda_gw", lambda_gw)
+        set_field(self, "c0", c0)
+        set_field(self, "eta_w", eta_w)
+        set_field(self, "eta_c", eta_c)
+        set_field(self, "delta0", delta0)
+        set_field(self, "carbon_params", carbon_params)
+        set_field(self, "dt", dt)
+        not_finite = [name for name in self._fields if name != "carbon_params"
+                      and not math.isfinite(getattr(self, name))]
         if not_finite:
             raise DomainError(f"scenario fields must be finite: {', '.join(not_finite)}")
-        if self.horizon_years <= 0:
+        if horizon_years <= 0:
             raise DomainError("horizon must be positive")
-        if not 0.0 < self.dt <= 1.0:
+        if not 0.0 < dt <= 1.0:
             raise DomainError("dt must be in (0, 1]")
-        if min(self.w0, self.lambda_gw, self.c0) <= 0:
+        if min(w0, lambda_gw, c0) <= 0:
             raise DomainError("w0, lambda and c0 must be positive")
-        if self.delta0 < 0:
+        if delta0 < 0:
             raise DomainError("initial perturbation cannot be negative")
-        lambda_ej = to_unit(self.lambda_gw, Unit.GW_PER_TUSD, Unit.EJ_PER_YR_PER_TUSD)
-        object.__setattr__(self, "lambda_ej", lambda_ej)
+        lambda_ej = to_unit(lambda_gw, Unit.GW_PER_TUSD, Unit.EJ_PER_YR_PER_TUSD)
+        set_field(self, "lambda_ej", lambda_ej)
 
     def wealth_at(self, year: float) -> float:
         return self.w0 * math.exp(self.eta_w * (year - self.start_year))
@@ -125,8 +152,7 @@ class TrajectoryPoints(Sequence):
         return TrajectoryPoint(t.years[i], w, t.scenario.lambda_ej * w, e, d, c, pre + d, pre + c)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """State columns of a run, one entry per grid time, and their points.
 
     The remaining ``TrajectoryPoint`` fields follow from these columns, the
@@ -134,11 +160,26 @@ class Trajectory:
     each point from them when it is accessed, and no point is stored.
     """
 
+    __slots__ = _fields = ("scenario", "years", "wealth", "emissions", "deltas")
     scenario: Scenario
     years: tuple[float, ...]
     wealth: tuple[float, ...]
     emissions: tuple[float, ...]
     deltas: tuple[float, ...]
+
+    def __init__(
+        self,
+        scenario: Scenario,
+        years: tuple[float, ...],
+        wealth: tuple[float, ...],
+        emissions: tuple[float, ...],
+        deltas: tuple[float, ...],
+    ) -> None:
+        set_field(self, "scenario", scenario)
+        set_field(self, "years", years)
+        set_field(self, "wealth", wealth)
+        set_field(self, "emissions", emissions)
+        set_field(self, "deltas", deltas)
 
     def __len__(self) -> int:
         return len(self.years)
@@ -233,12 +274,16 @@ def committed_curve(
     return pairs
 
 
-@dataclass(frozen=True)
-class CapacityRequirement:
+class CapacityRequirement(Record):
     """New non-fossil capacity needed to absorb energy-demand growth."""
 
+    __slots__ = _fields = ("gw_per_year", "gw_per_day")
     gw_per_year: float
     gw_per_day: float
+
+    def __init__(self, gw_per_year: float, gw_per_day: float) -> None:
+        set_field(self, "gw_per_year", gw_per_year)
+        set_field(self, "gw_per_day", gw_per_day)
 
 
 def required_clean_capacity(energy: Quantity, eta_e: float) -> CapacityRequirement:
@@ -254,14 +299,26 @@ def halving_time(params: CarbonCycleParams = CarbonCycleParams()) -> float:
     return math.log(2.0) / params.sigma
 
 
-@dataclass(frozen=True)
-class SteadyStateResult:
+class SteadyStateResult(Record):
     """Outcome of freezing the economy at a given year."""
 
+    __slots__ = _fields = ("trajectory", "freeze_year", "freeze_wealth", "asymptote_delta")
     trajectory: Trajectory
     freeze_year: float
     freeze_wealth: float
     asymptote_delta: float
+
+    def __init__(
+        self,
+        trajectory: Trajectory,
+        freeze_year: float,
+        freeze_wealth: float,
+        asymptote_delta: float,
+    ) -> None:
+        set_field(self, "trajectory", trajectory)
+        set_field(self, "freeze_year", freeze_year)
+        set_field(self, "freeze_wealth", freeze_wealth)
+        set_field(self, "asymptote_delta", asymptote_delta)
 
     @property
     def asymptote_concentration(self) -> float:
@@ -288,8 +345,7 @@ def steady_state_commitment(
     if freeze_year > s.start_year:
         head = _columns(s, time_grid(freeze_year - s.start_year, s.dt)[0], s.dt)
         delta0 = head[-1][-1]
-    frozen = replace(
-        s,
+    frozen = s._replace(
         start_year=freeze_year,
         horizon_years=settle_years,
         w0=s.wealth_at(freeze_year),

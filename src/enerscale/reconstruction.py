@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Iterable, Sequence
 
@@ -33,6 +32,7 @@ from .errors import (
     MissingYearOne,
     TooFewPoints,
 )
+from .records import Record, set_field
 from .series import AnnualSeries, Period, SeriesKind, aligned_values, mean, slice_series
 from .units import Quantity, Unit
 
@@ -106,34 +106,39 @@ class NaturalCubicSpline:
         return out
 
 
-@dataclass(frozen=True)
-class PppMerRatio:
+class PppMerRatio(Record):
     """Mean PPP/MER ratio over an overlap window."""
 
+    __slots__ = _fields = ("value", "window")
     value: float
     window: Period
 
-    def __post_init__(self) -> None:
-        if self.value <= 0:
+    def __init__(self, value: float, window: Period) -> None:
+        if value <= 0:
             raise DomainError("PPP/MER ratio must be positive")
+        set_field(self, "value", value)
+        set_field(self, "window", window)
 
 
-@dataclass(frozen=True)
-class WealthSeries:
+class WealthSeries(Record):
     """Cumulative production W(t) with its initialization and provenance."""
 
+    __slots__ = _fields = ("series", "w1", "method")
     series: AnnualSeries
     w1: Quantity
     method: str
 
-    def __post_init__(self) -> None:
-        if self.series.kind is not SeriesKind.WEALTH:
+    def __init__(self, series: AnnualSeries, w1: Quantity, method: str) -> None:
+        if series.kind is not SeriesKind.WEALTH:
             raise KindError("WealthSeries wraps a series of kind 'wealth'")
-        values = self.series.values
+        values = series.values
         if any(map(operator.ge, values, values[1:])):
             raise DomainError("wealth must be strictly increasing")
-        if values[0] < self.w1.value:
+        if values[0] < w1.value:
             raise DomainError("wealth at the first year cannot be below W(1)")
+        set_field(self, "series", series)
+        set_field(self, "w1", w1)
+        set_field(self, "method", method)
 
     def value_at(self, year: int) -> float:
         return self.series.value_at(year)
@@ -235,15 +240,29 @@ def cumulative_production(gdp: AnnualSeries, w1: Quantity) -> WealthSeries:
     return WealthSeries(series=series, w1=w1, method="annual left sum of production")
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
+class ReconstructionResult(Record):
     """Everything the reconstruction pipeline produces."""
 
+    __slots__ = _fields = ("gdp", "wealth", "ratio", "w1", "spline_knot_years")
     gdp: AnnualSeries
     wealth: WealthSeries
     ratio: PppMerRatio
     w1: Quantity
     spline_knot_years: tuple[int, ...]
+
+    def __init__(
+        self,
+        gdp: AnnualSeries,
+        wealth: WealthSeries,
+        ratio: PppMerRatio,
+        w1: Quantity,
+        spline_knot_years: tuple[int, ...],
+    ) -> None:
+        set_field(self, "gdp", gdp)
+        set_field(self, "wealth", wealth)
+        set_field(self, "ratio", ratio)
+        set_field(self, "w1", w1)
+        set_field(self, "spline_knot_years", spline_knot_years)
 
 
 def reconstruct_production(

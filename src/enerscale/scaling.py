@@ -10,10 +10,10 @@ intervals including both endpoint years.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .reconstruction import WealthSeries, cumulative_production
+from .records import Record, set_field
 from .series import (
     AnnualSeries,
     Period,
@@ -27,19 +27,31 @@ from .series import (
 from .units import Quantity, Unit, to_unit
 
 
-@dataclass(frozen=True)
-class ScalingEstimate:
+class ScalingEstimate(Record):
     """Scaling statistics over a named period."""
 
+    __slots__ = _fields = ("period", "mean", "std", "ci95_halfwidth", "trend_per_year")
     period: Period
     mean: Quantity
     std: Quantity
     ci95_halfwidth: Quantity
     trend_per_year: float
 
-    def __post_init__(self) -> None:
-        if self.std.value < 0 or self.ci95_halfwidth.value < 0:
+    def __init__(
+        self,
+        period: Period,
+        mean: Quantity,
+        std: Quantity,
+        ci95_halfwidth: Quantity,
+        trend_per_year: float,
+    ) -> None:
+        if std.value < 0 or ci95_halfwidth.value < 0:
             raise DomainError("dispersion statistics cannot be negative")
+        set_field(self, "period", period)
+        set_field(self, "mean", mean)
+        set_field(self, "std", std)
+        set_field(self, "ci95_halfwidth", ci95_halfwidth)
+        set_field(self, "trend_per_year", trend_per_year)
 
 
 def scaling_series(energy: AnnualSeries, wealth: WealthSeries) -> AnnualSeries:

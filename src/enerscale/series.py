@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 from .errors import DomainError, EmptySlice, InvalidPeriod, KindError
+from .records import Record, set_field
 from .units import Unit
 
 
@@ -57,18 +57,32 @@ KIND_UNITS: dict[SeriesKind, frozenset[Unit]] = {
 }
 
 
-@dataclass(frozen=True)
-class Period:
+def _integral(year) -> bool:
+    """Whether ``year`` is an int or a number equal to one (2000.0, not 2000.5 or "2000")."""
+    try:
+        return int(year) == year
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+class Period(Record):
     """Closed interval of calendar years; both endpoints are included."""
 
+    __slots__ = _fields = ("start_year", "end_year")
     start_year: int
     end_year: int
 
-    def __post_init__(self) -> None:
-        if self.start_year >= self.end_year:
+    def __init__(self, start_year: int, end_year: int) -> None:
+        if not (_integral(start_year) and _integral(end_year)):
             raise InvalidPeriod(
-                f"period must satisfy start < end, got {self.start_year}..{self.end_year}"
+                f"period years must be integers, got {start_year!r}..{end_year!r}"
             )
+        if start_year >= end_year:
+            raise InvalidPeriod(
+                f"period must satisfy start < end, got {start_year}..{end_year}"
+            )
+        set_field(self, "start_year", int(start_year))
+        set_field(self, "end_year", int(end_year))
 
     @property
     def span(self) -> int:
@@ -79,20 +93,39 @@ class Period:
         return f"{self.start_year}-{self.end_year}"
 
 
-@dataclass(frozen=True)
-class AnnualSeries:
-    """Immutable year-indexed sequence with a kind and a unit tag."""
+class AnnualSeries(Record):
+    """Immutable year-indexed sequence with a kind and a unit tag.
 
+    Years are stored as ints and values as floats; a year that is not
+    integral (2000.5, "2000") is rejected rather than truncated.
+    """
+
+    __slots__ = _fields = ("kind", "unit", "years", "values")
     kind: SeriesKind
     unit: Unit
     years: tuple[int, ...]
     values: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        years = tuple(map(int, self.years))
-        values = tuple(map(float, self.values))
-        object.__setattr__(self, "years", years)
-        object.__setattr__(self, "values", values)
+    def __init__(
+        self,
+        kind: SeriesKind,
+        unit: Unit,
+        years: Sequence[int],
+        values: Sequence[float],
+    ) -> None:
+        raw = tuple(years)
+        try:
+            years = tuple(map(int, raw))
+        except (TypeError, ValueError, OverflowError):
+            years = ()
+        if years != raw:  # one whole-tuple test; the search runs only on failure
+            bad = next(y for y in raw if not _integral(y))
+            raise DomainError(f"years must be integers, got {bad!r}")
+        values = tuple(map(float, values))
+        set_field(self, "kind", kind)
+        set_field(self, "unit", unit)
+        set_field(self, "years", years)
+        set_field(self, "values", values)
         if len(years) != len(values):
             raise DomainError("years and values must have equal length")
         if not years:
@@ -103,12 +136,10 @@ class AnnualSeries:
             raise DomainError("series values must be finite")
         # A rate may decline; every other kind is a stock, flow or ratio > 0.
         # NaN is rejected above, so min() sees only ordered values.
-        if self.kind is not SeriesKind.RATE and min(values) <= 0.0:
-            raise DomainError(f"{self.kind.value} values must be strictly positive")
-        if self.unit not in KIND_UNITS[self.kind]:
-            raise KindError(
-                f"unit {self.unit.value} is not valid for kind {self.kind.value}"
-            )
+        if kind is not SeriesKind.RATE and min(values) <= 0.0:
+            raise DomainError(f"{kind.value} values must be strictly positive")
+        if unit not in KIND_UNITS[kind]:
+            raise KindError(f"unit {unit.value} is not valid for kind {kind.value}")
 
     def __len__(self) -> int:
         return len(self.years)

@@ -7,11 +7,10 @@ formatting by the CSV writer, and rounded for the aligned text view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .carbon import CarbonCycleParams, carbonization, kaya_decomposition
 from .growth import growth_rate, rates_table
 from .reconstruction import ReconstructionResult
+from .records import Record, set_field
 from .scaling import scaling_series, scaling_stats
 from .series import Period
 from .datasets import Snapshot
@@ -34,12 +33,20 @@ COEFFICIENT_PERIODS = (
 )
 
 
-@dataclass(frozen=True)
-class TableResult:
+class TableResult(Record):
+    __slots__ = _fields = ("table_id", "title", "header", "rows")
     table_id: int
     title: str
     header: tuple[str, ...]
     rows: tuple[tuple, ...]
+
+    def __init__(
+        self, table_id: int, title: str, header: tuple[str, ...], rows: tuple[tuple, ...]
+    ) -> None:
+        set_field(self, "table_id", table_id)
+        set_field(self, "title", title)
+        set_field(self, "header", header)
+        set_field(self, "rows", rows)
 
 
 def _fmt(value, digits: int = 3) -> str:

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, IncompatibleUnits
+from .records import Record, set_field
 
 # Exact GW -> EJ/yr factor pinned for the whole artifact (1 GW over a
 # 365-day year: 86400 * 365 * 1e9 J / 1e18).
@@ -69,20 +69,22 @@ def to_unit(value: float, source: Unit, target: Unit) -> float:
     return direction(value, EJ_PER_YR_PER_GW)
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(Record):
     """A finite scalar with a unit tag.
 
     Arithmetic between quantities is only defined for identical unit tags;
     multiplication and division by plain numbers rescale the value.
     """
 
+    __slots__ = _fields = ("value", "unit")
     value: float
     unit: Unit
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise DomainError(f"quantity value must be finite, got {self.value!r}")
+    def __init__(self, value: float, unit: Unit) -> None:
+        if not math.isfinite(value):
+            raise DomainError(f"quantity value must be finite, got {value!r}")
+        set_field(self, "value", value)
+        set_field(self, "unit", unit)
 
     def to(self, target: Unit) -> "Quantity":
         return Quantity(to_unit(self.value, self.unit, target), target)

@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -137,6 +138,15 @@ def test_tables_missing_reconstruction_inputs(tmp_path, capsys):
         ('{"w1_tusd": 50.0, "kappa_x": 1.5, "kappa_x_window": "1970"}', "'kappa_x_window'"),
         ('{"w1_tusd": 50.0, "kappa_x": 1.5, "kappa_x_window": [1970, 1992],'
          ' "spline_knot_years": 5}', "'spline_knot_years'"),
+        ('{"w1_tusd": 50.0, "kappa_x": 1.5, "kappa_x_window": [1970.9, 1992]}',
+         "'kappa_x_window'"),
+        ('{"w1_tusd": 50.0, "kappa_x": 1.5, "kappa_x_window": [Infinity, 1992]}',
+         "'kappa_x_window'"),
+        pytest.param('{"w1_tusd": 1' + "0" * 400 + ', "kappa_x": 1.5,'
+                     ' "kappa_x_window": [1970, 1992]}',
+                     "'w1_tusd'", id="w1_tusd-too-large-for-a-float"),
+        ('{"w1_tusd": 50.0, "kappa_x": 1.5, "kappa_x_window": [1970, 1992],'
+         ' "spline_knot_years": [1, 1000.5]}', "'spline_knot_years'"),
     ],
 )
 def test_tables_rejects_malformed_reconstruction_json(tmp_path, capsys, text, message):
@@ -404,8 +414,9 @@ def test_cli_runs_without_numpy(tmp_path):
     assert (tmp_path / "tables" / "table3.csv").exists()
 
 
-# Prints the sorted enerscale modules a fresh process holds after running
-# the argv given as JSON (after a bare ``import enerscale`` when it is null).
+# Prints the sorted modules a fresh process holds after running the argv
+# given as JSON: after a bare ``import enerscale`` when it is null, and after
+# ``import enerscale.cli`` alone when it is empty.
 LOADED_MODULES = (
     "import json, sys\n"
     "argv = json.loads(sys.argv[1])\n"
@@ -413,10 +424,10 @@ LOADED_MODULES = (
     "    import enerscale\n"
     "else:\n"
     "    from enerscale.cli import main\n"
-    "    assert main(argv) == 0\n"
-    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'enerscale')))\n"
+    "    assert not argv or main(argv) == 0\n"
+    "print(json.dumps(sorted(sys.modules)))\n"
 )
-CLI_BASE = {"cli", "datasets", "errors", "ingestion", "series", "units"}
+CLI_BASE = {"cli", "datasets", "errors", "ingestion", "records", "series", "units"}
 PACKAGE = CLI_BASE | {"carbon", "growth", "projection", "reconstruction", "scaling", "tables"}
 PRESET = ["project", "--preset", "paper-2017"]
 
@@ -440,13 +451,33 @@ SUBCOMMAND_MODULES = [
 ]
 
 
-@pytest.mark.parametrize("argv, modules", SUBCOMMAND_MODULES)
-def test_subcommand_loads_only_its_modules(tmp_path, argv, modules):
-    argv = [a.replace("{d}", str(tmp_path)) for a in argv]
+#: Standard-library modules no command needs; importing ``dataclasses``
+#: (which loads ``inspect``) cost each fresh CLI process several milliseconds.
+UNNEEDED = {"dataclasses", "inspect"}
+
+
+def loaded_modules(argv):
+    """(package modules, other modules new since a bare interpreter) after LOADED_MODULES."""
     result = run_python(LOADED_MODULES, json.dumps(argv))
     assert result.returncode == 0, result.stderr
-    loaded = json.loads(result.stdout.splitlines()[-1])
-    assert loaded == sorted(["enerscale", *(f"enerscale.{m}" for m in modules)])
+    loaded = set(json.loads(result.stdout.splitlines()[-1]))
+    package = sorted(m for m in loaded if m.split(".")[0] == "enerscale")
+    return package, loaded - set(bare_interpreter_modules()) - set(package)
+
+
+@functools.lru_cache(maxsize=1)
+def bare_interpreter_modules():
+    """The modules a fresh interpreter holds before it imports anything (site, .pth files)."""
+    result = run_python("import json, sys; print(json.dumps(sorted(sys.modules)))")
+    assert result.returncode == 0, result.stderr
+    return tuple(json.loads(result.stdout))
+
+
+@pytest.mark.parametrize("argv, modules", SUBCOMMAND_MODULES)
+def test_subcommand_loads_only_its_modules(tmp_path, argv, modules):
+    package, others = loaded_modules([a.replace("{d}", str(tmp_path)) for a in argv])
+    assert package == sorted(["enerscale", *(f"enerscale.{m}" for m in modules)])
+    assert not UNNEEDED & others
 
 
 def test_every_module_is_loaded_by_some_subcommand():
@@ -458,6 +489,12 @@ def test_every_module_is_loaded_by_some_subcommand():
 
 
 def test_bare_import_loads_only_the_errors():
-    result = run_python(LOADED_MODULES, "null")
-    assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == ["enerscale", "enerscale.errors"]
+    package, others = loaded_modules(None)
+    assert package == ["enerscale", "enerscale.errors"]
+    assert not UNNEEDED & others
+
+
+def test_importing_the_cli_loads_only_its_base():
+    package, others = loaded_modules([])
+    assert package == sorted(["enerscale", *(f"enerscale.{m}" for m in CLI_BASE)])
+    assert not UNNEEDED & others

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -213,6 +215,20 @@ def test_write_then_load_is_identity(tmp_path, snapshot):
     assert loaded == s
 
 
+def test_write_series_bytes_match_csv_writer(tmp_path):
+    # write_series joins its rows itself; they must be what csv.writer writes,
+    # including a negative rate and a header cell that needs quoting.
+    s = AnnualSeries(SeriesKind.RATE, Unit.PER_YR, (1, 2000, 2001), (-0.02, 1e-300, 123456789.5))
+    column = 'rate, "pct"'
+    path = write_series(s, tmp_path / "rate.csv", value_column=column)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["year", column])
+    writer.writerows(zip(s.years, map(repr, s.values)))
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    assert load_series(canonical_descriptor(path, s.kind, s.unit, column)) == s
+
+
 # ------------------------------------------------------------------ manifest
 
 def test_load_bundled_manifest():
@@ -240,6 +256,7 @@ def test_manifest_missing_field(tmp_path):
         ("unit", "parsec"),
         ("scale", "abc"),
         ("scale", [2]),
+        pytest.param("scale", 10**400, id="scale-too-large-for-a-float"),
         ("contiguous", "false"),
         ("path", 7),
         ("value_column", None),

@@ -35,6 +35,17 @@ def test_period_requires_increasing_years():
     assert Period(1980, 2017).span == 37
 
 
+@pytest.mark.parametrize(
+    "start, end", [(2000.5, 2001.5), (1970.9, 1992), (1970, 1992.2), ("1970", 1992),
+                   (math.nan, 1992)],
+)
+def test_period_rejects_non_integral_years(start, end):
+    with pytest.raises(InvalidPeriod, match="integers"):
+        Period(start, end)
+    assert Period(1970.0, 1992) == Period(1970, 1992)
+    assert type(Period(1970.0, 1992.0).start_year) is int
+
+
 # -------------------------------------------------------------- construction
 
 def test_rejects_duplicate_or_unsorted_years():
@@ -42,6 +53,18 @@ def test_rejects_duplicate_or_unsorted_years():
         AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (2000, 2000), (1.0, 2.0))
     with pytest.raises(DomainError):
         AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (2001, 2000), (1.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "years", [(2000.9, 2001.2, 2002.5), (2000, 2001.5, 2002), ("2000", 2001, 2002),
+              (2000, 2001, math.inf), (2000, math.nan, 2002)],
+)
+def test_rejects_non_integral_years(years):
+    # Not truncated: int() alone would read 2000.9 as 2000.
+    with pytest.raises(DomainError, match="integers"):
+        AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, years, (1.0, 2.0, 3.0))
+    s = AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (2000.0, 2001, 2002.0), (1.0, 2.0, 3.0))
+    assert s.years == (2000, 2001, 2002) and all(type(y) is int for y in s.years)
 
 
 def test_rejects_nonpositive_values():
