@@ -261,8 +261,9 @@ def _rk4_deltas(
 
     ``at_grid`` is the source C at the n+1 grid times and ``at_mid`` at the n
     step midpoints (consumed lazily). Returns the n+1 perturbations starting
-    with ``delta0``. ``step_atmosphere`` and the scenario engine all step
-    through this loop.
+    with ``delta0``. ``step_atmosphere`` steps through this loop for any
+    source; the scenario engine and spin-up take one step of it in
+    ``_rk4_affine`` and apply that step as an affine map.
     """
     deltas = [delta0]
     append = deltas.append
@@ -282,6 +283,22 @@ def _rk4_deltas(
         append(d)
         k_start = k_end
     return deltas
+
+
+def _rk4_affine(dt: float, kappa: float, sigma: float, growth: float = 0.0) -> tuple[float, float]:
+    """One ``_rk4_deltas`` step for a source growing at ``growth``, as ``(a, p)``.
+
+    RK4 is linear in delta and in the source, so for C(t) = C*exp(growth*(t - t0))
+    across the step it maps delta to ``delta + (a*delta + p*C)`` exactly, up to
+    rounding. ``a = R(z) - 1`` with ``z = -sigma*dt`` and R RK4's stability
+    polynomial, nested so that no bits cancel; ``p`` is one ``_rk4_deltas``
+    step from delta = 0 with grid sources (1, e^{growth*dt}) and midpoint
+    source e^{growth*dt/2}.
+    """
+    z = -sigma * dt
+    a = z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+    grid, mid = (1.0, math.exp(growth * dt)), (math.exp(growth * dt / 2.0),)
+    return a, _rk4_deltas(0.0, grid, mid, dt, kappa, sigma)[-1]
 
 
 def step_atmosphere(

@@ -314,10 +314,19 @@ def _tables_inputs(data_dir: Path | None, manifest: RunManifest):
     return snapshot, recon
 
 
+def _record_reconstruction(manifest: RunManifest, recon) -> None:
+    """Record the run's kappa_x and W(1), keyed as in ``reconstruction.json``."""
+    manifest.parameters["reconstruction"] = {
+        "kappa_x": recon.ratio.value,
+        "w1_tusd": recon.w1.value,
+    }
+
+
 def _cmd_tables(args, manifest: RunManifest) -> int:
     from . import tables
 
     snapshot, recon = _tables_inputs(args.data_dir, manifest)
+    _record_reconstruction(manifest, recon)
     result = tables.build_table(args.table, snapshot, recon)
     stem = args.out_dir / f"table{args.table}"
     manifest.write_rows(stem.with_suffix(".csv"), result.header, result.rows)
@@ -425,6 +434,7 @@ def _cmd_report(args, manifest: RunManifest) -> int:
 
     snapshot = datasets.load_snapshot()
     recon = datasets.baseline()
+    _record_reconstruction(manifest, recon)
     lam = scaling_series(snapshot.energy, recon.wealth)
     stats = scaling_stats(lam, Period(1980, 2017))
     w2017 = recon.wealth.value_at(2017)

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from math import exp
 from typing import NamedTuple
 
-from .carbon import CarbonCycleParams, _rk4_deltas, committed_equilibrium
+from .carbon import _NEGATIVE_PERTURBATION, CarbonCycleParams, _rk4_affine, committed_equilibrium
 from .errors import DomainError
 from .records import Record, set_field
 from .series import AnnualSeries
@@ -229,19 +229,24 @@ def _columns(s: Scenario, n_steps: int, dt: float) -> tuple[tuple[float, ...], .
 
     Wealth and emissions are ``Scenario.wealth_at`` and ``emissions_at``
     written out over the grid, with each grid wealth reused in its emissions.
+    The emissions grow at eta_w + eta_c, so each RK4 step is the same affine
+    map ``_rk4_affine`` of the perturbation and the step's starting emissions.
     """
     start, w0, eta_w = s.start_year, s.w0, s.eta_w
     lam, c0, eta_c = s.lambda_ej, s.c0, s.eta_c
     years = tuple([start + i * dt for i in range(n_steps + 1)])
     wealth = tuple([w0 * exp(eta_w * (t - start)) for t in years])
     emissions = tuple([lam * (c0 * exp(eta_c * (t - start))) * w for t, w in zip(years, wealth)])
-    half = dt / 2.0
-    at_mid = [
-        lam * (c0 * exp(eta_c * (t + half - start))) * (w0 * exp(eta_w * (t + half - start)))
-        for t in years[:-1]
-    ]
     params = s.carbon_params
-    deltas = _rk4_deltas(s.delta0, emissions, at_mid, dt, params.kappa_a, params.sigma)
+    a, p = _rk4_affine(dt, params.kappa_a, params.sigma, eta_w + eta_c)
+    d = s.delta0
+    deltas = [d]
+    append = deltas.append
+    for e in emissions[:-1]:
+        d += a * d + p * e
+        append(d)
+    if min(deltas) < 0:
+        raise DomainError(_NEGATIVE_PERTURBATION)
     return years, wealth, emissions, tuple(deltas)
 
 
@@ -251,9 +256,11 @@ def run_scenario(s: Scenario) -> Trajectory:
     The grid ends at ``start + horizon``: the step ``h`` is ``dt`` when
     ``dt`` divides the horizon (within 1e-9), and otherwise the horizon
     split into ``ceil(horizon/dt)`` equal steps (see ``time_grid``).
-    Wealth and carbonization follow their closed forms; the concentration
-    perturbation is advanced by the fourth-order atmosphere stepper with the
-    analytic emissions path sampled at the grid times and step midpoints.
+    Wealth and carbonization follow their closed forms. The concentration
+    perturbation takes classical RK4 steps along the exponential emissions
+    path; each step is applied as RK4's one-step affine map (``_rk4_affine``),
+    whose two coefficients are computed once per run, so no midpoint
+    emissions are sampled.
     The trajectory holds only these columns: it builds no ``TrajectoryPoint``
     until one is read through ``points`` or ``at_year``.
     """
@@ -375,7 +382,9 @@ def historical_spinup_delta(
     """Perturbation obtained by integrating observed annual emissions.
 
     Each calendar year's emission rate is held constant across that year
-    (the data are annual totals). Used by the optional spin-up start mode.
+    (the data are annual totals), so every RK4 step is the affine map of
+    ``_rk4_affine`` with no source growth, applied with that year's rate.
+    Used by the optional spin-up start mode.
     The run covers the record's first year up to the start of ``end_year``
     (default: its last year), an int in ``[first_year, last_year + 1]``.
     Every year is covered exactly: it takes ``time_grid``'s step count for one
@@ -396,9 +405,12 @@ def historical_spinup_delta(
             f" got {end_year!r}"
         )
     n = time_grid(1.0, dt)[0]
-    h = 1.0 / n
+    a, p = _rk4_affine(1.0 / n, params.kappa_a, params.sigma)
     delta = delta0
     for year in range(emissions.first_year, last):
-        held = [emissions.value_at(year)] * (n + 1)
-        delta = _rk4_deltas(delta, held, held, h, params.kappa_a, params.sigma)[-1]
+        source = p * emissions.value_at(year)
+        for _ in range(n):
+            delta += a * delta + source
+        if delta < 0:
+            raise DomainError(_NEGATIVE_PERTURBATION)
     return delta

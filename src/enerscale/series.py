@@ -57,6 +57,17 @@ KIND_UNITS: dict[SeriesKind, frozenset[Unit]] = {
 }
 
 
+def _number(value) -> bool:
+    """Whether ``float`` converts ``value`` as a number (2, 1.5, nan), not parses text ("1.5")."""
+    if isinstance(value, (str, bytes, bytearray)):
+        return False
+    try:
+        float(value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return True
+
+
 def _integral(year) -> bool:
     """Whether ``year`` is an int or a number equal to one (2000.0, not 2000.5 or "2000")."""
     try:
@@ -97,7 +108,8 @@ class AnnualSeries(Record):
     """Immutable year-indexed sequence with a kind and a unit tag.
 
     Years are stored as ints and values as floats; a year that is not
-    integral (2000.5, "2000") is rejected rather than truncated.
+    integral (2000.5, "2000") is rejected rather than truncated, and a value
+    that is not a number ("1.5") rather than parsed.
     """
 
     __slots__ = _fields = ("kind", "unit", "years", "values")
@@ -121,7 +133,18 @@ class AnnualSeries(Record):
         if years != raw:  # one whole-tuple test; the search runs only on failure
             bad = next(y for y in raw if not _integral(y))
             raise DomainError(f"years must be integers, got {bad!r}")
-        values = tuple(map(float, values))
+        raw = tuple(values)
+        try:
+            values = tuple(map(float, raw))
+        except (TypeError, ValueError, OverflowError):
+            values = ()
+        # float(x) is x for a float and equals x for a number it holds exactly,
+        # so one whole-tuple test passes numbers; the search runs only on a
+        # mismatch (text, or a NaN that float() copied, which fails as not finite).
+        if values != raw:
+            bad = [v for v in raw if not _number(v)]
+            if bad:
+                raise DomainError(f"series values must be numbers, got {bad[0]!r}")
         set_field(self, "kind", kind)
         set_field(self, "unit", unit)
         set_field(self, "years", years)

@@ -8,6 +8,9 @@ from enerscale.carbon import (
     AtmosphereState,
     CarbonCycleParams,
     CarbonizationEstimate,
+    SIGMA_BAND,
+    _rk4_affine,
+    _rk4_deltas,
     carbonization,
     committed_equilibrium,
     kaya_decomposition,
@@ -113,6 +116,42 @@ def test_callable_source_matches_constant():
 def test_step_rejects_negative_result():
     with pytest.raises(DomainError, match="cannot be negative"):
         step_atmosphere(AtmosphereState(0.0, 0.0), -1.0, PARAMS, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sigma=st.floats(*SIGMA_BAND),
+    dt=st.floats(1e-3, 1.0),
+    growth=st.floats(-0.05, 0.05),
+    source=st.floats(1e-4, 1e4),
+    scale=st.floats(0.0, 1e4),
+)
+def test_affine_map_is_one_rk4_step(sigma, dt, growth, source, scale):
+    """delta + (a*delta + p*C) is one ``_rk4_deltas`` step under C*exp(growth*t).
+
+    Within 2 ulp once the perturbation is at least the step's source
+    increment kappa*C*dt, as on every scenario and spin-up step; a step from
+    a smaller perturbation is dominated by the source term, whose stages
+    round differently, and stays within 8 ulp (5 seen).
+    """
+    kappa = PARAMS.kappa_a
+    delta = scale * kappa * source * dt
+    a, p = _rk4_affine(dt, kappa, sigma, growth)
+    grid = (source, source * math.exp(growth * dt))
+    mid = (source * math.exp(growth * dt / 2.0),)
+    want = _rk4_deltas(delta, grid, mid, dt, kappa, sigma)[-1]
+    ulps = abs(delta + (a * delta + p * source) - want) / math.ulp(want)
+    assert ulps <= (2.0 if scale >= 1.0 else 8.0)
+
+
+def test_affine_map_coefficients_are_rk4s():
+    """a = R(-sigma*dt) - 1 for RK4's stability polynomial R; p = kappa*dt*(R - 1)/z at g = 0."""
+    sigma, dt = 0.023, 0.25
+    z = -sigma * dt
+    a, p = _rk4_affine(dt, PARAMS.kappa_a, sigma)
+    assert a == pytest.approx(z + z**2 / 2 + z**3 / 6 + z**4 / 24, rel=1e-15)
+    assert p == pytest.approx(PARAMS.kappa_a * dt * a / z, rel=1e-15)
+    assert _rk4_affine(dt, PARAMS.kappa_a, sigma, 0.02)[1] > p
 
 
 def test_step_rejects_bad_dt():

@@ -370,6 +370,34 @@ def test_manifest_lists_every_file_the_command_writes(tmp_path, capsys, argv, ma
     assert outputs == sorted(outputs)
 
 
+def test_tables_and_report_manifests_record_the_reconstruction(tmp_path, recon):
+    recorded = {"kappa_x": recon.ratio.value, "w1_tusd": recon.w1.value}
+    runs = [
+        (["report", "--out-dir", str(tmp_path / "report")],
+         tmp_path / "report" / "run_manifest.json"),
+        *((["tables", "--table", str(n), "--out-dir", str(tmp_path)],
+           tmp_path / f"table{n}.manifest.json") for n in range(1, 6)),
+    ]
+    for argv, manifest_path in runs:
+        assert main(argv) == EXIT_OK, argv
+        parameters = json.loads(manifest_path.read_text())["parameters"]
+        assert parameters["reconstruction"] == recorded, argv
+
+
+def test_tables_manifest_records_the_reconstruction_it_read(tmp_path):
+    """With --data-dir the recorded kappa_x and W(1) are those of reconstruction.json."""
+    recon_dir = tmp_path / "recon"
+    assert main(["reconstruct", "--out-dir", str(recon_dir)]) == EXIT_OK
+    prov_path = recon_dir / "reconstruction.json"
+    prov = json.loads(prov_path.read_text())
+    prov.update(kappa_x=1.25, w1_tusd=42.5)
+    prov_path.write_text(json.dumps(prov))
+    assert main(["tables", "--table", "1", "--data-dir", str(recon_dir),
+                 "--out-dir", str(tmp_path)]) == EXIT_OK
+    parameters = json.loads((tmp_path / "table1.manifest.json").read_text())["parameters"]
+    assert parameters["reconstruction"] == {"kappa_x": 1.25, "w1_tusd": 42.5}
+
+
 def test_project_manifest_records_the_grid(tmp_path):
     out = tmp_path / "traj.csv"
     assert main(["project", "--preset", "paper-2017", "--horizon", "40", "--dt", "0.3",

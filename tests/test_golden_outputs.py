@@ -6,7 +6,12 @@ The digests below are the SHA-256 of every output of ``ingest``,
 reconstruct, tables, report and default project digests were recorded from
 commit 3b1b4b8 with Python 3.11.7 on x86-64 Linux; the ``project --curve``
 and ``project --spinup`` digests the same way from commit 115ed34; the
-ingest, calibrate and run-manifest digests from commit 981556c. A refactor
+ingest, calibrate and run-manifest digests from commit 981556c.
+``project/trajectory.csv`` and ``project/spinup.csv`` (and the latter's
+manifest, through its delta0) were re-recorded when the scenario engine and
+spin-up began to apply RK4's one-step affine map (delta and concentration
+moved by at most 4.2e-16 relative), and the ``tables`` and ``report``
+manifests when they began to record kappa_x and W(1). A refactor
 must reproduce them byte for byte. A change that alters an output on purpose
 updates the digest here and says in CHANGES.md which output moved and why.
 Run manifests hold absolute paths, so they are hashed after the output root
@@ -46,30 +51,30 @@ GOLDEN = {
     "ingest/run_manifest.json": "69b1f9118b06b1adbf449c371d72d23f8797cd6fdc2636a945bbfe7bcd831887",
     "project/curve.csv": "2b7e72dea95e2219efae2da6da3cd054684e5920014cc56c3ea47f291d18450f",
     "project/curve.csv.manifest.json": "d04935c90a6fa493e1dedaf9b790c832e8e085b25bfd8b66cb3f682e0ad10ff7",
-    "project/spinup.csv": "c4209cc5187d5bca33ffa2d0d5504cfe3e3f6f8238e02ef017ed8be2f1b9228b",
-    "project/spinup.csv.manifest.json": "09e37ee8fae3bb01947f849109136433dc211f1c41621ca1a1f410b8754bf03c",
-    "project/trajectory.csv": "9760d68355e8fae7c0cd74b98ff300370df77e0c54623d6c51418201d8d35cd7",
+    "project/spinup.csv": "20d38839756b71998692f04f15e1f8ec0ce5e2b87db035cec844eebe81016ae2",
+    "project/spinup.csv.manifest.json": "d3a9f4f8c1f8bd378e153db7668ac82eb139ce1c85aa0b8239e369a2f101e026",
+    "project/trajectory.csv": "690699c7eaef8208b6fd3559635b555dd9eca92ce4b1641d442580c525934959",
     "project/trajectory.csv.manifest.json": "510c5055e23b3f86f21ee79e1f2a8035d704209b8c469bef75a5d080724fee9c",
     "reconstruct/gdp_annual.csv": "90b93f8706a095309658c3601b357e369aa609957efe492a5bfefb66f0420335",
     "reconstruct/reconstruction.json": "c7c53ababe7e06d39821c941d00063c2a356cfbabf4c5d38909de58bd44986f5",
     "reconstruct/run_manifest.json": "4194ad05831bb5dc5213848bbf3369ff8e1ecb0d70f713cf0718a94d14d11d4d",
     "reconstruct/wealth.csv": "cb14fc88dc50e17256da71a43ced8a7603d5ded50362d96c0d4b36053f7ab279",
     "report/report.json": "606069069a1b781c999c19141cc20d1d2a397eff9da09046d280531cf873207c",
-    "report/run_manifest.json": "0ee41b3ea83a99176a8da7887661f8f04be11cb224f8730b7e624fc350e74c20",
+    "report/run_manifest.json": "b90876c765ba130e50f0a1378ac6f94308fba3d2672d87772c56313bee2e0f57",
     "tables/table1.csv": "dd0fc364f4f366fcac16301f3e47322e674b15e1f3106d64f76e9c39db7a50f0",
-    "tables/table1.manifest.json": "81d8fd1f17bb8ea54afca3352825dfdedb387dcf265ed53ef5c34eca3a9d159b",
+    "tables/table1.manifest.json": "88717822c5e459c22a7190c093b79a2b0c46adff55e771ec012665873da1d361",
     "tables/table1.txt": "00ea9d2e1157b68758f00b705c8aca948fb82381e52f06829f9496fd26a76152",
     "tables/table2.csv": "ae23e19d431d5fe304e309edbf70f529a773a674196133a0fbb1483bf2832360",
-    "tables/table2.manifest.json": "0e36d73cf5d5ae5bccbe8f612221c9fd2975b11372b8ae5fa37a4e3d5c2b7c2c",
+    "tables/table2.manifest.json": "3321352d47ce8b3e1c8d8078648968b8ecd9548f97f239d189b183a0b0a22c14",
     "tables/table2.txt": "a43ae7b77bd989049f4df76c26b41d575a165ba0437b1c1ca4077f26e902b320",
     "tables/table3.csv": "d92dce850933c7f2626796fcf17464980986413c00d2dc87b7e75c27b8913ab8",
-    "tables/table3.manifest.json": "c29c7dfe3fa3f8024990464d60cc57aee87d4750a2b1920dd2f410472b1e4e13",
+    "tables/table3.manifest.json": "6d1cefb9872d4c227cf452ab2132f649ff1ff1d36f473427ccf2a017cf74db8c",
     "tables/table3.txt": "5a51f2792b32b39f0af225eaefaa66e76757436ccddac11bd22a99ea1fbf7dcf",
     "tables/table4.csv": "45f3a3b487e43b3a1344e4d8b12918ff5e2ddc469c78ed3eee22feb460960d67",
-    "tables/table4.manifest.json": "802c20ad56f6e595296a5130b011674a20f7ae2a98249f5fe1ecda131688103c",
+    "tables/table4.manifest.json": "f8df2db0bcdc20853950f83eaa068b9834c900d1491b898e3ee3f38714363976",
     "tables/table4.txt": "561dfd339f98d7e837b2fe9b23ba98bd14f81ae7b752ed20ce9b4cbf997419bb",
     "tables/table5.csv": "3ea40194e83c6c37e9eeecc5de3deba33ad9152b7829c368f5d70b797418fe03",
-    "tables/table5.manifest.json": "70a3c3722833870740b50a7bcc3798dd26e391e108e90bd751bac41943e73900",
+    "tables/table5.manifest.json": "e931ab1ed7adb6ca9238d21192d74df9626e7e7ecf4395f1bf9f74069fe2300a",
     "tables/table5.txt": "42d3fc87ed46f2769d059cd207ef5bff00e6cf1bfe69653195eb045dfde7edfb",
 }
 

@@ -1,4 +1,6 @@
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -65,6 +67,32 @@ def test_rejects_non_integral_years(years):
         AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, years, (1.0, 2.0, 3.0))
     s = AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (2000.0, 2001, 2002.0), (1.0, 2.0, 3.0))
     assert s.years == (2000, 2001, 2002) and all(type(y) is int for y in s.years)
+
+
+@pytest.mark.parametrize(
+    "bad", ["1.5", " 2 ", b"2", "nan", None, [2.0], 1j,
+            pytest.param(10**400, id="int-too-large-for-a-float")],
+)
+def test_rejects_non_numeric_values(bad):
+    # Not parsed: float() alone would read "1.5" as 1.5 and " 2 " as 2.0.
+    with pytest.raises(DomainError, match=f"must be numbers, got {re.escape(repr(bad))}"):
+        AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (2000, 2001, 2002), (1.0, bad, 3.0))
+
+
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize("nan", [math.nan, float("nan"), _Float("nan")])
+def test_nan_values_are_rejected_as_not_finite(nan):
+    with pytest.raises(DomainError, match="series values must be finite"):
+        AnnualSeries(SeriesKind.RATE, Unit.PER_YR, (2000, 2001), (0.01, nan))
+
+
+def test_numbers_of_any_type_are_stored_as_floats():
+    s = AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (2000, 2001, 2002, 2003),
+                     (1, Fraction(3, 2), Decimal("2.5"), _Float(4.0)))
+    assert s.values == (1.0, 1.5, 2.5, 4.0) and all(type(v) is float for v in s.values)
 
 
 def test_rejects_nonpositive_values():
