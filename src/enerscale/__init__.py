@@ -49,7 +49,7 @@ _LAZY = {
                           " estimate_ppp_mer_ratio ppp_to_mer reconstruct_production"
                           " spline_infill",
         "scaling": "ScalingEstimate scaling_series scaling_stats w1_sensitivity",
-        "growth": "GrowthMethod GrowthRate RatesRow energy_productivity growth_rate"
+        "growth": "GrowthMethod RatesRow energy_productivity growth_rate"
                   " rates_table wealth_growth_series",
         "carbon": "AtmosphereState CarbonCycleParams CarbonizationEstimate KayaComponents"
                   " carbonization carbonization_series committed_equilibrium"

@@ -34,6 +34,10 @@ SIGMA_BAND = (0.019, 0.027)
 
 _NEGATIVE_PERTURBATION = "concentration perturbation cannot be negative"
 
+#: sigma*dt past which an RK4 step amplifies the perturbation: the root of
+#: R(-x) = 1 for RK4's stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
+_RK4_STABILITY_LIMIT = 2.785293563405282
+
 
 class CarbonCycleParams(Record):
     """Sink rate (1/yr), airborne conversion (ppmv/GtC) and baseline (ppmv)."""
@@ -135,7 +139,7 @@ def carbonization(
     when a wealth series is supplied."""
     c_series = carbonization_series(emissions, energy)
     c_window = slice_series(c_series, p)
-    eta_c = growth_rate(c_series, p, method).value
+    eta_c = growth_rate(c_series, p, method)
     lambda_c = lambda_c_std = None
     if wealth is not None:
         try:
@@ -177,22 +181,6 @@ class KayaComponents(Record):
     eta_productivity: float
     eta_carbonization: float
     eta_emissions: float
-
-    def __init__(
-        self,
-        period: Period,
-        eta_pop: float,
-        eta_affluence: float,
-        eta_productivity: float,
-        eta_carbonization: float,
-        eta_emissions: float,
-    ) -> None:
-        set_field(self, "period", period)
-        set_field(self, "eta_pop", eta_pop)
-        set_field(self, "eta_affluence", eta_affluence)
-        set_field(self, "eta_productivity", eta_productivity)
-        set_field(self, "eta_carbonization", eta_carbonization)
-        set_field(self, "eta_emissions", eta_emissions)
 
     @property
     def residual(self) -> float:
@@ -238,11 +226,11 @@ def kaya_decomposition(
     c_series = carbonization_series(emissions, energy)
     return KayaComponents(
         period=p,
-        eta_pop=growth_rate(pop, p, method).value,
+        eta_pop=growth_rate(pop, p, method),
         eta_affluence=_ratio_growth(gdp, pop, p, method),
-        eta_productivity=growth_rate(eps, p, method).value,
-        eta_carbonization=growth_rate(c_series, p, method).value,
-        eta_emissions=growth_rate(emissions, p, method).value,
+        eta_productivity=growth_rate(eps, p, method),
+        eta_carbonization=growth_rate(c_series, p, method),
+        eta_emissions=growth_rate(emissions, p, method),
     )
 
 
@@ -263,8 +251,15 @@ def _rk4_deltas(
     step midpoints (consumed lazily). Returns the n+1 perturbations starting
     with ``delta0``. ``step_atmosphere`` steps through this loop for any
     source; the scenario engine and spin-up take one step of it in
-    ``_rk4_affine`` and apply that step as an affine map.
+    ``_rk4_affine`` and apply that step as an affine map. Raises DomainError
+    when sigma*dt is past RK4's stability limit, where |R(-sigma*dt)| > 1 and
+    the steps grow without bound instead of relaxing.
     """
+    if sigma * dt > _RK4_STABILITY_LIMIT:
+        raise DomainError(
+            f"sigma*dt = {sigma * dt!r} is past RK4's stability limit"
+            f" {_RK4_STABILITY_LIMIT:.4f} (|R(-sigma*dt)| > 1); use a smaller dt"
+        )
     deltas = [delta0]
     append = deltas.append
     d = delta0

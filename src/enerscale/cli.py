@@ -308,7 +308,6 @@ def _tables_inputs(data_dir: Path | None, manifest: RunManifest):
         gdp=gdp,
         wealth=wealth,
         ratio=PppMerRatio(field("kappa_x", float), window),
-        w1=wealth.w1,
         spline_knot_years=field("spline_knot_years", _integral_years, ()),
     )
     return snapshot, recon

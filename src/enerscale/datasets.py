@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .ingestion import ManifestEntry, load_manifest, load_series
-from .records import Record, set_field
+from .records import Record
 from .series import AnnualSeries, Period
 from .units import Unit, to_unit
 
@@ -58,24 +58,6 @@ class Snapshot(Record):
     emissions: AnnualSeries
     population: AnnualSeries
     concentration: AnnualSeries
-
-    def __init__(
-        self,
-        gdp_mer: AnnualSeries,
-        gdp_ppp: AnnualSeries,
-        energy: AnnualSeries,
-        energy_production: AnnualSeries,
-        emissions: AnnualSeries,
-        population: AnnualSeries,
-        concentration: AnnualSeries,
-    ) -> None:
-        set_field(self, "gdp_mer", gdp_mer)
-        set_field(self, "gdp_ppp", gdp_ppp)
-        set_field(self, "energy", energy)
-        set_field(self, "energy_production", energy_production)
-        set_field(self, "emissions", emissions)
-        set_field(self, "population", population)
-        set_field(self, "concentration", concentration)
 
 
 @lru_cache(maxsize=1)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import DomainError, EmptySlice
 from .reconstruction import WealthSeries
-from .records import Record, set_field
+from .records import Record
 from .series import (
     AnnualSeries,
     Period,
@@ -32,20 +32,6 @@ class GrowthMethod(str, Enum):
     OLS_LOG = "ols_log"
 
 
-class GrowthRate(Record):
-    """A fractional growth rate (1/yr) with its period and estimator."""
-
-    __slots__ = _fields = ("value", "period", "method")
-    value: float
-    period: Period
-    method: GrowthMethod
-
-    def __init__(self, value: float, period: Period, method: GrowthMethod) -> None:
-        set_field(self, "value", value)
-        set_field(self, "period", period)
-        set_field(self, "method", method)
-
-
 class RatesRow(Record):
     """One period's measured and derived growth rates, in fraction/yr.
 
@@ -61,24 +47,6 @@ class RatesRow(Record):
     eta_eps: float
     eta_y: float
 
-    def __init__(
-        self,
-        period: Period,
-        eta_w: float,
-        eta_e: float,
-        lambda_eps: float,
-        eta_i: float,
-        eta_eps: float,
-        eta_y: float,
-    ) -> None:
-        set_field(self, "period", period)
-        set_field(self, "eta_w", eta_w)
-        set_field(self, "eta_e", eta_e)
-        set_field(self, "lambda_eps", lambda_eps)
-        set_field(self, "eta_i", eta_i)
-        set_field(self, "eta_eps", eta_eps)
-        set_field(self, "eta_y", eta_y)
-
     @property
     def predicted_eta_y(self) -> float:
         return self.lambda_eps + self.eta_eps
@@ -86,21 +54,19 @@ class RatesRow(Record):
 
 def growth_rate(
     s: AnnualSeries, p: Period, method: GrowthMethod = GrowthMethod.ENDPOINT_LOG
-) -> GrowthRate:
-    """Average fractional growth of ``s`` over the closed period ``p``."""
+) -> float:
+    """Average fractional growth of ``s`` over the closed period ``p``, in 1/yr."""
     if method is GrowthMethod.ENDPOINT_LOG:
         if not (s.has_year(p.start_year) and s.has_year(p.end_year)):
             raise EmptySlice(f"series does not cover both endpoints of {p}")
         start, end = s.value_at(p.start_year), s.value_at(p.end_year)
         if start <= 0.0 or end <= 0.0:
             raise DomainError(f"log growth over {p} needs positive endpoint values")
-        value = math.log(end / start) / p.span
-    else:
-        window = slice_series(s, p)
-        if len(window) < 2:
-            raise EmptySlice(f"need at least two points in {p} for an OLS rate")
-        value = log_slope(window.years, window.values)
-    return GrowthRate(value=value, period=p, method=method)
+        return math.log(end / start) / p.span
+    window = slice_series(s, p)
+    if len(window) < 2:
+        raise EmptySlice(f"need at least two points in {p} for an OLS rate")
+    return log_slope(window.years, window.values)
 
 
 def energy_productivity(gdp: AnnualSeries, energy: AnnualSeries) -> AnnualSeries:
@@ -161,12 +127,12 @@ def rates_table(
         rows.append(
             RatesRow(
                 period=p,
-                eta_w=growth_rate(wealth.series, p, method).value,
-                eta_e=growth_rate(energy, p, method).value,
+                eta_w=growth_rate(wealth.series, p, method),
+                eta_e=growth_rate(energy, p, method),
                 lambda_eps=mean_scaled_productivity(scale, eps, p),
-                eta_i=growth_rate(eta_w_series, p, method).value,
-                eta_eps=growth_rate(eps, p, method).value,
-                eta_y=growth_rate(gdp, p, method).value,
+                eta_i=growth_rate(eta_w_series, p, method),
+                eta_eps=growth_rate(eps, p, method),
+                eta_y=growth_rate(gdp, p, method),
             )
         )
     return rows

@@ -112,11 +112,6 @@ class RatioStats(Record):
     std: float
     n: int
 
-    def __init__(self, mean: float, std: float, n: int) -> None:
-        set_field(self, "mean", mean)
-        set_field(self, "std", std)
-        set_field(self, "n", n)
-
 
 def load_series(d: DataSourceDescriptor) -> AnnualSeries:
     """Read one series from disk, scale it, and tag kind and unit.

@@ -167,20 +167,6 @@ class Trajectory(Record):
     emissions: tuple[float, ...]
     deltas: tuple[float, ...]
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        years: tuple[float, ...],
-        wealth: tuple[float, ...],
-        emissions: tuple[float, ...],
-        deltas: tuple[float, ...],
-    ) -> None:
-        set_field(self, "scenario", scenario)
-        set_field(self, "years", years)
-        set_field(self, "wealth", wealth)
-        set_field(self, "emissions", emissions)
-        set_field(self, "deltas", deltas)
-
     def __len__(self) -> int:
         return len(self.years)
 
@@ -284,13 +270,12 @@ def committed_curve(
 class CapacityRequirement(Record):
     """New non-fossil capacity needed to absorb energy-demand growth."""
 
-    __slots__ = _fields = ("gw_per_year", "gw_per_day")
+    __slots__ = _fields = ("gw_per_year",)
     gw_per_year: float
-    gw_per_day: float
 
-    def __init__(self, gw_per_year: float, gw_per_day: float) -> None:
-        set_field(self, "gw_per_year", gw_per_year)
-        set_field(self, "gw_per_day", gw_per_day)
+    @property
+    def gw_per_day(self) -> float:
+        return self.gw_per_year / DAYS_PER_YEAR
 
 
 def required_clean_capacity(energy: Quantity, eta_e: float) -> CapacityRequirement:
@@ -298,7 +283,7 @@ def required_clean_capacity(energy: Quantity, eta_e: float) -> CapacityRequireme
     if not (math.isfinite(eta_e) and eta_e >= 0):
         raise DomainError(f"growth rate must be finite and nonnegative, got {eta_e}")
     per_year = to_unit(energy.value, energy.unit, Unit.GW) * eta_e
-    return CapacityRequirement(gw_per_year=per_year, gw_per_day=per_year / DAYS_PER_YEAR)
+    return CapacityRequirement(gw_per_year=per_year)
 
 
 def halving_time(params: CarbonCycleParams = CarbonCycleParams()) -> float:
@@ -314,18 +299,6 @@ class SteadyStateResult(Record):
     freeze_year: float
     freeze_wealth: float
     asymptote_delta: float
-
-    def __init__(
-        self,
-        trajectory: Trajectory,
-        freeze_year: float,
-        freeze_wealth: float,
-        asymptote_delta: float,
-    ) -> None:
-        set_field(self, "trajectory", trajectory)
-        set_field(self, "freeze_year", freeze_year)
-        set_field(self, "freeze_wealth", freeze_wealth)
-        set_field(self, "asymptote_delta", asymptote_delta)
 
     @property
     def asymptote_concentration(self) -> float:

@@ -243,26 +243,16 @@ def cumulative_production(gdp: AnnualSeries, w1: Quantity) -> WealthSeries:
 class ReconstructionResult(Record):
     """Everything the reconstruction pipeline produces."""
 
-    __slots__ = _fields = ("gdp", "wealth", "ratio", "w1", "spline_knot_years")
+    __slots__ = _fields = ("gdp", "wealth", "ratio", "spline_knot_years")
     gdp: AnnualSeries
     wealth: WealthSeries
     ratio: PppMerRatio
-    w1: Quantity
     spline_knot_years: tuple[int, ...]
 
-    def __init__(
-        self,
-        gdp: AnnualSeries,
-        wealth: WealthSeries,
-        ratio: PppMerRatio,
-        w1: Quantity,
-        spline_knot_years: tuple[int, ...],
-    ) -> None:
-        set_field(self, "gdp", gdp)
-        set_field(self, "wealth", wealth)
-        set_field(self, "ratio", ratio)
-        set_field(self, "w1", w1)
-        set_field(self, "spline_knot_years", spline_knot_years)
+    @property
+    def w1(self) -> Quantity:
+        """The initial stock W(1) the wealth series accumulates from."""
+        return self.wealth.w1
 
 
 def reconstruct_production(
@@ -291,12 +281,10 @@ def build_wealth(
     """Run the full reconstruction: ratio, infill, splice, calibrate, accumulate."""
     ratio = estimate_ppp_mer_ratio(historical_ppp, modern_mer, overlap_window)
     gdp = reconstruct_production(historical_ppp, modern_mer, ratio)
-    w1 = calibrate_initial_wealth(gdp, pop_growth)
-    wealth = cumulative_production(gdp, w1)
+    wealth = cumulative_production(gdp, calibrate_initial_wealth(gdp, pop_growth))
     return ReconstructionResult(
         gdp=gdp,
         wealth=wealth,
         ratio=ratio,
-        w1=w1,
         spline_knot_years=historical_ppp.years,
     )

@@ -1,15 +1,18 @@
 """The base of the package's immutable value records.
 
 A record is a plain class whose ``__slots__`` hold its fields, listed in
-order in ``_fields``, and whose own ``__init__`` validates its arguments and
-stores them with ``set_field``. The base makes instances frozen (assigning
-or deleting an attribute raises AttributeError) and gives them value
-equality and hashing over ``_fields`` (an instance equals only instances of
-its own class), a ``Name(field=value, ...)`` repr, ``_replace``, and
-``pickle``/``copy`` support through ``__init__``. Written out once here,
-these cost a fresh process nothing to import or generate per class, unlike
-the standard library's generator of such methods (whose import alone pulls
-in ``inspect`` and ``ast``).
+order in ``_fields``. The base ``__init__`` binds positional and keyword
+arguments to those fields, every one of them required, and stores them; a
+record that validates, normalises, derives or defaults a field writes its
+own ``__init__`` instead and stores each field with ``set_field``. The base
+makes instances frozen (assigning or deleting an attribute raises
+AttributeError) and gives them value equality and hashing over ``_fields``
+(an instance equals only instances of its own class), a
+``Name(field=value, ...)`` repr, ``_replace``, and ``pickle``/``copy``
+support through ``__init__``. Written out once here, these cost a fresh
+process nothing to import or generate per class, unlike the standard
+library's generator of such methods (whose import alone pulls in
+``inspect`` and ``ast``).
 """
 
 from __future__ import annotations
@@ -24,6 +27,31 @@ class Record:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        """Store ``args`` in ``_fields`` order, then the remaining fields from ``kwargs``.
+
+        Raises TypeError for a missing, unknown or repeated field, or for
+        more positional arguments than fields.
+        """
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{self.__class__.__qualname__}() takes {len(fields)} fields"
+                f" but {len(args)} were given"
+            )
+        try:
+            values = args + tuple(map(kwargs.pop, fields[len(args):]))
+        except KeyError as missing:
+            raise TypeError(
+                f"{self.__class__.__qualname__}() is missing field {missing.args[0]!r}"
+            ) from None
+        if kwargs:
+            field = next(iter(kwargs))
+            problem = "got field {!r} twice" if field in fields else "got an unknown field {!r}"
+            raise TypeError(f"{self.__class__.__qualname__}() {problem.format(field)}")
+        for field, value in zip(fields, values):
+            set_field(self, field, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from .carbon import CarbonCycleParams, carbonization, kaya_decomposition
 from .growth import growth_rate, rates_table
 from .reconstruction import ReconstructionResult
-from .records import Record, set_field
+from .records import Record
 from .scaling import scaling_series, scaling_stats
 from .series import Period
 from .datasets import Snapshot
@@ -39,14 +39,6 @@ class TableResult(Record):
     title: str
     header: tuple[str, ...]
     rows: tuple[tuple, ...]
-
-    def __init__(
-        self, table_id: int, title: str, header: tuple[str, ...], rows: tuple[tuple, ...]
-    ) -> None:
-        set_field(self, "table_id", table_id)
-        set_field(self, "title", title)
-        set_field(self, "header", header)
-        set_field(self, "rows", rows)
 
 
 def _fmt(value, digits: int = 3) -> str:
@@ -123,7 +115,7 @@ def build_table3(snapshot: Snapshot, recon: ReconstructionResult) -> TableResult
                 est.lambda_c,
                 est.lambda_c_std,
                 est.eta_c * 100.0,
-                growth_rate(snapshot.emissions, p).value * 100.0,
+                growth_rate(snapshot.emissions, p) * 100.0,
                 (est.eta_c + rates.lambda_eps) * 100.0,
             )
         )

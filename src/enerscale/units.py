@@ -70,11 +70,7 @@ def to_unit(value: float, source: Unit, target: Unit) -> float:
 
 
 class Quantity(Record):
-    """A finite scalar with a unit tag.
-
-    Arithmetic between quantities is only defined for identical unit tags;
-    multiplication and division by plain numbers rescale the value.
-    """
+    """A finite scalar with a unit tag; ``to`` converts it along ``to_unit``'s one path."""
 
     __slots__ = _fields = ("value", "unit")
     value: float
@@ -88,27 +84,3 @@ class Quantity(Record):
 
     def to(self, target: Unit) -> "Quantity":
         return Quantity(to_unit(self.value, self.unit, target), target)
-
-    def __add__(self, other: "Quantity") -> "Quantity":
-        self._check_same_unit(other, "add")
-        return Quantity(self.value + other.value, self.unit)
-
-    def __sub__(self, other: "Quantity") -> "Quantity":
-        self._check_same_unit(other, "subtract")
-        return Quantity(self.value - other.value, self.unit)
-
-    def __mul__(self, factor: float) -> "Quantity":
-        return Quantity(self.value * float(factor), self.unit)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, divisor: float) -> "Quantity":
-        return Quantity(self.value / float(divisor), self.unit)
-
-    def _check_same_unit(self, other: "Quantity", verb: str) -> None:
-        if not isinstance(other, Quantity):
-            raise TypeError(f"cannot {verb} Quantity and {type(other).__name__}")
-        if other.unit is not self.unit:
-            raise IncompatibleUnits(
-                f"cannot {verb} {self.unit.value} and {other.unit.value}"
-            )

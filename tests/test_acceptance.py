@@ -314,9 +314,9 @@ def test_criterion_10_identity_suite():
         emissions = AnnualSeries(SeriesKind.EMISSIONS, Unit.GTC_PER_YR, years, draw())
         pop = AnnualSeries(SeriesKind.POPULATION, Unit.PERSONS, years, draw())
         p = Period(years[0], years[-1])
-        eta_y = growth_rate(gdp, p).value
-        eta_e = growth_rate(energy, p).value
-        eta_eps = growth_rate(energy_productivity(gdp, energy), p).value
+        eta_y = growth_rate(gdp, p)
+        eta_e = growth_rate(energy, p)
+        eta_eps = growth_rate(energy_productivity(gdp, energy), p)
         worst_identity = max(worst_identity, abs(eta_y - (eta_e + eta_eps)))
         kaya = kaya_decomposition(pop, gdp, energy, emissions, p)
         worst_kaya = max(worst_kaya, abs(kaya.residual))

@@ -9,6 +9,7 @@ from enerscale.carbon import (
     CarbonCycleParams,
     CarbonizationEstimate,
     SIGMA_BAND,
+    _RK4_STABILITY_LIMIT,
     _rk4_affine,
     _rk4_deltas,
     carbonization,
@@ -159,6 +160,23 @@ def test_step_rejects_bad_dt():
         step_atmosphere(AtmosphereState(0.0, 0.0), 1.0, PARAMS, 0.0)
     with pytest.raises(DomainError):
         step_atmosphere(AtmosphereState(0.0, 0.0), 1.0, PARAMS, 1.5)
+
+
+def test_stability_limit_is_where_rk4_stops_contracting():
+    x = _RK4_STABILITY_LIMIT
+    assert 1 - x + x**2 / 2 - x**3 / 6 + x**4 / 24 == pytest.approx(1.0, abs=1e-15)
+
+
+def test_step_rejects_sigma_dt_past_the_stability_limit():
+    """At sigma*dt = 2.9 steps used to grow 130 ppmv to 154, 183, 216... away from
+    an equilibrium of 1.6 ppmv; just inside the limit a step still contracts."""
+    unstable = CarbonCycleParams(sigma=2.9, allow_sigma_out_of_band=True)
+    state = AtmosphereState(0.0, 130.0)
+    with pytest.raises(DomainError, match=r"sigma\*dt = 2\.9 is past RK4's stability limit 2\.7853"):
+        step_atmosphere(state, 10.0, unstable, 1.0)
+    assert step_atmosphere(state, 10.0, unstable, 0.5).delta_co2 < 130.0
+    inside = CarbonCycleParams(sigma=2.78, allow_sigma_out_of_band=True)
+    assert step_atmosphere(state, 10.0, inside, 1.0).delta_co2 < 130.0
 
 
 # ----------------------------------------------------------------- equilibrium

@@ -33,7 +33,8 @@ def test_exact_exponential_both_methods():
     s = exponential_series(0.02, range(1990, 2011))
     p = Period(1990, 2010)
     for method in GrowthMethod:
-        assert growth_rate(s, p, method).value == pytest.approx(0.02, rel=1e-12)
+        rate = growth_rate(s, p, method)
+        assert type(rate) is float and rate == pytest.approx(0.02, rel=1e-12)
 
 
 def test_endpoint_requires_endpoints():
@@ -56,18 +57,18 @@ def test_growth_rate_invariant_under_rescaling(alpha):
     scaled = series(SeriesKind.ENERGY, Unit.GW, years, [alpha * v for v in base.values])
     p = Period(2000, 2010)
     for method in GrowthMethod:
-        assert growth_rate(scaled, p, method).value == pytest.approx(
-            growth_rate(base, p, method).value, rel=1e-9, abs=1e-12
+        assert growth_rate(scaled, p, method) == pytest.approx(
+            growth_rate(base, p, method), rel=1e-9, abs=1e-12
         )
 
 
 def test_snapshot_wealth_growth(snapshot, recon):
-    eta_w = growth_rate(recon.wealth.series, Period(1980, 2017)).value
+    eta_w = growth_rate(recon.wealth.series, Period(1980, 2017))
     assert eta_w * 100 == pytest.approx(2.14, abs=0.15)
 
 
 def test_snapshot_energy_growth(snapshot):
-    eta_e = growth_rate(snapshot.energy, Period(1980, 2010)).value
+    eta_e = growth_rate(snapshot.energy, Period(1980, 2010))
     assert eta_e * 100 == pytest.approx(1.98, abs=0.15)
 
 
@@ -120,14 +121,14 @@ def test_predicted_energy_growth_zero_scale_is_zero():
 
 def test_innovation_rate_constant_productivity_is_zero():
     eps = series(SeriesKind.PRODUCTIVITY, Unit.TUSD_PER_EJ, range(2000, 2005), [0.12] * 5)
-    assert growth_rate(eps, Period(2000, 2004)).value == pytest.approx(0.0, abs=1e-15)
+    assert growth_rate(eps, Period(2000, 2004)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_snapshot_innovation_rates(snapshot, recon):
     eps = energy_productivity(recon.gdp, snapshot.energy)
-    eta_eps = growth_rate(eps, Period(1980, 2010)).value
+    eta_eps = growth_rate(eps, Period(1980, 2010))
     assert eta_eps * 100 == pytest.approx(0.91, abs=0.2)
-    eta_i = growth_rate(wealth_growth_series(recon.wealth), Period(1980, 2010)).value
+    eta_i = growth_rate(wealth_growth_series(recon.wealth), Period(1980, 2010))
     assert eta_i * 100 == pytest.approx(0.82, abs=0.15)
 
 
@@ -160,9 +161,9 @@ def test_gdp_growth_identity_exact(pair):
     """eta_Y = eta_E + eta_eps holds to 1e-12 for endpoint log rates."""
     gdp, energy = pair
     p = Period(gdp.first_year, gdp.last_year)
-    eta_y = growth_rate(gdp, p).value
-    eta_e = growth_rate(energy, p).value
-    eta_eps = growth_rate(energy_productivity(gdp, energy), p).value
+    eta_y = growth_rate(gdp, p)
+    eta_e = growth_rate(energy, p)
+    eta_eps = growth_rate(energy_productivity(gdp, energy), p)
     assert eta_y == pytest.approx(eta_e + eta_eps, abs=1e-12)
 
 
@@ -177,7 +178,7 @@ def test_discretization_bound_on_cumulative_consistent_data():
     gdp = series(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, years, gdp_values)
     energy = series(SeriesKind.ENERGY, Unit.GW, years, [lam_gw * wi for wi in w])
     p = Period(1, 40)
-    eta_e = growth_rate(energy, p).value
+    eta_e = growth_rate(energy, p)
     scale = Quantity(lam_gw, Unit.GW_PER_TUSD)
     lam_eps = mean_scaled_productivity(scale, energy_productivity(gdp, energy), p)
     assert abs(eta_e - lam_eps) <= 0.6 * eta_e**2

@@ -11,7 +11,7 @@ import enerscale
 PUBLIC_NAMES = [
     "AnnualSeries", "AtmosphereState", "CapacityRequirement", "CarbonCycleParams",
     "CarbonizationEstimate", "DataSourceDescriptor", "DomainError", "EJ_PER_YR_PER_GW",
-    "EmptySlice", "EnerscaleError", "GapError", "GrowthMethod", "GrowthRate",
+    "EmptySlice", "EnerscaleError", "GapError", "GrowthMethod",
     "IncompatibleUnits", "InvalidPeriod", "KayaComponents", "KindError", "ManifestEntry",
     "MissingYearOne", "NaturalCubicSpline", "ParseError", "Period", "PppMerRatio",
     "Quantity", "RatesRow", "RatioStats", "ReconstructionResult", "ScalingEstimate",

@@ -51,6 +51,21 @@ def test_scenario_validates_inputs():
         scenario(w0=-1.0)
 
 
+UNSTABLE = CarbonCycleParams(sigma=2.9, allow_sigma_out_of_band=True)
+
+
+@pytest.mark.parametrize("run", [
+    lambda dt: run_scenario(scenario(carbon_params=UNSTABLE, dt=dt)),
+    lambda dt: steady_state_commitment(scenario(carbon_params=UNSTABLE, dt=dt), 2030.0),
+    lambda dt: historical_spinup_delta(datasets.load_snapshot().emissions, UNSTABLE, dt=dt),
+], ids=["run_scenario", "steady_state_commitment", "historical_spinup_delta"])
+def test_sigma_dt_past_the_stability_limit_is_rejected(run):
+    """sigma*dt = 2.9 used to fail with "perturbation cannot be negative"."""
+    with pytest.raises(DomainError, match=r"sigma\*dt = 2\.9 is past RK4's stability limit"):
+        run(1.0)
+    run(0.5)
+
+
 # ---------------------------------------------------------------- run_scenario
 
 def test_constant_economy_approaches_analytic_equilibrium():

@@ -1,6 +1,9 @@
 """Value semantics of the package's records: frozen, equal by fields, dataclass-style repr."""
 
+import importlib
+import inspect
 import pickle
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -14,10 +17,11 @@ from enerscale.carbon import (
 from enerscale.cli import RunManifest
 from enerscale.datasets import Snapshot
 from enerscale.errors import DomainError
-from enerscale.growth import GrowthMethod, GrowthRate, RatesRow
+from enerscale.growth import RatesRow
 from enerscale.ingestion import DataSourceDescriptor, ManifestEntry, RatioStats, ValidationReport
 from enerscale.projection import CapacityRequirement, Scenario, SteadyStateResult, Trajectory
 from enerscale.reconstruction import PppMerRatio, ReconstructionResult, WealthSeries
+from enerscale.records import Record
 from enerscale.scaling import ScalingEstimate
 from enerscale.series import AnnualSeries, Period, SeriesKind
 from enerscale.tables import TableResult
@@ -46,13 +50,12 @@ RECORDS = [
     (RatioStats, dict(mean=1.0, std=0.1, n=3)),
     (PppMerRatio, dict(value=1.5, window=P)),
     (WealthSeries, dict(series=WEALTH.series, w1=WEALTH.w1, method="test")),
-    (ReconstructionResult, dict(gdp=ENERGY, wealth=WEALTH, ratio=RATIO, w1=WEALTH.w1,
+    (ReconstructionResult, dict(gdp=ENERGY, wealth=WEALTH, ratio=RATIO,
                                 spline_knot_years=(1, 1000))),
     (ScalingEstimate, dict(period=P, mean=Quantity(6.0, Unit.GW_PER_TUSD),
                            std=Quantity(0.1, Unit.GW_PER_TUSD),
                            ci95_halfwidth=Quantity(0.05, Unit.GW_PER_TUSD),
                            trend_per_year=-0.001)),
-    (GrowthRate, dict(value=0.02, period=P, method=GrowthMethod.OLS_LOG)),
     (RatesRow, dict(period=P, eta_w=0.02, eta_e=0.019, lambda_eps=0.021, eta_i=-0.001,
                     eta_eps=0.012, eta_y=0.031)),
     (CarbonCycleParams, dict(sigma=0.02, kappa_a=0.5, preindustrial=280.0,
@@ -69,7 +72,7 @@ RECORDS = [
                     eta_w=0.024, eta_c=-0.01, delta0=130.0, carbon_params=PARAMS, dt=0.5)),
     (Trajectory, dict(scenario=SCENARIO, years=(2017.0, 2018.0), wealth=(1.0, 2.0),
                       emissions=(3.0, 4.0), deltas=(5.0, 6.0))),
-    (CapacityRequirement, dict(gw_per_year=400.0, gw_per_day=1.1)),
+    (CapacityRequirement, dict(gw_per_year=400.0)),
     (SteadyStateResult, dict(trajectory=TRAJECTORY, freeze_year=2017.0, freeze_wealth=3000.0,
                              asymptote_delta=200.0)),
 ]
@@ -97,6 +100,56 @@ def test_record_semantics(cls, fields):
     assert repr(record) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
     assert record._replace() == record
     assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_every_package_record_is_checked():
+    """Each ``Record`` subclass defined in the package is a ``RECORDS`` row, or ``RunManifest``."""
+    import enerscale
+
+    defined = set()
+    for module in pkgutil.iter_modules(enerscale.__path__):
+        if module.name == "__main__":
+            continue
+        namespace = importlib.import_module(f"enerscale.{module.name}")
+        defined.update(
+            cls for _, cls in inspect.getmembers(namespace, inspect.isclass)
+            if issubclass(cls, Record) and cls is not Record
+            and cls.__module__ == namespace.__name__
+        )
+    checked = {cls for cls, _ in RECORDS} | {RunManifest}
+    assert sorted(c.__name__ for c in defined - checked) == []
+    assert len(checked) == len(RECORDS) + 1
+
+
+class Pair(Record):
+    __slots__ = _fields = ("first", "second")
+
+
+def test_base_init_binds_positional_and_keyword_fields():
+    assert Pair(1, 2) == Pair(1, second=2) == Pair(second=2, first=1)
+    pair = Pair(1, second=2)
+    assert (pair.first, pair.second) == (1, 2)
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((1,), {}, r"Pair\(\) is missing field 'second'"),
+    ((), {"second": 2}, r"Pair\(\) is missing field 'first'"),
+    ((1, 2), {"third": 3}, r"Pair\(\) got an unknown field 'third'"),
+    ((1,), {"first": 1, "second": 2}, r"Pair\(\) got field 'first' twice"),
+    ((1, 2, 3), {}, r"Pair\(\) takes 2 fields but 3 were given"),
+], ids=["missing", "missing-first", "unknown", "repeated", "extra"])
+def test_base_init_rejects_a_bad_binding(args, kwargs, message):
+    with pytest.raises(TypeError, match=message):
+        Pair(*args, **kwargs)
+
+
+def test_derived_values_are_not_fields():
+    recon = ReconstructionResult(ENERGY, WEALTH, RATIO, (1, 1000))
+    assert recon.w1 is WEALTH.w1 and "w1" not in recon._fields
+    capacity = CapacityRequirement(365.25)
+    assert capacity.gw_per_day == 1.0 and repr(capacity) == "CapacityRequirement(gw_per_year=365.25)"
+    with pytest.raises(AttributeError):
+        capacity.gw_per_day = 2.0
 
 
 def test_scenario_derived_scaling_is_not_a_field():
