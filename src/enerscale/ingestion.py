@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
 import operator
@@ -48,8 +49,8 @@ class DataSourceDescriptor(Record):
         set_field(self, "year_column", year_column)
         set_field(self, "value_column", value_column)
         set_field(self, "scale", scale)
-        if scale <= 0:
-            raise DomainError("descriptor scale must be positive")
+        if not 0 < scale < math.inf:  # NaN fails both comparisons
+            raise DomainError(f"descriptor scale must be positive and finite, got {scale!r}")
         if not year_column or not value_column:
             raise SchemaError("year_column and value_column must be nonempty")
 
@@ -119,10 +120,14 @@ def load_series(d: DataSourceDescriptor) -> AnnualSeries:
     Raises ParseError for malformed rows (with the offending row number),
     SchemaError for missing columns and DomainError for sign violations
     (the kind's rule: a rate may be negative, every other kind is positive).
-    Row numbers count the header as row 1 and skip blank lines.
+    Row numbers count the header as row 1 and skip blank lines. A leading
+    UTF-8 byte order mark is ignored.
+
+    The columns are parsed and checked whole; only when that fails are the
+    rows walked one by one, so a bad file raises its first bad row's error.
     """
     try:
-        handle = open(d.path, newline="", encoding="utf-8")
+        handle = open(d.path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot open {d.path}: {exc}") from exc
     with handle:
@@ -133,43 +138,82 @@ def load_series(d: DataSourceDescriptor) -> AnnualSeries:
         for column in (d.year_column, d.value_column):
             if column not in index:
                 raise SchemaError(f"{d.path}: missing column {column!r} (header: {header})")
-        year_at, value_at = index[d.year_column], index[d.value_column]
-        scale, positive = d.scale, d.kind is not SeriesKind.RATE
-        points: list[tuple[int, float]] = []
-        append, isfinite = points.append, math.isfinite
-        row_number = 1
-        for row in reader:
-            if not row:
-                continue
-            row_number += 1
-            try:
-                raw_year, raw_value = row[year_at].strip(), row[value_at].strip()
-            except IndexError:  # a short row's missing cells read as empty
-                row += [""] * len(header)
-                raw_year, raw_value = row[year_at].strip(), row[value_at].strip()
-            try:
-                year = int(raw_year)
-                value = float(raw_value)
-            except ValueError:
-                raise ParseError(
-                    f"{d.path}: row {row_number}: cannot parse year={raw_year!r} value={raw_value!r}"
-                ) from None
-            if not isfinite(value):
-                raise ParseError(f"{d.path}: row {row_number}: non-finite value")
-            value *= scale
-            if positive and value <= 0.0:
-                raise DomainError(
-                    f"{d.path}: row {row_number}: nonpositive value {value!r} for kind {d.kind.value}"
-                )
-            append((year, value))
-    if not points:
+        at = index[d.year_column], index[d.value_column]
+        rows: list[list[str]] = []
+        try:
+            rows.extend(filter(None, reader))  # a blank line reads as []
+        except (csv.Error, UnicodeDecodeError):
+            # An oversized field or a byte that is not UTF-8 stops the read
+            # after the rows read so far, so a bad one of those is raised first.
+            _walk_rows(d, rows, *at)
+            raise
+    if not rows:
         raise ParseError(f"{d.path}: no data rows")
-    points.sort()
-    years, values = zip(*points)
-    if any(map(operator.eq, years, years[1:])):
-        dupes = sorted({a for a, b in zip(years, years[1:]) if a == b})
-        raise DomainError(f"{d.path}: duplicate years {dupes}")
+    years, values = _columns(d, rows, *at) or _walk_rows(d, rows, *at)
+    if any(map(operator.ge, years, years[1:])):
+        years, values = zip(*sorted(zip(years, values)))
+        if any(map(operator.eq, years, years[1:])):
+            dupes = sorted({a for a, b in zip(years, years[1:]) if a == b})
+            raise DomainError(f"{d.path}: duplicate years {dupes}")
     return AnnualSeries(d.kind, d.unit, years, values)
+
+
+def _columns(
+    d: DataSourceDescriptor, rows: list[list[str]], year_at: int, value_at: int
+) -> tuple[list[int], list[float]] | None:
+    """The year and scaled value columns of ``rows``, parsed and checked whole.
+
+    Returns None when a row is short, a cell does not parse, or a value is
+    not finite or breaks the kind's sign rule; ``_walk_rows`` then finds it.
+    """
+    try:
+        years = list(map(int, map(operator.itemgetter(year_at), rows)))
+        values = list(map(float, map(operator.itemgetter(value_at), rows)))
+    except (IndexError, ValueError):
+        return None
+    if not all(map(math.isfinite, values)):
+        return None
+    if d.scale != 1.0:
+        values = list(map(operator.mul, values, itertools.repeat(d.scale)))
+    if d.kind is not SeriesKind.RATE and min(values) <= 0.0:
+        return None
+    return years, values
+
+
+def _walk_rows(
+    d: DataSourceDescriptor, rows: list[list[str]], year_at: int, value_at: int
+) -> tuple[list[int], list[float]]:
+    """Parse and check ``rows`` one at a time, raising the first bad row's error.
+
+    Cells are stripped before parsing, so a row whose only fault for
+    ``_columns`` was an edge character that ``str.strip`` removes but
+    ``int``/``float`` reject (the separators U+001C-U+001F) passes here, and
+    the columns are returned.
+    """
+    scale, positive = d.scale, d.kind is not SeriesKind.RATE
+    missing = [""] * (max(year_at, value_at) + 1)
+    years: list[int] = []
+    values: list[float] = []
+    for row_number, row in enumerate(rows, 2):
+        row = row + missing  # a short row's missing cells read as empty
+        raw_year, raw_value = row[year_at].strip(), row[value_at].strip()
+        try:
+            year = int(raw_year)
+            value = float(raw_value)
+        except ValueError:
+            raise ParseError(
+                f"{d.path}: row {row_number}: cannot parse year={raw_year!r} value={raw_value!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise ParseError(f"{d.path}: row {row_number}: non-finite value")
+        value *= scale
+        if positive and value <= 0.0:
+            raise DomainError(
+                f"{d.path}: row {row_number}: nonpositive value {value!r} for kind {d.kind.value}"
+            )
+        years.append(year)
+        values.append(value)
+    return years, values
 
 
 def validate(s: AnnualSeries, require_contiguous: bool = True) -> ValidationReport:
@@ -254,6 +298,14 @@ def _exactly(kind: type):
     return check
 
 
+def _finite(value) -> float:
+    """``float(value)``, rejecting NaN and the infinities that JSON parsing admits."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
+
+
 def load_manifest(path: Path | str) -> dict[str, ManifestEntry]:
     """Read a JSON manifest binding series names to data source descriptors.
 
@@ -277,7 +329,7 @@ def load_manifest(path: Path | str) -> dict[str, ManifestEntry]:
             unit=field("unit", Unit),
             year_column=field("year_column", _exactly(str), "year"),
             value_column=field("value_column", _exactly(str), "value"),
-            scale=field("scale", float, 1.0),
+            scale=field("scale", _finite, 1.0),
         )
         entries[name] = ManifestEntry(
             name=name, descriptor=descriptor, contiguous=field("contiguous", _exactly(bool), True)

@@ -225,8 +225,14 @@ def calibrate_initial_wealth_iterative(
     raise DomainError("initial-wealth iteration failed to converge")  # pragma: no cover
 
 
-def cumulative_production(gdp: AnnualSeries, w1: Quantity) -> WealthSeries:
-    """Accumulate W(t) = W(1) + sum of annual production through year t."""
+def _accumulate(gdp: AnnualSeries, w1: Quantity, keep: slice = slice(None)) -> WealthSeries:
+    """W(t) = W(1) + sum of annual production through year t, over the years ``keep`` selects.
+
+    Every check runs on the whole column, so a window fails exactly as the
+    full series would: the kind, contiguity, unit and sign of the inputs,
+    then a finite, strictly increasing W with W at the first year not below
+    W(1).
+    """
     if gdp.kind is not SeriesKind.GDP_MER:
         raise KindError(f"cumulative_production expects gdp_mer, got {gdp.kind.value}")
     if not gdp.is_contiguous():
@@ -236,8 +242,21 @@ def cumulative_production(gdp: AnnualSeries, w1: Quantity) -> WealthSeries:
     if w1.value < 0:
         raise DomainError("W(1) must be nonnegative")
     wealth = tuple(map(operator.add, repeat(w1.value), accumulate(gdp.values)))
-    series = AnnualSeries(SeriesKind.WEALTH, Unit.TUSD, gdp.years, wealth)
+    # Production is positive and W(1) finite, so only a sum that overflows is
+    # not finite, and it stays infinite through the last year.
+    if not math.isfinite(wealth[-1]):
+        raise DomainError("series values must be finite")
+    if any(map(operator.ge, wealth, wealth[1:])):
+        raise DomainError("wealth must be strictly increasing")
+    if wealth[0] < w1.value:
+        raise DomainError("wealth at the first year cannot be below W(1)")
+    series = AnnualSeries(SeriesKind.WEALTH, Unit.TUSD, gdp.years[keep], wealth[keep])
     return WealthSeries(series=series, w1=w1, method="annual left sum of production")
+
+
+def cumulative_production(gdp: AnnualSeries, w1: Quantity) -> WealthSeries:
+    """Accumulate W(t) = W(1) + sum of annual production through year t."""
+    return _accumulate(gdp, w1)
 
 
 class ReconstructionResult(Record):

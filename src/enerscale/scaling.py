@@ -10,9 +10,10 @@ intervals including both endpoint years.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 from .errors import DomainError
-from .reconstruction import WealthSeries, cumulative_production
+from .reconstruction import WealthSeries, _accumulate
 from .records import Record, set_field
 from .series import (
     AnnualSeries,
@@ -84,9 +85,18 @@ def w1_sensitivity(
     factor: float,
     p: Period = Period(1980, 2017),
 ) -> ScalingEstimate:
-    """Scaling statistics after rescaling the initial stock by ``factor``."""
+    """Scaling statistics after rescaling the initial stock by ``factor``.
+
+    Equal to ``scaling_stats(scaling_series(energy, cumulative_production(gdp,
+    W(1) * factor)), p)``, but only W over ``p`` is kept as a series; when
+    ``energy`` has no year there, the full series raises the same error.
+    """
     if factor <= 0:
         raise DomainError("W(1) scaling factor must be positive")
-    wealth = cumulative_production(gdp, Quantity(w1.value * factor, w1.unit))
+    first, last = max(p.start_year, gdp.first_year), min(p.end_year, gdp.last_year)
+    keep = slice(None)
+    if bisect_left(energy.years, first) < bisect_right(energy.years, last):
+        keep = slice(first - gdp.first_year, last - gdp.first_year + 1)
+    wealth = _accumulate(gdp, Quantity(w1.value * factor, w1.unit), keep)
     return scaling_stats(scaling_series(energy, wealth), p)
 

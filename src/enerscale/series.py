@@ -125,26 +125,31 @@ class AnnualSeries(Record):
         years: Sequence[int],
         values: Sequence[float],
     ) -> None:
-        raw = tuple(years)
-        try:
-            years = tuple(map(int, raw))
-        except (TypeError, ValueError, OverflowError):
-            years = ()
-        if years != raw:  # one whole-tuple test; the search runs only on failure
-            bad = next(y for y in raw if not _integral(y))
-            raise DomainError(f"years must be integers, got {bad!r}")
-        raw = tuple(values)
-        try:
-            values = tuple(map(float, raw))
-        except (TypeError, ValueError, OverflowError):
-            values = ()
-        # float(x) is x for a float and equals x for a number it holds exactly,
-        # so one whole-tuple test passes numbers; the search runs only on a
-        # mismatch (text, or a NaN that float() copied, which fails as not finite).
-        if values != raw:
-            bad = [v for v in raw if not _number(v)]
-            if bad:
-                raise DomainError(f"series values must be numbers, got {bad[0]!r}")
+        # Exact ints and floats, what parsing and arithmetic produce, are
+        # stored as given; any other element type is converted first.
+        raw = years = tuple(years)
+        if set(map(type, raw)) != {int}:
+            try:
+                years = tuple(map(int, raw))
+            except (TypeError, ValueError, OverflowError):
+                years = ()
+            if years != raw:  # one whole-tuple test; the search runs only on failure
+                bad = next(y for y in raw if not _integral(y))
+                raise DomainError(f"years must be integers, got {bad!r}")
+        raw = values = tuple(values)
+        if set(map(type, raw)) != {float}:
+            try:
+                values = tuple(map(float, raw))
+            except (TypeError, ValueError, OverflowError):
+                values = ()
+            # float(x) is x for a float and equals x for a number it holds
+            # exactly, so one whole-tuple test passes numbers; the search runs
+            # only on a mismatch (text, or a NaN that float() copied, which
+            # fails as not finite).
+            if values != raw:
+                bad = [v for v in raw if not _number(v)]
+                if bad:
+                    raise DomainError(f"series values must be numbers, got {bad[0]!r}")
         set_field(self, "kind", kind)
         set_field(self, "unit", unit)
         set_field(self, "years", years)

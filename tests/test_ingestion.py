@@ -1,9 +1,11 @@
 import csv
 import io
 import json
+import math
+import operator
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enerscale.errors import DomainError, ParseError, SchemaError
@@ -125,6 +127,167 @@ def test_nonfinite_rate_still_rejected(tmp_path):
     path = write(tmp_path, "rate.csv", "year,value\n2000,0.01\n2001,nan\n")
     with pytest.raises(ParseError, match="row 3: non-finite"):
         load_series(descriptor(path, kind=SeriesKind.RATE, unit=Unit.PER_YR))
+
+
+def test_utf8_byte_order_mark_is_ignored(tmp_path):
+    text = "year,value\n2000,1.5\n2001,2.5\n"
+    plain = load_series(descriptor(write(tmp_path, "plain.csv", text)))
+    marked = load_series(descriptor(write(tmp_path, "bom.csv", "\ufeff" + text)))
+    assert marked == plain
+    assert write_series(marked, tmp_path / "out.csv").read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_descriptor_rejects_a_scale_that_is_not_positive_and_finite(tmp_path, scale):
+    with pytest.raises(DomainError, match="scale must be positive and finite"):
+        descriptor(tmp_path / "x.csv", scale=scale)
+
+
+# ------------------------------------ load_series against a row-by-row oracle
+
+def row_by_row_load_series(d):
+    """The per-row reader ``load_series`` replaced: the oracle for its columnar parse."""
+    try:
+        handle = open(d.path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot open {d.path}: {exc}") from exc
+    with handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        index = {name: i for i, name in enumerate(header)}
+        for column in (d.year_column, d.value_column):
+            if column not in index:
+                raise SchemaError(f"{d.path}: missing column {column!r} (header: {header})")
+        year_at, value_at = index[d.year_column], index[d.value_column]
+        scale, positive = d.scale, d.kind is not SeriesKind.RATE
+        points = []
+        row_number = 1
+        for row in reader:
+            if not row:
+                continue
+            row_number += 1
+            try:
+                raw_year, raw_value = row[year_at].strip(), row[value_at].strip()
+            except IndexError:
+                row += [""] * len(header)
+                raw_year, raw_value = row[year_at].strip(), row[value_at].strip()
+            try:
+                year = int(raw_year)
+                value = float(raw_value)
+            except ValueError:
+                raise ParseError(
+                    f"{d.path}: row {row_number}: cannot parse year={raw_year!r} value={raw_value!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(f"{d.path}: row {row_number}: non-finite value")
+            value *= scale
+            if positive and value <= 0.0:
+                raise DomainError(
+                    f"{d.path}: row {row_number}: nonpositive value {value!r} for kind {d.kind.value}"
+                )
+            points.append((year, value))
+    if not points:
+        raise ParseError(f"{d.path}: no data rows")
+    points.sort()
+    years, values = zip(*points)
+    if any(map(operator.eq, years, years[1:])):
+        dupes = sorted({a for a, b in zip(years, years[1:]) if a == b})
+        raise DomainError(f"{d.path}: duplicate years {dupes}")
+    return AnnualSeries(d.kind, d.unit, years, values)
+
+
+def outcome(load, d):
+    """The series ``load(d)`` returns, or the type and message of what it raises."""
+    try:
+        return load(d)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_parity(d):
+    expected = outcome(row_by_row_load_series, d)
+    assert outcome(load_series, d) == expected
+    return expected
+
+
+RATE = dict(kind=SeriesKind.RATE, unit=Unit.PER_YR)
+OVERSIZED = "9" * (csv.field_size_limit() + 1)
+
+
+@pytest.mark.parametrize(
+    "text, options",
+    [
+        pytest.param("year,value\n\n2000,1.0\n\n2001,2.0\n\n", {}, id="blank-lines"),
+        pytest.param("year,source,value\n2000,eia,1.0\n2001\n", {}, id="short-row"),
+        pytest.param("year,source,value\n2000,eia,1.0\n2001,eia\n", {}, id="short-row-year-only"),
+        pytest.param("year,value,source\n2000,1.0\n2001,2.0,bp\n", {}, id="short-row-both-cells"),
+        pytest.param("year,value,value\n2000,1.0,2.0\n2001,3.0,4.0\n", {}, id="repeated-column"),
+        pytest.param("year,value\n2002,3.0\n2000,1.0\n2001,2.0\n", {}, id="unsorted"),
+        pytest.param("year,value\n2001,1.0\n2000,2.0\n2001,3.0\n", {}, id="duplicate-years"),
+        pytest.param("year,value\n2000,1.0\nx,2.0\n2002,nan\n2003,-1.0\n", {}, id="parse-first"),
+        pytest.param("year,value\n2000,1.0\n2001,inf\n2002,x\n2003,-1.0\n", {},
+                     id="non-finite-first"),
+        pytest.param("year,value\n2000,1.0\n2001,-1.0\n2002,inf\n2003,x\n", {}, id="sign-first"),
+        pytest.param("year,value\n2000,1.0\n2001,1e308\n", dict(scale=10.0), id="overflow-after-scale"),
+        pytest.param("year,value\n2000,1.0\n2001,1e308\n2001,2.0\n", dict(scale=10.0),
+                     id="duplicate-before-overflow"),
+        pytest.param("year,value\n2000,-1e308\n2001,1.0\n", dict(scale=10.0, **RATE),
+                     id="negative-rate-overflow"),
+        pytest.param("year,value\n2000,0.5\n2001,-0.25\n2002,0\n", RATE, id="negative-rate"),
+        pytest.param("year,value\n2000,0.5\n2001,-0.25\n", dict(scale=1e-3, **RATE),
+                     id="negative-rate-scaled"),
+        pytest.param("year,value\n2000,1.0\n2001,-0.0\n", {}, id="negative-zero"),
+        pytest.param("year,value\n 2000 , 1.5 \n\t2001\t,\t2.5\t\n", {}, id="padded-cells"),
+        pytest.param("year,value\n\x1c2000\x1d,1.5\x1f\n2001,2.5\n", {}, id="separators-stripped"),
+        pytest.param("year,value\n2000,1.0\n2001,x\n2002," + OVERSIZED + "\n", {},
+                     id="bad-row-before-oversized-field"),
+        pytest.param("year,value\n2000,1.0\n2001," + OVERSIZED + "\n", {}, id="oversized-field"),
+        pytest.param("year,value\n2000,1_000.5\n2_001,2e3\n", {}, id="underscores-and-exponents"),
+    ],
+)
+def test_load_series_matches_the_row_by_row_oracle(tmp_path, text, options):
+    assert_parity(descriptor(write(tmp_path, "s.csv", text), **options))
+
+
+def test_load_series_parity_when_the_read_stops_on_a_bad_byte(tmp_path):
+    filler = "".join(f"{1000 + i},1.0\n" for i in range(3000))  # well past the first read
+    path = tmp_path / "bytes.csv"
+    for early in ("", "1,x\n"):
+        path.write_bytes(f"year,value\n{early}{filler}".encode() + b"5000,\xff\n")
+        raised = assert_parity(descriptor(path))
+        assert raised[0] is (ParseError if early else UnicodeDecodeError)
+
+
+ODD_CELLS = st.sampled_from(
+    ["", "x", "nan", "inf", "-inf", "1e308", "-1e308", " 7 ", "\x1c3", "0", "-0.0", "2.5"]
+)
+GOOD_ROWS = st.tuples(
+    st.integers(1995, 2005), st.floats(-1e6, 1e6, allow_nan=False).filter(bool)
+).map(lambda row: f"{row[0]},{row[1]!r}")
+ODD_ROWS = st.one_of(
+    st.tuples(st.integers(1995, 2005).map(str), ODD_CELLS).map(",".join),
+    st.tuples(ODD_CELLS, st.just("1.0")).map(",".join),
+    st.sampled_from(["", "2001", "2002,", "2003,1.0,extra"]),
+)
+
+
+@st.composite
+def csv_rows(draw):
+    """Mostly well-formed rows, some negative or repeated, with up to two odd rows spliced in."""
+    rows = draw(st.lists(GOOD_ROWS, max_size=12))
+    for odd in draw(st.lists(ODD_ROWS, max_size=2)):
+        rows.insert(draw(st.integers(0, len(rows))), odd)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=csv_rows(), kind=st.sampled_from([SeriesKind.RATE, SeriesKind.GDP_MER]),
+       scale=st.sampled_from([1.0, 10.0, 1e-3]))
+def test_load_series_matches_the_oracle_on_generated_files(tmp_path_factory, rows, kind, scale):
+    path = tmp_path_factory.getbasetemp() / "generated.csv"
+    path.write_text("year,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    unit = Unit.PER_YR if kind is SeriesKind.RATE else Unit.TUSD_PER_YR
+    assert_parity(descriptor(path, kind=kind, unit=unit, scale=scale))
 
 
 # ------------------------------------------------------------------ validate
@@ -257,6 +420,10 @@ def test_manifest_missing_field(tmp_path):
         ("scale", "abc"),
         ("scale", [2]),
         pytest.param("scale", 10**400, id="scale-too-large-for-a-float"),
+        pytest.param("scale", math.nan, id="scale-NaN"),
+        pytest.param("scale", math.inf, id="scale-Infinity"),
+        pytest.param("scale", -math.inf, id="scale-minus-Infinity"),
+        pytest.param("scale", "nan", id="scale-nan-text"),
         ("contiguous", "false"),
         ("path", 7),
         ("value_column", None),

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from enerscale.errors import DomainError, EmptySlice, GapError, KindError
 from enerscale.reconstruction import WealthSeries, cumulative_production
 from enerscale.scaling import (
+    ScalingEstimate,
     scaling_series,
     scaling_stats,
     w1_sensitivity,
@@ -128,3 +130,78 @@ def test_sensitivity_to_doubled_initial_stock(snapshot, recon):
     assert doubled.mean.value == pytest.approx(5.2, abs=0.2)
     assert halved.mean.value == pytest.approx(6.2, abs=0.2)
 
+
+
+def full_series_sensitivity(gdp, energy, w1, factor, p):
+    """What ``w1_sensitivity`` computes, over the whole wealth series."""
+    if factor <= 0:
+        raise DomainError("W(1) scaling factor must be positive")
+    wealth = cumulative_production(gdp, Quantity(w1.value * factor, w1.unit))
+    return scaling_stats(scaling_series(energy, wealth), p)
+
+
+def sensitivity_outcome(*args):
+    """The estimate, or the type and message of the error, from both computations."""
+    results = []
+    for compute in (w1_sensitivity, full_series_sensitivity):
+        try:
+            results.append(compute(*args))
+        except Exception as exc:
+            results.append((type(exc), str(exc)))
+    return results
+
+
+@pytest.mark.parametrize("factor", [0.25, 0.5, 1.0, 2.0, 4.0])
+@pytest.mark.parametrize("period", [Period(1980, 1990), Period(2010, 2017), Period(1980, 2017)])
+def test_sensitivity_equals_the_full_series_computation(snapshot, recon, factor, period):
+    window, full = sensitivity_outcome(recon.gdp, snapshot.energy, recon.w1, factor, period)
+    assert isinstance(window, ScalingEstimate)
+    assert window == full
+
+
+def tiny_then_large_gdp():
+    """Production that W(1) = 1e17 swallows for 1900 years, then outgrows."""
+    years = tuple(range(1, 2018))
+    return AnnualSeries(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, years,
+                        tuple(1e-3 if y < 1900 else 1e6 for y in years))
+
+
+ENERGY_1980_2017 = AnnualSeries(SeriesKind.ENERGY, Unit.GW, tuple(range(1980, 2018)),
+                                tuple(1e4 + y for y in range(38)))
+YEARS_1_TO_2017 = tuple(range(1, 2018))
+
+
+@pytest.mark.parametrize(
+    "gdp, w1, factor, period, error, message",
+    [
+        pytest.param(AnnualSeries(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, (1, 2, 1980, 2017),
+                                  (1.0, 1.0, 1.0, 1.0)),
+                     250.0, 1.0, Period(1980, 2017), GapError, "has interior gaps", id="gap"),
+        pytest.param(AnnualSeries(SeriesKind.GDP_PPP, Unit.TUSD_PER_YR, YEARS_1_TO_2017,
+                                  (1.0,) * 2017),
+                     250.0, 1.0, Period(1980, 2017), KindError, "expects gdp_mer", id="wrong-kind"),
+        pytest.param(None, 250.0, 0.0, Period(1980, 2017), DomainError, "factor must be positive",
+                     id="zero-factor"),
+        pytest.param(None, 250.0, -2.0, Period(1980, 2017), DomainError, "factor must be positive",
+                     id="negative-factor"),
+        pytest.param(tiny_then_large_gdp(), 1e17, 1.0, Period(1980, 2017), DomainError,
+                     "wealth must be strictly increasing", id="stops-increasing-before-the-window"),
+        pytest.param(AnnualSeries(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, YEARS_1_TO_2017,
+                                  tuple(1.0 if y < 2016 else 1e308 for y in YEARS_1_TO_2017)),
+                     250.0, 1.0, Period(1980, 1990), DomainError, "series values must be finite",
+                     id="sum-overflows-in-the-last-year"),
+        pytest.param(None, 250.0, 1.0, Period(1900, 1950), EmptySlice,
+                     "period 1900-1950 does not overlap series covering 1980-2017",
+                     id="period-before-energy"),
+        pytest.param(None, 250.0, 1.0, Period(2020, 2030), EmptySlice,
+                     "period 2020-2030 does not overlap series covering 1980-2017",
+                     id="period-after-gdp"),
+    ],
+)
+def test_sensitivity_raises_what_the_full_series_raises(recon, gdp, w1, factor, period, error,
+                                                        message):
+    gdp = recon.gdp if gdp is None else gdp
+    args = (gdp, ENERGY_1980_2017, Quantity(w1, Unit.TUSD), factor, period)
+    window, full = sensitivity_outcome(*args)
+    assert window == full
+    assert window[0] is error and message in window[1]

@@ -95,6 +95,27 @@ def test_numbers_of_any_type_are_stored_as_floats():
     assert s.values == (1.0, 1.5, 2.5, 4.0) and all(type(v) is float for v in s.values)
 
 
+@pytest.mark.parametrize(
+    "years, values",
+    [
+        ((2000, 2001, 2002), (1, 2, 3)),
+        ((False, True, 2), (True, 2.0, 3)),
+        ((np.int64(2000), 2001, 2002), (np.float64(0.1), np.float32(0.5), np.float64(3.0))),
+        ((2000.0, 2001, 2002), np.array([0.1, 0.2, 0.3])),
+    ],
+)
+def test_stores_exact_ints_and_floats(years, values):
+    s = AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, years, values)
+    assert s.years == tuple(years) and s.values == tuple(values)
+    assert {type(y) for y in s.years} == {int} and {type(v) for v in s.values} == {float}
+
+
+def test_exact_ints_and_floats_are_stored_as_given():
+    years, values = (2000, 2001), (1.5, 2.5)
+    s = AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, years, values)
+    assert s.years is years and s.values is values
+
+
 def test_rejects_nonpositive_values():
     with pytest.raises(DomainError):
         AnnualSeries(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, (2000,), (0.0,))
