@@ -40,16 +40,15 @@ _LAZY = {
     for module, names in {
         "units": "EJ_PER_YR_PER_GW Quantity Unit to_unit",
         "series": "AnnualSeries Period SeriesKind slice_series",
-        "ingestion": "DataSourceDescriptor ManifestEntry RatioStats ValidationReport"
-                     " load_manifest load_series production_consumption_ratio validate"
-                     " write_series",
+        "ingestion": "DataSourceDescriptor ManifestEntry ValidationReport load_manifest"
+                     " load_series validate write_series",
         "reconstruction": "NaturalCubicSpline PppMerRatio ReconstructionResult WealthSeries"
                           " build_wealth calibrate_initial_wealth"
                           " calibrate_initial_wealth_iterative cumulative_production"
                           " estimate_ppp_mer_ratio ppp_to_mer reconstruct_production"
                           " spline_infill",
         "scaling": "ScalingEstimate scaling_series scaling_stats w1_sensitivity",
-        "growth": "GrowthMethod RatesRow energy_productivity growth_rate"
+        "growth": "RatesRow energy_productivity growth_rate"
                   " rates_table wealth_growth_series",
         "carbon": "AtmosphereState CarbonCycleParams CarbonizationEstimate KayaComponents"
                   " carbonization carbonization_series committed_equilibrium"

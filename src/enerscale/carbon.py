@@ -10,11 +10,10 @@ is a documented simplification).
 from __future__ import annotations
 
 import math
-import operator
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import DomainError, EmptySlice
-from .growth import GrowthMethod, energy_productivity, growth_rate
+from .growth import energy_productivity, growth_rate
 from .reconstruction import WealthSeries
 from .records import Record, set_field
 from .series import (
@@ -22,7 +21,6 @@ from .series import (
     Period,
     SeriesKind,
     aligned_values,
-    log_slope,
     mean,
     sample_std,
     slice_series,
@@ -133,13 +131,12 @@ def carbonization(
     p: Period,
     wealth: WealthSeries | None = None,
     params: CarbonCycleParams = CarbonCycleParams(),
-    method: GrowthMethod = GrowthMethod.ENDPOINT_LOG,
 ) -> CarbonizationEstimate:
     """Period statistics of carbon intensity, and of emissions/wealth scaling
     when a wealth series is supplied."""
     c_series = carbonization_series(emissions, energy)
     c_window = slice_series(c_series, p)
-    eta_c = growth_rate(c_series, p, method)
+    eta_c = growth_rate(c_series, p)
     lambda_c = lambda_c_std = None
     if wealth is not None:
         try:
@@ -193,23 +190,15 @@ class KayaComponents(Record):
         )
 
 
-def _ratio_growth(
-    numerator: AnnualSeries,
-    denominator: AnnualSeries,
-    p: Period,
-    method: GrowthMethod,
-) -> float:
-    """Growth rate of the per-year ratio of two aligned series over ``p``."""
+def _ratio_growth(numerator: AnnualSeries, denominator: AnnualSeries, p: Period) -> float:
+    """Endpoint log growth of the per-year ratio of two aligned series over ``p``."""
     try:
         years, num, den = aligned_values(slice_series(numerator, p), slice_series(denominator, p))
     except EmptySlice:
         years, num, den = (), (), ()
-    ratio = list(map(operator.truediv, num, den))
-    if method is GrowthMethod.ENDPOINT_LOG:
-        if not years or years[0] != p.start_year or years[-1] != p.end_year:
-            raise EmptySlice(f"ratio series does not cover both endpoints of {p}")
-        return math.log(ratio[-1] / ratio[0]) / p.span
-    return log_slope(years, ratio)
+    if not years or years[0] != p.start_year or years[-1] != p.end_year:
+        raise EmptySlice(f"ratio series does not cover both endpoints of {p}")
+    return math.log((num[-1] / den[-1]) / (num[0] / den[0])) / p.span
 
 
 def kaya_decomposition(
@@ -218,7 +207,6 @@ def kaya_decomposition(
     energy: AnnualSeries,
     emissions: AnnualSeries,
     p: Period,
-    method: GrowthMethod = GrowthMethod.ENDPOINT_LOG,
 ) -> KayaComponents:
     """Decompose emissions growth into population, affluence, productivity and
     carbonization rates."""
@@ -226,11 +214,11 @@ def kaya_decomposition(
     c_series = carbonization_series(emissions, energy)
     return KayaComponents(
         period=p,
-        eta_pop=growth_rate(pop, p, method),
-        eta_affluence=_ratio_growth(gdp, pop, p, method),
-        eta_productivity=growth_rate(eps, p, method),
-        eta_carbonization=growth_rate(c_series, p, method),
-        eta_emissions=growth_rate(emissions, p, method),
+        eta_pop=growth_rate(pop, p),
+        eta_affluence=_ratio_growth(gdp, pop, p),
+        eta_productivity=growth_rate(eps, p),
+        eta_carbonization=growth_rate(c_series, p),
+        eta_emissions=growth_rate(emissions, p),
     )
 
 

@@ -295,7 +295,7 @@ def _tables_inputs(data_dir: Path | None, manifest: RunManifest):
     prov_path = data_dir / "reconstruction.json"
     try:
         prov = json.loads(prov_path.read_text(encoding="utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{prov_path} is not valid JSON: {exc}") from None
     field = functools.partial(json_field, str(prov_path), prov)
     wealth = WealthSeries(
@@ -375,7 +375,7 @@ def _scenario_from_args(args) -> Scenario:
 
 
 def _cmd_project(args, manifest: RunManifest) -> int:
-    from .projection import committed_curve, run_scenario, time_grid
+    from .projection import MAX_GRID_POINTS, committed_curve, run_scenario, time_grid
     from .units import Quantity, Unit
 
     out: Path = args.out
@@ -384,8 +384,8 @@ def _cmd_project(args, manifest: RunManifest) -> int:
                       if not math.isfinite(value)]
         if not_finite:
             raise EnerscaleError(f"curve bounds must be finite: {', '.join(not_finite)}")
-        if args.from_w <= 0 or args.to_w <= args.from_w or args.points < 2:
-            raise EnerscaleError("curve needs 0 < from-w < to-w and at least 2 points")
+        if args.from_w <= 0 or args.to_w <= args.from_w or not 2 <= args.points <= MAX_GRID_POINTS:
+            raise EnerscaleError(f"curve needs 0 < from-w < to-w and 2 to {MAX_GRID_POINTS} points")
         scenario = _scenario_from_args(args)
         step = (args.to_w - args.from_w) / (args.points - 1)
         w_values = [args.from_w + i * step for i in range(args.points)]

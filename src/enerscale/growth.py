@@ -1,14 +1,11 @@
 """Growth-rate estimation and the closed growth identities.
 
-The default estimator is the endpoint log rate ln(x(t1)/x(t0))/(t1-t0): the
-identity eta_Y = eta_E + eta_eps then holds exactly by log algebra. An OLS
-estimator on log values is available as well, since period-average growth
-rates can reasonably be read either way; both are reported in the docs.
+Every period rate is the endpoint log rate ln(x(t1)/x(t0))/(t1-t0), so the
+identity eta_Y = eta_E + eta_eps holds exactly by log algebra.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 import math
 from typing import Sequence
 
@@ -20,16 +17,10 @@ from .series import (
     Period,
     SeriesKind,
     aligned_values,
-    log_slope,
     mean,
     slice_series,
 )
 from .units import Quantity, Unit, to_unit
-
-
-class GrowthMethod(str, Enum):
-    ENDPOINT_LOG = "endpoint_log"
-    OLS_LOG = "ols_log"
 
 
 class RatesRow(Record):
@@ -52,21 +43,14 @@ class RatesRow(Record):
         return self.lambda_eps + self.eta_eps
 
 
-def growth_rate(
-    s: AnnualSeries, p: Period, method: GrowthMethod = GrowthMethod.ENDPOINT_LOG
-) -> float:
-    """Average fractional growth of ``s`` over the closed period ``p``, in 1/yr."""
-    if method is GrowthMethod.ENDPOINT_LOG:
-        if not (s.has_year(p.start_year) and s.has_year(p.end_year)):
-            raise EmptySlice(f"series does not cover both endpoints of {p}")
-        start, end = s.value_at(p.start_year), s.value_at(p.end_year)
-        if start <= 0.0 or end <= 0.0:
-            raise DomainError(f"log growth over {p} needs positive endpoint values")
-        return math.log(end / start) / p.span
-    window = slice_series(s, p)
-    if len(window) < 2:
-        raise EmptySlice(f"need at least two points in {p} for an OLS rate")
-    return log_slope(window.years, window.values)
+def growth_rate(s: AnnualSeries, p: Period) -> float:
+    """Endpoint log growth of ``s`` over the closed period ``p``, in 1/yr."""
+    if not (s.has_year(p.start_year) and s.has_year(p.end_year)):
+        raise EmptySlice(f"series does not cover both endpoints of {p}")
+    start, end = s.value_at(p.start_year), s.value_at(p.end_year)
+    if start <= 0.0 or end <= 0.0:
+        raise DomainError(f"log growth over {p} needs positive endpoint values")
+    return math.log(end / start) / p.span
 
 
 def energy_productivity(gdp: AnnualSeries, energy: AnnualSeries) -> AnnualSeries:
@@ -106,7 +90,6 @@ def rates_table(
     energy: AnnualSeries,
     wealth: WealthSeries,
     periods: Sequence[Period],
-    method: GrowthMethod = GrowthMethod.ENDPOINT_LOG,
 ) -> list[RatesRow]:
     """Measured and derived growth rates for each period.
 
@@ -127,12 +110,12 @@ def rates_table(
         rows.append(
             RatesRow(
                 period=p,
-                eta_w=growth_rate(wealth.series, p, method),
-                eta_e=growth_rate(energy, p, method),
+                eta_w=growth_rate(wealth.series, p),
+                eta_e=growth_rate(energy, p),
                 lambda_eps=mean_scaled_productivity(scale, eps, p),
-                eta_i=growth_rate(eta_w_series, p, method),
-                eta_eps=growth_rate(eps, p, method),
-                eta_y=growth_rate(gdp, p, method),
+                eta_i=growth_rate(eta_w_series, p),
+                eta_eps=growth_rate(eps, p),
+                eta_y=growth_rate(gdp, p),
             )
         )
     return rows

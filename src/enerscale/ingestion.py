@@ -17,9 +17,9 @@ import math
 import operator
 from pathlib import Path
 
-from .errors import DomainError, EmptySlice, ParseError, SchemaError
+from .errors import DomainError, ParseError, SchemaError
 from .records import Record, set_field
-from .series import AnnualSeries, Period, SeriesKind, aligned_values, mean, sample_std, slice_series
+from .series import AnnualSeries, Period, SeriesKind
 from .units import Unit
 
 
@@ -107,21 +107,16 @@ class ValidationReport(Record):
         }
 
 
-class RatioStats(Record):
-    __slots__ = _fields = ("mean", "std", "n")
-    mean: float
-    std: float
-    n: int
-
-
 def load_series(d: DataSourceDescriptor) -> AnnualSeries:
     """Read one series from disk, scale it, and tag kind and unit.
 
-    Raises ParseError for malformed rows (with the offending row number),
-    SchemaError for missing columns and DomainError for sign violations
-    (the kind's rule: a rate may be negative, every other kind is positive).
-    Row numbers count the header as row 1 and skip blank lines. A leading
-    UTF-8 byte order mark is ignored.
+    Raises ParseError for malformed rows (with the offending row number) and
+    for a read stopped by a byte that is not UTF-8 or a field longer than
+    ``csv.field_size_limit()`` (with the row reached), SchemaError for
+    missing columns and DomainError for sign violations (the kind's rule: a
+    rate may be negative, every other kind is positive). Row numbers count
+    the header as row 1 and skip blank lines. A leading UTF-8 byte order
+    mark is ignored.
 
     The columns are parsed and checked whole; only when that fails are the
     rows walked one by one, so a bad file raises its first bad row's error.
@@ -132,7 +127,10 @@ def load_series(d: DataSourceDescriptor) -> AnnualSeries:
         raise ParseError(f"cannot open {d.path}: {exc}") from exc
     with handle:
         reader = csv.reader(handle)
-        header = next(reader, [])
+        try:
+            header = next(reader, [])
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ParseError(f"{d.path}: reading stopped at row 1: {exc}") from None
         # A repeated column name reads its last occurrence, as csv.DictReader would.
         index = {name: i for i, name in enumerate(header)}
         for column in (d.year_column, d.value_column):
@@ -142,11 +140,11 @@ def load_series(d: DataSourceDescriptor) -> AnnualSeries:
         rows: list[list[str]] = []
         try:
             rows.extend(filter(None, reader))  # a blank line reads as []
-        except (csv.Error, UnicodeDecodeError):
+        except (csv.Error, UnicodeDecodeError) as exc:
             # An oversized field or a byte that is not UTF-8 stops the read
             # after the rows read so far, so a bad one of those is raised first.
             _walk_rows(d, rows, *at)
-            raise
+            raise ParseError(f"{d.path}: reading stopped at row {len(rows) + 2}: {exc}") from None
     if not rows:
         raise ParseError(f"{d.path}: no data rows")
     years, values = _columns(d, rows, *at) or _walk_rows(d, rows, *at)
@@ -234,20 +232,6 @@ def validate(s: AnnualSeries, require_contiguous: bool = True) -> ValidationRepo
     return ValidationReport(gaps=gaps, coverage=coverage)
 
 
-def production_consumption_ratio(
-    prod: AnnualSeries, cons: AnnualSeries, p: Period
-) -> RatioStats:
-    """Mean and standard deviation of annual production/consumption ratios."""
-    prod_p = slice_series(prod, p)
-    cons_p = slice_series(cons, p)
-    try:
-        _, prod_values, cons_values = aligned_values(prod_p, cons_p)
-    except EmptySlice:
-        raise EmptySlice(f"production and consumption share no years over {p}") from None
-    ratios = list(map(operator.truediv, prod_values, cons_values))
-    return RatioStats(mean=mean(ratios), std=sample_std(ratios), n=len(ratios))
-
-
 def write_series(s: AnnualSeries, path: Path | str, value_column: str = "value") -> Path:
     """Export a series in the canonical format understood by ``load_series``.
 
@@ -309,14 +293,16 @@ def _finite(value) -> float:
 def load_manifest(path: Path | str) -> dict[str, ManifestEntry]:
     """Read a JSON manifest binding series names to data source descriptors.
 
-    Relative paths are resolved against the manifest's directory.
+    Relative paths are resolved against the manifest's directory. A file
+    that is not UTF-8 or not JSON, or nests too deeply to decode, raises
+    ParseError.
     """
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ParseError(f"cannot open manifest {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise ParseError(f"manifest {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError(f"manifest {path} must map series names to entries")

@@ -20,6 +20,10 @@ from .records import Record, set_field
 from .series import AnnualSeries
 from .units import DAYS_PER_YEAR, Quantity, Unit, to_unit
 
+#: Most grid points a run may ask for: each column holds a float object and a
+#: pointer, ~32 bytes, per point, so one column at the cap takes ~320 MB.
+MAX_GRID_POINTS = 10**7
+
 
 class Scenario(Record):
     """Forward-run configuration.
@@ -174,9 +178,10 @@ class Trajectory(Record):
     def points(self) -> TrajectoryPoints:
         return TrajectoryPoints(self)
 
-    def at_year(self, year: float, tol: float = 1e-9) -> TrajectoryPoint:
-        i = bisect_left(self.years, year - tol)
-        if i < len(self.years) and abs(self.years[i] - year) <= tol:
+    def at_year(self, year: float) -> TrajectoryPoint:
+        """The point at the grid time within 1e-9 yr of ``year``."""
+        i = bisect_left(self.years, year - 1e-9)
+        if i < len(self.years) and abs(self.years[i] - year) <= 1e-9:
             return self.points[i]
         raise DomainError(f"trajectory has no step at year {year}")
 
@@ -198,15 +203,23 @@ def time_grid(horizon_years: float, dt: float) -> tuple[int, float]:
     ``n = round(h/dt)`` steps of ``dt`` when ``n*dt`` is within 1e-9 of the
     horizon; otherwise ``n = ceil(h/dt)`` steps of ``h/n``, the largest step
     no longer than ``dt`` that divides the horizon (40 yr at 0.3 -> 134 steps).
+    A grid of more than ``MAX_GRID_POINTS`` points is rejected before any
+    is built.
     """
     if not (math.isfinite(horizon_years) and horizon_years >= 0):
         raise DomainError(f"horizon must be finite and non-negative, got {horizon_years}")
     if not (math.isfinite(dt) and dt > 0):
         raise DomainError(f"dt must be finite and positive, got {dt}")
-    n_steps = round(horizon_years / dt)
+    steps = horizon_years / dt
+    if steps > MAX_GRID_POINTS - 1:  # n <= ceil(h/dt) steps give n + 1 points
+        raise DomainError(
+            f"a {horizon_years!r}-year horizon at dt={dt!r} needs more than"
+            f" {MAX_GRID_POINTS} grid points"
+        )
+    n_steps = round(steps)
     if abs(n_steps * dt - horizon_years) <= 1e-9:
         return n_steps, dt
-    n_steps = math.ceil(horizon_years / dt)
+    n_steps = math.ceil(steps)
     return n_steps, horizon_years / n_steps
 
 
@@ -221,8 +234,16 @@ def _columns(s: Scenario, n_steps: int, dt: float) -> tuple[tuple[float, ...], .
     start, w0, eta_w = s.start_year, s.w0, s.eta_w
     lam, c0, eta_c = s.lambda_ej, s.c0, s.eta_c
     years = tuple([start + i * dt for i in range(n_steps + 1)])
-    wealth = tuple([w0 * exp(eta_w * (t - start)) for t in years])
-    emissions = tuple([lam * (c0 * exp(eta_c * (t - start))) * w for t, w in zip(years, wealth)])
+    try:
+        wealth = tuple([w0 * exp(eta_w * (t - start)) for t in years])
+        emissions = tuple(
+            [lam * (c0 * exp(eta_c * (t - start))) * w for t, w in zip(years, wealth)]
+        )
+    except OverflowError:
+        raise DomainError(
+            f"wealth or carbonization growth overflows a float over a"
+            f" {years[-1] - start:g}-year horizon at eta_w={eta_w!r}, eta_c={eta_c!r}"
+        ) from None
     params = s.carbon_params
     a, p = _rk4_affine(dt, params.kappa_a, params.sigma, eta_w + eta_c)
     d = s.delta0
@@ -299,11 +320,6 @@ class SteadyStateResult(Record):
     freeze_year: float
     freeze_wealth: float
     asymptote_delta: float
-
-    @property
-    def asymptote_concentration(self) -> float:
-        params = self.trajectory.scenario.carbon_params
-        return params.preindustrial + self.asymptote_delta
 
 
 def steady_state_commitment(

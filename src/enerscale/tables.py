@@ -41,16 +41,14 @@ class TableResult(Record):
     rows: tuple[tuple, ...]
 
 
-def _fmt(value, digits: int = 3) -> str:
+def _fmt(value) -> str:
     if isinstance(value, float):
-        return f"{value:.{digits}f}"
+        return f"{value:.3f}"
     return str(value)
 
 
-def render_text(table: TableResult, digits: int = 3) -> str:
-    cells = [list(table.header)] + [
-        [_fmt(v, digits) for v in row] for row in table.rows
-    ]
+def render_text(table: TableResult) -> str:
+    cells = [list(table.header)] + [[_fmt(v) for v in row] for row in table.rows]
     widths = [max(len(r[i]) for r in cells) for i in range(len(table.header))]
     lines = [table.title]
     for i, row in enumerate(cells):

@@ -70,7 +70,7 @@ def to_unit(value: float, source: Unit, target: Unit) -> float:
 
 
 class Quantity(Record):
-    """A finite scalar with a unit tag; ``to`` converts it along ``to_unit``'s one path."""
+    """A finite scalar with a unit tag."""
 
     __slots__ = _fields = ("value", "unit")
     value: float
@@ -81,6 +81,3 @@ class Quantity(Record):
             raise DomainError(f"quantity value must be finite, got {value!r}")
         set_field(self, "value", value)
         set_field(self, "unit", unit)
-
-    def to(self, target: Unit) -> "Quantity":
-        return Quantity(to_unit(self.value, self.unit, target), target)

@@ -410,6 +410,76 @@ def test_project_manifest_records_the_grid(tmp_path):
     assert len(rows) == 135 and float(rows[-1]["year"]) == pytest.approx(2057.0, abs=1e-9)
 
 
+# ------------------------------------------- bad input: one error line, exit 1
+
+def assert_one_error_line(code, capsys, fragment):
+    """``main`` returned (nothing escaped it) exit 1 and wrote one ``error:`` line."""
+    err = capsys.readouterr().err
+    assert code == EXIT_RUNTIME
+    assert err.splitlines() == [err.rstrip("\n")] and err.startswith("error: ")
+    assert fragment in err
+
+
+def ingest_one_csv(tmp_path, data):
+    (tmp_path / "x.csv").write_bytes(data)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"x": {"path": "x.csv", "kind": "energy", "unit": "EJ/yr"}}),
+                        encoding="utf-8")
+    return main(["ingest", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out")])
+
+
+def test_ingest_csv_with_a_byte_that_is_not_utf8_exits_1(tmp_path, capsys):
+    code = ingest_one_csv(tmp_path, b"year,value\n2000,1.0\n2001,\xff\n")
+    assert_one_error_line(code, capsys, "x.csv: reading stopped at row 1: 'utf-8' codec")
+
+
+def test_ingest_csv_with_an_oversized_field_exits_1(tmp_path, capsys):
+    oversized = b"9" * (csv.field_size_limit() + 1)
+    code = ingest_one_csv(tmp_path, b"year,value\n2000,1.0\n2001," + oversized + b"\n")
+    assert_one_error_line(code, capsys, "x.csv: reading stopped at row 3: field larger")
+
+
+def test_ingest_deeply_nested_manifest_exits_1(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("[" * 100_000, encoding="utf-8")
+    code = main(["ingest", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out")])
+    assert_one_error_line(code, capsys, "is not valid JSON: maximum recursion depth")
+
+
+@pytest.mark.parametrize("flag", ["--eta-w", "--eta-c"])
+def test_project_growth_that_overflows_exits_1(tmp_path, capsys, flag):
+    code = main(["project", "--preset", "paper-2017", flag, "100", "--horizon", "10",
+                 "--out", str(tmp_path / "t.csv")])
+    assert_one_error_line(code, capsys, "overflows a float over a 10-year horizon at eta_w=")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _not_built(*args):
+    raise AssertionError("built past the cap")
+
+
+@pytest.mark.parametrize("flags", [["--dt", "1e-300", "--horizon", "1e-290"],
+                                   ["--horizon", "1e9"]])
+def test_project_grid_past_the_cap_exits_1_before_building_it(tmp_path, capsys, monkeypatch,
+                                                              flags):
+    from enerscale import projection
+
+    monkeypatch.setattr(projection, "_columns", _not_built)
+    code = main(["project", "--preset", "paper-2017", *flags, "--out", str(tmp_path / "t.csv")])
+    assert_one_error_line(code, capsys, f"needs more than {projection.MAX_GRID_POINTS} grid points")
+
+
+def test_project_curve_points_past_the_cap_exit_1_before_building_them(tmp_path, capsys,
+                                                                       monkeypatch):
+    from enerscale import projection
+
+    monkeypatch.setattr(projection, "committed_curve", _not_built)
+    points = str(projection.MAX_GRID_POINTS + 1)
+    code = main(["project", "--preset", "paper-2017", "--curve", "--points", points,
+                 "--out", str(tmp_path / "c.csv")])
+    assert_one_error_line(code, capsys, f"2 to {projection.MAX_GRID_POINTS} points")
+
+
 def test_usage_error_exit_code():
     assert main(["frobnicate"]) == EXIT_USAGE
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from enerscale.errors import DomainError, EmptySlice, InvalidPeriod
 from enerscale.growth import (
-    GrowthMethod,
     energy_productivity,
     growth_rate,
     mean_scaled_productivity,
@@ -29,12 +28,10 @@ def exponential_series(rate, years, kind=SeriesKind.ENERGY, unit=Unit.GW, scale=
 
 # ---------------------------------------------------------------- growth_rate
 
-def test_exact_exponential_both_methods():
+def test_exact_exponential():
     s = exponential_series(0.02, range(1990, 2011))
-    p = Period(1990, 2010)
-    for method in GrowthMethod:
-        rate = growth_rate(s, p, method)
-        assert type(rate) is float and rate == pytest.approx(0.02, rel=1e-12)
+    rate = growth_rate(s, Period(1990, 2010))
+    assert type(rate) is float and rate == pytest.approx(0.02, rel=1e-12)
 
 
 def test_endpoint_requires_endpoints():
@@ -45,9 +42,8 @@ def test_endpoint_requires_endpoints():
 
 def test_log_growth_of_a_rate_that_turns_negative_is_rejected():
     s = series(SeriesKind.RATE, Unit.PER_YR, (2000, 2001, 2002), (0.02, 0.01, -0.01))
-    for method in GrowthMethod:
-        with pytest.raises(DomainError):
-            growth_rate(s, Period(2000, 2002), method)
+    with pytest.raises(DomainError):
+        growth_rate(s, Period(2000, 2002))
 
 
 @given(alpha=st.floats(min_value=1e-3, max_value=1e3))
@@ -56,10 +52,7 @@ def test_growth_rate_invariant_under_rescaling(alpha):
     base = series(SeriesKind.ENERGY, Unit.GW, years, [1.0 + 0.3 * i for i in range(11)])
     scaled = series(SeriesKind.ENERGY, Unit.GW, years, [alpha * v for v in base.values])
     p = Period(2000, 2010)
-    for method in GrowthMethod:
-        assert growth_rate(scaled, p, method) == pytest.approx(
-            growth_rate(base, p, method), rel=1e-9, abs=1e-12
-        )
+    assert growth_rate(scaled, p) == pytest.approx(growth_rate(base, p), rel=1e-9, abs=1e-12)
 
 
 def test_snapshot_wealth_growth(snapshot, recon):

@@ -14,7 +14,6 @@ from enerscale.ingestion import (
     canonical_descriptor,
     load_manifest,
     load_series,
-    production_consumption_ratio,
     validate,
     write_series,
 )
@@ -153,7 +152,10 @@ def row_by_row_load_series(d):
         raise ParseError(f"cannot open {d.path}: {exc}") from exc
     with handle:
         reader = csv.reader(handle)
-        header = next(reader, [])
+        try:
+            header = next(reader, [])
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ParseError(f"{d.path}: reading stopped at row 1: {exc}") from None
         index = {name: i for i, name in enumerate(header)}
         for column in (d.year_column, d.value_column):
             if column not in index:
@@ -162,7 +164,15 @@ def row_by_row_load_series(d):
         scale, positive = d.scale, d.kind is not SeriesKind.RATE
         points = []
         row_number = 1
-        for row in reader:
+        while True:
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except (csv.Error, UnicodeDecodeError) as exc:
+                raise ParseError(
+                    f"{d.path}: reading stopped at row {row_number + 1}: {exc}"
+                ) from None
             if not row:
                 continue
             row_number += 1
@@ -252,10 +262,28 @@ def test_load_series_matches_the_row_by_row_oracle(tmp_path, text, options):
 def test_load_series_parity_when_the_read_stops_on_a_bad_byte(tmp_path):
     filler = "".join(f"{1000 + i},1.0\n" for i in range(3000))  # well past the first read
     path = tmp_path / "bytes.csv"
-    for early in ("", "1,x\n"):
+    for early, message in (("", "reading stopped at row "), ("1,x\n", "row 2: cannot parse")):
         path.write_bytes(f"year,value\n{early}{filler}".encode() + b"5000,\xff\n")
         raised = assert_parity(descriptor(path))
-        assert raised[0] is (ParseError if early else UnicodeDecodeError)
+        assert raised[0] is ParseError and message in raised[1]
+
+
+@pytest.mark.parametrize(
+    "data, row",
+    [
+        pytest.param(b"year,value\n2000,1.0\n2001,\xff\n", 1, id="bad-byte-in-the-first-read"),
+        pytest.param(b"year,\xff\n2000,1.0\n", 1, id="bad-byte-in-the-header"),
+        pytest.param(b"year,value\n2000,1.0\n2001," + OVERSIZED.encode() + b"\n", 3,
+                     id="oversized-field"),
+        pytest.param(b"year," + OVERSIZED.encode() + b"\n2000,1.0\n", 1,
+                     id="oversized-header-field"),
+    ],
+)
+def test_a_stopped_read_is_a_parse_error_naming_file_and_row(tmp_path, data, row):
+    path = tmp_path / "s.csv"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=f"s.csv: reading stopped at row {row}: "):
+        load_series(descriptor(path))
 
 
 ODD_CELLS = st.sampled_from(
@@ -342,31 +370,6 @@ def test_validate_is_pure():
     years = (2000, 2002, 2004)
     s = AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, years, (1.0, 2.0, 3.0))
     assert validate(s) == validate(s)
-
-
-# --------------------------------------------- production/consumption ratio
-
-def test_snapshot_production_consumption_ratio(snapshot):
-    stats = production_consumption_ratio(
-        snapshot.energy_production, snapshot.energy, Period(1980, 2016)
-    )
-    assert stats.mean == pytest.approx(0.998, abs=0.002)
-    assert stats.std < 0.01
-
-
-def test_ratio_of_identical_series():
-    s = AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (2000, 2001), (4.0, 5.0))
-    stats = production_consumption_ratio(s, s, Period(2000, 2001))
-    assert stats.mean == 1.0
-    assert stats.std == 0.0
-
-
-def test_ratio_constant_scaling():
-    prod = AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (2000, 2001), (2.0, 3.0))
-    cons = AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (2000, 2001), (4.0, 6.0))
-    stats = production_consumption_ratio(prod, cons, Period(2000, 2001))
-    assert stats.mean == 0.5
-    assert stats.std == 0.0
 
 
 # ------------------------------------------------------------- export cycle

@@ -11,10 +11,10 @@ import enerscale
 PUBLIC_NAMES = [
     "AnnualSeries", "AtmosphereState", "CapacityRequirement", "CarbonCycleParams",
     "CarbonizationEstimate", "DataSourceDescriptor", "DomainError", "EJ_PER_YR_PER_GW",
-    "EmptySlice", "EnerscaleError", "GapError", "GrowthMethod",
+    "EmptySlice", "EnerscaleError", "GapError",
     "IncompatibleUnits", "InvalidPeriod", "KayaComponents", "KindError", "ManifestEntry",
     "MissingYearOne", "NaturalCubicSpline", "ParseError", "Period", "PppMerRatio",
-    "Quantity", "RatesRow", "RatioStats", "ReconstructionResult", "ScalingEstimate",
+    "Quantity", "RatesRow", "ReconstructionResult", "ScalingEstimate",
     "Scenario", "SchemaError", "SeriesKind", "SteadyStateResult", "TooFewPoints",
     "Trajectory", "TrajectoryPoint", "Unit", "ValidationReport", "WealthSeries",
     "build_wealth", "calibrate_initial_wealth", "calibrate_initial_wealth_iterative",
@@ -23,7 +23,7 @@ PUBLIC_NAMES = [
     "errors", "estimate_ppp_mer_ratio", "growth", "growth_rate", "halving_time",
     "historical_spinup_delta", "ingestion", "kaya_decomposition", "load_manifest",
     "load_series", "max_carbonization", "max_carbonization_coefficient", "ppp_to_mer",
-    "production_consumption_ratio", "projection", "rates_table", "reconstruct_production",
+    "projection", "rates_table", "reconstruct_production",
     "reconstruction", "required_clean_capacity", "run_scenario", "scaling",
     "scaling_series", "scaling_stats", "series", "slice_series", "spline_infill",
     "steady_state_commitment", "step_atmosphere", "to_unit", "units", "validate",

@@ -15,6 +15,7 @@ from enerscale.carbon import (
 )
 from enerscale.errors import DomainError
 from enerscale.projection import (
+    MAX_GRID_POINTS,
     Scenario,
     TrajectoryPoint,
     TrajectoryPoints,
@@ -325,6 +326,16 @@ def test_time_grid_rejects_bad_horizon_or_step(horizon, dt):
         time_grid(horizon, dt)
 
 
+def test_time_grid_caps_the_point_count_without_building_a_grid():
+    cap = MAX_GRID_POINTS
+    assert time_grid(cap - 1.0, 1.0) == (cap - 1, 1.0)  # cap points
+    assert time_grid(cap - 1.5, 1.0) == (cap - 1, (cap - 1.5) / (cap - 1))
+    for horizon, dt in [(cap, 1.0), (cap - 0.5, 1.0), (1e-290, 1e-300), (1e9, 0.25),
+                        (1e300, 1e-10)]:
+        with pytest.raises(DomainError, match=f"needs more than {cap} grid points"):
+            time_grid(horizon, dt)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     dt=st.floats(min_value=0.005, max_value=1.0),
@@ -458,7 +469,7 @@ def test_freeze_now_relaxes_to_committed_level():
 def test_freeze_2030_doubles_preindustrial(snapshot, recon):
     s = datasets.preset_scenario()
     result = steady_state_commitment(s, freeze_year=2030.0, settle_years=350.0)
-    assert result.asymptote_concentration == pytest.approx(550.0, abs=15.0)
+    assert s.carbon_params.preindustrial + result.asymptote_delta == pytest.approx(550.0, abs=15.0)
     final = result.trajectory.points[-1].delta_co2
     assert final == pytest.approx(result.asymptote_delta, rel=1e-3)
 

@@ -18,7 +18,7 @@ from enerscale.cli import RunManifest
 from enerscale.datasets import Snapshot
 from enerscale.errors import DomainError
 from enerscale.growth import RatesRow
-from enerscale.ingestion import DataSourceDescriptor, ManifestEntry, RatioStats, ValidationReport
+from enerscale.ingestion import DataSourceDescriptor, ManifestEntry, ValidationReport
 from enerscale.projection import CapacityRequirement, Scenario, SteadyStateResult, Trajectory
 from enerscale.reconstruction import PppMerRatio, ReconstructionResult, WealthSeries
 from enerscale.records import Record
@@ -47,7 +47,6 @@ RECORDS = [
                                 year_column="y", value_column="v", scale=2.0)),
     (ManifestEntry, dict(name="energy", descriptor=DESCRIPTOR, contiguous=False)),
     (ValidationReport, dict(gaps=((3, 4),), nonpositive_count=0, duplicate_years=(), coverage=P)),
-    (RatioStats, dict(mean=1.0, std=0.1, n=3)),
     (PppMerRatio, dict(value=1.5, window=P)),
     (WealthSeries, dict(series=WEALTH.series, w1=WEALTH.w1, method="test")),
     (ReconstructionResult, dict(gdp=ENERGY, wealth=WEALTH, ratio=RATIO,
