@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 # Model modules are imported inside the command that uses them, so each
 # process loads only what its subcommand needs.
 from . import __version__, datasets
-from .errors import EnerscaleError, ParseError
+from .errors import DomainError, EnerscaleError, ParseError
 from .records import Record
 
 if TYPE_CHECKING:
@@ -58,9 +58,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _json_text(payload) -> str:
-    """The CLI's one JSON format: 2-space indent, sorted keys, trailing newline."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _json_text(payload, path) -> str:
+    """The CLI's one JSON format: 2-space indent, sorted keys, trailing newline.
+
+    A NaN or an infinity fails with ``DomainError`` naming ``path`` and its key."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        pending = [("", payload)]
+        while pending:
+            key, value = pending.pop()
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"refusing to write {value!r} to {path}: key {key}") from None
+            if isinstance(value, dict):
+                pending.extend((f"{key}.{k}" if key else str(k), v) for k, v in value.items())
+            elif isinstance(value, (list, tuple)):
+                pending.extend((f"{key}[{i}]", v) for i, v in enumerate(value))
+        raise
 
 
 class RunManifest(Record):
@@ -69,7 +83,8 @@ class RunManifest(Record):
     Unlike the package's other records it is mutable (and so unhashable).
     ``write_text``, ``write_json`` and ``write_rows`` make the parent
     directory, write UTF-8 with LF line ends, record the path as an output
-    and return it; ``write`` writes the manifest itself.
+    and return it; ``write`` writes the manifest itself. ``write_json``,
+    ``write_rows`` and ``write`` refuse a NaN or an infinity with ``DomainError``.
     """
 
     __slots__ = _fields = ("command", "parameters", "version", "inputs", "outputs")
@@ -123,9 +138,16 @@ class RunManifest(Record):
         return self.add_output(path)
 
     def write_json(self, path: Path, payload) -> Path:
-        return self.write_text(path, _json_text(payload))
+        return self.write_text(path, _json_text(payload, path))
 
     def write_rows(self, path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+        rows = list(rows)
+        for row_number, row in enumerate(rows, 2):  # the header is row 1, as on input
+            for name, cell in zip(header, row):
+                if isinstance(cell, float) and not math.isfinite(cell):
+                    raise DomainError(
+                        f"refusing to write {cell!r} to {path}: row {row_number}, column {name}"
+                    )
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(header)
@@ -141,7 +163,7 @@ class RunManifest(Record):
             "inputs": self.inputs,
             "outputs": sorted(self.outputs),
         }
-        self._save(path, _json_text(payload))
+        self._save(path, _json_text(payload, path))
         return path
 
 
@@ -251,7 +273,7 @@ def _cmd_calibrate(args, manifest: RunManifest) -> int:
         "w1_closed_form_tusd": closed.value,
         "w1_iterative_tusd": iterative.value,
         "production_year1_tusd": recon.gdp.value_at(1),
-    })
+    }, "standard output" if args.out is None else args.out)
     print(text, end="")
     if args.out is not None:
         manifest.add_series_inputs()
@@ -273,7 +295,7 @@ def _integral_years(values) -> tuple[int, ...]:
 
 def _tables_inputs(data_dir: Path | None, manifest: RunManifest):
     """Snapshot plus either recomputed or on-disk reconstruction outputs."""
-    from .ingestion import canonical_descriptor, json_field, load_series
+    from .ingestion import _finite, canonical_descriptor, json_field, load_series
     from .reconstruction import PppMerRatio, ReconstructionResult, WealthSeries
     from .series import Period, SeriesKind
     from .units import Quantity, Unit
@@ -300,14 +322,14 @@ def _tables_inputs(data_dir: Path | None, manifest: RunManifest):
     field = functools.partial(json_field, str(prov_path), prov)
     wealth = WealthSeries(
         series=wealth_series,
-        w1=Quantity(field("w1_tusd", float), Unit.TUSD),
+        w1=Quantity(field("w1_tusd", _finite), Unit.TUSD),
         method=prov.get("method", "loaded from disk"),
     )
     window = field("kappa_x_window", lambda years: Period(*_integral_years(years)))
     recon = ReconstructionResult(
         gdp=gdp,
         wealth=wealth,
-        ratio=PppMerRatio(field("kappa_x", float), window),
+        ratio=PppMerRatio(field("kappa_x", _finite), window),
         spline_knot_years=field("spline_knot_years", _integral_years, ()),
     )
     return snapshot, recon
@@ -342,7 +364,15 @@ def _scenario_from_args(args) -> Scenario:
 
     params = CarbonCycleParams(sigma=args.sigma)
     eta_w = args.eta_w if args.eta_w is not None else datasets.PRESET_GROWTH
+    initial = [("--w0", args.w0), ("--lambda-gw", args.lambda_gw), ("--c0", args.c0),
+               ("--delta0", args.delta0)]
     if args.preset is not None:
+        # The preset fixes the initial conditions: a flag changing them is refused, not ignored.
+        given = [flag for flag, value in initial if value is not None]
+        if args.start_year != datasets.PRESET_START_YEAR:
+            given.append("--start-year")
+        if given:
+            raise UsageError(f"--preset sets the initial conditions; drop {', '.join(given)}")
         try:
             base = datasets.preset_scenario(
                 args.preset, eta_c=args.eta_c, eta_w=eta_w,
@@ -352,9 +382,7 @@ def _scenario_from_args(args) -> Scenario:
         except KeyError as exc:
             raise UsageError(str(exc)) from None
         return base
-    missing = [flag for flag, value in
-               [("--w0", args.w0), ("--lambda-gw", args.lambda_gw), ("--c0", args.c0),
-                ("--delta0", args.delta0)] if value is None]
+    missing = [flag for flag, value in initial if value is None]
     if missing:
         raise UsageError(
             "either --preset or explicit initial conditions are required; missing: "
@@ -436,7 +464,7 @@ def _cmd_report(args, manifest: RunManifest) -> int:
     _record_reconstruction(manifest, recon)
     lam = scaling_series(snapshot.energy, recon.wealth)
     stats = scaling_stats(lam, Period(1980, 2017))
-    w2017 = recon.wealth.value_at(2017)
+    w2017 = recon.wealth.series.value_at(2017)
     gdp_by_year = dict(zip(recon.gdp.years, recon.gdp.values))
     scenario = datasets.preset_scenario()
     trajectory = run_scenario(scenario)

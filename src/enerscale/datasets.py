@@ -30,6 +30,9 @@ PPP_MER_WINDOW = Period(1970, 1992)
 #: Default committed growth rate for forward presets, fraction/yr.
 PRESET_GROWTH = 0.024
 
+#: Year whose observed state the ``paper-2017`` preset starts from.
+PRESET_START_YEAR = 2017
+
 
 def data_dir() -> Path:
     """Directory holding the bundled snapshot."""
@@ -111,8 +114,8 @@ def preset_scenario(
     params = carbon_params if carbon_params is not None else CarbonCycleParams()
     snap = load_snapshot()
     recon = baseline()
-    year = 2017
-    w0 = recon.wealth.value_at(year)
+    year = PRESET_START_YEAR
+    w0 = recon.wealth.series.value_at(year)
     energy_ej = snap.energy.value_at(year)
     lambda_gw = to_unit(energy_ej, Unit.EJ_PER_YR, Unit.GW) / w0
     c0 = snap.emissions.value_at(year) / energy_ej

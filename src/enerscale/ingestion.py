@@ -63,13 +63,6 @@ class ManifestEntry(Record):
     descriptor: DataSourceDescriptor
     contiguous: bool
 
-    def __init__(
-        self, name: str, descriptor: DataSourceDescriptor, contiguous: bool = True
-    ) -> None:
-        set_field(self, "name", name)
-        set_field(self, "descriptor", descriptor)
-        set_field(self, "contiguous", contiguous)
-
 
 class ValidationReport(Record):
     """Outcome of validating one series; empty means no findings."""
@@ -79,18 +72,6 @@ class ValidationReport(Record):
     nonpositive_count: int
     duplicate_years: tuple[int, ...]
     coverage: Period | None
-
-    def __init__(
-        self,
-        gaps: tuple[tuple[int, int], ...] = (),
-        nonpositive_count: int = 0,
-        duplicate_years: tuple[int, ...] = (),
-        coverage: Period | None = None,
-    ) -> None:
-        set_field(self, "gaps", gaps)
-        set_field(self, "nonpositive_count", nonpositive_count)
-        set_field(self, "duplicate_years", duplicate_years)
-        set_field(self, "coverage", coverage)
 
     def is_empty(self) -> bool:
         return not self.gaps and self.nonpositive_count == 0 and not self.duplicate_years
@@ -229,7 +210,7 @@ def validate(s: AnnualSeries, require_contiguous: bool = True) -> ValidationRepo
     coverage = (
         Period(s.first_year, s.last_year) if s.last_year > s.first_year else None
     )
-    return ValidationReport(gaps=gaps, coverage=coverage)
+    return ValidationReport(gaps=gaps, nonpositive_count=0, duplicate_years=(), coverage=coverage)
 
 
 def write_series(s: AnnualSeries, path: Path | str, value_column: str = "value") -> Path:

@@ -89,21 +89,6 @@ class Scenario(Record):
         lambda_ej = to_unit(lambda_gw, Unit.GW_PER_TUSD, Unit.EJ_PER_YR_PER_TUSD)
         set_field(self, "lambda_ej", lambda_ej)
 
-    def wealth_at(self, year: float) -> float:
-        return self.w0 * math.exp(self.eta_w * (year - self.start_year))
-
-    def carbonization_at(self, year: float) -> float:
-        return self.c0 * math.exp(self.eta_c * (year - self.start_year))
-
-    def emissions_at(self, year: float) -> float:
-        """GtC/yr source under the scaling assumption C = lambda*c*W."""
-        return self.lambda_ej * self.carbonization_at(year) * self.wealth_at(year)
-
-    def committed_delta_at(self, year: float) -> float:
-        """Equilibrium perturbation for the wealth and carbonization at ``year``."""
-        p = self.carbon_params
-        return p.kappa_a * self.emissions_at(year) / p.sigma
-
 
 class TrajectoryPoint(NamedTuple):
     """One grid time of a trajectory, its fields in the ``project`` CSV's column order."""
@@ -226,13 +211,22 @@ def time_grid(horizon_years: float, dt: float) -> tuple[int, float]:
 def _columns(s: Scenario, n_steps: int, dt: float) -> tuple[tuple[float, ...], ...]:
     """Years, wealth, emissions and perturbation on the grid start + i*dt.
 
-    Wealth and emissions are ``Scenario.wealth_at`` and ``emissions_at``
-    written out over the grid, with each grid wealth reused in its emissions.
-    The emissions grow at eta_w + eta_c, so each RK4 step is the same affine
-    map ``_rk4_affine`` of the perturbation and the step's starting emissions.
+    Wealth is ``w0*exp(eta_w*(t - start))`` and emissions ``lambda*c*W`` with
+    carbonization ``c0*exp(eta_c*(t - start))``, each grid wealth reused in its
+    emissions. The emissions grow at eta_w + eta_c, so each RK4 step is the
+    same affine map ``_rk4_affine`` of the perturbation and the step's
+    starting emissions.
     """
     start, w0, eta_w = s.start_year, s.w0, s.eta_w
     lam, c0, eta_c = s.lambda_ej, s.c0, s.eta_c
+    # Checked before any column is built: i*dt and start + i*dt each round by at
+    # most one float spacing at the largest year, so a step of more than four
+    # spacings keeps the years strictly increasing.
+    if dt <= 4.0 * math.ulp(max(abs(start), abs(start + n_steps * dt))):
+        raise DomainError(
+            f"a grid from start year {start!r} in steps of {dt!r} years would not"
+            " have strictly increasing years"
+        )
     years = tuple([start + i * dt for i in range(n_steps + 1)])
     try:
         wealth = tuple([w0 * exp(eta_w * (t - start)) for t in years])
@@ -328,7 +322,8 @@ def steady_state_commitment(
     """Run the scenario to ``freeze_year``, then hold the economy constant.
 
     After the freeze both wealth and carbonization stop changing, so the
-    perturbation relaxes toward kappa*lambda*c*W/sigma; the returned
+    perturbation relaxes toward kappa*lambda*c*W/sigma, the committed level
+    of the frozen phase's first point (``asymptote_delta``); the returned
     trajectory covers the growth phase plus ``settle_years`` of relaxation.
     Both phases take ``time_grid``'s step count but step by ``dt`` itself, so
     a phase that ``dt`` does not divide runs up to one step past its span.
@@ -337,27 +332,23 @@ def steady_state_commitment(
         raise DomainError(f"freeze year must be finite, got {freeze_year}")
     if not s.start_year <= freeze_year:
         raise DomainError("freeze year precedes the scenario start")
-    head, delta0 = None, s.delta0
-    if freeze_year > s.start_year:
-        head = _columns(s, time_grid(freeze_year - s.start_year, s.dt)[0], s.dt)
-        delta0 = head[-1][-1]
+    head = _columns(s, time_grid(freeze_year - s.start_year, s.dt)[0], s.dt)
     frozen = s._replace(
         start_year=freeze_year,
         horizon_years=settle_years,
-        w0=s.wealth_at(freeze_year),
-        c0=s.carbonization_at(freeze_year),
+        w0=s.w0 * exp(s.eta_w * (freeze_year - s.start_year)),
+        c0=s.c0 * exp(s.eta_c * (freeze_year - s.start_year)),
         eta_w=0.0,
         eta_c=0.0,
-        delta0=delta0,
+        delta0=head[-1][-1],
     )
-    columns = _columns(frozen, time_grid(settle_years, s.dt)[0], s.dt)
-    if head is not None:
-        columns = tuple(a[:-1] + b for a, b in zip(head, columns))
+    tail = _columns(frozen, time_grid(settle_years, s.dt)[0], s.dt)
+    params = s.carbon_params
     return SteadyStateResult(
-        trajectory=Trajectory(frozen, *columns),
+        trajectory=Trajectory(frozen, *(a[:-1] + b for a, b in zip(head, tail))),
         freeze_year=freeze_year,
         freeze_wealth=frozen.w0,
-        asymptote_delta=frozen.committed_delta_at(freeze_year),
+        asymptote_delta=params.kappa_a * tail[2][0] / params.sigma,
     )
 
 

@@ -120,8 +120,19 @@ class PppMerRatio(Record):
         set_field(self, "window", window)
 
 
+def _check_wealth(values: Sequence[float], w1: float) -> None:
+    """W's invariants: strictly increasing, and W at the first year not below W(1)."""
+    if any(map(operator.ge, values, values[1:])):
+        raise DomainError("wealth must be strictly increasing")
+    if values[0] < w1:
+        raise DomainError("wealth at the first year cannot be below W(1)")
+
+
 class WealthSeries(Record):
-    """Cumulative production W(t) with its initialization and provenance."""
+    """Cumulative production W(t) with its initialization and provenance.
+
+    Every W, accumulated or read from disk, is checked here for W's invariants.
+    """
 
     __slots__ = _fields = ("series", "w1", "method")
     series: AnnualSeries
@@ -131,17 +142,10 @@ class WealthSeries(Record):
     def __init__(self, series: AnnualSeries, w1: Quantity, method: str) -> None:
         if series.kind is not SeriesKind.WEALTH:
             raise KindError("WealthSeries wraps a series of kind 'wealth'")
-        values = series.values
-        if any(map(operator.ge, values, values[1:])):
-            raise DomainError("wealth must be strictly increasing")
-        if values[0] < w1.value:
-            raise DomainError("wealth at the first year cannot be below W(1)")
+        _check_wealth(series.values, w1.value)
         set_field(self, "series", series)
         set_field(self, "w1", w1)
         set_field(self, "method", method)
-
-    def value_at(self, year: int) -> float:
-        return self.series.value_at(year)
 
 
 def estimate_ppp_mer_ratio(
@@ -228,10 +232,9 @@ def calibrate_initial_wealth_iterative(
 def _accumulate(gdp: AnnualSeries, w1: Quantity, keep: slice = slice(None)) -> WealthSeries:
     """W(t) = W(1) + sum of annual production through year t, over the years ``keep`` selects.
 
-    Every check runs on the whole column, so a window fails exactly as the
-    full series would: the kind, contiguity, unit and sign of the inputs,
-    then a finite, strictly increasing W with W at the first year not below
-    W(1).
+    The inputs are checked for kind, contiguity, unit and sign. W itself is
+    checked by the series it is kept in; a window is first checked over the
+    whole column, so it fails exactly as the full series would.
     """
     if gdp.kind is not SeriesKind.GDP_MER:
         raise KindError(f"cumulative_production expects gdp_mer, got {gdp.kind.value}")
@@ -242,14 +245,12 @@ def _accumulate(gdp: AnnualSeries, w1: Quantity, keep: slice = slice(None)) -> W
     if w1.value < 0:
         raise DomainError("W(1) must be nonnegative")
     wealth = tuple(map(operator.add, repeat(w1.value), accumulate(gdp.values)))
-    # Production is positive and W(1) finite, so only a sum that overflows is
-    # not finite, and it stays infinite through the last year.
-    if not math.isfinite(wealth[-1]):
-        raise DomainError("series values must be finite")
-    if any(map(operator.ge, wealth, wealth[1:])):
-        raise DomainError("wealth must be strictly increasing")
-    if wealth[0] < w1.value:
-        raise DomainError("wealth at the first year cannot be below W(1)")
+    if keep != slice(None):
+        # Production is positive and W(1) finite, so only a sum that overflows
+        # is not finite, and it stays infinite through the last year.
+        if not math.isfinite(wealth[-1]):
+            raise DomainError("series values must be finite")
+        _check_wealth(wealth, w1.value)
     series = AnnualSeries(SeriesKind.WEALTH, Unit.TUSD, gdp.years[keep], wealth[keep])
     return WealthSeries(series=series, w1=w1, method="annual left sum of production")
 

@@ -206,18 +206,11 @@ class AnnualSeries(Record):
         return self.last_year - self.first_year + 1 == len(self.years)
 
     def with_data(
-        self,
-        years: Sequence[int],
-        values: Sequence[float],
-        kind: SeriesKind | None = None,
-        unit: Unit | None = None,
+        self, years: Sequence[int], values: Sequence[float], kind: SeriesKind | None = None
     ) -> "AnnualSeries":
-        """Build a sibling series, preserving kind/unit unless overridden."""
+        """Build a sibling series with the same unit, and the same kind unless overridden."""
         return AnnualSeries(
-            kind if kind is not None else self.kind,
-            unit if unit is not None else self.unit,
-            tuple(years),
-            tuple(values),
+            kind if kind is not None else self.kind, self.unit, tuple(years), tuple(values)
         )
 
 

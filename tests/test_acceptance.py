@@ -88,7 +88,7 @@ def test_criterion_02_initial_stock_sensitivity(snapshot, recon):
 def test_criterion_03_historical_shares(recon):
     """First-millennium accumulation 3-6% of W(2017); W(1) 6-9%; the
     1980-2017 window 55-65%."""
-    w2017 = recon.wealth.value_at(2017)
+    w2017 = recon.wealth.series.value_at(2017)
     by_year = dict(zip(recon.gdp.years, recon.gdp.values))
     first_millennium = 100.0 * sum(v for y, v in by_year.items() if y <= 1000) / w2017
     initial = 100.0 * recon.w1.value / w2017

@@ -2,6 +2,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,8 @@ import pytest
 
 import enerscale
 from enerscale import datasets
-from enerscale.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
+from enerscale.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, _json_text, main
+from enerscale.errors import DomainError
 from enerscale.ingestion import canonical_descriptor, load_series
 from enerscale.series import SeriesKind
 from enerscale.units import Unit
@@ -135,6 +137,8 @@ def test_tables_missing_reconstruction_inputs(tmp_path, capsys):
         ("[]", "'w1_tusd'"),
         ('{"w1_tusd": "abc", "kappa_x": 1.5, "kappa_x_window": [1970, 1992]}', "'w1_tusd'"),
         ('{"w1_tusd": 50.0, "kappa_x": null, "kappa_x_window": [1970, 1992]}', "'kappa_x'"),
+        ('{"w1_tusd": 50.0, "kappa_x": Infinity, "kappa_x_window": [1970, 1992]}', "'kappa_x'"),
+        ('{"w1_tusd": 50.0, "kappa_x": NaN, "kappa_x_window": [1970, 1992]}', "'kappa_x'"),
         ('{"w1_tusd": 50.0, "kappa_x": 1.5, "kappa_x_window": "1970"}', "'kappa_x_window'"),
         ('{"w1_tusd": 50.0, "kappa_x": 1.5, "kappa_x_window": [1970, 1992],'
          ' "spline_knot_years": 5}', "'spline_knot_years'"),
@@ -478,6 +482,58 @@ def test_project_curve_points_past_the_cap_exit_1_before_building_them(tmp_path,
     code = main(["project", "--preset", "paper-2017", "--curve", "--points", points,
                  "--out", str(tmp_path / "c.csv")])
     assert_one_error_line(code, capsys, f"2 to {projection.MAX_GRID_POINTS} points")
+
+
+def test_project_output_that_overflows_exits_1_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    code = main(["project", "--w0", "1e308", "--lambda-gw", "1e308", "--c0", "1", "--delta0", "0",
+                 "--horizon", "1", "--out", str(out)])
+    assert_one_error_line(code, capsys, f"refusing to write inf to {out}: row 2, column")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_json_writer_names_the_key_of_a_non_finite_value():
+    assert _json_text({"a": [1.5, 2]}, "x.json") == '{\n  "a": [\n    1.5,\n    2\n  ]\n}\n'
+    with pytest.raises(DomainError, match=r"^refusing to write nan to x\.json: key a\.b\[1\]$"):
+        _json_text({"a": {"b": [1.0, float("nan")]}, "c": 2.0}, "x.json")
+    with pytest.raises(DomainError, match=r"^refusing to write -inf to out: key d$"):
+        _json_text({"d": -math.inf}, "out")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--start-year", "1e300"],
+    ["--start-year", "1e9", "--dt", "1e-8", "--horizon", "1e-6"],
+], ids=["huge-start", "large-start-small-dt"])
+def test_project_start_year_whose_grid_years_do_not_increase_exits_1(tmp_path, capsys, flags):
+    code = main(["project", "--w0", "300", "--lambda-gw", "5.9", "--c0", "0.02", "--delta0", "130",
+                 *flags, "--out", str(tmp_path / "t.csv")])
+    assert_one_error_line(code, capsys, "would not have strictly increasing years")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--w0", "5"], "--w0"),
+    (["--lambda-gw", "5.9"], "--lambda-gw"),
+    (["--c0", "0.02"], "--c0"),
+    (["--delta0", "130"], "--delta0"),
+    (["--start-year", "1900"], "--start-year"),
+    (["--start-year", "1900", "--w0", "5"], "--w0, --start-year"),
+])
+def test_preset_with_initial_conditions_is_a_usage_error(tmp_path, capsys, flags, named):
+    code = main(["project", "--preset", "paper-2017", *flags, "--out", str(tmp_path / "t.csv")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"usage error: --preset sets the initial conditions; drop {named}\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_preset_accepts_its_own_start_year(tmp_path):
+    default, explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
+    assert main(["project", "--preset", "paper-2017", "--out", str(default)]) == EXIT_OK
+    assert main(["project", "--preset", "paper-2017", "--start-year", "2017",
+                 "--out", str(explicit)]) == EXIT_OK
+    assert explicit.read_bytes() == default.read_bytes()
 
 
 def test_usage_error_exit_code():

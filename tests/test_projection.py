@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,27 @@ def scenario(**overrides):
     return Scenario(**base)
 
 
+# Closed forms of a scenario at ``year``: the references for the engine's columns.
+
+def wealth_at(s, year):
+    return s.w0 * math.exp(s.eta_w * (year - s.start_year))
+
+
+def carbonization_at(s, year):
+    return s.c0 * math.exp(s.eta_c * (year - s.start_year))
+
+
+def emissions_at(s, year):
+    """GtC/yr source under the scaling assumption C = lambda*c*W."""
+    return s.lambda_ej * carbonization_at(s, year) * wealth_at(s, year)
+
+
+def committed_delta_at(s, year):
+    """Equilibrium perturbation for the wealth and carbonization at ``year``."""
+    p = s.carbon_params
+    return p.kappa_a * emissions_at(s, year) / p.sigma
+
+
 # ------------------------------------------------------------------ validation
 
 def test_scenario_validates_inputs():
@@ -71,7 +93,7 @@ def test_sigma_dt_past_the_stability_limit_is_rejected(run):
 
 def test_constant_economy_approaches_analytic_equilibrium():
     s = scenario(eta_w=0.0, eta_c=0.0, delta0=0.0, horizon_years=40.0)
-    emissions = s.emissions_at(2017.0)
+    emissions = emissions_at(s, 2017.0)
     trajectory = run_scenario(s)
     params = s.carbon_params
     eq = params.kappa_a * emissions / params.sigma
@@ -119,7 +141,7 @@ def test_delta_matches_exponential_source_closed_form(dt, sigma):
     s = scenario(eta_c=-0.01, dt=dt, carbon_params=params)
     trajectory = run_scenario(s)
     rate = s.eta_w + s.eta_c + sigma
-    c0 = s.emissions_at(s.start_year)
+    c0 = emissions_at(s, s.start_year)
     for year, delta in zip(trajectory.years, trajectory.deltas):
         t = year - s.start_year
         decay = math.exp(-sigma * t)
@@ -146,7 +168,7 @@ def _stepped_deltas(s):
     step = time_grid(s.horizon_years, s.dt)[1]
     deltas = [s.delta0]
     for year in trajectory.years[:-1]:
-        state = step_atmosphere(AtmosphereState(year, deltas[-1]), s.emissions_at,
+        state = step_atmosphere(AtmosphereState(year, deltas[-1]), partial(emissions_at, s),
                                 s.carbon_params, step)
         deltas.append(state.delta_co2)
     return trajectory.deltas, deltas
@@ -233,13 +255,13 @@ def test_runs_build_no_points_until_one_is_read(monkeypatch):
 
 
 def _columns_by_scalar_calls(s, n_steps, dt):
-    """The columns as they were once built: one Scenario method call per value."""
+    """The columns as they were once built: one closed-form call per value."""
     years = tuple([s.start_year + i * dt for i in range(n_steps + 1)])
-    emissions = tuple(map(s.emissions_at, years))
-    at_mid = map(s.emissions_at, (t + dt / 2.0 for t in years))
+    emissions = tuple(map(partial(emissions_at, s), years))
+    at_mid = map(partial(emissions_at, s), (t + dt / 2.0 for t in years))
     p = s.carbon_params
     deltas = _rk4_deltas(s.delta0, emissions, at_mid, dt, p.kappa_a, p.sigma)
-    return years, tuple(map(s.wealth_at, years)), emissions, tuple(deltas)
+    return years, tuple(map(partial(wealth_at, s), years)), emissions, tuple(deltas)
 
 
 def assert_columns_match(trajectory, expected):
@@ -374,7 +396,7 @@ def test_commitment_dominates_realized_path(eta_w, eta_c, delta0_frac):
     if eta_w + eta_c < 0:
         return
     s0 = scenario(eta_w=eta_w, eta_c=eta_c, delta0=0.0, horizon_years=30.0)
-    committed0 = s0.committed_delta_at(s0.start_year)
+    committed0 = committed_delta_at(s0, s0.start_year)
     s = scenario(
         eta_w=eta_w, eta_c=eta_c, delta0=delta0_frac * committed0, horizon_years=30.0
     )
@@ -410,7 +432,7 @@ def test_stabilizing_at_350ppmv_needs_deep_wealth_cut(snapshot, recon):
     )
     delta = committed_equilibrium(Quantity(w_needed, Unit.TUSD), scale, c, s.carbon_params)
     assert delta.value == pytest.approx(target, rel=1e-12)
-    ratio = w_needed / recon.wealth.value_at(2017)
+    ratio = w_needed / recon.wealth.series.value_at(2017)
     assert 0.28 <= ratio <= 0.45
     crossing_year = next(
         year for year, value in zip(recon.wealth.series.years, recon.wealth.series.values)
@@ -460,7 +482,7 @@ def test_halving_time_values():
 def test_freeze_now_relaxes_to_committed_level():
     s = scenario(horizon_years=40.0)
     result = steady_state_commitment(s, freeze_year=2017.0, settle_years=400.0)
-    expected = s.committed_delta_at(2017.0)
+    expected = committed_delta_at(s, 2017.0)
     assert result.asymptote_delta == pytest.approx(expected, rel=1e-12)
     final = result.trajectory.points[-1].delta_co2
     assert final == pytest.approx(expected, rel=1e-4)
@@ -500,8 +522,8 @@ def test_off_grid_freeze_joins_phases_in_order():
     assert all(a < b for a, b in zip(years, years[1:]))
     assert years[0] == 2017.0 and years[-1] == 2050.1
     frozen = result.trajectory.at_year(2030.1)
-    assert frozen.wealth == s.wealth_at(2030.1)
-    assert result.trajectory.at_year(2030.0).wealth == s.wealth_at(2030.0)
+    assert frozen.wealth == wealth_at(s, 2030.1)
+    assert result.trajectory.at_year(2030.0).wealth == wealth_at(s, 2030.0)
 
 
 # ---------------------------------------------------------------------- spinup

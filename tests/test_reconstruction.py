@@ -116,8 +116,8 @@ def test_iterative_matches_closed_form(recon):
 def test_constant_production_accumulates_linearly():
     gdp = gdp_series(range(1, 11), [1.0] * 10)
     w = cumulative_production(gdp, Quantity(0.0, Unit.TUSD))
-    assert w.value_at(10) == pytest.approx(10.0)
-    assert w.value_at(1) == pytest.approx(1.0)
+    assert w.series.value_at(10) == pytest.approx(10.0)
+    assert w.series.value_at(1) == pytest.approx(1.0)
 
 
 def test_first_difference_recovers_production(recon):
@@ -140,7 +140,9 @@ def test_cumulative_production_is_linear(alpha):
     base = cumulative_production(gdp, Quantity(2.0, Unit.TUSD))
     doubled = cumulative_production(scaled, Quantity(2.0 * alpha, Unit.TUSD))
     for year in years:
-        assert doubled.value_at(year) == pytest.approx(alpha * base.value_at(year), rel=1e-12)
+        assert doubled.series.value_at(year) == pytest.approx(
+            alpha * base.series.value_at(year), rel=1e-12
+        )
 
 
 def test_cumulative_production_rejects_gaps():
@@ -157,7 +159,7 @@ def test_snapshot_calibration_milestones(recon):
 
 
 def test_snapshot_wealth_spans(recon):
-    w2017 = recon.wealth.value_at(2017)
+    w2017 = recon.wealth.series.value_at(2017)
     assert recon.w1.value / w2017 == pytest.approx(0.073, abs=0.015)
     by_year = dict(zip(recon.gdp.years, recon.gdp.values))
     first_millennium = sum(v for y, v in by_year.items() if y <= 1000)

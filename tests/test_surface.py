@@ -1,10 +1,12 @@
 """Every function under ``src/enerscale/`` is reached by a subcommand, or named by what needs it.
 
 The subcommand runs go through in-process ``cli.main`` under ``sys.setprofile``
-and record the code object of every Python frame they enter. A ``def`` (every
-``__init__`` included; the other dunder hooks are called implicitly and left
-out) that none of the runs enters must be on ``ALLOWED`` with what needs it,
-and an ``ALLOWED`` entry that a run reaches, or whose ``def`` is gone, is stale.
+and record the code object of every Python frame they enter; a code object is
+matched to its ``def`` by file, first line and name, which every supported
+Python has (``co_qualname`` is 3.11+). A ``def`` (every ``__init__`` included;
+the other dunder hooks are called implicitly and left out) that none of the
+runs enters must be on ``ALLOWED`` with what needs it, and an ``ALLOWED``
+entry that a run reaches, or whose ``def`` is gone, is stale.
 """
 
 import ast
@@ -26,10 +28,6 @@ ALLOWED = {
     "carbon.max_carbonization": "criterion 10",
     "carbon.KayaComponents.residual": "criterion 10",
     "projection.steady_state_commitment": "the benchmark's sweep workload",
-    "projection.Scenario.wealth_at": "the test reference for projection._columns",
-    "projection.Scenario.carbonization_at": "the test reference for projection._columns",
-    "projection.Scenario.emissions_at": "the test reference for projection._columns",
-    "projection.Scenario.committed_delta_at": "the test reference for projection._columns",
     "series._number": "the input check of AnnualSeries values given by a library caller",
     "cli.console_main": "the console-script hook",
     "cli._Parser.error": "argparse's usage-error hook",
@@ -38,19 +36,21 @@ ALLOWED = {
 }
 
 
-def defined_functions(path: Path, module: str) -> set[str]:
-    """``module.qualname`` (as ``co_qualname`` spells it) of each def the audit covers."""
-    found = set()
+def def_lines(path: Path, module: str) -> dict[tuple[int, str], str]:
+    """``module.qualname`` of each def in ``path``, keyed by its code object's first line and name.
+
+    A decorated def's code object starts at its first decorator.
+    """
+    found = {}
 
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 visit(child, f"{prefix}{child.name}.")
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                name = child.name
-                if name == "__init__" or not (name.startswith("__") and name.endswith("__")):
-                    found.add(f"{module}.{prefix}{name}")
-                visit(child, f"{prefix}{name}.<locals>.")
+                first = min([child.lineno, *(d.lineno for d in child.decorator_list)])
+                found[first, child.name] = f"{module}.{prefix}{child.name}"
+                visit(child, f"{prefix}{child.name}.<locals>.")
             else:
                 visit(child, prefix)
 
@@ -58,8 +58,16 @@ def defined_functions(path: Path, module: str) -> set[str]:
     return found
 
 
+def defined_functions(path: Path, module: str) -> set[str]:
+    """``module.qualname`` of each def the audit covers (see the module notes)."""
+    return {
+        qualname for (_, name), qualname in def_lines(path, module).items()
+        if name == "__init__" or not (name.startswith("__") and name.endswith("__"))
+    }
+
+
 def reached_functions(run, directory: Path) -> set[str]:
-    """``module.qualname`` of each function under ``directory`` that ``run()`` enters."""
+    """``module.qualname`` of each def under ``directory`` that ``run()`` enters."""
     codes = set()
 
     def profile(frame, event, arg):
@@ -71,11 +79,16 @@ def reached_functions(run, directory: Path) -> set[str]:
         run()
     finally:
         sys.setprofile(None)
-    return {
-        f"{Path(code.co_filename).stem}.{code.co_qualname}"
-        for code in codes
-        if Path(code.co_filename).parent == directory
-    }
+    lines, reached = {}, set()
+    for code in codes:
+        path = Path(code.co_filename)
+        if path.parent == directory:
+            if path not in lines:
+                lines[path] = def_lines(path, path.stem)
+            qualname = lines[path].get((code.co_firstlineno, code.co_name))
+            if qualname is not None:
+                reached.add(qualname)
+    return reached
 
 
 def surface_findings(defined: set[str], reached: set[str], allowed: dict[str, str]) -> list[str]:
