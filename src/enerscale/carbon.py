@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence, Union
 from .errors import DomainError, EmptySlice
 from .growth import energy_productivity, growth_rate
 from .reconstruction import WealthSeries
-from .records import Record, set_field
+from .records import Record
 from .series import (
     AnnualSeries,
     Period,
@@ -61,10 +61,7 @@ class CarbonCycleParams(Record):
                 f"sigma={sigma} outside the supported band {SIGMA_BAND}; "
                 "pass allow_sigma_out_of_band=True to override"
             )
-        set_field(self, "sigma", sigma)
-        set_field(self, "kappa_a", kappa_a)
-        set_field(self, "preindustrial", preindustrial)
-        set_field(self, "allow_sigma_out_of_band", allow_sigma_out_of_band)
+        super().__init__(sigma, kappa_a, preindustrial, allow_sigma_out_of_band)
 
 
 class AtmosphereState(Record):
@@ -75,8 +72,7 @@ class AtmosphereState(Record):
     delta_co2: float
 
     def __init__(self, year: float, delta_co2: float) -> None:
-        set_field(self, "year", year)
-        set_field(self, "delta_co2", delta_co2)
+        super().__init__(year, delta_co2)
         if not (math.isfinite(year) and math.isfinite(delta_co2)):
             raise DomainError(f"atmosphere state must be finite, got {self}")
         if delta_co2 < 0:
@@ -97,24 +93,15 @@ class CarbonizationEstimate(Record):
     period: Period
     c: float
     eta_c: float
-    lambda_c: float | None
-    lambda_c_std: float | None
+    lambda_c: float
+    lambda_c_std: float
 
     def __init__(
-        self,
-        period: Period,
-        c: float,
-        eta_c: float,
-        lambda_c: float | None = None,
-        lambda_c_std: float | None = None,
+        self, period: Period, c: float, eta_c: float, lambda_c: float, lambda_c_std: float
     ) -> None:
         if c <= 0:
             raise DomainError("carbonization must be positive")
-        set_field(self, "period", period)
-        set_field(self, "c", c)
-        set_field(self, "eta_c", eta_c)
-        set_field(self, "lambda_c", lambda_c)
-        set_field(self, "lambda_c_std", lambda_c_std)
+        super().__init__(period, c, eta_c, lambda_c, lambda_c_std)
 
 
 def carbonization_series(emissions: AnnualSeries, energy: AnnualSeries) -> AnnualSeries:
@@ -129,34 +116,29 @@ def carbonization(
     emissions: AnnualSeries,
     energy: AnnualSeries,
     p: Period,
-    wealth: WealthSeries | None = None,
+    wealth: WealthSeries,
     params: CarbonCycleParams = CarbonCycleParams(),
 ) -> CarbonizationEstimate:
-    """Period statistics of carbon intensity, and of emissions/wealth scaling
-    when a wealth series is supplied."""
+    """Period statistics of carbon intensity and of the emissions/wealth scaling."""
     c_series = carbonization_series(emissions, energy)
     c_window = slice_series(c_series, p)
     eta_c = growth_rate(c_series, p)
-    lambda_c = lambda_c_std = None
-    if wealth is not None:
-        try:
-            _, c_values, w_values = aligned_values(
-                slice_series(emissions, p), slice_series(wealth.series, p)
-            )
-        except EmptySlice:
-            raise EmptySlice(f"no emissions/wealth overlap inside {p}") from None
-        in_window = [
-            (kc / w) * params.kappa_a * 1e3  # per quadrillion = 1000 T$
-            for kc, w in zip(c_values, w_values)
-        ]
-        lambda_c = mean(in_window)
-        lambda_c_std = sample_std(in_window)
+    try:
+        _, c_values, w_values = aligned_values(
+            slice_series(emissions, p), slice_series(wealth.series, p)
+        )
+    except EmptySlice:
+        raise EmptySlice(f"no emissions/wealth overlap inside {p}") from None
+    in_window = [
+        (kc / w) * params.kappa_a * 1e3  # per quadrillion = 1000 T$
+        for kc, w in zip(c_values, w_values)
+    ]
     return CarbonizationEstimate(
         period=p,
         c=mean(c_window.values),
         eta_c=eta_c,
-        lambda_c=lambda_c,
-        lambda_c_std=lambda_c_std,
+        lambda_c=mean(in_window),
+        lambda_c_std=sample_std(in_window),
     )
 
 

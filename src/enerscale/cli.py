@@ -105,11 +105,8 @@ class RunManifest(Record):
         inputs: dict[str, str] | None = None,
         outputs: list[str] | None = None,
     ) -> None:
-        self.command = command
-        self.parameters = parameters
-        self.version = version
-        self.inputs = {} if inputs is None else inputs
-        self.outputs = [] if outputs is None else outputs
+        super().__init__(command, parameters, version,
+                         {} if inputs is None else inputs, [] if outputs is None else outputs)
 
     def add_input(self, path: Path) -> None:
         self.inputs[str(path)] = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -205,7 +202,7 @@ def _build_parser() -> _Parser:
     p_proj.add_argument("--delta0", type=float, default=None,
                         help="initial concentration perturbation, ppmv")
     p_proj.add_argument("--sigma", type=float, default=0.023, help="sink rate, 1/yr")
-    p_proj.add_argument("--start-year", type=float, default=2017.0)
+    p_proj.add_argument("--start-year", type=float, default=float(datasets.PRESET_START_YEAR))
     p_proj.add_argument("--spinup", action="store_true",
                         help="integrate the observed emissions record for delta0")
     p_proj.add_argument("--curve", action="store_true",

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 from .ingestion import ManifestEntry, load_manifest, load_series
 from .records import Record
-from .series import AnnualSeries, Period
+from .series import AnnualSeries
 from .units import Unit, to_unit
 
 # baseline() and preset_scenario() import the model modules they call, so
@@ -23,9 +23,6 @@ if TYPE_CHECKING:
     from .carbon import CarbonCycleParams
     from .projection import Scenario
     from .reconstruction import ReconstructionResult
-
-#: Window over which concurrent PPP and MER statistics exist.
-PPP_MER_WINDOW = Period(1970, 1992)
 
 #: Default committed growth rate for forward presets, fraction/yr.
 PRESET_GROWTH = 0.024
@@ -84,7 +81,7 @@ def baseline() -> ReconstructionResult:
     from .reconstruction import build_wealth
 
     snap = load_snapshot()
-    return build_wealth(snap.gdp_ppp, snap.gdp_mer, overlap_window=PPP_MER_WINDOW)
+    return build_wealth(snap.gdp_ppp, snap.gdp_mer)
 
 
 def preset_scenario(

@@ -18,7 +18,7 @@ import operator
 from pathlib import Path
 
 from .errors import DomainError, ParseError, SchemaError
-from .records import Record, set_field
+from .records import Record
 from .series import AnnualSeries, Period, SeriesKind
 from .units import Unit
 
@@ -43,12 +43,7 @@ class DataSourceDescriptor(Record):
         value_column: str = "value",
         scale: float = 1.0,
     ) -> None:
-        set_field(self, "path", Path(path))
-        set_field(self, "kind", kind)
-        set_field(self, "unit", unit)
-        set_field(self, "year_column", year_column)
-        set_field(self, "value_column", value_column)
-        set_field(self, "scale", scale)
+        super().__init__(Path(path), kind, unit, year_column, value_column, scale)
         if not 0 < scale < math.inf:  # NaN fails both comparisons
             raise DomainError(f"descriptor scale must be positive and finite, got {scale!r}")
         if not year_column or not value_column:
@@ -67,20 +62,20 @@ class ManifestEntry(Record):
 class ValidationReport(Record):
     """Outcome of validating one series; empty means no findings."""
 
-    __slots__ = _fields = ("gaps", "nonpositive_count", "duplicate_years", "coverage")
+    __slots__ = _fields = ("gaps", "coverage")
     gaps: tuple[tuple[int, int], ...]
-    nonpositive_count: int
-    duplicate_years: tuple[int, ...]
     coverage: Period | None
 
     def is_empty(self) -> bool:
-        return not self.gaps and self.nonpositive_count == 0 and not self.duplicate_years
+        return not self.gaps
 
     def to_dict(self) -> dict:
+        # The file format keeps the counts of nonpositive values and duplicate
+        # years, which are always 0 and []: load_series rejects both faults.
         return {
             "gaps": [list(g) for g in self.gaps],
-            "nonpositive_count": self.nonpositive_count,
-            "duplicate_years": list(self.duplicate_years),
+            "nonpositive_count": 0,
+            "duplicate_years": [],
             "coverage": None
             if self.coverage is None
             else [self.coverage.start_year, self.coverage.end_year],
@@ -210,7 +205,7 @@ def validate(s: AnnualSeries, require_contiguous: bool = True) -> ValidationRepo
     coverage = (
         Period(s.first_year, s.last_year) if s.last_year > s.first_year else None
     )
-    return ValidationReport(gaps=gaps, nonpositive_count=0, duplicate_years=(), coverage=coverage)
+    return ValidationReport(gaps=gaps, coverage=coverage)
 
 
 def write_series(s: AnnualSeries, path: Path | str, value_column: str = "value") -> Path:

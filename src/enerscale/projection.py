@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .carbon import _NEGATIVE_PERTURBATION, CarbonCycleParams, _rk4_affine, committed_equilibrium
 from .errors import DomainError
-from .records import Record, set_field
+from .records import Record
 from .series import AnnualSeries
 from .units import DAYS_PER_YEAR, Quantity, Unit, to_unit
 
@@ -29,16 +29,13 @@ class Scenario(Record):
     """Forward-run configuration.
 
     Units: wealth in T$2010, scaling in GW per T$2010, carbonization in
-    GtC/EJ, rates in fraction/yr, concentrations in ppmv. ``lambda_ej``, the
-    scaling in EJ/yr per T$2010, is derived from ``lambda_gw`` and is not a
-    field: it takes no part in equality, the repr or ``_replace``.
+    GtC/EJ, rates in fraction/yr, concentrations in ppmv.
     """
 
-    _fields = (
+    __slots__ = _fields = (
         "start_year", "horizon_years", "w0", "lambda_gw", "c0", "eta_w", "eta_c", "delta0",
         "carbon_params", "dt",
     )
-    __slots__ = (*_fields, "lambda_ej")
     start_year: float
     horizon_years: float
     w0: float
@@ -49,7 +46,6 @@ class Scenario(Record):
     delta0: float
     carbon_params: CarbonCycleParams
     dt: float
-    lambda_ej: float
 
     def __init__(
         self,
@@ -64,16 +60,9 @@ class Scenario(Record):
         carbon_params: CarbonCycleParams = CarbonCycleParams(),
         dt: float = 0.25,
     ) -> None:
-        set_field(self, "start_year", start_year)
-        set_field(self, "horizon_years", horizon_years)
-        set_field(self, "w0", w0)
-        set_field(self, "lambda_gw", lambda_gw)
-        set_field(self, "c0", c0)
-        set_field(self, "eta_w", eta_w)
-        set_field(self, "eta_c", eta_c)
-        set_field(self, "delta0", delta0)
-        set_field(self, "carbon_params", carbon_params)
-        set_field(self, "dt", dt)
+        super().__init__(
+            start_year, horizon_years, w0, lambda_gw, c0, eta_w, eta_c, delta0, carbon_params, dt
+        )
         not_finite = [name for name in self._fields if name != "carbon_params"
                       and not math.isfinite(getattr(self, name))]
         if not_finite:
@@ -86,8 +75,11 @@ class Scenario(Record):
             raise DomainError("w0, lambda and c0 must be positive")
         if delta0 < 0:
             raise DomainError("initial perturbation cannot be negative")
-        lambda_ej = to_unit(lambda_gw, Unit.GW_PER_TUSD, Unit.EJ_PER_YR_PER_TUSD)
-        set_field(self, "lambda_ej", lambda_ej)
+
+    @property
+    def lambda_ej(self) -> float:
+        """The scaling in EJ/yr per T$2010, derived from ``lambda_gw``."""
+        return to_unit(self.lambda_gw, Unit.GW_PER_TUSD, Unit.EJ_PER_YR_PER_TUSD)
 
 
 class TrajectoryPoint(NamedTuple):
@@ -370,6 +362,8 @@ def historical_spinup_delta(
     Every year is covered exactly: it takes ``time_grid``'s step count for one
     year, ``n``, in steps of ``1/n``, so a ``dt`` that does not divide the year
     is refined to the next step that does (0.3 -> 1/4, 0.4 -> 1/3, 0.7 -> 1/2).
+    A run of more than ``MAX_GRID_POINTS`` steps in all is rejected before the
+    first step.
     """
     if not emissions.is_contiguous():
         raise DomainError("spin-up needs a contiguous emissions series")
@@ -385,6 +379,11 @@ def historical_spinup_delta(
             f" got {end_year!r}"
         )
     n = time_grid(1.0, dt)[0]
+    years = last - emissions.first_year
+    if years * n > MAX_GRID_POINTS:
+        raise DomainError(
+            f"a {years}-year spin-up at dt={dt!r} needs more than {MAX_GRID_POINTS} steps"
+        )
     a, p = _rk4_affine(1.0 / n, params.kappa_a, params.sigma)
     delta = delta0
     for year in range(emissions.first_year, last):

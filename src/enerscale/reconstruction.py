@@ -32,13 +32,16 @@ from .errors import (
     MissingYearOne,
     TooFewPoints,
 )
-from .records import Record, set_field
+from .records import Record
 from .series import AnnualSeries, Period, SeriesKind, aligned_values, mean, slice_series
 from .units import Quantity, Unit
 
 #: Ancient population growth rate (fraction/yr): ~10 million more people per
 #: century on a base of ~170 million around year 1 CE.
 ANCIENT_POP_GROWTH = 5.9e-4
+
+#: Window over which concurrent PPP and MER statistics exist.
+PPP_MER_WINDOW = Period(1970, 1992)
 
 
 class NaturalCubicSpline:
@@ -116,8 +119,7 @@ class PppMerRatio(Record):
     def __init__(self, value: float, window: Period) -> None:
         if value <= 0:
             raise DomainError("PPP/MER ratio must be positive")
-        set_field(self, "value", value)
-        set_field(self, "window", window)
+        super().__init__(value, window)
 
 
 def _check_wealth(values: Sequence[float], w1: float) -> None:
@@ -143,9 +145,7 @@ class WealthSeries(Record):
         if series.kind is not SeriesKind.WEALTH:
             raise KindError("WealthSeries wraps a series of kind 'wealth'")
         _check_wealth(series.values, w1.value)
-        set_field(self, "series", series)
-        set_field(self, "w1", w1)
-        set_field(self, "method", method)
+        super().__init__(series, w1, method)
 
 
 def estimate_ppp_mer_ratio(
@@ -295,7 +295,7 @@ def reconstruct_production(
 def build_wealth(
     historical_ppp: AnnualSeries,
     modern_mer: AnnualSeries,
-    overlap_window: Period = Period(1970, 1992),
+    overlap_window: Period = PPP_MER_WINDOW,
     pop_growth: float = ANCIENT_POP_GROWTH,
 ) -> ReconstructionResult:
     """Run the full reconstruction: ratio, infill, splice, calibrate, accumulate."""

@@ -2,9 +2,11 @@
 
 A record is a plain class whose ``__slots__`` hold its fields, listed in
 order in ``_fields``. The base ``__init__`` binds positional and keyword
-arguments to those fields, every one of them required, and stores them; a
-record that validates, normalises, derives or defaults a field writes its
-own ``__init__`` instead and stores each field with ``set_field``. The base
+arguments to those fields, every one of them required, and stores them. It
+is the only code that stores a record's fields: a record that validates,
+normalises or defaults a field writes its own ``__init__``, which checks its
+arguments and passes the field values to the base ``__init__`` in one call,
+and a value derived from the fields is a property, not a field. The base
 makes instances frozen (assigning or deleting an attribute raises
 AttributeError) and gives them value equality and hashing over ``_fields``
 (an instance equals only instances of its own class), a
@@ -17,8 +19,7 @@ library's generator of such methods (whose import alone pulls in
 
 from __future__ import annotations
 
-#: ``set_field(record, name, value)`` stores a field from ``__init__``,
-#: past the frozen ``__setattr__``.
+#: ``set_field(record, name, value)`` stores a field past the frozen ``__setattr__``.
 set_field = object.__setattr__
 
 

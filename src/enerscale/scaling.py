@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 
 from .errors import DomainError
 from .reconstruction import WealthSeries, _accumulate
-from .records import Record, set_field
+from .records import Record
 from .series import (
     AnnualSeries,
     Period,
@@ -48,11 +48,7 @@ class ScalingEstimate(Record):
     ) -> None:
         if std.value < 0 or ci95_halfwidth.value < 0:
             raise DomainError("dispersion statistics cannot be negative")
-        set_field(self, "period", period)
-        set_field(self, "mean", mean)
-        set_field(self, "std", std)
-        set_field(self, "ci95_halfwidth", ci95_halfwidth)
-        set_field(self, "trend_per_year", trend_per_year)
+        super().__init__(period, mean, std, ci95_halfwidth, trend_per_year)
 
 
 def scaling_series(energy: AnnualSeries, wealth: WealthSeries) -> AnnualSeries:

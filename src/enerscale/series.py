@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import DomainError, EmptySlice, InvalidPeriod, KindError
-from .records import Record, set_field
+from .records import Record
 from .units import Unit
 
 
@@ -92,8 +92,7 @@ class Period(Record):
             raise InvalidPeriod(
                 f"period must satisfy start < end, got {start_year}..{end_year}"
             )
-        set_field(self, "start_year", int(start_year))
-        set_field(self, "end_year", int(end_year))
+        super().__init__(int(start_year), int(end_year))
 
     @property
     def span(self) -> int:
@@ -150,10 +149,6 @@ class AnnualSeries(Record):
                 bad = [v for v in raw if not _number(v)]
                 if bad:
                     raise DomainError(f"series values must be numbers, got {bad[0]!r}")
-        set_field(self, "kind", kind)
-        set_field(self, "unit", unit)
-        set_field(self, "years", years)
-        set_field(self, "values", values)
         if len(years) != len(values):
             raise DomainError("years and values must have equal length")
         if not years:
@@ -168,6 +163,7 @@ class AnnualSeries(Record):
             raise DomainError(f"{kind.value} values must be strictly positive")
         if unit not in KIND_UNITS[kind]:
             raise KindError(f"unit {unit.value} is not valid for kind {kind.value}")
+        super().__init__(kind, unit, years, values)
 
     def __len__(self) -> int:
         return len(self.years)

@@ -12,7 +12,7 @@ import operator
 from enum import Enum
 
 from .errors import DomainError, IncompatibleUnits
-from .records import Record, set_field
+from .records import Record
 
 # Exact GW -> EJ/yr factor pinned for the whole artifact (1 GW over a
 # 365-day year: 86400 * 365 * 1e9 J / 1e18).
@@ -79,5 +79,4 @@ class Quantity(Record):
     def __init__(self, value: float, unit: Unit) -> None:
         if not math.isfinite(value):
             raise DomainError(f"quantity value must be finite, got {value!r}")
-        set_field(self, "value", value)
-        set_field(self, "unit", unit)
+        super().__init__(value, unit)

@@ -20,6 +20,7 @@ from enerscale.carbon import (
     step_atmosphere,
 )
 from enerscale.errors import DomainError
+from enerscale.reconstruction import WealthSeries
 from enerscale.series import AnnualSeries, Period, SeriesKind
 from enerscale.units import Quantity, Unit
 
@@ -257,13 +258,16 @@ def test_exact_carbonization_recovered():
                           tuple(400.0 + 10.0 * i for i in range(10)))
     emissions = AnnualSeries(SeriesKind.EMISSIONS, Unit.GTC_PER_YR, years,
                              tuple(0.02 * v for v in energy.values))
-    est = carbonization(emissions, energy, Period(2000, 2009))
+    wealth = AnnualSeries(SeriesKind.WEALTH, Unit.TUSD, years,
+                          tuple(3000.0 + 100.0 * i for i in range(10)))
+    wealth = WealthSeries(wealth, Quantity(1.0, Unit.TUSD), "synthetic")
+    est = carbonization(emissions, energy, Period(2000, 2009), wealth)
     assert est.c == pytest.approx(0.02, rel=1e-12)
     assert est.eta_c == pytest.approx(0.0, abs=1e-14)
 
 
-def test_snapshot_recent_carbonization(snapshot):
-    est = carbonization(snapshot.emissions, snapshot.energy, Period(2010, 2017))
+def test_snapshot_recent_carbonization(snapshot, recon):
+    est = carbonization(snapshot.emissions, snapshot.energy, Period(2010, 2017), recon.wealth)
     assert est.c == pytest.approx(0.017, abs=0.002)
     assert est.eta_c * 100 == pytest.approx(-0.36, abs=0.15)
 
@@ -278,7 +282,8 @@ def test_snapshot_emissions_wealth_scaling(snapshot, recon):
 
 def test_carbonization_estimate_requires_positive_c():
     with pytest.raises(DomainError):
-        CarbonizationEstimate(period=Period(2000, 2001), c=0.0, eta_c=0.0)
+        CarbonizationEstimate(period=Period(2000, 2001), c=0.0, eta_c=0.0, lambda_c=1.2,
+                              lambda_c_std=0.1)
 
 
 # ------------------------------------------------------------------------ kaya
@@ -355,7 +360,7 @@ def test_snapshot_predicted_vs_measured_emissions(snapshot, recon):
     from enerscale.scaling import scaling_series, scaling_stats
 
     p = Period(1980, 2010)
-    est = carbonization(snapshot.emissions, snapshot.energy, p)
+    est = carbonization(snapshot.emissions, snapshot.energy, p, recon.wealth)
     lam = scaling_series(snapshot.energy, recon.wealth)
     scale = scaling_stats(lam, Period(1980, 2017)).mean
     eps = energy_productivity(recon.gdp, snapshot.energy)

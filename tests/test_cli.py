@@ -291,6 +291,34 @@ def test_report_payload(tmp_path):
     assert payload["halving_time_yr"] == pytest.approx(30.14, abs=0.01)
 
 
+def test_cli_defaults_and_report_agree_with_the_model(tmp_path):
+    """The parser restates the model's defaults, since importing the model modules
+    would add their compile time to every process; this test keeps the copies equal."""
+    import inspect
+
+    from enerscale.carbon import CarbonCycleParams
+    from enerscale.cli import _build_parser
+    from enerscale.reconstruction import ANCIENT_POP_GROWTH
+
+    parser = _build_parser()
+    project = parser.parse_args(["project", "--out", "t.csv"])
+    preset = inspect.signature(datasets.preset_scenario).parameters
+    assert project.sigma == CarbonCycleParams().sigma
+    assert (project.eta_c, project.dt, project.horizon) == tuple(
+        preset[name].default for name in ("eta_c", "dt", "horizon_years")
+    )
+    assert parser.parse_args(["calibrate"]).pop_growth == ANCIENT_POP_GROWTH
+
+    trajectory = tmp_path / "traj.csv"
+    assert main(["project", "--preset", "paper-2017", "--out", str(trajectory)]) == EXIT_OK
+    assert main(["report", "--out-dir", str(tmp_path / "rep")]) == EXIT_OK
+    payload = json.loads((tmp_path / "rep" / "report.json").read_text())
+    (row,) = [r for r in read_rows(trajectory) if float(r["year"]) == 2040.0]
+    assert payload["committed_concentration_2040_ppmv"] == float(
+        row["committed_concentration_ppmv"]
+    )
+
+
 # ------------------------------------------------------------ reproducibility
 
 def test_repeated_runs_are_byte_identical(tmp_path):

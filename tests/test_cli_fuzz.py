@@ -181,7 +181,7 @@ def test_generated_command_lines_exit_cleanly_with_finite_outputs(inputs, run):
         if command == "project":
             argv = [*spec, "--out", str(out / "t.csv")]
             work = grid_work(argv)
-            assume(not SMALL_WORK < work <= SPINUP_YEARS * MAX_GRID_POINTS)
+            assume(not SMALL_WORK < work <= MAX_GRID_POINTS)
         elif command == "calibrate":
             pop_growth, to_file = spec
             argv = ["calibrate", f"--pop-growth={pop_growth}"]

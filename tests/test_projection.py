@@ -556,6 +556,13 @@ def test_spinup_rejects_bad_inputs(snapshot):
         historical_spinup_delta(snapshot.emissions, delta0=-1.0)
 
 
+def test_spinup_past_the_cap_is_rejected_before_stepping(snapshot, monkeypatch):
+    # 1959-2016 at dt 0.01 is 58 years of 100 steps: each year fits the cap, the run does not.
+    monkeypatch.setattr(projection, "MAX_GRID_POINTS", 1000)
+    with pytest.raises(DomainError, match="58-year spin-up at dt=0.01 needs more than 1000 steps"):
+        historical_spinup_delta(snapshot.emissions, end_year=2017, dt=0.01)
+
+
 @pytest.mark.parametrize("end_year", [1000, 1958, 2019, True, 2017.5, 2017.0, "2017"])
 def test_spinup_rejects_end_year_outside_the_record(snapshot, end_year):
     with pytest.raises(DomainError, match=r"end_year must be an int in \[1959, 2018\]"):

@@ -1,5 +1,6 @@
 """Value semantics of the package's records: frozen, equal by fields, dataclass-style repr."""
 
+import ast
 import importlib
 import inspect
 import pickle
@@ -46,7 +47,7 @@ RECORDS = [
     (DataSourceDescriptor, dict(path=Path("x.csv"), kind=SeriesKind.ENERGY, unit=Unit.EJ_PER_YR,
                                 year_column="y", value_column="v", scale=2.0)),
     (ManifestEntry, dict(name="energy", descriptor=DESCRIPTOR, contiguous=False)),
-    (ValidationReport, dict(gaps=((3, 4),), nonpositive_count=0, duplicate_years=(), coverage=P)),
+    (ValidationReport, dict(gaps=((3, 4),), coverage=P)),
     (PppMerRatio, dict(value=1.5, window=P)),
     (WealthSeries, dict(series=WEALTH.series, w1=WEALTH.w1, method="test")),
     (ReconstructionResult, dict(gdp=ENERGY, wealth=WEALTH, ratio=RATIO,
@@ -61,7 +62,7 @@ RECORDS = [
                              allow_sigma_out_of_band=True)),
     (AtmosphereState, dict(year=2017.0, delta_co2=130.0)),
     (CarbonizationEstimate, dict(period=P, c=0.018, eta_c=-0.003, lambda_c=1.2,
-                                 lambda_c_std=None)),
+                                 lambda_c_std=0.06)),
     (KayaComponents, dict(period=P, eta_pop=0.013, eta_affluence=0.018, eta_productivity=0.012,
                           eta_carbonization=-0.002, eta_emissions=0.017)),
     (Snapshot, dict(gdp_mer=ENERGY, gdp_ppp=ENERGY, energy=ENERGY, energy_production=ENERGY,
@@ -120,6 +121,26 @@ def test_every_package_record_is_checked():
     assert len(checked) == len(RECORDS) + 1
 
 
+def test_only_the_base_init_stores_fields():
+    """No module but ``records`` calls or imports ``set_field``, or calls ``object.__setattr__``."""
+    import enerscale
+
+    package = Path(enerscale.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "records.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                called = ast.unparse(node.func)
+                if called == "object.__setattr__" or called.rsplit(".", 1)[-1] == "set_field":
+                    found.append(f"{path.name}:{node.lineno}: calls {called}")
+            elif isinstance(node, ast.ImportFrom):
+                if any(alias.name == "set_field" for alias in node.names):
+                    found.append(f"{path.name}:{node.lineno}: imports set_field")
+    assert found == []
+
+
 class Pair(Record):
     __slots__ = _fields = ("first", "second")
 
@@ -153,6 +174,7 @@ def test_derived_values_are_not_fields():
 
 def test_scenario_derived_scaling_is_not_a_field():
     scenario = Scenario(2017.0, 40.0, 3000.0, 0.006, 0.018, 0.024)
+    assert Scenario.__slots__ == Scenario._fields and isinstance(Scenario.lambda_ej, property)
     assert "lambda_ej" not in scenario._fields and "lambda_ej" not in repr(scenario)
     assert scenario.lambda_ej == pytest.approx(0.006 * 0.031536)
     with pytest.raises(AttributeError):
