@@ -51,11 +51,11 @@ _LAZY = {
         "growth": "RatesRow energy_productivity growth_rate"
                   " rates_table wealth_growth_series",
         "carbon": "AtmosphereState CarbonCycleParams CarbonizationEstimate KayaComponents"
-                  " carbonization carbonization_series committed_equilibrium"
+                  " carbonization carbonization_series committed_curve committed_equilibrium"
                   " kaya_decomposition max_carbonization max_carbonization_coefficient"
                   " step_atmosphere",
         "projection": "CapacityRequirement Scenario SteadyStateResult Trajectory"
-                      " TrajectoryPoint committed_curve halving_time historical_spinup_delta"
+                      " TrajectoryPoint halving_time historical_spinup_delta"
                       " required_clean_capacity run_scenario steady_state_commitment",
     }.items()
     for name in names.split()

@@ -63,6 +63,10 @@ class CarbonCycleParams(Record):
             )
         super().__init__(sigma, kappa_a, preindustrial, allow_sigma_out_of_band)
 
+    def committed_delta(self, emissions: float) -> float:
+        """kappa*C/sigma, ppmv: the perturbation at which emissions C (GtC/yr) balance the sink."""
+        return self.kappa_a * emissions / self.sigma
+
 
 class AtmosphereState(Record):
     """CO2 perturbation above the pre-industrial baseline at a point in time."""
@@ -293,25 +297,37 @@ def step_atmosphere(
     return AtmosphereState(year=t0 + dt, delta_co2=deltas[-1])
 
 
+def committed_curve(
+    w_values: Sequence[float],
+    scale: Quantity,
+    c: Quantity,
+    params: CarbonCycleParams = CarbonCycleParams(),
+) -> list[tuple[float, float]]:
+    """(W, delta_eq) pairs tracing the equilibrium line, W in T$2010, inputs checked once.
+
+    delta_eq is ``params.committed_delta((lambda*c)*W)``, the scenario engine's emissions
+    product, so the curve and a trajectory agree bit for bit at equal W and c."""
+    if c.unit is not Unit.GTC_PER_EJ or c.value <= 0:
+        raise DomainError("carbonization must be a positive quantity in GtC per EJ")
+    per_tusd = to_unit(scale.value, scale.unit, Unit.EJ_PER_YR_PER_TUSD) * c.value
+    w_values = list(map(float, w_values))
+    if not all(0.0 <= w < math.inf for w in w_values):
+        raise DomainError("cumulative production must be finite and non-negative")
+    if not math.isfinite(params.committed_delta(per_tusd * max(w_values, default=0.0))):
+        raise DomainError("the committed level overflows a float")
+    return [(w, params.committed_delta(per_tusd * w)) for w in w_values]
+
+
 def committed_equilibrium(
     w: Quantity,
     scale: Quantity,
     c: Quantity,
     params: CarbonCycleParams = CarbonCycleParams(),
 ) -> Quantity:
-    """Equilibrium perturbation at which emissions from stock ``w`` balance sinks.
-
-    delta_eq = (kappa * lambda * c / sigma) * W, in ppmv.
-    """
+    """delta_eq = kappa*(lambda*c*W)/sigma, ppmv: ``committed_curve`` at the one W ``w``."""
     if w.unit is not Unit.TUSD:
         raise DomainError("cumulative production must be in T$2010")
-    if c.unit is not Unit.GTC_PER_EJ:
-        raise DomainError("carbonization must be in GtC per EJ")
-    if w.value < 0 or c.value <= 0:
-        raise DomainError("inputs must be positive")
-    lam_ej = to_unit(scale.value, scale.unit, Unit.EJ_PER_YR_PER_TUSD)
-    delta = params.kappa_a * lam_ej * c.value * w.value / params.sigma
-    return Quantity(delta, Unit.PPMV)
+    return Quantity(committed_curve([w.value], scale, c, params)[0][1], Unit.PPMV)
 
 
 def max_carbonization_coefficient(

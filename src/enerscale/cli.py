@@ -379,6 +379,8 @@ def _scenario_from_args(args) -> Scenario:
         except KeyError as exc:
             raise UsageError(str(exc)) from None
         return base
+    if args.spinup:
+        raise UsageError("--spinup integrates the preset's emissions record; it needs --preset")
     missing = [flag for flag, value in initial if value is None]
     if missing:
         raise UsageError(
@@ -404,6 +406,15 @@ def _cmd_project(args, manifest: RunManifest) -> int:
     from .units import Quantity, Unit
 
     out: Path = args.out
+    if args.curve and args.spinup:
+        raise UsageError("--curve reads no initial perturbation; drop --spinup")
+    # Without --curve, a curve flag away from its parser default is refused, not ignored.
+    unread = [flag for flag, value, default in (("--from-w", args.from_w, 100.0),
+                                                ("--to-w", args.to_w, 5000.0),
+                                                ("--points", args.points, 50))
+              if value != default and not args.curve]
+    if unread:
+        raise UsageError(f"nothing reads {', '.join(unread)} without --curve")
     if args.curve:
         not_finite = [flag for flag, value in (("--from-w", args.from_w), ("--to-w", args.to_w))
                       if not math.isfinite(value)]

@@ -14,7 +14,8 @@ from collections.abc import Sequence
 from math import exp
 from typing import NamedTuple
 
-from .carbon import _NEGATIVE_PERTURBATION, CarbonCycleParams, _rk4_affine, committed_equilibrium
+from .carbon import _NEGATIVE_PERTURBATION, CarbonCycleParams, _rk4_affine
+from .carbon import committed_curve  # noqa: F401 - callers keep projection.committed_curve
 from .errors import DomainError
 from .records import Record
 from .series import AnnualSeries
@@ -127,9 +128,8 @@ class TrajectoryPoints(Sequence):
     def _point(self, i: int) -> TrajectoryPoint:
         t = self._trajectory
         params = t.scenario.carbon_params
-        pre = params.preindustrial
         w, e, d = t.wealth[i], t.emissions[i], t.deltas[i]
-        c = params.kappa_a * e / params.sigma
+        pre, c = params.preindustrial, params.committed_delta(e)
         return TrajectoryPoint(t.years[i], w, t.scenario.lambda_ej * w, e, d, c, pre + d, pre + c)
 
 
@@ -167,9 +167,8 @@ class Trajectory(Record):
         if not math.isfinite(committed_concentration):
             raise DomainError(f"threshold must be finite, got {committed_concentration}")
         params = self.scenario.carbon_params
-        pre, kappa, sigma = params.preindustrial, params.kappa_a, params.sigma
         for year, e in zip(self.years, self.emissions):
-            if pre + kappa * e / sigma >= committed_concentration:
+            if params.preindustrial + params.committed_delta(e) >= committed_concentration:
                 return year
         return None
 
@@ -260,20 +259,6 @@ def run_scenario(s: Scenario) -> Trajectory:
     return Trajectory(s, *_columns(s, *time_grid(s.horizon_years, s.dt)))
 
 
-def committed_curve(
-    w_values: Sequence[float],
-    scale: Quantity,
-    c: Quantity,
-    params: CarbonCycleParams = CarbonCycleParams(),
-) -> list[tuple[float, float]]:
-    """(W, delta_eq) pairs tracing the equilibrium line."""
-    pairs = []
-    for w in w_values:
-        delta = committed_equilibrium(Quantity(float(w), Unit.TUSD), scale, c, params)
-        pairs.append((float(w), delta.value))
-    return pairs
-
-
 class CapacityRequirement(Record):
     """New non-fossil capacity needed to absorb energy-demand growth."""
 
@@ -335,12 +320,11 @@ def steady_state_commitment(
         delta0=head[-1][-1],
     )
     tail = _columns(frozen, time_grid(settle_years, s.dt)[0], s.dt)
-    params = s.carbon_params
     return SteadyStateResult(
         trajectory=Trajectory(frozen, *(a[:-1] + b for a, b in zip(head, tail))),
         freeze_year=freeze_year,
         freeze_wealth=frozen.w0,
-        asymptote_delta=params.kappa_a * tail[2][0] / params.sigma,
+        asymptote_delta=s.carbon_params.committed_delta(tail[2][0]),
     )
 
 

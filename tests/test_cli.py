@@ -564,6 +564,39 @@ def test_preset_accepts_its_own_start_year(tmp_path):
     assert explicit.read_bytes() == default.read_bytes()
 
 
+EXPLICIT = ["--w0", "3000", "--lambda-gw", "6", "--c0", "0.017", "--delta0", "130"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["--spinup", *EXPLICIT],
+                 "--spinup integrates the preset's emissions record; it needs --preset",
+                 id="spinup-without-preset"),
+    pytest.param(["--preset", "paper-2017", "--curve", "--spinup"],
+                 "--curve reads no initial perturbation; drop --spinup", id="spinup-with-curve"),
+    pytest.param(["--preset", "paper-2017", "--from-w", "5"],
+                 "nothing reads --from-w without --curve", id="from-w-without-curve"),
+    pytest.param(["--preset", "paper-2017", "--to-w", "6000"],
+                 "nothing reads --to-w without --curve", id="to-w-without-curve"),
+    pytest.param(["--preset", "paper-2017", "--points", "3"],
+                 "nothing reads --points without --curve", id="points-without-curve"),
+    pytest.param([*EXPLICIT, "--points", "3", "--from-w", "5"],
+                 "nothing reads --from-w, --points without --curve", id="two-without-curve"),
+])
+def test_a_project_flag_that_nothing_reads_is_a_usage_error(tmp_path, capsys, argv, message):
+    code = main(["project", *argv, "--out", str(tmp_path / "t.csv")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_curve_flags_at_their_defaults_are_accepted_without_curve(tmp_path):
+    default, explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
+    assert main(["project", "--preset", "paper-2017", "--out", str(default)]) == EXIT_OK
+    assert main(["project", "--preset", "paper-2017", "--from-w", "100", "--to-w", "5000",
+                 "--points", "50", "--out", str(explicit)]) == EXIT_OK
+    assert explicit.read_bytes() == default.read_bytes()
+
+
 def test_usage_error_exit_code():
     assert main(["frobnicate"]) == EXIT_USAGE
 

@@ -11,8 +11,13 @@ ingest, calibrate and run-manifest digests from commit 981556c.
 manifest, through its delta0) were re-recorded when the scenario engine and
 spin-up began to apply RK4's one-step affine map (delta and concentration
 moved by at most 4.2e-16 relative), and the ``tables`` and ``report``
-manifests when they began to record kappa_x and W(1). A refactor
-must reproduce them byte for byte. A change that alters an output on purpose
+manifests when they began to record kappa_x and W(1). ``project/curve.csv``
+was re-recorded when ``committed_curve`` began to compute each point as
+``kappa*((lambda*c)*W)/sigma``, the scenario engine's order, in place of
+``(kappa*lambda*c*W)/sigma`` left to right: 12 of its 50 committed-delta
+cells and 3 of its committed-concentration cells moved by one ulp (at most
+1.9e-16 relative), and the curve now equals a trajectory's committed level
+at equal W and c. A refactor must reproduce them byte for byte. A change that alters an output on purpose
 updates the digest here and says in CHANGES.md which output moved and why.
 Run manifests hold absolute paths, so they are hashed after the output root
 and the checkout's ``src`` directory are replaced by fixed placeholders.
@@ -49,7 +54,7 @@ GOLDEN = {
     "ingest/population.csv": "fd68dc9cdee018d29be94aa33f2366f16fa3fccae2e20f4a39214566cf53747e",
     "ingest/population.validation.json": "bf01db0457fa5f900124a884048dab1f3bd8ee5023fd33ef2987f7ba344b0251",
     "ingest/run_manifest.json": "69b1f9118b06b1adbf449c371d72d23f8797cd6fdc2636a945bbfe7bcd831887",
-    "project/curve.csv": "2b7e72dea95e2219efae2da6da3cd054684e5920014cc56c3ea47f291d18450f",
+    "project/curve.csv": "e01500dd9aacc974c9c103fd7a32f9ab01d1a3aa523ae8eb624b8b140cf75c50",
     "project/curve.csv.manifest.json": "d04935c90a6fa493e1dedaf9b790c832e8e085b25bfd8b66cb3f682e0ad10ff7",
     "project/spinup.csv": "20d38839756b71998692f04f15e1f8ec0ce5e2b87db035cec844eebe81016ae2",
     "project/spinup.csv.manifest.json": "d3a9f4f8c1f8bd378e153db7668ac82eb139ce1c85aa0b8239e369a2f101e026",

@@ -14,7 +14,7 @@ from enerscale.carbon import (
     committed_equilibrium,
     step_atmosphere,
 )
-from enerscale.errors import DomainError
+from enerscale.errors import DomainError, IncompatibleUnits
 from enerscale.projection import (
     MAX_GRID_POINTS,
     Scenario,
@@ -418,6 +418,55 @@ def test_committed_curve_monotone_and_linear():
 def test_committed_curve_empty_input():
     assert committed_curve([], Quantity(5.9, Unit.GW_PER_TUSD),
                            Quantity(0.017, Unit.GTC_PER_EJ)) == []
+
+
+def preset_curve(w_values, s):
+    return committed_curve(w_values, Quantity(s.lambda_gw, Unit.GW_PER_TUSD),
+                           Quantity(s.c0, Unit.GTC_PER_EJ), s.carbon_params)
+
+
+def test_committed_curve_equals_the_preset_trajectory_bit_for_bit():
+    s = datasets.preset_scenario()
+    trajectory = run_scenario(s)
+    assert preset_curve([s.w0], s)[0][1] == trajectory.points[0].committed_delta
+    # Without decarbonization c stays c0, so the curve through the trajectory's
+    # wealth is its committed level at every grid time.
+    assert [d for _, d in preset_curve(trajectory.wealth, s)] == [
+        p.committed_delta for p in trajectory.points
+    ]
+
+
+def test_committed_curve_builds_no_quantity_per_point(monkeypatch):
+    s = datasets.preset_scenario()
+    scale, c = Quantity(s.lambda_gw, Unit.GW_PER_TUSD), Quantity(s.c0, Unit.GTC_PER_EJ)
+    built = []
+    original = Quantity.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Quantity, "__init__", counting)
+    pairs = committed_curve([float(w) for w in range(10_000)], scale, c, s.carbon_params)
+    assert len(pairs) == 10_000
+    assert built == []
+
+
+@pytest.mark.parametrize("w_values, c, scale, error", [
+    ([100.0, -1.0], (0.017, Unit.GTC_PER_EJ), (5.9, Unit.GW_PER_TUSD), DomainError),
+    ([100.0, math.nan], (0.017, Unit.GTC_PER_EJ), (5.9, Unit.GW_PER_TUSD), DomainError),
+    ([math.inf], (0.017, Unit.GTC_PER_EJ), (5.9, Unit.GW_PER_TUSD), DomainError),
+    ([1e308], (0.017, Unit.GTC_PER_EJ), (1e6, Unit.GW_PER_TUSD), DomainError),
+    ([100.0], (0.0, Unit.GTC_PER_EJ), (5.9, Unit.GW_PER_TUSD), DomainError),
+    ([100.0], (-0.017, Unit.GTC_PER_EJ), (5.9, Unit.GW_PER_TUSD), DomainError),
+    ([100.0], (0.017, Unit.GTC_PER_YR), (5.9, Unit.GW_PER_TUSD), DomainError),
+    ([], (0.017, Unit.GTC_PER_YR), (5.9, Unit.GW_PER_TUSD), DomainError),
+    ([100.0], (0.017, Unit.GTC_PER_EJ), (5.9, Unit.PPMV), IncompatibleUnits),
+], ids=["negative-w", "nan-w", "inf-w", "overflow", "zero-c", "negative-c", "c-unit",
+        "empty-w-c-unit", "scale-unit"])
+def test_committed_curve_checks_its_inputs_once(w_values, c, scale, error):
+    with pytest.raises(error):
+        committed_curve(w_values, Quantity(*scale), Quantity(*c))
 
 
 def test_stabilizing_at_350ppmv_needs_deep_wealth_cut(snapshot, recon):

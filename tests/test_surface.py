@@ -26,6 +26,7 @@ ALLOWED = {
     "scaling.w1_sensitivity": "criterion 02 and the benchmark's recalibrate workload",
     "carbon.max_carbonization_coefficient": "criterion 09",
     "carbon.max_carbonization": "criterion 10",
+    "carbon.committed_equilibrium": "criterion 10 (the inverse pair with max_carbonization)",
     "carbon.KayaComponents.residual": "criterion 10",
     "projection.steady_state_commitment": "the benchmark's sweep workload",
     "series._number": "the input check of AnnualSeries values given by a library caller",
