@@ -309,6 +309,8 @@ def committed_curve(
     product, so the curve and a trajectory agree bit for bit at equal W and c."""
     if c.unit is not Unit.GTC_PER_EJ or c.value <= 0:
         raise DomainError("carbonization must be a positive quantity in GtC per EJ")
+    if scale.value <= 0:
+        raise DomainError("the energy scaling must be positive")
     per_tusd = to_unit(scale.value, scale.unit, Unit.EJ_PER_YR_PER_TUSD) * c.value
     w_values = list(map(float, w_values))
     if not all(0.0 <= w < math.inf for w in w_values):
@@ -334,6 +336,8 @@ def max_carbonization_coefficient(
     scale: Quantity, params: CarbonCycleParams = CarbonCycleParams()
 ) -> float:
     """sigma/(kappa*lambda): GtC * T$ per (ppmv * EJ)."""
+    if scale.value <= 0:
+        raise DomainError("the energy scaling must be positive")
     lam_ej = to_unit(scale.value, scale.unit, Unit.EJ_PER_YR_PER_TUSD)
     return params.sigma / (params.kappa_a * lam_ej)
 

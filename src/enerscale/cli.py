@@ -9,7 +9,7 @@ enerscale reconstruct --out-dir out/recon
 enerscale calibrate
 enerscale tables --table 2 --out-dir out/tables
 enerscale project --preset paper-2017 --eta-c 0 --horizon 40 --out out/traj.csv
-enerscale project --curve --from-w 100 --to-w 5000 --out out/curve.csv
+enerscale project --curve --lambda-gw 5.9 --c0 0.018 --from-w 100 --to-w 5000 --out out/curve.csv
 enerscale report --out-dir out/report
 ```
 
@@ -32,16 +32,13 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 # Model modules are imported inside the command that uses them, so each
 # process loads only what its subcommand needs.
 from . import __version__, datasets
 from .errors import DomainError, EnerscaleError, ParseError
 from .records import Record
-
-if TYPE_CHECKING:
-    from .projection import Scenario
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -164,6 +161,33 @@ class RunManifest(Record):
         return path
 
 
+#: The four runs of ``project``: from ``--preset`` or explicit initial conditions, each
+#: a trajectory or the committed curve (``--curve``).
+_PT, _ET, _PC, _EC = "preset trajectory", "explicit trajectory", "preset curve", "explicit curve"
+
+#: ``project``'s optional flags: flag -> (type, parser default, help, the runs that read it);
+#: a ``bool`` flag is a switch. A flag set away from its default that the run does not read
+#: is a usage error.
+_PROJECT_FLAGS = {
+    "--preset": (str, None, "named initial conditions, e.g. paper-2017", (_PT, _PC)),
+    "--eta-c": (float, 0.0, "carbonization trend, 1/yr", (_PT, _ET)),
+    "--eta-w": (float, None, "wealth growth rate, 1/yr (default 0.024)", (_PT, _ET)),
+    "--horizon": (float, 40.0, "years to project", (_PT, _ET)),
+    "--dt": (float, 0.25, "time step, years", (_PT, _ET)),
+    "--w0": (float, None, "initial wealth, T$2010", (_ET,)),
+    "--lambda-gw": (float, None, "scaling, GW per T$2010", (_ET, _EC)),
+    "--c0": (float, None, "carbonization, GtC/EJ", (_ET, _EC)),
+    "--delta0": (float, None, "initial concentration perturbation, ppmv", (_ET,)),
+    "--sigma": (float, 0.023, "sink rate, 1/yr", (_PT, _ET, _PC, _EC)),
+    "--start-year": (float, float(datasets.PRESET_START_YEAR), "first year, CE", (_ET,)),
+    "--spinup": (bool, False, "integrate the observed emissions record for delta0", (_PT,)),
+    "--curve": (bool, False, "emit the committed-equilibrium curve", (_PC, _EC)),
+    "--from-w": (float, 100.0, "first wealth on the curve, T$2010", (_PC, _EC)),
+    "--to-w": (float, 5000.0, "last wealth on the curve, T$2010", (_PC, _EC)),
+    "--points": (int, 50, "points on the curve", (_PC, _EC)),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="enerscale", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -189,27 +213,11 @@ def _build_parser() -> _Parser:
     p_tab.add_argument("--out-dir", type=Path, default=Path("."))
 
     p_proj = sub.add_parser("project", help="run a forward scenario or the committed curve")
-    p_proj.add_argument("--preset", default=None, help="named initial conditions, e.g. paper-2017")
-    p_proj.add_argument("--eta-c", type=float, default=0.0, help="carbonization trend, 1/yr")
-    p_proj.add_argument("--eta-w", type=float, default=None,
-                        help="wealth growth rate, 1/yr (preset default 0.024)")
-    p_proj.add_argument("--horizon", type=float, default=40.0, help="years to project")
-    p_proj.add_argument("--dt", type=float, default=0.25, help="time step, years")
-    p_proj.add_argument("--w0", type=float, default=None, help="initial wealth, T$2010")
-    p_proj.add_argument("--lambda-gw", type=float, default=None,
-                        help="scaling, GW per T$2010")
-    p_proj.add_argument("--c0", type=float, default=None, help="carbonization, GtC/EJ")
-    p_proj.add_argument("--delta0", type=float, default=None,
-                        help="initial concentration perturbation, ppmv")
-    p_proj.add_argument("--sigma", type=float, default=0.023, help="sink rate, 1/yr")
-    p_proj.add_argument("--start-year", type=float, default=float(datasets.PRESET_START_YEAR))
-    p_proj.add_argument("--spinup", action="store_true",
-                        help="integrate the observed emissions record for delta0")
-    p_proj.add_argument("--curve", action="store_true",
-                        help="emit the committed-equilibrium curve instead of a trajectory")
-    p_proj.add_argument("--from-w", type=float, default=100.0)
-    p_proj.add_argument("--to-w", type=float, default=5000.0)
-    p_proj.add_argument("--points", type=int, default=50)
+    for flag, (kind, default, text, _) in _PROJECT_FLAGS.items():
+        if kind is bool:
+            p_proj.add_argument(flag, action="store_true", help=text)
+        else:
+            p_proj.add_argument(flag, type=kind, default=default, help=text)
     p_proj.add_argument("--out", type=Path, required=True)
 
     p_rep = sub.add_parser("report", help="headline quantities as JSON plus aligned text")
@@ -355,87 +363,68 @@ def _cmd_tables(args, manifest: RunManifest) -> int:
     return EXIT_OK
 
 
-def _scenario_from_args(args) -> Scenario:
+def _cmd_project(args, manifest: RunManifest) -> int:
     from .carbon import CarbonCycleParams
-    from .projection import Scenario
+    from .projection import MAX_GRID_POINTS, Scenario, committed_curve, run_scenario, time_grid
+    from .units import Quantity, Unit
 
+    run = (_EC if args.curve else _ET) if args.preset is None else (_PC if args.curve else _PT)
+    given = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in _PROJECT_FLAGS}
+    unread = [flag for flag, (_, default, _, runs) in _PROJECT_FLAGS.items()
+              if run not in runs and given[flag] != default]
+    if unread:
+        raise UsageError(f"{run} runs do not read {', '.join(unread)}")
+    missing = [flag for flag in ("--w0", "--lambda-gw", "--c0", "--delta0")
+               if run in _PROJECT_FLAGS[flag][3] and given[flag] is None]
+    if missing:
+        raise UsageError(f"{run} runs need {', '.join(missing)}, or --preset")
+    out: Path = args.out
     params = CarbonCycleParams(sigma=args.sigma)
     eta_w = args.eta_w if args.eta_w is not None else datasets.PRESET_GROWTH
-    initial = [("--w0", args.w0), ("--lambda-gw", args.lambda_gw), ("--c0", args.c0),
-               ("--delta0", args.delta0)]
     if args.preset is not None:
-        # The preset fixes the initial conditions: a flag changing them is refused, not ignored.
-        given = [flag for flag, value in initial if value is not None]
-        if args.start_year != datasets.PRESET_START_YEAR:
-            given.append("--start-year")
-        if given:
-            raise UsageError(f"--preset sets the initial conditions; drop {', '.join(given)}")
+        # A curve reads only lambda_gw and c0: its unread flags are at preset_scenario's defaults.
         try:
-            base = datasets.preset_scenario(
+            scenario = datasets.preset_scenario(
                 args.preset, eta_c=args.eta_c, eta_w=eta_w,
                 horizon_years=args.horizon, dt=args.dt,
                 carbon_params=params, spinup=args.spinup,
             )
         except KeyError as exc:
             raise UsageError(str(exc)) from None
-        return base
-    if args.spinup:
-        raise UsageError("--spinup integrates the preset's emissions record; it needs --preset")
-    missing = [flag for flag, value in initial if value is None]
-    if missing:
-        raise UsageError(
-            "either --preset or explicit initial conditions are required; missing: "
-            + ", ".join(missing)
+    elif not args.curve:
+        scenario = Scenario(
+            start_year=args.start_year,
+            horizon_years=args.horizon,
+            w0=args.w0,
+            lambda_gw=args.lambda_gw,
+            c0=args.c0,
+            eta_w=eta_w,
+            eta_c=args.eta_c,
+            delta0=args.delta0,
+            carbon_params=params,
+            dt=args.dt,
         )
-    return Scenario(
-        start_year=args.start_year,
-        horizon_years=args.horizon,
-        w0=args.w0,
-        lambda_gw=args.lambda_gw,
-        c0=args.c0,
-        eta_w=eta_w,
-        eta_c=args.eta_c,
-        delta0=args.delta0,
-        carbon_params=params,
-        dt=args.dt,
-    )
-
-
-def _cmd_project(args, manifest: RunManifest) -> int:
-    from .projection import MAX_GRID_POINTS, committed_curve, run_scenario, time_grid
-    from .units import Quantity, Unit
-
-    out: Path = args.out
-    if args.curve and args.spinup:
-        raise UsageError("--curve reads no initial perturbation; drop --spinup")
-    # Without --curve, a curve flag away from its parser default is refused, not ignored.
-    unread = [flag for flag, value, default in (("--from-w", args.from_w, 100.0),
-                                                ("--to-w", args.to_w, 5000.0),
-                                                ("--points", args.points, 50))
-              if value != default and not args.curve]
-    if unread:
-        raise UsageError(f"nothing reads {', '.join(unread)} without --curve")
     if args.curve:
+        source = args if args.preset is None else scenario
+        recorded = {"lambda_gw": source.lambda_gw, "c0": source.c0}
         not_finite = [flag for flag, value in (("--from-w", args.from_w), ("--to-w", args.to_w))
                       if not math.isfinite(value)]
         if not_finite:
             raise EnerscaleError(f"curve bounds must be finite: {', '.join(not_finite)}")
         if args.from_w <= 0 or args.to_w <= args.from_w or not 2 <= args.points <= MAX_GRID_POINTS:
             raise EnerscaleError(f"curve needs 0 < from-w < to-w and 2 to {MAX_GRID_POINTS} points")
-        scenario = _scenario_from_args(args)
         step = (args.to_w - args.from_w) / (args.points - 1)
         w_values = [args.from_w + i * step for i in range(args.points)]
         pairs = committed_curve(
             w_values,
-            Quantity(scenario.lambda_gw, Unit.GW_PER_TUSD),
-            Quantity(scenario.c0, Unit.GTC_PER_EJ),
-            scenario.carbon_params,
+            Quantity(source.lambda_gw, Unit.GW_PER_TUSD),
+            Quantity(source.c0, Unit.GTC_PER_EJ),
+            params,
         )
-        rows = [(w, d, scenario.carbon_params.preindustrial + d) for w, d in pairs]
+        rows = [(w, d, params.preindustrial + d) for w, d in pairs]
         header = ("wealth_tusd", "committed_delta_ppmv", "committed_concentration_ppmv")
         manifest.write_rows(out, header, rows)
     else:
-        scenario = _scenario_from_args(args)
         trajectory = run_scenario(scenario)
         n_steps, step = time_grid(scenario.horizon_years, scenario.dt)
         manifest.parameters["grid"] = {
@@ -448,9 +437,10 @@ def _cmd_project(args, manifest: RunManifest) -> int:
             "committed_delta_ppmv", "concentration_ppmv", "committed_concentration_ppmv",
         )
         manifest.write_rows(out, header, trajectory.points)
-    params = scenario.carbon_params
+        recorded = {name: getattr(scenario, name)
+                    for name in scenario._fields if name != "carbon_params"}
     manifest.parameters["scenario"] = {
-        **{name: getattr(scenario, name) for name in scenario._fields if name != "carbon_params"},
+        **recorded,
         "sigma": params.sigma,
         "kappa_a": params.kappa_a,
         "preindustrial": params.preindustrial,

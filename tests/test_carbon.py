@@ -205,6 +205,17 @@ def test_max_carbonization_coefficient_value():
     assert coeff == pytest.approx(0.263, abs=0.003)
 
 
+@pytest.mark.parametrize("lam", [-5.9, 0.0])
+def test_a_non_positive_scaling_is_refused(lam):
+    scale, w = Quantity(lam, Unit.GW_PER_TUSD), Quantity(100.0, Unit.TUSD)
+    with pytest.raises(DomainError, match="scaling must be positive"):
+        committed_equilibrium(w, scale, Quantity(0.018, Unit.GTC_PER_EJ))
+    with pytest.raises(DomainError, match="scaling must be positive"):
+        max_carbonization_coefficient(scale)
+    with pytest.raises(DomainError, match="scaling must be positive"):
+        max_carbonization(Quantity(100.0, Unit.PPMV), w, scale)
+
+
 def test_max_carbonization_linear_in_target():
     scale = Quantity(5.9, Unit.GW_PER_TUSD)
     w = Quantity(3000.0, Unit.TUSD)

@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import enerscale
-from enerscale import datasets
+from enerscale import cli, datasets
 from enerscale.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, _json_text, main
 from enerscale.errors import DomainError
 from enerscale.ingestion import canonical_descriptor, load_series
@@ -551,7 +553,7 @@ def test_preset_with_initial_conditions_is_a_usage_error(tmp_path, capsys, flags
     code = main(["project", "--preset", "paper-2017", *flags, "--out", str(tmp_path / "t.csv")])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err == (
-        f"usage error: --preset sets the initial conditions; drop {named}\n"
+        f"usage error: preset trajectory runs do not read {named}\n"
     )
     assert list(tmp_path.iterdir()) == []
 
@@ -569,18 +571,19 @@ EXPLICIT = ["--w0", "3000", "--lambda-gw", "6", "--c0", "0.017", "--delta0", "13
 
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["--spinup", *EXPLICIT],
-                 "--spinup integrates the preset's emissions record; it needs --preset",
+                 "explicit trajectory runs do not read --spinup",
                  id="spinup-without-preset"),
     pytest.param(["--preset", "paper-2017", "--curve", "--spinup"],
-                 "--curve reads no initial perturbation; drop --spinup", id="spinup-with-curve"),
+                 "preset curve runs do not read --spinup", id="spinup-with-curve"),
     pytest.param(["--preset", "paper-2017", "--from-w", "5"],
-                 "nothing reads --from-w without --curve", id="from-w-without-curve"),
+                 "preset trajectory runs do not read --from-w", id="from-w-without-curve"),
     pytest.param(["--preset", "paper-2017", "--to-w", "6000"],
-                 "nothing reads --to-w without --curve", id="to-w-without-curve"),
+                 "preset trajectory runs do not read --to-w", id="to-w-without-curve"),
     pytest.param(["--preset", "paper-2017", "--points", "3"],
-                 "nothing reads --points without --curve", id="points-without-curve"),
+                 "preset trajectory runs do not read --points", id="points-without-curve"),
     pytest.param([*EXPLICIT, "--points", "3", "--from-w", "5"],
-                 "nothing reads --from-w, --points without --curve", id="two-without-curve"),
+                 "explicit trajectory runs do not read --from-w, --points",
+                 id="two-without-curve"),
 ])
 def test_a_project_flag_that_nothing_reads_is_a_usage_error(tmp_path, capsys, argv, message):
     code = main(["project", *argv, "--out", str(tmp_path / "t.csv")])
@@ -595,6 +598,88 @@ def test_curve_flags_at_their_defaults_are_accepted_without_curve(tmp_path):
     assert main(["project", "--preset", "paper-2017", "--from-w", "100", "--to-w", "5000",
                  "--points", "50", "--out", str(explicit)]) == EXIT_OK
     assert explicit.read_bytes() == default.read_bytes()
+
+
+#: The four runs of ``project``, each by its argv without ``--out``.
+PROJECT_RUNS = {
+    "preset-trajectory": ["--preset", "paper-2017"],
+    "explicit-trajectory": EXPLICIT,
+    "preset-curve": ["--preset", "paper-2017", "--curve"],
+    "explicit-curve": ["--curve", "--lambda-gw", "6", "--c0", "0.017"],
+}
+#: For each flag but the two that choose the run (--preset, --curve), a value away from
+#: its parser default and from the runs' own; None marks a switch.
+AWAY = {
+    "--eta-c": "0.01", "--eta-w": "0.01", "--horizon": "20", "--dt": "0.5", "--w0": "3500",
+    "--lambda-gw": "6.5", "--c0": "0.02", "--delta0": "100", "--sigma": "0.02",
+    "--start-year": "1990", "--spinup": None, "--from-w": "200", "--to-w": "6000",
+    "--points": "10",
+}
+
+
+@pytest.fixture(scope="module")
+def base_csv(tmp_path_factory):
+    """The CSV bytes of a run in PROJECT_RUNS, written once."""
+    root = tmp_path_factory.mktemp("runs")
+
+    @functools.cache
+    def run_csv(run):
+        out = root / f"{run}.csv"
+        assert main(["project", *PROJECT_RUNS[run], "--out", str(out)]) == EXIT_OK, run
+        return out.read_bytes()
+
+    return run_csv
+
+
+def test_every_project_flag_has_a_value_away_from_its_default():
+    from enerscale.cli import _PROJECT_FLAGS
+
+    assert set(_PROJECT_FLAGS) == {*AWAY, "--preset", "--curve"}
+
+
+@pytest.mark.parametrize("flag", AWAY)
+@pytest.mark.parametrize("run", PROJECT_RUNS)
+def test_no_project_flag_is_silently_ignored(tmp_path, capsys, base_csv, run, flag):
+    """A flag away from its default is refused by name, or it changes the run's CSV."""
+    out = tmp_path / "t.csv"
+    value = [] if AWAY[flag] is None else [AWAY[flag]]
+    code = main(["project", *PROJECT_RUNS[run], flag, *value, "--out", str(out)])
+    if code == EXIT_USAGE:
+        assert flag in re.split(r"[\s,]+", capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert code == EXIT_OK
+        assert out.read_bytes() != base_csv(run)
+
+
+def test_explicit_curve_at_the_preset_values_equals_the_preset_curve(tmp_path):
+    preset = datasets.preset_scenario()
+    default, explicit = tmp_path / "preset.csv", tmp_path / "explicit.csv"
+    assert main(["project", "--preset", "paper-2017", "--curve", "--out", str(default)]) == EXIT_OK
+    assert main(["project", "--curve", "--lambda-gw", repr(preset.lambda_gw),
+                 "--c0", repr(preset.c0), "--out", str(explicit)]) == EXIT_OK
+    assert explicit.read_bytes() == default.read_bytes()
+
+
+def documented_commands():
+    """Each ``enerscale ...`` line of cli.py's docstring and of README's command block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    for source, text in (("cli", cli.__doc__), ("readme", block)):
+        for line in text.splitlines():
+            if line.startswith("enerscale "):
+                argv = shlex.split(line, comments=True)[1:]
+                yield pytest.param(argv, id=f"{source}: {' '.join(argv)}")
+
+
+@pytest.mark.parametrize("argv", documented_commands())
+def test_documented_commands_exit_0(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # the examples write under out/
+    bundled = json.loads(datasets.manifest_path().read_text(encoding="utf-8"))
+    for entry in bundled.values():
+        entry["path"] = str(datasets.data_dir() / entry["path"])
+    (tmp_path / "my_manifest.json").write_text(json.dumps(bundled), encoding="utf-8")
+    assert main(argv) == EXIT_OK, capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

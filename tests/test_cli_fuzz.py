@@ -47,34 +47,41 @@ PLAUSIBLE = {
 }
 INITIAL_FLAGS = ("--w0", "--lambda-gw", "--c0", "--delta0")
 POINTS = st.one_of(st.integers(-3, 200), st.sampled_from([MAX_GRID_POINTS + 1, 10**40])).map(str)
+TRAJECTORY = {"--eta-c", "--eta-w", "--horizon", "--dt", "--sigma"}
+CURVE = {"--sigma", "--from-w", "--to-w"}
+#: The flags of PLAUSIBLE that each run reads, by (preset, curve).
+READS = {
+    (True, False): TRAJECTORY,
+    (False, False): TRAJECTORY | {"--start-year", *INITIAL_FLAGS},
+    (True, True): CURVE,
+    (False, True): CURVE | {"--lambda-gw", "--c0"},
+}
 
 
 @st.composite
 def project_argv(draw):
-    """A preset or an explicit run with up to two wild flags and the rest plausible or unset.
+    """A preset or explicit trajectory or curve, with flags only the run reads: up to two wild,
+    every initial condition it reads set, and the rest plausible or unset.
 
-    An explicit run sets every initial condition; one preset run in eight may
-    set some too, which is a usage error.
+    One run in eight also sets one flag the run does not read, which is a usage error.
     """
-    preset = draw(st.booleans())
-    mixed = preset and draw(st.integers(0, 7)) == 0
-    argv = ["project", "--preset", "paper-2017"] if preset else ["project"]
-    wild = draw(st.sets(st.sampled_from(list(PLAUSIBLE)), max_size=2))
-    for flag in PLAUSIBLE:
+    preset, curve = draw(st.booleans()), draw(st.booleans())
+    reads = READS[preset, curve]
+    argv = ["project", *(["--preset", "paper-2017"] if preset else [])]
+    argv += ["--curve"] if curve else []
+    wild = draw(st.sets(st.sampled_from(sorted(reads)), max_size=2))
+    for flag in filter(reads.__contains__, PLAUSIBLE):
         if flag in wild:
             argv.append(f"{flag}={draw(WILD)}")
-            continue
-        if flag in INITIAL_FLAGS and not preset:
-            given = True
-        elif flag in INITIAL_FLAGS and not mixed:
-            given = False
-        else:
-            given = draw(st.booleans())
-        if given:
+        elif flag in INITIAL_FLAGS or draw(st.booleans()):
             argv.append(f"{flag}={draw(PLAUSIBLE[flag])!r}")
-    argv += [flag for flag in ("--spinup", "--curve") if draw(st.booleans())]
-    if draw(st.booleans()):
+    if preset and not curve and draw(st.booleans()):
+        argv.append("--spinup")
+    if curve and draw(st.booleans()):
         argv.append(f"--points={draw(POINTS)}")
+    if draw(st.integers(0, 7)) == 7:  # hypothesis favours 0, the simplest value
+        flag = draw(st.sampled_from(sorted(set(PLAUSIBLE) - reads)))
+        argv.append(f"{flag}={draw(PLAUSIBLE[flag])!r}")
     return argv
 
 

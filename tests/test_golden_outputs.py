@@ -17,8 +17,13 @@ was re-recorded when ``committed_curve`` began to compute each point as
 ``(kappa*lambda*c*W)/sigma`` left to right: 12 of its 50 committed-delta
 cells and 3 of its committed-concentration cells moved by one ulp (at most
 1.9e-16 relative), and the curve now equals a trajectory's committed level
-at equal W and c. A refactor must reproduce them byte for byte. A change that alters an output on purpose
-updates the digest here and says in CHANGES.md which output moved and why.
+at equal W and c. ``project/curve.csv.manifest.json`` was re-recorded when
+the curve stopped building a scenario: its ``scenario`` block now holds only
+what the curve reads (``lambda_gw``, ``c0``, ``sigma``, ``kappa_a``,
+``preindustrial``) and lost the seven fields it never read (``start_year``,
+``horizon_years``, ``w0``, ``eta_w``, ``eta_c``, ``delta0``, ``dt``). A
+refactor must reproduce them byte for byte. A change that alters an output
+on purpose updates the digest here and says in CHANGES.md which output moved and why.
 Run manifests hold absolute paths, so they are hashed after the output root
 and the checkout's ``src`` directory are replaced by fixed placeholders.
 """
@@ -55,7 +60,7 @@ GOLDEN = {
     "ingest/population.validation.json": "bf01db0457fa5f900124a884048dab1f3bd8ee5023fd33ef2987f7ba344b0251",
     "ingest/run_manifest.json": "69b1f9118b06b1adbf449c371d72d23f8797cd6fdc2636a945bbfe7bcd831887",
     "project/curve.csv": "e01500dd9aacc974c9c103fd7a32f9ab01d1a3aa523ae8eb624b8b140cf75c50",
-    "project/curve.csv.manifest.json": "d04935c90a6fa493e1dedaf9b790c832e8e085b25bfd8b66cb3f682e0ad10ff7",
+    "project/curve.csv.manifest.json": "273a01da240c7c362bc5694ad7531404b7a055655788f4259163a129a35f9913",
     "project/spinup.csv": "20d38839756b71998692f04f15e1f8ec0ce5e2b87db035cec844eebe81016ae2",
     "project/spinup.csv.manifest.json": "d3a9f4f8c1f8bd378e153db7668ac82eb139ce1c85aa0b8239e369a2f101e026",
     "project/trajectory.csv": "690699c7eaef8208b6fd3559635b555dd9eca92ce4b1641d442580c525934959",

@@ -462,8 +462,11 @@ def test_committed_curve_builds_no_quantity_per_point(monkeypatch):
     ([100.0], (0.017, Unit.GTC_PER_YR), (5.9, Unit.GW_PER_TUSD), DomainError),
     ([], (0.017, Unit.GTC_PER_YR), (5.9, Unit.GW_PER_TUSD), DomainError),
     ([100.0], (0.017, Unit.GTC_PER_EJ), (5.9, Unit.PPMV), IncompatibleUnits),
+    ([1.0, 2.0], (0.018, Unit.GTC_PER_EJ), (-5.9, Unit.GW_PER_TUSD), DomainError),
+    ([100.0], (0.018, Unit.GTC_PER_EJ), (0.0, Unit.GW_PER_TUSD), DomainError),
+    ([], (0.018, Unit.GTC_PER_EJ), (-5.9, Unit.GW_PER_TUSD), DomainError),
 ], ids=["negative-w", "nan-w", "inf-w", "overflow", "zero-c", "negative-c", "c-unit",
-        "empty-w-c-unit", "scale-unit"])
+        "empty-w-c-unit", "scale-unit", "negative-scale", "zero-scale", "empty-w-negative-scale"])
 def test_committed_curve_checks_its_inputs_once(w_values, c, scale, error):
     with pytest.raises(error):
         committed_curve(w_values, Quantity(*scale), Quantity(*c))
