@@ -10,7 +10,7 @@ is a documented simplification).
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .errors import DomainError, EmptySlice
 from .growth import energy_productivity, growth_rate
@@ -178,13 +178,12 @@ class KayaComponents(Record):
 
 def _ratio_growth(numerator: AnnualSeries, denominator: AnnualSeries, p: Period) -> float:
     """Endpoint log growth of the per-year ratio of two aligned series over ``p``."""
+    ends = (p.start_year, p.end_year)
     try:
-        years, num, den = aligned_values(slice_series(numerator, p), slice_series(denominator, p))
+        n0, n1, d0, d1 = [s.value_at(year) for s in (numerator, denominator) for year in ends]
     except EmptySlice:
-        years, num, den = (), (), ()
-    if not years or years[0] != p.start_year or years[-1] != p.end_year:
-        raise EmptySlice(f"ratio series does not cover both endpoints of {p}")
-    return math.log((num[-1] / den[-1]) / (num[0] / den[0])) / p.span
+        raise EmptySlice(f"ratio series does not cover both endpoints of {p}") from None
+    return math.log((n1 / d1) / (n0 / d0)) / p.span
 
 
 def kaya_decomposition(
@@ -211,20 +210,14 @@ def kaya_decomposition(
 EmissionsRate = Union[float, Callable[[float], float]]
 
 
-def _rk4_deltas(
-    delta0: float,
-    at_grid: Sequence[float],
-    at_mid: Iterable[float],
-    dt: float,
-    kappa: float,
-    sigma: float,
-) -> list[float]:
-    """Classical RK4 for d(delta)/dt = kappa*C(t) - sigma*delta on a fixed step.
+def _rk4_step(
+    delta: float, c_start: float, c_mid: float, c_end: float, dt: float, kappa: float, sigma: float
+) -> float:
+    """One classical RK4 step of d(delta)/dt = kappa*C(t) - sigma*delta.
 
-    ``at_grid`` is the source C at the n+1 grid times and ``at_mid`` at the n
-    step midpoints (consumed lazily). Returns the n+1 perturbations starting
-    with ``delta0``. ``step_atmosphere`` steps through this loop for any
-    source; the scenario engine and spin-up take one step of it in
+    ``c_start``, ``c_mid`` and ``c_end`` are the source C at the start, the
+    midpoint and the end of the step. ``step_atmosphere`` takes one step of
+    it for any source; the scenario engine and spin-up take one step of it in
     ``_rk4_affine`` and apply that step as an affine map. Raises DomainError
     when sigma*dt is past RK4's stability limit, where |R(-sigma*dt)| > 1 and
     the steps grow without bound instead of relaxing.
@@ -234,40 +227,30 @@ def _rk4_deltas(
             f"sigma*dt = {sigma * dt!r} is past RK4's stability limit"
             f" {_RK4_STABILITY_LIMIT:.4f} (|R(-sigma*dt)| > 1); use a smaller dt"
         )
-    deltas = [delta0]
-    append = deltas.append
-    d = delta0
-    grid = iter(at_grid)
-    k_start = kappa * next(grid)
-    for c_end, c_mid in zip(grid, at_mid):
-        k_mid = kappa * c_mid
-        k_end = kappa * c_end
-        k1 = k_start - sigma * d
-        k2 = k_mid - sigma * (d + dt * k1 / 2.0)
-        k3 = k_mid - sigma * (d + dt * k2 / 2.0)
-        k4 = k_end - sigma * (d + dt * k3)
-        d = d + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        if d < 0:
-            raise DomainError(_NEGATIVE_PERTURBATION)
-        append(d)
-        k_start = k_end
-    return deltas
+    k_mid = kappa * c_mid
+    k1 = kappa * c_start - sigma * delta
+    k2 = k_mid - sigma * (delta + dt * k1 / 2.0)
+    k3 = k_mid - sigma * (delta + dt * k2 / 2.0)
+    k4 = kappa * c_end - sigma * (delta + dt * k3)
+    delta = delta + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    if delta < 0:
+        raise DomainError(_NEGATIVE_PERTURBATION)
+    return delta
 
 
 def _rk4_affine(dt: float, kappa: float, sigma: float, growth: float = 0.0) -> tuple[float, float]:
-    """One ``_rk4_deltas`` step for a source growing at ``growth``, as ``(a, p)``.
+    """One ``_rk4_step`` for a source growing at ``growth``, as ``(a, p)``.
 
     RK4 is linear in delta and in the source, so for C(t) = C*exp(growth*(t - t0))
     across the step it maps delta to ``delta + (a*delta + p*C)`` exactly, up to
     rounding. ``a = R(z) - 1`` with ``z = -sigma*dt`` and R RK4's stability
-    polynomial, nested so that no bits cancel; ``p`` is one ``_rk4_deltas``
-    step from delta = 0 with grid sources (1, e^{growth*dt}) and midpoint
-    source e^{growth*dt/2}.
+    polynomial, nested so that no bits cancel; ``p`` is one ``_rk4_step``
+    from delta = 0 with sources 1, e^{growth*dt/2} and e^{growth*dt}.
     """
     z = -sigma * dt
     a = z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
-    grid, mid = (1.0, math.exp(growth * dt)), (math.exp(growth * dt / 2.0),)
-    return a, _rk4_deltas(0.0, grid, mid, dt, kappa, sigma)[-1]
+    p = _rk4_step(0.0, 1.0, math.exp(growth * dt / 2.0), math.exp(growth * dt), dt, kappa, sigma)
+    return a, p
 
 
 def step_atmosphere(
@@ -279,8 +262,8 @@ def step_atmosphere(
     """Advance the perturbation one step with classical fourth-order Runge-Kutta.
 
     ``emissions_rate`` is either a constant (GtC/yr, held fixed across the
-    step) or a callable of the year, sampled at the substage times. For
-    constant emissions the exact solution
+    step) or a callable of the year, sampled at the start, midpoint and end
+    of the step. For constant emissions the exact solution
     delta(t) = (kappa*C/sigma)(1 - exp(-sigma t)) + delta0 exp(-sigma t)
     is matched at fourth order in dt.
     """
@@ -288,13 +271,11 @@ def step_atmosphere(
         raise DomainError("dt must be in (0, 1] years")
     t0 = state.year
     if callable(emissions_rate):
-        grid = (emissions_rate(t0), emissions_rate(t0 + dt))
-        mid = (emissions_rate(t0 + dt / 2.0),)
+        sources = (emissions_rate(t0), emissions_rate(t0 + dt / 2.0), emissions_rate(t0 + dt))
     else:
-        constant = float(emissions_rate)
-        grid, mid = (constant, constant), (constant,)
-    deltas = _rk4_deltas(state.delta_co2, grid, mid, dt, params.kappa_a, params.sigma)
-    return AtmosphereState(year=t0 + dt, delta_co2=deltas[-1])
+        sources = (float(emissions_rate),) * 3
+    delta = _rk4_step(state.delta_co2, *sources, dt, params.kappa_a, params.sigma)
+    return AtmosphereState(year=t0 + dt, delta_co2=delta)
 
 
 def committed_curve(

@@ -280,7 +280,10 @@ def required_clean_capacity(energy: Quantity, eta_e: float) -> CapacityRequireme
 
 def halving_time(params: CarbonCycleParams = CarbonCycleParams()) -> float:
     """Years for the gap to the committed equilibrium to halve: ln(2)/sigma."""
-    return math.log(2.0) / params.sigma
+    years = math.log(2.0) / params.sigma
+    if not math.isfinite(years):
+        raise DomainError(f"the halving time at sigma={params.sigma!r} overflows a float")
+    return years
 
 
 class SteadyStateResult(Record):

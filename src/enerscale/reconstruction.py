@@ -62,6 +62,8 @@ class NaturalCubicSpline:
             raise DomainError("spline knots must be two equal-length 1-d sequences")
         if len(x) < 4:
             raise TooFewPoints(f"cubic spline needs at least 4 knots, got {len(x)}")
+        if not all(map(math.isfinite, x + y)):
+            raise DomainError("spline knots must be finite")
         if any(b <= a for a, b in zip(x, x[1:])):
             raise DomainError("spline knot abscissae must be strictly increasing")
         n = len(x)

@@ -57,16 +57,21 @@ def to_unit(value: float, source: Unit, target: Unit) -> float:
     GW -> EJ/yr multiplies by ``EJ_PER_YR_PER_GW`` and EJ/yr -> GW divides by
     it (multiplying by the reciprocal rounds differently for some inputs).
     Raises IncompatibleUnits when no conversion path exists (context-dependent
-    conversions such as GtC/yr -> ppmv are deliberately not unit conversions).
+    conversions such as GtC/yr -> ppmv are deliberately not unit conversions),
+    and DomainError when the result is not finite.
     """
     if source is target:
-        return value
-    try:
-        direction = _CONVERSIONS[(source, target)]
-    except KeyError:
-        message = f"no conversion path from {source.value} to {target.value}"
-        raise IncompatibleUnits(message) from None
-    return direction(value, EJ_PER_YR_PER_GW)
+        result = value
+    else:
+        try:
+            direction = _CONVERSIONS[(source, target)]
+        except KeyError:
+            message = f"no conversion path from {source.value} to {target.value}"
+            raise IncompatibleUnits(message) from None
+        result = direction(value, EJ_PER_YR_PER_GW)
+    if not math.isfinite(result):
+        raise DomainError(f"{value!r} {source.value} is not a finite value in {target.value}")
+    return result
 
 
 class Quantity(Record):

@@ -11,7 +11,7 @@ from enerscale.carbon import (
     SIGMA_BAND,
     _RK4_STABILITY_LIMIT,
     _rk4_affine,
-    _rk4_deltas,
+    _rk4_step,
     carbonization,
     committed_equilibrium,
     kaya_decomposition,
@@ -129,7 +129,7 @@ def test_step_rejects_negative_result():
     scale=st.floats(0.0, 1e4),
 )
 def test_affine_map_is_one_rk4_step(sigma, dt, growth, source, scale):
-    """delta + (a*delta + p*C) is one ``_rk4_deltas`` step under C*exp(growth*t).
+    """delta + (a*delta + p*C) is one ``_rk4_step`` under C*exp(growth*t).
 
     Within 2 ulp once the perturbation is at least the step's source
     increment kappa*C*dt, as on every scenario and spin-up step; a step from
@@ -139,9 +139,8 @@ def test_affine_map_is_one_rk4_step(sigma, dt, growth, source, scale):
     kappa = PARAMS.kappa_a
     delta = scale * kappa * source * dt
     a, p = _rk4_affine(dt, kappa, sigma, growth)
-    grid = (source, source * math.exp(growth * dt))
-    mid = (source * math.exp(growth * dt / 2.0),)
-    want = _rk4_deltas(delta, grid, mid, dt, kappa, sigma)[-1]
+    mid, end = source * math.exp(growth * dt / 2.0), source * math.exp(growth * dt)
+    want = _rk4_step(delta, source, mid, end, dt, kappa, sigma)
     ulps = abs(delta + (a * delta + p * source) - want) / math.ulp(want)
     assert ulps <= (2.0 if scale >= 1.0 else 8.0)
 
@@ -151,8 +150,8 @@ def test_affine_map_coefficients_are_rk4s():
     sigma, dt = 0.023, 0.25
     z = -sigma * dt
     a, p = _rk4_affine(dt, PARAMS.kappa_a, sigma)
-    assert a == pytest.approx(z + z**2 / 2 + z**3 / 6 + z**4 / 24, rel=1e-15)
-    assert p == pytest.approx(PARAMS.kappa_a * dt * a / z, rel=1e-15)
+    assert a == pytest.approx(z + z**2 / 2 + z**3 / 6 + z**4 / 24, rel=1e-15, abs=0)
+    assert p == pytest.approx(PARAMS.kappa_a * dt * a / z, rel=1e-15, abs=0)
     assert _rk4_affine(dt, PARAMS.kappa_a, sigma, 0.02)[1] > p
 
 

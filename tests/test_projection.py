@@ -10,7 +10,7 @@ from enerscale.carbon import (
     SIGMA_BAND,
     AtmosphereState,
     CarbonCycleParams,
-    _rk4_deltas,
+    _rk4_step,
     committed_equilibrium,
     step_atmosphere,
 )
@@ -258,9 +258,11 @@ def _columns_by_scalar_calls(s, n_steps, dt):
     """The columns as they were once built: one closed-form call per value."""
     years = tuple([s.start_year + i * dt for i in range(n_steps + 1)])
     emissions = tuple(map(partial(emissions_at, s), years))
-    at_mid = map(partial(emissions_at, s), (t + dt / 2.0 for t in years))
     p = s.carbon_params
-    deltas = _rk4_deltas(s.delta0, emissions, at_mid, dt, p.kappa_a, p.sigma)
+    deltas = [s.delta0]
+    for t, c_start, c_end in zip(years, emissions, emissions[1:]):
+        c_mid = emissions_at(s, t + dt / 2.0)
+        deltas.append(_rk4_step(deltas[-1], c_start, c_mid, c_end, dt, p.kappa_a, p.sigma))
     return years, tuple(map(partial(wealth_at, s), years)), emissions, tuple(deltas)
 
 
@@ -297,16 +299,15 @@ def test_scenario_paths_take_one_rk4_step_per_run(monkeypatch, snapshot):
 
     def counting(*args):
         calls.append(args)
-        return _rk4_deltas(*args)
+        return _rk4_step(*args)
 
     def steps_taken(run):
         calls.clear()
         run()
-        assert all(len(args[1]) == 2 for args in calls)  # each call is a single step
         return len(calls)
 
-    monkeypatch.setattr(carbon, "_rk4_deltas", counting)
-    monkeypatch.setattr(projection, "_rk4_deltas", counting, raising=False)
+    monkeypatch.setattr(carbon, "_rk4_step", counting)
+    monkeypatch.setattr(projection, "_rk4_step", counting, raising=False)
     for dt in (1.0, 0.3, 0.01):
         s = scenario(dt=dt)
         assert steps_taken(lambda: run_scenario(s)) == 1
@@ -529,6 +530,12 @@ def test_halving_time_values():
     ) == pytest.approx(2 * halving_time(CarbonCycleParams()), rel=1e-3)
 
 
+def test_halving_time_rejects_overflow():
+    """ln(2)/1e-320 used to come back as inf with no error."""
+    with pytest.raises(DomainError, match="overflows"):
+        halving_time(CarbonCycleParams(sigma=1e-320, allow_sigma_out_of_band=True))
+
+
 # ----------------------------------------------------------------- steady state
 
 def test_freeze_now_relaxes_to_committed_level():
@@ -656,8 +663,9 @@ def _spinup_by_yearly_rk4(emissions, params, end_year, delta0, dt):
     n = time_grid(1.0, dt)[0]
     delta = delta0
     for year in range(emissions.first_year, end_year):
-        held = [emissions.value_at(year)] * (n + 1)
-        delta = _rk4_deltas(delta, held, held, 1.0 / n, params.kappa_a, params.sigma)[-1]
+        held = emissions.value_at(year)
+        for _ in range(n):
+            delta = _rk4_step(delta, held, held, held, 1.0 / n, params.kappa_a, params.sigma)
     return delta
 
 

@@ -111,6 +111,19 @@ def test_spline_rejects_unsorted_input():
         NaturalCubicSpline(np.array([0.0, 2.0, 1.0, 3.0]), np.zeros(4))
 
 
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ([1, 2, 3, float("inf")], [0, 1, 1, 2]),  # used to evaluate to 0.59375 at 1.5
+        ([1, 2, 3, 4], [0, float("nan"), 1, 2]),  # used to evaluate to nan
+        ([float("nan"), 2, 3, 4], [0, 1, 1, 2]),
+    ],
+)
+def test_spline_rejects_non_finite_knots(x, y):
+    with pytest.raises(DomainError, match="finite"):
+        NaturalCubicSpline(x, y)
+
+
 def test_evaluation_outside_range_rejected():
     spline = NaturalCubicSpline(np.arange(4.0), np.arange(4.0))
     with pytest.raises(DomainError):

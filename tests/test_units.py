@@ -38,6 +38,21 @@ def test_round_trip_exact(value, pair):
     assert back == pytest.approx(value, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "value, source, target",
+    [
+        (1e308, Unit.EJ_PER_YR, Unit.GW),  # overflows: 1e308 / 0.031536
+        (float("inf"), Unit.GW, Unit.EJ_PER_YR),
+        (float("nan"), Unit.GW_PER_TUSD, Unit.EJ_PER_YR_PER_TUSD),
+        (float("inf"), Unit.PPMV, Unit.PPMV),
+    ],
+)
+def test_conversion_rejects_non_finite_result(value, source, target):
+    """Each of these used to return inf or nan with no error."""
+    with pytest.raises(DomainError, match="not a finite value"):
+        to_unit(value, source, target)
+
+
 def test_quantity_rejects_non_finite():
     with pytest.raises(DomainError):
         Quantity(float("nan"), Unit.GW)
