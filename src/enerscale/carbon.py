@@ -25,7 +25,7 @@ from .series import (
     sample_std,
     slice_series,
 )
-from .units import Quantity, Unit, to_unit
+from .units import Quantity, Unit, finite, to_unit
 
 #: Default linear sink rate band supported by the observational record.
 SIGMA_BAND = (0.019, 0.027)
@@ -53,7 +53,7 @@ class CarbonCycleParams(Record):
         preindustrial: float = 275.0,
         allow_sigma_out_of_band: bool = False,
     ) -> None:
-        if not all(math.isfinite(v) and v > 0 for v in (sigma, kappa_a, preindustrial)):
+        if not all(finite(v) and v > 0 for v in (sigma, kappa_a, preindustrial)):
             raise DomainError("carbon-cycle parameters must be finite and strictly positive")
         low, high = SIGMA_BAND
         if not allow_sigma_out_of_band and not (low <= sigma <= high):
@@ -77,7 +77,7 @@ class AtmosphereState(Record):
 
     def __init__(self, year: float, delta_co2: float) -> None:
         super().__init__(year, delta_co2)
-        if not (math.isfinite(year) and math.isfinite(delta_co2)):
+        if not (finite(year) and finite(delta_co2)):
             raise DomainError(f"atmosphere state must be finite, got {self}")
         if delta_co2 < 0:
             raise DomainError(_NEGATIVE_PERTURBATION)

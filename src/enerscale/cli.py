@@ -527,9 +527,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_RUNTIME
 
 
-def console_main() -> None:  # pragma: no cover - thin wrapper
-    sys.exit(main())
+def console_main() -> None:
+    """Exit with ``main``'s code, the heap frozen so shutdown collections walk nothing.
+
+    atexit handlers and stream flushes still run; in-process ``main`` never freezes."""
+    code = main()
+    import gc  # here, so that `import enerscale.cli` alone does not load it
+
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    console_main()

@@ -19,7 +19,7 @@ from .carbon import committed_curve  # noqa: F401 - callers keep projection.comm
 from .errors import DomainError
 from .records import Record
 from .series import AnnualSeries
-from .units import DAYS_PER_YEAR, Quantity, Unit, to_unit
+from .units import DAYS_PER_YEAR, Quantity, Unit, finite, to_unit
 
 #: Most grid points a run may ask for: each column holds a float object and a
 #: pointer, ~32 bytes, per point, so one column at the cap takes ~320 MB.
@@ -65,7 +65,7 @@ class Scenario(Record):
             start_year, horizon_years, w0, lambda_gw, c0, eta_w, eta_c, delta0, carbon_params, dt
         )
         not_finite = [name for name in self._fields if name != "carbon_params"
-                      and not math.isfinite(getattr(self, name))]
+                      and not finite(getattr(self, name))]
         if not_finite:
             raise DomainError(f"scenario fields must be finite: {', '.join(not_finite)}")
         if horizon_years <= 0:
@@ -164,7 +164,7 @@ class Trajectory(Record):
 
     def first_crossing(self, committed_concentration: float) -> float | None:
         """First grid year whose committed concentration reaches the threshold."""
-        if not math.isfinite(committed_concentration):
+        if not finite(committed_concentration):
             raise DomainError(f"threshold must be finite, got {committed_concentration}")
         params = self.scenario.carbon_params
         for year, e in zip(self.years, self.emissions):
@@ -182,9 +182,9 @@ def time_grid(horizon_years: float, dt: float) -> tuple[int, float]:
     A grid of more than ``MAX_GRID_POINTS`` points is rejected before any
     is built.
     """
-    if not (math.isfinite(horizon_years) and horizon_years >= 0):
+    if not (finite(horizon_years) and horizon_years >= 0):
         raise DomainError(f"horizon must be finite and non-negative, got {horizon_years}")
-    if not (math.isfinite(dt) and dt > 0):
+    if not (finite(dt) and dt > 0):
         raise DomainError(f"dt must be finite and positive, got {dt}")
     steps = horizon_years / dt
     if steps > MAX_GRID_POINTS - 1:  # n <= ceil(h/dt) steps give n + 1 points
@@ -272,9 +272,12 @@ class CapacityRequirement(Record):
 
 def required_clean_capacity(energy: Quantity, eta_e: float) -> CapacityRequirement:
     """Capacity additions covering growth ``eta_e`` of consumption ``energy`` (GW or EJ/yr)."""
-    if not (math.isfinite(eta_e) and eta_e >= 0):
+    if not (finite(eta_e) and eta_e >= 0):
         raise DomainError(f"growth rate must be finite and nonnegative, got {eta_e}")
     per_year = to_unit(energy.value, energy.unit, Unit.GW) * eta_e
+    if not finite(per_year):
+        raise DomainError(f"the capacity for {energy.value!r} {energy.unit.value}"
+                          f" growing at {eta_e!r}/yr overflows a float")
     return CapacityRequirement(gw_per_year=per_year)
 
 
@@ -308,7 +311,7 @@ def steady_state_commitment(
     Both phases take ``time_grid``'s step count but step by ``dt`` itself, so
     a phase that ``dt`` does not divide runs up to one step past its span.
     """
-    if not math.isfinite(freeze_year):
+    if not finite(freeze_year):
         raise DomainError(f"freeze year must be finite, got {freeze_year}")
     if not s.start_year <= freeze_year:
         raise DomainError("freeze year precedes the scenario start")
@@ -356,7 +359,7 @@ def historical_spinup_delta(
         raise DomainError("spin-up needs a contiguous emissions series")
     if not 0.0 < dt <= 1.0:
         raise DomainError("dt must be in (0, 1] years")
-    if not (math.isfinite(delta0) and delta0 >= 0):
+    if not (finite(delta0) and delta0 >= 0):
         raise DomainError(f"initial perturbation must be finite and non-negative, got {delta0}")
     last = emissions.last_year if end_year is None else end_year
     if not (isinstance(last, int) and not isinstance(last, bool)

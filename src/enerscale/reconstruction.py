@@ -34,7 +34,7 @@ from .errors import (
 )
 from .records import Record
 from .series import AnnualSeries, Period, SeriesKind, aligned_values, mean, slice_series
-from .units import Quantity, Unit
+from .units import Quantity, Unit, finite
 
 #: Ancient population growth rate (fraction/yr): ~10 million more people per
 #: century on a base of ~170 million around year 1 CE.
@@ -190,7 +190,7 @@ def spline_infill(sparse: AnnualSeries) -> AnnualSeries:
 
 def _year_one_production(gdp: AnnualSeries, pop_growth: float) -> float:
     """Y(1), after the checks both calibrations share."""
-    if not (math.isfinite(pop_growth) and pop_growth > 0):
+    if not (finite(pop_growth) and pop_growth > 0):
         raise DomainError(f"pop_growth must be positive and finite, got {pop_growth}")
     if not gdp.has_year(1):
         raise MissingYearOne("calibration requires the production series to cover year 1 CE")

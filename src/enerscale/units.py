@@ -51,6 +51,14 @@ _CONVERSIONS = {
 }
 
 
+def finite(value: float) -> bool:
+    """``math.isfinite(value)``, but False, not OverflowError, for an int too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def to_unit(value: float, source: Unit, target: Unit) -> float:
     """``value`` in ``source`` expressed in ``target``: the one GW <-> EJ/yr path.
 
@@ -60,18 +68,19 @@ def to_unit(value: float, source: Unit, target: Unit) -> float:
     conversions such as GtC/yr -> ppmv are deliberately not unit conversions),
     and DomainError when the result is not finite.
     """
-    if source is target:
-        result = value
-    else:
+    if source is not target:
         try:
             direction = _CONVERSIONS[(source, target)]
         except KeyError:
             message = f"no conversion path from {source.value} to {target.value}"
             raise IncompatibleUnits(message) from None
-        result = direction(value, EJ_PER_YR_PER_GW)
-    if not math.isfinite(result):
-        raise DomainError(f"{value!r} {source.value} is not a finite value in {target.value}")
-    return result
+    try:
+        result = value if source is target else direction(value, EJ_PER_YR_PER_GW)
+        if math.isfinite(result):
+            return result
+    except OverflowError:  # an int too large for a float
+        pass
+    raise DomainError(f"{value!r} {source.value} is not a finite value in {target.value}")
 
 
 class Quantity(Record):
@@ -82,6 +91,6 @@ class Quantity(Record):
     unit: Unit
 
     def __init__(self, value: float, unit: Unit) -> None:
-        if not math.isfinite(value):
+        if not finite(value):
             raise DomainError(f"quantity value must be finite, got {value!r}")
         super().__init__(value, unit)

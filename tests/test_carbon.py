@@ -56,8 +56,15 @@ def test_non_finite_carbon_params_rejected(name, value):
         CarbonCycleParams(**{name: value}, allow_sigma_out_of_band=True)
 
 
+def test_carbon_params_reject_an_int_too_large_for_a_float():
+    """sigma=10**400 used to raise a raw OverflowError, even with the band check off."""
+    with pytest.raises(DomainError, match="finite"):
+        CarbonCycleParams(sigma=10**400, allow_sigma_out_of_band=True)
+
+
 @pytest.mark.parametrize("year, delta", [(math.nan, 0.0), (math.inf, 0.0), (0.0, math.nan),
-                                         (0.0, math.inf)])
+                                         (0.0, math.inf), pytest.param(10**400, 0.0, id="int-too-large-0.0"),
+                                         pytest.param(0.0, 10**400, id="0.0-int-too-large")])
 def test_non_finite_atmosphere_state_rejected(year, delta):
     with pytest.raises(DomainError, match="finite"):
         AtmosphereState(year, delta)

@@ -1,5 +1,6 @@
 import csv
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -686,13 +687,18 @@ def test_usage_error_exit_code():
     assert main(["frobnicate"]) == EXIT_USAGE
 
 
-def run_python(script, *args):
-    """Run ``script`` in a fresh interpreter that imports this checkout's enerscale."""
+def python_env():
+    """The environment of a fresh interpreter that imports this checkout's enerscale."""
     src = str(Path(enerscale.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_python(script, *args):
+    """Run ``script`` in a fresh interpreter that imports this checkout's enerscale."""
     return subprocess.run(
         [sys.executable, "-c", script, *map(str, args)],
-        env={**os.environ, "PYTHONPATH": path},
+        env=python_env(),
         capture_output=True,
         text=True,
     )
@@ -798,3 +804,78 @@ def test_importing_the_cli_loads_only_its_base():
     package, others = loaded_modules([])
     assert package == sorted(["enerscale", *(f"enerscale.{m}" for m in CLI_BASE)])
     assert not UNNEEDED & others
+
+
+# ------------------------------------------------------- console entry points
+
+def run_module(module, *argv):
+    """``python -m module argv`` in a fresh interpreter; its output is kept as bytes."""
+    return subprocess.run(
+        [sys.executable, "-m", module, *map(str, argv)], env=python_env(), capture_output=True
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["report", "--out-dir", "{d}"], id="report"),
+    pytest.param(["tables", "--table", "3", "--out-dir", "{d}"], id="tables-3"),
+    pytest.param(["project", "--preset", "paper-2017", "--out", "{d}/trajectory.csv"],
+                 id="project"),
+])
+def test_console_run_writes_the_bytes_main_writes(tmp_path, capsys, argv):
+    """``python -m enerscale``, which exits through ``console_main``, matches in-process ``main``.
+
+    Stdout and every output file are byte-identical; manifests, which record
+    the output directory, are compared with it masked.
+    """
+    console, direct = tmp_path / "console", tmp_path / "direct"
+    result = run_module("enerscale", *(a.format(d=console) for a in argv))
+    assert result.returncode == EXIT_OK, result.stderr
+    assert main([a.format(d=direct) for a in argv]) == EXIT_OK
+    assert result.stdout == capsys.readouterr().out.encode("utf-8")
+    files = sorted(path.relative_to(direct) for path in direct.rglob("*") if path.is_file())
+    assert files == sorted(path.relative_to(console) for path in console.rglob("*")
+                           if path.is_file())
+    for name in files:
+        want, got = (direct / name).read_bytes(), (console / name).read_bytes()
+        if name.name.endswith("manifest.json"):
+            want = want.replace(str(direct).encode("utf-8"), b"<out>")
+            got = got.replace(str(console).encode("utf-8"), b"<out>")
+        assert got == want, name
+
+
+@pytest.mark.parametrize("module", ["enerscale", "enerscale.cli"])
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["calibrate"], EXIT_OK, id="ok"),
+    pytest.param(["tables", "--table", "3", "--data-dir", "{d}/missing", "--out-dir", "{d}"],
+                 EXIT_RUNTIME, id="runtime"),
+    pytest.param(["ingest", "--manifest", "{d}/manifest.json", "--out-dir", "{d}/out"],
+                 EXIT_VALIDATION, id="validation"),
+    pytest.param(["frobnicate"], EXIT_USAGE, id="usage"),
+])
+def test_console_run_exits_with_mains_code(tmp_path, module, argv, code):
+    (tmp_path / "gappy.csv").write_text("year,value\n2000,1.0\n2003,2.0\n", encoding="utf-8")
+    (tmp_path / "manifest.json").write_text(json.dumps({
+        "gappy": {"path": "gappy.csv", "kind": "energy", "unit": "EJ/yr", "contiguous": True}
+    }), encoding="utf-8")
+    result = run_module(module, *(a.format(d=tmp_path) for a in argv))
+    assert result.returncode == code, result.stderr
+
+
+def test_console_run_freezes_the_heap_and_still_runs_atexit_handlers():
+    script = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0))\n"
+        "from enerscale.cli import console_main\n"
+        "sys.argv[1:] = ['calibrate']\n"
+        "console_main()\n"
+    )
+    result = run_python(script)
+    assert result.returncode == EXIT_OK, result.stderr
+    assert result.stdout.startswith("{\n")  # calibrate's JSON was flushed
+    assert result.stdout.endswith("frozen at exit: True\n")
+
+
+def test_in_process_main_leaves_the_collector_as_it_was(tmp_path):
+    assert main(["tables", "--table", "3", "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert gc.get_freeze_count() == 0
+    assert gc.isenabled()

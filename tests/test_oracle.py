@@ -4,13 +4,16 @@ The bundled CSVs are read with ``csv`` and the reconstruction and scaling
 are recomputed with numpy and scipy: the PPP/MER mean over 1970-1992,
 scipy's natural ``CubicSpline`` through ln(Y), ``np.cumsum`` from
 W(1) = Y(1)/5.9e-4, the scaling E/0.031536/W, the ``ddof=1`` standard
-deviation and ``np.polyfit`` on ln(lambda) for the trend. The package is
-reached only through ``enerscale.cli.main``, so the oracle shares no code
-with what it checks.
+deviation and ``np.polyfit`` on ln(lambda) for the trend. The preset's
+committed level needs no integration: it is kappa*C/sigma above the
+pre-industrial baseline, and its emissions C grow at 2.4 %/yr from the
+observed 2017 value. The package is reached only through
+``enerscale.cli.main``, so the oracle shares no code with what it checks.
 """
 
 import csv
 import json
+import math
 import re
 from pathlib import Path
 
@@ -27,6 +30,9 @@ REL = 1e-12
 RATIO_WINDOW = (1970, 1992)
 POP_GROWTH = 5.9e-4
 EJ_PER_YR_PER_GW = 0.031536
+PREINDUSTRIAL, KAPPA_A, SIGMA = 275.0, 0.47, 0.023
+PRESET_YEAR, PRESET_GROWTH, PRESET_DT = 2017, 0.024, 0.25
+DAYS_PER_YEAR = 365.25
 PERIODS = (
     (1980, 1990), (1990, 2000), (2000, 2010), (2010, 2017), (1980, 2010), (1980, 2017),
 )
@@ -71,7 +77,29 @@ def oracle():
     e_years = np.array(sorted(energy))
     scaling = np.array([energy[y] / EJ_PER_YR_PER_GW / wealth[y] for y in e_years])
     stats = {p: period_stats(e_years, scaling, *p) for p in PERIODS}
-    return {"kappa_x": kappa_x, "w1": w1, "stats": stats}
+    w2017 = wealth[PRESET_YEAR]
+    return {
+        "kappa_x": kappa_x,
+        "w1": w1,
+        "stats": stats,
+        "w2017": w2017,
+        "share_first_millennium": production[years <= 1000].sum() / w2017,
+        "share_1980_2017": production[years >= 1980].sum() / w2017,
+        "energy_2017": energy[PRESET_YEAR],
+        "emissions_2017": read_column("emissions.csv", "emissions")[PRESET_YEAR],
+    }
+
+
+def committed_concentration(oracle, year):
+    """kappa*C/sigma above the baseline, with C growing from its observed 2017 value."""
+    emissions = oracle["emissions_2017"] * math.exp(PRESET_GROWTH * (year - PRESET_YEAR))
+    return PREINDUSTRIAL + KAPPA_A * emissions / SIGMA
+
+
+def doubling_year(oracle):
+    """The first point of the 0.25-year grid whose committed level reaches 550 ppmv."""
+    span = math.log(SIGMA * PREINDUSTRIAL / (KAPPA_A * oracle["emissions_2017"])) / PRESET_GROWTH
+    return PRESET_YEAR + PRESET_DT * math.ceil(span / PRESET_DT)
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +143,28 @@ def test_report_scaling_and_w1_match_oracle(oracle, outputs):
         assert report[key] == pytest.approx(value, rel=REL, abs=0), key
 
 
+def test_report_committed_levels_capacity_and_shares_match_oracle(oracle, outputs):
+    """Every other ``report.json`` leaf: with the test above, all of them are checked."""
+    report = outputs["report"]
+    per_year = oracle["energy_2017"] / EJ_PER_YR_PER_GW * PRESET_GROWTH
+    want = {
+        "committed_concentration_2017_ppmv": committed_concentration(oracle, 2017),
+        "committed_concentration_2040_ppmv": committed_concentration(oracle, 2040),
+        "committed_doubling_year": doubling_year(oracle),
+        "halving_time_yr": math.log(2.0) / SIGMA,
+        "clean_capacity_gw_per_yr": per_year,
+        "clean_capacity_gw_per_day": per_year / DAYS_PER_YEAR,
+        "wealth_2017_tusd": oracle["w2017"],
+        "share_first_millennium": oracle["share_first_millennium"],
+        "share_1980_2017": oracle["share_1980_2017"],
+    }
+    scaling_and_w1 = {"scaling_mean_gw_per_tusd", "scaling_std", "scaling_ci95_halfwidth",
+                      "scaling_trend_per_yr", "w1_tusd"}
+    assert set(report) == set(want) | scaling_and_w1
+    for key, value in want.items():
+        assert report[key] == pytest.approx(value, rel=REL, abs=0), key
+
+
 def test_calibrate_matches_oracle(oracle, outputs):
     calibrate = outputs["calibrate"]
     assert calibrate["kappa_x"] == pytest.approx(oracle["kappa_x"], rel=REL, abs=0)
@@ -148,3 +198,14 @@ def test_readme_headline_numbers_match_oracle(oracle):
     for pattern, values in checks:
         for (printed, half_digit), value in zip(_printed(pattern, text), values):
             assert abs(value - printed) <= half_digit, (pattern, printed, value)
+
+
+def test_readme_committed_milestones_match_oracle(oracle):
+    """The README's 2017 committed level, 550 ppmv crossing and 2040 level, as printed."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    pattern = (r"2017 committed level is ~([\d.]+) ppmv, so the crossing \(~([\d.]+)\)"
+               r" and 2040 \(~([\d.]+) ppmv\)")
+    values = [committed_concentration(oracle, 2017), doubling_year(oracle),
+              committed_concentration(oracle, 2040)]
+    for (printed, half_digit), value in zip(_printed(pattern, text), values, strict=True):
+        assert abs(value - printed) <= half_digit, (printed, value)

@@ -74,6 +74,13 @@ def test_scenario_validates_inputs():
         scenario(w0=-1.0)
 
 
+@pytest.mark.parametrize("field", ["w0", "horizon_years"])
+def test_scenario_rejects_an_int_too_large_for_a_float(field):
+    """w0 or horizon 10**400 used to raise a raw OverflowError from the finiteness check."""
+    with pytest.raises(DomainError, match=f"scenario fields must be finite: {field}"):
+        scenario(**{field: 10**400})
+
+
 UNSTABLE = CarbonCycleParams(sigma=2.9, allow_sigma_out_of_band=True)
 
 
@@ -349,6 +356,13 @@ def test_time_grid_rejects_bad_horizon_or_step(horizon, dt):
         time_grid(horizon, dt)
 
 
+@pytest.mark.parametrize("horizon, dt", [(10**400, 0.25), (40.0, 10**400)], ids=["horizon", "dt"])
+def test_time_grid_rejects_an_int_too_large_for_a_float(horizon, dt):
+    """Each used to raise a raw OverflowError from the finiteness check."""
+    with pytest.raises(DomainError, match="horizon must be|dt must be"):
+        time_grid(horizon, dt)
+
+
 def test_time_grid_caps_the_point_count_without_building_a_grid():
     cap = MAX_GRID_POINTS
     assert time_grid(cap - 1.0, 1.0) == (cap - 1, 1.0)  # cap points
@@ -374,7 +388,8 @@ def test_every_grid_time_is_found(dt, horizon):
     assert trajectory.years[-1] == pytest.approx(s.start_year + horizon, abs=1e-9)
 
 
-@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf,
+                                       pytest.param(10**400, id="int-too-large")])
 def test_first_crossing_rejects_non_finite_threshold(threshold):
     with pytest.raises(DomainError, match="threshold must be finite"):
         run_scenario(scenario()).first_crossing(threshold)
@@ -515,6 +530,18 @@ def test_required_capacity_rejects_non_finite_growth(eta_e):
         required_clean_capacity(Quantity(20000.0, Unit.GW), eta_e)
 
 
+def test_required_capacity_rejects_an_int_too_large_for_a_float():
+    """eta=10**400 used to raise a raw OverflowError from the finiteness check."""
+    with pytest.raises(DomainError, match="finite"):
+        required_clean_capacity(Quantity(20000.0, Unit.GW), 10**400)
+
+
+def test_required_capacity_rejects_overflow():
+    """1e308 GW growing at 10/yr used to return gw_per_year=inf."""
+    with pytest.raises(DomainError, match="overflows a float"):
+        required_clean_capacity(Quantity(1e308, Unit.GW), 10.0)
+
+
 def test_required_capacity_zero_energy():
     cap = required_clean_capacity(Quantity(1e-12, Unit.GW), 0.024)
     assert cap.gw_per_year == pytest.approx(0.0, abs=1e-12)
@@ -563,7 +590,8 @@ def test_freeze_with_vanishing_carbonization_decays():
     assert result.trajectory.points[-1].delta_co2 < 0.05
 
 
-@pytest.mark.parametrize("freeze_year", [math.inf, math.nan])
+@pytest.mark.parametrize("freeze_year", [math.inf, math.nan,
+                                         pytest.param(10**400, id="int-too-large")])
 def test_freeze_year_must_be_finite(freeze_year):
     with pytest.raises(DomainError, match="freeze year must be finite"):
         steady_state_commitment(scenario(), freeze_year=freeze_year)
@@ -634,7 +662,8 @@ def test_spinup_end_year_spans_the_whole_record(snapshot):
     assert through_2017 > _spinup_from_1959(snapshot, 0.25)
 
 
-@pytest.mark.parametrize("delta0", [math.nan, math.inf])
+@pytest.mark.parametrize("delta0", [math.nan, math.inf,
+                                    pytest.param(10**400, id="int-too-large")])
 def test_spinup_rejects_non_finite_delta0(snapshot, delta0):
     with pytest.raises(DomainError, match="finite"):
         historical_spinup_delta(snapshot.emissions, delta0=delta0)

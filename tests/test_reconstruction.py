@@ -92,7 +92,8 @@ def test_initial_wealth_rejects_zero_growth():
 @pytest.mark.parametrize(
     "calibrate", [calibrate_initial_wealth, calibrate_initial_wealth_iterative]
 )
-@pytest.mark.parametrize("pop_growth", [math.inf, math.nan])
+@pytest.mark.parametrize("pop_growth", [math.inf, math.nan,
+                                        pytest.param(10**400, id="int-too-large")])
 def test_initial_wealth_rejects_non_finite_growth(calibrate, pop_growth):
     gdp = gdp_series((1, 2), (1.0, 1.1))
     with pytest.raises(DomainError, match="pop_growth must be positive and finite"):

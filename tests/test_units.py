@@ -53,6 +53,26 @@ def test_conversion_rejects_non_finite_result(value, source, target):
         to_unit(value, source, target)
 
 
+def test_quantity_rejects_an_int_too_large_for_a_float():
+    """10**400 used to raise a raw OverflowError from the finiteness check."""
+    with pytest.raises(DomainError, match="must be finite"):
+        Quantity(10**400, Unit.GW)
+    with pytest.raises(DomainError, match="must be finite"):
+        Quantity(-(10**400), Unit.GW)
+
+
+def test_identity_conversion_rejects_an_int_too_large_for_a_float():
+    with pytest.raises(DomainError, match="not a finite value"):
+        to_unit(10**400, Unit.GW, Unit.GW)
+
+
+@pytest.mark.parametrize("source, target", CONVERTIBLE_PAIRS)
+def test_conversion_rejects_an_int_too_large_for_a_float(source, target):
+    """The multiplication or division used to raise a raw OverflowError."""
+    with pytest.raises(DomainError, match="not a finite value"):
+        to_unit(10**400, source, target)
+
+
 def test_quantity_rejects_non_finite():
     with pytest.raises(DomainError):
         Quantity(float("nan"), Unit.GW)
