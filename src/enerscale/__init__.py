@@ -48,15 +48,15 @@ _LAZY = {
                           " estimate_ppp_mer_ratio ppp_to_mer reconstruct_production"
                           " spline_infill",
         "scaling": "ScalingEstimate scaling_series scaling_stats w1_sensitivity",
-        "growth": "RatesRow energy_productivity growth_rate"
+        "growth": "CarbonizationEstimate KayaComponents RatesRow carbonization"
+                  " carbonization_series energy_productivity growth_rate kaya_decomposition"
                   " rates_table wealth_growth_series",
-        "carbon": "AtmosphereState CarbonCycleParams CarbonizationEstimate KayaComponents"
-                  " carbonization carbonization_series committed_curve committed_equilibrium"
-                  " kaya_decomposition max_carbonization max_carbonization_coefficient"
-                  " step_atmosphere",
-        "projection": "CapacityRequirement Scenario SteadyStateResult Trajectory"
-                      " TrajectoryPoint halving_time historical_spinup_delta"
-                      " required_clean_capacity run_scenario steady_state_commitment",
+        "carbon": "CarbonCycleParams",
+        "projection": "AtmosphereState CapacityRequirement Scenario SteadyStateResult"
+                      " Trajectory TrajectoryPoint committed_curve committed_equilibrium"
+                      " halving_time historical_spinup_delta max_carbonization"
+                      " max_carbonization_coefficient required_clean_capacity run_scenario"
+                      " steady_state_commitment step_atmosphere",
     }.items()
     for name in names.split()
 }

@@ -3,7 +3,8 @@
 A scenario grows cumulative production exponentially (rates are continuous,
 d ln/dt), decarbonizes the energy mix at a configurable rate, integrates the
 one-box atmosphere, and records the committed equilibrium concentration at
-every step. Identical scenarios produce bit-identical trajectories.
+every step. Identical scenarios produce bit-identical trajectories. Here too
+are the RK4 stepper and the committed equilibrium with its inverse.
 """
 
 from __future__ import annotations
@@ -12,18 +13,110 @@ import math
 from bisect import bisect_left
 from collections.abc import Sequence
 from math import exp
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Union
 
-from .carbon import _NEGATIVE_PERTURBATION, CarbonCycleParams, _rk4_affine
-from .carbon import committed_curve  # noqa: F401 - callers keep projection.committed_curve
+from .carbon import CarbonCycleParams
 from .errors import DomainError
 from .records import Record
 from .series import AnnualSeries
-from .units import DAYS_PER_YEAR, Quantity, Unit, finite, to_unit
+from .units import DAYS_PER_YEAR, Quantity, Unit, finite, shown, to_unit
 
 #: Most grid points a run may ask for: each column holds a float object and a
 #: pointer, ~32 bytes, per point, so one column at the cap takes ~320 MB.
 MAX_GRID_POINTS = 10**7
+
+_NEGATIVE_PERTURBATION = "concentration perturbation cannot be negative"
+
+#: sigma*dt past which an RK4 step amplifies the perturbation: the root of
+#: R(-x) = 1 for RK4's stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
+_RK4_STABILITY_LIMIT = 2.785293563405282
+
+
+class AtmosphereState(Record):
+    """CO2 perturbation above the pre-industrial baseline at a point in time."""
+
+    __slots__ = _fields = ("year", "delta_co2")
+    year: float
+    delta_co2: float
+
+    def __init__(self, year: float, delta_co2: float) -> None:
+        super().__init__(year, delta_co2)
+        if not (finite(year) and finite(delta_co2)):
+            raise DomainError(f"atmosphere state must be finite, got year={shown(year)},"
+                              f" delta_co2={shown(delta_co2)}")
+        if delta_co2 < 0:
+            raise DomainError(_NEGATIVE_PERTURBATION)
+
+
+EmissionsRate = Union[float, Callable[[float], float]]
+
+
+def _rk4_step(
+    delta: float, c_start: float, c_mid: float, c_end: float, dt: float, kappa: float, sigma: float
+) -> float:
+    """One classical RK4 step of d(delta)/dt = kappa*C(t) - sigma*delta.
+
+    ``c_start``, ``c_mid`` and ``c_end`` are the source C at the start, the
+    midpoint and the end of the step. ``step_atmosphere`` takes one step of
+    it for any source; the scenario engine and spin-up take one step of it in
+    ``_rk4_affine`` and apply that step as an affine map. Raises DomainError
+    when sigma*dt is past RK4's stability limit, where |R(-sigma*dt)| > 1 and
+    the steps grow without bound instead of relaxing.
+    """
+    if sigma * dt > _RK4_STABILITY_LIMIT:
+        raise DomainError(
+            f"sigma*dt = {sigma * dt!r} is past RK4's stability limit"
+            f" {_RK4_STABILITY_LIMIT:.4f} (|R(-sigma*dt)| > 1); use a smaller dt"
+        )
+    k_mid = kappa * c_mid
+    k1 = kappa * c_start - sigma * delta
+    k2 = k_mid - sigma * (delta + dt * k1 / 2.0)
+    k3 = k_mid - sigma * (delta + dt * k2 / 2.0)
+    k4 = kappa * c_end - sigma * (delta + dt * k3)
+    delta = delta + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    if delta < 0:
+        raise DomainError(_NEGATIVE_PERTURBATION)
+    return delta
+
+
+def _rk4_affine(dt: float, kappa: float, sigma: float, growth: float = 0.0) -> tuple[float, float]:
+    """One ``_rk4_step`` for a source growing at ``growth``, as ``(a, p)``.
+
+    RK4 is linear in delta and in the source, so for C(t) = C*exp(growth*(t - t0))
+    across the step it maps delta to ``delta + (a*delta + p*C)`` exactly, up to
+    rounding. ``a = R(z) - 1`` with ``z = -sigma*dt`` and R RK4's stability
+    polynomial, nested so that no bits cancel; ``p`` is one ``_rk4_step``
+    from delta = 0 with sources 1, e^{growth*dt/2} and e^{growth*dt}.
+    """
+    z = -sigma * dt
+    a = z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
+    p = _rk4_step(0.0, 1.0, math.exp(growth * dt / 2.0), math.exp(growth * dt), dt, kappa, sigma)
+    return a, p
+
+
+def step_atmosphere(
+    state: AtmosphereState,
+    emissions_rate: EmissionsRate,
+    params: CarbonCycleParams = CarbonCycleParams(),
+    dt: float = 0.25,
+) -> AtmosphereState:
+    """Advance the perturbation one step with classical fourth-order Runge-Kutta.
+
+    ``emissions_rate`` is either a constant (GtC/yr, held fixed across the
+    step) or a callable of the year, sampled at the start, midpoint and end
+    of the step. For constant emissions the exact solution
+    delta(t) = (kappa*C/sigma)(1 - exp(-sigma t)) + delta0 exp(-sigma t)
+    is matched at fourth order in dt.
+    """
+    if not 0.0 < dt <= 1.0:
+        raise DomainError("dt must be in (0, 1] years")
+    t0 = state.year
+    if callable(emissions_rate):
+        sources = (emissions_rate(t0), emissions_rate(t0 + dt / 2.0), emissions_rate(t0 + dt))
+    else:
+        sources = (float(emissions_rate),) * 3
+    delta = _rk4_step(state.delta_co2, *sources, dt, params.kappa_a, params.sigma)
+    return AtmosphereState(year=t0 + dt, delta_co2=delta)
 
 
 class Scenario(Record):
@@ -165,7 +258,7 @@ class Trajectory(Record):
     def first_crossing(self, committed_concentration: float) -> float | None:
         """First grid year whose committed concentration reaches the threshold."""
         if not finite(committed_concentration):
-            raise DomainError(f"threshold must be finite, got {committed_concentration}")
+            raise DomainError(f"threshold must be finite, got {shown(committed_concentration)}")
         params = self.scenario.carbon_params
         for year, e in zip(self.years, self.emissions):
             if params.preindustrial + params.committed_delta(e) >= committed_concentration:
@@ -183,9 +276,9 @@ def time_grid(horizon_years: float, dt: float) -> tuple[int, float]:
     is built.
     """
     if not (finite(horizon_years) and horizon_years >= 0):
-        raise DomainError(f"horizon must be finite and non-negative, got {horizon_years}")
+        raise DomainError(f"horizon must be finite and non-negative, got {shown(horizon_years)}")
     if not (finite(dt) and dt > 0):
-        raise DomainError(f"dt must be finite and positive, got {dt}")
+        raise DomainError(f"dt must be finite and positive, got {shown(dt)}")
     steps = horizon_years / dt
     if steps > MAX_GRID_POINTS - 1:  # n <= ceil(h/dt) steps give n + 1 points
         raise DomainError(
@@ -273,7 +366,7 @@ class CapacityRequirement(Record):
 def required_clean_capacity(energy: Quantity, eta_e: float) -> CapacityRequirement:
     """Capacity additions covering growth ``eta_e`` of consumption ``energy`` (GW or EJ/yr)."""
     if not (finite(eta_e) and eta_e >= 0):
-        raise DomainError(f"growth rate must be finite and nonnegative, got {eta_e}")
+        raise DomainError(f"growth rate must be finite and nonnegative, got {shown(eta_e)}")
     per_year = to_unit(energy.value, energy.unit, Unit.GW) * eta_e
     if not finite(per_year):
         raise DomainError(f"the capacity for {energy.value!r} {energy.unit.value}"
@@ -287,6 +380,73 @@ def halving_time(params: CarbonCycleParams = CarbonCycleParams()) -> float:
     if not math.isfinite(years):
         raise DomainError(f"the halving time at sigma={params.sigma!r} overflows a float")
     return years
+
+
+def committed_curve(
+    w_values: Sequence[float],
+    scale: Quantity,
+    c: Quantity,
+    params: CarbonCycleParams = CarbonCycleParams(),
+) -> list[tuple[float, float]]:
+    """(W, delta_eq) pairs tracing the equilibrium line, W in T$2010, inputs checked once.
+
+    delta_eq is ``params.committed_delta((lambda*c)*W)``, the scenario engine's emissions
+    product, so the curve and a trajectory agree bit for bit at equal W and c."""
+    if c.unit is not Unit.GTC_PER_EJ or c.value <= 0:
+        raise DomainError("carbonization must be a positive quantity in GtC per EJ")
+    if scale.value <= 0:
+        raise DomainError("the energy scaling must be positive")
+    per_tusd = to_unit(scale.value, scale.unit, Unit.EJ_PER_YR_PER_TUSD) * c.value
+    try:
+        w_values = list(map(float, w_values))
+    except OverflowError:  # an int too large for a float
+        raise DomainError("cumulative production must be finite and non-negative") from None
+    if not all(0.0 <= w < math.inf for w in w_values):
+        raise DomainError("cumulative production must be finite and non-negative")
+    if not math.isfinite(params.committed_delta(per_tusd * max(w_values, default=0.0))):
+        raise DomainError("the committed level overflows a float")
+    return [(w, params.committed_delta(per_tusd * w)) for w in w_values]
+
+
+def committed_equilibrium(
+    w: Quantity,
+    scale: Quantity,
+    c: Quantity,
+    params: CarbonCycleParams = CarbonCycleParams(),
+) -> Quantity:
+    """delta_eq = kappa*(lambda*c*W)/sigma, ppmv: ``committed_curve`` at the one W ``w``."""
+    if w.unit is not Unit.TUSD:
+        raise DomainError("cumulative production must be in T$2010")
+    return Quantity(committed_curve([w.value], scale, c, params)[0][1], Unit.PPMV)
+
+
+def max_carbonization_coefficient(
+    scale: Quantity, params: CarbonCycleParams = CarbonCycleParams()
+) -> float:
+    """sigma/(kappa*lambda): GtC * T$ per (ppmv * EJ)."""
+    if scale.value <= 0:
+        raise DomainError("the energy scaling must be positive")
+    lam_ej = to_unit(scale.value, scale.unit, Unit.EJ_PER_YR_PER_TUSD)
+    return params.sigma / (params.kappa_a * lam_ej)
+
+
+def max_carbonization(
+    delta_target: Quantity,
+    w: Quantity,
+    scale: Quantity,
+    params: CarbonCycleParams = CarbonCycleParams(),
+) -> Quantity:
+    """Largest carbonization compatible with stabilizing at ``delta_target``.
+
+    c_max = (sigma / (kappa * lambda)) * delta / W; composing with
+    ``committed_equilibrium`` at the same parameters is the identity.
+    """
+    if delta_target.unit is not Unit.PPMV:
+        raise DomainError("stabilization target must be a ppmv perturbation")
+    if w.unit is not Unit.TUSD or w.value <= 0 or delta_target.value <= 0:
+        raise DomainError("inputs must be positive")
+    c_max = max_carbonization_coefficient(scale, params) * delta_target.value / w.value
+    return Quantity(c_max, Unit.GTC_PER_EJ)
 
 
 class SteadyStateResult(Record):
@@ -312,7 +472,7 @@ def steady_state_commitment(
     a phase that ``dt`` does not divide runs up to one step past its span.
     """
     if not finite(freeze_year):
-        raise DomainError(f"freeze year must be finite, got {freeze_year}")
+        raise DomainError(f"freeze year must be finite, got {shown(freeze_year)}")
     if not s.start_year <= freeze_year:
         raise DomainError("freeze year precedes the scenario start")
     head = _columns(s, time_grid(freeze_year - s.start_year, s.dt)[0], s.dt)
@@ -360,13 +520,14 @@ def historical_spinup_delta(
     if not 0.0 < dt <= 1.0:
         raise DomainError("dt must be in (0, 1] years")
     if not (finite(delta0) and delta0 >= 0):
-        raise DomainError(f"initial perturbation must be finite and non-negative, got {delta0}")
+        raise DomainError("initial perturbation must be finite and non-negative,"
+                          f" got {shown(delta0)}")
     last = emissions.last_year if end_year is None else end_year
     if not (isinstance(last, int) and not isinstance(last, bool)
             and emissions.first_year <= last <= emissions.last_year + 1):
         raise DomainError(
             f"end_year must be an int in [{emissions.first_year}, {emissions.last_year + 1}],"
-            f" got {end_year!r}"
+            f" got {shown(end_year)}"
         )
     n = time_grid(1.0, dt)[0]
     years = last - emissions.first_year

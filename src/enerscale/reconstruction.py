@@ -34,7 +34,7 @@ from .errors import (
 )
 from .records import Record
 from .series import AnnualSeries, Period, SeriesKind, aligned_values, mean, slice_series
-from .units import Quantity, Unit, finite
+from .units import Quantity, Unit, finite, shown
 
 #: Ancient population growth rate (fraction/yr): ~10 million more people per
 #: century on a base of ~170 million around year 1 CE.
@@ -56,6 +56,8 @@ class NaturalCubicSpline:
         try:
             x = [float(v) for v in x]
             y = [float(v) for v in y]
+        except OverflowError:  # an int too large for a float
+            raise DomainError("spline knots must be finite") from None
         except (TypeError, ValueError):
             raise DomainError("spline knots must be two equal-length 1-d sequences") from None
         if len(x) != len(y):
@@ -168,9 +170,7 @@ def ppp_to_mer(s: AnnualSeries, r: PppMerRatio) -> AnnualSeries:
     """Divide PPP values by the ratio; the result is a MER series."""
     if s.kind is not SeriesKind.GDP_PPP:
         raise KindError(f"ppp_to_mer expects a gdp_ppp series, got {s.kind.value}")
-    return s.with_data(
-        s.years, tuple(v / r.value for v in s.values), kind=SeriesKind.GDP_MER
-    )
+    return AnnualSeries(SeriesKind.GDP_MER, s.unit, s.years, tuple(v / r.value for v in s.values))
 
 
 def spline_infill(sparse: AnnualSeries) -> AnnualSeries:
@@ -191,7 +191,7 @@ def spline_infill(sparse: AnnualSeries) -> AnnualSeries:
 def _year_one_production(gdp: AnnualSeries, pop_growth: float) -> float:
     """Y(1), after the checks both calibrations share."""
     if not (finite(pop_growth) and pop_growth > 0):
-        raise DomainError(f"pop_growth must be positive and finite, got {pop_growth}")
+        raise DomainError(f"pop_growth must be positive and finite, got {shown(pop_growth)}")
     if not gdp.has_year(1):
         raise MissingYearOne("calibration requires the production series to cover year 1 CE")
     return gdp.value_at(1)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .errors import DomainError, EmptySlice, InvalidPeriod, KindError
 from .records import Record
-from .units import Unit
+from .units import Unit, shown
 
 
 class SeriesKind(str, Enum):
@@ -90,7 +90,7 @@ class Period(Record):
             )
         if start_year >= end_year:
             raise InvalidPeriod(
-                f"period must satisfy start < end, got {start_year}..{end_year}"
+                f"period must satisfy start < end, got {shown(start_year)}..{shown(end_year)}"
             )
         super().__init__(int(start_year), int(end_year))
 
@@ -148,7 +148,7 @@ class AnnualSeries(Record):
             if values != raw:
                 bad = [v for v in raw if not _number(v)]
                 if bad:
-                    raise DomainError(f"series values must be numbers, got {bad[0]!r}")
+                    raise DomainError(f"series values must be numbers, got {shown(bad[0])}")
         if len(years) != len(values):
             raise DomainError("years and values must have equal length")
         if not years:
@@ -201,13 +201,9 @@ class AnnualSeries(Record):
     def is_contiguous(self) -> bool:
         return self.last_year - self.first_year + 1 == len(self.years)
 
-    def with_data(
-        self, years: Sequence[int], values: Sequence[float], kind: SeriesKind | None = None
-    ) -> "AnnualSeries":
-        """Build a sibling series with the same unit, and the same kind unless overridden."""
-        return AnnualSeries(
-            kind if kind is not None else self.kind, self.unit, tuple(years), tuple(values)
-        )
+    def with_data(self, years: Sequence[int], values: Sequence[float]) -> "AnnualSeries":
+        """Build a sibling series with the same kind and unit."""
+        return AnnualSeries(self.kind, self.unit, tuple(years), tuple(values))
 
 
 def slice_series(s: AnnualSeries, p: Period) -> AnnualSeries:

@@ -7,8 +7,8 @@ formatting by the CSV writer, and rounded for the aligned text view.
 
 from __future__ import annotations
 
-from .carbon import CarbonCycleParams, carbonization, kaya_decomposition
-from .growth import growth_rate, rates_table
+from .carbon import CarbonCycleParams
+from .growth import carbonization, growth_rate, kaya_decomposition, rates_table
 from .reconstruction import ReconstructionResult
 from .records import Record
 from .scaling import scaling_series, scaling_stats

@@ -59,6 +59,14 @@ def finite(value: float) -> bool:
         return False
 
 
+def shown(value: object) -> str:
+    """``repr(value)`` for a message, or an int's sign and bit length if it has too many digits."""
+    try:
+        return repr(value)
+    except ValueError:  # more decimal digits than sys.get_int_max_str_digits()
+        return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+
+
 def to_unit(value: float, source: Unit, target: Unit) -> float:
     """``value`` in ``source`` expressed in ``target``: the one GW <-> EJ/yr path.
 
@@ -80,7 +88,7 @@ def to_unit(value: float, source: Unit, target: Unit) -> float:
             return result
     except OverflowError:  # an int too large for a float
         pass
-    raise DomainError(f"{value!r} {source.value} is not a finite value in {target.value}")
+    raise DomainError(f"{shown(value)} {source.value} is not a finite value in {target.value}")
 
 
 class Quantity(Record):
@@ -92,5 +100,5 @@ class Quantity(Record):
 
     def __init__(self, value: float, unit: Unit) -> None:
         if not finite(value):
-            raise DomainError(f"quantity value must be finite, got {value!r}")
+            raise DomainError(f"quantity value must be finite, got {shown(value)}")
         super().__init__(value, unit)

@@ -16,19 +16,25 @@ import numpy as np
 import pytest
 
 from enerscale import datasets
-from enerscale.carbon import (
-    AtmosphereState,
-    CarbonCycleParams,
+from enerscale.carbon import CarbonCycleParams
+from enerscale.cli import main
+from enerscale.growth import (
     carbonization,
-    committed_equilibrium,
+    energy_productivity,
+    growth_rate,
     kaya_decomposition,
+    rates_table,
+)
+from enerscale.projection import (
+    AtmosphereState,
+    committed_equilibrium,
+    halving_time,
     max_carbonization,
     max_carbonization_coefficient,
+    required_clean_capacity,
+    run_scenario,
     step_atmosphere,
 )
-from enerscale.cli import main
-from enerscale.growth import energy_productivity, growth_rate, rates_table
-from enerscale.projection import halving_time, required_clean_capacity, run_scenario
 from enerscale.reconstruction import WealthSeries
 from enerscale.scaling import scaling_series, scaling_stats, w1_sensitivity
 from enerscale.series import AnnualSeries, Period, SeriesKind

@@ -4,22 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enerscale.carbon import (
-    AtmosphereState,
-    CarbonCycleParams,
-    CarbonizationEstimate,
-    SIGMA_BAND,
+from enerscale.carbon import SIGMA_BAND, CarbonCycleParams
+from enerscale.errors import DomainError
+from enerscale.growth import CarbonizationEstimate, carbonization, kaya_decomposition
+from enerscale.projection import (
     _RK4_STABILITY_LIMIT,
+    AtmosphereState,
     _rk4_affine,
     _rk4_step,
-    carbonization,
     committed_equilibrium,
-    kaya_decomposition,
     max_carbonization,
     max_carbonization_coefficient,
     step_atmosphere,
 )
-from enerscale.errors import DomainError
 from enerscale.reconstruction import WealthSeries
 from enerscale.series import AnnualSeries, Period, SeriesKind
 from enerscale.units import Quantity, Unit

@@ -747,13 +747,13 @@ SUBCOMMAND_MODULES = [
     *(pytest.param(["tables", "--table", str(n), "--out-dir", "{d}"],
                    PACKAGE - {"projection"}, id=f"tables-{n}")
       for n in range(1, 6)),
-    pytest.param([*PRESET, "--out", "{d}/t.csv"], PACKAGE - {"scaling", "tables"},
+    pytest.param([*PRESET, "--out", "{d}/t.csv"], PACKAGE - {"growth", "scaling", "tables"},
                  id="project"),
     pytest.param([*PRESET, "--curve", "--out", "{d}/c.csv"],
-                 PACKAGE - {"scaling", "tables"}, id="project-curve"),
+                 PACKAGE - {"growth", "scaling", "tables"}, id="project-curve"),
     pytest.param([*PRESET, "--spinup", "--out", "{d}/s.csv"],
-                 PACKAGE - {"scaling", "tables"}, id="project-spinup"),
-    pytest.param(["report", "--out-dir", "{d}"], PACKAGE - {"tables"}, id="report"),
+                 PACKAGE - {"growth", "scaling", "tables"}, id="project-spinup"),
+    pytest.param(["report", "--out-dir", "{d}"], PACKAGE - {"growth", "tables"}, id="report"),
 ]
 
 

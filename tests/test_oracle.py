@@ -1,10 +1,14 @@
-"""An independent oracle for table 1, ``report`` and ``calibrate``.
+"""An independent oracle for tables 1-5, ``report`` and ``calibrate``.
 
 The bundled CSVs are read with ``csv`` and the reconstruction and scaling
 are recomputed with numpy and scipy: the PPP/MER mean over 1970-1992,
 scipy's natural ``CubicSpline`` through ln(Y), ``np.cumsum`` from
 W(1) = Y(1)/5.9e-4, the scaling E/0.031536/W, the ``ddof=1`` standard
-deviation and ``np.polyfit`` on ln(lambda) for the trend. The preset's
+deviation and ``np.polyfit`` on ln(lambda) for the trend. Every growth rate
+of tables 2-4 is the endpoint log rate ln(x(t1)/x(t0))/(t1 - t0) of a
+series or of a per-year ratio of two; the rate Y/W comes from the first
+differences of W, and the emissions scaling of tables 3 and 5 is
+1000*kappa*C/W per quadrillion 2010 USD. The preset's
 committed level needs no integration: it is kappa*C/sigma above the
 pre-industrial baseline, and its emissions C grow at 2.4 %/yr from the
 observed 2017 value. The package is reached only through
@@ -36,6 +40,8 @@ DAYS_PER_YEAR = 365.25
 PERIODS = (
     (1980, 1990), (1990, 2000), (2000, 2010), (2010, 2017), (1980, 2010), (1980, 2017),
 )
+RATE_PERIODS = ((1980, 2010), (2010, 2017), (1980, 2017))
+COEFFICIENT_PERIODS = ((1980, 1990), (1990, 2000), (2000, 2010), (1980, 2010))
 
 
 def read_column(name, column):
@@ -78,6 +84,7 @@ def oracle():
     scaling = np.array([energy[y] / EJ_PER_YR_PER_GW / wealth[y] for y in e_years])
     stats = {p: period_stats(e_years, scaling, *p) for p in PERIODS}
     w2017 = wealth[PRESET_YEAR]
+    emissions = read_column("emissions.csv", "emissions")
     return {
         "kappa_x": kappa_x,
         "w1": w1,
@@ -86,8 +93,57 @@ def oracle():
         "share_first_millennium": production[years <= 1000].sum() / w2017,
         "share_1980_2017": production[years >= 1980].sum() / w2017,
         "energy_2017": energy[PRESET_YEAR],
-        "emissions_2017": read_column("emissions.csv", "emissions")[PRESET_YEAR],
+        "emissions_2017": emissions[PRESET_YEAR],
+        "lambda_mean": np.mean(scaling),
+        "production": dict(zip(years.tolist(), production)),
+        "wealth": wealth,
+        "energy": energy,
+        "emissions": emissions,
+        "population": read_column("population.csv", "population"),
     }
+
+
+def rate(series, start, end):
+    """Endpoint log growth rate of a {year: value} series over [start, end], 1/yr."""
+    return math.log(series[end] / series[start]) / (end - start)
+
+
+def ratio(numerator, denominator):
+    """The per-year ratio of two {year: value} series over their common years."""
+    return {y: numerator[y] / denominator[y] for y in numerator if y in denominator}
+
+
+def emissions_scaling(oracle, start, end):
+    """Mean and ``ddof=1`` std of 1000*kappa*C/W over [start, end], ppmv/yr per quadrillion."""
+    c, w = oracle["emissions"], oracle["wealth"]
+    values = [1000.0 * KAPPA_A * c[y] / w[y] for y in range(start, end + 1)]
+    return np.mean(values), np.std(values, ddof=1)
+
+
+def tables_2_to_5(oracle):
+    """Every numeric cell of tables 2-5, row by row, in the printed units (%/yr for rates)."""
+    y, e, w = oracle["production"], oracle["energy"], oracle["wealth"]
+    c, pop = oracle["emissions"], oracle["population"]
+    eps, carbonization = ratio(y, e), ratio(c, e)
+    w_years = sorted(w)
+    first_difference = {b: (w[b] - w[a]) / w[b] for a, b in zip(w_years, w_years[1:])}
+    lambda_ej = oracle["lambda_mean"] * EJ_PER_YR_PER_GW
+    tables = {2: [], 3: [], 4: [], 5: []}
+    for p in RATE_PERIODS:
+        lambda_eps = lambda_ej * np.mean([eps[t] for t in range(p[0], p[1] + 1)])
+        eta_eps, eta_c, eta_pop = rate(eps, *p), rate(carbonization, *p), rate(pop, *p)
+        eta_g = rate(ratio(y, pop), *p)
+        tables[2].append([100.0 * v for v in (
+            rate(w, *p), rate(e, *p), lambda_eps, rate(first_difference, *p), eta_eps,
+            rate(y, *p), lambda_eps + eta_eps)])
+        lambda_c, lambda_c_std = emissions_scaling(oracle, *p)
+        tables[3].append([lambda_c, lambda_c_std, *(100.0 * v for v in (
+            eta_c, rate(c, *p), eta_c + lambda_eps))])
+        tables[4].append([100.0 * v for v in (
+            eta_pop, eta_g, eta_pop + eta_g, lambda_eps + eta_eps)])
+    for p in COEFFICIENT_PERIODS:
+        tables[5].append([1000.0 * SIGMA / emissions_scaling(oracle, *p)[0]])
+    return tables
 
 
 def committed_concentration(oracle, year):
@@ -105,14 +161,17 @@ def doubling_year(oracle):
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     out = tmp_path_factory.mktemp("oracle")
-    assert cli.main(["tables", "--table", "1", "--out-dir", str(out / "tables")]) == 0
+    tables = {}
+    for n in range(1, 6):
+        assert cli.main(["tables", "--table", str(n), "--out-dir", str(out / "tables")]) == 0
+        with open(out / "tables" / f"table{n}.csv", newline="", encoding="utf-8") as f:
+            tables[n] = list(csv.reader(f))
     assert cli.main(["report", "--out-dir", str(out / "report")]) == 0
     assert cli.main(["calibrate", "--out", str(out / "calibrate.json")]) == 0
-    with open(out / "tables" / "table1.csv", newline="", encoding="utf-8") as f:
-        table1 = list(csv.DictReader(f))
+    table1 = [dict(zip(tables[1][0], row)) for row in tables[1][1:]]
     report = json.loads((out / "report" / "report.json").read_text(encoding="utf-8"))
     calibrate = json.loads((out / "calibrate.json").read_text(encoding="utf-8"))
-    return {"table1": table1, "report": report, "calibrate": calibrate}
+    return {"table1": table1, "tables": tables, "report": report, "calibrate": calibrate}
 
 
 def test_table1_matches_oracle(oracle, outputs):
@@ -125,6 +184,20 @@ def test_table1_matches_oracle(oracle, outputs):
             assert float(row[column]) == pytest.approx(want, rel=REL, abs=0), (p, column)
             cells += 1
     assert cells == 24
+
+
+@pytest.mark.parametrize("table_id, periods, cells", [
+    (2, RATE_PERIODS, 21), (3, RATE_PERIODS, 15), (4, RATE_PERIODS, 12),
+    (5, COEFFICIENT_PERIODS, 4),
+], ids=["table2", "table3", "table4", "table5"])
+def test_tables_2_to_5_match_oracle(oracle, outputs, table_id, periods, cells):
+    header, *rows = outputs["tables"][table_id]
+    want = tables_2_to_5(oracle)[table_id]
+    assert [row[0] for row in rows] == [f"{a}-{b}" for a, b in periods]
+    assert sum(len(row) - 1 for row in rows) == sum(map(len, want)) == cells
+    for row, want_row in zip(rows, want, strict=True):
+        for column, cell, value in zip(header[1:], row[1:], want_row, strict=True):
+            assert float(cell) == pytest.approx(value, rel=REL, abs=0), (row[0], column)
 
 
 def test_report_scaling_and_w1_match_oracle(oracle, outputs):

@@ -1,7 +1,9 @@
-"""The package's public names: a fixed list, each resolving to its defining module's object."""
+"""The package's public names, each resolving to its defining module's object, and its layering."""
 
+import ast
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -59,9 +61,6 @@ def test_unknown_attribute_raises_attribute_error():
 
 def test_every_error_type_is_raised():
     """Each ``EnerscaleError`` type in ``errors.py`` is raised somewhere in the package."""
-    import ast
-    from pathlib import Path
-
     from enerscale import errors
 
     defined = {
@@ -78,3 +77,49 @@ def test_every_error_type_is_raised():
                 elif isinstance(exc, ast.Attribute):
                     raised.add(exc.attr)
     assert sorted(defined - raised) == []
+
+
+#: (importer, source module, private name) of each underscore import across modules -> why.
+PRIVATE_IMPORTS = {
+    ("scaling", "reconstruction", "_accumulate"):
+        "the windowed W that recalibrate relies on (w1_sensitivity keeps only its window)",
+    ("cli", "ingestion", "_finite"):
+        "tables --data-dir reads reconstruction.json's numbers as the manifest loader does",
+}
+
+
+def package_imports():
+    """(importer, source module, name) for each ``from <package module> import name``.
+
+    Every module under the package is parsed, and imports inside functions
+    count as well as those at module level; ``from . import x`` imports x.
+    """
+    package = Path(enerscale.__file__).parent
+    found = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 1:
+                source = node.module or ""
+            elif node.level == 0 and (node.module or "").startswith("enerscale."):
+                source = node.module.removeprefix("enerscale.")
+            else:
+                continue
+            for alias in node.names:
+                found.add((path.stem, source or alias.name, alias.name))
+    return found
+
+
+def test_carbon_imports_only_the_base_modules():
+    """The carbon-cycle parameters are shared by growth and projection, so load neither."""
+    sources = {source for importer, source, _ in package_imports() if importer == "carbon"}
+    assert sources == {"errors", "records", "units"}
+
+
+def test_no_module_imports_another_modules_private_names():
+    private = {
+        (importer, source, name) for importer, source, name in package_imports()
+        if name.startswith("_") and not name.startswith("__") and source != importer
+    }
+    assert private == set(PRIVATE_IMPORTS)

@@ -5,27 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enerscale import carbon, datasets, projection
-from enerscale.carbon import (
-    SIGMA_BAND,
-    AtmosphereState,
-    CarbonCycleParams,
-    _rk4_step,
-    committed_equilibrium,
-    step_atmosphere,
-)
+from enerscale import datasets, projection
+from enerscale.carbon import SIGMA_BAND, CarbonCycleParams
 from enerscale.errors import DomainError, IncompatibleUnits
 from enerscale.projection import (
     MAX_GRID_POINTS,
+    AtmosphereState,
     Scenario,
     TrajectoryPoint,
     TrajectoryPoints,
+    _rk4_step,
     committed_curve,
+    committed_equilibrium,
     halving_time,
     historical_spinup_delta,
     required_clean_capacity,
     run_scenario,
     steady_state_commitment,
+    step_atmosphere,
     time_grid,
 )
 from enerscale.units import Quantity, Unit
@@ -313,8 +310,7 @@ def test_scenario_paths_take_one_rk4_step_per_run(monkeypatch, snapshot):
         run()
         return len(calls)
 
-    monkeypatch.setattr(carbon, "_rk4_step", counting)
-    monkeypatch.setattr(projection, "_rk4_step", counting, raising=False)
+    monkeypatch.setattr(projection, "_rk4_step", counting)
     for dt in (1.0, 0.3, 0.01):
         s = scenario(dt=dt)
         assert steps_taken(lambda: run_scenario(s)) == 1
@@ -481,8 +477,10 @@ def test_committed_curve_builds_no_quantity_per_point(monkeypatch):
     ([1.0, 2.0], (0.018, Unit.GTC_PER_EJ), (-5.9, Unit.GW_PER_TUSD), DomainError),
     ([100.0], (0.018, Unit.GTC_PER_EJ), (0.0, Unit.GW_PER_TUSD), DomainError),
     ([], (0.018, Unit.GTC_PER_EJ), (-5.9, Unit.GW_PER_TUSD), DomainError),
+    ([100.0, 10**400], (0.017, Unit.GTC_PER_EJ), (5.9, Unit.GW_PER_TUSD), DomainError),
 ], ids=["negative-w", "nan-w", "inf-w", "overflow", "zero-c", "negative-c", "c-unit",
-        "empty-w-c-unit", "scale-unit", "negative-scale", "zero-scale", "empty-w-negative-scale"])
+        "empty-w-c-unit", "scale-unit", "negative-scale", "zero-scale", "empty-w-negative-scale",
+        "int-too-large-w"])
 def test_committed_curve_checks_its_inputs_once(w_values, c, scale, error):
     with pytest.raises(error):
         committed_curve(w_values, Quantity(*scale), Quantity(*c))

@@ -9,18 +9,19 @@ from pathlib import Path
 
 import pytest
 
-from enerscale.carbon import (
-    AtmosphereState,
-    CarbonCycleParams,
-    CarbonizationEstimate,
-    KayaComponents,
-)
+from enerscale.carbon import CarbonCycleParams
 from enerscale.cli import RunManifest
 from enerscale.datasets import Snapshot
 from enerscale.errors import DomainError
-from enerscale.growth import RatesRow
+from enerscale.growth import CarbonizationEstimate, KayaComponents, RatesRow
 from enerscale.ingestion import DataSourceDescriptor, ManifestEntry, ValidationReport
-from enerscale.projection import CapacityRequirement, Scenario, SteadyStateResult, Trajectory
+from enerscale.projection import (
+    AtmosphereState,
+    CapacityRequirement,
+    Scenario,
+    SteadyStateResult,
+    Trajectory,
+)
 from enerscale.reconstruction import PppMerRatio, ReconstructionResult, WealthSeries
 from enerscale.records import Record
 from enerscale.scaling import ScalingEstimate

@@ -2,27 +2,39 @@
 
 Every numeric argument of each callable below is drawn from finite floats,
 the infinities, NaN, signed zeros, negatives, floats near the top of the
-range, small ints and ints too large for a float. Only an ``EnerscaleError``
-may escape a call, and every float it returns, directly or in a returned
-record (fields and the derived values named in ``DERIVED``), is finite.
+range, small ints, ints too large for a float and ints past the interpreter's
+4300-digit limit for formatting an int. Only an ``EnerscaleError`` may escape
+a call, and every float it returns, directly or in a returned record (fields
+and the derived values named in ``DERIVED``), is finite.
 """
 
 import math
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from enerscale.carbon import CarbonCycleParams
 from enerscale.errors import EnerscaleError
+from enerscale.ingestion import DataSourceDescriptor
 from enerscale.projection import (
+    AtmosphereState,
     CapacityRequirement,
     Scenario,
     halving_time,
+    historical_spinup_delta,
     required_clean_capacity,
+    run_scenario,
+    steady_state_commitment,
     time_grid,
 )
+from enerscale.reconstruction import calibrate_initial_wealth
 from enerscale.records import Record
+from enerscale.series import AnnualSeries, Period, SeriesKind
 from enerscale.units import Quantity, Unit, to_unit
+
+#: An int whose decimal digits ``repr`` refuses to format (more than 4300 of them).
+PAST_STR_LIMIT = 10**5000
 
 numbers = st.one_of(
     st.floats(),
@@ -30,6 +42,7 @@ numbers = st.one_of(
     st.integers(min_value=-(10**6), max_value=10**6),
     st.integers(min_value=2**1024),
     st.integers(max_value=-(2**1024)),
+    st.sampled_from([PAST_STR_LIMIT, -PAST_STR_LIMIT]),
 )
 units = st.sampled_from(Unit)
 
@@ -92,3 +105,35 @@ def test_required_clean_capacity(value, unit, eta):
 @given(numbers)
 def test_halving_time(sigma):
     check(lambda: halving_time(CarbonCycleParams(sigma=sigma, allow_sigma_out_of_band=True)))
+
+
+SCENARIO = Scenario(2017.0, 2.0, 100.0, 5.9, 0.017, 0.02, dt=1.0)
+EMISSIONS = AnnualSeries(SeriesKind.EMISSIONS, Unit.GTC_PER_YR, (2000, 2001), (1.0, 1.0))
+GDP = AnnualSeries(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, (1, 2), (1.0, 1.0))
+
+#: Each check that names the value it refuses, called with that value.
+NAMING_CHECKS = {
+    "Quantity": lambda v: Quantity(v, Unit.GW),
+    "to_unit": lambda v: to_unit(v, Unit.GW, Unit.EJ_PER_YR),
+    "time_grid-horizon": lambda v: time_grid(v, 0.25),
+    "time_grid-dt": lambda v: time_grid(40.0, v),
+    "required_clean_capacity": lambda v: required_clean_capacity(Quantity(1.0, Unit.GW), v),
+    "AtmosphereState": lambda v: AtmosphereState(2000.0, v),
+    "first_crossing": lambda v: run_scenario(SCENARIO).first_crossing(v),
+    "steady_state_commitment": lambda v: steady_state_commitment(SCENARIO, v),
+    "spinup-delta0": lambda v: historical_spinup_delta(EMISSIONS, delta0=v),
+    "spinup-end_year": lambda v: historical_spinup_delta(EMISSIONS, end_year=v),
+    "pop_growth": lambda v: calibrate_initial_wealth(GDP, v),
+    "Period": lambda v: Period(v, 2000) if v > 0 else Period(2000, v),
+    "series-values": lambda v: AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (2000,), (v,)),
+    "descriptor-scale": lambda v: DataSourceDescriptor("x.csv", SeriesKind.ENERGY,
+                                                       Unit.EJ_PER_YR, scale=-abs(v)),
+}
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+@pytest.mark.parametrize("call", NAMING_CHECKS.values(), ids=NAMING_CHECKS)
+def test_an_int_past_the_str_limit_is_named_by_its_size(call, sign):
+    """Formatting such an int into the message used to raise ValueError instead."""
+    with pytest.raises(EnerscaleError, match="<int of 16610 bits>"):
+        call(sign * PAST_STR_LIMIT)

@@ -117,6 +117,9 @@ def test_spline_rejects_unsorted_input():
         ([1, 2, 3, float("inf")], [0, 1, 1, 2]),  # used to evaluate to 0.59375 at 1.5
         ([1, 2, 3, 4], [0, float("nan"), 1, 2]),  # used to evaluate to nan
         ([float("nan"), 2, 3, 4], [0, 1, 1, 2]),
+        # An int too large for a float used to raise a raw OverflowError.
+        pytest.param([1, 2, 3, 10**400], [0, 1, 1, 2], id="int-too-large-x"),
+        pytest.param([1, 2, 3, 4], [0, 1, 1, -(10**400)], id="int-too-large-y"),
     ],
 )
 def test_spline_rejects_non_finite_knots(x, y):

@@ -21,13 +21,13 @@ PACKAGE = Path(enerscale.__file__).parent
 
 #: "<module>.<qualname>" of each def no subcommand reaches -> what needs it.
 ALLOWED = {
-    "carbon.step_atmosphere": "criterion 07 (RK4's fourth order for any source)",
-    "carbon.AtmosphereState.__init__": "criterion 07 (the stepper's state)",
+    "projection.step_atmosphere": "criterion 07 (RK4's fourth order for any source)",
+    "projection.AtmosphereState.__init__": "criterion 07 (the stepper's state)",
     "scaling.w1_sensitivity": "criterion 02 and the benchmark's recalibrate workload",
-    "carbon.max_carbonization_coefficient": "criterion 09",
-    "carbon.max_carbonization": "criterion 10",
-    "carbon.committed_equilibrium": "criterion 10 (the inverse pair with max_carbonization)",
-    "carbon.KayaComponents.residual": "criterion 10",
+    "projection.max_carbonization_coefficient": "criterion 09",
+    "projection.max_carbonization": "criterion 10",
+    "projection.committed_equilibrium": "criterion 10 (the inverse pair with max_carbonization)",
+    "growth.KayaComponents.residual": "criterion 10",
     "projection.steady_state_commitment": "the benchmark's sweep workload",
     "series._number": "the input check of AnnualSeries values given by a library caller",
     "cli.console_main": "the console-script hook",
@@ -111,12 +111,17 @@ def subcommand_runs(tmp: Path) -> list[tuple[list[str], int]]:
     (bad / "manifest.json").write_text(
         json.dumps({"x": {"path": "x.csv", "kind": "energy", "unit": "EJ/yr"}}), encoding="utf-8"
     )
+    (bad / "scale.json").write_text(  # a refused value, named in the error message
+        json.dumps({"x": {"path": "x.csv", "kind": "energy", "unit": "EJ/yr", "scale": 0}}),
+        encoding="utf-8",
+    )
     recon = tmp / "recon"
     preset = ["project", "--preset", "paper-2017"]
     tables = [["tables", "--table", str(n)] for n in range(1, 6)]
     return [
         (["ingest", "--out-dir", str(tmp / "ingest")], 0),
         (["ingest", "--manifest", str(bad / "manifest.json"), "--out-dir", str(bad / "out")], 1),
+        (["ingest", "--manifest", str(bad / "scale.json"), "--out-dir", str(bad / "out")], 1),
         (["reconstruct", "--out-dir", str(recon)], 0),
         (["calibrate"], 0),
         (["calibrate", "--out", str(tmp / "calibrate.json")], 0),

@@ -96,8 +96,11 @@ def test_gw_to_ej_multiplies_and_ej_to_gw_divides(snapshot):
 
 
 def test_public_functions_reject_units_without_a_path():
-    from enerscale.carbon import committed_equilibrium, max_carbonization_coefficient
-    from enerscale.projection import required_clean_capacity
+    from enerscale.projection import (
+        committed_equilibrium,
+        max_carbonization_coefficient,
+        required_clean_capacity,
+    )
 
     with pytest.raises(DomainError):
         required_clean_capacity(Quantity(1.0, Unit.PPMV), 0.02)
