@@ -300,7 +300,7 @@ def _integral_years(values) -> tuple[int, ...]:
 
 def _tables_inputs(data_dir: Path | None, manifest: RunManifest):
     """Snapshot plus either recomputed or on-disk reconstruction outputs."""
-    from .ingestion import _finite, canonical_descriptor, json_field, load_series
+    from .ingestion import canonical_descriptor, json_field, load_series
     from .reconstruction import PppMerRatio, ReconstructionResult, WealthSeries
     from .series import Period, SeriesKind
     from .units import Quantity, Unit
@@ -327,14 +327,14 @@ def _tables_inputs(data_dir: Path | None, manifest: RunManifest):
     field = functools.partial(json_field, str(prov_path), prov)
     wealth = WealthSeries(
         series=wealth_series,
-        w1=Quantity(field("w1_tusd", _finite), Unit.TUSD),
+        w1=Quantity(field("w1_tusd", float), Unit.TUSD),
         method=prov.get("method", "loaded from disk"),
     )
     window = field("kappa_x_window", lambda years: Period(*_integral_years(years)))
     recon = ReconstructionResult(
         gdp=gdp,
         wealth=wealth,
-        ratio=PppMerRatio(field("kappa_x", _finite), window),
+        ratio=PppMerRatio(field("kappa_x", float), window),
         spline_knot_years=field("spline_knot_years", _integral_years, ()),
     )
     return snapshot, recon

@@ -237,12 +237,16 @@ def canonical_descriptor(
 def json_field(where: str, record, key: str, convert, default=None):
     """``convert(record[key])``, or ``default`` if one is given and ``key`` is absent.
 
-    A missing required field, a record that is not a JSON object and a value
-    ``convert`` rejects (an integer too large for a float included) all raise
-    ``SchemaError`` naming ``where`` and ``key``.
+    A missing required field, a record that is not a JSON object, a value
+    ``convert`` rejects (an integer too large for a float included) and a
+    float that is not finite (JSON parsing admits NaN and the infinities) all
+    raise ``SchemaError`` naming ``where`` and ``key``.
     """
     try:
-        return default if default is not None and key not in record else convert(record[key])
+        value = default if default is not None and key not in record else convert(record[key])
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {value!r}")
+        return value
     except (KeyError, TypeError, ValueError, OverflowError):
         raise SchemaError(f"{where} has a missing or invalid {key!r}") from None
 
@@ -256,14 +260,6 @@ def _exactly(kind: type):
         return value
 
     return check
-
-
-def _finite(value) -> float:
-    """``float(value)``, rejecting NaN and the infinities that JSON parsing admits."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return value
 
 
 def load_manifest(path: Path | str) -> dict[str, ManifestEntry]:
@@ -291,7 +287,7 @@ def load_manifest(path: Path | str) -> dict[str, ManifestEntry]:
             unit=field("unit", Unit),
             year_column=field("year_column", _exactly(str), "year"),
             value_column=field("value_column", _exactly(str), "value"),
-            scale=field("scale", _finite, 1.0),
+            scale=field("scale", float, 1.0),
         )
         entries[name] = ManifestEntry(
             name=name, descriptor=descriptor, contiguous=field("contiguous", _exactly(bool), True)

@@ -312,18 +312,20 @@ def _columns(s: Scenario, n_steps: int, dt: float) -> tuple[tuple[float, ...], .
             " have strictly increasing years"
         )
     years = tuple([start + i * dt for i in range(n_steps + 1)])
+    params = s.carbon_params
     try:
         wealth = tuple([w0 * exp(eta_w * (t - start)) for t in years])
         emissions = tuple(
             [lam * (c0 * exp(eta_c * (t - start))) * w for t, w in zip(years, wealth)]
         )
+        # The map's source grows at eta_w + eta_c, which can overflow over one
+        # step even where neither column does.
+        a, p = _rk4_affine(dt, params.kappa_a, params.sigma, eta_w + eta_c)
     except OverflowError:
         raise DomainError(
             f"wealth or carbonization growth overflows a float over a"
             f" {years[-1] - start:g}-year horizon at eta_w={eta_w!r}, eta_c={eta_c!r}"
         ) from None
-    params = s.carbon_params
-    a, p = _rk4_affine(dt, params.kappa_a, params.sigma, eta_w + eta_c)
     d = s.delta0
     deltas = [d]
     append = deltas.append

@@ -231,12 +231,14 @@ def calibrate_initial_wealth_iterative(
     raise DomainError("initial-wealth iteration failed to converge")  # pragma: no cover
 
 
-def _accumulate(gdp: AnnualSeries, w1: Quantity, keep: slice = slice(None)) -> WealthSeries:
-    """W(t) = W(1) + sum of annual production through year t, over the years ``keep`` selects.
+def cumulative_production(
+    gdp: AnnualSeries, w1: Quantity, period: Period | None = None
+) -> WealthSeries:
+    """W(t) = W(1) + sum of annual production through year t, kept over ``period`` if given.
 
     The inputs are checked for kind, contiguity, unit and sign. W itself is
-    checked by the series it is kept in; a window is first checked over the
-    whole column, so it fails exactly as the full series would.
+    checked by the series it is kept in; with a ``period`` it is first checked
+    over the whole column, so it fails exactly as the full series would.
     """
     if gdp.kind is not SeriesKind.GDP_MER:
         raise KindError(f"cumulative_production expects gdp_mer, got {gdp.kind.value}")
@@ -246,20 +248,18 @@ def _accumulate(gdp: AnnualSeries, w1: Quantity, keep: slice = slice(None)) -> W
         raise KindError("W(1) must be expressed in T$2010")
     if w1.value < 0:
         raise DomainError("W(1) must be nonnegative")
+    years = gdp.years
     wealth = tuple(map(operator.add, repeat(w1.value), accumulate(gdp.values)))
-    if keep != slice(None):
+    if period is not None:
         # Production is positive and W(1) finite, so only a sum that overflows
         # is not finite, and it stays infinite through the last year.
         if not math.isfinite(wealth[-1]):
             raise DomainError("series values must be finite")
         _check_wealth(wealth, w1.value)
-    series = AnnualSeries(SeriesKind.WEALTH, Unit.TUSD, gdp.years[keep], wealth[keep])
+        keep = slice(bisect_left(years, period.start_year), bisect_right(years, period.end_year))
+        years, wealth = years[keep], wealth[keep]
+    series = AnnualSeries(SeriesKind.WEALTH, Unit.TUSD, years, wealth)
     return WealthSeries(series=series, w1=w1, method="annual left sum of production")
-
-
-def cumulative_production(gdp: AnnualSeries, w1: Quantity) -> WealthSeries:
-    """Accumulate W(t) = W(1) + sum of annual production through year t."""
-    return _accumulate(gdp, w1)
 
 
 class ReconstructionResult(Record):

@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left, bisect_right
 
 from .errors import DomainError
-from .reconstruction import WealthSeries, _accumulate
+from .reconstruction import WealthSeries, cumulative_production
 from .records import Record
 from .series import (
     AnnualSeries,
@@ -90,9 +90,6 @@ def w1_sensitivity(
     if factor <= 0:
         raise DomainError("W(1) scaling factor must be positive")
     first, last = max(p.start_year, gdp.first_year), min(p.end_year, gdp.last_year)
-    keep = slice(None)
-    if bisect_left(energy.years, first) < bisect_right(energy.years, last):
-        keep = slice(first - gdp.first_year, last - gdp.first_year + 1)
-    wealth = _accumulate(gdp, Quantity(w1.value * factor, w1.unit), keep)
+    window = p if bisect_left(energy.years, first) < bisect_right(energy.years, last) else None
+    wealth = cumulative_production(gdp, Quantity(w1.value * factor, w1.unit), window)
     return scaling_stats(scaling_series(energy, wealth), p)
-

@@ -57,6 +57,10 @@ KIND_UNITS: dict[SeriesKind, frozenset[Unit]] = {
 }
 
 
+#: Largest year magnitude: the years a float time grid holds exactly.
+YEAR_LIMIT = 2**53
+
+
 def _number(value) -> bool:
     """Whether ``float`` converts ``value`` as a number (2, 1.5, nan), not parses text ("1.5")."""
     if isinstance(value, (str, bytes, bytearray)):
@@ -86,12 +90,15 @@ class Period(Record):
     def __init__(self, start_year: int, end_year: int) -> None:
         if not (_integral(start_year) and _integral(end_year)):
             raise InvalidPeriod(
-                f"period years must be integers, got {start_year!r}..{end_year!r}"
+                f"period years must be integers, got {shown(start_year)}..{shown(end_year)}"
             )
         if start_year >= end_year:
             raise InvalidPeriod(
                 f"period must satisfy start < end, got {shown(start_year)}..{shown(end_year)}"
             )
+        if start_year < -YEAR_LIMIT or end_year > YEAR_LIMIT:
+            year = start_year if start_year < -YEAR_LIMIT else end_year
+            raise InvalidPeriod(f"period years must lie within ±2**53, got {shown(year)}")
         super().__init__(int(start_year), int(end_year))
 
     @property
@@ -155,6 +162,9 @@ class AnnualSeries(Record):
             raise EmptySlice("a series needs at least one point")
         if any(map(operator.ge, years, years[1:])):
             raise DomainError("years must be strictly increasing with no duplicates")
+        if years[0] < -YEAR_LIMIT or years[-1] > YEAR_LIMIT:
+            year = years[0] if years[0] < -YEAR_LIMIT else years[-1]
+            raise DomainError(f"years must lie within ±2**53, got {shown(year)}")
         if not all(map(math.isfinite, values)):
             raise DomainError("series values must be finite")
         # A rate may decline; every other kind is a stock, flow or ratio > 0.

@@ -284,6 +284,24 @@ def test_project_outputs_parse_through_ingestion(tmp_path):
     assert series.values[0] == float(rows[0]["wealth_tusd"])
 
 
+def test_the_defaults_the_cli_restates_match_their_homes():
+    """A flag default copied from a model module changes with that module."""
+    import inspect
+
+    from enerscale.carbon import CarbonCycleParams
+    from enerscale.reconstruction import ANCIENT_POP_GROWTH
+
+    flags = {flag: default for flag, (_, default, _, _) in cli._PROJECT_FLAGS.items()}
+    preset = inspect.signature(datasets.preset_scenario).parameters
+    assert flags["--sigma"] == CarbonCycleParams().sigma
+    assert flags["--dt"] == preset["dt"].default
+    assert flags["--horizon"] == preset["horizon_years"].default
+    assert flags["--eta-c"] == preset["eta_c"].default
+    assert flags["--start-year"] == float(datasets.PRESET_START_YEAR)
+    assert cli._build_parser().parse_args(["calibrate"]).pop_growth == ANCIENT_POP_GROWTH
+    assert f"(default {datasets.PRESET_GROWTH!r})" in cli._PROJECT_FLAGS["--eta-w"][2]
+
+
 # ------------------------------------------------------------------- report
 
 def test_report_payload(tmp_path):
@@ -486,6 +504,18 @@ def test_project_growth_that_overflows_exits_1(tmp_path, capsys, flag):
     code = main(["project", "--preset", "paper-2017", flag, "100", "--horizon", "10",
                  "--out", str(tmp_path / "t.csv")])
     assert_one_error_line(code, capsys, "overflows a float over a 10-year horizon at eta_w=")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, span", [
+    pytest.param(["--eta-w", "400", "--eta-c", "400", "--horizon", "1", "--dt", "1"], "1",
+                 id="each-column-finite"),
+    pytest.param(["--eta-c", "2840", "--horizon", "5e-324"], "0", id="zero-step-grid"),
+])
+def test_project_growth_that_overflows_one_step_exits_1(tmp_path, capsys, flags, span):
+    """The growth of the emissions over one step overflowed with a raw ``OverflowError``."""
+    code = main(["project", "--preset", "paper-2017", *flags, "--out", str(tmp_path / "t.csv")])
+    assert_one_error_line(code, capsys, f"overflows a float over a {span}-year horizon at eta_w=")
     assert list(tmp_path.iterdir()) == []
 
 

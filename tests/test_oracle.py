@@ -1,4 +1,4 @@
-"""An independent oracle for tables 1-5, ``report`` and ``calibrate``.
+"""An independent oracle for tables 1-5, ``report``, ``calibrate`` and the preset run.
 
 The bundled CSVs are read with ``csv`` and the reconstruction and scaling
 are recomputed with numpy and scipy: the PPP/MER mean over 1970-1992,
@@ -11,14 +11,18 @@ differences of W, and the emissions scaling of tables 3 and 5 is
 1000*kappa*C/W per quadrillion 2010 USD. The preset's
 committed level needs no integration: it is kappa*C/sigma above the
 pre-industrial baseline, and its emissions C grow at 2.4 %/yr from the
-observed 2017 value. The package is reached only through
-``enerscale.cli.main``, so the oracle shares no code with what it checks.
+observed 2017 value. The preset trajectory's perturbation is the exact
+solution of d(delta)/dt = kappa*C(t) - sigma*delta in 50-digit ``decimal``,
+and its spin-up start holds each observed year's emissions constant. The
+package is reached only through ``enerscale.cli.main``, so the oracle shares
+no code with what it checks.
 """
 
 import csv
 import json
 import math
 import re
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +34,15 @@ import enerscale.cli as cli
 DATA = Path(cli.__file__).parent / "data"
 README = Path(__file__).resolve().parents[1] / "README.md"
 REL = 1e-12
+#: The preset's perturbation is integrated by the program and solved exactly here.
+EXACT_REL = 1e-10
 
 RATIO_WINDOW = (1970, 1992)
 POP_GROWTH = 5.9e-4
 EJ_PER_YR_PER_GW = 0.031536
 PREINDUSTRIAL, KAPPA_A, SIGMA = 275.0, 0.47, 0.023
-PRESET_YEAR, PRESET_GROWTH, PRESET_DT = 2017, 0.024, 0.25
+PRESET_YEAR, PRESET_GROWTH, PRESET_DT, PRESET_HORIZON = 2017, 0.024, 0.25, 40
+CURVE_FROM_W, CURVE_TO_W, CURVE_POINTS = 100.0, 5000.0, 50
 DAYS_PER_YEAR = 365.25
 PERIODS = (
     (1980, 1990), (1990, 2000), (2000, 2010), (2010, 2017), (1980, 2010), (1980, 2017),
@@ -100,6 +107,7 @@ def oracle():
         "energy": energy,
         "emissions": emissions,
         "population": read_column("population.csv", "population"),
+        "concentration": read_column("co2_concentration.csv", "co2"),
     }
 
 
@@ -282,3 +290,114 @@ def test_readme_committed_milestones_match_oracle(oracle):
               committed_concentration(oracle, 2040)]
     for (printed, half_digit), value in zip(_printed(pattern, text), values, strict=True):
         assert abs(value - printed) <= half_digit, (printed, value)
+
+
+def exact_delta(delta0, c0, tau):
+    """The perturbation tau years after ``delta0`` with C growing from ``c0``, exactly.
+
+    delta0*e^{-sigma*tau} + kappa*c0*(e^{g*tau} - e^{-sigma*tau})/(g + sigma),
+    evaluated at 50 digits from the exact values of the float inputs.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        delta0, c0, kappa, sigma, g, t = map(Decimal, (delta0, c0, KAPPA_A, SIGMA,
+                                                      PRESET_GROWTH, tau))
+        decay = (-sigma * t).exp()
+        return float(delta0 * decay + kappa * c0 * ((g * t).exp() - decay) / (g + sigma))
+
+
+def exact_spinup_delta0(oracle):
+    """The 2017 perturbation from the observed 1959 one, each year's emissions held constant.
+
+    Across a year at constant C the exact update is
+    delta <- delta*e^{-sigma} + (kappa*C/sigma)*(1 - e^{-sigma}).
+    """
+    emissions, concentration = oracle["emissions"], oracle["concentration"]
+    first = min(emissions)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        kappa, sigma = Decimal(KAPPA_A), Decimal(SIGMA)
+        decay = (-sigma).exp()
+        delta = Decimal(max(concentration[first] - PREINDUSTRIAL, 0.0))
+        for year in range(first, PRESET_YEAR):
+            delta = delta * decay + kappa * Decimal(emissions[year]) / sigma * (1 - decay)
+        return float(delta)
+
+
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as f:
+        return [{k: float(v) for k, v in row.items()} for row in csv.DictReader(f)]
+
+
+@pytest.fixture(scope="module")
+def preset(tmp_path_factory):
+    """The rows of ``project --preset paper-2017``, with ``--spinup`` and with ``--curve``."""
+    out = tmp_path_factory.mktemp("preset")
+    runs = {"trajectory": [], "spinup": ["--spinup"], "curve": ["--curve"]}
+    for name, flags in runs.items():
+        path = out / f"{name}.csv"
+        assert cli.main(["project", "--preset", "paper-2017", *flags, "--out", str(path)]) == 0
+        runs[name] = read_rows(path)
+    return runs
+
+
+def relative_errors(rows, want):
+    """The largest relative difference per column between the rows and the ``want`` rows."""
+    assert len(rows) == len(want)
+    worst = {}
+    for row, want_row in zip(rows, want):
+        assert set(want_row) <= set(row)
+        for column, value in want_row.items():
+            error = abs(row[column] - value) / abs(value)
+            worst[column] = max(worst.get(column, 0.0), error)
+    return worst
+
+
+def trajectory_oracle(oracle, delta0):
+    """Every column of a preset trajectory from ``delta0``, on the 0.25-year grid over 40 years."""
+    rows = []
+    for i in range(round(PRESET_HORIZON / PRESET_DT) + 1):
+        tau = i * PRESET_DT
+        growth = math.exp(PRESET_GROWTH * tau)
+        emissions = oracle["emissions_2017"] * growth
+        committed = KAPPA_A * emissions / SIGMA
+        delta = exact_delta(delta0, oracle["emissions_2017"], tau)
+        rows.append({
+            "year": PRESET_YEAR + tau,
+            "wealth_tusd": oracle["w2017"] * growth,
+            "energy_ej_per_yr": oracle["energy_2017"] * growth,
+            "emissions_gtc_per_yr": emissions,
+            "delta_co2_ppmv": delta,
+            "committed_delta_ppmv": committed,
+            "concentration_ppmv": PREINDUSTRIAL + delta,
+            "committed_concentration_ppmv": PREINDUSTRIAL + committed,
+        })
+    return rows
+
+
+#: Columns the program integrates; every other column is a closed form it evaluates.
+INTEGRATED = {"delta_co2_ppmv", "concentration_ppmv"}
+
+
+@pytest.mark.parametrize("run", ["trajectory", "spinup"])
+def test_preset_trajectory_matches_oracle(oracle, preset, run):
+    if run == "trajectory":
+        delta0 = oracle["concentration"][PRESET_YEAR] - PREINDUSTRIAL
+    else:
+        delta0 = exact_spinup_delta0(oracle)
+    worst = relative_errors(preset[run], trajectory_oracle(oracle, delta0))
+    assert len(worst) == 8
+    for column, error in worst.items():
+        assert error <= (EXACT_REL if column in INTEGRATED else REL), (column, error)
+
+
+def test_preset_curve_matches_oracle(oracle, preset):
+    """kappa*lambda*c*W/sigma with lambda*c = C(2017)/W(2017), at 50 evenly spaced W."""
+    per_tusd = oracle["emissions_2017"] / oracle["w2017"]
+    want = []
+    for w in np.linspace(CURVE_FROM_W, CURVE_TO_W, CURVE_POINTS):
+        committed = KAPPA_A * per_tusd * w / SIGMA
+        want.append({"wealth_tusd": w, "committed_delta_ppmv": committed,
+                     "committed_concentration_ppmv": PREINDUSTRIAL + committed})
+    worst = relative_errors(preset["curve"], want)
+    assert len(worst) == 3 and max(worst.values()) <= REL, worst

@@ -79,15 +79,6 @@ def test_every_error_type_is_raised():
     assert sorted(defined - raised) == []
 
 
-#: (importer, source module, private name) of each underscore import across modules -> why.
-PRIVATE_IMPORTS = {
-    ("scaling", "reconstruction", "_accumulate"):
-        "the windowed W that recalibrate relies on (w1_sensitivity keeps only its window)",
-    ("cli", "ingestion", "_finite"):
-        "tables --data-dir reads reconstruction.json's numbers as the manifest loader does",
-}
-
-
 def package_imports():
     """(importer, source module, name) for each ``from <package module> import name``.
 
@@ -122,4 +113,56 @@ def test_no_module_imports_another_modules_private_names():
         (importer, source, name) for importer, source, name in package_imports()
         if name.startswith("_") and not name.startswith("__") and source != importer
     }
-    assert private == set(PRIVATE_IMPORTS)
+    assert private == set()
+
+
+def renaming_functions(source: str):
+    """Names of the functions in ``source`` that only rename another.
+
+    Such a function's body, after its docstring, is a single ``return g(...)``
+    that passes its own parameters, in order, and nothing else. A decorated
+    function is not one: a property or a cache changes how it is called.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.decorator_list:
+            continue
+        body = node.body
+        if ast.get_docstring(node) is not None:
+            body = body[1:]
+        if len(body) != 1 or not isinstance(body[0], ast.Return):
+            continue
+        call = body[0].value
+        if not isinstance(call, ast.Call):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
+        passed = [*call.args, *(k.value for k in call.keywords)]
+        if all(isinstance(v, ast.Name) for v in passed) and [v.id for v in passed] == params:
+            found.append(node.name)
+    return found
+
+
+def test_no_function_only_renames_another():
+    package = Path(enerscale.__file__).parent
+    found = [
+        f"{path.stem}.{name}" for path in sorted(package.glob("*.py"))
+        for name in renaming_functions(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize("source, renames", [
+    ("def f(a, b):\n    \"Doc.\"\n    return g(a, b)", True),
+    ("def f(a, b=None):\n    return g(a, b=b)", True),
+    ("def f():\n    return g()", True),
+    ("def f(a, b):\n    return g(b, a)", False),
+    ("def f(a, b):\n    return g(a)", False),
+    ("def f(a):\n    return g(a, 1)", False),
+    ("def f(a):\n    return g(a.x)", False),
+    ("def f(a):\n    x = 1\n    return g(a)", False),
+    ("def f(a, *rest):\n    return g(a, *rest)", False),
+    ("@property\ndef f(self):\n    return View(self)", False),
+])
+def test_the_rename_check_sees_only_a_bare_forwarding_call(source, renames):
+    assert renaming_functions(source) == (["f"] if renames else [])

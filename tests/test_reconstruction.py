@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from enerscale.errors import DomainError, GapError, KindError, MissingYearOne
+from enerscale.errors import DomainError, EmptySlice, GapError, KindError, MissingYearOne
 from enerscale.reconstruction import (
     PppMerRatio,
     calibrate_initial_wealth,
@@ -14,7 +14,8 @@ from enerscale.reconstruction import (
     estimate_ppp_mer_ratio,
     ppp_to_mer,
 )
-from enerscale.series import AnnualSeries, Period, SeriesKind
+from enerscale.series import AnnualSeries, Period, SeriesKind, slice_series
+from enerscale.tables import SCALING_PERIODS
 from enerscale.units import Quantity, Unit
 
 
@@ -150,6 +151,33 @@ def test_cumulative_production_rejects_gaps():
     gdp = gdp_series((1, 2, 4), (1.0, 1.0, 1.0))
     with pytest.raises(GapError):
         cumulative_production(gdp, Quantity(0.0, Unit.TUSD))
+
+
+@pytest.mark.parametrize(
+    "period", [*SCALING_PERIODS, Period(-5, 3), Period(2010, 2100), Period(-100, 3000)], ids=str
+)
+def test_windowed_wealth_is_the_whole_series_cut_to_the_period(recon, period):
+    """Table 1's periods, and periods reaching before the first year, past the last, or both."""
+    whole = cumulative_production(recon.gdp, recon.w1)
+    window = cumulative_production(recon.gdp, recon.w1, period)
+    assert window.series == slice_series(whole.series, period)
+    assert (window.w1, window.method) == (whole.w1, whole.method)
+
+
+@pytest.mark.parametrize("period", [Period(2020, 2030), Period(-10, 0)], ids=str)
+def test_a_window_that_misses_production_is_empty(recon, period):
+    with pytest.raises(EmptySlice):
+        cumulative_production(recon.gdp, recon.w1, period)
+
+
+def test_an_overflowing_wealth_raises_the_same_error_windowed_or_whole():
+    gdp = gdp_series(range(1, 11), [1.0] * 8 + [1e308, 1e308])
+    messages = []
+    for period in (None, Period(1, 3)):
+        with pytest.raises(DomainError) as raised:
+            cumulative_production(gdp, Quantity(1.0, Unit.TUSD), period)
+        messages.append(str(raised.value))
+    assert messages == ["series values must be finite"] * 2
 
 
 # -------------------------------------------------------- snapshot milestones

@@ -4,8 +4,9 @@ Every numeric argument of each callable below is drawn from finite floats,
 the infinities, NaN, signed zeros, negatives, floats near the top of the
 range, small ints, ints too large for a float and ints past the interpreter's
 4300-digit limit for formatting an int. Only an ``EnerscaleError`` may escape
-a call, and every float it returns, directly or in a returned record (fields
-and the derived values named in ``DERIVED``), is finite.
+a call, every float it returns, directly or in a returned record (fields
+and the derived values named in ``DERIVED``), is finite, and what it returns
+can be formatted by ``repr`` for a message.
 """
 
 import math
@@ -69,6 +70,7 @@ def check(call, *args, **kwargs):
     except EnerscaleError:
         return
     assert all(map(math.isfinite, floats_in(result))), (call, args, kwargs, result)
+    repr(result)
 
 
 @given(numbers, units)
@@ -90,6 +92,11 @@ def test_carbon_cycle_params(sigma, kappa_a, preindustrial, out_of_band):
 def test_scenario(values):
     start, horizon, w0, lambda_gw, c0, eta_w, eta_c, delta0, dt = values
     check(Scenario, start, horizon, w0, lambda_gw, c0, eta_w, eta_c, delta0, dt=dt)
+
+
+@given(numbers, numbers)
+def test_period(start, end):
+    check(Period, start, end)
 
 
 @given(numbers, numbers)
@@ -125,6 +132,7 @@ NAMING_CHECKS = {
     "spinup-end_year": lambda v: historical_spinup_delta(EMISSIONS, end_year=v),
     "pop_growth": lambda v: calibrate_initial_wealth(GDP, v),
     "Period": lambda v: Period(v, 2000) if v > 0 else Period(2000, v),
+    "Period-integral": lambda v: Period(math.nan, v),
     "series-values": lambda v: AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (2000,), (v,)),
     "descriptor-scale": lambda v: DataSourceDescriptor("x.csv", SeriesKind.ENERGY,
                                                        Unit.EJ_PER_YR, scale=-abs(v)),

@@ -48,6 +48,37 @@ def test_period_rejects_non_integral_years(start, end):
     assert type(Period(1970.0, 1992.0).start_year) is int
 
 
+#: Years a float time grid does not hold exactly, each named as the message shows it.
+YEARS_PAST_2_53 = [
+    pytest.param(2**53 + 1, "9007199254740993", id="2**53+1"),
+    pytest.param(2**60, "1152921504606846976", id="2**60"),
+    pytest.param(1e300, "1e+300", id="float-1e300"),
+    pytest.param(10**300, "1" + "0" * 300, id="10**300"),
+    pytest.param(10**5000, "<int of 16610 bits>", id="past-the-str-limit"),
+]
+
+
+@pytest.mark.parametrize("year, shown", YEARS_PAST_2_53)
+def test_period_rejects_a_year_past_2_53(year, shown):
+    """``str(Period(1, 10**5000))`` raised ValueError; such a period is refused instead."""
+    with pytest.raises(InvalidPeriod, match=re.escape(f"within ±2**53, got {shown}")):
+        Period(1, year)
+    with pytest.raises(InvalidPeriod, match=re.escape(f"within ±2**53, got -{shown}")):
+        Period(-year, 1)
+    assert str(Period(-(2**53), 2**53)) == "-9007199254740992-9007199254740992"
+
+
+@pytest.mark.parametrize("year, shown", [p for p in YEARS_PAST_2_53 if p.id != "float-1e300"])
+def test_series_rejects_a_year_past_2_53(year, shown):
+    """``repr`` of a series with a year of 10**5000 raised ValueError; the series is refused."""
+    with pytest.raises(DomainError, match=re.escape(f"within ±2**53, got {shown}")):
+        AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (2000, year), (1.0, 2.0))
+    with pytest.raises(DomainError, match=re.escape(f"within ±2**53, got -{shown}")):
+        AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (-year, 2000), (1.0, 2.0))
+    edge = AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (-(2**53), 2**53), (1.0, 2.0))
+    assert edge.years == (-(2**53), 2**53)
+
+
 # -------------------------------------------------------------- construction
 
 def test_rejects_duplicate_or_unsorted_years():
