@@ -436,7 +436,7 @@ def _cmd_project(args, manifest: RunManifest) -> int:
             "year", "wealth_tusd", "energy_ej_per_yr", "emissions_gtc_per_yr", "delta_co2_ppmv",
             "committed_delta_ppmv", "concentration_ppmv", "committed_concentration_ppmv",
         )
-        manifest.write_rows(out, header, trajectory.points)
+        manifest.write_rows(out, header, trajectory)
         recorded = {name: getattr(scenario, name)
                     for name in scenario._fields if name != "carbon_params"}
     manifest.parameters["scenario"] = {
@@ -479,7 +479,7 @@ def _cmd_report(args, manifest: RunManifest) -> int:
         "wealth_2017_tusd": w2017,
         "share_first_millennium": sum(v for y, v in gdp_by_year.items() if y <= 1000) / w2017,
         "share_1980_2017": sum(v for y, v in gdp_by_year.items() if y >= 1980) / w2017,
-        "committed_concentration_2017_ppmv": trajectory.points[0].committed_concentration,
+        "committed_concentration_2017_ppmv": trajectory[0].committed_concentration,
         "committed_doubling_year": crossing,
         "committed_concentration_2040_ppmv": trajectory.at_year(2040.0).committed_concentration,
         "halving_time_yr": halving_time(scenario.carbon_params),

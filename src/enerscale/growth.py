@@ -165,9 +165,7 @@ def carbonization(
     c_window = slice_series(c_series, p)
     eta_c = growth_rate(c_series, p)
     try:
-        _, c_values, w_values = aligned_values(
-            slice_series(emissions, p), slice_series(wealth.series, p)
-        )
+        _, c_values, w_values = aligned_values(emissions, wealth.series, p)
     except EmptySlice:
         raise EmptySlice(f"no emissions/wealth overlap inside {p}") from None
     in_window = [

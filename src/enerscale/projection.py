@@ -114,8 +114,11 @@ def step_atmosphere(
     if callable(emissions_rate):
         sources = (emissions_rate(t0), emissions_rate(t0 + dt / 2.0), emissions_rate(t0 + dt))
     else:
-        sources = (float(emissions_rate),) * 3
-    delta = _rk4_step(state.delta_co2, *sources, dt, params.kappa_a, params.sigma)
+        sources = (emissions_rate,) * 3
+    for source in sources:
+        if not finite(source):
+            raise DomainError(f"emissions rate must be finite, got {shown(source)}")
+    delta = _rk4_step(state.delta_co2, *map(float, sources), dt, params.kappa_a, params.sigma)
     return AtmosphereState(year=t0 + dt, delta_co2=delta)
 
 
@@ -189,49 +192,13 @@ class TrajectoryPoint(NamedTuple):
     committed_concentration: float
 
 
-class TrajectoryPoints(Sequence):
-    """Read-only sequence of a trajectory's points, built on access.
+class Trajectory(Record):
+    """State columns of a run, one entry per grid time: the sequence of its points.
 
     Indexing (an int, negative allowed, or a slice) and iteration build only
-    the ``TrajectoryPoint``s they return, from the trajectory's columns; no
-    point is stored. Two views are equal when their points are.
-    """
-
-    __slots__ = ("_trajectory",)
-
-    def __init__(self, trajectory: Trajectory) -> None:
-        self._trajectory = trajectory
-
-    def __len__(self) -> int:
-        return len(self._trajectory.years)
-
-    def __getitem__(self, index: int | slice) -> TrajectoryPoint | tuple[TrajectoryPoint, ...]:
-        if isinstance(index, slice):
-            return tuple(map(self._point, range(len(self))[index]))
-        return self._point(range(len(self))[index])
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TrajectoryPoints):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def _point(self, i: int) -> TrajectoryPoint:
-        t = self._trajectory
-        params = t.scenario.carbon_params
-        w, e, d = t.wealth[i], t.emissions[i], t.deltas[i]
-        pre, c = params.preindustrial, params.committed_delta(e)
-        return TrajectoryPoint(t.years[i], w, t.scenario.lambda_ej * w, e, d, c, pre + d, pre + c)
-
-
-class Trajectory(Record):
-    """State columns of a run, one entry per grid time, and their points.
-
-    The remaining ``TrajectoryPoint`` fields follow from these columns, the
-    scaling and the carbon-cycle parameters; ``points`` is a view that builds
-    each point from them when it is accessed, and no point is stored.
+    the ``TrajectoryPoint``s they return, from these columns, the scaling and
+    the carbon-cycle parameters; no point is stored. Two trajectories are
+    equal when their scenarios and columns are, so their points are too.
     """
 
     __slots__ = _fields = ("scenario", "years", "wealth", "emissions", "deltas")
@@ -244,15 +211,31 @@ class Trajectory(Record):
     def __len__(self) -> int:
         return len(self.years)
 
+    def __getitem__(self, index: int | slice) -> TrajectoryPoint | tuple[TrajectoryPoint, ...]:
+        if isinstance(index, slice):
+            return tuple(map(self._point, range(len(self.years))[index]))
+        return self._point(range(len(self.years))[index])
+
+    def __iter__(self):
+        return map(self._point, range(len(self.years)))
+
     @property
-    def points(self) -> TrajectoryPoints:
-        return TrajectoryPoints(self)
+    def points(self) -> Trajectory:
+        """The trajectory itself; ``perfbench`` reads ``points[-1]`` and ``len(points)``."""
+        return self
+
+    def _point(self, i: int) -> TrajectoryPoint:
+        s, w, e, d = self.scenario, self.wealth[i], self.emissions[i], self.deltas[i]
+        pre, c = s.carbon_params.preindustrial, s.carbon_params.committed_delta(e)
+        return TrajectoryPoint(self.years[i], w, s.lambda_ej * w, e, d, c, pre + d, pre + c)
 
     def at_year(self, year: float) -> TrajectoryPoint:
         """The point at the grid time within 1e-9 yr of ``year``."""
+        if not finite(year):
+            raise DomainError(f"year must be finite, got {shown(year)}")
         i = bisect_left(self.years, year - 1e-9)
         if i < len(self.years) and abs(self.years[i] - year) <= 1e-9:
-            return self.points[i]
+            return self._point(i)
         raise DomainError(f"trajectory has no step at year {year}")
 
     def first_crossing(self, committed_concentration: float) -> float | None:
@@ -348,8 +331,9 @@ def run_scenario(s: Scenario) -> Trajectory:
     path; each step is applied as RK4's one-step affine map (``_rk4_affine``),
     whose two coefficients are computed once per run, so no midpoint
     emissions are sampled.
-    The trajectory holds only these columns: it builds no ``TrajectoryPoint``
-    until one is read through ``points`` or ``at_year``.
+    The trajectory holds only these columns and is itself the sequence of its
+    points: it builds no ``TrajectoryPoint`` until one is indexed, iterated or
+    read through ``at_year``.
     """
     return Trajectory(s, *_columns(s, *time_grid(s.horizon_years, s.dt)))
 

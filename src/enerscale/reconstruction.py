@@ -33,7 +33,7 @@ from .errors import (
     TooFewPoints,
 )
 from .records import Record
-from .series import AnnualSeries, Period, SeriesKind, aligned_values, mean, slice_series
+from .series import AnnualSeries, Period, SeriesKind, aligned_values, mean
 from .units import Quantity, Unit, finite, shown
 
 #: Ancient population growth rate (fraction/yr): ~10 million more people per
@@ -156,10 +156,8 @@ def estimate_ppp_mer_ratio(
     ppp: AnnualSeries, mer: AnnualSeries, window: Period
 ) -> PppMerRatio:
     """Mean of annual PPP/MER ratios over the overlap window."""
-    ppp_w = slice_series(ppp, window)
-    mer_w = slice_series(mer, window)
     try:
-        _, ppp_values, mer_values = aligned_values(ppp_w, mer_w)
+        _, ppp_values, mer_values = aligned_values(ppp, mer, window)
     except EmptySlice:
         raise EmptySlice(f"PPP and MER series share no years in {window}") from None
     ratios = list(map(operator.truediv, ppp_values, mer_values))

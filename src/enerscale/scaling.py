@@ -25,7 +25,7 @@ from .series import (
     sample_std,
     slice_series,
 )
-from .units import Quantity, Unit, to_unit
+from .units import Quantity, Unit, finite, shown, to_unit
 
 
 class ScalingEstimate(Record):
@@ -87,8 +87,8 @@ def w1_sensitivity(
     W(1) * factor)), p)``, but only W over ``p`` is kept as a series; when
     ``energy`` has no year there, the full series raises the same error.
     """
-    if factor <= 0:
-        raise DomainError("W(1) scaling factor must be positive")
+    if not (finite(factor) and factor > 0):
+        raise DomainError(f"W(1) scaling factor must be positive and finite, got {shown(factor)}")
     first, last = max(p.start_year, gdp.first_year), min(p.end_year, gdp.last_year)
     window = p if bisect_left(energy.years, first) < bisect_right(energy.years, last) else None
     wealth = cumulative_production(gdp, Quantity(w1.value * factor, w1.unit), window)

@@ -231,15 +231,17 @@ def slice_series(s: AnnualSeries, p: Period) -> AnnualSeries:
 
 
 def aligned_values(
-    a: AnnualSeries, b: AnnualSeries
+    a: AnnualSeries, b: AnnualSeries, p: Period | None = None
 ) -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
-    """Values of both series on their common years.
+    """Values of both series on their common years, within ``p`` when given.
 
-    Both series are cut to the span they share; two contiguous cuts over the
-    same years are already aligned, otherwise (a sparse series) the years
-    are intersected.
+    Both series are cut to the span they share (inside ``p``); two contiguous
+    cuts over the same years are already aligned, otherwise (a sparse series)
+    the years are intersected.
     """
     first, last = max(a.first_year, b.first_year), min(a.last_year, b.last_year)
+    if p is not None:
+        first, last = max(first, p.start_year), min(last, p.end_year)
     a_lo, a_hi = bisect_left(a.years, first), bisect_right(a.years, last)
     b_lo, b_hi = bisect_left(b.years, first), bisect_right(b.years, last)
     years, b_years = a.years[a_lo:a_hi], b.years[b_lo:b_hi]

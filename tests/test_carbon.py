@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enerscale.carbon import SIGMA_BAND, CarbonCycleParams
-from enerscale.errors import DomainError
+from enerscale.errors import DomainError, EmptySlice
 from enerscale.growth import CarbonizationEstimate, carbonization, kaya_decomposition
 from enerscale.projection import (
     _RK4_STABILITY_LIMIT,
@@ -124,6 +124,17 @@ def test_step_rejects_negative_result():
         step_atmosphere(AtmosphereState(0.0, 0.0), -1.0, PARAMS, 1.0)
 
 
+@pytest.mark.parametrize("emissions", [
+    pytest.param(10**400, id="int-too-large"),
+    pytest.param(lambda t: 10**400, id="callable-int-too-large"),
+    math.nan, math.inf, pytest.param(lambda t: math.nan, id="callable-nan"),
+])
+def test_step_rejects_emissions_too_large_for_a_float(emissions):
+    """A constant 10**400 used to raise a raw OverflowError from ``float(emissions_rate)``."""
+    with pytest.raises(DomainError, match="emissions rate must be finite"):
+        step_atmosphere(AtmosphereState(0.0, 0.0), emissions, PARAMS, 1.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     sigma=st.floats(*SIGMA_BAND),
@@ -200,6 +211,14 @@ def test_wealth_per_ppmv_snapshot_calibration(snapshot, recon):
     )
     coefficient = 1000.0 * PARAMS.sigma / est.lambda_c
     assert coefficient == pytest.approx(15.4, abs=0.8)
+
+
+def test_carbonization_window_missing_the_wealth_names_the_window(snapshot):
+    """The caller's message, as when the window was sliced inside the same ``try``."""
+    early = AnnualSeries(SeriesKind.WEALTH, Unit.TUSD, (1900, 1901), (10.0, 11.0))
+    wealth = WealthSeries(early, Quantity(5.0, Unit.TUSD), "synthetic")
+    with pytest.raises(EmptySlice, match="no emissions/wealth overlap inside 1980-2010"):
+        carbonization(snapshot.emissions, snapshot.energy, Period(1980, 2010), wealth=wealth)
 
 
 def test_max_carbonization_coefficient_value():

@@ -116,6 +116,42 @@ def test_no_module_imports_another_modules_private_names():
     assert private == set()
 
 
+def gw_ej_factor_uses(source: str):
+    """Line numbers in ``source`` that name ``EJ_PER_YR_PER_GW`` or write its value 0.031536.
+
+    A name, an attribute or an imported name counts; a string does not.
+    """
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Name) and node.id == "EJ_PER_YR_PER_GW")
+        or (isinstance(node, ast.Attribute) and node.attr == "EJ_PER_YR_PER_GW")
+        or (isinstance(node, ast.ImportFrom)
+            and any(alias.name == "EJ_PER_YR_PER_GW" for alias in node.names))
+        or (isinstance(node, ast.Constant) and node.value == 0.031536)
+    ]
+
+
+def test_only_units_converts_between_gw_and_ej():
+    """Every GW <-> EJ/yr conversion goes through ``units.to_unit``."""
+    package = Path(enerscale.__file__).parent
+    found = {path.stem: gw_ej_factor_uses(path.read_text(encoding="utf-8"))
+             for path in package.glob("*.py") if path.stem != "units"}
+    assert {stem: lines for stem, lines in found.items() if lines} == {}
+
+
+@pytest.mark.parametrize("source, uses", [
+    ("x = v * EJ_PER_YR_PER_GW", [1]),
+    ("x = v / units.EJ_PER_YR_PER_GW", [1]),
+    ("from .units import EJ_PER_YR_PER_GW as F", [1]),
+    ("x = 1.0\ny = v * 0.031536", [2]),
+    ("x = v * 0.0315360", [1]),
+    ("names = 'EJ_PER_YR_PER_GW Quantity'", []),
+    ("x = v * 0.0315", []),
+])
+def test_the_gw_ej_check_sees_the_name_and_the_literal(source, uses):
+    assert gw_ej_factor_uses(source) == uses
+
+
 def renaming_functions(source: str):
     """Names of the functions in ``source`` that only rename another.
 

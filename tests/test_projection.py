@@ -13,7 +13,6 @@ from enerscale.projection import (
     AtmosphereState,
     Scenario,
     TrajectoryPoint,
-    TrajectoryPoints,
     _rk4_step,
     committed_curve,
     committed_equilibrium,
@@ -202,7 +201,7 @@ def test_delta_column_follows_the_public_stepper_over_the_sweep_box(
 def test_points_are_built_from_columns():
     trajectory = run_scenario(scenario(dt=0.5))
     points = trajectory.points
-    assert isinstance(points, TrajectoryPoints) and len(points) == len(trajectory) == 81
+    assert points is trajectory and len(points) == 81
     assert tuple(p.year for p in points) == trajectory.years
     assert tuple(p.delta_co2 for p in points) == trajectory.deltas
     assert trajectory.at_year(2037.0) == points[40]
@@ -394,6 +393,14 @@ def test_first_crossing_rejects_non_finite_threshold(threshold):
 def test_at_year_rejects_off_grid_year():
     with pytest.raises(DomainError):
         run_scenario(scenario()).at_year(2017.1)
+
+
+@pytest.mark.parametrize("year", [math.nan, math.inf, -math.inf,
+                                  pytest.param(10**400, id="int-too-large")])
+def test_at_year_rejects_an_int_too_large_for_a_float(year):
+    """10**400 used to raise a raw OverflowError from ``year - 1e-9``."""
+    with pytest.raises(DomainError, match="year must be finite"):
+        run_scenario(scenario()).at_year(year)
 
 
 @settings(max_examples=25, deadline=None)

@@ -42,6 +42,14 @@ def test_ratio_constant_multiple():
     assert estimate_ppp_mer_ratio(ppp, mer, Period(1970, 1974)).value == pytest.approx(1.5)
 
 
+def test_ratio_window_missing_a_series_names_the_window():
+    """The window used to be sliced first, so a miss raised slice_series' message."""
+    mer = gdp_series(range(1970, 1975), [2.0, 3.0, 4.0, 5.0, 6.0])
+    ppp = gdp_series(range(1980, 1985), [3.0, 4.5, 6.0, 7.5, 9.0], SeriesKind.GDP_PPP)
+    with pytest.raises(EmptySlice, match="PPP and MER series share no years in 1980-1984"):
+        estimate_ppp_mer_ratio(ppp, mer, Period(1980, 1984))
+
+
 def test_ratio_must_be_positive():
     with pytest.raises(DomainError):
         PppMerRatio(0.0, Period(1970, 1992))

@@ -1,4 +1,4 @@
-"""The scalar constructors keep the CLI's contract: typed errors, finite answers.
+"""The scalar constructors and calls keep the CLI's contract: typed errors, finite answers.
 
 Every numeric argument of each callable below is drawn from finite floats,
 the infinities, NaN, signed zeros, negatives, floats near the top of the
@@ -27,10 +27,12 @@ from enerscale.projection import (
     required_clean_capacity,
     run_scenario,
     steady_state_commitment,
+    step_atmosphere,
     time_grid,
 )
 from enerscale.reconstruction import calibrate_initial_wealth
 from enerscale.records import Record
+from enerscale.scaling import w1_sensitivity
 from enerscale.series import AnnualSeries, Period, SeriesKind
 from enerscale.units import Quantity, Unit, to_unit
 
@@ -117,6 +119,30 @@ def test_halving_time(sigma):
 SCENARIO = Scenario(2017.0, 2.0, 100.0, 5.9, 0.017, 0.02, dt=1.0)
 EMISSIONS = AnnualSeries(SeriesKind.EMISSIONS, Unit.GTC_PER_YR, (2000, 2001), (1.0, 1.0))
 GDP = AnnualSeries(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, (1, 2), (1.0, 1.0))
+ENERGY = AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (1, 2), (1.0, 2.0))
+W1 = Quantity(1.0, Unit.TUSD)
+TRAJECTORY = run_scenario(SCENARIO)
+
+
+@given(numbers)
+def test_trajectory_at_year(year):
+    check(TRAJECTORY.at_year, year)
+
+
+@given(numbers)
+def test_trajectory_first_crossing(threshold):
+    check(TRAJECTORY.first_crossing, threshold)
+
+
+@given(numbers, numbers)
+def test_step_atmosphere(emissions, dt):
+    check(step_atmosphere, AtmosphereState(2000.0, 1.0), emissions, dt=dt)
+
+
+@given(numbers)
+def test_w1_sensitivity_factor(factor):
+    check(w1_sensitivity, GDP, ENERGY, W1, factor, Period(1, 2))
+
 
 #: Each check that names the value it refuses, called with that value.
 NAMING_CHECKS = {
@@ -126,7 +152,10 @@ NAMING_CHECKS = {
     "time_grid-dt": lambda v: time_grid(40.0, v),
     "required_clean_capacity": lambda v: required_clean_capacity(Quantity(1.0, Unit.GW), v),
     "AtmosphereState": lambda v: AtmosphereState(2000.0, v),
-    "first_crossing": lambda v: run_scenario(SCENARIO).first_crossing(v),
+    "first_crossing": lambda v: TRAJECTORY.first_crossing(v),
+    "at_year": lambda v: TRAJECTORY.at_year(v),
+    "step_atmosphere": lambda v: step_atmosphere(AtmosphereState(2000.0, 1.0), v),
+    "w1_sensitivity": lambda v: w1_sensitivity(GDP, ENERGY, W1, v, Period(1, 2)),
     "steady_state_commitment": lambda v: steady_state_commitment(SCENARIO, v),
     "spinup-delta0": lambda v: historical_spinup_delta(EMISSIONS, delta0=v),
     "spinup-end_year": lambda v: historical_spinup_delta(EMISSIONS, end_year=v),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,7 +14,7 @@ from enerscale.scaling import (
     w1_sensitivity,
 )
 from enerscale.series import AnnualSeries, Period, SeriesKind
-from enerscale.units import EJ_PER_YR_PER_GW, Quantity, Unit
+from enerscale.units import EJ_PER_YR_PER_GW, Quantity, Unit, finite, shown
 
 
 def synthetic_wealth(years, values):
@@ -132,10 +134,19 @@ def test_sensitivity_to_doubled_initial_stock(snapshot, recon):
 
 
 
+@pytest.mark.parametrize("factor", [pytest.param(10**400, id="int-too-large"),
+                                    math.nan, math.inf])
+def test_sensitivity_rejects_a_factor_too_large_for_a_float(snapshot, recon, factor):
+    """10**400 used to raise a raw OverflowError from ``w1.value * factor``; NaN got
+    past ``factor <= 0`` and failed later, inside ``Quantity``."""
+    with pytest.raises(DomainError, match="factor must be positive and finite"):
+        w1_sensitivity(recon.gdp, snapshot.energy, recon.w1, factor)
+
+
 def full_series_sensitivity(gdp, energy, w1, factor, p):
     """What ``w1_sensitivity`` computes, over the whole wealth series."""
-    if factor <= 0:
-        raise DomainError("W(1) scaling factor must be positive")
+    if not (finite(factor) and factor > 0):
+        raise DomainError(f"W(1) scaling factor must be positive and finite, got {shown(factor)}")
     wealth = cumulative_production(gdp, Quantity(w1.value * factor, w1.unit))
     return scaling_stats(scaling_series(energy, wealth), p)
 

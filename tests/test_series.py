@@ -292,6 +292,19 @@ def test_aligned_values_matches_year_intersection(a, b):
     assert list(b_values) == [b.value_at(y) for y in shared]
 
 
+@given(a=either_series, b=either_series, start=st.integers(1, 70), span=st.integers(1, 30))
+def test_aligned_values_within_a_period_keeps_the_shared_years_inside_it(a, b, start, span):
+    p = Period(start, start + span)
+    shared = [y for y in sorted(set(a.years) & set(b.years)) if start <= y <= start + span]
+    if not shared:
+        with pytest.raises(EmptySlice, match="series share no years"):
+            aligned_values(a, b, p)
+        return
+    assert aligned_values(a, b, p) == (
+        tuple(shared), tuple(map(a.value_at, shared)), tuple(map(b.value_at, shared))
+    )
+
+
 def test_value_at_missing_year():
     s = make_series(2000, 2005)
     with pytest.raises(EmptySlice):

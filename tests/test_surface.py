@@ -29,6 +29,7 @@ ALLOWED = {
     "projection.committed_equilibrium": "criterion 10 (the inverse pair with max_carbonization)",
     "growth.KayaComponents.residual": "criterion 10",
     "projection.steady_state_commitment": "the benchmark's sweep workload",
+    "projection.Trajectory.points": "the benchmark's sweep workload and step counter",
     "series._number": "the input check of AnnualSeries values given by a library caller",
     "cli.console_main": "the console-script hook",
     "cli._Parser.error": "argparse's usage-error hook",
