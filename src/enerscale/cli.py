@@ -14,11 +14,13 @@ enerscale report --out-dir out/report
 ```
 
 Exit codes: 0 success, 1 runtime error, 2 validation failure, 64 usage error.
-Every run that writes files also writes a JSON manifest (command line,
-parameters, input checksums, version, outputs); ``calibrate`` without
-``--out`` only prints and writes nothing. Identical manifests reproduce
-byte-identical outputs, so run manifests carry no timestamps. All numeric
-output uses shortest round-trip decimal formatting.
+Each subcommand is one entry of ``_COMMANDS``, run by ``main``: the run writes
+its files through a ``RunManifest`` and returns its text and exit code; ``main``
+prints the text, then writes the JSON manifest (command line, parameters, input
+checksums, version, outputs) where the entry's rule puts it. ``calibrate``
+without ``--out`` writes no file and no manifest. Identical manifests reproduce
+byte-identical outputs, so manifests carry no timestamps. All numeric output
+uses shortest round-trip decimal formatting.
 """
 
 from __future__ import annotations
@@ -161,15 +163,17 @@ class RunManifest(Record):
         return path
 
 
+_REQUIRED = object()  # the default of a flag the command line must give
+
 #: The four runs of ``project``: from ``--preset`` or explicit initial conditions, each
 #: a trajectory or the committed curve (``--curve``).
 _PT, _ET, _PC, _EC = "preset trajectory", "explicit trajectory", "preset curve", "explicit curve"
 
-#: ``project``'s optional flags: flag -> (type, parser default, help, the runs that read it);
-#: a ``bool`` flag is a switch. A flag set away from its default that the run does not read
-#: is a usage error.
+#: A subcommand's flags: flag -> (type, parser default, help[, the runs that read it]). The
+#: type is ``bool`` for a switch, or the values the flag takes (the first gives the type).
+#: A flag of ``project`` set away from its default that the run does not read is a usage error.
 _PROJECT_FLAGS = {
-    "--preset": (str, None, "named initial conditions, e.g. paper-2017", (_PT, _PC)),
+    "--preset": (datasets.PRESETS, None, "named initial conditions", (_PT, _PC)),
     "--eta-c": (float, 0.0, "carbonization trend, 1/yr", (_PT, _ET)),
     "--eta-w": (float, None, "wealth growth rate, 1/yr (default 0.024)", (_PT, _ET)),
     "--horizon": (float, 40.0, "years to project", (_PT, _ET)),
@@ -191,41 +195,20 @@ _PROJECT_FLAGS = {
 def _build_parser() -> _Parser:
     parser = _Parser(prog="enerscale", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_ingest = sub.add_parser("ingest", help="validate a manifest of series into canonical CSVs")
-    p_ingest.add_argument("--manifest", type=Path, default=None,
-                          help="series manifest (default: bundled snapshot)")
-    p_ingest.add_argument("--out-dir", type=Path, required=True)
-
-    p_recon = sub.add_parser("reconstruct", help="infill historical production and accumulate wealth")
-    p_recon.add_argument("--out-dir", type=Path, required=True)
-
-    p_cal = sub.add_parser("calibrate", help="report the PPP/MER ratio and initial wealth")
-    p_cal.add_argument("--pop-growth", type=float, default=5.9e-4,
-                       help="ancient population growth rate, 1/yr")
-    p_cal.add_argument("--out", type=Path, default=None, help="optional JSON output path")
-
-    p_tab = sub.add_parser("tables", help="reproduce a summary table")
-    p_tab.add_argument("--table", type=int, choices=range(1, 6), required=True,
-                       help="table number, 1-5")
-    p_tab.add_argument("--data-dir", type=Path, default=None,
-                       help="directory with reconstruct outputs (default: recompute)")
-    p_tab.add_argument("--out-dir", type=Path, default=Path("."))
-
-    p_proj = sub.add_parser("project", help="run a forward scenario or the committed curve")
-    for flag, (kind, default, text, _) in _PROJECT_FLAGS.items():
-        if kind is bool:
-            p_proj.add_argument(flag, action="store_true", help=text)
-        else:
-            p_proj.add_argument(flag, type=kind, default=default, help=text)
-    p_proj.add_argument("--out", type=Path, required=True)
-
-    p_rep = sub.add_parser("report", help="headline quantities as JSON plus aligned text")
-    p_rep.add_argument("--out-dir", type=Path, required=True)
+    for name, (text, flags, _, _) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for flag, (kind, default, help_text, *_) in flags.items():
+            if kind is bool:
+                command.add_argument(flag, action="store_true", help=help_text)
+                continue
+            choices = None if isinstance(kind, type) else kind
+            command.add_argument(flag, type=kind if choices is None else type(choices[0]),
+                                 choices=choices, default=default,
+                                 required=default is _REQUIRED, help=help_text)
     return parser
 
 
-def _cmd_ingest(args, manifest: RunManifest) -> int:
+def _cmd_ingest(args, manifest: RunManifest) -> tuple[str, int]:
     from .ingestion import load_manifest, load_series, validate, write_series
 
     manifest_path = args.manifest if args.manifest is not None else datasets.manifest_path()
@@ -241,11 +224,10 @@ def _cmd_ingest(args, manifest: RunManifest) -> int:
             any_invalid = True
             print(f"validation failure in {name}: gaps={list(report.gaps)}", file=sys.stderr)
     manifest.add_series_inputs(manifest_path)
-    manifest.write(out_dir / "run_manifest.json")
-    return EXIT_VALIDATION if any_invalid else EXIT_OK
+    return "", EXIT_VALIDATION if any_invalid else EXIT_OK
 
 
-def _cmd_reconstruct(args, manifest: RunManifest) -> int:
+def _cmd_reconstruct(args, manifest: RunManifest) -> tuple[str, int]:
     from .ingestion import write_series
 
     manifest.add_series_inputs()
@@ -262,11 +244,10 @@ def _cmd_reconstruct(args, manifest: RunManifest) -> int:
         "spline_knot_years": list(recon.spline_knot_years),
         "method": recon.wealth.method,
     })
-    manifest.write(out_dir / "run_manifest.json")
-    return EXIT_OK
+    return "", EXIT_OK
 
 
-def _cmd_calibrate(args, manifest: RunManifest) -> int:
+def _cmd_calibrate(args, manifest: RunManifest) -> tuple[str, int]:
     from .reconstruction import calibrate_initial_wealth, calibrate_initial_wealth_iterative
 
     recon = datasets.baseline()
@@ -279,12 +260,10 @@ def _cmd_calibrate(args, manifest: RunManifest) -> int:
         "w1_iterative_tusd": iterative.value,
         "production_year1_tusd": recon.gdp.value_at(1),
     }, "standard output" if args.out is None else args.out)
-    print(text, end="")
     if args.out is not None:
         manifest.add_series_inputs()
         manifest.write_text(args.out, text)
-        manifest.write(args.out.with_suffix(".manifest.json"))
-    return EXIT_OK
+    return text, EXIT_OK
 
 
 def _integral_years(values) -> tuple[int, ...]:
@@ -348,7 +327,7 @@ def _record_reconstruction(manifest: RunManifest, recon) -> None:
     }
 
 
-def _cmd_tables(args, manifest: RunManifest) -> int:
+def _cmd_tables(args, manifest: RunManifest) -> tuple[str, int]:
     from . import tables
 
     snapshot, recon = _tables_inputs(args.data_dir, manifest)
@@ -358,12 +337,10 @@ def _cmd_tables(args, manifest: RunManifest) -> int:
     manifest.write_rows(stem.with_suffix(".csv"), result.header, result.rows)
     text = tables.render_text(result)
     manifest.write_text(stem.with_suffix(".txt"), text)
-    print(text, end="")
-    manifest.write(stem.with_suffix(".manifest.json"))
-    return EXIT_OK
+    return text, EXIT_OK
 
 
-def _cmd_project(args, manifest: RunManifest) -> int:
+def _cmd_project(args, manifest: RunManifest) -> tuple[str, int]:
     from .carbon import CarbonCycleParams
     from .projection import MAX_GRID_POINTS, Scenario, committed_curve, run_scenario, time_grid
     from .units import Quantity, Unit
@@ -383,14 +360,11 @@ def _cmd_project(args, manifest: RunManifest) -> int:
     eta_w = args.eta_w if args.eta_w is not None else datasets.PRESET_GROWTH
     if args.preset is not None:
         # A curve reads only lambda_gw and c0: its unread flags are at preset_scenario's defaults.
-        try:
-            scenario = datasets.preset_scenario(
-                args.preset, eta_c=args.eta_c, eta_w=eta_w,
-                horizon_years=args.horizon, dt=args.dt,
-                carbon_params=params, spinup=args.spinup,
-            )
-        except KeyError as exc:
-            raise UsageError(str(exc)) from None
+        scenario = datasets.preset_scenario(
+            args.preset, eta_c=args.eta_c, eta_w=eta_w,
+            horizon_years=args.horizon, dt=args.dt,
+            carbon_params=params, spinup=args.spinup,
+        )
     elif not args.curve:
         scenario = Scenario(
             start_year=args.start_year,
@@ -447,11 +421,10 @@ def _cmd_project(args, manifest: RunManifest) -> int:
     }
     if args.preset is not None:
         manifest.add_series_inputs()
-    manifest.write(out.with_suffix(out.suffix + ".manifest.json"))
-    return EXIT_OK
+    return "", EXIT_OK
 
 
-def _cmd_report(args, manifest: RunManifest) -> int:
+def _cmd_report(args, manifest: RunManifest) -> tuple[str, int]:
     from .projection import halving_time, required_clean_capacity, run_scenario
     from .scaling import scaling_series, scaling_stats
     from .series import Period
@@ -490,19 +463,40 @@ def _cmd_report(args, manifest: RunManifest) -> int:
     manifest.write_json(args.out_dir / "report.json", payload)
     width = max(len(k) for k in payload)
     lines = [f"{k.ljust(width)}  {v}" for k, v in sorted(payload.items())]
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
-    manifest.write(args.out_dir / "run_manifest.json")
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
+_OUT_DIR = (Path, _REQUIRED, "output directory")
+
+
+def _in_out_dir(args) -> Path:
+    return args.out_dir / "run_manifest.json"
+
+
+#: subcommand -> (help, flags, run, manifest rule). ``run(args, manifest)`` writes its files
+#: through the manifest and returns (text to print, exit code); the rule gives the manifest's
+#: path from the parsed arguments, or None when the run writes no file.
 _COMMANDS = {
-    "ingest": _cmd_ingest,
-    "reconstruct": _cmd_reconstruct,
-    "calibrate": _cmd_calibrate,
-    "tables": _cmd_tables,
-    "project": _cmd_project,
-    "report": _cmd_report,
+    "ingest": ("validate a manifest of series into canonical CSVs", {
+        "--manifest": (Path, None, "series manifest (default: bundled snapshot)"),
+        "--out-dir": _OUT_DIR,
+    }, _cmd_ingest, _in_out_dir),
+    "reconstruct": ("infill historical production and accumulate wealth",
+                    {"--out-dir": _OUT_DIR}, _cmd_reconstruct, _in_out_dir),
+    "calibrate": ("report the PPP/MER ratio and initial wealth", {
+        "--pop-growth": (float, 5.9e-4, "ancient population growth rate, 1/yr"),
+        "--out": (Path, None, "optional JSON output path"),
+    }, _cmd_calibrate, lambda a: None if a.out is None else a.out.with_suffix(".manifest.json")),
+    "tables": ("reproduce a summary table", {
+        "--table": (range(1, 6), _REQUIRED, "table number, 1-5"),
+        "--data-dir": (Path, None, "directory with reconstruct outputs (default: recompute)"),
+        "--out-dir": (Path, Path("."), "output directory"),
+    }, _cmd_tables, lambda a: a.out_dir / f"table{a.table}.manifest.json"),
+    "project": ("run a forward scenario or the committed curve", {
+        **_PROJECT_FLAGS, "--out": (Path, _REQUIRED, "output CSV path"),
+    }, _cmd_project, lambda a: a.out.with_name(a.out.name + ".manifest.json")),
+    "report": ("headline quantities as JSON plus aligned text",
+               {"--out-dir": _OUT_DIR}, _cmd_report, _in_out_dir),
 }
 
 
@@ -511,11 +505,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _, _, run, manifest_path = _COMMANDS[args.subcommand]
         manifest = RunManifest(
             command=["enerscale"] + argv,
             parameters={k: str(v) for k, v in vars(args).items() if k != "subcommand"},
         )
-        return _COMMANDS[args.subcommand](args, manifest)
+        text, code = run(args, manifest)
+        print(text, end="")
+        if (path := manifest_path(args)) is not None:
+            manifest.write(path)
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

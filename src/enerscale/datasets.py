@@ -12,6 +12,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .errors import DomainError
 from .ingestion import ManifestEntry, load_manifest, load_series
 from .records import Record
 from .series import AnnualSeries
@@ -29,6 +30,9 @@ PRESET_GROWTH = 0.024
 
 #: Year whose observed state the ``paper-2017`` preset starts from.
 PRESET_START_YEAR = 2017
+
+#: The initial-condition presets ``preset_scenario`` knows.
+PRESETS = ("paper-2017",)
 
 
 def data_dir() -> Path:
@@ -106,8 +110,8 @@ def preset_scenario(
     from .carbon import CarbonCycleParams
     from .projection import Scenario, historical_spinup_delta
 
-    if name != "paper-2017":
-        raise KeyError(f"unknown preset {name!r}")
+    if name not in PRESETS:
+        raise DomainError(f"unknown preset {name!r}; choose from {list(PRESETS)}")
     params = carbon_params if carbon_params is not None else CarbonCycleParams()
     snap = load_snapshot()
     recon = baseline()

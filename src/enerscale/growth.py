@@ -20,6 +20,7 @@ from .series import (
     SeriesKind,
     aligned_values,
     mean,
+    require_every_year,
     sample_std,
     slice_series,
 )
@@ -46,6 +47,13 @@ class RatesRow(Record):
         return self.lambda_eps + self.eta_eps
 
 
+def _log_rate(ratio: float, p: Period) -> float:
+    """ln(ratio) per year of ``p``; DomainError when the ratio left the float range."""
+    if not 0.0 < ratio < math.inf:
+        raise DomainError(f"log growth over {p} is not finite: the endpoint ratio is {ratio!r}")
+    return math.log(ratio) / p.span
+
+
 def growth_rate(s: AnnualSeries, p: Period) -> float:
     """Endpoint log growth of ``s`` over the closed period ``p``, in 1/yr."""
     if not (s.has_year(p.start_year) and s.has_year(p.end_year)):
@@ -53,7 +61,7 @@ def growth_rate(s: AnnualSeries, p: Period) -> float:
     start, end = s.value_at(p.start_year), s.value_at(p.end_year)
     if start <= 0.0 or end <= 0.0:
         raise DomainError(f"log growth over {p} needs positive endpoint values")
-    return math.log(end / start) / p.span
+    return _log_rate(end / start, p)
 
 
 def energy_productivity(gdp: AnnualSeries, energy: AnnualSeries) -> AnnualSeries:
@@ -73,6 +81,7 @@ def mean_scaled_productivity(scale: Quantity, eps: AnnualSeries, p: Period) -> f
     """
     lam_ej = to_unit(scale.value, scale.unit, Unit.EJ_PER_YR_PER_TUSD)
     window = slice_series(eps, p)
+    require_every_year(window.years, p, "productivity series")
     return lam_ej * mean(window.values)
 
 
@@ -160,14 +169,19 @@ def carbonization(
     wealth: WealthSeries,
     params: CarbonCycleParams = CarbonCycleParams(),
 ) -> CarbonizationEstimate:
-    """Period statistics of carbon intensity and of the emissions/wealth scaling."""
+    """Period statistics of carbon intensity and of the emissions/wealth scaling.
+
+    Raises EmptySlice unless both ratios hold every year of ``p``.
+    """
     c_series = carbonization_series(emissions, energy)
     c_window = slice_series(c_series, p)
+    require_every_year(c_window.years, p, "carbonization series")
     eta_c = growth_rate(c_series, p)
     try:
-        _, c_values, w_values = aligned_values(emissions, wealth.series, p)
+        years, c_values, w_values = aligned_values(emissions, wealth.series, p)
     except EmptySlice:
         raise EmptySlice(f"no emissions/wealth overlap inside {p}") from None
+    require_every_year(years, p, "emissions/wealth overlap")
     in_window = [
         (kc / w) * params.kappa_a * 1e3  # per quadrillion = 1000 T$
         for kc, w in zip(c_values, w_values)
@@ -218,7 +232,7 @@ def _ratio_growth(numerator: AnnualSeries, denominator: AnnualSeries, p: Period)
         n0, n1, d0, d1 = [s.value_at(year) for s in (numerator, denominator) for year in ends]
     except EmptySlice:
         raise EmptySlice(f"ratio series does not cover both endpoints of {p}") from None
-    return math.log((n1 / d1) / (n0 / d0)) / p.span
+    return _log_rate((n1 / d1) / (n0 / d0), p)
 
 
 def kaya_decomposition(

@@ -413,7 +413,11 @@ def max_carbonization_coefficient(
     if scale.value <= 0:
         raise DomainError("the energy scaling must be positive")
     lam_ej = to_unit(scale.value, scale.unit, Unit.EJ_PER_YR_PER_TUSD)
-    return params.sigma / (params.kappa_a * lam_ej)
+    product = params.kappa_a * lam_ej
+    coefficient = params.sigma / product if product else math.inf
+    if not math.isfinite(coefficient):
+        raise DomainError(f"sigma/(kappa*lambda) is not finite for the scaling {shown(scale.value)}")
+    return coefficient
 
 
 def max_carbonization(

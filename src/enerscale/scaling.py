@@ -22,6 +22,7 @@ from .series import (
     aligned_values,
     log_slope,
     mean,
+    require_every_year,
     sample_std,
     slice_series,
 )
@@ -60,17 +61,20 @@ def scaling_series(energy: AnnualSeries, wealth: WealthSeries) -> AnnualSeries:
 
 
 def scaling_stats(ls: AnnualSeries, p: Period) -> ScalingEstimate:
-    """Mean, sample std, normal 95% CI halfwidth and OLS log-trend over ``p``."""
+    """Mean, sample std, normal 95% CI halfwidth and OLS log-trend over ``p``.
+
+    Raises EmptySlice unless ``ls`` holds every year of ``p``.
+    """
     window = slice_series(ls, p)
-    n = len(window)
+    require_every_year(window.years, p, "scaling series")
     std = sample_std(window.values)
     unit = ls.unit
     return ScalingEstimate(
         period=p,
         mean=Quantity(mean(window.values), unit),
         std=Quantity(std, unit),
-        ci95_halfwidth=Quantity(1.96 * std / math.sqrt(n) if n > 1 else 0.0, unit),
-        trend_per_year=log_slope(window.years, window.values) if n > 1 else 0.0,
+        ci95_halfwidth=Quantity(1.96 * std / math.sqrt(len(window)), unit),
+        trend_per_year=log_slope(window.years, window.values),
     )
 
 

@@ -5,7 +5,8 @@ calendar year, matching the reporting conventions of the underlying sources.
 All series types are immutable; every operation returns a new series.
 Values are tuples of Python floats; a contiguous series looks a year up at
 offset ``year - first_year``. The mean, sample standard deviation and OLS
-log slope that the analysis layers share are defined here once.
+log slope that the analysis layers share are defined here once, and so is the
+rule that a statistic over a period needs every year of it.
 """
 
 from __future__ import annotations
@@ -253,9 +254,34 @@ def aligned_values(
     return years, tuple(map(a.value_at, years)), tuple(map(b.value_at, years))
 
 
+def require_every_year(years: Sequence[int], p: Period, what: str) -> None:
+    """Raise EmptySlice unless ``years`` (increasing, inside ``p``) are every year of ``p``.
+
+    A period statistic means the whole span, so a window short of a year at
+    either end or inside is refused rather than averaged over what it holds.
+    """
+    if len(years) != p.span + 1:
+        held = set(years)
+        first = next(y for y in range(p.start_year, p.end_year + 1) if y not in held)
+        raise EmptySlice(
+            f"{what} has {len(years)} of the {p.span + 1} years of {p}; {first} is missing"
+        )
+
+
+def _sum(values) -> float:
+    """The correctly rounded sum; DomainError when it leaves the float range."""
+    try:
+        total = math.fsum(values)
+    except OverflowError:  # an intermediate partial sum overflowed
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError("a sum of series values exceeds the float range")
+    return total
+
+
 def mean(values: Sequence[float]) -> float:
     """Arithmetic mean, from the correctly rounded sum."""
-    return math.fsum(values) / len(values)
+    return _sum(values) / len(values)
 
 
 def sample_std(values: Sequence[float]) -> float:
@@ -265,7 +291,7 @@ def sample_std(values: Sequence[float]) -> float:
         return 0.0
     m = mean(values)
     deviations = [v - m for v in values]
-    return math.sqrt(math.fsum(d * d for d in deviations) / (n - 1))
+    return math.sqrt(_sum(d * d for d in deviations) / (n - 1))
 
 
 def log_slope(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -14,6 +14,8 @@ from .records import Record
 from .scaling import scaling_series, scaling_stats
 from .series import Period
 from .datasets import Snapshot
+from .errors import DomainError
+from .units import shown
 
 #: Period sets mirroring the published table layouts.
 SCALING_PERIODS = (
@@ -178,8 +180,6 @@ _BUILDERS = {
 
 
 def build_table(table_id: int, snapshot: Snapshot, recon: ReconstructionResult) -> TableResult:
-    try:
-        builder = _BUILDERS[table_id]
-    except KeyError:
-        raise KeyError(f"no table {table_id}; choose from {sorted(_BUILDERS)}") from None
-    return builder(snapshot, recon)
+    if table_id not in _BUILDERS:
+        raise DomainError(f"no table {shown(table_id)}; choose from {sorted(_BUILDERS)}")
+    return _BUILDERS[table_id](snapshot, recon)

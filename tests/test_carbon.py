@@ -221,6 +221,24 @@ def test_carbonization_window_missing_the_wealth_names_the_window(snapshot):
         carbonization(snapshot.emissions, snapshot.energy, Period(1980, 2010), wealth=wealth)
 
 
+def cut(s, last_year):
+    return s.with_data(*zip(*((y, v) for y, v in zip(s.years, s.values) if y <= last_year)))
+
+
+@pytest.mark.parametrize("short, message", [
+    ("emissions", "carbonization series has 6 of the 11 years of 2000-2010; 2006 is missing"),
+    ("wealth", "emissions/wealth overlap has 6 of the 11 years of 2000-2010; 2006 is missing"),
+], ids=["emissions", "wealth"])
+def test_carbonization_refuses_a_window_short_of_the_period(snapshot, recon, short, message):
+    """c and lambda_c each average every year of the period, not the part a series covers."""
+    emissions = cut(snapshot.emissions, 2005) if short == "emissions" else snapshot.emissions
+    wealth = recon.wealth
+    if short == "wealth":
+        wealth = WealthSeries(cut(wealth.series, 2005), wealth.w1, wealth.method)
+    with pytest.raises(EmptySlice, match=message):
+        carbonization(emissions, snapshot.energy, Period(2000, 2010), wealth=wealth)
+
+
 def test_max_carbonization_coefficient_value():
     # 0.023 / (0.47 * 5.9 * 0.031536) by hand = 0.263
     coeff = max_carbonization_coefficient(Quantity(5.9, Unit.GW_PER_TUSD))

@@ -125,6 +125,33 @@ def test_tables_from_reconstruction_dir(tmp_path, table):
         assert (out / name).read_bytes() == (fresh / name).read_bytes()
 
 
+@pytest.mark.parametrize("table, kept, message", [
+    pytest.param(1, lambda year: year <= 2014, "scaling series has 5 of the 8 years of 2010-2017",
+                 id="table1-to-2014"),
+    pytest.param(1, lambda year: year <= 2010, "scaling series has 1 of the 8 years of 2010-2017",
+                 id="table1-to-2010"),
+    pytest.param(5, lambda year: year <= 2005,
+                 "emissions/wealth overlap has 6 of the 11 years of 2000-2010", id="table5-to-2005"),
+    pytest.param(1, lambda year: year != 1985, "of the 11 years of 1980-1990; 1985 is missing",
+                 id="table1-without-1985"),
+    pytest.param(5, lambda year: year != 1985, "of the 11 years of 1980-1990; 1985 is missing",
+                 id="table5-without-1985"),
+])
+def test_tables_refuse_a_wealth_series_short_of_a_period(tmp_path, capsys, table, kept, message):
+    """A row for a period comes from every year of it, not from the part the series covers."""
+    recon_dir = tmp_path / "recon"
+    assert main(["reconstruct", "--out-dir", str(recon_dir)]) == EXIT_OK
+    wealth = recon_dir / "wealth.csv"
+    header, *rows = wealth.read_text(encoding="utf-8").splitlines(keepends=True)
+    wealth.write_text(header + "".join(r for r in rows if kept(int(r.split(",")[0]))),
+                      encoding="utf-8")
+    code = main(["tables", "--table", str(table), "--data-dir", str(recon_dir),
+                 "--out-dir", str(tmp_path / "tables")])
+    assert code == EXIT_RUNTIME
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "tables").exists()
+
+
 def test_tables_missing_reconstruction_inputs(tmp_path, capsys):
     code = main(["tables", "--table", "1", "--data-dir", str(tmp_path / "void"),
                  "--out-dir", str(tmp_path)])
@@ -284,22 +311,48 @@ def test_project_outputs_parse_through_ingestion(tmp_path):
     assert series.values[0] == float(rows[0]["wealth_tusd"])
 
 
-def test_the_defaults_the_cli_restates_match_their_homes():
-    """A flag default copied from a model module changes with that module."""
+def test_the_defaults_the_cli_restates_match_their_homes(snapshot, recon):
+    """Every default and choice list in the command table that a model module also holds
+    equals it there: the parser restates them, since importing the model modules would
+    add their compile time to every process."""
     import inspect
 
+    from enerscale import tables
     from enerscale.carbon import CarbonCycleParams
     from enerscale.reconstruction import ANCIENT_POP_GROWTH
 
-    flags = {flag: default for flag, (_, default, _, _) in cli._PROJECT_FLAGS.items()}
     preset = inspect.signature(datasets.preset_scenario).parameters
-    assert flags["--sigma"] == CarbonCycleParams().sigma
-    assert flags["--dt"] == preset["dt"].default
-    assert flags["--horizon"] == preset["horizon_years"].default
-    assert flags["--eta-c"] == preset["eta_c"].default
-    assert flags["--start-year"] == float(datasets.PRESET_START_YEAR)
-    assert cli._build_parser().parse_args(["calibrate"]).pop_growth == ANCIENT_POP_GROWTH
+    homes = {
+        ("calibrate", "--pop-growth"): ANCIENT_POP_GROWTH,
+        ("project", "--eta-c"): preset["eta_c"].default,
+        ("project", "--horizon"): preset["horizon_years"].default,
+        ("project", "--dt"): preset["dt"].default,
+        ("project", "--sigma"): CarbonCycleParams().sigma,
+        ("project", "--start-year"): float(datasets.PRESET_START_YEAR),
+    }
+    cli_own = {("tables", "--out-dir"), ("project", "--from-w"), ("project", "--to-w"),
+               ("project", "--points")}
+    defaults, choices = {}, {}
+    for command, (_, flags, _, _) in cli._COMMANDS.items():
+        for flag, (kind, default, *_) in flags.items():
+            if not isinstance(kind, type):
+                choices[command, flag] = kind
+            if kind is not bool and default is not None and default is not cli._REQUIRED:
+                defaults[command, flag] = default
+    assert set(defaults) == set(homes) | cli_own
+    assert {key: defaults[key] for key in homes} == homes
     assert f"(default {datasets.PRESET_GROWTH!r})" in cli._PROJECT_FLAGS["--eta-w"][2]
+
+    table_ids, presets = choices.pop(("tables", "--table")), choices.pop(("project", "--preset"))
+    assert choices == {}
+    for table_id in table_ids:
+        assert tables.build_table(table_id, snapshot, recon).table_id == table_id
+    with pytest.raises(DomainError, match=re.escape(f"choose from {list(table_ids)}")):
+        tables.build_table(table_ids[-1] + 1, snapshot, recon)
+    for name in presets:
+        datasets.preset_scenario(name)
+    with pytest.raises(DomainError, match=re.escape(f"choose from {list(presets)}")):
+        datasets.preset_scenario("mystery")
 
 
 # ------------------------------------------------------------------- report
@@ -312,24 +365,7 @@ def test_report_payload(tmp_path):
     assert payload["halving_time_yr"] == pytest.approx(30.14, abs=0.01)
 
 
-def test_cli_defaults_and_report_agree_with_the_model(tmp_path):
-    """The parser restates the model's defaults, since importing the model modules
-    would add their compile time to every process; this test keeps the copies equal."""
-    import inspect
-
-    from enerscale.carbon import CarbonCycleParams
-    from enerscale.cli import _build_parser
-    from enerscale.reconstruction import ANCIENT_POP_GROWTH
-
-    parser = _build_parser()
-    project = parser.parse_args(["project", "--out", "t.csv"])
-    preset = inspect.signature(datasets.preset_scenario).parameters
-    assert project.sigma == CarbonCycleParams().sigma
-    assert (project.eta_c, project.dt, project.horizon) == tuple(
-        preset[name].default for name in ("eta_c", "dt", "horizon_years")
-    )
-    assert parser.parse_args(["calibrate"]).pop_growth == ANCIENT_POP_GROWTH
-
+def test_report_2040_concentration_is_the_preset_trajectorys(tmp_path):
     trajectory = tmp_path / "traj.csv"
     assert main(["project", "--preset", "paper-2017", "--out", str(trajectory)]) == EXIT_OK
     assert main(["report", "--out-dir", str(tmp_path / "rep")]) == EXIT_OK
@@ -711,6 +747,12 @@ def test_documented_commands_exit_0(tmp_path, monkeypatch, capsys, argv):
         entry["path"] = str(datasets.data_dir() / entry["path"])
     (tmp_path / "my_manifest.json").write_text(json.dumps(bundled), encoding="utf-8")
     assert main(argv) == EXIT_OK, capsys.readouterr().err
+
+
+def test_the_docs_name_every_subcommand():
+    """The command blocks of cli.py's docstring and of the README show each subcommand."""
+    shown = {(param.id.split(":")[0], param.values[0][0]) for param in documented_commands()}
+    assert shown == {(source, name) for source in ("cli", "readme") for name in cli._COMMANDS}
 
 
 def test_usage_error_exit_code():

@@ -110,6 +110,13 @@ def test_predicted_energy_growth_zero_scale_is_zero():
     assert zero == 0.0
 
 
+@pytest.mark.parametrize("years", [(2000, 2001, 2002), (2000, 2001, 2003)])
+def test_scaled_productivity_refuses_a_window_short_of_the_period(years):
+    eps = series(SeriesKind.PRODUCTIVITY, Unit.TUSD_PER_EJ, years, (0.1, 0.2, 0.3))
+    with pytest.raises(EmptySlice, match="productivity series has 3 of the 4 years of 2000-2003"):
+        mean_scaled_productivity(Quantity(5.9, Unit.GW_PER_TUSD), eps, Period(2000, 2003))
+
+
 # -------------------------------------------------------------- innovation
 
 def test_innovation_rate_constant_productivity_is_zero():

@@ -16,7 +16,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from enerscale.carbon import CarbonCycleParams
-from enerscale.errors import EnerscaleError
+from enerscale.errors import DomainError, EnerscaleError
+from enerscale.growth import growth_rate, kaya_decomposition
 from enerscale.ingestion import DataSourceDescriptor
 from enerscale.projection import (
     AtmosphereState,
@@ -24,6 +25,7 @@ from enerscale.projection import (
     Scenario,
     halving_time,
     historical_spinup_delta,
+    max_carbonization_coefficient,
     required_clean_capacity,
     run_scenario,
     steady_state_commitment,
@@ -32,7 +34,7 @@ from enerscale.projection import (
 )
 from enerscale.reconstruction import calibrate_initial_wealth
 from enerscale.records import Record
-from enerscale.scaling import w1_sensitivity
+from enerscale.scaling import scaling_stats, w1_sensitivity
 from enerscale.series import AnnualSeries, Period, SeriesKind
 from enerscale.units import Quantity, Unit, to_unit
 
@@ -174,3 +176,36 @@ def test_an_int_past_the_str_limit_is_named_by_its_size(call, sign):
     """Formatting such an int into the message used to raise ValueError instead."""
     with pytest.raises(EnerscaleError, match="<int of 16610 bits>"):
         call(sign * PAST_STR_LIMIT)
+
+
+def test_max_carbonization_coefficient_of_a_tiny_scaling_is_refused():
+    """sigma/(kappa*lambda) used to return inf for 1e-310 GW per T$."""
+    for tiny in (1e-310, 5e-324):
+        with pytest.raises(DomainError, match="sigma/\\(kappa\\*lambda\\) is not finite"):
+            max_carbonization_coefficient(Quantity(tiny, Unit.GW_PER_TUSD))
+
+
+@pytest.mark.parametrize("values", [(1e-300, 1e300), (1e300, 1e-300)])
+def test_growth_rate_whose_endpoint_ratio_leaves_the_float_range_is_refused(values):
+    """end/start overflowing used to give inf, and underflowing a raw ValueError from log."""
+    s = AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (2000, 2001), values)
+    with pytest.raises(DomainError, match="log growth over 2000-2001 is not finite"):
+        growth_rate(s, Period(2000, 2001))
+
+
+def test_kaya_affluence_whose_ratio_overflows_is_refused():
+    """(Y1/P1)/(Y0/P0) reaching inf used to give an infinite affluence growth."""
+    years, p = (2000, 2001), Period(2000, 2001)
+    gdp = AnnualSeries(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, years, (1e-300, 1e300))
+    pop = AnnualSeries(SeriesKind.POPULATION, Unit.PERSONS, years, (1.0, 1.0))
+    energy = AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, years, (1.0, 1.0))
+    with pytest.raises(DomainError, match="log growth over 2000-2001 is not finite"):
+        kaya_decomposition(pop, gdp, energy, EMISSIONS, p)
+
+
+@pytest.mark.parametrize("values", [(1e308,) * 3, (1e200, 1.0, 1e200)])
+def test_scaling_stats_whose_sums_overflow_are_refused(values):
+    """The mean's fsum used to raise a raw OverflowError, and the std's squares reached inf."""
+    s = AnnualSeries(SeriesKind.SCALING, Unit.GW_PER_TUSD, (2000, 2001, 2002), values)
+    with pytest.raises(DomainError, match="exceeds the float range"):
+        scaling_stats(s, Period(2000, 2002))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,18 @@ def test_constant_series_stats():
     assert stats.mean.value == 5.0
     assert stats.std.value == 0.0
     assert stats.trend_per_year == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("years, message", [
+    ((2000, 2001, 2002), "scaling series has 3 of the 6 years of 2000-2005; 2003 is missing"),
+    ((2000, 2001, 2002, 2004, 2005), "has 5 of the 6 years of 2000-2005; 2003 is missing"),
+    ((2003, 2004, 2005, 2006), "has 3 of the 6 years of 2000-2005; 2000 is missing"),
+], ids=["ends-early", "gap-inside", "starts-late"])
+def test_stats_refuse_a_window_short_of_the_period(years, message):
+    """A partial window used to give its own mean; a single year, a std, CI and trend of 0."""
+    s = AnnualSeries(SeriesKind.SCALING, Unit.GW_PER_TUSD, years, [5.0 + 0.1 * y for y in years])
+    with pytest.raises(EmptySlice, match=re.escape(message)):
+        scaling_stats(s, Period(2000, 2005))
 
 
 # -------------------------------------------------------------- sensitivity
