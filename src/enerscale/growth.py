@@ -232,7 +232,11 @@ def _ratio_growth(numerator: AnnualSeries, denominator: AnnualSeries, p: Period)
         n0, n1, d0, d1 = [s.value_at(year) for s in (numerator, denominator) for year in ends]
     except EmptySlice:
         raise EmptySlice(f"ratio series does not cover both endpoints of {p}") from None
-    return _log_rate((n1 / d1) / (n0 / d0), p)
+    try:
+        ratio = (n1 / d1) / (n0 / d0)
+    except ZeroDivisionError:  # the first year's ratio underflowed to 0
+        ratio = math.inf
+    return _log_rate(ratio, p)
 
 
 def kaya_decomposition(
@@ -244,13 +248,11 @@ def kaya_decomposition(
 ) -> KayaComponents:
     """Decompose emissions growth into population, affluence, productivity and
     carbonization rates."""
-    eps = energy_productivity(gdp, energy)
-    c_series = carbonization_series(emissions, energy)
     return KayaComponents(
         period=p,
         eta_pop=growth_rate(pop, p),
         eta_affluence=_ratio_growth(gdp, pop, p),
-        eta_productivity=growth_rate(eps, p),
-        eta_carbonization=growth_rate(c_series, p),
+        eta_productivity=_ratio_growth(gdp, energy, p),
+        eta_carbonization=_ratio_growth(emissions, energy, p),
         eta_emissions=growth_rate(emissions, p),
     )

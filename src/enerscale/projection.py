@@ -16,9 +16,9 @@ from math import exp
 from typing import Callable, NamedTuple, Union
 
 from .carbon import CarbonCycleParams
-from .errors import DomainError
+from .errors import DomainError, KindError
 from .records import Record
-from .series import AnnualSeries
+from .series import AnnualSeries, SeriesKind
 from .units import DAYS_PER_YEAR, Quantity, Unit, finite, shown, to_unit
 
 #: Most grid points a run may ask for: each column holds a float object and a
@@ -87,6 +87,9 @@ def _rk4_affine(dt: float, kappa: float, sigma: float, growth: float = 0.0) -> t
     rounding. ``a = R(z) - 1`` with ``z = -sigma*dt`` and R RK4's stability
     polynomial, nested so that no bits cancel; ``p`` is one ``_rk4_step``
     from delta = 0 with sources 1, e^{growth*dt/2} and e^{growth*dt}.
+    ``1 + a = R(z) > 0`` (RK4's quartic has no real root) and ``p >= 0``
+    (``_rk4_step`` refuses a negative result), so the map keeps a
+    non-negative perturbation non-negative for any non-negative source.
     """
     z = -sigma * dt
     a = z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))
@@ -315,8 +318,6 @@ def _columns(s: Scenario, n_steps: int, dt: float) -> tuple[tuple[float, ...], .
     for e in emissions[:-1]:
         d += a * d + p * e
         append(d)
-    if min(deltas) < 0:
-        raise DomainError(_NEGATIVE_PERTURBATION)
     return years, wealth, emissions, tuple(deltas)
 
 
@@ -505,6 +506,8 @@ def historical_spinup_delta(
     A run of more than ``MAX_GRID_POINTS`` steps in all is rejected before the
     first step.
     """
+    if emissions.kind is not SeriesKind.EMISSIONS:
+        raise KindError(f"spin-up expects emissions, got {emissions.kind.value}")
     if not emissions.is_contiguous():
         raise DomainError("spin-up needs a contiguous emissions series")
     if not 0.0 < dt <= 1.0:
@@ -527,10 +530,8 @@ def historical_spinup_delta(
         )
     a, p = _rk4_affine(1.0 / n, params.kappa_a, params.sigma)
     delta = delta0
-    for year in range(emissions.first_year, last):
-        source = p * emissions.value_at(year)
+    for rate in emissions.values[:years]:
+        source = p * rate
         for _ in range(n):
             delta += a * delta + source
-        if delta < 0:
-            raise DomainError(_NEGATIVE_PERTURBATION)
     return delta

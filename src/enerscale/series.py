@@ -3,8 +3,8 @@
 An AnnualSeries value for year ``t`` is the annual average or total for that
 calendar year, matching the reporting conventions of the underlying sources.
 All series types are immutable; every operation returns a new series.
-Values are tuples of Python floats; a contiguous series looks a year up at
-offset ``year - first_year``. The mean, sample standard deviation and OLS
+Values are tuples of Python floats; a year is found in a series by
+bisection of its increasing years. The mean, sample standard deviation and OLS
 log slope that the analysis layers share are defined here once, and so is the
 rule that a statistic over a period needs every year of it.
 """
@@ -188,15 +188,8 @@ class AnnualSeries(Record):
         return self.years[-1]
 
     def _index(self, year: int) -> int:
-        """Position of ``year`` in ``years``, or -1 when absent.
-
-        A contiguous series holds ``year`` at offset ``year - first_year``;
-        a sparse one falls back to bisection.
-        """
+        """Position of ``year`` in ``years`` by bisection, or -1 when absent."""
         years = self.years
-        i = year - years[0]
-        if type(i) is int and 0 <= i < len(years) and years[i] == year:
-            return i
         i = bisect_left(years, year)
         return i if i < len(years) and years[i] == year else -1
 
@@ -236,19 +229,15 @@ def aligned_values(
 ) -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
     """Values of both series on their common years, within ``p`` when given.
 
-    Both series are cut to the span they share (inside ``p``); two contiguous
-    cuts over the same years are already aligned, otherwise (a sparse series)
-    the years are intersected.
+    Both series are cut by bisection to the span they share (inside ``p``),
+    their years are intersected, and each value is read with ``value_at``.
     """
     first, last = max(a.first_year, b.first_year), min(a.last_year, b.last_year)
     if p is not None:
         first, last = max(first, p.start_year), min(last, p.end_year)
-    a_lo, a_hi = bisect_left(a.years, first), bisect_right(a.years, last)
-    b_lo, b_hi = bisect_left(b.years, first), bisect_right(b.years, last)
-    years, b_years = a.years[a_lo:a_hi], b.years[b_lo:b_hi]
-    if len(years) == len(b_years) == last - first + 1 > 0:
-        return years, a.values[a_lo:a_hi], b.values[b_lo:b_hi]
-    years = tuple(sorted(set(years).intersection(b_years)))
+    a_years = a.years[bisect_left(a.years, first) : bisect_right(a.years, last)]
+    b_years = b.years[bisect_left(b.years, first) : bisect_right(b.years, last)]
+    years = tuple(sorted(set(a_years).intersection(b_years)))
     if not years:
         raise EmptySlice("series share no years")
     return years, tuple(map(a.value_at, years)), tuple(map(b.value_at, years))

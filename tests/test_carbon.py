@@ -256,6 +256,23 @@ def test_a_non_positive_scaling_is_refused(lam):
         max_carbonization(Quantity(100.0, Unit.PPMV), w, scale)
 
 
+def test_committed_equilibrium_refuses_wealth_not_in_tusd():
+    scale, c = Quantity(5.9, Unit.GW_PER_TUSD), Quantity(0.018, Unit.GTC_PER_EJ)
+    with pytest.raises(DomainError, match=r"cumulative production must be in T\$2010"):
+        committed_equilibrium(Quantity(100.0, Unit.TUSD_PER_YR), scale, c)
+
+
+@pytest.mark.parametrize("target, w, message", [
+    ((100.0, Unit.GTC_PER_YR), (3000.0, Unit.TUSD), "target must be a ppmv perturbation"),
+    ((0.0, Unit.PPMV), (3000.0, Unit.TUSD), "inputs must be positive"),
+    ((100.0, Unit.PPMV), (0.0, Unit.TUSD), "inputs must be positive"),
+    ((100.0, Unit.PPMV), (3000.0, Unit.TUSD_PER_YR), "inputs must be positive"),
+], ids=["target-unit", "target-zero", "wealth-zero", "wealth-unit"])
+def test_max_carbonization_refuses_a_bad_target_or_wealth(target, w, message):
+    with pytest.raises(DomainError, match=message):
+        max_carbonization(Quantity(*target), Quantity(*w), Quantity(5.9, Unit.GW_PER_TUSD))
+
+
 def test_max_carbonization_linear_in_target():
     scale = Quantity(5.9, Unit.GW_PER_TUSD)
     w = Quantity(3000.0, Unit.TUSD)
@@ -378,6 +395,37 @@ def test_kaya_residual_vanishes(inputs):
     pop, gdp, energy, emissions, p = inputs
     k = kaya_decomposition(pop, gdp, energy, emissions, p)
     assert abs(k.residual) < 1e-12
+
+
+def constant_kaya_inputs(years):
+    pop = AnnualSeries(SeriesKind.POPULATION, Unit.PERSONS, years, (7e9,) * len(years))
+    gdp = AnnualSeries(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, years, (80.0,) * len(years))
+    energy = AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, years, (600.0,) * len(years))
+    emissions = AnnualSeries(SeriesKind.EMISSIONS, Unit.GTC_PER_YR, years, (10.0,) * len(years))
+    return dict(pop=pop, gdp=gdp, energy=energy, emissions=emissions)
+
+
+@pytest.mark.parametrize("short", ["gdp", "energy", "emissions"])
+def test_kaya_refuses_a_ratio_missing_an_endpoint(short):
+    inputs = constant_kaya_inputs(tuple(range(2000, 2006)))
+    inputs[short] = constant_kaya_inputs(tuple(range(2000, 2005)))[short]
+    with pytest.raises(EmptySlice, match="ratio series does not cover both endpoints of 2000-2005"):
+        kaya_decomposition(**inputs, p=Period(2000, 2005))
+
+
+@pytest.mark.parametrize("gdp, energy", [
+    ((5e-324, 80.0), (600.0, 600.0)),  # Y/P = 5e-324/7e9 rounds to 0
+    ((1e-300, 80.0), (1e30, 600.0)),  # Y/P holds, Y/E = 1e-330 rounds to 0
+], ids=["affluence", "productivity"])
+def test_kaya_ratio_that_underflows_in_the_first_year_is_refused(gdp, energy):
+    """A first-year affluence ratio of 0 used to raise a raw ZeroDivisionError;
+    the productivity ratio is read the same way and must be refused the same way."""
+    years = (2000, 2001)
+    inputs = constant_kaya_inputs(years)
+    inputs["gdp"] = inputs["gdp"].with_data(years, gdp)
+    inputs["energy"] = inputs["energy"].with_data(years, energy)
+    with pytest.raises(DomainError, match="log growth over 2000-2001 is not finite"):
+        kaya_decomposition(**inputs, p=Period(*years))
 
 
 # ----------------------------------------------------------------- predictions

@@ -234,6 +234,12 @@ def test_project_rejects_bad_dt(tmp_path, capsys):
     assert "dt must be in (0, 1]" in capsys.readouterr().err
 
 
+def test_project_into_a_directory_is_an_io_error(tmp_path, capsys):
+    code = main(["project", "--preset", "paper-2017", "--out", str(tmp_path)])
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("i/o error: ")
+
+
 @pytest.mark.parametrize(
     "flags",
     [

@@ -60,6 +60,11 @@ def test_missing_column_is_schema_error(tmp_path):
         load_series(descriptor(path))
 
 
+def test_missing_file_is_parse_error(tmp_path):
+    with pytest.raises(ParseError, match="cannot open .*nowhere.csv"):
+        load_series(descriptor(tmp_path / "nowhere.csv"))
+
+
 def test_malformed_row_reports_row_number(tmp_path):
     path = write(tmp_path, "bad.csv", "year,value\n2000,5.0\nnineteen,1.0\n")
     with pytest.raises(ParseError, match="row 3"):
@@ -140,6 +145,12 @@ def test_utf8_byte_order_mark_is_ignored(tmp_path):
 def test_descriptor_rejects_a_scale_that_is_not_positive_and_finite(tmp_path, scale):
     with pytest.raises(DomainError, match="scale must be positive and finite"):
         descriptor(tmp_path / "x.csv", scale=scale)
+
+
+@pytest.mark.parametrize("column", ["year_column", "value_column"])
+def test_descriptor_rejects_an_empty_column_name(tmp_path, column):
+    with pytest.raises(SchemaError, match="year_column and value_column must be nonempty"):
+        descriptor(tmp_path / "x.csv", **{column: ""})
 
 
 # ------------------------------------ load_series against a row-by-row oracle

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from enerscale import datasets, projection
 from enerscale.carbon import SIGMA_BAND, CarbonCycleParams
-from enerscale.errors import DomainError, IncompatibleUnits
+from enerscale.errors import DomainError, IncompatibleUnits, KindError
 from enerscale.projection import (
     MAX_GRID_POINTS,
     AtmosphereState,
@@ -24,6 +24,7 @@ from enerscale.projection import (
     step_atmosphere,
     time_grid,
 )
+from enerscale.series import AnnualSeries, SeriesKind
 from enerscale.units import Quantity, Unit
 
 
@@ -70,6 +71,11 @@ def test_scenario_validates_inputs():
         scenario(w0=-1.0)
 
 
+def test_scenario_refuses_a_negative_initial_perturbation():
+    with pytest.raises(DomainError, match="initial perturbation cannot be negative"):
+        scenario(delta0=-1.0)
+
+
 @pytest.mark.parametrize("field", ["w0", "horizon_years"])
 def test_scenario_rejects_an_int_too_large_for_a_float(field):
     """w0 or horizon 10**400 used to raise a raw OverflowError from the finiteness check."""
@@ -90,6 +96,13 @@ def test_sigma_dt_past_the_stability_limit_is_rejected(run):
     with pytest.raises(DomainError, match=r"sigma\*dt = 2\.9 is past RK4's stability limit"):
         run(1.0)
     run(0.5)
+
+
+def test_a_source_decaying_too_fast_for_one_step_is_refused():
+    """At sigma*dt = 2 a source falling by e^-50 over the step drives RK4 below zero."""
+    fast = CarbonCycleParams(sigma=2.0, allow_sigma_out_of_band=True)
+    with pytest.raises(DomainError, match="concentration perturbation cannot be negative"):
+        run_scenario(scenario(carbon_params=fast, dt=1.0, eta_c=-50.0))
 
 
 # ---------------------------------------------------------------- run_scenario
@@ -646,6 +659,20 @@ def test_spinup_rejects_bad_inputs(snapshot):
         historical_spinup_delta(snapshot.emissions, dt=1.5)
     with pytest.raises(DomainError):
         historical_spinup_delta(snapshot.emissions, delta0=-1.0)
+
+
+def test_spinup_refuses_a_series_that_is_not_emissions():
+    """A GDP series for 2000-2002 of 1, 2, 3 used to integrate to 1.383 ppmv."""
+    gdp = AnnualSeries(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, (2000, 2001, 2002), (1.0, 2.0, 3.0))
+    with pytest.raises(KindError, match="spin-up expects emissions, got gdp_mer"):
+        historical_spinup_delta(gdp)
+
+
+def test_spinup_refuses_a_series_with_a_gap():
+    emissions = AnnualSeries(SeriesKind.EMISSIONS, Unit.GTC_PER_YR, (2000, 2001, 2003),
+                             (1.0, 2.0, 3.0))
+    with pytest.raises(DomainError, match="spin-up needs a contiguous emissions series"):
+        historical_spinup_delta(emissions)
 
 
 def test_spinup_past_the_cap_is_rejected_before_stepping(snapshot, monkeypatch):

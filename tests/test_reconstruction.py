@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from enerscale.errors import DomainError, EmptySlice, GapError, KindError, MissingYearOne
 from enerscale.reconstruction import (
     PppMerRatio,
+    WealthSeries,
     calibrate_initial_wealth,
     calibrate_initial_wealth_iterative,
     cumulative_production,
@@ -159,6 +160,25 @@ def test_cumulative_production_rejects_gaps():
     gdp = gdp_series((1, 2, 4), (1.0, 1.0, 1.0))
     with pytest.raises(GapError):
         cumulative_production(gdp, Quantity(0.0, Unit.TUSD))
+
+
+@pytest.mark.parametrize("w1, error, message", [
+    (Quantity(2.0, Unit.TUSD_PER_YR), KindError, r"W\(1\) must be expressed in T\$2010"),
+    (Quantity(-1.0, Unit.TUSD), DomainError, r"W\(1\) must be nonnegative"),
+], ids=["unit", "negative"])
+def test_cumulative_production_refuses_a_bad_initial_stock(w1, error, message):
+    with pytest.raises(error, match=message):
+        cumulative_production(gdp_series((1, 2, 3), (1.0, 1.0, 1.0)), w1)
+
+
+@pytest.mark.parametrize("series, error, message", [
+    (gdp_series((1, 2), (3.0, 4.0)), KindError, "WealthSeries wraps a series of kind 'wealth'"),
+    (AnnualSeries(SeriesKind.WEALTH, Unit.TUSD, (1, 2), (1.0, 4.0)), DomainError,
+     r"wealth at the first year cannot be below W\(1\)"),
+], ids=["kind", "below-w1"])
+def test_wealth_series_refuses_a_series_that_is_not_wealth_above_w1(series, error, message):
+    with pytest.raises(error, match=message):
+        WealthSeries(series, Quantity(2.0, Unit.TUSD), "synthetic")
 
 
 @pytest.mark.parametrize(

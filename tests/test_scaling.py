@@ -55,6 +55,13 @@ def test_exact_scaling_with_ej_unit():
     assert stats.std.value <= 1e-12 * 2.5
 
 
+@pytest.mark.parametrize("std, halfwidth", [(-0.1, 0.1), (0.1, -0.1)], ids=["std", "ci95"])
+def test_estimate_refuses_a_negative_dispersion(std, halfwidth):
+    q = lambda v: Quantity(v, Unit.GW_PER_TUSD)
+    with pytest.raises(DomainError, match="dispersion statistics cannot be negative"):
+        ScalingEstimate(Period(2000, 2009), q(5.9), q(std), q(halfwidth), 0.0)
+
+
 @given(alpha=st.sampled_from([0.5, 2.0, 10.0]))
 def test_scale_invariance(alpha):
     """Rescaling production and the initial stock rescales the ratio inversely."""

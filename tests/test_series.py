@@ -166,6 +166,12 @@ def test_zero_gdp_still_rejected():
         AnnualSeries(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, (2000, 2001), (1.0, 0.0))
 
 
+@pytest.mark.parametrize("years, values", [((2000, 2001), (1.0,)), ((2000,), (1.0, 2.0))])
+def test_rejects_years_and_values_of_unequal_length(years, values):
+    with pytest.raises(DomainError, match="years and values must have equal length"):
+        AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, years, values)
+
+
 def test_rejects_unit_kind_mismatch():
     with pytest.raises(KindError):
         AnnualSeries(SeriesKind.ENERGY, Unit.PPMV, (2000,), (1.0,))

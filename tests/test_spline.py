@@ -127,6 +127,16 @@ def test_spline_rejects_non_finite_knots(x, y):
         NaturalCubicSpline(x, y)
 
 
+@pytest.mark.parametrize("x, y", [
+    pytest.param(4, [0, 1, 1, 2], id="x-not-a-sequence"),
+    pytest.param([1, 2, 3, 4], [0, "one", 1, 2], id="y-holds-text"),
+    pytest.param([1, 2, 3, 4, 5], [0, 1, 1, 2], id="unequal-lengths"),
+])
+def test_spline_rejects_knots_that_are_not_two_equal_length_sequences(x, y):
+    with pytest.raises(DomainError, match="spline knots must be two equal-length 1-d sequences"):
+        NaturalCubicSpline(x, y)
+
+
 def test_evaluation_outside_range_rejected():
     spline = NaturalCubicSpline(np.arange(4.0), np.arange(4.0))
     with pytest.raises(DomainError):
