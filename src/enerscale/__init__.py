@@ -48,9 +48,8 @@ _LAZY = {
                           " estimate_ppp_mer_ratio ppp_to_mer reconstruct_production"
                           " spline_infill",
         "scaling": "ScalingEstimate scaling_series scaling_stats w1_sensitivity",
-        "growth": "CarbonizationEstimate KayaComponents RatesRow carbonization"
-                  " carbonization_series energy_productivity growth_rate kaya_decomposition"
-                  " rates_table wealth_growth_series",
+        "growth": "CarbonizationEstimate KayaComponents RatesRow carbonization growth_rate"
+                  " kaya_decomposition rates_table wealth_growth_series",
         "carbon": "CarbonCycleParams",
         "projection": "AtmosphereState CapacityRequirement Scenario SteadyStateResult"
                       " Trajectory TrajectoryPoint committed_curve committed_equilibrium"

@@ -2,6 +2,9 @@
 
 Every period rate is the endpoint log rate ln(x(t1)/x(t0))/(t1-t0), so the
 identity eta_Y = eta_E + eta_eps and the Kaya decomposition hold exactly.
+A period statistic of a ratio (productivity Y/E, carbonization C/E, the
+emissions/wealth ratio C/W) reads only its period, through one reader,
+``_ratio_window``.
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ from .series import (
     mean,
     require_every_year,
     sample_std,
-    slice_series,
 )
-from .units import Quantity, Unit, to_unit
+from .units import Unit, to_unit
 
 
 class RatesRow(Record):
@@ -64,25 +66,29 @@ def growth_rate(s: AnnualSeries, p: Period) -> float:
     return _log_rate(end / start, p)
 
 
-def energy_productivity(gdp: AnnualSeries, energy: AnnualSeries) -> AnnualSeries:
-    """Per-year production per unit energy, in T$2010 per EJ."""
-    years, y_values, e_values = aligned_values(gdp, energy)
-    unit = energy.unit
-    eps = tuple(y / to_unit(e, unit, Unit.EJ_PER_YR) for y, e in zip(y_values, e_values))
-    return AnnualSeries(SeriesKind.PRODUCTIVITY, Unit.TUSD_PER_EJ, years, eps)
+def _ratio_window(
+    numerator: AnnualSeries, denominator: AnnualSeries, p: Period, what: str
+) -> list[float]:
+    """Per-year numerator/denominator over every year of ``p``.
 
-
-def mean_scaled_productivity(scale: Quantity, eps: AnnualSeries, p: Period) -> float:
-    """Period mean of lambda * eps(t), a fractional rate per year.
-
-    ``scale`` is held fixed (conventionally at its full-sample mean) while the
-    productivity series varies; EJ/yr per T$ times T$/EJ reduces to 1/yr. This
-    is also the energy-demand growth implied by constant scaling.
+    An energy denominator is read in EJ/yr, each value converted on its own.
+    Raises EmptySlice unless both series hold every year of ``p``, and
+    DomainError for a ratio that is 0 or not finite.
     """
-    lam_ej = to_unit(scale.value, scale.unit, Unit.EJ_PER_YR_PER_TUSD)
-    window = slice_series(eps, p)
-    require_every_year(window.years, p, "productivity series")
-    return lam_ej * mean(window.values)
+    try:
+        years, n_values, d_values = aligned_values(numerator, denominator, p)
+    except EmptySlice:
+        raise EmptySlice(f"no {what} inside {p}") from None
+    require_every_year(years, p, what)
+    if denominator.kind is SeriesKind.ENERGY:
+        d_values = [to_unit(d, denominator.unit, Unit.EJ_PER_YR) for d in d_values]
+    window = []
+    for year, n, d in zip(years, n_values, d_values):
+        ratio = n / d if d else math.inf  # a GW value converted to EJ/yr may underflow to 0
+        if not 0.0 < ratio < math.inf:
+            raise DomainError(f"{what}: {n!r}/{d!r} in {year} is not a positive finite ratio")
+        window.append(ratio)
+    return window
 
 
 def wealth_growth_series(wealth: WealthSeries) -> AnnualSeries:
@@ -106,23 +112,30 @@ def rates_table(
     """Measured and derived growth rates for each period.
 
     The scaling lambda is held at its mean over the full overlap of the
-    energy and wealth series.
+    energy and wealth series, so lambda_eps, the period mean of lambda times
+    the productivity Y/E (EJ/yr per T$ times T$ per EJ, a rate per year), is
+    also the energy-demand growth implied by a constant scaling.
     """
     lam_series = scaling_series(energy, wealth)
     full = Period(lam_series.first_year, lam_series.last_year)
     scale = scaling_stats(lam_series, full).mean
-    eps = energy_productivity(gdp, energy)
+    lam_ej = to_unit(scale.value, scale.unit, Unit.EJ_PER_YR_PER_TUSD)
     eta_w_series = wealth_growth_series(wealth)
     rows = []
     for p in periods:
+        eta_w, eta_e = growth_rate(wealth.series, p), growth_rate(energy, p)
+        eps = _ratio_window(gdp, energy, p, "productivity series")
+        lambda_eps = lam_ej * mean(eps)
+        if lambda_eps == math.inf:
+            raise DomainError(f"lambda*eps over {p} exceeds the float range")
         rows.append(
             RatesRow(
                 period=p,
-                eta_w=growth_rate(wealth.series, p),
-                eta_e=growth_rate(energy, p),
-                lambda_eps=mean_scaled_productivity(scale, eps, p),
+                eta_w=eta_w,
+                eta_e=eta_e,
+                lambda_eps=lambda_eps,
                 eta_i=growth_rate(eta_w_series, p),
-                eta_eps=growth_rate(eps, p),
+                eta_eps=_log_rate(eps[-1] / eps[0], p),
                 eta_y=growth_rate(gdp, p),
             )
         )
@@ -154,14 +167,6 @@ class CarbonizationEstimate(Record):
         super().__init__(period, c, eta_c, lambda_c, lambda_c_std)
 
 
-def carbonization_series(emissions: AnnualSeries, energy: AnnualSeries) -> AnnualSeries:
-    """Per-year carbon intensity C/E in GtC per EJ."""
-    years, c_values, e_values = aligned_values(emissions, energy)
-    unit = energy.unit
-    intensity = tuple(c / to_unit(e, unit, Unit.EJ_PER_YR) for c, e in zip(c_values, e_values))
-    return AnnualSeries(SeriesKind.CARBONIZATION, Unit.GTC_PER_EJ, years, intensity)
-
-
 def carbonization(
     emissions: AnnualSeries,
     energy: AnnualSeries,
@@ -173,22 +178,13 @@ def carbonization(
 
     Raises EmptySlice unless both ratios hold every year of ``p``.
     """
-    c_series = carbonization_series(emissions, energy)
-    c_window = slice_series(c_series, p)
-    require_every_year(c_window.years, p, "carbonization series")
-    eta_c = growth_rate(c_series, p)
-    try:
-        years, c_values, w_values = aligned_values(emissions, wealth.series, p)
-    except EmptySlice:
-        raise EmptySlice(f"no emissions/wealth overlap inside {p}") from None
-    require_every_year(years, p, "emissions/wealth overlap")
-    in_window = [
-        (kc / w) * params.kappa_a * 1e3  # per quadrillion = 1000 T$
-        for kc, w in zip(c_values, w_values)
-    ]
+    intensity = _ratio_window(emissions, energy, p, "carbonization series")
+    eta_c = _log_rate(intensity[-1] / intensity[0], p)
+    per_wealth = _ratio_window(emissions, wealth.series, p, "emissions/wealth overlap")
+    in_window = [r * params.kappa_a * 1e3 for r in per_wealth]  # per quadrillion = 1000 T$
     return CarbonizationEstimate(
         period=p,
-        c=mean(c_window.values),
+        c=mean(intensity),
         eta_c=eta_c,
         lambda_c=mean(in_window),
         lambda_c_std=sample_std(in_window),

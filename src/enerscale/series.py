@@ -34,8 +34,6 @@ class SeriesKind(str, Enum):
     # Derived kinds produced by the analysis layers.
     WEALTH = "wealth"
     SCALING = "scaling"
-    PRODUCTIVITY = "productivity"
-    CARBONIZATION = "carbonization"
     RATE = "rate"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
@@ -52,8 +50,6 @@ KIND_UNITS: dict[SeriesKind, frozenset[Unit]] = {
     SeriesKind.POPULATION: frozenset({Unit.PERSONS}),
     SeriesKind.WEALTH: frozenset({Unit.TUSD}),
     SeriesKind.SCALING: frozenset({Unit.GW_PER_TUSD}),
-    SeriesKind.PRODUCTIVITY: frozenset({Unit.TUSD_PER_EJ}),
-    SeriesKind.CARBONIZATION: frozenset({Unit.GTC_PER_EJ}),
     SeriesKind.RATE: frozenset({Unit.PER_YR}),
 }
 

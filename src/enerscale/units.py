@@ -36,7 +36,6 @@ class Unit(str, Enum):
     PERSONS = "persons"
     GW_PER_TUSD = "GW/T$2010"
     EJ_PER_YR_PER_TUSD = "(EJ/yr)/T$2010"
-    TUSD_PER_EJ = "T$2010/EJ"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value

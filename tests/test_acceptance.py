@@ -20,7 +20,6 @@ from enerscale.carbon import CarbonCycleParams
 from enerscale.cli import main
 from enerscale.growth import (
     carbonization,
-    energy_productivity,
     growth_rate,
     kaya_decomposition,
     rates_table,
@@ -322,9 +321,9 @@ def test_criterion_10_identity_suite():
         p = Period(years[0], years[-1])
         eta_y = growth_rate(gdp, p)
         eta_e = growth_rate(energy, p)
-        eta_eps = growth_rate(energy_productivity(gdp, energy), p)
-        worst_identity = max(worst_identity, abs(eta_y - (eta_e + eta_eps)))
         kaya = kaya_decomposition(pop, gdp, energy, emissions, p)
+        eta_eps = kaya.eta_productivity
+        worst_identity = max(worst_identity, abs(eta_y - (eta_e + eta_eps)))
         worst_kaya = max(worst_kaya, abs(kaya.residual))
 
     worst_inverse = 0.0

@@ -455,13 +455,10 @@ def test_table4_predicted_sum_is_table2_derived_rate(snapshot, recon):
 
 
 def test_snapshot_predicted_vs_measured_emissions(snapshot, recon):
-    from enerscale.growth import energy_productivity, mean_scaled_productivity
-    from enerscale.scaling import scaling_series, scaling_stats
+    # eta_c (table 3) plus lambda*eps (table 2), both in %/yr
+    from enerscale.tables import build_table2, build_table3
 
-    p = Period(1980, 2010)
-    est = carbonization(snapshot.emissions, snapshot.energy, p, recon.wealth)
-    lam = scaling_series(snapshot.energy, recon.wealth)
-    scale = scaling_stats(lam, Period(1980, 2017)).mean
-    eps = energy_productivity(recon.gdp, snapshot.energy)
-    predicted = est.eta_c + mean_scaled_productivity(scale, eps, p)
-    assert predicted * 100 == pytest.approx(1.88, abs=0.2)
+    lambda_eps = build_table2(snapshot, recon).rows[0][3]
+    period, _, _, eta_c, *_ = build_table3(snapshot, recon).rows[0]
+    assert period == "1980-2010"
+    assert eta_c + lambda_eps == pytest.approx(1.88, abs=0.2)

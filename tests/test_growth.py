@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from enerscale.carbon import CarbonCycleParams
 from enerscale.errors import DomainError, EmptySlice, InvalidPeriod
 from enerscale.growth import (
-    energy_productivity,
+    CarbonizationEstimate,
+    RatesRow,
+    carbonization,
     growth_rate,
-    mean_scaled_productivity,
     rates_table,
-    wealth_growth_series,
 )
 from enerscale.reconstruction import WealthSeries
-from enerscale.series import AnnualSeries, Period, SeriesKind
-from enerscale.units import EJ_PER_YR_PER_GW, Quantity, Unit
+from enerscale.series import AnnualSeries, Period, SeriesKind, mean, sample_std
+from enerscale.tables import COEFFICIENT_PERIODS, RATE_PERIODS
+from enerscale.units import EJ_PER_YR_PER_GW, Quantity, Unit, to_unit
 
 
 def series(kind, unit, years, values):
@@ -67,69 +69,82 @@ def test_snapshot_energy_growth(snapshot):
 
 # ---------------------------------------------------------- energy productivity
 
+def linear_wealth(years, factor=1.0):
+    """W = factor * (100, 101, ...) T$ from a year before ``years``, so eta_i is defined."""
+    years = (years[0] - 1, *years)
+    values = [factor * (100.0 + i) for i in range(len(years))]
+    return WealthSeries(series(SeriesKind.WEALTH, Unit.TUSD, years, values),
+                        Quantity(values[0], Unit.TUSD), "synthetic")
+
+
 def test_productivity_simple_division():
-    gdp = series(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, (2016,), (80.0,))
-    energy = series(SeriesKind.ENERGY, Unit.EJ_PER_YR, (2016,), (600.0,))
-    eps = energy_productivity(gdp, energy)
-    assert eps.values[0] == pytest.approx(80.0 / 600.0, rel=1e-12)
-    assert eps.unit is Unit.TUSD_PER_EJ
+    years = (2016, 2017)
+    gdp = series(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, years, (80.0, 80.0))
+    energy = series(SeriesKind.ENERGY, Unit.EJ_PER_YR, years, (600.0, 600.0))
+    (row,) = rates_table(gdp, energy, linear_wealth(years), [Period(2016, 2017)])
+    # lambda = mean(600/101, 600/102) EJ/yr per T$ times eps = 80/600 T$ per EJ
+    lam = (600.0 / 101.0 + 600.0 / 102.0) / 2
+    assert row.lambda_eps == pytest.approx(lam * 80.0 / 600.0, rel=1e-12)
+    assert row.eta_eps == 0.0
 
 
 def test_productivity_homogeneous():
     years = (2000, 2001)
+    p = Period(2000, 2001)
     gdp = series(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, years, (50.0, 52.0))
     energy = series(SeriesKind.ENERGY, Unit.EJ_PER_YR, years, (400.0, 410.0))
-    doubled = energy_productivity(
-        series(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, years, (100.0, 104.0)),
-        series(SeriesKind.ENERGY, Unit.EJ_PER_YR, years, (800.0, 820.0)),
-    )
+    (row,) = rates_table(gdp, energy, linear_wealth(years), [p])
+    # doubling Y, E and W leaves the scaling E/W and the productivity Y/E unchanged
+    doubled = lambda s: s.with_data(s.years, [2.0 * v for v in s.values])
+    (twice,) = rates_table(doubled(gdp), doubled(energy), linear_wealth(years, 2.0), [p])
     np.testing.assert_allclose(
-        np.asarray(doubled.values),
-        np.asarray(energy_productivity(gdp, energy).values),
-        rtol=1e-12,
+        [twice.lambda_eps, twice.eta_eps], [row.lambda_eps, row.eta_eps], rtol=1e-12
     )
 
 
 def test_snapshot_scaled_productivity(snapshot, recon):
-    from enerscale.scaling import scaling_series, scaling_stats
-
-    lam = scaling_series(snapshot.energy, recon.wealth)
-    scale = scaling_stats(lam, Period(1980, 2017)).mean
-    eps = energy_productivity(recon.gdp, snapshot.energy)
-    assert mean_scaled_productivity(scale, eps, Period(1980, 2010)) * 100 == pytest.approx(
-        2.09, abs=0.2
+    rows = rates_table(
+        recon.gdp, snapshot.energy, recon.wealth, [Period(1980, 2010), Period(2010, 2017)]
     )
-    assert mean_scaled_productivity(scale, eps, Period(2010, 2017)) * 100 == pytest.approx(
-        2.40, abs=0.2
-    )
+    assert rows[0].lambda_eps * 100 == pytest.approx(2.09, abs=0.2)
+    assert rows[1].lambda_eps * 100 == pytest.approx(2.40, abs=0.2)
 
 
-def test_predicted_energy_growth_zero_scale_is_zero():
-    eps = series(SeriesKind.PRODUCTIVITY, Unit.TUSD_PER_EJ, (2000, 2001), (0.1, 0.2))
-    zero = mean_scaled_productivity(Quantity(0.0, Unit.GW_PER_TUSD), eps, Period(2000, 2001))
-    assert zero == 0.0
+def test_lambda_eps_is_proportional_to_the_scaling():
+    """Doubling every W halves the scaling E/W, and with it lambda*eps, bit for bit."""
+    years = (2000, 2001, 2002)
+    p = Period(2000, 2002)
+    gdp = series(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, years, (50.0, 52.0, 55.0))
+    energy = series(SeriesKind.ENERGY, Unit.GW, years, (400.0, 410.0, 423.0))
+    (row,) = rates_table(gdp, energy, linear_wealth(years), [p])
+    (halved,) = rates_table(gdp, energy, linear_wealth(years, 2.0), [p])
+    assert halved.lambda_eps == row.lambda_eps / 2
+    assert halved.eta_eps == row.eta_eps
 
 
 @pytest.mark.parametrize("years", [(2000, 2001, 2002), (2000, 2001, 2003)])
 def test_scaled_productivity_refuses_a_window_short_of_the_period(years):
-    eps = series(SeriesKind.PRODUCTIVITY, Unit.TUSD_PER_EJ, years, (0.1, 0.2, 0.3))
+    full = range(2000, 2004)
+    gdp = series(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, years, (1.0, 2.0, 3.0))
+    energy = series(SeriesKind.ENERGY, Unit.EJ_PER_YR, full, (10.0, 11.0, 12.0, 13.0))
     with pytest.raises(EmptySlice, match="productivity series has 3 of the 4 years of 2000-2003"):
-        mean_scaled_productivity(Quantity(5.9, Unit.GW_PER_TUSD), eps, Period(2000, 2003))
+        rates_table(gdp, energy, linear_wealth(tuple(full)), [Period(2000, 2003)])
 
 
 # -------------------------------------------------------------- innovation
 
 def test_innovation_rate_constant_productivity_is_zero():
-    eps = series(SeriesKind.PRODUCTIVITY, Unit.TUSD_PER_EJ, range(2000, 2005), [0.12] * 5)
-    assert growth_rate(eps, Period(2000, 2004)) == pytest.approx(0.0, abs=1e-15)
+    years = tuple(range(2000, 2005))
+    energy = series(SeriesKind.ENERGY, Unit.EJ_PER_YR, years, [400.0 + 7.0 * i for i in range(5)])
+    gdp = series(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, years, [0.12 * e for e in energy.values])
+    (row,) = rates_table(gdp, energy, linear_wealth(years), [Period(2000, 2004)])
+    assert row.eta_eps == pytest.approx(0.0, abs=1e-15)
 
 
 def test_snapshot_innovation_rates(snapshot, recon):
-    eps = energy_productivity(recon.gdp, snapshot.energy)
-    eta_eps = growth_rate(eps, Period(1980, 2010))
-    assert eta_eps * 100 == pytest.approx(0.91, abs=0.2)
-    eta_i = growth_rate(wealth_growth_series(recon.wealth), Period(1980, 2010))
-    assert eta_i * 100 == pytest.approx(0.82, abs=0.15)
+    (row,) = rates_table(recon.gdp, snapshot.energy, recon.wealth, [Period(1980, 2010)])
+    assert row.eta_eps * 100 == pytest.approx(0.91, abs=0.2)
+    assert row.eta_i * 100 == pytest.approx(0.82, abs=0.15)
 
 
 def test_predicted_gdp_growth_constant_productivity():
@@ -156,15 +171,23 @@ def paired_positive_series(draw):
     return gdp, energy
 
 
+def accumulated_wealth(gdp):
+    """W accumulating Y from 1 T$ a year before ``gdp`` starts, so W grows every year."""
+    w = [1.0]
+    for y in gdp.values:
+        w.append(w[-1] + y)
+    years = (gdp.first_year - 1, *gdp.years)
+    return WealthSeries(series(SeriesKind.WEALTH, Unit.TUSD, years, w),
+                        Quantity(1.0, Unit.TUSD), "synthetic")
+
+
 @given(pair=paired_positive_series())
 def test_gdp_growth_identity_exact(pair):
     """eta_Y = eta_E + eta_eps holds to 1e-12 for endpoint log rates."""
     gdp, energy = pair
     p = Period(gdp.first_year, gdp.last_year)
-    eta_y = growth_rate(gdp, p)
-    eta_e = growth_rate(energy, p)
-    eta_eps = growth_rate(energy_productivity(gdp, energy), p)
-    assert eta_y == pytest.approx(eta_e + eta_eps, abs=1e-12)
+    (row,) = rates_table(gdp, energy, accumulated_wealth(gdp), [p])
+    assert row.eta_y == pytest.approx(row.eta_e + row.eta_eps, abs=1e-12)
 
 
 def test_discretization_bound_on_cumulative_consistent_data():
@@ -177,11 +200,12 @@ def test_discretization_bound_on_cumulative_consistent_data():
     gdp_values = [w[0] * (1 - 1 / r)] + [w[i] - w[i - 1] for i in range(1, 40)]
     gdp = series(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, years, gdp_values)
     energy = series(SeriesKind.ENERGY, Unit.GW, years, [lam_gw * wi for wi in w])
-    p = Period(1, 40)
-    eta_e = growth_rate(energy, p)
-    scale = Quantity(lam_gw, Unit.GW_PER_TUSD)
-    lam_eps = mean_scaled_productivity(scale, energy_productivity(gdp, energy), p)
-    assert abs(eta_e - lam_eps) <= 0.6 * eta_e**2
+    wealth = WealthSeries(
+        series(SeriesKind.WEALTH, Unit.TUSD, (0, *years), [w[0] / r, *w]),
+        Quantity(w[0] / r, Unit.TUSD), "synthetic",
+    )
+    (row,) = rates_table(gdp, energy, wealth, [Period(1, 40)])
+    assert abs(row.eta_e - row.lambda_eps) <= 0.6 * row.eta_e**2
 
 
 # --------------------------------------------------------------- rates table
@@ -226,3 +250,49 @@ def test_rates_table_snapshot_periods(snapshot, recon):
 def test_single_year_period_is_invalid():
     with pytest.raises(InvalidPeriod):
         Period(2010, 2010)
+
+
+# ------------------------------------------------------------ GW-tagged energy
+
+def test_gw_tagged_energy_is_read_in_ej_year_by_year(snapshot, recon):
+    """Every ratio to energy divides by that year's to_unit(E, GW, EJ/yr).
+
+    The bundled energy re-tagged in GW does not convert back to the same
+    bits, so a reader that divided by the GW values and cancelled the factor
+    once would change these rows.
+    """
+    ej = snapshot.energy
+    energy = AnnualSeries(SeriesKind.ENERGY, Unit.GW, ej.years,
+                          [to_unit(e, Unit.EJ_PER_YR, Unit.GW) for e in ej.values])
+    energy_ej = {y: to_unit(e, Unit.GW, Unit.EJ_PER_YR)
+                 for y, e in zip(energy.years, energy.values)}
+    gdp, emissions, w = recon.gdp, snapshot.emissions, recon.wealth.series
+
+    def years(p):
+        return range(p.start_year, p.end_year + 1)
+
+    def log_rate(values, p):
+        return math.log(values[-1] / values[0]) / p.span
+
+    def endpoint_rate(s, p):
+        return log_rate([s.value_at(p.start_year), s.value_at(p.end_year)], p)
+
+    overlap = [y for y in energy.years if w.has_year(y)]
+    lam_ej = to_unit(mean([energy.value_at(y) / w.value_at(y) for y in overlap]),
+                     Unit.GW_PER_TUSD, Unit.EJ_PER_YR_PER_TUSD)
+    for row in rates_table(gdp, energy, recon.wealth, RATE_PERIODS):
+        p = row.period
+        eps = [gdp.value_at(y) / energy_ej[y] for y in years(p)]
+        eta_i = [(w.value_at(y) - w.value_at(y - 1)) / w.value_at(y)
+                 for y in (p.start_year, p.end_year)]
+        expected = RatesRow(p, endpoint_rate(w, p), endpoint_rate(energy, p), lam_ej * mean(eps),
+                            log_rate(eta_i, p), log_rate(eps, p), endpoint_rate(gdp, p))
+        assert repr(row) == repr(expected)
+
+    kappa = CarbonCycleParams().kappa_a
+    for p in COEFFICIENT_PERIODS:
+        c = [emissions.value_at(y) / energy_ej[y] for y in years(p)]
+        lambda_c = [emissions.value_at(y) / w.value_at(y) * kappa * 1e3 for y in years(p)]
+        expected = CarbonizationEstimate(p, mean(c), log_rate(c, p), mean(lambda_c),
+                                         sample_std(lambda_c))
+        assert repr(carbonization(emissions, energy, p, recon.wealth)) == repr(expected)

@@ -20,8 +20,8 @@ PUBLIC_NAMES = [
     "Scenario", "SchemaError", "SeriesKind", "SteadyStateResult", "TooFewPoints",
     "Trajectory", "TrajectoryPoint", "Unit", "ValidationReport", "WealthSeries",
     "build_wealth", "calibrate_initial_wealth", "calibrate_initial_wealth_iterative",
-    "carbon", "carbonization", "carbonization_series", "committed_curve",
-    "committed_equilibrium", "cumulative_production", "datasets", "energy_productivity",
+    "carbon", "carbonization", "committed_curve",
+    "committed_equilibrium", "cumulative_production", "datasets",
     "errors", "estimate_ppp_mer_ratio", "growth", "growth_rate", "halving_time",
     "historical_spinup_delta", "ingestion", "kaya_decomposition", "load_manifest",
     "load_series", "max_carbonization", "max_carbonization_coefficient", "ppp_to_mer",

@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 
 from enerscale.carbon import CarbonCycleParams
 from enerscale.errors import DomainError, EnerscaleError
-from enerscale.growth import growth_rate, kaya_decomposition
+from enerscale.growth import (
+    RatesRow,
+    carbonization,
+    growth_rate,
+    kaya_decomposition,
+    rates_table,
+)
 from enerscale.ingestion import DataSourceDescriptor
 from enerscale.projection import (
     AtmosphereState,
@@ -32,7 +38,7 @@ from enerscale.projection import (
     step_atmosphere,
     time_grid,
 )
-from enerscale.reconstruction import calibrate_initial_wealth
+from enerscale.reconstruction import WealthSeries, calibrate_initial_wealth
 from enerscale.records import Record
 from enerscale.scaling import scaling_stats, w1_sensitivity
 from enerscale.series import AnnualSeries, Period, SeriesKind
@@ -52,7 +58,11 @@ numbers = st.one_of(
 units = st.sampled_from(Unit)
 
 #: Values a record derives from its fields, checked like the fields.
-DERIVED = {CapacityRequirement: ("gw_per_day",), Scenario: ("lambda_ej",)}
+DERIVED = {
+    CapacityRequirement: ("gw_per_day",),
+    RatesRow: ("predicted_eta_y",),
+    Scenario: ("lambda_ej",),
+}
 
 
 def floats_in(value):
@@ -124,6 +134,44 @@ GDP = AnnualSeries(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, (1, 2), (1.0, 1.0))
 ENERGY = AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (1, 2), (1.0, 2.0))
 W1 = Quantity(1.0, Unit.TUSD)
 TRAJECTORY = run_scenario(SCENARIO)
+
+
+#: Positive finite series values, from the smallest subnormal to near the top of the range,
+#: with the extremes drawn often enough that their ratios under- and overflow.
+positives = st.one_of(
+    st.sampled_from([5e-324, 1e-310, 1e-10, 1.0, 1e10, 1e300, 1.7e308]),
+    st.floats(min_value=5e-324, max_value=1.7e308),
+)
+
+
+@st.composite
+def growth_inputs(draw):
+    """Series over 2-12 common years, wealth from a year earlier, energy in EJ/yr or GW."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    years = tuple(range(2000, 2000 + n))
+
+    def drawn(kind, unit):
+        values = draw(st.lists(positives, min_size=n, max_size=n))
+        return AnnualSeries(kind, unit, years, values)
+
+    w = sorted(draw(st.lists(positives, min_size=n + 1, max_size=n + 1, unique=True)))
+    wealth = AnnualSeries(SeriesKind.WEALTH, Unit.TUSD, (1999, *years), w)
+    return dict(
+        gdp=drawn(SeriesKind.GDP_MER, Unit.TUSD_PER_YR),
+        energy=drawn(SeriesKind.ENERGY, draw(st.sampled_from([Unit.EJ_PER_YR, Unit.GW]))),
+        emissions=drawn(SeriesKind.EMISSIONS, Unit.GTC_PER_YR),
+        pop=drawn(SeriesKind.POPULATION, Unit.PERSONS),
+        wealth=WealthSeries(wealth, Quantity(w[0], Unit.TUSD), "drawn"),
+        p=Period(2000, 1999 + n),
+    )
+
+
+@given(growth_inputs())
+def test_growth_layer(inputs):
+    gdp, energy, emissions, pop, wealth, p = inputs.values()
+    check(carbonization, emissions, energy, p, wealth)
+    check(lambda: tuple(rates_table(gdp, energy, wealth, [p])))
+    check(kaya_decomposition, pop, gdp, energy, emissions, p)
 
 
 @given(numbers)
@@ -201,6 +249,56 @@ def test_kaya_affluence_whose_ratio_overflows_is_refused():
     energy = AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, years, (1.0, 1.0))
     with pytest.raises(DomainError, match="log growth over 2000-2001 is not finite"):
         kaya_decomposition(pop, gdp, energy, EMISSIONS, p)
+
+
+def series_from_2000(kind, unit, values):
+    return AnnualSeries(kind, unit, range(2000, 2000 + len(values)), values)
+
+
+def wealth_from(first_year, values):
+    series = AnnualSeries(SeriesKind.WEALTH, Unit.TUSD, range(first_year, first_year + len(values)),
+                          values)
+    return WealthSeries(series, Quantity(values[0], Unit.TUSD), "synthetic")
+
+
+RATIO_CASES = {
+    # 5e-324 GW is 0.0 EJ/yr, which used to raise a bare ZeroDivisionError
+    "carbonization-gw-to-zero": lambda: carbonization(
+        series_from_2000(SeriesKind.EMISSIONS, Unit.GTC_PER_YR, (1.7e308, 1.7e308, 1e-10)),
+        series_from_2000(SeriesKind.ENERGY, Unit.GW, (1e300, 5e-324, 1e-10)),
+        Period(2000, 2002), wealth_from(2000, (5e-324, 1e-310, 1e-10)),
+    ),
+    "carbonization-underflow": lambda: carbonization(
+        series_from_2000(SeriesKind.EMISSIONS, Unit.GTC_PER_YR, (5e-324, 1.0)),
+        series_from_2000(SeriesKind.ENERGY, Unit.EJ_PER_YR, (1e10, 1.0)),
+        Period(2000, 2001), wealth_from(2000, (1.0, 2.0)),
+    ),
+    "rates-gw-to-zero": lambda: rates_table(
+        series_from_2000(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, (1.0, 2.0)),
+        series_from_2000(SeriesKind.ENERGY, Unit.GW, (5e-324, 1e-300)),
+        wealth_from(2000, (1e-10, 2.0)), [Period(2000, 2001)],
+    ),
+    "rates-underflow": lambda: rates_table(
+        series_from_2000(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, (5e-324, 1.0)),
+        series_from_2000(SeriesKind.ENERGY, Unit.EJ_PER_YR, (1e10, 1.0)),
+        wealth_from(2000, (1.0, 2.0)), [Period(2000, 2001)],
+    ),
+}
+
+
+@pytest.mark.parametrize("call", RATIO_CASES.values(), ids=RATIO_CASES)
+def test_a_ratio_that_is_zero_or_infinite_in_a_year_is_refused(call):
+    with pytest.raises(DomainError, match="in 200[01] is not a positive finite ratio"):
+        call()
+
+
+def test_rates_table_whose_lambda_eps_overflows_is_refused():
+    """A scaling of 7.5e9 (EJ/yr)/T$ times a productivity of 1e300 T$/EJ used to give inf."""
+    gdp = series_from_2000(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, (1e300, 1e300))
+    energy = series_from_2000(SeriesKind.ENERGY, Unit.EJ_PER_YR, (1.0, 1.0))
+    wealth = wealth_from(1999, (1e-10, 2e-10, 3e-10))
+    with pytest.raises(DomainError, match="lambda\\*eps over 2000-2001 exceeds the float range"):
+        rates_table(gdp, energy, wealth, [Period(2000, 2001)])
 
 
 @pytest.mark.parametrize("values", [(1e308,) * 3, (1e200, 1.0, 1e200)])
