@@ -17,8 +17,10 @@ Exit codes: 0 success, 1 runtime error, 2 validation failure, 64 usage error.
 Each subcommand is one entry of ``_COMMANDS``, run by ``main``: the run writes
 its files through a ``RunManifest`` and returns its text and exit code; ``main``
 prints the text, then writes the JSON manifest (command line, parameters, input
-checksums, version, outputs) where the entry's rule puts it. ``calibrate``
-without ``--out`` writes no file and no manifest. Identical manifests reproduce
+checksums, version, outputs) where the entry's rule puts it. The checksums are
+SHA-256 from the interpreter's built-in module, or from ``hashlib`` where there
+is none; either gives the same digests. ``calibrate`` without ``--out``
+writes no file and no manifest. Identical manifests reproduce
 byte-identical outputs, so manifests carry no timestamps. All numeric output
 uses shortest round-trip decimal formatting.
 """
@@ -28,13 +30,22 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import io
 import json
 import math
 import sys
 from pathlib import Path
 from typing import Iterable, Sequence
+
+# The interpreter's own SHA-256: `import hashlib` would initialise OpenSSL (several
+# milliseconds of every process) to checksum a few kilobytes. The digests are the same.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:  # an interpreter built without them
+        from hashlib import sha256
 
 # Model modules are imported inside the command that uses them, so each
 # process loads only what its subcommand needs.
@@ -108,7 +119,7 @@ class RunManifest(Record):
                          {} if inputs is None else inputs, [] if outputs is None else outputs)
 
     def add_input(self, path: Path) -> None:
-        self.inputs[str(path)] = hashlib.sha256(path.read_bytes()).hexdigest()
+        self.inputs[str(path)] = sha256(path.read_bytes()).hexdigest()
 
     def add_series_inputs(self, manifest_path: Path | None = None) -> None:
         """Checksum a series manifest (default: the bundled snapshot's) and every file it names."""
@@ -192,10 +203,12 @@ _PROJECT_FLAGS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(names: Iterable[str]) -> _Parser:
+    """The parser of the subcommands ``names``; each flag costs argparse a formatter."""
     parser = _Parser(prog="enerscale", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (text, flags, _, _) in _COMMANDS.items():
+    for name in names:
+        text, flags, _, _ = _COMMANDS[name]
         command = sub.add_parser(name, help=text)
         for flag, (kind, default, help_text, *_) in flags.items():
             if kind is bool:
@@ -502,7 +515,9 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    # Only the named subcommand's parser is built; without one, all of them, so that
+    # `--help` and the errors for a missing or unknown subcommand list every choice.
+    parser = _build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     try:
         args = parser.parse_args(argv)
         _, _, run, manifest_path = _COMMANDS[args.subcommand]

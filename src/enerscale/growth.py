@@ -66,24 +66,30 @@ def growth_rate(s: AnnualSeries, p: Period) -> float:
     return _log_rate(end / start, p)
 
 
+def _in_ej(s: AnnualSeries, values: Sequence[float]) -> Sequence[float]:
+    """``values`` read from ``s``; an energy series' are read in EJ/yr, each
+    converted on its own, so every ratio to energy divides by the same bits."""
+    if s.kind is not SeriesKind.ENERGY:
+        return values
+    return [to_unit(v, s.unit, Unit.EJ_PER_YR) for v in values]
+
+
 def _ratio_window(
     numerator: AnnualSeries, denominator: AnnualSeries, p: Period, what: str
 ) -> list[float]:
     """Per-year numerator/denominator over every year of ``p``.
 
-    An energy denominator is read in EJ/yr, each value converted on its own.
-    Raises EmptySlice unless both series hold every year of ``p``, and
-    DomainError for a ratio that is 0 or not finite.
+    The denominator is read through ``_in_ej``. Raises EmptySlice unless both
+    series hold every year of ``p``, and DomainError for a ratio that is 0 or
+    not finite.
     """
     try:
         years, n_values, d_values = aligned_values(numerator, denominator, p)
     except EmptySlice:
         raise EmptySlice(f"no {what} inside {p}") from None
     require_every_year(years, p, what)
-    if denominator.kind is SeriesKind.ENERGY:
-        d_values = [to_unit(d, denominator.unit, Unit.EJ_PER_YR) for d in d_values]
     window = []
-    for year, n, d in zip(years, n_values, d_values):
+    for year, n, d in zip(years, n_values, _in_ej(denominator, d_values)):
         ratio = n / d if d else math.inf  # a GW value converted to EJ/yr may underflow to 0
         if not 0.0 < ratio < math.inf:
             raise DomainError(f"{what}: {n!r}/{d!r} in {year} is not a positive finite ratio")
@@ -222,15 +228,20 @@ class KayaComponents(Record):
 
 
 def _ratio_growth(numerator: AnnualSeries, denominator: AnnualSeries, p: Period) -> float:
-    """Endpoint log growth of the per-year ratio of two aligned series over ``p``."""
+    """Endpoint log growth of the per-year ratio of two aligned series over ``p``.
+
+    The denominator is read through ``_in_ej``, as ``_ratio_window`` reads it,
+    so this equals the log rate between the ends of that window bit for bit.
+    """
     ends = (p.start_year, p.end_year)
     try:
-        n0, n1, d0, d1 = [s.value_at(year) for s in (numerator, denominator) for year in ends]
+        n0, n1 = [numerator.value_at(year) for year in ends]
+        d0, d1 = _in_ej(denominator, [denominator.value_at(year) for year in ends])
     except EmptySlice:
         raise EmptySlice(f"ratio series does not cover both endpoints of {p}") from None
     try:
         ratio = (n1 / d1) / (n0 / d0)
-    except ZeroDivisionError:  # the first year's ratio underflowed to 0
+    except ZeroDivisionError:  # a denominator, or the first year's ratio, is 0
         ratio = math.inf
     return _log_rate(ratio, p)
 

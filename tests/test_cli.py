@@ -2,6 +2,7 @@ import csv
 import functools
 import gc
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -765,6 +766,66 @@ def test_usage_error_exit_code():
     assert main(["frobnicate"]) == EXIT_USAGE
 
 
+#: Per subcommand: a valid command line and one with a bad flag.
+PARSER_CASES = {
+    "ingest": (["--out-dir", "d"], ["--out-dir"]),
+    "reconstruct": (["--out-dir", "d"], ["--out-dir", "d", "--bogus"]),
+    "calibrate": (["--pop-growth", "1e-3"], ["--pop-growth", "x"]),
+    "tables": (["--table", "3", "--data-dir", "d"], ["--table", "9"]),
+    "project": (["--preset", "paper-2017", "--out", "t.csv"], ["--points", "1.5", "--out", "t"]),
+    "report": (["--out-dir", "d"], ["--out-dir", "d", "--out-dir"]),
+}
+
+
+def full_parser_run(argv, capsys):
+    """(exit code, stdout, stderr) of parsing ``argv`` with every subcommand's parser built."""
+    try:
+        cli._build_parser(cli._COMMANDS).parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, *capsys.readouterr()
+    except cli.UsageError as exc:
+        return EXIT_USAGE, "", f"usage error: {exc}\n"
+    raise AssertionError(f"{argv} parsed")
+
+
+def main_run(argv, capsys):
+    """(exit code, stdout, stderr) of ``main(argv)``, which builds only what argv names."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, *capsys.readouterr()
+
+
+def test_parser_cases_cover_every_subcommand():
+    assert list(PARSER_CASES) == list(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("name", PARSER_CASES)
+def test_the_invoked_subcommands_parser_behaves_as_the_full_one(capsys, name):
+    """Its help, its error for a bad flag and its parsed flags are the full build's."""
+    valid, bad = PARSER_CASES[name]
+    for argv in ([name, "--help"], [name, *bad]):
+        assert main_run(argv, capsys) == full_parser_run(argv, capsys), argv
+    single = cli._build_parser([name]).parse_args([name, *valid])
+    assert vars(single) == vars(cli._build_parser(cli._COMMANDS).parse_args([name, *valid]))
+
+
+@pytest.mark.parametrize("argv, code, stderr", [
+    ([], EXIT_USAGE, "usage error: the following arguments are required: subcommand\n"),
+    (["frobnicate"], EXIT_USAGE,
+     "usage error: argument subcommand: invalid choice: 'frobnicate' (choose from 'ingest', "
+     "'reconstruct', 'calibrate', 'tables', 'project', 'report')\n"),
+    (["--help"], 0, ""),
+], ids=["no-subcommand", "unknown-subcommand", "help"])
+def test_a_command_line_without_a_subcommand_sees_every_subcommand(capsys, argv, code, stderr):
+    result = main_run(argv, capsys)
+    assert result == full_parser_run(argv, capsys)
+    assert result[0] == code and result[2] == stderr
+    if argv == ["--help"]:
+        assert "{ingest,reconstruct,calibrate,tables,project,report}" in result[1]
+
+
 def python_env():
     """The environment of a fresh interpreter that imports this checkout's enerscale."""
     src = str(Path(enerscale.__file__).resolve().parents[1])
@@ -836,8 +897,11 @@ SUBCOMMAND_MODULES = [
 
 
 #: Standard-library modules no command needs; importing ``dataclasses``
-#: (which loads ``inspect``) cost each fresh CLI process several milliseconds.
-UNNEEDED = {"dataclasses", "inspect"}
+#: (which loads ``inspect``) cost each fresh CLI process several milliseconds,
+#: and ``import hashlib`` initialises OpenSSL's ``_hashlib`` (~4 ms) where the
+#: interpreter's own SHA-256 (``_sha2``, or ``_sha256`` before 3.12) would do.
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+UNNEEDED = {"dataclasses", "inspect", *(["_hashlib"] if BUILTIN_SHA256 else [])}
 
 
 def loaded_modules(argv):

@@ -12,6 +12,7 @@ from enerscale.growth import (
     RatesRow,
     carbonization,
     growth_rate,
+    kaya_decomposition,
     rates_table,
 )
 from enerscale.reconstruction import WealthSeries
@@ -254,6 +255,12 @@ def test_single_year_period_is_invalid():
 
 # ------------------------------------------------------------ GW-tagged energy
 
+def gw_tagged(ej):
+    """An EJ/yr energy series re-tagged in GW, each value converted on its own."""
+    return AnnualSeries(SeriesKind.ENERGY, Unit.GW, ej.years,
+                        [to_unit(e, Unit.EJ_PER_YR, Unit.GW) for e in ej.values])
+
+
 def test_gw_tagged_energy_is_read_in_ej_year_by_year(snapshot, recon):
     """Every ratio to energy divides by that year's to_unit(E, GW, EJ/yr).
 
@@ -261,9 +268,7 @@ def test_gw_tagged_energy_is_read_in_ej_year_by_year(snapshot, recon):
     bits, so a reader that divided by the GW values and cancelled the factor
     once would change these rows.
     """
-    ej = snapshot.energy
-    energy = AnnualSeries(SeriesKind.ENERGY, Unit.GW, ej.years,
-                          [to_unit(e, Unit.EJ_PER_YR, Unit.GW) for e in ej.values])
+    energy = gw_tagged(snapshot.energy)
     energy_ej = {y: to_unit(e, Unit.GW, Unit.EJ_PER_YR)
                  for y, e in zip(energy.years, energy.values)}
     gdp, emissions, w = recon.gdp, snapshot.emissions, recon.wealth.series
@@ -296,3 +301,17 @@ def test_gw_tagged_energy_is_read_in_ej_year_by_year(snapshot, recon):
         expected = CarbonizationEstimate(p, mean(c), log_rate(c, p), mean(lambda_c),
                                          sample_std(lambda_c))
         assert repr(carbonization(emissions, energy, p, recon.wealth)) == repr(expected)
+
+
+@pytest.mark.parametrize("tag", ["EJ/yr", "GW"])
+def test_kaya_reads_energy_ratios_as_the_period_statistics_do(snapshot, recon, tag):
+    """Kaya's eta_productivity and eta_carbonization equal rates_table's eta_eps
+    and carbonization's eta_c bit for bit, whatever the unit of the energy."""
+    energy = snapshot.energy if tag == "EJ/yr" else gw_tagged(snapshot.energy)
+    periods = list(dict.fromkeys(RATE_PERIODS + COEFFICIENT_PERIODS))
+    for row in rates_table(recon.gdp, energy, recon.wealth, periods):
+        p = row.period
+        kaya = kaya_decomposition(snapshot.population, recon.gdp, energy, snapshot.emissions, p)
+        est = carbonization(snapshot.emissions, energy, p, recon.wealth)
+        assert repr(kaya.eta_productivity) == repr(row.eta_eps), p
+        assert repr(kaya.eta_carbonization) == repr(est.eta_c), p
