@@ -49,7 +49,7 @@ _LAZY = {
                           " spline_infill",
         "scaling": "ScalingEstimate scaling_series scaling_stats w1_sensitivity",
         "growth": "CarbonizationEstimate KayaComponents RatesRow carbonization growth_rate"
-                  " kaya_decomposition rates_table wealth_growth_series",
+                  " kaya_decomposition rates_table",
         "carbon": "CarbonCycleParams",
         "projection": "AtmosphereState CapacityRequirement Scenario SteadyStateResult"
                       " Trajectory TrajectoryPoint committed_curve committed_equilibrium"

@@ -34,6 +34,7 @@ import io
 import json
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -449,7 +450,7 @@ def _cmd_report(args, manifest: RunManifest) -> tuple[str, int]:
     lam = scaling_series(snapshot.energy, recon.wealth)
     stats = scaling_stats(lam, Period(1980, 2017))
     w2017 = recon.wealth.series.value_at(2017)
-    gdp_by_year = dict(zip(recon.gdp.years, recon.gdp.values))
+    years, gdp = recon.gdp.years, recon.gdp.values
     scenario = datasets.preset_scenario()
     trajectory = run_scenario(scenario)
     crossing = trajectory.first_crossing(2.0 * scenario.carbon_params.preindustrial)
@@ -463,8 +464,8 @@ def _cmd_report(args, manifest: RunManifest) -> tuple[str, int]:
         "scaling_trend_per_yr": stats.trend_per_year,
         "w1_tusd": recon.w1.value,
         "wealth_2017_tusd": w2017,
-        "share_first_millennium": sum(v for y, v in gdp_by_year.items() if y <= 1000) / w2017,
-        "share_1980_2017": sum(v for y, v in gdp_by_year.items() if y >= 1980) / w2017,
+        "share_first_millennium": sum(gdp[:bisect_right(years, 1000)]) / w2017,
+        "share_1980_2017": sum(gdp[bisect_left(years, 1980):]) / w2017,
         "committed_concentration_2017_ppmv": trajectory[0].committed_concentration,
         "committed_doubling_year": crossing,
         "committed_concentration_2040_ppmv": trajectory.at_year(2040.0).committed_concentration,

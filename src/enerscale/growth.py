@@ -2,6 +2,8 @@
 
 Every period rate is the endpoint log rate ln(x(t1)/x(t0))/(t1-t0), so the
 identity eta_Y = eta_E + eta_eps and the Kaya decomposition hold exactly.
+Every series value is positive, so every endpoint ratio is defined; eta_i, the
+growth of Y/W, reads W at each end of its period and the year before.
 A period statistic of a ratio (productivity Y/E, carbonization C/E, the
 emissions/wealth ratio C/W) reads only its period, through one reader,
 ``_ratio_window``.
@@ -60,10 +62,7 @@ def growth_rate(s: AnnualSeries, p: Period) -> float:
     """Endpoint log growth of ``s`` over the closed period ``p``, in 1/yr."""
     if not (s.has_year(p.start_year) and s.has_year(p.end_year)):
         raise EmptySlice(f"series does not cover both endpoints of {p}")
-    start, end = s.value_at(p.start_year), s.value_at(p.end_year)
-    if start <= 0.0 or end <= 0.0:
-        raise DomainError(f"log growth over {p} needs positive endpoint values")
-    return _log_rate(end / start, p)
+    return _log_rate(s.value_at(p.end_year) / s.value_at(p.start_year), p)
 
 
 def _in_ej(s: AnnualSeries, values: Sequence[float]) -> Sequence[float]:
@@ -97,16 +96,15 @@ def _ratio_window(
     return window
 
 
-def wealth_growth_series(wealth: WealthSeries) -> AnnualSeries:
-    """Per-year fractional wealth growth Y(t)/W(t), from first differences.
-
-    The accumulation convention makes the first difference of W equal Y
-    exactly, so this needs no external production series. The series starts
-    one year after the wealth series does.
-    """
-    w = wealth.series.values
-    rates = tuple((b - a) / b for a, b in zip(w, w[1:]))
-    return AnnualSeries(SeriesKind.RATE, Unit.PER_YR, wealth.series.years[1:], rates)
+def _eta_i(w: AnnualSeries, p: Period) -> float:
+    """Endpoint log growth of Y/W over ``p``, read from W alone: accumulation
+    makes Y(t) = W(t) - W(t-1). W strictly increases, so each Y/W is in (0, 1]."""
+    ends = (p.start_year - 1, p.start_year, p.end_year - 1, p.end_year)
+    try:
+        before0, w0, before1, w1 = [w.value_at(year) for year in ends]
+    except EmptySlice as exc:
+        raise EmptySlice(f"eta_i over {p} reads W a year before each end: {exc}") from None
+    return _log_rate(((w1 - before1) / w1) / ((w0 - before0) / w0), p)
 
 
 def rates_table(
@@ -126,7 +124,6 @@ def rates_table(
     full = Period(lam_series.first_year, lam_series.last_year)
     scale = scaling_stats(lam_series, full).mean
     lam_ej = to_unit(scale.value, scale.unit, Unit.EJ_PER_YR_PER_TUSD)
-    eta_w_series = wealth_growth_series(wealth)
     rows = []
     for p in periods:
         eta_w, eta_e = growth_rate(wealth.series, p), growth_rate(energy, p)
@@ -140,7 +137,7 @@ def rates_table(
                 eta_w=eta_w,
                 eta_e=eta_e,
                 lambda_eps=lambda_eps,
-                eta_i=growth_rate(eta_w_series, p),
+                eta_i=_eta_i(wealth.series, p),
                 eta_eps=_log_rate(eps[-1] / eps[0], p),
                 eta_y=growth_rate(gdp, p),
             )

@@ -89,10 +89,9 @@ def load_series(d: DataSourceDescriptor) -> AnnualSeries:
     Raises ParseError for malformed rows (with the offending row number) and
     for a read stopped by a byte that is not UTF-8 or a field longer than
     ``csv.field_size_limit()`` (with the row reached), SchemaError for
-    missing columns and DomainError for sign violations (the kind's rule: a
-    rate may be negative, every other kind is positive). Row numbers count
-    the header as row 1 and skip blank lines. A leading UTF-8 byte order
-    mark is ignored.
+    missing columns and DomainError for a scaled value that is not strictly
+    positive (the rule of every kind). Row numbers count the header as row 1
+    and skip blank lines. A leading UTF-8 byte order mark is ignored.
 
     The columns are parsed and checked whole; only when that fails are the
     rows walked one by one, so a bad file raises its first bad row's error.
@@ -138,7 +137,7 @@ def _columns(
     """The year and scaled value columns of ``rows``, parsed and checked whole.
 
     Returns None when a row is short, a cell does not parse, or a value is
-    not finite or breaks the kind's sign rule; ``_walk_rows`` then finds it.
+    not finite or a scaled value is not positive; ``_walk_rows`` then finds it.
     """
     try:
         years = list(map(int, map(operator.itemgetter(year_at), rows)))
@@ -149,7 +148,7 @@ def _columns(
         return None
     if d.scale != 1.0:
         values = list(map(operator.mul, values, itertools.repeat(d.scale)))
-    if d.kind is not SeriesKind.RATE and min(values) <= 0.0:
+    if min(values) <= 0.0:
         return None
     return years, values
 
@@ -164,7 +163,6 @@ def _walk_rows(
     ``int``/``float`` reject (the separators U+001C-U+001F) passes here, and
     the columns are returned.
     """
-    scale, positive = d.scale, d.kind is not SeriesKind.RATE
     missing = [""] * (max(year_at, value_at) + 1)
     years: list[int] = []
     values: list[float] = []
@@ -180,8 +178,8 @@ def _walk_rows(
             ) from None
         if not math.isfinite(value):
             raise ParseError(f"{d.path}: row {row_number}: non-finite value")
-        value *= scale
-        if positive and value <= 0.0:
+        value *= d.scale
+        if value <= 0.0:
             raise DomainError(
                 f"{d.path}: row {row_number}: nonpositive value {value!r} for kind {d.kind.value}"
             )

@@ -34,7 +34,6 @@ class SeriesKind(str, Enum):
     # Derived kinds produced by the analysis layers.
     WEALTH = "wealth"
     SCALING = "scaling"
-    RATE = "rate"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
@@ -50,7 +49,6 @@ KIND_UNITS: dict[SeriesKind, frozenset[Unit]] = {
     SeriesKind.POPULATION: frozenset({Unit.PERSONS}),
     SeriesKind.WEALTH: frozenset({Unit.TUSD}),
     SeriesKind.SCALING: frozenset({Unit.GW_PER_TUSD}),
-    SeriesKind.RATE: frozenset({Unit.PER_YR}),
 }
 
 
@@ -164,9 +162,9 @@ class AnnualSeries(Record):
             raise DomainError(f"years must lie within ±2**53, got {shown(year)}")
         if not all(map(math.isfinite, values)):
             raise DomainError("series values must be finite")
-        # A rate may decline; every other kind is a stock, flow or ratio > 0.
-        # NaN is rejected above, so min() sees only ordered values.
-        if kind is not SeriesKind.RATE and min(values) <= 0.0:
+        # Every kind is a stock, flow or ratio > 0. NaN is rejected above, so
+        # min() sees only ordered values.
+        if min(values) <= 0.0:
             raise DomainError(f"{kind.value} values must be strictly positive")
         if unit not in KIND_UNITS[kind]:
             raise KindError(f"unit {unit.value} is not valid for kind {kind.value}")

@@ -32,7 +32,6 @@ class Unit(str, Enum):
     GTC_PER_YR = "GtC/yr"
     GTC_PER_EJ = "GtC/EJ"
     PPMV = "ppmv"
-    PER_YR = "1/yr"
     PERSONS = "persons"
     GW_PER_TUSD = "GW/T$2010"
     EJ_PER_YR_PER_TUSD = "(EJ/yr)/T$2010"

@@ -137,9 +137,12 @@ def test_tables_from_reconstruction_dir(tmp_path, table):
                  id="table1-without-1985"),
     pytest.param(5, lambda year: year != 1985, "of the 11 years of 1980-1990; 1985 is missing",
                  id="table5-without-1985"),
+    pytest.param(2, lambda year: year >= 1980,
+                 "eta_i over 1980-2010 reads W a year before each end: series has no value for"
+                 " year 1979", id="table2-from-1980"),
 ])
 def test_tables_refuse_a_wealth_series_short_of_a_period(tmp_path, capsys, table, kept, message):
-    """A row for a period comes from every year of it, not from the part the series covers."""
+    """A row for a period comes from every year it reads, not from the part the series covers."""
     recon_dir = tmp_path / "recon"
     assert main(["reconstruct", "--out-dir", str(recon_dir)]) == EXIT_OK
     wealth = recon_dir / "wealth.csv"
@@ -203,6 +206,20 @@ def test_ingest_manifest_with_bad_field_exits_1(tmp_path, capsys):
     code = main(["ingest", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out")])
     assert code == EXIT_RUNTIME
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("kind, unit, key", [
+    ("rate", "1/yr", "'kind'"),
+    ("energy", "1/yr", "'unit'"),
+])
+def test_ingest_manifest_declaring_a_rate_exits_1(tmp_path, capsys, kind, unit, key):
+    # Every series kind is positive: there is no signed `rate` kind and no 1/yr series unit.
+    (tmp_path / "x.csv").write_text("year,value\n2000,0.01\n2001,-0.02\n", encoding="utf-8")
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"x": {"path": "x.csv", "kind": kind, "unit": unit}}),
+                        encoding="utf-8")
+    code = main(["ingest", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out")])
+    assert_one_error_line(code, capsys, f"manifest entry 'x' has a missing or invalid {key}")
 
 
 def test_table1_rows_match_library(tmp_path, snapshot, recon):

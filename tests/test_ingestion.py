@@ -17,7 +17,7 @@ from enerscale.ingestion import (
     validate,
     write_series,
 )
-from enerscale.series import AnnualSeries, Period, SeriesKind
+from enerscale.series import KIND_UNITS, AnnualSeries, Period, SeriesKind
 from enerscale.units import Unit
 
 
@@ -120,17 +120,21 @@ def test_cells_are_stripped(tmp_path):
     assert (s.years, s.values) == ((2000,), (1.5,))
 
 
-def test_negative_rate_round_trips(tmp_path):
-    # load_series used to apply the positive-kind rule to rates as well.
-    s = AnnualSeries(SeriesKind.RATE, Unit.PER_YR, (2000, 2001), (0.01, -0.02))
-    path = write_series(s, tmp_path / "rate.csv")
-    assert load_series(canonical_descriptor(path, s.kind, s.unit)) == s
+@pytest.mark.parametrize("kind", list(SeriesKind))
+def test_every_kind_refuses_a_value_that_is_not_positive(tmp_path, kind):
+    unit = min(KIND_UNITS[kind])
+    for value in (0.0, -1.0):
+        with pytest.raises(DomainError, match="must be strictly positive"):
+            AnnualSeries(kind, unit, (2000, 2001), (1.0, value))
+    path = write(tmp_path, "zero.csv", "year,value\n2000,1.0\n2001,0\n")
+    with pytest.raises(DomainError, match=f"row 3: nonpositive value 0.0 for kind {kind.value}"):
+        load_series(descriptor(path, kind=kind, unit=unit))
 
 
-def test_nonfinite_rate_still_rejected(tmp_path):
-    path = write(tmp_path, "rate.csv", "year,value\n2000,0.01\n2001,nan\n")
+def test_nonfinite_value_still_rejected(tmp_path):
+    path = write(tmp_path, "gdp.csv", "year,value\n2000,0.01\n2001,nan\n")
     with pytest.raises(ParseError, match="row 3: non-finite"):
-        load_series(descriptor(path, kind=SeriesKind.RATE, unit=Unit.PER_YR))
+        load_series(descriptor(path, kind=SeriesKind.GDP_MER, unit=Unit.TUSD_PER_YR))
 
 
 def test_utf8_byte_order_mark_is_ignored(tmp_path):
@@ -172,7 +176,7 @@ def row_by_row_load_series(d):
             if column not in index:
                 raise SchemaError(f"{d.path}: missing column {column!r} (header: {header})")
         year_at, value_at = index[d.year_column], index[d.value_column]
-        scale, positive = d.scale, d.kind is not SeriesKind.RATE
+        scale = d.scale
         points = []
         row_number = 1
         while True:
@@ -202,7 +206,7 @@ def row_by_row_load_series(d):
             if not math.isfinite(value):
                 raise ParseError(f"{d.path}: row {row_number}: non-finite value")
             value *= scale
-            if positive and value <= 0.0:
+            if value <= 0.0:
                 raise DomainError(
                     f"{d.path}: row {row_number}: nonpositive value {value!r} for kind {d.kind.value}"
                 )
@@ -231,7 +235,6 @@ def assert_parity(d):
     return expected
 
 
-RATE = dict(kind=SeriesKind.RATE, unit=Unit.PER_YR)
 OVERSIZED = "9" * (csv.field_size_limit() + 1)
 
 
@@ -252,11 +255,6 @@ OVERSIZED = "9" * (csv.field_size_limit() + 1)
         pytest.param("year,value\n2000,1.0\n2001,1e308\n", dict(scale=10.0), id="overflow-after-scale"),
         pytest.param("year,value\n2000,1.0\n2001,1e308\n2001,2.0\n", dict(scale=10.0),
                      id="duplicate-before-overflow"),
-        pytest.param("year,value\n2000,-1e308\n2001,1.0\n", dict(scale=10.0, **RATE),
-                     id="negative-rate-overflow"),
-        pytest.param("year,value\n2000,0.5\n2001,-0.25\n2002,0\n", RATE, id="negative-rate"),
-        pytest.param("year,value\n2000,0.5\n2001,-0.25\n", dict(scale=1e-3, **RATE),
-                     id="negative-rate-scaled"),
         pytest.param("year,value\n2000,1.0\n2001,-0.0\n", {}, id="negative-zero"),
         pytest.param("year,value\n 2000 , 1.5 \n\t2001\t,\t2.5\t\n", {}, id="padded-cells"),
         pytest.param("year,value\n\x1c2000\x1d,1.5\x1f\n2001,2.5\n", {}, id="separators-stripped"),
@@ -301,8 +299,8 @@ ODD_CELLS = st.sampled_from(
     ["", "x", "nan", "inf", "-inf", "1e308", "-1e308", " 7 ", "\x1c3", "0", "-0.0", "2.5"]
 )
 GOOD_ROWS = st.tuples(
-    st.integers(1995, 2005), st.floats(-1e6, 1e6, allow_nan=False).filter(bool)
-).map(lambda row: f"{row[0]},{row[1]!r}")
+    st.integers(1995, 2005), st.floats(0.0, 1e6, exclude_min=True), st.sampled_from([1] * 7 + [-1])
+).map(lambda row: f"{row[0]},{row[2] * row[1]!r}")
 ODD_ROWS = st.one_of(
     st.tuples(st.integers(1995, 2005).map(str), ODD_CELLS).map(",".join),
     st.tuples(ODD_CELLS, st.just("1.0")).map(",".join),
@@ -312,7 +310,8 @@ ODD_ROWS = st.one_of(
 
 @st.composite
 def csv_rows(draw):
-    """Mostly well-formed rows, some negative or repeated, with up to two odd rows spliced in."""
+    """Well-formed rows, about one in eight negative and some repeated, with up to two odd rows
+    spliced in."""
     rows = draw(st.lists(GOOD_ROWS, max_size=12))
     for odd in draw(st.lists(ODD_ROWS, max_size=2)):
         rows.insert(draw(st.integers(0, len(rows))), odd)
@@ -320,13 +319,11 @@ def csv_rows(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(rows=csv_rows(), kind=st.sampled_from([SeriesKind.RATE, SeriesKind.GDP_MER]),
-       scale=st.sampled_from([1.0, 10.0, 1e-3]))
-def test_load_series_matches_the_oracle_on_generated_files(tmp_path_factory, rows, kind, scale):
+@given(rows=csv_rows(), scale=st.sampled_from([1.0, 10.0, 1e-3]))
+def test_load_series_matches_the_oracle_on_generated_files(tmp_path_factory, rows, scale):
     path = tmp_path_factory.getbasetemp() / "generated.csv"
     path.write_text("year,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
-    unit = Unit.PER_YR if kind is SeriesKind.RATE else Unit.TUSD_PER_YR
-    assert_parity(descriptor(path, kind=kind, unit=unit, scale=scale))
+    assert_parity(descriptor(path, kind=SeriesKind.GDP_MER, unit=Unit.TUSD_PER_YR, scale=scale))
 
 
 # ------------------------------------------------------------------ validate
@@ -366,7 +363,7 @@ def test_validate_sparse_historical_record():
 @given(years=st.sets(st.integers(-50, 50), min_size=1, max_size=30), contiguous=st.booleans())
 def test_validate_gaps_match_a_year_by_year_walk(years, contiguous):
     years = sorted(years)
-    s = AnnualSeries(SeriesKind.RATE, Unit.PER_YR, tuple(years), tuple(0.0 for _ in years))
+    s = AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, tuple(years), tuple(1.0 for _ in years))
     present, gaps, run = set(years), [], []
     for year in range(years[0], years[-1] + 1):
         if year not in present:
@@ -394,10 +391,11 @@ def test_write_then_load_is_identity(tmp_path, snapshot):
 
 def test_write_series_bytes_match_csv_writer(tmp_path):
     # write_series joins its rows itself; they must be what csv.writer writes,
-    # including a negative rate and a header cell that needs quoting.
-    s = AnnualSeries(SeriesKind.RATE, Unit.PER_YR, (1, 2000, 2001), (-0.02, 1e-300, 123456789.5))
-    column = 'rate, "pct"'
-    path = write_series(s, tmp_path / "rate.csv", value_column=column)
+    # including a value in exponent notation and a header cell that needs quoting.
+    s = AnnualSeries(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, (1, 2000, 2001),
+                     (0.02, 1e-300, 123456789.5))
+    column = 'gdp, "T$"'
+    path = write_series(s, tmp_path / "gdp.csv", value_column=column)
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["year", column])

@@ -29,7 +29,7 @@ PUBLIC_NAMES = [
     "reconstruction", "required_clean_capacity", "run_scenario", "scaling",
     "scaling_series", "scaling_stats", "series", "slice_series", "spline_infill",
     "steady_state_commitment", "step_atmosphere", "to_unit", "units", "validate",
-    "w1_sensitivity", "wealth_growth_series", "write_series",
+    "w1_sensitivity", "write_series",
 ]
 
 

@@ -117,7 +117,13 @@ class _Float(float):
 @pytest.mark.parametrize("nan", [math.nan, float("nan"), _Float("nan")])
 def test_nan_values_are_rejected_as_not_finite(nan):
     with pytest.raises(DomainError, match="series values must be finite"):
-        AnnualSeries(SeriesKind.RATE, Unit.PER_YR, (2000, 2001), (0.01, nan))
+        AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (2000, 2001), (0.01, nan))
+
+
+@pytest.mark.parametrize("inf", [math.inf, -math.inf])
+def test_infinite_values_are_rejected_as_not_finite(inf):
+    with pytest.raises(DomainError, match="series values must be finite"):
+        AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (2000, 2001), (0.01, inf))
 
 
 def test_numbers_of_any_type_are_stored_as_floats():
@@ -152,13 +158,6 @@ def test_rejects_nonpositive_values():
         AnnualSeries(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, (2000,), (0.0,))
     with pytest.raises(DomainError):
         AnnualSeries(SeriesKind.CONCENTRATION, Unit.PPMV, (2000,), (-3.0,))
-
-
-def test_rate_may_be_negative():
-    s = AnnualSeries(SeriesKind.RATE, Unit.PER_YR, (2000, 2001, 2002), (0.01, 0.0, -0.02))
-    assert s.value_at(2002) == -0.02
-    with pytest.raises(DomainError):
-        AnnualSeries(SeriesKind.RATE, Unit.PER_YR, (2000,), (math.inf,))
 
 
 def test_zero_gdp_still_rejected():
