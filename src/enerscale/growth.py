@@ -1,17 +1,18 @@
 """Growth-rate estimation, the closed growth identities, carbonization and Kaya.
 
-Every period rate is the endpoint log rate ln(x(t1)/x(t0))/(t1-t0), so the
-identity eta_Y = eta_E + eta_eps and the Kaya decomposition hold exactly.
-Every series value is positive, so every endpoint ratio is defined; eta_i, the
-growth of Y/W, reads W at each end of its period and the year before.
-A period statistic of a ratio (productivity Y/E, carbonization C/E, the
-emissions/wealth ratio C/W) reads only its period, through one reader,
-``_ratio_window``.
+Every read of a series over a period goes through one reader, ``_window``:
+one series' values, or the per-year ratio of two, over every year of the
+period, so a series short of a year at either end or inside is refused.
+Every period rate is the endpoint log rate ln(x(t1)/x(t0))/(t1-t0) of such a
+window, so the identity eta_Y = eta_E + eta_eps and the Kaya decomposition
+hold exactly. eta_i, the growth of Y/W, reads W from the year before its
+period's start.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 from .carbon import CarbonCycleParams
@@ -22,7 +23,6 @@ from .scaling import scaling_series, scaling_stats
 from .series import (
     AnnualSeries,
     Period,
-    SeriesKind,
     aligned_values,
     mean,
     require_every_year,
@@ -51,44 +51,40 @@ class RatesRow(Record):
         return self.lambda_eps + self.eta_eps
 
 
-def _log_rate(ratio: float, p: Period) -> float:
-    """ln(ratio) per year of ``p``; DomainError when the ratio left the float range."""
+def _log_rate(window: Sequence[float], p: Period) -> float:
+    """ln(last/first value of ``window``) per year of ``p``; DomainError when
+    that ratio left the float range."""
+    ratio = window[-1] / window[0]
     if not 0.0 < ratio < math.inf:
         raise DomainError(f"log growth over {p} is not finite: the endpoint ratio is {ratio!r}")
     return math.log(ratio) / p.span
 
 
-def growth_rate(s: AnnualSeries, p: Period) -> float:
-    """Endpoint log growth of ``s`` over the closed period ``p``, in 1/yr."""
-    if not (s.has_year(p.start_year) and s.has_year(p.end_year)):
-        raise EmptySlice(f"series does not cover both endpoints of {p}")
-    return _log_rate(s.value_at(p.end_year) / s.value_at(p.start_year), p)
+def _window(
+    s: AnnualSeries, p: Period, what: str, per: AnnualSeries | None = None
+) -> Sequence[float]:
+    """Values of ``s`` over every year of ``p``, or with ``per`` the per-year
+    ratio s/per.
 
-
-def _in_ej(s: AnnualSeries, values: Sequence[float]) -> Sequence[float]:
-    """``values`` read from ``s``; an energy series' are read in EJ/yr, each
-    converted on its own, so every ratio to energy divides by the same bits."""
-    if s.kind is not SeriesKind.ENERGY:
-        return values
-    return [to_unit(v, s.unit, Unit.EJ_PER_YR) for v in values]
-
-
-def _ratio_window(
-    numerator: AnnualSeries, denominator: AnnualSeries, p: Period, what: str
-) -> list[float]:
-    """Per-year numerator/denominator over every year of ``p``.
-
-    The denominator is read through ``_in_ej``. Raises EmptySlice unless both
-    series hold every year of ``p``, and DomainError for a ratio that is 0 or
-    not finite.
+    Energy in GW is read in EJ/yr, each value converted on its own, so every
+    ratio to energy divides the same bits. Raises EmptySlice, naming the
+    first missing year, unless the series hold every year of ``p``, and
+    DomainError for a ratio that is 0 or not finite.
     """
+    if per is None:
+        years = s.years
+        lo, hi = bisect_left(years, p.start_year), bisect_right(years, p.end_year)
+        require_every_year(years[lo:hi], p, what)
+        return s.values[lo:hi]
     try:
-        years, n_values, d_values = aligned_values(numerator, denominator, p)
+        years, n_values, d_values = aligned_values(s, per, p)
     except EmptySlice:
         raise EmptySlice(f"no {what} inside {p}") from None
     require_every_year(years, p, what)
+    if per.unit is Unit.GW:
+        d_values = [to_unit(d, per.unit, Unit.EJ_PER_YR) for d in d_values]
     window = []
-    for year, n, d in zip(years, n_values, _in_ej(denominator, d_values)):
+    for year, n, d in zip(years, n_values, d_values):
         ratio = n / d if d else math.inf  # a GW value converted to EJ/yr may underflow to 0
         if not 0.0 < ratio < math.inf:
             raise DomainError(f"{what}: {n!r}/{d!r} in {year} is not a positive finite ratio")
@@ -96,15 +92,20 @@ def _ratio_window(
     return window
 
 
+def growth_rate(s: AnnualSeries, p: Period) -> float:
+    """Endpoint log growth of ``s`` over the closed period ``p``, in 1/yr.
+
+    Raises EmptySlice unless ``s`` holds every year of ``p``.
+    """
+    return _log_rate(_window(s, p, f"{s.kind.value} series"), p)
+
+
 def _eta_i(w: AnnualSeries, p: Period) -> float:
-    """Endpoint log growth of Y/W over ``p``, read from W alone: accumulation
-    makes Y(t) = W(t) - W(t-1). W strictly increases, so each Y/W is in (0, 1]."""
-    ends = (p.start_year - 1, p.start_year, p.end_year - 1, p.end_year)
-    try:
-        before0, w0, before1, w1 = [w.value_at(year) for year in ends]
-    except EmptySlice as exc:
-        raise EmptySlice(f"eta_i over {p} reads W a year before each end: {exc}") from None
-    return _log_rate(((w1 - before1) / w1) / ((w0 - before0) / w0), p)
+    """Endpoint log growth of Y/W over ``p``, read from W over [t0-1, t1]:
+    accumulation makes Y(t) = W(t) - W(t-1). W strictly increases, so each
+    Y/W is in (0, 1]."""
+    ws = _window(w, Period(p.start_year - 1, p.end_year), f"wealth series for eta_i over {p}")
+    return _log_rate([(ws[i] - ws[i - 1]) / ws[i] for i in (1, len(ws) - 1)], p)
 
 
 def rates_table(
@@ -127,7 +128,7 @@ def rates_table(
     rows = []
     for p in periods:
         eta_w, eta_e = growth_rate(wealth.series, p), growth_rate(energy, p)
-        eps = _ratio_window(gdp, energy, p, "productivity series")
+        eps = _window(gdp, p, "productivity series", per=energy)
         lambda_eps = lam_ej * mean(eps)
         if lambda_eps == math.inf:
             raise DomainError(f"lambda*eps over {p} exceeds the float range")
@@ -138,7 +139,7 @@ def rates_table(
                 eta_e=eta_e,
                 lambda_eps=lambda_eps,
                 eta_i=_eta_i(wealth.series, p),
-                eta_eps=_log_rate(eps[-1] / eps[0], p),
+                eta_eps=_log_rate(eps, p),
                 eta_y=growth_rate(gdp, p),
             )
         )
@@ -181,9 +182,9 @@ def carbonization(
 
     Raises EmptySlice unless both ratios hold every year of ``p``.
     """
-    intensity = _ratio_window(emissions, energy, p, "carbonization series")
-    eta_c = _log_rate(intensity[-1] / intensity[0], p)
-    per_wealth = _ratio_window(emissions, wealth.series, p, "emissions/wealth overlap")
+    intensity = _window(emissions, p, "carbonization series", per=energy)
+    eta_c = _log_rate(intensity, p)
+    per_wealth = _window(emissions, p, "emissions/wealth overlap", per=wealth.series)
     in_window = [r * params.kappa_a * 1e3 for r in per_wealth]  # per quadrillion = 1000 T$
     return CarbonizationEstimate(
         period=p,
@@ -224,25 +225,6 @@ class KayaComponents(Record):
         )
 
 
-def _ratio_growth(numerator: AnnualSeries, denominator: AnnualSeries, p: Period) -> float:
-    """Endpoint log growth of the per-year ratio of two aligned series over ``p``.
-
-    The denominator is read through ``_in_ej``, as ``_ratio_window`` reads it,
-    so this equals the log rate between the ends of that window bit for bit.
-    """
-    ends = (p.start_year, p.end_year)
-    try:
-        n0, n1 = [numerator.value_at(year) for year in ends]
-        d0, d1 = _in_ej(denominator, [denominator.value_at(year) for year in ends])
-    except EmptySlice:
-        raise EmptySlice(f"ratio series does not cover both endpoints of {p}") from None
-    try:
-        ratio = (n1 / d1) / (n0 / d0)
-    except ZeroDivisionError:  # a denominator, or the first year's ratio, is 0
-        ratio = math.inf
-    return _log_rate(ratio, p)
-
-
 def kaya_decomposition(
     pop: AnnualSeries,
     gdp: AnnualSeries,
@@ -251,12 +233,15 @@ def kaya_decomposition(
     p: Period,
 ) -> KayaComponents:
     """Decompose emissions growth into population, affluence, productivity and
-    carbonization rates."""
+    carbonization rates.
+
+    Raises EmptySlice unless every series holds every year of ``p``.
+    """
     return KayaComponents(
         period=p,
         eta_pop=growth_rate(pop, p),
-        eta_affluence=_ratio_growth(gdp, pop, p),
-        eta_productivity=_ratio_growth(gdp, energy, p),
-        eta_carbonization=_ratio_growth(emissions, energy, p),
+        eta_affluence=_log_rate(_window(gdp, p, "affluence series", per=pop), p),
+        eta_productivity=_log_rate(_window(gdp, p, "productivity series", per=energy), p),
+        eta_carbonization=_log_rate(_window(emissions, p, "carbonization series", per=energy), p),
         eta_emissions=growth_rate(emissions, p),
     )

@@ -260,6 +260,13 @@ def _exactly(kind: type):
     return check
 
 
+def json_number(value) -> float:
+    """A JSON number as a float; ``true`` and text such as ``"1e6"`` are not numbers."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def load_manifest(path: Path | str) -> dict[str, ManifestEntry]:
     """Read a JSON manifest binding series names to data source descriptors.
 
@@ -285,7 +292,7 @@ def load_manifest(path: Path | str) -> dict[str, ManifestEntry]:
             unit=field("unit", Unit),
             year_column=field("year_column", _exactly(str), "year"),
             value_column=field("value_column", _exactly(str), "value"),
-            scale=field("scale", float, 1.0),
+            scale=field("scale", json_number, 1.0),
         )
         entries[name] = ManifestEntry(
             name=name, descriptor=descriptor, contiguous=field("contiguous", _exactly(bool), True)

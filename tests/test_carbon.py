@@ -405,26 +405,56 @@ def constant_kaya_inputs(years):
     return dict(pop=pop, gdp=gdp, energy=energy, emissions=emissions)
 
 
+#: The Kaya ratio each series is first read in, and so the window its gap is named in.
+KAYA_FIRST_READ = {
+    "pop": "population series", "gdp": "affluence series", "energy": "productivity series",
+    "emissions": "carbonization series",
+}
+
+
 @pytest.mark.parametrize("short", ["gdp", "energy", "emissions"])
 def test_kaya_refuses_a_ratio_missing_an_endpoint(short):
     inputs = constant_kaya_inputs(tuple(range(2000, 2006)))
     inputs[short] = constant_kaya_inputs(tuple(range(2000, 2005)))[short]
-    with pytest.raises(EmptySlice, match="ratio series does not cover both endpoints of 2000-2005"):
+    message = f"{KAYA_FIRST_READ[short]} has 5 of the 6 years of 2000-2005; 2005 is missing"
+    with pytest.raises(EmptySlice, match=message):
         kaya_decomposition(**inputs, p=Period(2000, 2005))
 
 
-@pytest.mark.parametrize("gdp, energy", [
-    ((5e-324, 80.0), (600.0, 600.0)),  # Y/P = 5e-324/7e9 rounds to 0
-    ((1e-300, 80.0), (1e30, 600.0)),  # Y/P holds, Y/E = 1e-330 rounds to 0
+@pytest.mark.parametrize("short", list(KAYA_FIRST_READ))
+def test_kaya_refuses_a_series_missing_an_interior_year(short):
+    """Every Kaya rate reads its whole period, so a gap inside it is named, not read around."""
+    years = tuple(range(2000, 2006))
+    inputs = constant_kaya_inputs(years)
+    inputs[short] = constant_kaya_inputs(tuple(y for y in years if y != 2002))[short]
+    message = f"{KAYA_FIRST_READ[short]} has 5 of the 6 years of 2000-2005; 2002 is missing"
+    with pytest.raises(EmptySlice, match=message):
+        kaya_decomposition(**inputs, p=Period(2000, 2005))
+
+
+def test_kaya_refuses_the_bundled_population_without_1995(snapshot, recon):
+    """The bundled inputs less one population year used to give eta_pop over 1980-2017."""
+    population = snapshot.population.with_data(
+        *zip(*((y, v) for y, v in zip(snapshot.population.years, snapshot.population.values)
+               if y != 1995))
+    )
+    with pytest.raises(EmptySlice, match="population series .* of 1980-2017; 1995 is missing"):
+        kaya_decomposition(population, recon.gdp, snapshot.energy, snapshot.emissions,
+                           Period(1980, 2017))
+
+
+@pytest.mark.parametrize("gdp, energy, ratio", [
+    ((5e-324, 80.0), (600.0, 600.0), "affluence"),  # Y/P = 5e-324/7e9 rounds to 0
+    ((1e-300, 80.0), (1e30, 600.0), "productivity"),  # Y/P holds, Y/E = 1e-330 rounds to 0
 ], ids=["affluence", "productivity"])
-def test_kaya_ratio_that_underflows_in_the_first_year_is_refused(gdp, energy):
+def test_kaya_ratio_that_underflows_in_the_first_year_is_refused(gdp, energy, ratio):
     """A first-year affluence ratio of 0 used to raise a raw ZeroDivisionError;
     the productivity ratio is read the same way and must be refused the same way."""
     years = (2000, 2001)
     inputs = constant_kaya_inputs(years)
     inputs["gdp"] = inputs["gdp"].with_data(years, gdp)
     inputs["energy"] = inputs["energy"].with_data(years, energy)
-    with pytest.raises(DomainError, match="log growth over 2000-2001 is not finite"):
+    with pytest.raises(DomainError, match=f"^{ratio} series: .* in 2000 is not a positive finite"):
         kaya_decomposition(**inputs, p=Period(*years))
 
 

@@ -138,8 +138,8 @@ def test_tables_from_reconstruction_dir(tmp_path, table):
     pytest.param(5, lambda year: year != 1985, "of the 11 years of 1980-1990; 1985 is missing",
                  id="table5-without-1985"),
     pytest.param(2, lambda year: year >= 1980,
-                 "eta_i over 1980-2010 reads W a year before each end: series has no value for"
-                 " year 1979", id="table2-from-1980"),
+                 "wealth series for eta_i over 1980-2010 has 31 of the 32 years of 1979-2010;"
+                 " 1979 is missing", id="table2-from-1980"),
 ])
 def test_tables_refuse_a_wealth_series_short_of_a_period(tmp_path, capsys, table, kept, message):
     """A row for a period comes from every year it reads, not from the part the series covers."""
@@ -185,6 +185,19 @@ def test_tables_missing_reconstruction_inputs(tmp_path, capsys):
                      "'w1_tusd'", id="w1_tusd-too-large-for-a-float"),
         ('{"w1_tusd": 50.0, "kappa_x": 1.5, "kappa_x_window": [1970, 1992],'
          ' "spline_knot_years": [1, 1000.5]}', "'spline_knot_years'"),
+        pytest.param('{"w1_tusd": true, "kappa_x": 1.5, "kappa_x_window": [1970, 1992]}',
+                     "'w1_tusd'", id="w1_tusd-true"),
+        pytest.param('{"w1_tusd": "50", "kappa_x": 1.5, "kappa_x_window": [1970, 1992]}',
+                     "'w1_tusd'", id="w1_tusd-number-text"),
+        pytest.param('{"w1_tusd": 50.0, "kappa_x": true, "kappa_x_window": [1970, 1992]}',
+                     "'kappa_x'", id="kappa_x-true"),
+        pytest.param('{"w1_tusd": 50.0, "kappa_x": "1e0", "kappa_x_window": [1970, 1992]}',
+                     "'kappa_x'", id="kappa_x-number-text"),
+        pytest.param('{"w1_tusd": 50.0, "kappa_x": 1.5, "kappa_x_window": [true, 1992]}',
+                     "'kappa_x_window'", id="kappa_x_window-true"),
+        pytest.param('{"w1_tusd": 50.0, "kappa_x": 1.5, "kappa_x_window": [1970, 1992],'
+                     ' "spline_knot_years": [true, 1000]}', "'spline_knot_years'",
+                     id="spline_knot_years-true"),
     ],
 )
 def test_tables_rejects_malformed_reconstruction_json(tmp_path, capsys, text, message):

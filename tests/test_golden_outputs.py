@@ -26,11 +26,17 @@ refactor must reproduce them byte for byte. A change that alters an output
 on purpose updates the digest here and says in CHANGES.md which output moved and why.
 Run manifests hold absolute paths, so they are hashed after the output root
 and the checkout's ``src`` directory are replaced by fixed placeholders.
+
+The benchmark's ``reproduce`` workload refuses a run whose outputs differ in
+structure from ``perfbench/reference.json``: another set of CSV and JSON
+files, other flattened JSON keys, or another CSV shape. The same outputs of
+this run are checked against that structure here, values aside.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -89,18 +95,41 @@ GOLDEN = {
 }
 
 
+REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+REFERENCE = json.loads(REFERENCE_PATH.read_text(encoding="utf-8"))
+
+#: Each ``perfbench/reference.json`` command -> the command here that writes
+#: its outputs, and the prefix of its files in that command's directory (None:
+#: only its stdout, as the benchmark runs ``calibrate`` without ``--out``).
+BENCHMARK_COMMANDS = {
+    "ingest": ("ingest", ""),
+    "reconstruct": ("reconstruct", ""),
+    "calibrate": ("calibrate", None),
+    **{f"tables-{n}": (f"tables-{n}", f"table{n}.") for n in range(1, 6)},
+    "tables-3-data-dir": ("tables-3", "table3."),
+    "report": ("report", ""),
+    "project": ("project", "trajectory."),
+    "project-curve": ("project-curve", "curve."),
+    "project-spinup": ("project-spinup", "spinup."),
+}
+
+
 def commands(root):
+    """Command key -> argv; each writes under ``root`` / the key's first word."""
     project = root / "project"
-    return [
-        ["ingest", "--out-dir", str(root / "ingest")],
-        ["reconstruct", "--out-dir", str(root / "reconstruct")],
-        ["calibrate", "--out", str(root / "calibrate" / "calibrate.json")],
-        *[["tables", "--table", str(n), "--out-dir", str(root / "tables")] for n in range(1, 6)],
-        ["report", "--out-dir", str(root / "report")],
-        ["project", "--preset", "paper-2017", "--out", str(project / "trajectory.csv")],
-        ["project", "--preset", "paper-2017", "--curve", "--out", str(project / "curve.csv")],
-        ["project", "--preset", "paper-2017", "--spinup", "--out", str(project / "spinup.csv")],
-    ]
+    return {
+        "ingest": ["ingest", "--out-dir", str(root / "ingest")],
+        "reconstruct": ["reconstruct", "--out-dir", str(root / "reconstruct")],
+        "calibrate": ["calibrate", "--out", str(root / "calibrate" / "calibrate.json")],
+        **{f"tables-{n}": ["tables", "--table", str(n), "--out-dir", str(root / "tables")]
+           for n in range(1, 6)},
+        "report": ["report", "--out-dir", str(root / "report")],
+        "project": ["project", "--preset", "paper-2017", "--out", str(project / "trajectory.csv")],
+        "project-curve": ["project", "--preset", "paper-2017", "--curve",
+                          "--out", str(project / "curve.csv")],
+        "project-spinup": ["project", "--preset", "paper-2017", "--spinup",
+                           "--out", str(project / "spinup.csv")],
+    }
 
 
 def masked(path, root):
@@ -112,15 +141,22 @@ def masked(path, root):
 
 
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
+def golden_run(tmp_path_factory):
+    """The output root of one run of every command, and each command's stdout."""
     root = tmp_path_factory.mktemp("golden")
-    digests = {}
-    for argv in commands(root):
+    stdouts = {}
+    for key, argv in commands(root).items():
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             assert main(argv) == EXIT_OK, argv
-        if argv[0] == "calibrate":
-            digests["calibrate/stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+        stdouts[key] = stdout.getvalue()
+    return root, stdouts
+
+
+@pytest.fixture(scope="module")
+def outputs(golden_run):
+    root, stdouts = golden_run
+    digests = {"calibrate/stdout": hashlib.sha256(stdouts["calibrate"].encode()).hexdigest()}
     for p in root.rglob("*"):
         if p.is_file():
             digests[p.relative_to(root).as_posix()] = hashlib.sha256(masked(p, root)).hexdigest()
@@ -134,3 +170,46 @@ def test_every_golden_output_is_written(outputs):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_is_byte_identical(outputs, name):
     assert outputs[name] == GOLDEN[name]
+
+
+def leaf_keys(value, prefix=""):
+    """The leaf paths of a JSON value, named as the benchmark flattens them;
+    an empty list or object has none."""
+    if isinstance(value, dict):
+        return [leaf for k in sorted(value) for leaf in leaf_keys(value[k], f"{prefix}/{k}")]
+    if isinstance(value, list):
+        return [leaf for i, v in enumerate(value) for leaf in leaf_keys(v, f"{prefix}/{i}")]
+    return [prefix]
+
+
+def csv_shape(rows):
+    return [len(row.split(",")) for row in rows]
+
+
+def benchmark_structure(key, root, stdouts):
+    """Output name -> structure of what the benchmark parses from command ``key``:
+    the sorted flattened keys of a JSON output (stdout included when it is JSON),
+    and the cell count of each row of a CSV output; run manifests are not parsed."""
+    command, prefix = BENCHMARK_COMMANDS[key]
+    directory = root / command.split("-")[0]
+    found = {}
+    for path in sorted(directory.iterdir() if prefix is not None else ()):
+        name = path.name
+        if not name.startswith(prefix) or name.endswith("manifest.json"):
+            continue
+        if path.suffix == ".csv":
+            found[name] = csv_shape(path.read_text(encoding="utf-8").splitlines())
+        elif path.suffix == ".json":
+            found[name] = sorted(leaf_keys(json.loads(path.read_text(encoding="utf-8"))))
+    if stdouts[command].lstrip().startswith("{"):
+        found["<stdout>"] = sorted(leaf_keys(json.loads(stdouts[command])))
+    return found
+
+
+@pytest.mark.parametrize("key", sorted(REFERENCE))
+def test_output_has_the_structure_of_the_benchmark_reference(golden_run, key):
+    want = {
+        name: sorted(value) if isinstance(value, dict) else csv_shape(value)
+        for name, value in REFERENCE[key].items()
+    }
+    assert benchmark_structure(key, *golden_run) == want

@@ -43,6 +43,13 @@ def test_endpoint_requires_endpoints():
         growth_rate(s, Period(2000, 2003))
 
 
+def test_growth_rate_refuses_a_gap_inside_the_period():
+    """Both endpoints held is not enough: the rate reads every year of its period."""
+    s = series(SeriesKind.ENERGY, Unit.GW, (2000, 2003, 2005), (1.0, 2.0, 4.0))
+    with pytest.raises(EmptySlice, match="energy series has 3 of the 6 years of 2000-2005; 2001"):
+        growth_rate(s, Period(2000, 2005))
+
+
 @given(alpha=st.floats(min_value=1e-3, max_value=1e3))
 def test_growth_rate_invariant_under_rescaling(alpha):
     years = range(2000, 2011)
@@ -148,7 +155,21 @@ def test_innovation_rate_needs_wealth_a_year_before_the_period():
     energy = series(SeriesKind.ENERGY, Unit.EJ_PER_YR, years, [400.0 + 7.0 * i for i in range(5)])
     gdp = series(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, years, [50.0 + i for i in range(5)])
     wealth = linear_wealth(years[1:])  # W from 2000, the period's first year
-    with pytest.raises(EmptySlice, match="eta_i over 2000-2004 .* no value for year 1999"):
+    message = "wealth series for eta_i over 2000-2004 has 5 of the 6 years of 1999-2004; 1999 is"
+    with pytest.raises(EmptySlice, match=message):
+        rates_table(gdp, energy, wealth, [Period(2000, 2004)])
+
+
+def test_innovation_rate_names_a_wealth_gap_the_year_before_the_period():
+    """W holding 1998 but not 1999 is refused by the window eta_i reads, 1999-2004."""
+    years = tuple(range(2000, 2005))
+    energy = series(SeriesKind.ENERGY, Unit.EJ_PER_YR, years, [400.0 + 7.0 * i for i in range(5)])
+    gdp = series(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, years, [50.0 + i for i in range(5)])
+    w = linear_wealth((1998, *years)).series
+    wealth = WealthSeries(w.with_data(w.years[:1] + w.years[2:], w.values[:1] + w.values[2:]),
+                          Quantity(w.values[0], Unit.TUSD), "synthetic")
+    message = "wealth series for eta_i over 2000-2004 has 5 of the 6 years of 1999-2004; 1999 is"
+    with pytest.raises(EmptySlice, match=message):
         rates_table(gdp, energy, wealth, [Period(2000, 2004)])
 
 

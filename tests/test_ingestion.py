@@ -436,6 +436,8 @@ def test_manifest_missing_field(tmp_path):
         pytest.param("scale", math.inf, id="scale-Infinity"),
         pytest.param("scale", -math.inf, id="scale-minus-Infinity"),
         pytest.param("scale", "nan", id="scale-nan-text"),
+        pytest.param("scale", True, id="scale-true"),
+        pytest.param("scale", "1e6", id="scale-number-text"),
         ("contiguous", "false"),
         ("path", 7),
         ("value_column", None),

@@ -202,3 +202,40 @@ def test_no_function_only_renames_another():
 ])
 def test_the_rename_check_sees_only_a_bare_forwarding_call(source, renames):
     assert renaming_functions(source) == (["f"] if renames else [])
+
+
+#: The series-layer reads that ``growth`` makes only through its period reader.
+SERIES_READS = {"aligned_values", "slice_series", "value_at", "has_year", "require_every_year"}
+
+
+def series_readers(source: str) -> set[str]:
+    """Names of the top-level functions (or classes) in ``source`` that call a
+    ``SERIES_READS`` name, as ``f(...)`` or ``x.f(...)``, anywhere in their body."""
+    found = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in SERIES_READS:
+                    found.add(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_growth_reads_a_series_over_a_period_only_through_its_window():
+    source = (Path(enerscale.__file__).parent / "growth.py").read_text(encoding="utf-8")
+    assert series_readers(source) == {"_window"}
+
+
+@pytest.mark.parametrize("source, readers", [
+    ("def _window(s, p):\n    return aligned_values(s, s, p)", {"_window"}),
+    ("def rate(s, p):\n    return s.value_at(p.end_year)", {"rate"}),
+    ("def rate(s, p):\n    def inner():\n        return s.has_year(1)\n    return inner()",
+     {"rate"}),
+    ("class Row:\n    def f(self, s, p):\n        return slice_series(s, p)", {"Row"}),
+    ("x = require_every_year((), p, 'w')", {"<module>"}),
+    ("def rate(s, p):\n    return _window(s, p)", set()),
+    ("def rate(s):\n    return s.values[0]", set()),
+])
+def test_the_series_read_check_names_each_caller(source, readers):
+    assert series_readers(source) == readers
