@@ -23,7 +23,6 @@ from .scaling import scaling_series, scaling_stats
 from .series import (
     AnnualSeries,
     Period,
-    aligned_values,
     mean,
     require_every_year,
     sample_std,
@@ -71,20 +70,21 @@ def _window(
     first missing year, unless the series hold every year of ``p``, and
     DomainError for a ratio that is 0 or not finite.
     """
-    if per is None:
-        years = s.years
+    cuts = []
+    for series in (s,) if per is None else (s, per):
+        years = series.years
         lo, hi = bisect_left(years, p.start_year), bisect_right(years, p.end_year)
+        if lo == hi:
+            raise EmptySlice(f"no {what} inside {p}")
         require_every_year(years[lo:hi], p, what)
-        return s.values[lo:hi]
-    try:
-        years, n_values, d_values = aligned_values(s, per, p)
-    except EmptySlice:
-        raise EmptySlice(f"no {what} inside {p}") from None
-    require_every_year(years, p, what)
+        cuts.append(series.values[lo:hi])
+    if per is None:
+        return cuts[0]
+    n_values, d_values = cuts
     if per.unit is Unit.GW:
         d_values = [to_unit(d, per.unit, Unit.EJ_PER_YR) for d in d_values]
     window = []
-    for year, n, d in zip(years, n_values, d_values):
+    for year, n, d in zip(range(p.start_year, p.end_year + 1), n_values, d_values):
         ratio = n / d if d else math.inf  # a GW value converted to EJ/yr may underflow to 0
         if not 0.0 < ratio < math.inf:
             raise DomainError(f"{what}: {n!r}/{d!r} in {year} is not a positive finite ratio")

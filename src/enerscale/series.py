@@ -223,18 +223,14 @@ def aligned_values(
 ) -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
     """Values of both series on their common years, within ``p`` when given.
 
-    Both series are cut by bisection to the span they share (inside ``p``).
-    Cuts holding the same years are returned as they are; otherwise their
-    years are intersected, and each value is read with ``value_at``.
+    Both series are cut by bisection to the span they share (inside ``p``),
+    their years are intersected, and each value is read with ``value_at``.
     """
     first, last = max(a.first_year, b.first_year), min(a.last_year, b.last_year)
     if p is not None:
         first, last = max(first, p.start_year), min(last, p.end_year)
-    a_lo, a_hi = bisect_left(a.years, first), bisect_right(a.years, last)
-    b_lo, b_hi = bisect_left(b.years, first), bisect_right(b.years, last)
-    a_years, b_years = a.years[a_lo:a_hi], b.years[b_lo:b_hi]
-    if a_years and a_years == b_years:
-        return a_years, a.values[a_lo:a_hi], b.values[b_lo:b_hi]
+    a_years = a.years[bisect_left(a.years, first) : bisect_right(a.years, last)]
+    b_years = b.years[bisect_left(b.years, first) : bisect_right(b.years, last)]
     years = tuple(sorted(set(a_years).intersection(b_years)))
     if not years:
         raise EmptySlice("series share no years")

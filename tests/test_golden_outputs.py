@@ -29,14 +29,17 @@ and the checkout's ``src`` directory are replaced by fixed placeholders.
 
 The benchmark's ``reproduce`` workload refuses a run whose outputs differ in
 structure from ``perfbench/reference.json``: another set of CSV and JSON
-files, other flattened JSON keys, or another CSV shape. The same outputs of
-this run are checked against that structure here, values aside.
+files, other flattened JSON keys, or another CSV shape. Its own command list
+and output parser, loaded read-only from ``perfbench/reproduce.py``, check
+that structure here, values aside.
 """
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,41 +98,18 @@ GOLDEN = {
 }
 
 
-REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-REFERENCE = json.loads(REFERENCE_PATH.read_text(encoding="utf-8"))
-
-#: Each ``perfbench/reference.json`` command -> the command here that writes
-#: its outputs, and the prefix of its files in that command's directory (None:
-#: only its stdout, as the benchmark runs ``calibrate`` without ``--out``).
-BENCHMARK_COMMANDS = {
-    "ingest": ("ingest", ""),
-    "reconstruct": ("reconstruct", ""),
-    "calibrate": ("calibrate", None),
-    **{f"tables-{n}": (f"tables-{n}", f"table{n}.") for n in range(1, 6)},
-    "tables-3-data-dir": ("tables-3", "table3."),
-    "report": ("report", ""),
-    "project": ("project", "trajectory."),
-    "project-curve": ("project-curve", "curve."),
-    "project-spinup": ("project-spinup", "spinup."),
-}
-
-
 def commands(root):
-    """Command key -> argv; each writes under ``root`` / the key's first word."""
     project = root / "project"
-    return {
-        "ingest": ["ingest", "--out-dir", str(root / "ingest")],
-        "reconstruct": ["reconstruct", "--out-dir", str(root / "reconstruct")],
-        "calibrate": ["calibrate", "--out", str(root / "calibrate" / "calibrate.json")],
-        **{f"tables-{n}": ["tables", "--table", str(n), "--out-dir", str(root / "tables")]
-           for n in range(1, 6)},
-        "report": ["report", "--out-dir", str(root / "report")],
-        "project": ["project", "--preset", "paper-2017", "--out", str(project / "trajectory.csv")],
-        "project-curve": ["project", "--preset", "paper-2017", "--curve",
-                          "--out", str(project / "curve.csv")],
-        "project-spinup": ["project", "--preset", "paper-2017", "--spinup",
-                           "--out", str(project / "spinup.csv")],
-    }
+    return [
+        ["ingest", "--out-dir", str(root / "ingest")],
+        ["reconstruct", "--out-dir", str(root / "reconstruct")],
+        ["calibrate", "--out", str(root / "calibrate" / "calibrate.json")],
+        *[["tables", "--table", str(n), "--out-dir", str(root / "tables")] for n in range(1, 6)],
+        ["report", "--out-dir", str(root / "report")],
+        ["project", "--preset", "paper-2017", "--out", str(project / "trajectory.csv")],
+        ["project", "--preset", "paper-2017", "--curve", "--out", str(project / "curve.csv")],
+        ["project", "--preset", "paper-2017", "--spinup", "--out", str(project / "spinup.csv")],
+    ]
 
 
 def masked(path, root):
@@ -141,22 +121,15 @@ def masked(path, root):
 
 
 @pytest.fixture(scope="module")
-def golden_run(tmp_path_factory):
-    """The output root of one run of every command, and each command's stdout."""
+def outputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
-    stdouts = {}
-    for key, argv in commands(root).items():
+    digests = {}
+    for argv in commands(root):
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             assert main(argv) == EXIT_OK, argv
-        stdouts[key] = stdout.getvalue()
-    return root, stdouts
-
-
-@pytest.fixture(scope="module")
-def outputs(golden_run):
-    root, stdouts = golden_run
-    digests = {"calibrate/stdout": hashlib.sha256(stdouts["calibrate"].encode()).hexdigest()}
+        if argv[0] == "calibrate":
+            digests["calibrate/stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
     for p in root.rglob("*"):
         if p.is_file():
             digests[p.relative_to(root).as_posix()] = hashlib.sha256(masked(p, root)).hexdigest()
@@ -172,44 +145,56 @@ def test_output_is_byte_identical(outputs, name):
     assert outputs[name] == GOLDEN[name]
 
 
-def leaf_keys(value, prefix=""):
-    """The leaf paths of a JSON value, named as the benchmark flattens them;
-    an empty list or object has none."""
-    if isinstance(value, dict):
-        return [leaf for k in sorted(value) for leaf in leaf_keys(value[k], f"{prefix}/{k}")]
-    if isinstance(value, list):
-        return [leaf for i, v in enumerate(value) for leaf in leaf_keys(v, f"{prefix}/{i}")]
-    return [prefix]
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def csv_shape(rows):
-    return [len(row.split(",")) for row in rows]
+def load_reproduce():
+    """``perfbench/reproduce.py`` as a module; it imports its sibling ``common``."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_reproduce", PERFBENCH / "reproduce.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module
 
 
-def benchmark_structure(key, root, stdouts):
-    """Output name -> structure of what the benchmark parses from command ``key``:
-    the sorted flattened keys of a JSON output (stdout included when it is JSON),
-    and the cell count of each row of a CSV output; run manifests are not parsed."""
-    command, prefix = BENCHMARK_COMMANDS[key]
-    directory = root / command.split("-")[0]
-    found = {}
-    for path in sorted(directory.iterdir() if prefix is not None else ()):
-        name = path.name
-        if not name.startswith(prefix) or name.endswith("manifest.json"):
-            continue
-        if path.suffix == ".csv":
-            found[name] = csv_shape(path.read_text(encoding="utf-8").splitlines())
-        elif path.suffix == ".json":
-            found[name] = sorted(leaf_keys(json.loads(path.read_text(encoding="utf-8"))))
-    if stdouts[command].lstrip().startswith("{"):
-        found["<stdout>"] = sorted(leaf_keys(json.loads(stdouts[command])))
-    return found
+REPRODUCE = load_reproduce()
+REFERENCE = json.loads(REPRODUCE.REFERENCE_PATH.read_text(encoding="utf-8"))
+
+
+def structure(parsed):
+    """Output name -> the sorted keys of a flattened JSON output, or the cell
+    count of each row of a CSV output."""
+    return {
+        name: sorted(value) if isinstance(value, dict) else [len(row.split(",")) for row in value]
+        for name, value in parsed.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def benchmark_outputs(tmp_path_factory):
+    """Command key -> what the benchmark parses from one in-process run of its
+    command, each in its own directory, as ``perfbench/make_reference.py`` runs them."""
+    root = tmp_path_factory.mktemp("benchmark")
+    fixture = root / "recon-fixture"
+    assert main(["reconstruct", "--out-dir", str(fixture)]) == EXIT_OK
+    parsed = {}
+    for key, argv in REPRODUCE.commands(root / "out", fixture).items():
+        out_dir = root / "out" / key
+        out_dir.mkdir(parents=True)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == EXIT_OK, argv
+        parsed[key] = REPRODUCE.parse_outputs(out_dir, stdout.getvalue().encode())
+    return parsed
+
+
+def test_benchmark_runs_every_reference_command(benchmark_outputs):
+    assert sorted(benchmark_outputs) == sorted(REFERENCE)
 
 
 @pytest.mark.parametrize("key", sorted(REFERENCE))
-def test_output_has_the_structure_of_the_benchmark_reference(golden_run, key):
-    want = {
-        name: sorted(value) if isinstance(value, dict) else csv_shape(value)
-        for name, value in REFERENCE[key].items()
-    }
-    assert benchmark_structure(key, *golden_run) == want
+def test_output_has_the_structure_of_the_benchmark_reference(benchmark_outputs, key):
+    assert structure(benchmark_outputs[key]) == structure(REFERENCE[key])

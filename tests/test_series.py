@@ -264,27 +264,6 @@ def test_aligned_values_sparse_knots(snapshot):
     assert list(mer) == [snapshot.gdp_mer.value_at(y) for y in shared]
 
 
-@given(a_years=st.sets(st.integers(1990, 2005), min_size=1),
-       b_years=st.sets(st.integers(1990, 2005), min_size=1), same=st.booleans(),
-       window=st.none() | st.tuples(st.integers(1985, 2000), st.integers(1, 12)))
-def test_aligned_values_reads_each_shared_year(a_years, b_years, same, window):
-    """Cuts holding the same years and cuts that are intersected give what
-    ``value_at`` reads on every shared year inside the period."""
-    a_years = sorted(a_years)
-    b_years = a_years if same else sorted(b_years)
-    a = AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, a_years, [1.0 + y for y in a_years])
-    b = AnnualSeries(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, b_years, [2.0 * y for y in b_years])
-    p = None if window is None else Period(window[0], window[0] + window[1])
-    shared = [y for y in a_years if y in b_years and (p is None or p.start_year <= y <= p.end_year)]
-    if not shared:
-        with pytest.raises(EmptySlice, match="series share no years"):
-            aligned_values(a, b, p)
-        return
-    assert aligned_values(a, b, p) == (
-        tuple(shared), tuple(map(a.value_at, shared)), tuple(map(b.value_at, shared))
-    )
-
-
 def test_aligned_values_disjoint_raises():
     a = make_series(1990, 1995)
     b = AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (1989, 1996), (1.0, 1.0))
