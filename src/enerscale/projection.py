@@ -278,14 +278,52 @@ def time_grid(horizon_years: float, dt: float) -> tuple[int, float]:
     return n_steps, horizon_years / n_steps
 
 
+#: Most grid points the grid cache holds in all, each with its year and offset
+#: (two floats and two pointers, ~64 bytes): ~4 MB.
+_GRID_BUDGET = 2**16
+
+#: (type(start), start, type(dt), dt) -> the longest grid built so far for that
+#: key, as (years, offsets); least recently used first. The types are part of
+#: the key because an int start and step give int years.
+_grids: dict = {}
+
+
+def _grid(start: float, dt: float, points: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The first ``points`` years ``start + i*dt`` and their offsets ``year - start``.
+
+    Every value is computed from its own ``i`` alone, so a grid read from the
+    cache (a prefix of a longer one, or one extended by the missing ``i``)
+    has the bits of one built afresh, whatever runs came before. A grid is
+    kept only while the cache's grids hold at most ``_GRID_BUDGET`` points in
+    all; the least recently used goes first, and a longer grid is never kept.
+    Each read or write of the cache is one dict operation on the cache or on
+    a copy of it, so two threads can at worst build one grid twice.
+    """
+    key = (start.__class__, start, dt.__class__, dt)
+    years, tau = _grids.pop(key, ((), ()))
+    if len(years) < points:
+        new = [start + i * dt for i in range(len(years), points)]
+        years += tuple(new)
+        tau += tuple([t - start for t in new])
+    if len(years) <= _GRID_BUDGET:
+        _grids[key] = years, tau
+        for old in list(_grids):  # least recently used first
+            if sum([len(y) for y, _ in list(_grids.values())]) <= _GRID_BUDGET:
+                break
+            _grids.pop(old, None)
+    return years[:points], tau[:points]
+
+
 def _columns(s: Scenario, n_steps: int, dt: float) -> tuple[tuple[float, ...], ...]:
     """Years, wealth, emissions and perturbation on the grid start + i*dt.
 
-    Wealth is ``w0*exp(eta_w*(t - start))`` and emissions ``lambda*c*W`` with
-    carbonization ``c0*exp(eta_c*(t - start))``, each grid wealth reused in its
-    emissions. The emissions grow at eta_w + eta_c, so each RK4 step is the
-    same affine map ``_rk4_affine`` of the perturbation and the step's
-    starting emissions.
+    Wealth is ``w0*exp(eta_w*x)`` and emissions ``lambda*c*W`` with
+    carbonization ``c0*exp(eta_c*x)``, where ``x = t - start`` is the grid
+    offset, each grid wealth reused in its emissions. The years and offsets
+    come from ``_grid``, which reuses them across runs on one (start, dt)
+    without changing a bit. The emissions grow at eta_w + eta_c, so each RK4
+    step is the same affine map ``_rk4_affine`` of the perturbation and the
+    step's starting emissions.
     """
     start, w0, eta_w = s.start_year, s.w0, s.eta_w
     lam, c0, eta_c = s.lambda_ej, s.c0, s.eta_c
@@ -297,13 +335,11 @@ def _columns(s: Scenario, n_steps: int, dt: float) -> tuple[tuple[float, ...], .
             f"a grid from start year {start!r} in steps of {dt!r} years would not"
             " have strictly increasing years"
         )
-    years = tuple([start + i * dt for i in range(n_steps + 1)])
+    years, tau = _grid(start, dt, n_steps + 1)
     params = s.carbon_params
     try:
-        wealth = tuple([w0 * exp(eta_w * (t - start)) for t in years])
-        emissions = tuple(
-            [lam * (c0 * exp(eta_c * (t - start))) * w for t, w in zip(years, wealth)]
-        )
+        wealth = tuple([w0 * exp(eta_w * x) for x in tau])
+        emissions = tuple([lam * (c0 * exp(eta_c * x)) * w for x, w in zip(tau, wealth)])
         # The map's source grows at eta_w + eta_c, which can overflow over one
         # step even where neither column does.
         a, p = _rk4_affine(dt, params.kappa_a, params.sigma, eta_w + eta_c)
@@ -331,7 +367,9 @@ def run_scenario(s: Scenario) -> Trajectory:
     perturbation takes classical RK4 steps along the exponential emissions
     path; each step is applied as RK4's one-step affine map (``_rk4_affine``),
     whose two coefficients are computed once per run, so no midpoint
-    emissions are sampled.
+    emissions are sampled. The grid's years and offsets are reused across
+    runs with the same start and step (``_grid``), with the same bits as
+    a grid built afresh.
     The trajectory holds only these columns and is itself the sequence of its
     points: it builds no ``TrajectoryPoint`` until one is indexed, iterated or
     read through ``at_year``.
@@ -462,10 +500,13 @@ def steady_state_commitment(
     Both phases take ``time_grid``'s step count but step by ``dt`` itself, so
     a phase that ``dt`` does not divide runs up to one step past its span.
     """
+    if not (finite(settle_years) and settle_years > 0):
+        raise DomainError(f"settle_years must be finite and positive, got {shown(settle_years)}")
     if not finite(freeze_year):
         raise DomainError(f"freeze year must be finite, got {shown(freeze_year)}")
     if not s.start_year <= freeze_year:
         raise DomainError("freeze year precedes the scenario start")
+    tail_steps = time_grid(settle_years, s.dt)[0]
     head = _columns(s, time_grid(freeze_year - s.start_year, s.dt)[0], s.dt)
     frozen = s._replace(
         start_year=freeze_year,
@@ -476,7 +517,7 @@ def steady_state_commitment(
         eta_c=0.0,
         delta0=head[-1][-1],
     )
-    tail = _columns(frozen, time_grid(settle_years, s.dt)[0], s.dt)
+    tail = _columns(frozen, tail_steps, s.dt)
     return SteadyStateResult(
         trajectory=Trajectory(frozen, *(a[:-1] + b for a, b in zip(head, tail))),
         freeze_year=freeze_year,
@@ -522,8 +563,10 @@ def historical_spinup_delta(
             f"end_year must be an int in [{emissions.first_year}, {emissions.last_year + 1}],"
             f" got {shown(end_year)}"
         )
-    n = time_grid(1.0, dt)[0]
     years = last - emissions.first_year
+    # A run that is over the cap stops before time_grid: at a dt under 1e-7 one
+    # year alone is past time_grid's cap, whose message names a 1-year horizon.
+    n = time_grid(1.0, dt)[0] if years / dt <= MAX_GRID_POINTS else MAX_GRID_POINTS + 1
     if years * n > MAX_GRID_POINTS:
         raise DomainError(
             f"a {years}-year spin-up at dt={dt!r} needs more than {MAX_GRID_POINTS} steps"

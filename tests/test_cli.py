@@ -607,6 +607,17 @@ def test_project_grid_past_the_cap_exits_1_before_building_it(tmp_path, capsys, 
     assert_one_error_line(code, capsys, f"needs more than {projection.MAX_GRID_POINTS} grid points")
 
 
+@pytest.mark.parametrize("dt", ["1e-7", "2e-7"])
+def test_spinup_past_the_cap_reports_its_own_step_count(tmp_path, capsys, dt):
+    # At 1e-7 one year alone is past the cap; at 2e-7 only the 58 years are.
+    from enerscale import projection
+
+    code = main(["project", "--preset", "paper-2017", "--spinup", "--dt", dt, "--horizon", "0.5",
+                 "--out", str(tmp_path / "s.csv")])
+    assert_one_error_line(code, capsys, f"a 58-year spin-up at dt={float(dt)!r} needs more than"
+                                        f" {projection.MAX_GRID_POINTS} steps")
+
+
 def test_project_curve_points_past_the_cap_exit_1_before_building_them(tmp_path, capsys,
                                                                        monkeypatch):
     from enerscale import projection

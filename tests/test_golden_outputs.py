@@ -25,7 +25,10 @@ what the curve reads (``lambda_gw``, ``c0``, ``sigma``, ``kappa_a``,
 refactor must reproduce them byte for byte. A change that alters an output
 on purpose updates the digest here and says in CHANGES.md which output moved and why.
 Run manifests hold absolute paths, so they are hashed after the output root
-and the checkout's ``src`` directory are replaced by fixed placeholders.
+and the checkout's ``src`` directory are replaced by fixed placeholders. The
+commands, the masking and the hashing live in ``golden.py``, which needs only
+the standard library: this module runs it in-process, and as a script under
+each ``python3.10``-``python3.13`` on ``PATH``.
 
 The benchmark's ``reproduce`` workload refuses a run whose outputs differ in
 structure from ``perfbench/reference.json``: another set of CSV and JSON
@@ -35,19 +38,19 @@ that structure here, values aside.
 """
 
 import contextlib
-import hashlib
 import importlib.util
 import io
 import json
+import os
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
+import golden
 import pytest
 
-import enerscale
 from enerscale.cli import EXIT_OK, main
-
-SRC = str(Path(enerscale.__file__).resolve().parents[1])
 
 GOLDEN = {
     "calibrate/calibrate.json": "297e9f593fcaa3b3d8ba79fcb408668db87b025e67a3d7f5df2bd3f4336504a7",
@@ -98,42 +101,9 @@ GOLDEN = {
 }
 
 
-def commands(root):
-    project = root / "project"
-    return [
-        ["ingest", "--out-dir", str(root / "ingest")],
-        ["reconstruct", "--out-dir", str(root / "reconstruct")],
-        ["calibrate", "--out", str(root / "calibrate" / "calibrate.json")],
-        *[["tables", "--table", str(n), "--out-dir", str(root / "tables")] for n in range(1, 6)],
-        ["report", "--out-dir", str(root / "report")],
-        ["project", "--preset", "paper-2017", "--out", str(project / "trajectory.csv")],
-        ["project", "--preset", "paper-2017", "--curve", "--out", str(project / "curve.csv")],
-        ["project", "--preset", "paper-2017", "--spinup", "--out", str(project / "spinup.csv")],
-    ]
-
-
-def masked(path, root):
-    """File bytes, with a run manifest's absolute paths replaced by placeholders."""
-    data = path.read_bytes()
-    if path.name.endswith("manifest.json"):
-        data = data.replace(str(root).encode(), b"<out>").replace(SRC.encode(), b"<src>")
-    return data
-
-
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden")
-    digests = {}
-    for argv in commands(root):
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            assert main(argv) == EXIT_OK, argv
-        if argv[0] == "calibrate":
-            digests["calibrate/stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
-    for p in root.rglob("*"):
-        if p.is_file():
-            digests[p.relative_to(root).as_posix()] = hashlib.sha256(masked(p, root)).hexdigest()
-    return digests
+    return golden.digests(tmp_path_factory.mktemp("golden"))
 
 
 def test_every_golden_output_is_written(outputs):
@@ -143,6 +113,33 @@ def test_every_golden_output_is_written(outputs):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_is_byte_identical(outputs, name):
     assert outputs[name] == GOLDEN[name]
+
+
+#: The interpreters the digests are checked on, from ``requires-python = ">=3.10"`` to 3.13.
+INTERPRETERS = [f"python3.{minor}" for minor in range(10, 14)]
+
+
+@pytest.mark.parametrize("name", INTERPRETERS)
+def test_interpreter_writes_the_golden_bytes(name):
+    """``golden.py`` as a child of each interpreter on PATH gives every golden digest.
+
+    The running interpreter always runs; another that is not on PATH, or that
+    cannot report its own version, is skipped by name.
+    """
+    running = f"python3.{sys.version_info.minor}"
+    exe = sys.executable if name == running else shutil.which(name)
+    if exe is None:
+        pytest.skip(f"{name} is not on PATH")
+    env = {**os.environ, "PYTHONPATH": golden.src_dir()}
+    probe = subprocess.run([exe, "-c", "import sys; print('python%d.%d' % sys.version_info[:2])"],
+                           env=env, capture_output=True, text=True, timeout=60)
+    if probe.stdout.strip() != name:
+        reason = (probe.stderr.strip() or probe.stdout.strip() or f"exit {probe.returncode}")
+        pytest.skip(f"{name} at {exe} does not run as {name}: {reason.splitlines()[0]}")
+    child = subprocess.run([exe, golden.__file__], env=env, capture_output=True, text=True,
+                           timeout=300)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == GOLDEN
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+import threading
 from functools import partial
 
 import pytest
@@ -436,6 +439,104 @@ def test_commitment_dominates_realized_path(eta_w, eta_c, delta0_frac):
         assert point.delta_co2 <= point.committed_delta * (1.0 + 1e-12)
 
 
+# ------------------------------------------------------------------ grid cache
+
+CACHE_HORIZONS = (40.0, 100.0, 200.0)
+CACHE_DTS = (1.0, 0.5, 0.4, 0.3, 0.25, 0.1, 0.01)
+
+
+@pytest.fixture
+def grids(monkeypatch):
+    """An empty grid cache for the test, the module's own restored after it."""
+    cache = {}
+    monkeypatch.setattr(projection, "_grids", cache)
+    return cache
+
+
+def _hex_columns(h, dt):
+    """A run's and a steady state's columns (its head and tail phases) by ``float.hex``."""
+    s = scenario(horizon_years=h, dt=dt, eta_c=-0.013)
+    runs = (run_scenario(s), steady_state_commitment(s, 2017.0 + h / 2, h / 2).trajectory)
+    return [[list(map(float.hex, column)) for column in (t.years, t.wealth, t.emissions, t.deltas)]
+            for t in runs]
+
+
+def test_cached_grids_give_a_cold_caches_columns_in_any_order(grids):
+    # dt 0.3 and 0.4 do not divide the horizons: those runs step by h/n, each its own key.
+    cases = [(h, dt) for h in CACHE_HORIZONS for dt in CACHE_DTS]
+    cold = {}
+    for case in cases:
+        grids.clear()
+        cold[case] = _hex_columns(*case)
+    grids.clear()
+    for seed in (1, 2):
+        order = random.Random(seed).sample(cases, len(cases))
+        for case in order:
+            assert _hex_columns(*case) == cold[case], case
+
+
+def test_a_short_run_is_unchanged_by_a_longer_run_on_its_grid(grids):
+    before = run_scenario(scenario(horizon_years=40.0, dt=0.01))
+    run_scenario(scenario(horizon_years=200.0, dt=0.01))
+    after = run_scenario(scenario(horizon_years=40.0, dt=0.01))
+    assert after == before
+    assert len(grids) == 1 and len(next(iter(grids.values()))[0]) == 20001
+
+
+def test_grid_cache_stays_within_its_budget(grids):
+    budget = projection._GRID_BUDGET
+    for i in range(60):  # 60 distinct grids of 2,001 points each
+        start = 2000.0 + i
+        run_scenario(scenario(start_year=start, horizon_years=100.0, dt=0.05))
+        assert sum(len(years) for years, _ in grids.values()) <= budget
+    # The least recently used grids went first.
+    assert (float, 2059.0, float, 0.05) in grids and (float, 2000.0, float, 0.05) not in grids
+    longest = run_scenario(scenario(horizon_years=budget, dt=1.0, eta_w=0.001))
+    assert longest.years[-1] == 2017.0 + budget
+    # A grid longer than the budget is not kept, and evicts nothing.
+    assert (float, 2017.0, float, 1.0) not in grids and (float, 2059.0, float, 0.05) in grids
+
+
+def test_threads_sharing_the_grid_cache_get_a_cold_caches_columns(grids, monkeypatch):
+    # The cases' grids hold 2,940 points in all, so the threads also evict.
+    monkeypatch.setattr(projection, "_GRID_BUDGET", 2000)
+    cases = [scenario(start_year=start, horizon_years=h, dt=dt)
+             for start in (2017.0, 2031.0) for dt in (0.05, 0.3) for h in (20.0, 60.0)]
+    cold = []
+    for s in cases:
+        grids.clear()
+        cold.append(run_scenario(s))
+    grids.clear()
+    wrong, runs = [], []
+
+    def worker(seed):
+        for i in random.Random(seed).choices(range(len(cases)), k=40):
+            if run_scenario(cases[i]) != cold[i]:
+                wrong.append(cases[i])
+            runs.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == [] and len(runs) == 6 * 40
+    assert sum(len(years) for years, _ in grids.values()) <= projection._GRID_BUDGET
+
+
+def test_an_int_grid_is_not_served_to_a_float_run(grids):
+    s = scenario(start_year=2017, dt=1, horizon_years=5.0)
+    assert [type(t) for t in run_scenario(s).years] == [int] * 6
+    floats = run_scenario(s._replace(start_year=2017.0, dt=1.0)).years
+    assert [type(t) for t in floats] == [float] * 6
+
+
 # ------------------------------------------------------------- committed curve
 
 def test_committed_curve_monotone_and_linear():
@@ -618,6 +719,23 @@ def test_freeze_year_must_be_finite(freeze_year):
 def test_freeze_year_before_start_rejected():
     with pytest.raises(DomainError, match="freeze year precedes the scenario start"):
         steady_state_commitment(scenario(), freeze_year=2000.0)
+
+
+def _not_built(*args):
+    raise AssertionError("a phase was built before settle_years was checked")
+
+
+@pytest.mark.parametrize("settle_years, error", [
+    (0.0, "settle_years must be finite and positive"),
+    (-5.0, "settle_years must be finite and positive"),
+    (math.nan, "settle_years must be finite and positive"),
+    (math.inf, "settle_years must be finite and positive"),
+    (1e9, f"needs more than {MAX_GRID_POINTS} grid points"),
+], ids=["zero", "negative", "nan", "inf", "past-the-cap"])
+def test_settle_years_is_checked_before_the_growth_phase(monkeypatch, settle_years, error):
+    monkeypatch.setattr(projection, "_columns", _not_built)
+    with pytest.raises(DomainError, match=error):
+        steady_state_commitment(scenario(), freeze_year=2217.0, settle_years=settle_years)
 
 
 def test_off_grid_freeze_joins_phases_in_order():
