@@ -39,7 +39,7 @@ _LAZY = {
     name: module
     for module, names in {
         "units": "EJ_PER_YR_PER_GW Quantity Unit to_unit",
-        "series": "AnnualSeries Period SeriesKind slice_series",
+        "series": "AnnualSeries Period SeriesKind",
         "ingestion": "DataSourceDescriptor ManifestEntry ValidationReport load_manifest"
                      " load_series validate write_series",
         "reconstruction": "NaturalCubicSpline PppMerRatio ReconstructionResult WealthSeries"

@@ -1,32 +1,25 @@
 """Growth-rate estimation, the closed growth identities, carbonization and Kaya.
 
-Every read of a series over a period goes through one reader, ``_window``:
-one series' values, or the per-year ratio of two, over every year of the
-period, so a series short of a year at either end or inside is refused.
-Every period rate is the endpoint log rate ln(x(t1)/x(t0))/(t1-t0) of such a
-window, so the identity eta_Y = eta_E + eta_eps and the Kaya decomposition
-hold exactly. eta_i, the growth of Y/W, reads W from the year before its
-period's start.
+Every read of a series over a period goes through the package's one reader,
+``series.period_values``: one series' values, or the per-year ratio of two,
+over every year of the period, so a series short of a year at either end or
+inside is refused. Every period rate is the endpoint log rate
+ln(x(t1)/x(t0))/(t1-t0) of such a window, so the identity
+eta_Y = eta_E + eta_eps and the Kaya decomposition hold exactly. eta_i, the
+growth of Y/W, reads W from the year before its period's start.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 from .carbon import CarbonCycleParams
-from .errors import DomainError, EmptySlice
+from .errors import DomainError
 from .reconstruction import WealthSeries
 from .records import Record
 from .scaling import scaling_series, scaling_stats
-from .series import (
-    AnnualSeries,
-    Period,
-    mean,
-    require_every_year,
-    sample_std,
-)
+from .series import AnnualSeries, Period, mean, period_values, sample_std
 from .units import Unit, to_unit
 
 
@@ -59,52 +52,21 @@ def _log_rate(window: Sequence[float], p: Period) -> float:
     return math.log(ratio) / p.span
 
 
-def _window(
-    s: AnnualSeries, p: Period, what: str, per: AnnualSeries | None = None
-) -> Sequence[float]:
-    """Values of ``s`` over every year of ``p``, or with ``per`` the per-year
-    ratio s/per.
-
-    Energy in GW is read in EJ/yr, each value converted on its own, so every
-    ratio to energy divides the same bits. Raises EmptySlice, naming the
-    first missing year, unless the series hold every year of ``p``, and
-    DomainError for a ratio that is 0 or not finite.
-    """
-    cuts = []
-    for series in (s,) if per is None else (s, per):
-        years = series.years
-        lo, hi = bisect_left(years, p.start_year), bisect_right(years, p.end_year)
-        if lo == hi:
-            raise EmptySlice(f"no {what} inside {p}")
-        require_every_year(years[lo:hi], p, what)
-        cuts.append(series.values[lo:hi])
-    if per is None:
-        return cuts[0]
-    n_values, d_values = cuts
-    if per.unit is Unit.GW:
-        d_values = [to_unit(d, per.unit, Unit.EJ_PER_YR) for d in d_values]
-    window = []
-    for year, n, d in zip(range(p.start_year, p.end_year + 1), n_values, d_values):
-        ratio = n / d if d else math.inf  # a GW value converted to EJ/yr may underflow to 0
-        if not 0.0 < ratio < math.inf:
-            raise DomainError(f"{what}: {n!r}/{d!r} in {year} is not a positive finite ratio")
-        window.append(ratio)
-    return window
-
-
 def growth_rate(s: AnnualSeries, p: Period) -> float:
     """Endpoint log growth of ``s`` over the closed period ``p``, in 1/yr.
 
     Raises EmptySlice unless ``s`` holds every year of ``p``.
     """
-    return _log_rate(_window(s, p, f"{s.kind.value} series"), p)
+    return _log_rate(period_values(s, p, f"{s.kind.value} series"), p)
 
 
 def _eta_i(w: AnnualSeries, p: Period) -> float:
     """Endpoint log growth of Y/W over ``p``, read from W over [t0-1, t1]:
     accumulation makes Y(t) = W(t) - W(t-1). W strictly increases, so each
     Y/W is in (0, 1]."""
-    ws = _window(w, Period(p.start_year - 1, p.end_year), f"wealth series for eta_i over {p}")
+    ws = period_values(
+        w, Period(p.start_year - 1, p.end_year), f"wealth series for eta_i over {p}"
+    )
     return _log_rate([(ws[i] - ws[i - 1]) / ws[i] for i in (1, len(ws) - 1)], p)
 
 
@@ -128,7 +90,7 @@ def rates_table(
     rows = []
     for p in periods:
         eta_w, eta_e = growth_rate(wealth.series, p), growth_rate(energy, p)
-        eps = _window(gdp, p, "productivity series", per=energy)
+        eps = period_values(gdp, p, "productivity series", per=energy)
         lambda_eps = lam_ej * mean(eps)
         if lambda_eps == math.inf:
             raise DomainError(f"lambda*eps over {p} exceeds the float range")
@@ -182,9 +144,9 @@ def carbonization(
 
     Raises EmptySlice unless both ratios hold every year of ``p``.
     """
-    intensity = _window(emissions, p, "carbonization series", per=energy)
+    intensity = period_values(emissions, p, "carbonization series", per=energy)
     eta_c = _log_rate(intensity, p)
-    per_wealth = _window(emissions, p, "emissions/wealth overlap", per=wealth.series)
+    per_wealth = period_values(emissions, p, "emissions/wealth overlap", per=wealth.series)
     in_window = [r * params.kappa_a * 1e3 for r in per_wealth]  # per quadrillion = 1000 T$
     return CarbonizationEstimate(
         period=p,
@@ -240,8 +202,10 @@ def kaya_decomposition(
     return KayaComponents(
         period=p,
         eta_pop=growth_rate(pop, p),
-        eta_affluence=_log_rate(_window(gdp, p, "affluence series", per=pop), p),
-        eta_productivity=_log_rate(_window(gdp, p, "productivity series", per=energy), p),
-        eta_carbonization=_log_rate(_window(emissions, p, "carbonization series", per=energy), p),
+        eta_affluence=_log_rate(period_values(gdp, p, "affluence series", per=pop), p),
+        eta_productivity=_log_rate(period_values(gdp, p, "productivity series", per=energy), p),
+        eta_carbonization=_log_rate(
+            period_values(emissions, p, "carbonization series", per=energy), p
+        ),
         eta_emissions=growth_rate(emissions, p),
     )

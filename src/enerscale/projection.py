@@ -564,6 +564,8 @@ def historical_spinup_delta(
             f" got {shown(end_year)}"
         )
     years = last - emissions.first_year
+    if not years:  # no step to take, so no grid to build at any dt
+        return delta0
     # A run that is over the cap stops before time_grid: at a dt under 1e-7 one
     # year alone is past time_grid's cap, whose message names a 1-year horizon.
     n = time_grid(1.0, dt)[0] if years / dt <= MAX_GRID_POINTS else MAX_GRID_POINTS + 1

@@ -26,14 +26,13 @@ from typing import Iterable, Sequence
 
 from .errors import (
     DomainError,
-    EmptySlice,
     GapError,
     KindError,
     MissingYearOne,
     TooFewPoints,
 )
 from .records import Record
-from .series import AnnualSeries, Period, SeriesKind, aligned_values, mean
+from .series import AnnualSeries, Period, SeriesKind, mean, period_values
 from .units import Quantity, Unit, finite, shown
 
 #: Ancient population growth rate (fraction/yr): ~10 million more people per
@@ -155,12 +154,11 @@ class WealthSeries(Record):
 def estimate_ppp_mer_ratio(
     ppp: AnnualSeries, mer: AnnualSeries, window: Period
 ) -> PppMerRatio:
-    """Mean of annual PPP/MER ratios over the overlap window."""
-    try:
-        _, ppp_values, mer_values = aligned_values(ppp, mer, window)
-    except EmptySlice:
-        raise EmptySlice(f"PPP and MER series share no years in {window}") from None
-    ratios = list(map(operator.truediv, ppp_values, mer_values))
+    """Mean of annual PPP/MER ratios over every year of the overlap window.
+
+    Raises EmptySlice unless both series hold every year of ``window``.
+    """
+    ratios = period_values(ppp, window, "PPP/MER overlap", per=mer)
     return PppMerRatio(value=mean(ratios), window=window)
 
 

@@ -22,9 +22,8 @@ from .series import (
     aligned_values,
     log_slope,
     mean,
-    require_every_year,
+    period_values,
     sample_std,
-    slice_series,
 )
 from .units import Quantity, Unit, finite, shown, to_unit
 
@@ -65,16 +64,15 @@ def scaling_stats(ls: AnnualSeries, p: Period) -> ScalingEstimate:
 
     Raises EmptySlice unless ``ls`` holds every year of ``p``.
     """
-    window = slice_series(ls, p)
-    require_every_year(window.years, p, "scaling series")
-    std = sample_std(window.values)
+    values = period_values(ls, p, "scaling series")
+    std = sample_std(values)
     unit = ls.unit
     return ScalingEstimate(
         period=p,
-        mean=Quantity(mean(window.values), unit),
+        mean=Quantity(mean(values), unit),
         std=Quantity(std, unit),
-        ci95_halfwidth=Quantity(1.96 * std / math.sqrt(len(window)), unit),
-        trend_per_year=log_slope(window.years, window.values),
+        ci95_halfwidth=Quantity(1.96 * std / math.sqrt(len(values)), unit),
+        trend_per_year=log_slope(range(p.start_year, p.end_year + 1), values),
     )
 
 

@@ -6,7 +6,8 @@ All series types are immutable; every operation returns a new series.
 Values are tuples of Python floats; a year is found in a series by
 bisection of its increasing years. The mean, sample standard deviation and OLS
 log slope that the analysis layers share are defined here once, and so is the
-rule that a statistic over a period needs every year of it.
+package's one period reader, ``period_values``: a statistic over a period
+reads every year of it, or is refused.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 
 from .errors import DomainError, EmptySlice, InvalidPeriod, KindError
 from .records import Record
-from .units import Unit, shown
+from .units import Unit, shown, to_unit
 
 
 class SeriesKind(str, Enum):
@@ -204,31 +205,15 @@ class AnnualSeries(Record):
         return AnnualSeries(self.kind, self.unit, tuple(years), tuple(values))
 
 
-def slice_series(s: AnnualSeries, p: Period) -> AnnualSeries:
-    """Restrict ``s`` to the closed year interval of ``p``.
-
-    Raises EmptySlice when the period does not overlap the series.
-    """
-    lo = bisect_left(s.years, p.start_year)
-    hi = bisect_right(s.years, p.end_year)
-    if lo >= hi:
-        raise EmptySlice(
-            f"period {p} does not overlap series covering {s.first_year}-{s.last_year}"
-        )
-    return s.with_data(s.years[lo:hi], s.values[lo:hi])
-
-
 def aligned_values(
-    a: AnnualSeries, b: AnnualSeries, p: Period | None = None
+    a: AnnualSeries, b: AnnualSeries
 ) -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
-    """Values of both series on their common years, within ``p`` when given.
+    """Values of both series on their common years.
 
-    Both series are cut by bisection to the span they share (inside ``p``),
-    their years are intersected, and each value is read with ``value_at``.
+    Both series are cut by bisection to the span they share, their years are
+    intersected, and each value is read with ``value_at``.
     """
     first, last = max(a.first_year, b.first_year), min(a.last_year, b.last_year)
-    if p is not None:
-        first, last = max(first, p.start_year), min(last, p.end_year)
     a_years = a.years[bisect_left(a.years, first) : bisect_right(a.years, last)]
     b_years = b.years[bisect_left(b.years, first) : bisect_right(b.years, last)]
     years = tuple(sorted(set(a_years).intersection(b_years)))
@@ -237,18 +222,43 @@ def aligned_values(
     return years, tuple(map(a.value_at, years)), tuple(map(b.value_at, years))
 
 
-def require_every_year(years: Sequence[int], p: Period, what: str) -> None:
-    """Raise EmptySlice unless ``years`` (increasing, inside ``p``) are every year of ``p``.
+def period_values(
+    s: AnnualSeries, p: Period, what: str, per: AnnualSeries | None = None
+) -> Sequence[float]:
+    """Values of ``s`` over every year of ``p``, or with ``per`` the per-year
+    ratio s/per.
 
-    A period statistic means the whole span, so a window short of a year at
-    either end or inside is refused rather than averaged over what it holds.
+    A period statistic means the whole span, so a series short of a year at
+    either end or inside is refused with EmptySlice, naming the first missing
+    year, rather than averaged over what it holds. Energy in GW is read in
+    EJ/yr, each value converted on its own, so every ratio to energy divides
+    the same bits. Raises DomainError for a ratio that is 0 or not finite.
     """
-    if len(years) != p.span + 1:
-        held = set(years)
-        first = next(y for y in range(p.start_year, p.end_year + 1) if y not in held)
-        raise EmptySlice(
-            f"{what} has {len(years)} of the {p.span + 1} years of {p}; {first} is missing"
-        )
+    cuts = []
+    for series in (s,) if per is None else (s, per):
+        years = series.years
+        lo, hi = bisect_left(years, p.start_year), bisect_right(years, p.end_year)
+        if lo == hi:
+            raise EmptySlice(f"no {what} inside {p}")
+        if hi - lo != p.span + 1:
+            held = set(years[lo:hi])
+            first = next(y for y in range(p.start_year, p.end_year + 1) if y not in held)
+            raise EmptySlice(
+                f"{what} has {hi - lo} of the {p.span + 1} years of {p}; {first} is missing"
+            )
+        cuts.append(series.values[lo:hi])
+    if per is None:
+        return cuts[0]
+    n_values, d_values = cuts
+    if per.unit is Unit.GW:
+        d_values = [to_unit(d, per.unit, Unit.EJ_PER_YR) for d in d_values]
+    window = []
+    for year, n, d in zip(range(p.start_year, p.end_year + 1), n_values, d_values):
+        ratio = n / d if d else math.inf  # a GW value converted to EJ/yr may underflow to 0
+        if not 0.0 < ratio < math.inf:
+            raise DomainError(f"{what}: {n!r}/{d!r} in {year} is not a positive finite ratio")
+        window.append(ratio)
+    return window
 
 
 def _sum(values) -> float:

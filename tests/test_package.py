@@ -27,7 +27,7 @@ PUBLIC_NAMES = [
     "load_series", "max_carbonization", "max_carbonization_coefficient", "ppp_to_mer",
     "projection", "rates_table", "reconstruct_production",
     "reconstruction", "required_clean_capacity", "run_scenario", "scaling",
-    "scaling_series", "scaling_stats", "series", "slice_series", "spline_infill",
+    "scaling_series", "scaling_stats", "series", "spline_infill",
     "steady_state_commitment", "step_atmosphere", "to_unit", "units", "validate",
     "w1_sensitivity", "write_series",
 ]
@@ -204,8 +204,8 @@ def test_the_rename_check_sees_only_a_bare_forwarding_call(source, renames):
     assert renaming_functions(source) == (["f"] if renames else [])
 
 
-#: The series-layer reads that ``growth`` makes only through its period reader.
-SERIES_READS = {"aligned_values", "slice_series", "value_at", "has_year", "require_every_year"}
+#: The series-layer reads that the analysis modules make only through their readers.
+SERIES_READS = {"aligned_values", "value_at", "has_year"}
 
 
 def series_readers(source: str) -> set[str]:
@@ -222,9 +222,19 @@ def series_readers(source: str) -> set[str]:
     return found
 
 
-def test_growth_reads_a_series_over_a_period_only_through_its_window():
-    source = (Path(enerscale.__file__).parent / "growth.py").read_text(encoding="utf-8")
-    assert series_readers(source) == {"_window"}
+def test_analysis_modules_read_series_only_through_their_readers():
+    """A period is read through ``series.period_values``; beyond it only the
+    scaling series aligns two series, and only year 1's production is looked up."""
+    root = Path(enerscale.__file__).parent
+    readers = {
+        module: series_readers((root / module).read_text(encoding="utf-8"))
+        for module in ("growth.py", "scaling.py", "reconstruction.py")
+    }
+    assert readers == {
+        "growth.py": set(),
+        "scaling.py": {"scaling_series"},
+        "reconstruction.py": {"_year_one_production"},
+    }
 
 
 @pytest.mark.parametrize("source, readers", [
@@ -232,8 +242,8 @@ def test_growth_reads_a_series_over_a_period_only_through_its_window():
     ("def rate(s, p):\n    return s.value_at(p.end_year)", {"rate"}),
     ("def rate(s, p):\n    def inner():\n        return s.has_year(1)\n    return inner()",
      {"rate"}),
-    ("class Row:\n    def f(self, s, p):\n        return slice_series(s, p)", {"Row"}),
-    ("x = require_every_year((), p, 'w')", {"<module>"}),
+    ("class Row:\n    def f(self, s, p):\n        return aligned_values(s, p)", {"Row"}),
+    ("x = s.has_year(1)", {"<module>"}),
     ("def rate(s, p):\n    return _window(s, p)", set()),
     ("def rate(s):\n    return s.values[0]", set()),
 ])

@@ -812,6 +812,13 @@ def test_spinup_end_year_spans_the_whole_record(snapshot):
     assert through_2017 > _spinup_from_1959(snapshot, 0.25)
 
 
+@pytest.mark.parametrize("dt", [1e-7, 0.25], ids=str)
+def test_a_zero_year_spinup_returns_delta0_at_any_dt(snapshot, dt):
+    """It takes no step, so no grid is built: at dt 1e-7 a one-year grid is past the cap."""
+    first = snapshot.emissions.first_year
+    assert historical_spinup_delta(snapshot.emissions, end_year=first, delta0=12.5, dt=dt) == 12.5
+
+
 @pytest.mark.parametrize("delta0", [math.nan, math.inf,
                                     pytest.param(10**400, id="int-too-large")])
 def test_spinup_rejects_non_finite_delta0(snapshot, delta0):

@@ -15,7 +15,7 @@ from enerscale.reconstruction import (
     estimate_ppp_mer_ratio,
     ppp_to_mer,
 )
-from enerscale.series import AnnualSeries, Period, SeriesKind, slice_series
+from enerscale.series import AnnualSeries, Period, SeriesKind
 from enerscale.tables import SCALING_PERIODS
 from enerscale.units import Quantity, Unit
 
@@ -44,11 +44,20 @@ def test_ratio_constant_multiple():
 
 
 def test_ratio_window_missing_a_series_names_the_window():
-    """The window used to be sliced first, so a miss raised slice_series' message."""
     mer = gdp_series(range(1970, 1975), [2.0, 3.0, 4.0, 5.0, 6.0])
     ppp = gdp_series(range(1980, 1985), [3.0, 4.5, 6.0, 7.5, 9.0], SeriesKind.GDP_PPP)
-    with pytest.raises(EmptySlice, match="PPP and MER series share no years in 1980-1984"):
+    with pytest.raises(EmptySlice, match="no PPP/MER overlap inside 1980-1984"):
         estimate_ppp_mer_ratio(ppp, mer, Period(1980, 1984))
+
+
+def test_ratio_refuses_a_window_short_of_a_year(snapshot):
+    """The bundled PPP less 1980 holds 22 of the 23 years of 1970-1992: the
+    ratio is refused rather than averaged over the rest."""
+    ppp = snapshot.gdp_ppp
+    years = [y for y in ppp.years if y != 1980]
+    short = ppp.with_data(years, [ppp.value_at(y) for y in years])
+    with pytest.raises(EmptySlice, match="22 of the 23 years of 1970-1992; 1980 is missing"):
+        estimate_ppp_mer_ratio(short, snapshot.gdp_mer, Period(1970, 1992))
 
 
 def test_ratio_must_be_positive():
@@ -188,7 +197,10 @@ def test_windowed_wealth_is_the_whole_series_cut_to_the_period(recon, period):
     """Table 1's periods, and periods reaching before the first year, past the last, or both."""
     whole = cumulative_production(recon.gdp, recon.w1)
     window = cumulative_production(recon.gdp, recon.w1, period)
-    assert window.series == slice_series(whole.series, period)
+    s = whole.series  # contiguous, so a year's index is its offset from the first
+    lo = max(period.start_year, s.first_year) - s.first_year
+    hi = min(period.end_year, s.last_year) - s.first_year + 1
+    assert window.series == s.with_data(s.years[lo:hi], s.values[lo:hi])
     assert (window.w1, window.method) == (whole.w1, whole.method)
 
 

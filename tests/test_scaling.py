@@ -222,11 +222,9 @@ YEARS_1_TO_2017 = tuple(range(1, 2018))
                      250.0, 1.0, Period(1980, 1990), DomainError, "series values must be finite",
                      id="sum-overflows-in-the-last-year"),
         pytest.param(None, 250.0, 1.0, Period(1900, 1950), EmptySlice,
-                     "period 1900-1950 does not overlap series covering 1980-2017",
-                     id="period-before-energy"),
+                     "no scaling series inside 1900-1950", id="period-before-energy"),
         pytest.param(None, 250.0, 1.0, Period(2020, 2030), EmptySlice,
-                     "period 2020-2030 does not overlap series covering 1980-2017",
-                     id="period-after-gdp"),
+                     "no scaling series inside 2020-2030", id="period-after-gdp"),
     ],
 )
 def test_sensitivity_raises_what_the_full_series_raises(recon, gdp, w1, factor, period, error,

@@ -16,8 +16,8 @@ from enerscale.series import (
     aligned_values,
     log_slope,
     mean,
+    period_values,
     sample_std,
-    slice_series,
 )
 from enerscale.units import Unit
 
@@ -183,25 +183,25 @@ def test_energy_accepts_both_units():
     make_series(2000, 2001, unit=Unit.GW)
 
 
-# --------------------------------------------------------------------- slice
+# ------------------------------------------------------------- period reader
 
 def test_slice_standard_window():
     s = make_series(1970, 2017)
-    out = slice_series(s, Period(1980, 2017))
+    s = s.with_data(s.years, [float(y) for y in s.years])
+    out = period_values(s, Period(1980, 2017), "energy series")
     assert len(out) == 38
-    assert out.first_year == 1980 and out.last_year == 2017
+    assert out[0] == 1980.0 and out[-1] == 2017.0
 
 
 def test_slice_identity():
     s = make_series(1970, 2017)
-    out = slice_series(s, Period(1970, 2017))
-    assert out == s
+    assert period_values(s, Period(1970, 2017), "energy series") == s.values
 
 
 def test_slice_disjoint_raises():
     s = make_series(1970, 2017)
-    with pytest.raises(EmptySlice):
-        slice_series(s, Period(2020, 2030))
+    with pytest.raises(EmptySlice, match="no energy series inside 2020-2030"):
+        period_values(s, Period(2020, 2030), "energy series")
 
 
 years_strategy = st.integers(min_value=1, max_value=2100)
@@ -227,7 +227,7 @@ def annual_series(draw, min_size=2, max_size=40):
 def test_slice_never_mutates_input(s):
     before = (s.years, s.values)
     try:
-        slice_series(s, Period(s.first_year, s.first_year + 1))
+        period_values(s, Period(s.first_year, s.first_year + 1), "energy series")
     except EmptySlice:
         pass
     assert (s.years, s.values) == before
@@ -235,15 +235,21 @@ def test_slice_never_mutates_input(s):
 
 @given(s=annual_series(min_size=1), start=years_strategy, span=st.integers(1, 300))
 def test_slice_keeps_the_points_inside(s, start, span):
+    """The points inside ``p`` when they are every year of it; otherwise the
+    first year of ``p`` that ``s`` lacks is named."""
     p = Period(start, start + span)
     inside = [(y, v) for y, v in zip(s.years, s.values) if p.start_year <= y <= p.end_year]
     if not inside:
-        with pytest.raises(EmptySlice, match="does not overlap"):
-            slice_series(s, p)
+        with pytest.raises(EmptySlice, match=f"no energy series inside {p}"):
+            period_values(s, p, "energy series")
         return
-    out = slice_series(s, p)
-    assert list(zip(out.years, out.values)) == inside
-    assert (out.kind, out.unit) == (s.kind, s.unit)
+    missing = [y for y in range(p.start_year, p.end_year + 1) if not s.has_year(y)]
+    if missing:
+        with pytest.raises(EmptySlice, match=f"has {len(inside)} of the {span + 1} years of {p};"
+                                             f" {missing[0]} is missing"):
+            period_values(s, p, "energy series")
+        return
+    assert period_values(s, p, "energy series") == tuple(v for _, v in inside)
 
 
 # ----------------------------------------------------------------- alignment
@@ -297,19 +303,6 @@ def test_aligned_values_matches_year_intersection(a, b):
     assert list(b_values) == [b.value_at(y) for y in shared]
 
 
-@given(a=either_series, b=either_series, start=st.integers(1, 70), span=st.integers(1, 30))
-def test_aligned_values_within_a_period_keeps_the_shared_years_inside_it(a, b, start, span):
-    p = Period(start, start + span)
-    shared = [y for y in sorted(set(a.years) & set(b.years)) if start <= y <= start + span]
-    if not shared:
-        with pytest.raises(EmptySlice, match="series share no years"):
-            aligned_values(a, b, p)
-        return
-    assert aligned_values(a, b, p) == (
-        tuple(shared), tuple(map(a.value_at, shared)), tuple(map(b.value_at, shared))
-    )
-
-
 def test_value_at_missing_year():
     s = make_series(2000, 2005)
     with pytest.raises(EmptySlice):
@@ -349,11 +342,17 @@ def test_value_at_missing_year_inside_gap():
 
 # ------------------------------------------------------------- statistics
 
+def cut(s, first, last):
+    """Years and values of ``s`` from ``first`` to ``last``, both held, by tuple slicing."""
+    lo, hi = s.years.index(first), s.years.index(last) + 1
+    return s.years[lo:hi], s.values[lo:hi]
+
+
 def test_mean_and_std_match_numpy(snapshot, recon):
     samples = [
         snapshot.energy.values,
         recon.wealth.series.values,
-        slice_series(snapshot.emissions, Period(1980, 2017)).values,
+        cut(snapshot.emissions, 1980, 2017)[1],
         (1.0, 1.0 + 2.0**-40, 1.0 - 2.0**-41),
     ]
     for values in samples:
@@ -380,16 +379,16 @@ def _exact_log_slope(xs, ys):
 
 def test_log_slope_matches_polyfit_and_exact(snapshot, recon):
     cases = [
-        slice_series(snapshot.energy, Period(1980, 2017)),
-        slice_series(snapshot.population, Period(1980, 2010)),
-        slice_series(recon.wealth.series, Period(1, 2017)),
-        snapshot.gdp_ppp,  # sparse years
+        cut(snapshot.energy, 1980, 2017),
+        cut(snapshot.population, 1980, 2010),
+        cut(recon.wealth.series, 1, 2017),
+        (snapshot.gdp_ppp.years, snapshot.gdp_ppp.values),  # sparse years
     ]
-    for s in cases:
-        got = log_slope(s.years, s.values)
-        fit = np.polyfit(np.asarray(s.years, dtype=float), np.log(np.asarray(s.values)), 1)[0]
+    for years, values in cases:
+        got = log_slope(years, values)
+        fit = np.polyfit(np.asarray(years, dtype=float), np.log(np.asarray(values)), 1)[0]
         assert got == pytest.approx(fit, rel=1e-12, abs=0.0)
-        exact = _exact_log_slope(s.years, s.values)
+        exact = _exact_log_slope(years, values)
         assert abs(got - exact) <= 4 * math.ulp(exact)
 
 
