@@ -440,32 +440,30 @@ def _cmd_project(args, manifest: RunManifest) -> tuple[str, int]:
 
 def _cmd_report(args, manifest: RunManifest) -> tuple[str, int]:
     from .projection import halving_time, required_clean_capacity, run_scenario
-    from .scaling import scaling_series, scaling_stats
-    from .series import Period
+    from .scaling import HEADLINE_PERIOD, scaling_series, scaling_stats
     from .units import Quantity, Unit
 
     snapshot = datasets.load_snapshot()
     recon = datasets.baseline()
     _record_reconstruction(manifest, recon)
     lam = scaling_series(snapshot.energy, recon.wealth)
-    stats = scaling_stats(lam, Period(1980, 2017))
-    w2017 = recon.wealth.series.value_at(2017)
+    stats = scaling_stats(lam, HEADLINE_PERIOD)
+    w_end = recon.wealth.series.value_at(HEADLINE_PERIOD.end_year)
     years, gdp = recon.gdp.years, recon.gdp.values
     scenario = datasets.preset_scenario()
     trajectory = run_scenario(scenario)
     crossing = trajectory.first_crossing(2.0 * scenario.carbon_params.preindustrial)
-    capacity = required_clean_capacity(
-        Quantity(snapshot.energy.value_at(2017), Unit.EJ_PER_YR), datasets.PRESET_GROWTH
-    )
+    energy = Quantity(snapshot.energy.value_at(datasets.PRESET_START_YEAR), Unit.EJ_PER_YR)
+    capacity = required_clean_capacity(energy, datasets.PRESET_GROWTH)
     payload = {
         "scaling_mean_gw_per_tusd": stats.mean.value,
         "scaling_std": stats.std.value,
         "scaling_ci95_halfwidth": stats.ci95_halfwidth.value,
         "scaling_trend_per_yr": stats.trend_per_year,
         "w1_tusd": recon.w1.value,
-        "wealth_2017_tusd": w2017,
-        "share_first_millennium": sum(gdp[:bisect_right(years, 1000)]) / w2017,
-        "share_1980_2017": sum(gdp[bisect_left(years, 1980):]) / w2017,
+        "wealth_2017_tusd": w_end,
+        "share_first_millennium": sum(gdp[:bisect_right(years, 1000)]) / w_end,
+        "share_1980_2017": sum(gdp[bisect_left(years, HEADLINE_PERIOD.start_year):]) / w_end,
         "committed_concentration_2017_ppmv": trajectory[0].committed_concentration,
         "committed_doubling_year": crossing,
         "committed_concentration_2040_ppmv": trajectory.at_year(2040.0).committed_concentration,

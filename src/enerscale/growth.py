@@ -138,16 +138,17 @@ def carbonization(
     energy: AnnualSeries,
     p: Period,
     wealth: WealthSeries,
-    params: CarbonCycleParams = CarbonCycleParams(),
 ) -> CarbonizationEstimate:
     """Period statistics of carbon intensity and of the emissions/wealth scaling.
 
+    ``lambda_c`` converts with the kappa_a of the default ``CarbonCycleParams()``.
     Raises EmptySlice unless both ratios hold every year of ``p``.
     """
     intensity = period_values(emissions, p, "carbonization series", per=energy)
     eta_c = _log_rate(intensity, p)
     per_wealth = period_values(emissions, p, "emissions/wealth overlap", per=wealth.series)
-    in_window = [r * params.kappa_a * 1e3 for r in per_wealth]  # per quadrillion = 1000 T$
+    kappa_a = CarbonCycleParams().kappa_a
+    in_window = [r * kappa_a * 1e3 for r in per_wealth]  # per quadrillion = 1000 T$
     return CarbonizationEstimate(
         period=p,
         c=mean(intensity),

@@ -204,24 +204,22 @@ def calibrate_initial_wealth(gdp: AnnualSeries, pop_growth: float = ANCIENT_POP_
 
 
 def calibrate_initial_wealth_iterative(
-    gdp: AnnualSeries,
-    pop_growth: float = ANCIENT_POP_GROWTH,
-    initial_guess: float = 1.0,
-    rel_tol: float = 1e-9,
-    max_iterations: int = 100,
+    gdp: AnnualSeries, pop_growth: float = ANCIENT_POP_GROWTH
 ) -> Quantity:
     """Fixed-point iteration W(1) <- Y(1) / eta_W with eta_W = Y(1)/W(1).
 
+    The iteration starts from W(1) = 1.0 T$2010 and stops at the first step
+    that moves W by at most 1e-9 of its new value, within 100 steps.
     Updating with the growth rate implied by the current iterate lands on the
     closed form after one step, so the loop converges immediately; both
     entry points are kept so the agreement can be asserted.
     """
     y1 = _year_one_production(gdp, pop_growth)
-    w = float(initial_guess)
-    for _ in range(max_iterations):
+    w = 1.0
+    for _ in range(100):
         eta = y1 / w
         w_next = w * (eta / pop_growth)
-        if abs(w_next - w) <= rel_tol * abs(w_next):
+        if abs(w_next - w) <= 1e-9 * abs(w_next):
             return Quantity(w_next, Unit.TUSD)
         w = w_next
     raise DomainError("initial-wealth iteration failed to converge")  # pragma: no cover

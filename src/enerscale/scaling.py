@@ -27,6 +27,9 @@ from .series import (
 )
 from .units import Quantity, Unit, finite, shown, to_unit
 
+#: The period of the paper's headline scaling, lambda = E/W = 5.9 +- 0.1 GW per T$2010.
+HEADLINE_PERIOD = Period(1980, 2017)
+
 
 class ScalingEstimate(Record):
     """Scaling statistics over a named period."""
@@ -81,7 +84,7 @@ def w1_sensitivity(
     energy: AnnualSeries,
     w1: Quantity,
     factor: float,
-    p: Period = Period(1980, 2017),
+    p: Period = HEADLINE_PERIOD,
 ) -> ScalingEstimate:
     """Scaling statistics after rescaling the initial stock by ``factor``.
 

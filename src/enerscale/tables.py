@@ -11,7 +11,7 @@ from .carbon import CarbonCycleParams
 from .growth import carbonization, growth_rate, kaya_decomposition, rates_table
 from .reconstruction import ReconstructionResult
 from .records import Record
-from .scaling import scaling_series, scaling_stats
+from .scaling import HEADLINE_PERIOD, scaling_series, scaling_stats
 from .series import Period
 from .datasets import Snapshot
 from .errors import DomainError
@@ -24,9 +24,9 @@ SCALING_PERIODS = (
     Period(2000, 2010),
     Period(2010, 2017),
     Period(1980, 2010),
-    Period(1980, 2017),
+    HEADLINE_PERIOD,
 )
-RATE_PERIODS = (Period(1980, 2010), Period(2010, 2017), Period(1980, 2017))
+RATE_PERIODS = (Period(1980, 2010), Period(2010, 2017), HEADLINE_PERIOD)
 COEFFICIENT_PERIODS = (
     Period(1980, 1990),
     Period(1990, 2000),

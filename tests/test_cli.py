@@ -1027,21 +1027,28 @@ def test_console_run_writes_the_bytes_main_writes(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("module", ["enerscale", "enerscale.cli"])
-@pytest.mark.parametrize("argv, code", [
-    pytest.param(["calibrate"], EXIT_OK, id="ok"),
+@pytest.mark.parametrize("argv, code, stderr", [
+    pytest.param(["calibrate"], EXIT_OK, None, id="ok"),
     pytest.param(["tables", "--table", "3", "--data-dir", "{d}/missing", "--out-dir", "{d}"],
-                 EXIT_RUNTIME, id="runtime"),
+                 EXIT_RUNTIME, None, id="runtime"),
     pytest.param(["ingest", "--manifest", "{d}/manifest.json", "--out-dir", "{d}/out"],
-                 EXIT_VALIDATION, id="validation"),
-    pytest.param(["frobnicate"], EXIT_USAGE, id="usage"),
+                 EXIT_VALIDATION, None, id="validation"),
+    pytest.param(["frobnicate"], EXIT_USAGE, None, id="usage"),
+    # Raised by a command's run, not by argparse: under `-m enerscale.cli` the module
+    # runs as `__main__`, and `main` must still catch the `UsageError` a command raises.
+    pytest.param(["project", "--preset", "paper-2017", "--w0", "5", "--out", "{d}/t.csv"],
+                 EXIT_USAGE, b"usage error: preset trajectory runs do not read --w0\n",
+                 id="run-usage"),
 ])
-def test_console_run_exits_with_mains_code(tmp_path, module, argv, code):
+def test_console_run_exits_with_mains_code(tmp_path, module, argv, code, stderr):
     (tmp_path / "gappy.csv").write_text("year,value\n2000,1.0\n2003,2.0\n", encoding="utf-8")
     (tmp_path / "manifest.json").write_text(json.dumps({
         "gappy": {"path": "gappy.csv", "kind": "energy", "unit": "EJ/yr", "contiguous": True}
     }), encoding="utf-8")
     result = run_module(module, *(a.format(d=tmp_path) for a in argv))
     assert result.returncode == code, result.stderr
+    if stderr is not None:
+        assert result.stderr == stderr
 
 
 def test_console_run_freezes_the_heap_and_still_runs_atexit_handlers():

@@ -249,3 +249,134 @@ def test_analysis_modules_read_series_only_through_their_readers():
 ])
 def test_the_series_read_check_names_each_caller(source, readers):
     assert series_readers(source) == readers
+
+
+PACKAGE = Path(enerscale.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+#: Defaulted parameters that no code outside the tests sets, each with the reason it
+#: stays a parameter. Any other such parameter is a constant.
+UNSET_KEPT = {
+    "cli.RunManifest(version)": "Record.__reduce__ and _replace rebuild a manifest"
+    " through __init__ with every field, so copy and pickle pass it",
+    "cli.RunManifest(inputs)": "as version: copy, pickle and _replace pass every field",
+    "cli.RunManifest(outputs)": "as version: copy, pickle and _replace pass every field",
+    "carbon.CarbonCycleParams(kappa_a)": "a model parameter, recorded in project manifests",
+    "carbon.CarbonCycleParams(preindustrial)": "a model parameter, recorded in project"
+    " manifests",
+    "carbon.CarbonCycleParams(allow_sigma_out_of_band)": "a model parameter; runs with a"
+    " sigma outside the observed band need it",
+    "scaling.w1_sensitivity(p)": "the period of a period statistic, as scaling_stats' is;"
+    " the window-parity cases drive it across the record's edges",
+    "projection.step_atmosphere(params)": "the criterion 07, 09 and 10 tests call it",
+    "projection.step_atmosphere(dt)": "the criterion 07, 09 and 10 tests call it",
+    "projection.committed_equilibrium(params)": "the criterion 07, 09 and 10 tests call it",
+    "projection.max_carbonization(params)": "the criterion 07, 09 and 10 tests call it",
+    "ingestion.json_field(default)": "load_manifest and cli._tables_inputs set it through"
+    " functools.partial",
+}
+
+
+def defaulted_parameters(source: str, module: str) -> dict:
+    """``{"module.f(param)": (called name, position, param)}`` for each defaulted
+    parameter of a function, a method or a class's ``__init__`` in ``source``.
+
+    A function or a method is called by its own name, and ``__init__`` by its
+    class's name (shown as ``module.Class(param)``). A method's positions do
+    not count ``self``; a keyword-only parameter has no position.
+    """
+    found = {}
+
+    def visit(body, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                positional = [*a.posonlyargs, *a.args]
+                if owner is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in node.decorator_list
+                ):
+                    positional = positional[1:]
+                if owner is None:
+                    called, shown = node.name, f"{module}.{node.name}"
+                elif node.name == "__init__":
+                    called, shown = owner.name, f"{module}.{owner.name}"
+                else:
+                    called, shown = node.name, f"{module}.{owner.name}.{node.name}"
+                first = len(positional) - len(a.defaults)
+                for i, p in enumerate(positional[first:], first):
+                    found[f"{shown}({p.arg})"] = (called, i, p.arg)
+                for p, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        found[f"{shown}({p.arg})"] = (called, None, p.arg)
+                visit(node.body, None)
+
+    visit(ast.parse(source).body, None)
+    return found
+
+
+def passed_arguments(source: str) -> set:
+    """``(called name, position or keyword)`` for each argument of each call in
+    ``source``, ``f(...)`` or ``x.f(...)``; a ``*`` or ``**`` argument is ``"*"``
+    or ``"**"``, which may set any parameter of that name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            for i, arg in enumerate(node.args):
+                found.add((name, "*" if isinstance(arg, ast.Starred) else i))
+            for keyword in node.keywords:
+                found.add((name, "**" if keyword.arg is None else keyword.arg))
+    return found
+
+
+def unset_options(modules: dict, callers) -> list[str]:
+    """The defaulted parameters of ``modules`` (name -> source) that no call in
+    ``callers`` (sources) sets, by position or by keyword, matching calls by name."""
+    params = {}
+    for module, source in modules.items():
+        params.update(defaulted_parameters(source, module))
+    passed = set().union(*map(passed_arguments, callers))
+    return sorted(
+        shown for shown, (called, position, name) in params.items()
+        if not {(called, position), (called, name), (called, "*"), (called, "**")} & passed
+    )
+
+
+def test_every_defaulted_parameter_is_set_outside_the_tests():
+    """A value that nothing but a test sets is a constant, unless ``UNSET_KEPT`` says why not.
+
+    The callers are the package and the benchmark's scripts, read as text."""
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    callers = [*modules.values(),
+               *(path.read_text(encoding="utf-8") for path in PERFBENCH.glob("*.py"))]
+    unset = unset_options(modules, callers)
+    unexplained = [name for name in unset if name not in UNSET_KEPT]
+    assert not unexplained, (
+        f"nothing outside the tests sets {', '.join(unexplained)}; make each a constant"
+        " or give its reason in UNSET_KEPT"
+    )
+    assert unset == sorted(UNSET_KEPT)
+
+
+@pytest.mark.parametrize("source, unset", [
+    ("def f(a, b=1):\n    pass\nf(0)", ["m.f(b)"]),
+    ("def f(a, b=1):\n    pass\nf(0, 2)", []),
+    ("def f(a, b=1):\n    pass\nx.f(a=0, b=2)", []),
+    ("def f(a, *, b=1):\n    pass\nf(0, 2)", ["m.f(b)"]),
+    ("def f(a, *, b=1):\n    pass\nf(0, b=2)", []),
+    ("def f(a=1):\n    pass\ng(a=2)", ["m.f(a)"]),
+    ("def f(a=1):\n    pass\nf(*rest)", []),
+    ("def f(a=1):\n    pass\nf(**options)", []),
+    ("class C:\n    def __init__(self, a=1):\n        pass\nC(2)", []),
+    ("class C:\n    def __init__(self, a=1):\n        pass\nC()", ["m.C(a)"]),
+    ("class C:\n    def m(self, a, b=1):\n        pass\nc.m(0)", ["m.C.m(b)"]),
+    ("class C:\n    def m(self, a, b=1):\n        pass\nc.m(0, 2)", []),
+    ("class C:\n    @staticmethod\n    def m(a, b=1):\n        pass\nC.m(0, 2)", []),
+    ("def f():\n    def g(a=1):\n        pass\n    return g()", ["m.g(a)"]),
+])
+def test_the_unset_option_check_sees_positions_keywords_and_classes(source, unset):
+    assert unset_options({"m": source}, [source]) == unset

@@ -127,7 +127,7 @@ def test_initial_wealth_needs_year_one():
 
 def test_iterative_matches_closed_form(recon):
     closed = calibrate_initial_wealth(recon.gdp)
-    iterative = calibrate_initial_wealth_iterative(recon.gdp, initial_guess=1e4)
+    iterative = calibrate_initial_wealth_iterative(recon.gdp)
     assert iterative.value == pytest.approx(closed.value, rel=1e-9)
 
 
