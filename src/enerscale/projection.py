@@ -278,20 +278,20 @@ def time_grid(horizon_years: float, dt: float) -> tuple[int, float]:
     return n_steps, horizon_years / n_steps
 
 
-#: Most grid points the grid cache holds in all, each with its year and offset
-#: (two floats and two pointers, ~64 bytes): ~4 MB.
+#: Most grid points the grid cache holds in all, each a year (a float and a
+#: pointer, ~32 bytes): ~2 MB.
 _GRID_BUDGET = 2**16
 
-#: (type(start), start, type(dt), dt) -> the longest grid built so far for that
-#: key, as (years, offsets); least recently used first. The types are part of
-#: the key because an int start and step give int years.
+#: (type(start), start, type(dt), dt) -> the longest grid of years built so far
+#: for that key; least recently used first. The types are part of the key
+#: because an int start and step give int years.
 _grids: dict = {}
 
 
-def _grid(start: float, dt: float, points: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The first ``points`` years ``start + i*dt`` and their offsets ``year - start``.
+def _grid(start: float, dt: float, points: int) -> tuple[float, ...]:
+    """The first ``points`` years ``start + i*dt``.
 
-    Every value is computed from its own ``i`` alone, so a grid read from the
+    Every year is computed from its own ``i`` alone, so a grid read from the
     cache (a prefix of a longer one, or one extended by the missing ``i``)
     has the bits of one built afresh, whatever runs came before. A grid is
     kept only while the cache's grids hold at most ``_GRID_BUDGET`` points in
@@ -300,26 +300,51 @@ def _grid(start: float, dt: float, points: int) -> tuple[tuple[float, ...], tupl
     a copy of it, so two threads can at worst build one grid twice.
     """
     key = (start.__class__, start, dt.__class__, dt)
-    years, tau = _grids.pop(key, ((), ()))
+    years = _grids.pop(key, ())
     if len(years) < points:
-        new = [start + i * dt for i in range(len(years), points)]
-        years += tuple(new)
-        tau += tuple([t - start for t in new])
+        years += tuple([start + i * dt for i in range(len(years), points)])
     if len(years) <= _GRID_BUDGET:
-        _grids[key] = years, tau
+        _grids[key] = years
         for old in list(_grids):  # least recently used first
-            if sum([len(y) for y, _ in list(_grids.values())]) <= _GRID_BUDGET:
+            if sum(map(len, list(_grids.values()))) <= _GRID_BUDGET:
                 break
             _grids.pop(old, None)
-    return years[:points], tau[:points]
+    return years[:points]
+
+
+#: Block length of ``_exp_column``: its tables hold ``_EXP_BLOCK`` and
+#: ``points/_EXP_BLOCK`` factors. 32 and 64 were equally fast on the long runs
+#: of a sweep; 32 makes fewer ``exp`` calls for a run of a few hundred points.
+_EXP_BLOCK = 32
+
+
+def _exp_column(scale: float, rate: float, h: float, points: int) -> list[float]:
+    """``scale*exp(rate*i*h)`` for ``i < points``, one multiply per point.
+
+    Point ``i = k*B + j`` (``B = _EXP_BLOCK``, ``j < B``) is
+    ``outer[k]*inner[j]``, with ``inner[j] = exp(rate*(j*h))`` and
+    ``outer[k] = scale*exp(rate*((k*B)*h))``: ``B + points/B`` calls of
+    ``exp`` in all. Each point is within a few ulps of the exact value
+    (``tests/test_projection.py`` bounds it), and depends on its own ``i``
+    alone, so a run's points are the first points of any longer run at the
+    same step. One more ``exp``, of the last offset, raises OverflowError
+    when the last factor overflows; a product past the float range is inf.
+    """
+    exp(rate * ((points - 1) * h))  # raises OverflowError past the float range
+    inner = [exp(rate * (j * h)) for j in range(min(_EXP_BLOCK, points))]
+    outer = [scale * exp(rate * (k * h)) for k in range(0, points, _EXP_BLOCK)]
+    column = [o * x for o in outer for x in inner]
+    del column[points:]
+    return column
 
 
 def _columns(s: Scenario, n_steps: int, dt: float) -> tuple[tuple[float, ...], ...]:
     """Years, wealth, emissions and perturbation on the grid start + i*dt.
 
-    Wealth is ``w0*exp(eta_w*x)`` and emissions ``lambda*c*W`` with
-    carbonization ``c0*exp(eta_c*x)``, where ``x = t - start`` is the grid
-    offset, each grid wealth reused in its emissions. The years and offsets
+    Wealth is ``w0*exp(eta_w*i*dt)`` and emissions ``lambda*c*W`` with
+    carbonization ``c0*exp(eta_c*i*dt)``, each grid wealth reused in its
+    emissions; both exponential columns come from ``_exp_column``, which
+    calls ``exp`` once per block of points, not once per point. The years
     come from ``_grid``, which reuses them across runs on one (start, dt)
     without changing a bit. The emissions grow at eta_w + eta_c, so each RK4
     step is the same affine map ``_rk4_affine`` of the perturbation and the
@@ -335,11 +360,12 @@ def _columns(s: Scenario, n_steps: int, dt: float) -> tuple[tuple[float, ...], .
             f"a grid from start year {start!r} in steps of {dt!r} years would not"
             " have strictly increasing years"
         )
-    years, tau = _grid(start, dt, n_steps + 1)
+    points = n_steps + 1
+    years = _grid(start, dt, points)
     params = s.carbon_params
     try:
-        wealth = tuple([w0 * exp(eta_w * x) for x in tau])
-        emissions = tuple([lam * (c0 * exp(eta_c * x)) * w for x, w in zip(tau, wealth)])
+        wealth = tuple(_exp_column(w0, eta_w, dt, points))
+        carbonization = _exp_column(c0, eta_c, dt, points)
         # The map's source grows at eta_w + eta_c, which can overflow over one
         # step even where neither column does.
         a, p = _rk4_affine(dt, params.kappa_a, params.sigma, eta_w + eta_c)
@@ -348,12 +374,21 @@ def _columns(s: Scenario, n_steps: int, dt: float) -> tuple[tuple[float, ...], .
             f"wealth or carbonization growth overflows a float over a"
             f" {years[-1] - start:g}-year horizon at eta_w={eta_w!r}, eta_c={eta_c!r}"
         ) from None
+    emissions = tuple([lam * c * w for c, w in zip(carbonization, wealth)])
     d = s.delta0
     deltas = [d]
     append = deltas.append
     for e in emissions[:-1]:
         d += a * d + p * e
         append(d)
+    if d != d or emissions[-1] != emissions[-1]:  # nan: one check for the whole run
+        if any(e != e for e in emissions):
+            raise DomainError(
+                f"emissions lambda*c*W are 0 times inf where wealth or carbonization"
+                f" leaves the float range, at eta_w={eta_w!r}, eta_c={eta_c!r}"
+            )
+        # A perturbation that overflows stays inf; the map's d + a*d makes it nan.
+        deltas = [x if x == x else math.inf for x in deltas]
     return years, wealth, emissions, tuple(deltas)
 
 
@@ -363,13 +398,15 @@ def run_scenario(s: Scenario) -> Trajectory:
     The grid ends at ``start + horizon``: the step ``h`` is ``dt`` when
     ``dt`` divides the horizon (within 1e-9), and otherwise the horizon
     split into ``ceil(horizon/dt)`` equal steps (see ``time_grid``).
-    Wealth and carbonization follow their closed forms. The concentration
+    Wealth and carbonization follow their closed forms, each point the
+    product of two factors from short ``exp`` tables (``_exp_column``), so a
+    run's points do not depend on its horizon. The concentration
     perturbation takes classical RK4 steps along the exponential emissions
     path; each step is applied as RK4's one-step affine map (``_rk4_affine``),
     whose two coefficients are computed once per run, so no midpoint
-    emissions are sampled. The grid's years and offsets are reused across
-    runs with the same start and step (``_grid``), with the same bits as
-    a grid built afresh.
+    emissions are sampled. The grid's years are reused across runs with the
+    same start and step (``_grid``), with the same bits as a grid built
+    afresh.
     The trajectory holds only these columns and is itself the sequence of its
     points: it builds no ``TrajectoryPoint`` until one is indexed, iterated or
     read through ``at_year``.
@@ -507,12 +544,20 @@ def steady_state_commitment(
     if not s.start_year <= freeze_year:
         raise DomainError("freeze year precedes the scenario start")
     tail_steps = time_grid(settle_years, s.dt)[0]
-    head = _columns(s, time_grid(freeze_year - s.start_year, s.dt)[0], s.dt)
+    span = freeze_year - s.start_year
+    head = _columns(s, time_grid(span, s.dt)[0], s.dt)
+    try:  # the head's grid may end up to 1e-9 yr short of the freeze year
+        w_freeze, c_freeze = s.w0 * exp(s.eta_w * span), s.c0 * exp(s.eta_c * span)
+    except OverflowError:
+        raise DomainError(
+            f"wealth or carbonization growth overflows a float by the freeze year"
+            f" {freeze_year!r} at eta_w={s.eta_w!r}, eta_c={s.eta_c!r}"
+        ) from None
     frozen = s._replace(
         start_year=freeze_year,
         horizon_years=settle_years,
-        w0=s.w0 * exp(s.eta_w * (freeze_year - s.start_year)),
-        c0=s.c0 * exp(s.eta_c * (freeze_year - s.start_year)),
+        w0=w_freeze,
+        c0=c_freeze,
         eta_w=0.0,
         eta_c=0.0,
         delta0=head[-1][-1],

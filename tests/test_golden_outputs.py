@@ -11,7 +11,12 @@ ingest, calibrate and run-manifest digests from commit 981556c.
 manifest, through its delta0) were re-recorded when the scenario engine and
 spin-up began to apply RK4's one-step affine map (delta and concentration
 moved by at most 4.2e-16 relative), and the ``tables`` and ``report``
-manifests when they began to record kappa_x and W(1). ``project/curve.csv``
+manifests when they began to record kappa_x and W(1). ``project/trajectory.csv``
+and ``project/spinup.csv`` were re-recorded again when the wealth and
+carbonization columns began to be built from two short ``exp`` tables
+(``projection._exp_column``) in place of one ``exp`` of ``year - start`` per
+point: 465 and 405 of their cells moved, each by at most 4.5e-16 relative,
+and the spin-up manifest's delta0 did not move. ``project/curve.csv``
 was re-recorded when ``committed_curve`` began to compute each point as
 ``kappa*((lambda*c)*W)/sigma``, the scenario engine's order, in place of
 ``(kappa*lambda*c*W)/sigma`` left to right: 12 of its 50 committed-delta
@@ -73,9 +78,9 @@ GOLDEN = {
     "ingest/run_manifest.json": "69b1f9118b06b1adbf449c371d72d23f8797cd6fdc2636a945bbfe7bcd831887",
     "project/curve.csv": "e01500dd9aacc974c9c103fd7a32f9ab01d1a3aa523ae8eb624b8b140cf75c50",
     "project/curve.csv.manifest.json": "273a01da240c7c362bc5694ad7531404b7a055655788f4259163a129a35f9913",
-    "project/spinup.csv": "20d38839756b71998692f04f15e1f8ec0ce5e2b87db035cec844eebe81016ae2",
+    "project/spinup.csv": "be785f856c6b59ecf392ebdb0884ebf73124521872396eb69c002e46dd4f8278",
     "project/spinup.csv.manifest.json": "d3a9f4f8c1f8bd378e153db7668ac82eb139ce1c85aa0b8239e369a2f101e026",
-    "project/trajectory.csv": "690699c7eaef8208b6fd3559635b555dd9eca92ce4b1641d442580c525934959",
+    "project/trajectory.csv": "a1c3133a0cffb557c380784206a51b4294afce3052b6ea080c8b67d215d603b4",
     "project/trajectory.csv.manifest.json": "510c5055e23b3f86f21ee79e1f2a8035d704209b8c469bef75a5d080724fee9c",
     "reconstruct/gdp_annual.csv": "90b93f8706a095309658c3601b357e369aa609957efe492a5bfefb66f0420335",
     "reconstruct/reconstruction.json": "c7c53ababe7e06d39821c941d00063c2a356cfbabf4c5d38909de58bd44986f5",

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import threading
+from decimal import Decimal, localcontext
 from functools import partial
 
 import pytest
@@ -273,16 +274,45 @@ def test_runs_build_no_points_until_one_is_read(monkeypatch):
     assert built == [2057.0, 2030.0]
 
 
-def _columns_by_scalar_calls(s, n_steps, dt):
-    """The columns as they were once built: one closed-form call per value."""
+def exact_factor(scale, rate, i, h):
+    """``scale*exp(rate*i*h)`` to 50 digits, from the exact values of the floats."""
+    with localcontext() as context:
+        context.prec = 50
+        return Decimal(scale) * (Decimal(rate) * i * Decimal(h)).exp()
+
+
+def assert_exp_column(column, scale, rate, h):
+    """Each point within ``(4 + 2*|rate*i*h|) * 2**-53`` relative of ``exact_factor``.
+
+    A point is ``(scale*exp(x_k))*exp(x_j)``: two ``exp`` calls and two products,
+    each rounded by up to one part in 2**53, and the exponents ``rate*((k*B)*h)``
+    and ``rate*(j*h)`` each rounded twice, which moves the exponent by up to
+    ``|rate*i*h| * 2**-52``. A per-point ``exp`` of the offset ``year - start``
+    missed this bound by up to 8.7x at dt 0.3 and 0.01.
+    """
+    for i, value in enumerate(column):
+        exact = exact_factor(scale, rate, i, h)
+        bound = (4 + 2 * abs(rate * i * h)) * 2.0**-53
+        assert abs(Decimal(value) - exact) <= Decimal(bound) * exact, (i, value, exact)
+
+
+def _expected_columns(s, n_steps, dt):
+    """Years ``start + i*dt``; wealth and carbonization checked against the exact
+    closed forms; emissions ``lambda*c*W`` from those columns; the delta column
+    from one RK4 step per grid step along the closed-form emissions."""
     years = tuple([s.start_year + i * dt for i in range(n_steps + 1)])
-    emissions = tuple(map(partial(emissions_at, s), years))
+    wealth = projection._exp_column(s.w0, s.eta_w, dt, n_steps + 1)
+    carbonization = projection._exp_column(s.c0, s.eta_c, dt, n_steps + 1)
+    assert_exp_column(wealth, s.w0, s.eta_w, dt)
+    assert_exp_column(carbonization, s.c0, s.eta_c, dt)
+    emissions = tuple([s.lambda_ej * c * w for c, w in zip(carbonization, wealth)])
     p = s.carbon_params
     deltas = [s.delta0]
-    for t, c_start, c_end in zip(years, emissions, emissions[1:]):
+    closed = tuple(map(partial(emissions_at, s), years))
+    for t, c_start, c_end in zip(years, closed, closed[1:]):
         c_mid = emissions_at(s, t + dt / 2.0)
         deltas.append(_rk4_step(deltas[-1], c_start, c_mid, c_end, dt, p.kappa_a, p.sigma))
-    return years, tuple(map(partial(wealth_at, s), years)), emissions, tuple(deltas)
+    return years, tuple(wealth), emissions, tuple(deltas)
 
 
 def assert_columns_match(trajectory, expected):
@@ -293,11 +323,14 @@ def assert_columns_match(trajectory, expected):
     assert_deltas_close(trajectory.deltas, deltas)
 
 
+# The names keep "bit_for_bit": years and emissions (lambda*c*W from the factor
+# columns) still are; the wealth and carbonization factors are held to a few ulps
+# of the exact closed form instead (``assert_exp_column``).
 @pytest.mark.parametrize("dt", [1.0, 0.3, 0.25, 0.01])
 @pytest.mark.parametrize("eta_c", [0.0, -0.013])
 def test_columns_equal_scalar_closed_forms_bit_for_bit(dt, eta_c):
     s = scenario(eta_c=eta_c, dt=dt)
-    expected = _columns_by_scalar_calls(s, *time_grid(s.horizon_years, s.dt))
+    expected = _expected_columns(s, *time_grid(s.horizon_years, s.dt))
     assert_columns_match(run_scenario(s), expected)
 
 
@@ -306,10 +339,37 @@ def test_steady_state_columns_equal_scalar_closed_forms_bit_for_bit(dt):
     s = scenario(eta_c=-0.013, dt=dt)
     result = steady_state_commitment(s, freeze_year=2030.0, settle_years=20.0)
     frozen = result.trajectory.scenario
-    head = _columns_by_scalar_calls(s, time_grid(13.0, dt)[0], dt)
+    head = _expected_columns(s, time_grid(13.0, dt)[0], dt)
     assert frozen.delta0 == pytest.approx(head[-1][-1], rel=MAP_REL_TOL)
-    tail = _columns_by_scalar_calls(frozen, time_grid(20.0, dt)[0], dt)
+    tail = _expected_columns(frozen, time_grid(20.0, dt)[0], dt)
     assert_columns_match(result.trajectory, tuple(a[:-1] + b for a, b in zip(head, tail)))
+
+
+def test_columns_call_exp_per_block_not_per_point(monkeypatch):
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return math.exp(x)
+
+    monkeypatch.setattr(projection, "exp", counting)
+    block = projection._EXP_BLOCK
+    for points in (1, 2, block, block + 1, 161, 20001):
+        calls.clear()
+        projection._columns(scenario(eta_c=-0.013), points - 1, 0.01)
+        per_column = 1 + min(block, points) + math.ceil(points / block)
+        assert len(calls) == 2 * per_column, points
+
+
+def test_growth_just_past_the_float_range_is_refused():
+    # 156 steps of 0.25: the last point, i = 156, is not the start of a block.
+    horizon = 39.0
+    eta_w = math.nextafter(math.log(sys.float_info.max) / horizon, math.inf)
+    with pytest.raises(DomainError, match="growth overflows a float over a 39-year horizon"):
+        run_scenario(scenario(eta_w=eta_w, horizon_years=horizon))
+    last = run_scenario(scenario(eta_w=math.log(sys.float_info.max) / horizon * 0.999,
+                                 horizon_years=horizon, w0=1.0))
+    assert math.isfinite(last.wealth[-1])
 
 
 def test_scenario_paths_take_one_rk4_step_per_run(monkeypatch, snapshot):
@@ -480,7 +540,16 @@ def test_a_short_run_is_unchanged_by_a_longer_run_on_its_grid(grids):
     run_scenario(scenario(horizon_years=200.0, dt=0.01))
     after = run_scenario(scenario(horizon_years=40.0, dt=0.01))
     assert after == before
-    assert len(grids) == 1 and len(next(iter(grids.values()))[0]) == 20001
+    assert len(grids) == 1 and len(next(iter(grids.values()))) == 20001
+
+
+def test_a_run_is_the_prefix_of_a_longer_run_on_a_cold_cache(grids):
+    short = run_scenario(scenario(horizon_years=40.0, dt=0.01, eta_c=-0.013))
+    grids.clear()
+    long = run_scenario(scenario(horizon_years=200.0, dt=0.01, eta_c=-0.013))
+    assert len(short) == 4001
+    for name in ("years", "wealth", "emissions", "deltas"):
+        assert getattr(short, name) == getattr(long, name)[:4001], name
 
 
 def test_grid_cache_stays_within_its_budget(grids):
@@ -488,7 +557,7 @@ def test_grid_cache_stays_within_its_budget(grids):
     for i in range(60):  # 60 distinct grids of 2,001 points each
         start = 2000.0 + i
         run_scenario(scenario(start_year=start, horizon_years=100.0, dt=0.05))
-        assert sum(len(years) for years, _ in grids.values()) <= budget
+        assert sum(map(len, grids.values())) <= budget
     # The least recently used grids went first.
     assert (float, 2059.0, float, 0.05) in grids and (float, 2000.0, float, 0.05) not in grids
     longest = run_scenario(scenario(horizon_years=budget, dt=1.0, eta_w=0.001))
@@ -527,7 +596,7 @@ def test_threads_sharing_the_grid_cache_get_a_cold_caches_columns(grids, monkeyp
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == [] and len(runs) == 6 * 40
-    assert sum(len(years) for years, _ in grids.values()) <= projection._GRID_BUDGET
+    assert sum(map(len, grids.values())) <= projection._GRID_BUDGET
 
 
 def test_an_int_grid_is_not_served_to_a_float_run(grids):
@@ -746,7 +815,9 @@ def test_off_grid_freeze_joins_phases_in_order():
     assert years[0] == 2017.0 and years[-1] == 2050.1
     frozen = result.trajectory.at_year(2030.1)
     assert frozen.wealth == wealth_at(s, 2030.1)
-    assert result.trajectory.at_year(2030.0).wealth == wealth_at(s, 2030.0)
+    assert years.index(2030.0) == 52 and years[53] == 2030.1
+    assert_exp_column(result.trajectory.wealth[:53], s.w0, s.eta_w, 0.25)
+    assert result.trajectory.at_year(2030.0).wealth == run_scenario(s).at_year(2030.0).wealth
 
 
 # ---------------------------------------------------------------------- spinup

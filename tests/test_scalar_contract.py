@@ -6,7 +6,8 @@ range, small ints, ints too large for a float and ints past the interpreter's
 4300-digit limit for formatting an int. Only an ``EnerscaleError`` may escape
 a call, every float it returns, directly or in a returned record (fields
 and the derived values named in ``DERIVED``), is finite, and what it returns
-can be formatted by ``repr`` for a message.
+can be formatted by ``repr`` for a message. A scenario run may return a
+column past the float range (the CLI's writer refuses the inf), never a NaN.
 """
 
 import math
@@ -194,6 +195,44 @@ def test_w1_sensitivity_factor(factor):
     check(w1_sensitivity, GDP, ENERGY, W1, factor, Period(1, 2))
 
 
+#: Growth rates from signed zeros to rates whose factor leaves the float range.
+growth_rates = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 709.0, 711.0, -745.0, -800.0, 1e308, -1e308]),
+    st.floats(-2000.0, 2000.0),
+)
+#: Spans of at most 10,001 grid points at the drawn steps.
+spans = st.one_of(st.sampled_from([5e-324, 1e-9, 1.0, 40.0]), st.floats(1e-3, 100.0))
+steps = st.one_of(st.sampled_from([1.0, 0.25, 0.01]), st.floats(0.01, 1.0))
+initial_wealth = st.sampled_from([100.0, 1e300])
+
+
+def assert_no_nan_column(trajectory):
+    for name in ("years", "wealth", "emissions", "deltas"):
+        assert not any(map(math.isnan, getattr(trajectory, name))), name
+    repr(trajectory)
+
+
+@given(growth_rates, growth_rates, spans, steps, initial_wealth)
+def test_run_scenario_growth(eta_w, eta_c, horizon, dt, w0):
+    s = Scenario(2017.0, horizon, w0, 5.9, 0.017, eta_w, eta_c, 100.0, dt=dt)
+    try:
+        trajectory = run_scenario(s)
+    except EnerscaleError:
+        return
+    assert_no_nan_column(trajectory)
+
+
+@given(growth_rates, growth_rates, spans, spans, steps, initial_wealth)
+def test_steady_state_commitment_growth(eta_w, eta_c, span, settle, dt, w0):
+    s = Scenario(2017.0, 1.0, w0, 5.9, 0.017, eta_w, eta_c, 100.0, dt=dt)
+    try:
+        result = steady_state_commitment(s, 2017.0 + span, settle)
+    except EnerscaleError:
+        return
+    assert_no_nan_column(result.trajectory)
+    assert not math.isnan(result.freeze_wealth) and not math.isnan(result.asymptote_delta)
+
+
 #: Each check that names the value it refuses, called with that value.
 NAMING_CHECKS = {
     "Quantity": lambda v: Quantity(v, Unit.GW),
@@ -307,3 +346,24 @@ def test_scaling_stats_whose_sums_overflow_are_refused(values):
     s = AnnualSeries(SeriesKind.SCALING, Unit.GW_PER_TUSD, (2000, 2001, 2002), values)
     with pytest.raises(DomainError, match="exceeds the float range"):
         scaling_stats(s, Period(2000, 2002))
+
+
+def test_emissions_that_are_zero_times_inf_are_refused():
+    """Wealth past the float range times a carbonization underflowed to 0 gave NaN emissions."""
+    s = Scenario(2017.0, 100.0, 1e300, 5.9, 0.017, 1.0, -10.0, 100.0, dt=1.0)
+    with pytest.raises(DomainError, match="emissions lambda\\*c\\*W are 0 times inf"):
+        run_scenario(s)
+
+
+def test_a_perturbation_past_the_float_range_stays_inf():
+    """The map's d + a*d of an infinite perturbation is inf - inf: every later delta was NaN."""
+    trajectory = run_scenario(Scenario(2017.0, 100.0, 1e300, 5.9, 0.017, 1.0, dt=0.25))
+    assert math.isinf(trajectory.deltas[-1])
+    assert not any(map(math.isnan, trajectory.deltas))
+
+
+def test_growth_that_overflows_by_an_off_grid_freeze_year_is_refused():
+    """The freeze year lies 5e-10 yr past the head's grid: its factor raised OverflowError."""
+    s = Scenario(2017.0, 40.0, 3400.0, 5.7, 0.0162, 70.978271289, dt=0.25)
+    with pytest.raises(DomainError, match="overflows a float by the freeze year 2027.0000000005"):
+        steady_state_commitment(s, 2017.0 + 10.0000000005, 5.0)
