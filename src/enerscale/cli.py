@@ -14,15 +14,16 @@ enerscale report --out-dir out/report
 ```
 
 Exit codes: 0 success, 1 runtime error, 2 validation failure, 64 usage error.
-Each subcommand is one entry of ``_COMMANDS``, run by ``main``: the run writes
-its files through a ``RunManifest`` and returns its text and exit code; ``main``
-prints the text, then writes the JSON manifest (command line, parameters, input
-checksums, version, outputs) where the entry's rule puts it. The checksums are
-SHA-256 from the interpreter's built-in module, or from ``hashlib`` where there
-is none; either gives the same digests. ``calibrate`` without ``--out``
-writes no file and no manifest. Identical manifests reproduce
-byte-identical outputs, so manifests carry no timestamps. All numeric output
-uses shortest round-trip decimal formatting.
+Each subcommand is one entry of ``_COMMANDS``, run by ``main``: the run calls
+the library (``report``: ``datasets.headline()``), writes its files through a
+``RunManifest`` and returns its text and exit code; ``main`` prints the text,
+then writes the JSON manifest (command line, parameters, input checksums,
+version, outputs) where the entry's rule puts it. The checksums are SHA-256 from
+the interpreter's built-in module, or from ``hashlib`` where there is none;
+either gives the same digests. ``calibrate`` without ``--out`` writes no file
+and no manifest. Identical manifests reproduce byte-identical outputs, so
+manifests carry no timestamps. All numeric output uses shortest round-trip
+decimal formatting.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import io
 import json
 import math
 import sys
-from bisect import bisect_left, bisect_right
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -52,7 +52,6 @@ except ImportError:
 # process loads only what its subcommand needs.
 from . import __version__, datasets
 from .errors import DomainError, EnerscaleError, ParseError
-from .records import Record
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -88,36 +87,23 @@ def _json_text(payload, path) -> str:
         raise
 
 
-class RunManifest(Record):
+class RunManifest:
     """Reproducibility record of one command, and the writer of all its files.
 
-    Unlike the package's other records it is mutable (and so unhashable).
+    ``inputs`` (path -> SHA-256) and ``outputs`` start empty and fill as the run goes.
     ``write_text``, ``write_json`` and ``write_rows`` make the parent
     directory, write UTF-8 with LF line ends, record the path as an output
     and return it; ``write`` writes the manifest itself. ``write_json``,
     ``write_rows`` and ``write`` refuse a NaN or an infinity with ``DomainError``.
     """
 
-    __slots__ = _fields = ("command", "parameters", "version", "inputs", "outputs")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-    command: list[str]
-    parameters: dict
-    version: str
-    inputs: dict[str, str]
-    outputs: list[str]
+    __slots__ = ("command", "parameters", "inputs", "outputs")
 
-    def __init__(
-        self,
-        command: list[str],
-        parameters: dict,
-        version: str = __version__,
-        inputs: dict[str, str] | None = None,
-        outputs: list[str] | None = None,
-    ) -> None:
-        super().__init__(command, parameters, version,
-                         {} if inputs is None else inputs, [] if outputs is None else outputs)
+    def __init__(self, command: list[str], parameters: dict) -> None:
+        self.command = command
+        self.parameters = parameters
+        self.inputs: dict[str, str] = {}
+        self.outputs: list[str] = []
 
     def add_input(self, path: Path) -> None:
         self.inputs[str(path)] = sha256(path.read_bytes()).hexdigest()
@@ -164,14 +150,13 @@ class RunManifest(Record):
 
     def write(self, path: Path) -> Path:
         """Write the manifest, which lists the outputs recorded so far but not itself."""
-        payload = {
+        self._save(path, _json_text({
             "command": self.command,
             "parameters": self.parameters,
-            "version": self.version,
+            "version": __version__,
             "inputs": self.inputs,
             "outputs": sorted(self.outputs),
-        }
-        self._save(path, _json_text(payload, path))
+        }, path))
         return path
 
 
@@ -439,38 +424,8 @@ def _cmd_project(args, manifest: RunManifest) -> tuple[str, int]:
 
 
 def _cmd_report(args, manifest: RunManifest) -> tuple[str, int]:
-    from .projection import halving_time, required_clean_capacity, run_scenario
-    from .scaling import HEADLINE_PERIOD, scaling_series, scaling_stats
-    from .units import Quantity, Unit
-
-    snapshot = datasets.load_snapshot()
-    recon = datasets.baseline()
-    _record_reconstruction(manifest, recon)
-    lam = scaling_series(snapshot.energy, recon.wealth)
-    stats = scaling_stats(lam, HEADLINE_PERIOD)
-    w_end = recon.wealth.series.value_at(HEADLINE_PERIOD.end_year)
-    years, gdp = recon.gdp.years, recon.gdp.values
-    scenario = datasets.preset_scenario()
-    trajectory = run_scenario(scenario)
-    crossing = trajectory.first_crossing(2.0 * scenario.carbon_params.preindustrial)
-    energy = Quantity(snapshot.energy.value_at(datasets.PRESET_START_YEAR), Unit.EJ_PER_YR)
-    capacity = required_clean_capacity(energy, datasets.PRESET_GROWTH)
-    payload = {
-        "scaling_mean_gw_per_tusd": stats.mean.value,
-        "scaling_std": stats.std.value,
-        "scaling_ci95_halfwidth": stats.ci95_halfwidth.value,
-        "scaling_trend_per_yr": stats.trend_per_year,
-        "w1_tusd": recon.w1.value,
-        "wealth_2017_tusd": w_end,
-        "share_first_millennium": sum(gdp[:bisect_right(years, 1000)]) / w_end,
-        "share_1980_2017": sum(gdp[bisect_left(years, HEADLINE_PERIOD.start_year):]) / w_end,
-        "committed_concentration_2017_ppmv": trajectory[0].committed_concentration,
-        "committed_doubling_year": crossing,
-        "committed_concentration_2040_ppmv": trajectory.at_year(2040.0).committed_concentration,
-        "halving_time_yr": halving_time(scenario.carbon_params),
-        "clean_capacity_gw_per_yr": capacity.gw_per_year,
-        "clean_capacity_gw_per_day": capacity.gw_per_day,
-    }
+    _record_reconstruction(manifest, datasets.baseline())
+    payload = datasets.headline()
     manifest.add_series_inputs()
     manifest.write_json(args.out_dir / "report.json", payload)
     width = max(len(k) for k in payload)
@@ -520,10 +475,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         _, _, run, manifest_path = _COMMANDS[args.subcommand]
-        manifest = RunManifest(
-            command=["enerscale"] + argv,
-            parameters={k: str(v) for k, v in vars(args).items() if k != "subcommand"},
-        )
+        manifest = RunManifest(["enerscale"] + argv,
+                               {k: str(v) for k, v in vars(args).items() if k != "subcommand"})
         text, code = run(args, manifest)
         print(text, end="")
         if (path := manifest_path(args)) is not None:

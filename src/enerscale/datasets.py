@@ -1,13 +1,14 @@
 """Access to the bundled observational snapshot and the baseline pipeline.
 
 The repository ships a frozen desk-scale transcription of the public record
-(see ``data/NOTES.md`` for sources and conventions) so that analyses and
-tests run offline and deterministically. ``baseline()`` performs the full
-reconstruction once per process and caches the result.
+(``data/NOTES.md`` gives sources and conventions), so analyses and tests run
+offline and deterministically. ``baseline()`` reconstructs once per process and
+caches the result; ``headline()`` gives the numbers ``enerscale report`` writes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -16,9 +17,9 @@ from .errors import DomainError
 from .ingestion import ManifestEntry, load_manifest, load_series
 from .records import Record
 from .series import AnnualSeries
-from .units import Unit, to_unit
+from .units import Quantity, Unit, to_unit
 
-# baseline() and preset_scenario() import the model modules they call, so
+# baseline(), preset_scenario() and headline() import the model modules they call, so
 # loading the snapshot (``enerscale ingest``) runs no model code.
 if TYPE_CHECKING:
     from .carbon import CarbonCycleParams
@@ -143,3 +144,36 @@ def preset_scenario(
         carbon_params=params,
         dt=dt,
     )
+
+
+def headline() -> dict:
+    """The paper's headline numbers from the bundled snapshot, in ``report.json``'s key order."""
+    from .projection import halving_time, required_clean_capacity, run_scenario
+    from .scaling import HEADLINE_PERIOD, scaling_series, scaling_stats
+
+    snapshot = load_snapshot()
+    recon = baseline()
+    stats = scaling_stats(scaling_series(snapshot.energy, recon.wealth), HEADLINE_PERIOD)
+    w_end = recon.wealth.series.value_at(HEADLINE_PERIOD.end_year)
+    years, gdp = recon.gdp.years, recon.gdp.values
+    scenario = preset_scenario()
+    trajectory = run_scenario(scenario)
+    crossing = trajectory.first_crossing(2.0 * scenario.carbon_params.preindustrial)
+    energy = Quantity(snapshot.energy.value_at(PRESET_START_YEAR), Unit.EJ_PER_YR)
+    capacity = required_clean_capacity(energy, PRESET_GROWTH)
+    return {
+        "scaling_mean_gw_per_tusd": stats.mean.value,
+        "scaling_std": stats.std.value,
+        "scaling_ci95_halfwidth": stats.ci95_halfwidth.value,
+        "scaling_trend_per_yr": stats.trend_per_year,
+        "w1_tusd": recon.w1.value,
+        "wealth_2017_tusd": w_end,
+        "share_first_millennium": sum(gdp[:bisect_right(years, 1000)]) / w_end,
+        "share_1980_2017": sum(gdp[bisect_left(years, HEADLINE_PERIOD.start_year):]) / w_end,
+        "committed_concentration_2017_ppmv": trajectory[0].committed_concentration,
+        "committed_doubling_year": crossing,
+        "committed_concentration_2040_ppmv": trajectory.at_year(2040.0).committed_concentration,
+        "halving_time_yr": halving_time(scenario.carbon_params),
+        "clean_capacity_gw_per_yr": capacity.gw_per_year,
+        "clean_capacity_gw_per_day": capacity.gw_per_day,
+    }

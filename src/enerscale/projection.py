@@ -459,9 +459,11 @@ def committed_curve(
     if scale.value <= 0:
         raise DomainError("the energy scaling must be positive")
     per_tusd = to_unit(scale.value, scale.unit, Unit.EJ_PER_YR_PER_TUSD) * c.value
+    if any(isinstance(w, (str, bytes, bytearray)) for w in w_values):  # float() parses text
+        raise DomainError("cumulative production must be numbers, not text")
     try:
         w_values = list(map(float, w_values))
-    except OverflowError:  # an int too large for a float
+    except (OverflowError, TypeError):  # an int too large for a float, or not a number
         raise DomainError("cumulative production must be finite and non-negative") from None
     if not all(0.0 <= w < math.inf for w in w_values):
         raise DomainError("cumulative production must be finite and non-negative")
@@ -624,4 +626,6 @@ def historical_spinup_delta(
         source = p * rate
         for _ in range(n):
             delta += a * delta + source
+    if not math.isfinite(delta):  # past inf, d + a*d is inf - inf: NaN
+        raise DomainError(f"the spin-up perturbation overflows a float by {last}")
     return delta

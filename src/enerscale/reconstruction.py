@@ -85,6 +85,8 @@ class NaturalCubicSpline:
         m[n - 2] = rhs[-1] / diag[-1]
         for i in range(n - 3, 0, -1):
             m[i] = (rhs[i - 1] - h[i] * m[i + 1]) / diag[i - 1]
+        if not all(map(math.isfinite, m)):
+            raise DomainError("spline second derivatives overflow a float")
         self._x = x
         self._y = y
         self._h = h
@@ -104,11 +106,14 @@ class NaturalCubicSpline:
                 # in the last interval.
                 i = bisect_right(x, q, 1, last + 1) - 1
                 x0, x1, hi, y0, y1, m0, m1 = x[i], x[i + 1], h[i], y[i], y[i + 1], m[i], m[i + 1]
-                h2 = hi**2
+                h2 = hi * hi  # hi**2 would raise OverflowError, not give inf
                 left, right = x0, x1 if i < last else math.nextafter(x1, math.inf)
             a = (x1 - q) / hi
             b = (q - x0) / hi
             out.append(a * y0 + b * y1 + ((a**3 - a) * m0 + (b**3 - b) * m1) * h2 / 6.0)
+        # A finite sum has no inf or NaN term; only an overflowing one needs the full check.
+        if not math.isfinite(sum(out)) and not all(map(math.isfinite, out)):
+            raise DomainError("spline value overflows a float")
         return out
 
 
@@ -181,7 +186,10 @@ def spline_infill(sparse: AnnualSeries) -> AnnualSeries:
     values = map(math.exp, spline(years))
     # Re-impose knot values exactly: exp(log) round-trips only to ~1 ulp.
     by_year = dict(zip(sparse.years, y))
-    return sparse.with_data(years, tuple(map(by_year.get, years, values)))
+    try:
+        return sparse.with_data(years, tuple(map(by_year.get, years, values)))
+    except OverflowError:  # exp of a log-spline value past ln(max float)
+        raise DomainError("spline infill overflows a float") from None
 
 
 def _year_one_production(gdp: AnnualSeries, pop_growth: float) -> float:

@@ -402,6 +402,21 @@ def test_report_payload(tmp_path):
     assert payload["halving_time_yr"] == pytest.approx(30.14, abs=0.01)
 
 
+def test_report_json_is_datasets_headline(tmp_path):
+    """``report`` writes ``datasets.headline()``, value for value; the file sorts the keys."""
+    assert main(["report", "--out-dir", str(tmp_path)]) == EXIT_OK
+    headline = datasets.headline()
+    written = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert list(written.items()) == sorted(headline.items())
+    assert list(headline) == [
+        "scaling_mean_gw_per_tusd", "scaling_std", "scaling_ci95_halfwidth",
+        "scaling_trend_per_yr", "w1_tusd", "wealth_2017_tusd", "share_first_millennium",
+        "share_1980_2017", "committed_concentration_2017_ppmv", "committed_doubling_year",
+        "committed_concentration_2040_ppmv", "halving_time_yr", "clean_capacity_gw_per_yr",
+        "clean_capacity_gw_per_day",
+    ]
+
+
 def test_report_2040_concentration_is_the_preset_trajectorys(tmp_path):
     trajectory = tmp_path / "traj.csv"
     assert main(["project", "--preset", "paper-2017", "--out", str(trajectory)]) == EXIT_OK

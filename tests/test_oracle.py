@@ -30,6 +30,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 import enerscale.cli as cli
+import enerscale.datasets as datasets
 
 DATA = Path(cli.__file__).parent / "data"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -179,7 +180,8 @@ def outputs(tmp_path_factory):
     table1 = [dict(zip(tables[1][0], row)) for row in tables[1][1:]]
     report = json.loads((out / "report" / "report.json").read_text(encoding="utf-8"))
     calibrate = json.loads((out / "calibrate.json").read_text(encoding="utf-8"))
-    return {"table1": table1, "tables": tables, "report": report, "calibrate": calibrate}
+    return {"table1": table1, "tables": tables, "report": report, "calibrate": calibrate,
+            "headline": datasets.headline()}
 
 
 def test_table1_matches_oracle(oracle, outputs):
@@ -209,7 +211,7 @@ def test_tables_2_to_5_match_oracle(oracle, outputs, table_id, periods, cells):
 
 
 def test_report_scaling_and_w1_match_oracle(oracle, outputs):
-    report = outputs["report"]
+    """Checks ``report.json`` and ``datasets.headline()`` alike."""
     mean, std, ci95, trend_pct = oracle["stats"][(1980, 2017)]
     want = {
         "scaling_mean_gw_per_tusd": mean,
@@ -218,15 +220,16 @@ def test_report_scaling_and_w1_match_oracle(oracle, outputs):
         "scaling_trend_per_yr": trend_pct / 100.0,
         "w1_tusd": oracle["w1"],
     }
-    assert sorted(k for k in report if k.startswith("scaling_")) == sorted(
-        k for k in want if k.startswith("scaling_"))
-    for key, value in want.items():
-        assert report[key] == pytest.approx(value, rel=REL, abs=0), key
+    for report in (outputs["report"], outputs["headline"]):
+        assert sorted(k for k in report if k.startswith("scaling_")) == sorted(
+            k for k in want if k.startswith("scaling_"))
+        for key, value in want.items():
+            assert report[key] == pytest.approx(value, rel=REL, abs=0), key
 
 
 def test_report_committed_levels_capacity_and_shares_match_oracle(oracle, outputs):
-    """Every other ``report.json`` leaf: with the test above, all of them are checked."""
-    report = outputs["report"]
+    """Every other ``report.json`` and ``datasets.headline()`` leaf: with the test above,
+    all of them are checked."""
     per_year = oracle["energy_2017"] / EJ_PER_YR_PER_GW * PRESET_GROWTH
     want = {
         "committed_concentration_2017_ppmv": committed_concentration(oracle, 2017),
@@ -241,9 +244,10 @@ def test_report_committed_levels_capacity_and_shares_match_oracle(oracle, output
     }
     scaling_and_w1 = {"scaling_mean_gw_per_tusd", "scaling_std", "scaling_ci95_halfwidth",
                       "scaling_trend_per_yr", "w1_tusd"}
-    assert set(report) == set(want) | scaling_and_w1
-    for key, value in want.items():
-        assert report[key] == pytest.approx(value, rel=REL, abs=0), key
+    for report in (outputs["report"], outputs["headline"]):
+        assert set(report) == set(want) | scaling_and_w1
+        for key, value in want.items():
+            assert report[key] == pytest.approx(value, rel=REL, abs=0), key
 
 
 def test_calibrate_matches_oracle(oracle, outputs):

@@ -257,10 +257,6 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 #: Defaulted parameters that no code outside the tests sets, each with the reason it
 #: stays a parameter. Any other such parameter is a constant.
 UNSET_KEPT = {
-    "cli.RunManifest(version)": "Record.__reduce__ and _replace rebuild a manifest"
-    " through __init__ with every field, so copy and pickle pass it",
-    "cli.RunManifest(inputs)": "as version: copy, pickle and _replace pass every field",
-    "cli.RunManifest(outputs)": "as version: copy, pickle and _replace pass every field",
     "carbon.CarbonCycleParams(kappa_a)": "a model parameter, recorded in project manifests",
     "carbon.CarbonCycleParams(preindustrial)": "a model parameter, recorded in project"
     " manifests",

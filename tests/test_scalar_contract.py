@@ -30,6 +30,7 @@ from enerscale.projection import (
     AtmosphereState,
     CapacityRequirement,
     Scenario,
+    committed_curve,
     halving_time,
     historical_spinup_delta,
     max_carbonization_coefficient,
@@ -39,7 +40,12 @@ from enerscale.projection import (
     step_atmosphere,
     time_grid,
 )
-from enerscale.reconstruction import WealthSeries, calibrate_initial_wealth
+from enerscale.reconstruction import (
+    NaturalCubicSpline,
+    WealthSeries,
+    calibrate_initial_wealth,
+    spline_infill,
+)
 from enerscale.records import Record
 from enerscale.scaling import scaling_stats, w1_sensitivity
 from enerscale.series import AnnualSeries, Period, SeriesKind
@@ -233,6 +239,66 @@ def test_steady_state_commitment_growth(eta_w, eta_c, span, settle, dt, w0):
     assert not math.isnan(result.freeze_wealth) and not math.isnan(result.asymptote_delta)
 
 
+def sometimes_wild(valid):
+    """Draws of ``valid`` three times in four, otherwise of ``numbers``.
+
+    ``st.one_of(valid, numbers)`` would flatten ``numbers`` into its six branches,
+    and so draw from ``valid`` only once in four."""
+    return st.integers(0, 3).flatmap(lambda i: numbers if i == 0 else valid)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+#: Valid (sigma, kappa_a, preindustrial), the sink rate outside its band too: the defaults,
+#: or each from the smallest subnormal to near the top of the range (test_carbon_cycle_params
+#: draws the invalid ones).
+carbon_params = st.one_of(st.just((0.023, 0.47, 275.0)), st.tuples(positives, positives, positives))
+
+
+@given(st.one_of(st.lists(numbers, min_size=4, max_size=6),
+                 st.lists(finite_floats, min_size=4, max_size=6, unique=True).map(sorted)),
+       st.lists(sometimes_wild(finite_floats), min_size=4, max_size=6),
+       st.lists(numbers, max_size=3))
+def test_natural_cubic_spline(x, y, queries):
+    """Queries are the drawn numbers, every knot and every midpoint between two knots."""
+    try:
+        spline = NaturalCubicSpline(x, y)
+    except EnerscaleError:
+        return
+    knots = [float(v) for v in x]  # strictly increasing, or the spline was refused
+    check(lambda: tuple(spline([*knots, *(a / 2 + b / 2 for a, b in zip(knots, knots[1:]))])))
+    check(lambda: tuple(spline(queries)))
+
+
+@given(st.lists(st.integers(-3000, 3000), min_size=4, max_size=6, unique=True).map(sorted),
+       st.lists(positives, min_size=6, max_size=6))
+def test_spline_infill(years, values):
+    sparse = AnnualSeries(SeriesKind.GDP_PPP, Unit.TUSD_PER_YR, years, values[:len(years)])
+    check(lambda: spline_infill(sparse).values)
+
+
+@given(st.lists(sometimes_wild(st.one_of(positives, st.just(0.0))), max_size=4),
+       sometimes_wild(positives), sometimes_wild(positives), carbon_params,
+       st.sampled_from([Unit.GW_PER_TUSD, Unit.EJ_PER_YR_PER_TUSD]) | units)
+def test_committed_curve(w_values, scale, c, carbon, scale_unit):
+    check(lambda: tuple(committed_curve(w_values, Quantity(scale, scale_unit),
+                                        Quantity(c, Unit.GTC_PER_EJ),
+                                        CarbonCycleParams(*carbon, True))))
+
+
+@given(st.one_of(st.lists(positives, min_size=1, max_size=12),
+                 st.lists(st.sampled_from([1e300, 1.7e308]), min_size=3, max_size=12)),
+       carbon_params, sometimes_wild(st.one_of(st.just(0.0), positives)),
+       sometimes_wild(st.one_of(st.none(), st.integers(2000, 2013))),
+       sometimes_wild(st.one_of(st.sampled_from([1.0, 0.3, 0.25]), st.floats(0.01, 1.0))))
+def test_historical_spinup_delta(rates, carbon, delta0, end_year, dt):
+    """Only ``numbers`` draws a ``dt`` under 0.01; ``MAX_GRID_POINTS`` bounds its run."""
+    emissions = AnnualSeries(SeriesKind.EMISSIONS, Unit.GTC_PER_YR,
+                             range(2000, 2000 + len(rates)), rates)
+    check(lambda: historical_spinup_delta(emissions, CarbonCycleParams(*carbon, True),
+                                          end_year, delta0, dt))
+
+
 #: Each check that names the value it refuses, called with that value.
 NAMING_CHECKS = {
     "Quantity": lambda v: Quantity(v, Unit.GW),
@@ -367,3 +433,20 @@ def test_growth_that_overflows_by_an_off_grid_freeze_year_is_refused():
     s = Scenario(2017.0, 40.0, 3400.0, 5.7, 0.0162, 70.978271289, dt=0.25)
     with pytest.raises(DomainError, match="overflows a float by the freeze year 2027.0000000005"):
         steady_state_commitment(s, 2017.0 + 10.0000000005, 5.0)
+
+
+def test_a_spinup_perturbation_past_the_float_range_is_refused():
+    """Four years at 1.7e308 GtC/yr used to return NaN: past inf, d + a*d is inf - inf."""
+    emissions = AnnualSeries(SeriesKind.EMISSIONS, Unit.GTC_PER_YR, range(2000, 2005),
+                             (1.7e308,) * 5)
+    for dt in (1.0, 0.25):
+        with pytest.raises(DomainError, match="spin-up perturbation overflows a float by 2004"):
+            historical_spinup_delta(emissions, dt=dt)
+
+
+@pytest.mark.parametrize("text", ["1", b"1", bytearray(b"1")], ids=["str", "bytes", "bytearray"])
+def test_committed_curve_refuses_text(text):
+    """float() parsed "1" and the curve returned [(1.0, 0.644...)]; AnnualSeries refuses text."""
+    with pytest.raises(DomainError, match="cumulative production must be numbers, not text"):
+        committed_curve([2.0, text], Quantity(5.9, Unit.GW_PER_TUSD),
+                        Quantity(0.017, Unit.GTC_PER_EJ))

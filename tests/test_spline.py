@@ -154,3 +154,31 @@ def test_query_order_does_not_change_values():
     with pytest.raises(DomainError):
         spline([0.5, np.nextafter(7.0, 8.0)])
     np.testing.assert_allclose(spline(queries), textbook_natural_spline(x, np.sin(x), queries))
+
+
+def test_spline_whose_second_derivatives_overflow_is_refused():
+    """Finite knots solved to m = [0, -inf, inf, 0], and evaluation gave [inf, nan, -inf]."""
+    with pytest.raises(DomainError, match="second derivatives overflow"):
+        NaturalCubicSpline([0, 1, 2, 3], [0, 1e308, -1e308, 1e308])
+
+
+def test_spline_value_that_overflows_is_refused():
+    """Finite knots and second derivatives whose cubic passes the float range between knots."""
+    spline = NaturalCubicSpline([0, 10, 20, 30], [0, 1.7e308, 1.7e308, 0])
+    assert spline([0.0, 10.0, 30.0]) == [0.0, 1.7e308, 0.0]
+    with pytest.raises(DomainError, match="spline value overflows"):
+        spline([5.0, 15.0])
+
+
+def test_spline_whose_knot_spacing_squared_overflows_is_refused():
+    """The squared spacing, ``hi**2``, used to raise a raw OverflowError."""
+    with pytest.raises(DomainError, match="spline value overflows"):
+        NaturalCubicSpline([0, 1e200, 2e200, 3e200], [0, 1, 0, 3])([1.5e200])
+
+
+def test_spline_infill_whose_exp_overflows_is_refused():
+    """exp of the log-space spline between the knots used to raise a raw OverflowError."""
+    sparse = AnnualSeries(SeriesKind.GDP_PPP, Unit.TUSD_PER_YR, (1, 10, 20, 30),
+                          (1e308, 1e-300, 1e308, 1e308))
+    with pytest.raises(DomainError, match="spline infill overflows"):
+        spline_infill(sparse)
