@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Sequence
+from itertools import islice
 from math import exp
 from typing import Callable, NamedTuple, Union
 
@@ -312,27 +313,33 @@ def _grid(start: float, dt: float, points: int) -> tuple[float, ...]:
     return years[:points]
 
 
-#: Block length of ``_exp_column``: its tables hold ``_EXP_BLOCK`` and
+#: Block length of ``_exp_tables``: its tables hold ``_EXP_BLOCK`` and
 #: ``points/_EXP_BLOCK`` factors. 32 and 64 were equally fast on the long runs
 #: of a sweep; 32 makes fewer ``exp`` calls for a run of a few hundred points.
 _EXP_BLOCK = 32
 
 
-def _exp_column(scale: float, rate: float, h: float, points: int) -> list[float]:
-    """``scale*exp(rate*i*h)`` for ``i < points``, one multiply per point.
+def _exp_tables(scale: float, rate: float, h: float, points: int) -> tuple[list, list]:
+    """Tables ``outer``, ``inner`` with ``scale*exp(rate*i*h) = outer[k]*inner[j]``.
 
-    Point ``i = k*B + j`` (``B = _EXP_BLOCK``, ``j < B``) is
-    ``outer[k]*inner[j]``, with ``inner[j] = exp(rate*(j*h))`` and
-    ``outer[k] = scale*exp(rate*((k*B)*h))``: ``B + points/B`` calls of
-    ``exp`` in all. Each point is within a few ulps of the exact value
-    (``tests/test_projection.py`` bounds it), and depends on its own ``i``
-    alone, so a run's points are the first points of any longer run at the
+    Point ``i = k*B + j`` (``B = _EXP_BLOCK``, ``j < B``) takes
+    ``inner[j] = exp(rate*(j*h))`` and ``outer[k] = scale*exp(rate*((k*B)*h))``:
+    ``B + points/B`` calls of ``exp`` in all, and a last block that runs past
+    ``points`` unless ``B`` divides it. Each point is within a few ulps of the
+    exact value (``tests/test_projection.py`` bounds it), and depends on its own
+    ``i`` alone, so a run's points are the first points of any longer run at the
     same step. One more ``exp``, of the last offset, raises OverflowError
     when the last factor overflows; a product past the float range is inf.
     """
     exp(rate * ((points - 1) * h))  # raises OverflowError past the float range
     inner = [exp(rate * (j * h)) for j in range(min(_EXP_BLOCK, points))]
     outer = [scale * exp(rate * (k * h)) for k in range(0, points, _EXP_BLOCK)]
+    return outer, inner
+
+
+def _exp_column(scale: float, rate: float, h: float, points: int) -> list[float]:
+    """``scale*exp(rate*i*h)`` for ``i < points``, the products of ``_exp_tables``."""
+    outer, inner = _exp_tables(scale, rate, h, points)
     column = [o * x for o in outer for x in inner]
     del column[points:]
     return column
@@ -341,14 +348,13 @@ def _exp_column(scale: float, rate: float, h: float, points: int) -> list[float]
 def _columns(s: Scenario, n_steps: int, dt: float) -> tuple[tuple[float, ...], ...]:
     """Years, wealth, emissions and perturbation on the grid start + i*dt.
 
-    Wealth is ``w0*exp(eta_w*i*dt)`` and emissions ``lambda*c*W`` with
-    carbonization ``c0*exp(eta_c*i*dt)``, each grid wealth reused in its
-    emissions; both exponential columns come from ``_exp_column``, which
-    calls ``exp`` once per block of points, not once per point. The years
-    come from ``_grid``, which reuses them across runs on one (start, dt)
-    without changing a bit. The emissions grow at eta_w + eta_c, so each RK4
-    step is the same affine map ``_rk4_affine`` of the perturbation and the
-    step's starting emissions.
+    Wealth is ``w0*exp(eta_w*i*dt)`` from ``_exp_column``. Emissions are
+    ``lambda*c*W``, made in one pass from the two ``_exp_tables`` of the
+    carbonization ``c0*exp(eta_c*i*dt)`` and the wealth column, so no
+    carbonization column is built. The years come from ``_grid``, which
+    reuses them across runs on one (start, dt) without changing a bit. The
+    emissions grow at eta_w + eta_c, so each RK4 step is the same affine map
+    ``_rk4_affine`` of the perturbation and the step's starting emissions.
     """
     start, w0, eta_w = s.start_year, s.w0, s.eta_w
     lam, c0, eta_c = s.lambda_ej, s.c0, s.eta_c
@@ -365,7 +371,7 @@ def _columns(s: Scenario, n_steps: int, dt: float) -> tuple[tuple[float, ...], .
     params = s.carbon_params
     try:
         wealth = tuple(_exp_column(w0, eta_w, dt, points))
-        carbonization = _exp_column(c0, eta_c, dt, points)
+        c_outer, c_inner = _exp_tables(c0, eta_c, dt, points)
         # The map's source grows at eta_w + eta_c, which can overflow over one
         # step even where neither column does.
         a, p = _rk4_affine(dt, params.kappa_a, params.sigma, eta_w + eta_c)
@@ -374,13 +380,12 @@ def _columns(s: Scenario, n_steps: int, dt: float) -> tuple[tuple[float, ...], .
             f"wealth or carbonization growth overflows a float over a"
             f" {years[-1] - start:g}-year horizon at eta_w={eta_w!r}, eta_c={eta_c!r}"
         ) from None
-    emissions = tuple([lam * c * w for c, w in zip(carbonization, wealth)])
+    # One wealth iterator for all blocks: zip takes the inner factor first, so
+    # a full block ends without taking a wealth point.
+    w_points = iter(wealth)
+    emissions = tuple([lam * (o * x) * w for o in c_outer for x, w in zip(c_inner, w_points)])
     d = s.delta0
-    deltas = [d]
-    append = deltas.append
-    for e in emissions[:-1]:
-        d += a * d + p * e
-        append(d)
+    deltas = [d, *[d := d + (a * d + p * e) for e in islice(emissions, n_steps)]]
     if d != d or emissions[-1] != emissions[-1]:  # nan: one check for the whole run
         if any(e != e for e in emissions):
             raise DomainError(
@@ -399,8 +404,10 @@ def run_scenario(s: Scenario) -> Trajectory:
     ``dt`` divides the horizon (within 1e-9), and otherwise the horizon
     split into ``ceil(horizon/dt)`` equal steps (see ``time_grid``).
     Wealth and carbonization follow their closed forms, each point the
-    product of two factors from short ``exp`` tables (``_exp_column``), so a
-    run's points do not depend on its horizon. The concentration
+    product of two factors from short ``exp`` tables (``_exp_tables``), so a
+    run's points do not depend on its horizon; the emissions lambda*c*W are
+    made in one pass from the carbonization tables and the wealth column,
+    and no carbonization column is kept. The concentration
     perturbation takes classical RK4 steps along the exponential emissions
     path; each step is applied as RK4's one-step affine map (``_rk4_affine``),
     whose two coefficients are computed once per run, so no midpoint

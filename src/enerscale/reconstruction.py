@@ -53,12 +53,15 @@ class NaturalCubicSpline:
 
     def __init__(self, x: Sequence[float], y: Sequence[float]) -> None:
         try:
-            x = [float(v) for v in x]
-            y = [float(v) for v in y]
+            xs, ys = list(x), list(y)  # the text check below reads them again
+            x = [float(v) for v in xs]
+            y = [float(v) for v in ys]
         except OverflowError:  # an int too large for a float
             raise DomainError("spline knots must be finite") from None
         except (TypeError, ValueError):
             raise DomainError("spline knots must be two equal-length 1-d sequences") from None
+        if any(isinstance(v, (str, bytes, bytearray)) for v in (*xs, *ys)):  # float() parses text
+            raise DomainError("spline knots must be numbers, not text")
         if len(x) != len(y):
             raise DomainError("spline knots must be two equal-length 1-d sequences")
         if len(x) < 4:
@@ -97,20 +100,24 @@ class NaturalCubicSpline:
         last = len(x) - 2
         out = []
         left, right = x[-1], x[0]  # an empty interval: the first query looks one up
-        for q in xq:
-            if not left <= q < right:
-                if not x[0] <= q <= x[-1]:
-                    raise DomainError("spline evaluated outside its knot range")
-                # Sorted queries mostly stay in one interval, so it is looked
-                # up only on leaving it; searching x[1:-1] puts the right end
-                # in the last interval.
-                i = bisect_right(x, q, 1, last + 1) - 1
-                x0, x1, hi, y0, y1, m0, m1 = x[i], x[i + 1], h[i], y[i], y[i + 1], m[i], m[i + 1]
-                h2 = hi * hi  # hi**2 would raise OverflowError, not give inf
-                left, right = x0, x1 if i < last else math.nextafter(x1, math.inf)
-            a = (x1 - q) / hi
-            b = (q - x0) / hi
-            out.append(a * y0 + b * y1 + ((a**3 - a) * m0 + (b**3 - b) * m1) * h2 / 6.0)
+        try:
+            for q in xq:
+                if not left <= q < right:
+                    if not x[0] <= q <= x[-1]:
+                        raise DomainError("spline evaluated outside its knot range")
+                    # Sorted queries mostly stay in one interval, so it is looked
+                    # up only on leaving it; searching x[1:-1] puts the right end
+                    # in the last interval.
+                    i = bisect_right(x, q, 1, last + 1) - 1
+                    x0, x1, hi = x[i], x[i + 1], h[i]
+                    y0, y1, m0, m1 = y[i], y[i + 1], m[i], m[i + 1]
+                    h2 = hi * hi  # hi**2 would raise OverflowError, not give inf
+                    left, right = x0, x1 if i < last else math.nextafter(x1, math.inf)
+                a = (x1 - q) / hi
+                b = (q - x0) / hi
+                out.append(a * y0 + b * y1 + ((a**3 - a) * m0 + (b**3 - b) * m1) * h2 / 6.0)
+        except TypeError:  # text, None or another value that is not a number
+            raise DomainError("spline queries must be numbers") from None
         # A finite sum has no inf or NaN term; only an overflowing one needs the full check.
         if not math.isfinite(sum(out)) and not all(map(math.isfinite, out)):
             raise DomainError("spline value overflows a float")

@@ -11,7 +11,7 @@ import math
 import operator
 from enum import Enum
 
-from .errors import DomainError, IncompatibleUnits
+from .errors import DomainError, IncompatibleUnits, KindError
 from .records import Record
 
 # Exact GW -> EJ/yr factor pinned for the whole artifact (1 GW over a
@@ -97,6 +97,12 @@ class Quantity(Record):
     unit: Unit
 
     def __init__(self, value: float, unit: Unit) -> None:
-        if not finite(value):
+        try:
+            is_finite = finite(value)
+        except TypeError:  # text, None or another value that is not a number
+            raise DomainError(f"quantity value must be a number, got {shown(value)}") from None
+        if not is_finite:
             raise DomainError(f"quantity value must be finite, got {shown(value)}")
+        if not isinstance(unit, Unit):
+            raise KindError(f"quantity unit must be a Unit, got {shown(unit)}")
         super().__init__(value, unit)

@@ -361,6 +361,36 @@ def test_columns_call_exp_per_block_not_per_point(monkeypatch):
         assert len(calls) == 2 * per_column, points
 
 
+def _emissions_over_factor_columns(s, points, dt):
+    """``lambda*c*W`` over the wealth and carbonization columns of ``_exp_column``."""
+    wealth = projection._exp_column(s.w0, s.eta_w, dt, points)
+    carbonization = projection._exp_column(s.c0, s.eta_c, dt, points)
+    assert len(wealth) == len(carbonization) == points
+    return tuple([s.lambda_ej * c * w for c, w in zip(carbonization, wealth)])
+
+
+@pytest.mark.parametrize("points", [1, 2, 31, 32, 33, 64, 65, 161])
+def test_fused_emissions_pass_ends_each_block_at_the_right_point(points):
+    """The emissions come from the carbonization tables and a wealth iterator shared
+    by the blocks: around each block edge they keep every point and take no extra."""
+    s = scenario(eta_c=-0.013)
+    trajectory = projection.Trajectory(s, *projection._columns(s, points - 1, 0.25))
+    assert len(trajectory.emissions) == points
+    expected = _emissions_over_factor_columns(s, points, 0.25)
+    assert list(map(float.hex, trajectory.emissions)) == list(map(float.hex, expected))
+
+
+def test_fused_emissions_pass_over_a_steady_state_run():
+    """A head of 42 points (41 steps to 2027.25) and a tail of 83 (20.5 yr): neither is
+    a multiple of the block."""
+    s = scenario(eta_c=-0.013)
+    trajectory = steady_state_commitment(s, freeze_year=2027.25, settle_years=20.5).trajectory
+    head = _emissions_over_factor_columns(s, 42, 0.25)
+    tail = _emissions_over_factor_columns(trajectory.scenario, 83, 0.25)
+    assert len(trajectory.emissions) == 41 + 83
+    assert list(map(float.hex, trajectory.emissions)) == list(map(float.hex, head[:-1] + tail))
+
+
 def test_growth_just_past_the_float_range_is_refused():
     # 156 steps of 0.25: the last point, i = 156, is not the start of a block.
     horizon = 39.0

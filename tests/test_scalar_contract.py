@@ -255,16 +255,25 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 carbon_params = st.one_of(st.just((0.023, 0.47, 275.0)), st.tuples(positives, positives, positives))
 
 
+#: Text that ``float`` parses ("1", b"2.5") or not, and None: no call takes them for numbers.
+texts = st.one_of(st.sampled_from(["1", b"2.5", bytearray(b"3"), None]), st.text(max_size=3))
+
+
 @given(st.one_of(st.lists(numbers, min_size=4, max_size=6),
-                 st.lists(finite_floats, min_size=4, max_size=6, unique=True).map(sorted)),
-       st.lists(sometimes_wild(finite_floats), min_size=4, max_size=6),
-       st.lists(numbers, max_size=3))
+                 st.lists(finite_floats, min_size=4, max_size=6, unique=True).map(sorted),
+                 st.lists(st.integers(-9, 9), min_size=4, max_size=6, unique=True)
+                 .map(lambda v: [str(i) for i in sorted(v)])),
+       st.one_of(st.lists(sometimes_wild(finite_floats), min_size=4, max_size=6),
+                 st.lists(st.one_of(finite_floats, texts), min_size=4, max_size=6)),
+       st.lists(st.one_of(numbers, texts), max_size=3))
 def test_natural_cubic_spline(x, y, queries):
-    """Queries are the drawn numbers, every knot and every midpoint between two knots."""
+    """Queries are the drawn numbers or text, every knot and every midpoint between two
+    knots. Knots may be increasing numbers written as text, which float() would parse."""
     try:
         spline = NaturalCubicSpline(x, y)
     except EnerscaleError:
         return
+    assert not any(isinstance(v, (str, bytes, bytearray)) for v in [*x, *y]), (x, y)
     knots = [float(v) for v in x]  # strictly increasing, or the spline was refused
     check(lambda: tuple(spline([*knots, *(a / 2 + b / 2 for a, b in zip(knots, knots[1:]))])))
     check(lambda: tuple(spline(queries)))

@@ -137,6 +137,27 @@ def test_spline_rejects_knots_that_are_not_two_equal_length_sequences(x, y):
         NaturalCubicSpline(x, y)
 
 
+@pytest.mark.parametrize("x, y", [
+    pytest.param(["0", "1", "2", "3"], ["0", "1", "0", "1"], id="str"),
+    pytest.param([0, 1, 2, 3], [0, b"1", 0, 1], id="bytes"),
+    pytest.param([0, bytearray(b"1"), 2, 3], [0, 1, 0, 1], id="bytearray"),
+])
+def test_spline_refuses_text_knots(x, y):
+    """float() parsed "1" and the first case evaluated to [0.5] at 1.5; AnnualSeries refuses
+    text. Knots given as an iterator are checked too."""
+    for knots in (x, iter(x)):
+        with pytest.raises(DomainError, match="spline knots must be numbers, not text"):
+            NaturalCubicSpline(knots, y)
+
+
+@pytest.mark.parametrize("query", ["1.5", None, b"1"], ids=["str", "none", "bytes"])
+def test_spline_refuses_a_query_that_is_not_a_number(query):
+    """The comparison with the knots used to raise a raw TypeError."""
+    spline = NaturalCubicSpline([0, 1, 2, 3], [0, 1, 0, 1])
+    with pytest.raises(DomainError, match="spline queries must be numbers"):
+        spline([0.5, query])
+
+
 def test_evaluation_outside_range_rejected():
     spline = NaturalCubicSpline(np.arange(4.0), np.arange(4.0))
     with pytest.raises(DomainError):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from enerscale.errors import DomainError, IncompatibleUnits
+from enerscale.errors import DomainError, IncompatibleUnits, KindError
 from enerscale.units import EJ_PER_YR_PER_GW, Quantity, Unit, to_unit
 
 CONVERTIBLE_PAIRS = [(Unit.GW, Unit.EJ_PER_YR), (Unit.EJ_PER_YR, Unit.GW)]
@@ -78,6 +78,20 @@ def test_quantity_rejects_non_finite():
         Quantity(float("nan"), Unit.GW)
     with pytest.raises(DomainError):
         Quantity(float("inf"), Unit.TUSD)
+
+
+@pytest.mark.parametrize("unit", [0.0, "GW"], ids=["float", "str"])
+def test_quantity_refuses_a_unit_that_is_not_a_unit_member(unit):
+    """Quantity(1.0, 0.0) used to be accepted and fail later in to_unit with AttributeError."""
+    with pytest.raises(KindError, match="quantity unit must be a Unit"):
+        Quantity(1.0, unit)
+
+
+@pytest.mark.parametrize("value", ["1.0", None], ids=["str", "none"])
+def test_quantity_refuses_a_value_that_is_not_a_number(value):
+    """math.isfinite used to raise a raw TypeError."""
+    with pytest.raises(DomainError, match="quantity value must be a number"):
+        Quantity(value, Unit.GW)
 
 
 def test_conversion_factor_is_365_day_year():
