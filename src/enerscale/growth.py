@@ -20,7 +20,7 @@ from .reconstruction import WealthSeries
 from .records import Record
 from .scaling import scaling_series, scaling_stats
 from .series import AnnualSeries, Period, mean, period_values, sample_std
-from .units import Unit, to_unit
+from .units import Unit, finite, shown, to_unit
 
 
 class RatesRow(Record):
@@ -128,8 +128,8 @@ class CarbonizationEstimate(Record):
     def __init__(
         self, period: Period, c: float, eta_c: float, lambda_c: float, lambda_c_std: float
     ) -> None:
-        if c <= 0:
-            raise DomainError("carbonization must be positive")
+        if not (finite(c) and c > 0):
+            raise DomainError(f"carbonization must be positive and finite, got {shown(c)}")
         super().__init__(period, c, eta_c, lambda_c, lambda_c_std)
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 from .errors import DomainError, ParseError, SchemaError
 from .records import Record
 from .series import AnnualSeries, Period, SeriesKind
-from .units import Unit, shown
+from .units import Unit, finite, shown
 
 
 class DataSourceDescriptor(Record):
@@ -44,7 +44,7 @@ class DataSourceDescriptor(Record):
         scale: float = 1.0,
     ) -> None:
         super().__init__(Path(path), kind, unit, year_column, value_column, scale)
-        if not 0 < scale < math.inf:  # NaN fails both comparisons
+        if not (finite(scale) and scale > 0):
             raise DomainError(f"descriptor scale must be positive and finite, got {shown(scale)}")
         if not year_column or not value_column:
             raise SchemaError("year_column and value_column must be nonempty")

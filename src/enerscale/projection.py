@@ -20,7 +20,7 @@ from .carbon import CarbonCycleParams
 from .errors import DomainError, KindError
 from .records import Record
 from .series import AnnualSeries, SeriesKind
-from .units import DAYS_PER_YEAR, Quantity, Unit, finite, shown, to_unit
+from .units import DAYS_PER_YEAR, Quantity, Unit, finite, floats, shown, to_unit
 
 #: Most grid points a run may ask for: each column holds a float object and a
 #: pointer, ~32 bytes, per point, so one column at the cap takes ~320 MB.
@@ -112,17 +112,15 @@ def step_atmosphere(
     delta(t) = (kappa*C/sigma)(1 - exp(-sigma t)) + delta0 exp(-sigma t)
     is matched at fourth order in dt.
     """
-    if not 0.0 < dt <= 1.0:
+    if not (finite(dt) and 0.0 < dt <= 1.0):
         raise DomainError("dt must be in (0, 1] years")
     t0 = state.year
     if callable(emissions_rate):
         sources = (emissions_rate(t0), emissions_rate(t0 + dt / 2.0), emissions_rate(t0 + dt))
     else:
         sources = (emissions_rate,) * 3
-    for source in sources:
-        if not finite(source):
-            raise DomainError(f"emissions rate must be finite, got {shown(source)}")
-    delta = _rk4_step(state.delta_co2, *map(float, sources), dt, params.kappa_a, params.sigma)
+    delta = _rk4_step(state.delta_co2, *floats(sources, "emissions rate"), dt, params.kappa_a,
+                      params.sigma)
     return AtmosphereState(year=t0 + dt, delta_co2=delta)
 
 
@@ -466,14 +464,9 @@ def committed_curve(
     if scale.value <= 0:
         raise DomainError("the energy scaling must be positive")
     per_tusd = to_unit(scale.value, scale.unit, Unit.EJ_PER_YR_PER_TUSD) * c.value
-    if any(isinstance(w, (str, bytes, bytearray)) for w in w_values):  # float() parses text
-        raise DomainError("cumulative production must be numbers, not text")
-    try:
-        w_values = list(map(float, w_values))
-    except (OverflowError, TypeError):  # an int too large for a float, or not a number
-        raise DomainError("cumulative production must be finite and non-negative") from None
-    if not all(0.0 <= w < math.inf for w in w_values):
-        raise DomainError("cumulative production must be finite and non-negative")
+    w_values = floats(w_values, "cumulative production")
+    if min(w_values, default=0.0) < 0.0:
+        raise DomainError(f"cumulative production must be non-negative, got {min(w_values)!r}")
     if not math.isfinite(params.committed_delta(per_tusd * max(w_values, default=0.0))):
         raise DomainError("the committed level overflows a float")
     return [(w, params.committed_delta(per_tusd * w)) for w in w_values]
@@ -605,7 +598,7 @@ def historical_spinup_delta(
         raise KindError(f"spin-up expects emissions, got {emissions.kind.value}")
     if not emissions.is_contiguous():
         raise DomainError("spin-up needs a contiguous emissions series")
-    if not 0.0 < dt <= 1.0:
+    if not (finite(dt) and 0.0 < dt <= 1.0):
         raise DomainError("dt must be in (0, 1] years")
     if not (finite(delta0) and delta0 >= 0):
         raise DomainError("initial perturbation must be finite and non-negative,"

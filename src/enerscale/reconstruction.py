@@ -33,7 +33,7 @@ from .errors import (
 )
 from .records import Record
 from .series import AnnualSeries, Period, SeriesKind, mean, period_values
-from .units import Quantity, Unit, finite, shown
+from .units import Quantity, Unit, finite, floats, shown
 
 #: Ancient population growth rate (fraction/yr): ~10 million more people per
 #: century on a base of ~170 million around year 1 CE.
@@ -52,22 +52,11 @@ class NaturalCubicSpline:
     """
 
     def __init__(self, x: Sequence[float], y: Sequence[float]) -> None:
-        try:
-            xs, ys = list(x), list(y)  # the text check below reads them again
-            x = [float(v) for v in xs]
-            y = [float(v) for v in ys]
-        except OverflowError:  # an int too large for a float
-            raise DomainError("spline knots must be finite") from None
-        except (TypeError, ValueError):
-            raise DomainError("spline knots must be two equal-length 1-d sequences") from None
-        if any(isinstance(v, (str, bytes, bytearray)) for v in (*xs, *ys)):  # float() parses text
-            raise DomainError("spline knots must be numbers, not text")
+        x, y = floats(x, "spline knots"), floats(y, "spline knots")
         if len(x) != len(y):
             raise DomainError("spline knots must be two equal-length 1-d sequences")
         if len(x) < 4:
             raise TooFewPoints(f"cubic spline needs at least 4 knots, got {len(x)}")
-        if not all(map(math.isfinite, x + y)):
-            raise DomainError("spline knots must be finite")
         if any(b <= a for a, b in zip(x, x[1:])):
             raise DomainError("spline knot abscissae must be strictly increasing")
         n = len(x)
@@ -132,8 +121,8 @@ class PppMerRatio(Record):
     window: Period
 
     def __init__(self, value: float, window: Period) -> None:
-        if value <= 0:
-            raise DomainError("PPP/MER ratio must be positive")
+        if not (finite(value) and value > 0):
+            raise DomainError(f"PPP/MER ratio must be positive and finite, got {shown(value)}")
         super().__init__(value, window)
 
 
@@ -261,9 +250,9 @@ def cumulative_production(
     wealth = tuple(map(operator.add, repeat(w1.value), accumulate(gdp.values)))
     if period is not None:
         # Production is positive and W(1) finite, so only a sum that overflows
-        # is not finite, and it stays infinite through the last year.
-        if not math.isfinite(wealth[-1]):
-            raise DomainError("series values must be finite")
+        # is not finite, and it stays infinite through the last year: checking
+        # that year refuses it as the whole series would.
+        floats(wealth[-1:], "series values")
         _check_wealth(wealth, w1.value)
         keep = slice(bisect_left(years, period.start_year), bisect_right(years, period.end_year))
         years, wealth = years[keep], wealth[keep]

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .errors import DomainError, EmptySlice, InvalidPeriod, KindError
 from .records import Record
-from .units import Unit, shown, to_unit
+from .units import Unit, floats, shown, to_unit
 
 
 class SeriesKind(str, Enum):
@@ -55,17 +55,6 @@ KIND_UNITS: dict[SeriesKind, frozenset[Unit]] = {
 
 #: Largest year magnitude: the years a float time grid holds exactly.
 YEAR_LIMIT = 2**53
-
-
-def _number(value) -> bool:
-    """Whether ``float`` converts ``value`` as a number (2, 1.5, nan), not parses text ("1.5")."""
-    if isinstance(value, (str, bytes, bytearray)):
-        return False
-    try:
-        float(value)
-    except (TypeError, ValueError, OverflowError):
-        return False
-    return True
 
 
 def _integral(year) -> bool:
@@ -109,9 +98,9 @@ class Period(Record):
 class AnnualSeries(Record):
     """Immutable year-indexed sequence with a kind and a unit tag.
 
-    Years are stored as ints and values as floats; a year that is not
-    integral (2000.5, "2000") is rejected rather than truncated, and a value
-    that is not a number ("1.5") rather than parsed.
+    Years are stored as ints and values as finite floats (``units.floats``); a
+    year that is not integral (2000.5, "2000") is rejected rather than
+    truncated, and a value that is not a number ("1.5") rather than parsed.
     """
 
     __slots__ = _fields = ("kind", "unit", "years", "values")
@@ -127,8 +116,8 @@ class AnnualSeries(Record):
         years: Sequence[int],
         values: Sequence[float],
     ) -> None:
-        # Exact ints and floats, what parsing and arithmetic produce, are
-        # stored as given; any other element type is converted first.
+        # Exact ints, what parsing and arithmetic produce, are stored as
+        # given; any other element type is converted first.
         raw = years = tuple(years)
         if set(map(type, raw)) != {int}:
             try:
@@ -138,20 +127,7 @@ class AnnualSeries(Record):
             if years != raw:  # one whole-tuple test; the search runs only on failure
                 bad = next(y for y in raw if not _integral(y))
                 raise DomainError(f"years must be integers, got {bad!r}")
-        raw = values = tuple(values)
-        if set(map(type, raw)) != {float}:
-            try:
-                values = tuple(map(float, raw))
-            except (TypeError, ValueError, OverflowError):
-                values = ()
-            # float(x) is x for a float and equals x for a number it holds
-            # exactly, so one whole-tuple test passes numbers; the search runs
-            # only on a mismatch (text, or a NaN that float() copied, which
-            # fails as not finite).
-            if values != raw:
-                bad = [v for v in raw if not _number(v)]
-                if bad:
-                    raise DomainError(f"series values must be numbers, got {shown(bad[0])}")
+        values = floats(values, "series values")
         if len(years) != len(values):
             raise DomainError("years and values must have equal length")
         if not years:
@@ -161,9 +137,7 @@ class AnnualSeries(Record):
         if years[0] < -YEAR_LIMIT or years[-1] > YEAR_LIMIT:
             year = years[0] if years[0] < -YEAR_LIMIT else years[-1]
             raise DomainError(f"years must lie within ±2**53, got {shown(year)}")
-        if not all(map(math.isfinite, values)):
-            raise DomainError("series values must be finite")
-        # Every kind is a stock, flow or ratio > 0. NaN is rejected above, so
+        # Every kind is a stock, flow or ratio > 0; the values are finite, so
         # min() sees only ordered values.
         if min(values) <= 0.0:
             raise DomainError(f"{kind.value} values must be strictly positive")

@@ -1,4 +1,5 @@
-"""Unit tags, the scalar Quantity type, and the fixed conversion table.
+"""Unit tags, the scalar Quantity type, the fixed conversion table, and the
+package's one rule for what a number is (``finite`` and ``floats``).
 
 Canonical internal units are T$2010/yr for production, EJ/yr for energy,
 GtC/yr for emissions and ppmv for concentration; gigawatts appear only at
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from enum import Enum
+from typing import Iterable
 
 from .errors import DomainError, IncompatibleUnits, KindError
 from .records import Record
@@ -49,12 +51,34 @@ _CONVERSIONS = {
 }
 
 
-def finite(value: float) -> bool:
-    """``math.isfinite(value)``, but False, not OverflowError, for an int too large for a float."""
+def finite(value: object) -> bool:
+    """Whether ``value`` is a finite number: ``math.isfinite(value)``, but False, not an
+    error, for a value it refuses, such as text (which ``float`` would parse), bytes,
+    None, a list or an int too large for a float."""
     try:
         return math.isfinite(value)
-    except OverflowError:
+    except (OverflowError, TypeError):
         return False
+
+
+def floats(values: Iterable[float], what: str) -> tuple[float, ...]:
+    """``values`` as a tuple of finite floats; an all-float tuple is returned as it is.
+
+    Raises DomainError naming ``what`` for a ``values`` that is not iterable,
+    or for its first value that ``finite`` refuses.
+    """
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise DomainError(f"{what} must be a sequence of numbers, got {shown(values)}") from None
+    try:
+        all_finite = all(map(math.isfinite, values))
+    except (OverflowError, TypeError):  # a value that finite refuses
+        all_finite = False
+    if not all_finite:
+        bad = next(v for v in values if not finite(v))
+        raise DomainError(f"{what} must be finite numbers, got {shown(bad)}")
+    return values if set(map(type, values)) == {float} else tuple(map(float, values))
 
 
 def shown(value: object) -> str:
@@ -72,7 +96,7 @@ def to_unit(value: float, source: Unit, target: Unit) -> float:
     it (multiplying by the reciprocal rounds differently for some inputs).
     Raises IncompatibleUnits when no conversion path exists (context-dependent
     conversions such as GtC/yr -> ppmv are deliberately not unit conversions),
-    and DomainError when the result is not finite.
+    and DomainError when ``value`` or the result is not a finite number.
     """
     if source is not target:
         try:
@@ -80,12 +104,10 @@ def to_unit(value: float, source: Unit, target: Unit) -> float:
         except KeyError:
             message = f"no conversion path from {source.value} to {target.value}"
             raise IncompatibleUnits(message) from None
-    try:
+    if finite(value):
         result = value if source is target else direction(value, EJ_PER_YR_PER_GW)
         if math.isfinite(result):
             return result
-    except OverflowError:  # an int too large for a float
-        pass
     raise DomainError(f"{shown(value)} {source.value} is not a finite value in {target.value}")
 
 
@@ -97,12 +119,8 @@ class Quantity(Record):
     unit: Unit
 
     def __init__(self, value: float, unit: Unit) -> None:
-        try:
-            is_finite = finite(value)
-        except TypeError:  # text, None or another value that is not a number
-            raise DomainError(f"quantity value must be a number, got {shown(value)}") from None
-        if not is_finite:
-            raise DomainError(f"quantity value must be finite, got {shown(value)}")
+        if not finite(value):
+            raise DomainError(f"quantity value must be a finite number, got {shown(value)}")
         if not isinstance(unit, Unit):
             raise KindError(f"quantity unit must be a Unit, got {shown(unit)}")
         super().__init__(value, unit)

@@ -152,6 +152,45 @@ def test_the_gw_ej_check_sees_the_name_and_the_literal(source, uses):
     assert gw_ej_factor_uses(source) == uses
 
 
+TEXT_TYPES = {"str", "bytes", "bytearray"}
+
+
+def text_type_tests(source: str):
+    """Line numbers in ``source`` of an ``isinstance`` test against ``str``, ``bytes`` or
+    ``bytearray``, alone or in a tuple of types."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            continue
+        classes = node.args[1]
+        names = classes.elts if isinstance(classes, ast.Tuple) else [classes]
+        if any(isinstance(n, ast.Name) and n.id in TEXT_TYPES for n in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_only_units_decides_what_a_number_is():
+    """A value is a number when ``units.finite`` says so, not when it is not text."""
+    package = Path(enerscale.__file__).parent
+    found = {path.stem: text_type_tests(path.read_text(encoding="utf-8"))
+             for path in package.glob("*.py")}
+    assert {stem: lines for stem, lines in found.items() if lines} == {}
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("ok = isinstance(v, str)", [1]),
+    ("x = 1\nok = isinstance(v, (int, bytes))", [2]),
+    ("ok = any(isinstance(v, (str, bytes, bytearray)) for v in vs)", [1]),
+    ("ok = isinstance(v, bytearray)", [1]),
+    ("ok = isinstance(v, (int, float))", []),
+    ("ok = isinstance(v, Unit)", []),
+    ("names = 'isinstance(v, str)'", []),
+])
+def test_the_text_type_check_sees_each_text_type(source, lines):
+    assert text_type_tests(source) == lines
+
+
 def renaming_functions(source: str):
     """Names of the functions in ``source`` that only rename another.
 

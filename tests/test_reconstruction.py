@@ -217,7 +217,7 @@ def test_an_overflowing_wealth_raises_the_same_error_windowed_or_whole():
         with pytest.raises(DomainError) as raised:
             cumulative_production(gdp, Quantity(1.0, Unit.TUSD), period)
         messages.append(str(raised.value))
-    assert messages == ["series values must be finite"] * 2
+    assert messages == ["series values must be finite numbers, got inf"] * 2
 
 
 # -------------------------------------------------------- snapshot milestones

@@ -2,11 +2,11 @@
 
 Every numeric argument of each callable below is drawn from finite floats,
 the infinities, NaN, signed zeros, negatives, floats near the top of the
-range, small ints, ints too large for a float and ints past the interpreter's
-4300-digit limit for formatting an int. Only an ``EnerscaleError`` may escape
-a call, every float it returns, directly or in a returned record (fields
-and the derived values named in ``DERIVED``), is finite, and what it returns
-can be formatted by ``repr`` for a message. A scenario run may return a
+range, small ints, ints too large for a float, ints past the interpreter's
+4300-digit limit for formatting an int, and text, bytes and None. Only an
+``EnerscaleError`` may escape a call, every float it returns, directly or in
+a returned record (fields and the derived values named in ``DERIVED``), is
+finite, and what it returns can be formatted by ``repr`` for a message. A scenario run may return a
 column past the float range (the CLI's writer refuses the inf), never a NaN.
 """
 
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from enerscale.carbon import CarbonCycleParams
 from enerscale.errors import DomainError, EnerscaleError
 from enerscale.growth import (
+    CarbonizationEstimate,
     RatesRow,
     carbonization,
     growth_rate,
@@ -42,6 +43,7 @@ from enerscale.projection import (
 )
 from enerscale.reconstruction import (
     NaturalCubicSpline,
+    PppMerRatio,
     WealthSeries,
     calibrate_initial_wealth,
     spline_infill,
@@ -61,6 +63,7 @@ numbers = st.one_of(
     st.integers(min_value=2**1024),
     st.integers(max_value=-(2**1024)),
     st.sampled_from([PAST_STR_LIMIT, -PAST_STR_LIMIT]),
+    st.sampled_from(["1", b"1", None]),
 )
 units = st.sampled_from(Unit)
 
@@ -453,9 +456,65 @@ def test_a_spinup_perturbation_past_the_float_range_is_refused():
             historical_spinup_delta(emissions, dt=dt)
 
 
+#: Each scalar argument that ``units.finite`` checks, called with the value it is given.
+SCALAR_CHECKS = {
+    "Scenario": lambda v: Scenario(2017.0, 40.0, 100.0, 5.9, v, 0.02),
+    "CarbonCycleParams": lambda v: CarbonCycleParams(sigma=v),
+    "AtmosphereState": lambda v: AtmosphereState(2000.0, v),
+    "time_grid": lambda v: time_grid(v, 0.25),
+    "required_clean_capacity": lambda v: required_clean_capacity(Quantity(1.0, Unit.GW), v),
+    "steady_state_commitment-settle_years": lambda v: steady_state_commitment(SCENARIO, 2018.0, v),
+    "at_year": lambda v: TRAJECTORY.at_year(v),
+    "first_crossing": lambda v: TRAJECTORY.first_crossing(v),
+    "spinup-delta0": lambda v: historical_spinup_delta(EMISSIONS, delta0=v),
+    "spinup-dt": lambda v: historical_spinup_delta(EMISSIONS, dt=v),
+    "step_atmosphere-dt": lambda v: step_atmosphere(AtmosphereState(2000.0, 1.0), 1.0, dt=v),
+    "w1_sensitivity": lambda v: w1_sensitivity(GDP, ENERGY, W1, v, Period(1, 2)),
+    "pop_growth": lambda v: calibrate_initial_wealth(GDP, v),
+    "PppMerRatio": lambda v: PppMerRatio(v, Period(1970, 1992)),
+    "descriptor-scale": lambda v: DataSourceDescriptor("x.csv", SeriesKind.ENERGY,
+                                                       Unit.EJ_PER_YR, scale=v),
+    "to_unit": lambda v: to_unit(v, Unit.GW, Unit.EJ_PER_YR),
+}
+
+
+@pytest.mark.parametrize("value", ["1", None], ids=["text", "none"])
+@pytest.mark.parametrize("call", SCALAR_CHECKS.values(), ids=SCALAR_CHECKS)
+def test_text_or_none_fails_with_a_domain_error(call, value):
+    """``units.finite`` raised a raw TypeError from math.isfinite, and the comparisons did too."""
+    with pytest.raises(DomainError):
+        call(value)
+
+
+def test_a_nan_ppp_mer_ratio_is_refused():
+    """``nan <= 0`` is False, so a NaN ratio used to be accepted."""
+    with pytest.raises(DomainError, match="PPP/MER ratio must be positive and finite, got nan"):
+        PppMerRatio(math.nan, Period(1970, 1992))
+
+
+def test_a_nan_carbonization_is_refused():
+    """``nan <= 0`` is False, so a NaN carbonization used to be accepted."""
+    with pytest.raises(DomainError, match="carbonization must be positive and finite, got nan"):
+        CarbonizationEstimate(Period(2000, 2001), math.nan, 0.0, 1.0, 0.0)
+
+
+NOT_ITERABLE = {
+    "committed_curve": lambda: committed_curve(5, Quantity(5.9, Unit.GW_PER_TUSD),
+                                               Quantity(0.017, Unit.GTC_PER_EJ)),
+    "series-values": lambda: AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (2000,), 5),
+}
+
+
+@pytest.mark.parametrize("call", NOT_ITERABLE.values(), ids=NOT_ITERABLE)
+def test_a_sequence_argument_that_is_not_iterable_is_refused(call):
+    """``committed_curve(5, ...)`` and a series of values 5 raised a raw TypeError."""
+    with pytest.raises(DomainError, match="must be a sequence of numbers, got 5"):
+        call()
+
+
 @pytest.mark.parametrize("text", ["1", b"1", bytearray(b"1")], ids=["str", "bytes", "bytearray"])
 def test_committed_curve_refuses_text(text):
     """float() parsed "1" and the curve returned [(1.0, 0.644...)]; AnnualSeries refuses text."""
-    with pytest.raises(DomainError, match="cumulative production must be numbers, not text"):
+    with pytest.raises(DomainError, match="cumulative production must be finite numbers, got"):
         committed_curve([2.0, text], Quantity(5.9, Unit.GW_PER_TUSD),
                         Quantity(0.017, Unit.GTC_PER_EJ))

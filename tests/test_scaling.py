@@ -219,7 +219,8 @@ YEARS_1_TO_2017 = tuple(range(1, 2018))
                      "wealth must be strictly increasing", id="stops-increasing-before-the-window"),
         pytest.param(AnnualSeries(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, YEARS_1_TO_2017,
                                   tuple(1.0 if y < 2016 else 1e308 for y in YEARS_1_TO_2017)),
-                     250.0, 1.0, Period(1980, 1990), DomainError, "series values must be finite",
+                     250.0, 1.0, Period(1980, 1990), DomainError,
+                     "series values must be finite numbers, got inf",
                      id="sum-overflows-in-the-last-year"),
         pytest.param(None, 250.0, 1.0, Period(1900, 1950), EmptySlice,
                      "no scaling series inside 1900-1950", id="period-before-energy"),

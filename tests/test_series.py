@@ -106,7 +106,7 @@ def test_rejects_non_integral_years(years):
 )
 def test_rejects_non_numeric_values(bad):
     # Not parsed: float() alone would read "1.5" as 1.5 and " 2 " as 2.0.
-    with pytest.raises(DomainError, match=f"must be numbers, got {re.escape(repr(bad))}"):
+    with pytest.raises(DomainError, match=f"must be finite numbers, got {re.escape(repr(bad))}"):
         AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (2000, 2001, 2002), (1.0, bad, 3.0))
 
 

@@ -30,7 +30,6 @@ ALLOWED = {
     "growth.KayaComponents.residual": "criterion 10",
     "projection.steady_state_commitment": "the benchmark's sweep workload",
     "projection.Trajectory.points": "the benchmark's sweep workload and step counter",
-    "series._number": "the input check of AnnualSeries values given by a library caller",
     "cli.console_main": "the console-script hook",
     "cli._Parser.error": "argparse's usage-error hook",
     "records.Record._values": "the record protocol (equality, hashing, pickling)",

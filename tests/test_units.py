@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from enerscale.errors import DomainError, IncompatibleUnits, KindError
-from enerscale.units import EJ_PER_YR_PER_GW, Quantity, Unit, to_unit
+from enerscale.units import EJ_PER_YR_PER_GW, Quantity, Unit, finite, floats, to_unit
 
 CONVERTIBLE_PAIRS = [(Unit.GW, Unit.EJ_PER_YR), (Unit.EJ_PER_YR, Unit.GW)]
 
@@ -55,9 +55,9 @@ def test_conversion_rejects_non_finite_result(value, source, target):
 
 def test_quantity_rejects_an_int_too_large_for_a_float():
     """10**400 used to raise a raw OverflowError from the finiteness check."""
-    with pytest.raises(DomainError, match="must be finite"):
+    with pytest.raises(DomainError, match="quantity value must be a finite number"):
         Quantity(10**400, Unit.GW)
-    with pytest.raises(DomainError, match="must be finite"):
+    with pytest.raises(DomainError, match="quantity value must be a finite number"):
         Quantity(-(10**400), Unit.GW)
 
 
@@ -90,7 +90,7 @@ def test_quantity_refuses_a_unit_that_is_not_a_unit_member(unit):
 @pytest.mark.parametrize("value", ["1.0", None], ids=["str", "none"])
 def test_quantity_refuses_a_value_that_is_not_a_number(value):
     """math.isfinite used to raise a raw TypeError."""
-    with pytest.raises(DomainError, match="quantity value must be a number"):
+    with pytest.raises(DomainError, match="quantity value must be a finite number"):
         Quantity(value, Unit.GW)
 
 
@@ -150,3 +150,28 @@ def test_gw_ej_factor_is_used_only_in_units():
             if read or literal:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+@pytest.mark.parametrize("value", ["1", b"1", bytearray(b"1"), None, [1.0], 1j, 10**400,
+                                   math.nan, math.inf])
+def test_finite_is_false_for_a_value_that_is_not_a_finite_number(value):
+    assert finite(value) is False
+
+
+def test_floats_keeps_an_all_float_tuple_and_converts_other_numbers():
+    values = (1.0, 2.5)
+    assert floats(values, "x") is values
+    converted = floats([1, True, 2.5], "x")
+    assert converted == (1.0, 1.0, 2.5) and all(type(v) is float for v in converted)
+    assert floats((), "x") == ()
+
+
+@pytest.mark.parametrize("values, shown", [
+    ((1.0, "1.5"), "'1.5'"),
+    ([2, None], "None"),
+    ((1.0, math.nan, "x"), "nan"),
+    ((-(10**400),), "-1" + "0" * 400),
+])
+def test_floats_names_the_first_value_that_is_not_a_finite_number(values, shown):
+    with pytest.raises(DomainError, match=f"^knots must be finite numbers, got {shown}$"):
+        floats(values, "knots")
