@@ -265,20 +265,9 @@ def _cmd_calibrate(args, manifest: RunManifest) -> tuple[str, int]:
     return text, EXIT_OK
 
 
-def _integral_years(values) -> tuple[int, ...]:
-    """A JSON list of years as ints; ValueError if one is not integral.
-
-    1970.0 is read as 1970; 1970.9, "1970", true and Infinity are rejected.
-    """
-    years = tuple(map(int, values))
-    if years != tuple(values) or any(isinstance(year, bool) for year in values):
-        raise ValueError(f"years must be integers, got {values!r}")
-    return years
-
-
 def _tables_inputs(data_dir: Path | None, manifest: RunManifest):
     """Snapshot plus either recomputed or on-disk reconstruction outputs."""
-    from .ingestion import canonical_descriptor, json_field, json_number, load_series
+    from .ingestion import canonical_descriptor, json_field, json_number, json_years, load_series
     from .reconstruction import PppMerRatio, ReconstructionResult, WealthSeries
     from .series import Period, SeriesKind
     from .units import Quantity, Unit
@@ -308,12 +297,12 @@ def _tables_inputs(data_dir: Path | None, manifest: RunManifest):
         w1=Quantity(field("w1_tusd", json_number), Unit.TUSD),
         method=prov.get("method", "loaded from disk"),
     )
-    window = field("kappa_x_window", lambda years: Period(*_integral_years(years)))
+    window = field("kappa_x_window", lambda years: Period(*json_years(years)))
     recon = ReconstructionResult(
         gdp=gdp,
         wealth=wealth,
         ratio=PppMerRatio(field("kappa_x", json_number), window),
-        spline_knot_years=field("spline_knot_years", _integral_years, ()),
+        spline_knot_years=field("spline_knot_years", json_years, ()),
     )
     return snapshot, recon
 

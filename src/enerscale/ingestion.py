@@ -17,9 +17,9 @@ import math
 import operator
 from pathlib import Path
 
-from .errors import DomainError, ParseError, SchemaError
+from .errors import DomainError, EnerscaleError, ParseError, SchemaError
 from .records import Record
-from .series import AnnualSeries, Period, SeriesKind
+from .series import AnnualSeries, Period, SeriesKind, integral_years
 from .units import Unit, finite, shown
 
 
@@ -235,17 +235,16 @@ def canonical_descriptor(
 def json_field(where: str, record, key: str, convert, default=None):
     """``convert(record[key])``, or ``default`` if one is given and ``key`` is absent.
 
-    A missing required field, a record that is not a JSON object, a value
-    ``convert`` rejects (an integer too large for a float included) and a
-    float that is not finite (JSON parsing admits NaN and the infinities) all
-    raise ``SchemaError`` naming ``where`` and ``key``.
+    A missing required field, a record that is not a JSON object, a value ``convert``
+    rejects (by an ``EnerscaleError`` too) and a float that is not finite (JSON parsing
+    admits NaN and the infinities) all raise ``SchemaError`` naming ``where`` and ``key``.
     """
     try:
         value = default if default is not None and key not in record else convert(record[key])
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"expected a finite number, got {value!r}")
         return value
-    except (KeyError, TypeError, ValueError, OverflowError):
+    except (KeyError, TypeError, ValueError, OverflowError, EnerscaleError):
         raise SchemaError(f"{where} has a missing or invalid {key!r}") from None
 
 
@@ -265,6 +264,14 @@ def json_number(value) -> float:
     if type(value) not in (int, float):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
+
+
+def json_years(values) -> tuple[int, ...]:
+    """JSON years by ``series.integral_years``, each a ``json_number`` (not ``true`` or text)
+    read as written: as a float, 2**53 + 1 would be 2**53."""
+    for value in values:
+        json_number(value)
+    return integral_years(values)
 
 
 def load_manifest(path: Path | str) -> dict[str, ManifestEntry]:

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Union
 from .carbon import CarbonCycleParams
 from .errors import DomainError, KindError
 from .records import Record
-from .series import AnnualSeries, SeriesKind
+from .series import AnnualSeries, SeriesKind, integral
 from .units import DAYS_PER_YEAR, Quantity, Unit, finite, floats, shown, to_unit
 
 #: Most grid points a run may ask for: each column holds a float object and a
@@ -98,6 +98,12 @@ def _rk4_affine(dt: float, kappa: float, sigma: float, growth: float = 0.0) -> t
     return a, p
 
 
+def _require_step(dt: float) -> None:
+    """The one step rule of the stepper, the scenario engine and spin-up: 0 < dt <= 1 year."""
+    if not (finite(dt) and 0.0 < dt <= 1.0):
+        raise DomainError(f"dt must be in (0, 1] years, got {shown(dt)}")
+
+
 def step_atmosphere(
     state: AtmosphereState,
     emissions_rate: EmissionsRate,
@@ -112,8 +118,7 @@ def step_atmosphere(
     delta(t) = (kappa*C/sigma)(1 - exp(-sigma t)) + delta0 exp(-sigma t)
     is matched at fourth order in dt.
     """
-    if not (finite(dt) and 0.0 < dt <= 1.0):
-        raise DomainError("dt must be in (0, 1] years")
+    _require_step(dt)
     t0 = state.year
     if callable(emissions_rate):
         sources = (emissions_rate(t0), emissions_rate(t0 + dt / 2.0), emissions_rate(t0 + dt))
@@ -168,8 +173,7 @@ class Scenario(Record):
             raise DomainError(f"scenario fields must be finite: {', '.join(not_finite)}")
         if horizon_years <= 0:
             raise DomainError("horizon must be positive")
-        if not 0.0 < dt <= 1.0:
-            raise DomainError("dt must be in (0, 1]")
+        _require_step(dt)
         if min(w0, lambda_gw, c0) <= 0:
             raise DomainError("w0, lambda and c0 must be positive")
         if delta0 < 0:
@@ -598,18 +602,17 @@ def historical_spinup_delta(
         raise KindError(f"spin-up expects emissions, got {emissions.kind.value}")
     if not emissions.is_contiguous():
         raise DomainError("spin-up needs a contiguous emissions series")
-    if not (finite(dt) and 0.0 < dt <= 1.0):
-        raise DomainError("dt must be in (0, 1] years")
+    _require_step(dt)
     if not (finite(delta0) and delta0 >= 0):
         raise DomainError("initial perturbation must be finite and non-negative,"
                           f" got {shown(delta0)}")
     last = emissions.last_year if end_year is None else end_year
-    if not (isinstance(last, int) and not isinstance(last, bool)
-            and emissions.first_year <= last <= emissions.last_year + 1):
+    if not (integral(last) and emissions.first_year <= last <= emissions.last_year + 1):
         raise DomainError(
             f"end_year must be an int in [{emissions.first_year}, {emissions.last_year + 1}],"
             f" got {shown(end_year)}"
         )
+    last = int(last)
     years = last - emissions.first_year
     if not years:  # no step to take, so no grid to build at any dt
         return delta0

@@ -5,9 +5,9 @@ calendar year, matching the reporting conventions of the underlying sources.
 All series types are immutable; every operation returns a new series.
 Values are tuples of Python floats; a year is found in a series by
 bisection of its increasing years. The mean, sample standard deviation and OLS
-log slope that the analysis layers share are defined here once, and so is the
-package's one period reader, ``period_values``: a statistic over a period
-reads every year of it, or is refused.
+log slope that the analysis layers share are defined here once, and so are the
+package's one year rule, ``integral``, and its one period reader,
+``period_values``: a statistic over a period reads every year of it, or is refused.
 """
 
 from __future__ import annotations
@@ -53,16 +53,32 @@ KIND_UNITS: dict[SeriesKind, frozenset[Unit]] = {
 }
 
 
-#: Largest year magnitude: the years a float time grid holds exactly.
-YEAR_LIMIT = 2**53
-
-
-def _integral(year) -> bool:
-    """Whether ``year`` is an int or a number equal to one (2000.0, not 2000.5 or "2000")."""
+def integral(year) -> bool:
+    """Whether ``year`` is a year, the package's one rule for it: an int, or a number equal
+    to one (2000.0, not 2000.5 or "2000"), within ±2**53, the years a float time grid
+    holds exactly."""
     try:
-        return int(year) == year
+        return int(year) == year and abs(year) <= 2**53
     except (TypeError, ValueError, OverflowError):
         return False
+
+
+def integral_years(values: Sequence[int]) -> tuple[int, ...]:
+    """``values`` as a strictly increasing tuple of years that ``integral`` accepts, as ints;
+    an all-int tuple is returned as it is.
+
+    Raises DomainError naming the first year ``integral`` refuses, or the order fault.
+    """
+    years = tuple(values)
+    int_only = set(map(type, years)) == {int}
+    # Increasing ints lie between their two ends; any other type is tested year by year.
+    for year in years[:1] + years[-1:] if int_only else years:
+        if not integral(year):
+            raise DomainError(f"years must be integers within ±2**53, got {shown(year)}")
+    years = years if int_only else tuple(map(int, years))
+    if any(map(operator.ge, years, years[1:])):
+        raise DomainError("years must be strictly increasing with no duplicates")
+    return years
 
 
 class Period(Record):
@@ -73,17 +89,13 @@ class Period(Record):
     end_year: int
 
     def __init__(self, start_year: int, end_year: int) -> None:
-        if not (_integral(start_year) and _integral(end_year)):
-            raise InvalidPeriod(
-                f"period years must be integers, got {shown(start_year)}..{shown(end_year)}"
-            )
+        refused = ", ".join(shown(year) for year in (start_year, end_year) if not integral(year))
+        if refused:
+            raise InvalidPeriod(f"period years must be integers within ±2**53, got {refused}")
         if start_year >= end_year:
             raise InvalidPeriod(
                 f"period must satisfy start < end, got {shown(start_year)}..{shown(end_year)}"
             )
-        if start_year < -YEAR_LIMIT or end_year > YEAR_LIMIT:
-            year = start_year if start_year < -YEAR_LIMIT else end_year
-            raise InvalidPeriod(f"period years must lie within ±2**53, got {shown(year)}")
         super().__init__(int(start_year), int(end_year))
 
     @property
@@ -98,9 +110,9 @@ class Period(Record):
 class AnnualSeries(Record):
     """Immutable year-indexed sequence with a kind and a unit tag.
 
-    Years are stored as ints and values as finite floats (``units.floats``); a
-    year that is not integral (2000.5, "2000") is rejected rather than
-    truncated, and a value that is not a number ("1.5") rather than parsed.
+    Years are stored as ints (``integral_years``) and values as finite floats
+    (``units.floats``); a year that is not integral (2000.5, "2000") is rejected
+    rather than truncated, and a value that is not a number ("1.5") rather than parsed.
     """
 
     __slots__ = _fields = ("kind", "unit", "years", "values")
@@ -116,27 +128,12 @@ class AnnualSeries(Record):
         years: Sequence[int],
         values: Sequence[float],
     ) -> None:
-        # Exact ints, what parsing and arithmetic produce, are stored as
-        # given; any other element type is converted first.
-        raw = years = tuple(years)
-        if set(map(type, raw)) != {int}:
-            try:
-                years = tuple(map(int, raw))
-            except (TypeError, ValueError, OverflowError):
-                years = ()
-            if years != raw:  # one whole-tuple test; the search runs only on failure
-                bad = next(y for y in raw if not _integral(y))
-                raise DomainError(f"years must be integers, got {bad!r}")
+        years = integral_years(years)
         values = floats(values, "series values")
         if len(years) != len(values):
             raise DomainError("years and values must have equal length")
         if not years:
             raise EmptySlice("a series needs at least one point")
-        if any(map(operator.ge, years, years[1:])):
-            raise DomainError("years must be strictly increasing with no duplicates")
-        if years[0] < -YEAR_LIMIT or years[-1] > YEAR_LIMIT:
-            year = years[0] if years[0] < -YEAR_LIMIT else years[-1]
-            raise DomainError(f"years must lie within ±2**53, got {shown(year)}")
         # Every kind is a stock, flow or ratio > 0; the values are finite, so
         # min() sees only ordered values.
         if min(values) <= 0.0:

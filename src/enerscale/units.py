@@ -64,10 +64,12 @@ def finite(value: object) -> bool:
 def floats(values: Iterable[float], what: str) -> tuple[float, ...]:
     """``values`` as a tuple of finite floats; an all-float tuple is returned as it is.
 
-    Raises DomainError naming ``what`` for a ``values`` that is not iterable,
-    or for its first value that ``finite`` refuses.
+    Raises DomainError naming ``what`` for a ``values`` that is not iterable or is
+    encoded text, or for its first value that ``finite`` refuses.
     """
     try:
+        if hasattr(values, "decode"):  # bytes would iterate as their ints
+            raise TypeError
         values = tuple(values)
     except TypeError:
         raise DomainError(f"{what} must be a sequence of numbers, got {shown(values)}") from None

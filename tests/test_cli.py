@@ -198,6 +198,17 @@ def test_tables_missing_reconstruction_inputs(tmp_path, capsys):
         pytest.param('{"w1_tusd": 50.0, "kappa_x": 1.5, "kappa_x_window": [1970, 1992],'
                      ' "spline_knot_years": [true, 1000]}', "'spline_knot_years'",
                      id="spline_knot_years-true"),
+        pytest.param('{"w1_tusd": 50.0, "kappa_x": 1.5, "kappa_x_window": [1970, 1992],'
+                     ' "spline_knot_years": [1, 1000, 1000]}', "'spline_knot_years'",
+                     id="spline_knot_years-repeated"),
+        pytest.param('{"w1_tusd": 50.0, "kappa_x": 1.5, "kappa_x_window": [1970, 1992],'
+                     ' "spline_knot_years": [1000, 1]}', "'spline_knot_years'",
+                     id="spline_knot_years-out-of-order"),
+        pytest.param('{"w1_tusd": 50.0, "kappa_x": 1.5, "kappa_x_window": [1970, 1992],'
+                     ' "spline_knot_years": [-9007199254740993, 1]}', "'spline_knot_years'",
+                     id="spline_knot_years-past-2**53"),
+        pytest.param('{"w1_tusd": 50.0, "kappa_x": 1.5, "kappa_x_window": [1992, 1970]}',
+                     "'kappa_x_window'", id="kappa_x_window-reversed"),
     ],
 )
 def test_tables_rejects_malformed_reconstruction_json(tmp_path, capsys, text, message):

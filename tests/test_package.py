@@ -153,11 +153,12 @@ def test_the_gw_ej_check_sees_the_name_and_the_literal(source, uses):
 
 
 TEXT_TYPES = {"str", "bytes", "bytearray"}
+INT_TYPES = {"int", "bool"}
 
 
-def text_type_tests(source: str):
-    """Line numbers in ``source`` of an ``isinstance`` test against ``str``, ``bytes`` or
-    ``bytearray``, alone or in a tuple of types."""
+def type_tests(source: str, types: set[str]):
+    """Line numbers in ``source`` of an ``isinstance`` test against a type named in
+    ``types``, alone or in a tuple of types."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
@@ -165,17 +166,22 @@ def text_type_tests(source: str):
             continue
         classes = node.args[1]
         names = classes.elts if isinstance(classes, ast.Tuple) else [classes]
-        if any(isinstance(n, ast.Name) and n.id in TEXT_TYPES for n in names):
+        if any(isinstance(n, ast.Name) and n.id in types for n in names):
             found.append(node.lineno)
     return found
 
 
+def package_type_tests(types: set[str]):
+    """``type_tests`` of each module under ``src/enerscale/`` that has one."""
+    package = Path(enerscale.__file__).parent
+    found = {path.stem: type_tests(path.read_text(encoding="utf-8"), types)
+             for path in package.glob("*.py")}
+    return {stem: lines for stem, lines in found.items() if lines}
+
+
 def test_only_units_decides_what_a_number_is():
     """A value is a number when ``units.finite`` says so, not when it is not text."""
-    package = Path(enerscale.__file__).parent
-    found = {path.stem: text_type_tests(path.read_text(encoding="utf-8"))
-             for path in package.glob("*.py")}
-    assert {stem: lines for stem, lines in found.items() if lines} == {}
+    assert package_type_tests(TEXT_TYPES) == {}
 
 
 @pytest.mark.parametrize("source, lines", [
@@ -188,7 +194,26 @@ def test_only_units_decides_what_a_number_is():
     ("names = 'isinstance(v, str)'", []),
 ])
 def test_the_text_type_check_sees_each_text_type(source, lines):
-    assert text_type_tests(source) == lines
+    assert type_tests(source, TEXT_TYPES) == lines
+
+
+def test_only_series_decides_what_a_year_is():
+    """A value is a year when ``series.integral`` says so, not when it is an int and not a
+    bool."""
+    assert package_type_tests(INT_TYPES) == {}
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("ok = isinstance(v, int)", [1]),
+    ("ok = not isinstance(v, bool)", [1]),
+    ("x = 1\nok = isinstance(v, (str, bool))", [2]),
+    ("ok = isinstance(y, int) and not isinstance(y, bool)", [1, 1]),
+    ("ok = isinstance(v, (float, complex))", []),
+    ("ok = type(v) is int", []),
+    ("names = 'isinstance(v, int)'", []),
+])
+def test_the_int_type_check_sees_int_and_bool(source, lines):
+    assert type_tests(source, INT_TYPES) == lines
 
 
 def renaming_functions(source: str):

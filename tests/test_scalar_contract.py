@@ -11,6 +11,7 @@ column past the float range (the CLI's writer refuses the inf), never a NaN.
 """
 
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -510,6 +511,24 @@ def test_a_sequence_argument_that_is_not_iterable_is_refused(call):
     """``committed_curve(5, ...)`` and a series of values 5 raised a raw TypeError."""
     with pytest.raises(DomainError, match="must be a sequence of numbers, got 5"):
         call()
+
+
+ENCODED_TEXT = {
+    "committed_curve": lambda text: committed_curve(text, Quantity(5.9, Unit.GW_PER_TUSD),
+                                                    Quantity(0.017, Unit.GTC_PER_EJ)),
+    "series-values": lambda text: AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR,
+                                               (2000, 2001), text),
+}
+
+
+@pytest.mark.parametrize("text", [b"\x01\x02", bytearray(b"\x01\x02")], ids=["bytes", "bytearray"])
+@pytest.mark.parametrize("call", ENCODED_TEXT.values(), ids=ENCODED_TEXT)
+def test_encoded_text_is_not_a_sequence_of_numbers(call, text):
+    """Bytes iterated as their ints: a series of values b'\\x01\\x02' stored (1.0, 2.0), and
+    ``committed_curve(b'\\x05', ...)`` returned a point at W = 5.0."""
+    message = f"must be a sequence of numbers, got {text!r}"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call(text)
 
 
 @pytest.mark.parametrize("text", ["1", b"1", bytearray(b"1")], ids=["str", "bytes", "bytearray"])

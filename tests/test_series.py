@@ -1,19 +1,27 @@
+import functools
+import json
 import math
 import re
+import shutil
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from enerscale.errors import DomainError, EmptySlice, InvalidPeriod, KindError
+from enerscale.cli import EXIT_OK, EXIT_RUNTIME, main
+from enerscale.errors import DomainError, EmptySlice, InvalidPeriod, KindError, SchemaError
+from enerscale.projection import historical_spinup_delta
 from enerscale.series import (
     AnnualSeries,
     Period,
     SeriesKind,
     aligned_values,
+    integral,
+    integral_years,
     log_slope,
     mean,
     period_values,
@@ -77,6 +85,92 @@ def test_series_rejects_a_year_past_2_53(year, shown):
         AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (-year, 2000), (1.0, 2.0))
     edge = AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (-(2**53), 2**53), (1.0, 2.0))
     assert edge.years == (-(2**53), 2**53)
+
+
+# ----------------------------------------------------------------- year rule
+
+@pytest.mark.parametrize("year, is_year", [
+    (2017, True), (2017.0, True), (np.int64(2017), True), (-(2**53), True), (2**53, True),
+    (2017.5, False), ("2017", False), (math.nan, False), (math.inf, False), (None, False),
+    (2**53 + 1, False), (-(2**53) - 1, False), (1e300, False),
+    pytest.param(10**5000, False, id="past-the-str-limit"),
+])
+def test_integral_is_true_for_an_int_within_2_53(year, is_year):
+    assert integral(year) == is_year
+
+
+def test_integral_years_returns_increasing_ints():
+    years = (1, 2, 3)
+    assert integral_years(years) is years
+    assert integral_years([1.0, np.int64(2), 3]) == (1, 2, 3)
+    assert integral_years([]) == ()
+    with pytest.raises(DomainError, match="strictly increasing"):
+        integral_years((2, 1))
+    with pytest.raises(DomainError, match=re.escape("within ±2**53, got '2'")):
+        integral_years((1, "2"))
+
+
+def read_by_tables(key, edit, year, ctx):
+    """Table 1 of ``tables --data-dir`` after ``reconstruction.json``'s ``key`` is set to
+    ``edit(year)``; a refusal, exit 1 naming ``key``, is raised as the SchemaError it reports."""
+    data = ctx.tmp_path / f"recon-{year!r}"
+    shutil.copytree(ctx.recon_dir, data)
+    prov_path = data / "reconstruction.json"
+    prov = json.loads(prov_path.read_text(encoding="utf-8"))
+    prov[key] = edit(year)
+    prov_path.write_text(json.dumps(prov), encoding="utf-8")
+    code = main(["tables", "--table", "1", "--data-dir", str(data), "--out-dir", str(data / "t")])
+    err = ctx.capsys.readouterr().err
+    if code == EXIT_OK:
+        return (data / "t" / "table1.csv").read_bytes()
+    assert code == EXIT_RUNTIME and err.startswith("error: "), err
+    raise SchemaError(err)
+
+
+#: Each entry point that reads a year: its error type, the text that names the refusal,
+#: and a call that reads ``year``.
+YEAR_ENTRY_POINTS = {
+    "Period": (InvalidPeriod, "period years must be integers within ±2**53",
+               lambda year, ctx: Period(1980, year)),
+    "AnnualSeries": (DomainError, "years must be integers within ±2**53",
+                     lambda year, ctx: AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR,
+                                                    (2016, year), (1.0, 2.0))),
+    "spinup-end_year": (DomainError, "end_year must be an int in [1959, 2018]",
+                        lambda year, ctx: historical_spinup_delta(ctx.snapshot.emissions,
+                                                                  end_year=year, delta0=40.0)),
+    "tables-kappa_x_window": (SchemaError, "has a missing or invalid 'kappa_x_window'",
+                              functools.partial(read_by_tables, "kappa_x_window",
+                                                lambda year: [1970, year])),
+    "tables-spline_knot_years": (SchemaError, "has a missing or invalid 'spline_knot_years'",
+                                 functools.partial(read_by_tables, "spline_knot_years",
+                                                   lambda year: [1, year])),
+}
+
+
+@pytest.fixture(scope="module")
+def recon_dir(tmp_path_factory):
+    """The outputs of ``enerscale reconstruct``, which ``tables --data-dir`` reads."""
+    path = tmp_path_factory.mktemp("recon")
+    assert main(["reconstruct", "--out-dir", str(path)]) == EXIT_OK
+    return path
+
+
+@pytest.mark.parametrize("year", [2017.0, 2017.5, "2017", math.nan, 2**53 + 1],
+                         ids=["2017.0", "2017.5", "text", "nan", "2**53+1"])
+@pytest.mark.parametrize("entry", YEAR_ENTRY_POINTS)
+def test_every_entry_point_reads_a_year_by_one_rule(entry, year, snapshot, recon_dir, tmp_path,
+                                                    capsys):
+    """2017.0 is read as 2017, to the bit; what ``integral`` refuses fails with the entry
+    point's own error. Spin-up refused 2017.0, and ``tables --data-dir`` read
+    2**53 + 1 as a knot year and named no key for it in the window."""
+    error, message, enter = YEAR_ENTRY_POINTS[entry]
+    ctx = SimpleNamespace(snapshot=snapshot, recon_dir=recon_dir, tmp_path=tmp_path,
+                          capsys=capsys)
+    if year == 2017.0:
+        assert repr(enter(2017.0, ctx)) == repr(enter(2017, ctx))
+    else:
+        with pytest.raises(error, match=re.escape(message)):
+            enter(year, ctx)
 
 
 # -------------------------------------------------------------- construction
