@@ -5,17 +5,24 @@ a ``year`` column (integer) and one value column (decimal, ``.`` radix,
 no thousands separators). Extra columns are ignored, which lets a file
 carry provenance columns such as ``source``. Ingestion never interpolates;
 infilling is an explicit reconstruction step.
+
+A plain file (no quote, CR or NUL, no blank line between rows, every row as
+wide as the header) is split into its columns in one pass; any other goes
+through ``csv.reader``. Both readings give the same series and raise the
+same errors.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import io
 import itertools
 import json
 import math
 import operator
 from pathlib import Path
+from typing import Iterable
 
 from .errors import DomainError, EnerscaleError, ParseError, SchemaError
 from .records import Record
@@ -90,39 +97,23 @@ def load_series(d: DataSourceDescriptor) -> AnnualSeries:
     for a read stopped by a byte that is not UTF-8 or a field longer than
     ``csv.field_size_limit()`` (with the row reached), SchemaError for
     missing columns and DomainError for a scaled value that is not strictly
-    positive (the rule of every kind). Row numbers count the header as row 1
-    and skip blank lines. A leading UTF-8 byte order mark is ignored.
+    positive (the rule of every kind) or not finite. Row numbers count the
+    header as row 1 and skip blank lines. A leading UTF-8 byte order mark is
+    ignored.
 
-    The columns are parsed and checked whole; only when that fails are the
-    rows walked one by one, so a bad file raises its first bad row's error.
+    A plain file (see ``_plain_columns``) is split in one pass, with no list
+    per row. Any other file, or one whose columns ``_columns`` refuses, is
+    read again by ``csv.reader``, whose columns are parsed and checked whole;
+    only when that fails are the rows walked one by one, so a bad file raises
+    its first bad row's error. Both paths give the same series and errors.
     """
     try:
-        handle = open(d.path, newline="", encoding="utf-8-sig")
+        handle = open(d.path, "rb")
     except OSError as exc:
         raise ParseError(f"cannot open {d.path}: {exc}") from exc
     with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader, [])
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise ParseError(f"{d.path}: reading stopped at row 1: {exc}") from None
-        # A repeated column name reads its last occurrence, as csv.DictReader would.
-        index = {name: i for i, name in enumerate(header)}
-        for column in (d.year_column, d.value_column):
-            if column not in index:
-                raise SchemaError(f"{d.path}: missing column {column!r} (header: {header})")
-        at = index[d.year_column], index[d.value_column]
-        rows: list[list[str]] = []
-        try:
-            rows.extend(filter(None, reader))  # a blank line reads as []
-        except (csv.Error, UnicodeDecodeError) as exc:
-            # An oversized field or a byte that is not UTF-8 stops the read
-            # after the rows read so far, so a bad one of those is raised first.
-            _walk_rows(d, rows, *at)
-            raise ParseError(f"{d.path}: reading stopped at row {len(rows) + 2}: {exc}") from None
-    if not rows:
-        raise ParseError(f"{d.path}: no data rows")
-    years, values = _columns(d, rows, *at) or _walk_rows(d, rows, *at)
+        data = handle.read()
+    years, values = _plain_columns(d, data) or _csv_columns(d, data)
     if any(map(operator.ge, years, years[1:])):
         years, values = zip(*sorted(zip(years, values)))
         if any(map(operator.eq, years, years[1:])):
@@ -131,24 +122,93 @@ def load_series(d: DataSourceDescriptor) -> AnnualSeries:
     return AnnualSeries(d.kind, d.unit, years, values)
 
 
-def _columns(
-    d: DataSourceDescriptor, rows: list[list[str]], year_at: int, value_at: int
-) -> tuple[list[int], list[float]] | None:
-    """The year and scaled value columns of ``rows``, parsed and checked whole.
+#: ``str.translate`` table that deletes every ASCII character but the comma and LF.
+_SEPARATORS_ONLY = dict.fromkeys(c for c in range(128) if chr(c) not in ",\n")
 
-    Returns None when a row is short, a cell does not parse, or a value is
-    not finite or a scaled value is not positive; ``_walk_rows`` then finds it.
+
+def _plain_columns(
+    d: DataSourceDescriptor, data: bytes
+) -> tuple[list[int], list[float]] | None:
+    """The parsed columns of a plain file, or None for any other file or for a cell that
+    ``_columns`` refuses.
+
+    A plain file has no quote, CR or NUL, no line longer than ``csv.field_size_limit()``,
+    no blank line between rows, and rows as wide as the header: deleting every other
+    ASCII character leaves ``width - 1`` commas per row and one LF between rows (a
+    character past ASCII is kept, so its file is not plain). ``csv.reader`` splits such
+    a file at every comma and LF and nowhere else, so column ``i`` is every
+    ``width``-th cell of one split, from cell ``i``.
     """
     try:
-        years = list(map(int, map(operator.itemgetter(year_at), rows)))
-        values = list(map(float, map(operator.itemgetter(value_at), rows)))
-    except (IndexError, ValueError):
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError:
         return None
-    if not all(map(math.isfinite, values)):
+    limit = csv.field_size_limit()
+    if ('"' in text or "\r" in text or "\0" in text
+            or (len(text) > limit and max(map(len, text.split("\n"))) > limit)):
+        return None
+    first, _, body = text.partition("\n")
+    body = body.strip("\n")
+    header = first.split(",")
+    # A repeated name reads its last occurrence, as on the csv.reader path. An empty first
+    # line is header [] to csv.reader and [""] here: neither has a column.
+    index = {name: i for i, name in enumerate(header)}
+    if d.year_column not in index or d.value_column not in index or not body:
+        return None
+    width = len(header)
+    commas = "," * (width - 1)
+    if body.translate(_SEPARATORS_ONLY) != (commas + "\n") * body.count("\n") + commas:
+        return None
+    cells = body.replace("\n", ",").split(",")
+    return _columns(d, cells[index[d.year_column]::width], cells[index[d.value_column]::width])
+
+
+def _csv_columns(d: DataSourceDescriptor, data: bytes) -> tuple[list[int], list[float]]:
+    """The parsed columns of any file, decoded as a file is read and split row by row by
+    ``csv.reader``, so a read stops at the same row as in a streamed file."""
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
+    try:
+        header = next(reader, [])
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ParseError(f"{d.path}: reading stopped at row 1: {exc}") from None
+    # A repeated column name reads its last occurrence, as csv.DictReader would.
+    index = {name: i for i, name in enumerate(header)}
+    for column in (d.year_column, d.value_column):
+        if column not in index:
+            raise SchemaError(f"{d.path}: missing column {column!r} (header: {header})")
+    at = index[d.year_column], index[d.value_column]
+    rows: list[list[str]] = []
+    try:
+        rows.extend(filter(None, reader))  # a blank line reads as []
+    except (csv.Error, UnicodeDecodeError) as exc:
+        # An oversized field or a byte that is not UTF-8 stops the read
+        # after the rows read so far, so a bad one of those is raised first.
+        _walk_rows(d, rows, *at)
+        raise ParseError(f"{d.path}: reading stopped at row {len(rows) + 2}: {exc}") from None
+    if not rows:
+        raise ParseError(f"{d.path}: no data rows")
+    raw_years = map(operator.itemgetter(at[0]), rows)
+    raw_values = map(operator.itemgetter(at[1]), rows)
+    return _columns(d, raw_years, raw_values) or _walk_rows(d, rows, *at)
+
+
+def _columns(
+    d: DataSourceDescriptor, raw_years: Iterable[str], raw_values: Iterable[str]
+) -> tuple[list[int], list[float]] | None:
+    """The year and scaled value columns, parsed from their cells and checked whole.
+
+    Returns None when a row is short (an ``IndexError`` from ``raw_years`` or
+    ``raw_values``), a cell does not parse, or a scaled value is not finite or
+    not positive; ``_walk_rows`` then finds it.
+    """
+    try:
+        years = list(map(int, raw_years))
+        values = list(map(float, raw_values))
+    except (IndexError, ValueError):
         return None
     if d.scale != 1.0:
         values = list(map(operator.mul, values, itertools.repeat(d.scale)))
-    if min(values) <= 0.0:
+    if not all(map(math.isfinite, values)) or min(values) <= 0.0:
         return None
     return years, values
 
@@ -182,6 +242,11 @@ def _walk_rows(
         if value <= 0.0:
             raise DomainError(
                 f"{d.path}: row {row_number}: nonpositive value {value!r} for kind {d.kind.value}"
+            )
+        if value == math.inf:
+            raise DomainError(
+                f"{d.path}: row {row_number}: value {raw_value} scaled by {d.scale!r} "
+                "is not finite"
             )
         years.append(year)
         values.append(value)

@@ -572,11 +572,11 @@ def assert_one_error_line(code, capsys, fragment):
     assert fragment in err
 
 
-def ingest_one_csv(tmp_path, data):
+def ingest_one_csv(tmp_path, data, **entry):
     (tmp_path / "x.csv").write_bytes(data)
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"x": {"path": "x.csv", "kind": "energy", "unit": "EJ/yr"}}),
-                        encoding="utf-8")
+    entry = {"path": "x.csv", "kind": "energy", "unit": "EJ/yr", **entry}
+    manifest.write_text(json.dumps({"x": entry}), encoding="utf-8")
     return main(["ingest", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out")])
 
 
@@ -589,6 +589,12 @@ def test_ingest_csv_with_an_oversized_field_exits_1(tmp_path, capsys):
     oversized = b"9" * (csv.field_size_limit() + 1)
     code = ingest_one_csv(tmp_path, b"year,value\n2000,1.0\n2001," + oversized + b"\n")
     assert_one_error_line(code, capsys, "x.csv: reading stopped at row 3: field larger")
+
+
+def test_ingest_csv_with_a_value_that_overflows_its_scale_exits_1(tmp_path, capsys):
+    code = ingest_one_csv(tmp_path, b"year,value\n2000,1.0\n2001,1e300\n", scale=1e10)
+    assert_one_error_line(code, capsys, "x.csv: row 3: value 1e300 scaled by 10000000000.0 "
+                                        "is not finite")
 
 
 def test_ingest_deeply_nested_manifest_exits_1(tmp_path, capsys):

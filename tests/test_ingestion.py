@@ -3,6 +3,10 @@ import io
 import json
 import math
 import operator
+import os
+import re
+import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +141,30 @@ def test_nonfinite_value_still_rejected(tmp_path):
         load_series(descriptor(path, kind=SeriesKind.GDP_MER, unit=Unit.TUSD_PER_YR))
 
 
+def test_a_value_that_overflows_its_scale_names_file_and_row(tmp_path):
+    path = write(tmp_path, "big.csv", "year,value\n2000,1.0\n2001,1e300\n2002,inf\n")
+    with pytest.raises(DomainError, match="big.csv: row 3: value 1e300 scaled by 10000000000.0 "
+                                          "is not finite"):
+        load_series(descriptor(path, scale=1e10))
+    path = write(tmp_path, "inf.csv", "year,value\n2000,1.0\n2001,inf\n")
+    with pytest.raises(ParseError, match="inf.csv: row 3: non-finite value"):
+        load_series(descriptor(path, scale=1e10))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+@pytest.mark.parametrize("text", ["year,value\n2000,1.5\n", 'year,value\n"2000",1.5\n'],
+                         ids=["plain", "quoted"])
+def test_a_named_pipe_is_read_once(tmp_path, text):
+    """A pipe cannot seek back, so a file that is not plain is not read a second time."""
+    path = tmp_path / "pipe.csv"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+    writer.start()
+    assert load_series(descriptor(path)).values == (1.5,)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
 def test_utf8_byte_order_mark_is_ignored(tmp_path):
     text = "year,value\n2000,1.5\n2001,2.5\n"
     plain = load_series(descriptor(write(tmp_path, "plain.csv", text)))
@@ -160,7 +188,9 @@ def test_descriptor_rejects_an_empty_column_name(tmp_path, column):
 # ------------------------------------ load_series against a row-by-row oracle
 
 def row_by_row_load_series(d):
-    """The per-row reader ``load_series`` replaced: the oracle for its columnar parse."""
+    """The per-row reader ``load_series`` replaced: the oracle for its columnar parse.
+
+    A finite cell whose scaled value overflows is refused at its row, as ``load_series`` does."""
     try:
         handle = open(d.path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -209,6 +239,11 @@ def row_by_row_load_series(d):
             if value <= 0.0:
                 raise DomainError(
                     f"{d.path}: row {row_number}: nonpositive value {value!r} for kind {d.kind.value}"
+                )
+            if value == math.inf:
+                raise DomainError(
+                    f"{d.path}: row {row_number}: value {raw_value} scaled by {scale!r} "
+                    "is not finite"
                 )
             points.append((year, value))
     if not points:
@@ -262,6 +297,8 @@ OVERSIZED = "9" * (csv.field_size_limit() + 1)
                      id="bad-row-before-oversized-field"),
         pytest.param("year,value\n2000,1.0\n2001," + OVERSIZED + "\n", {}, id="oversized-field"),
         pytest.param("year,value\n2000,1_000.5\n2_001,2e3\n", {}, id="underscores-and-exponents"),
+        pytest.param('year,a,b,value\n2000,"x,y",1.5\n', {}, id="quoted-comma-is-one-cell"),
+        pytest.param("year,a,value\n2000,x\r1,1.5\n", {}, id="bare-cr-ends-a-row"),
     ],
 )
 def test_load_series_matches_the_row_by_row_oracle(tmp_path, text, options):
@@ -324,6 +361,86 @@ def test_load_series_matches_the_oracle_on_generated_files(tmp_path_factory, row
     path = tmp_path_factory.getbasetemp() / "generated.csv"
     path.write_text("year,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
     assert_parity(descriptor(path, kind=SeriesKind.GDP_MER, unit=Unit.TUSD_PER_YR, scale=scale))
+
+
+# ------------------------------------------ the one-pass split against csv.reader
+
+CELLS = st.text(alphabet="0123456789.-e ", max_size=6)
+HEADERS = st.sampled_from([
+    *[("year", "value")] * 4, ("year", "value", "source"), ("value", "year"),
+    ("source", "year", "value"), ("year",), ("",),
+])
+
+
+@st.composite
+def header_wide_row(draw, header, year):
+    """A row of ``year`` with a cell for each column of ``header``."""
+    value = draw(st.floats(0.0, 1e6, exclude_min=True))
+    cells = {"year": str(year), "value": repr(value)}
+    return ",".join(cells[name] if name in cells else draw(CELLS) for name in header)
+
+
+@st.composite
+def delimited_bytes(draw):
+    """A header and rows as wide as it, with up to two odd rows (blank, short, long or of
+    other characters) spliced in, and an optional byte order mark, trailing newlines, NUL
+    and stray byte that is not UTF-8."""
+    header = draw(HEADERS)
+    years = draw(st.lists(st.integers(1900, 2100), unique=True, max_size=10))
+    rows = [draw(header_wide_row(header, year)) for year in years]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        odd = draw(st.lists(CELLS, max_size=4).map(",".join))
+        rows.insert(draw(st.integers(0, len(rows))), odd)
+    text = "\n".join([",".join(header), *rows]) + draw(st.sampled_from(["", "\n", "\n\n"]))
+    data = text.encode()
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    for extra in (b"\0", b"\xff"):
+        if draw(st.integers(0, 7)) == 0:
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + extra + data[at:]
+    return data
+
+
+def masked_outcome(d):
+    """``outcome(load_series, d)``, with the path and a decoding error's byte position
+    masked: a CRLF copy holds more bytes before the same stray byte."""
+    result = outcome(load_series, d)
+    if type(result) is tuple:
+        message = result[1].replace(str(d.path), "<path>")
+        return result[0], re.sub(r"in position \d+", "in position <n>", message)
+    return result
+
+
+@pytest.mark.parametrize("limit", [None, 8], ids=["default-field-limit", "field-limit-8"])
+@settings(max_examples=300, deadline=None)
+@given(data=delimited_bytes(), scale=st.sampled_from([1.0, 1e300]))
+def test_the_one_pass_split_and_csv_reader_agree(tmp_path_factory, limit, data, scale):
+    """An LF file, split in one pass when plain, and its CRLF copy, which only
+    ``csv.reader`` reads, give the same series or raise the same error."""
+    base = tmp_path_factory.getbasetemp()
+    lf, crlf = base / "lf.csv", base / "crlf.csv"
+    lf.write_bytes(data)
+    crlf.write_bytes(data.replace(b"\n", b"\r\n"))
+    previous = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        expected = masked_outcome(descriptor(lf, scale=scale))
+        with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
+            assert masked_outcome(descriptor(crlf, scale=scale)) == expected
+        assert reader.called or b"\n" not in data
+    finally:
+        csv.field_size_limit(previous)
+
+
+def test_write_series_files_are_read_without_csv_reader(tmp_path, snapshot, recon, monkeypatch):
+    """Every file ``write_series`` writes is plain, so none falls back to ``csv.reader``."""
+    monkeypatch.setattr(csv, "reader", mock.Mock(side_effect=AssertionError("csv.reader")))
+    for name in (*snapshot._fields, "wealth"):
+        s = recon.wealth.series if name == "wealth" else getattr(snapshot, name)
+        path = write_series(s, tmp_path / f"{name}.csv", value_column=name)
+        assert load_series(canonical_descriptor(path, s.kind, s.unit, name)) == s
 
 
 # ------------------------------------------------------------------ validate

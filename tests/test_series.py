@@ -94,9 +94,18 @@ def test_series_rejects_a_year_past_2_53(year, shown):
     (2017.5, False), ("2017", False), (math.nan, False), (math.inf, False), (None, False),
     (2**53 + 1, False), (-(2**53) - 1, False), (1e300, False),
     pytest.param(10**5000, False, id="past-the-str-limit"),
+    (True, False), (False, False),
 ])
 def test_integral_is_true_for_an_int_within_2_53(year, is_year):
     assert integral(year) == is_year
+
+
+def test_a_bool_is_not_a_year():
+    """``reconstruction.json`` refuses ``true`` as a year, and so do a series and a period."""
+    with pytest.raises(DomainError, match=re.escape("within ±2**53, got False")):
+        AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (False, True, 2), (1.0, 2.0, 3.0))
+    with pytest.raises(InvalidPeriod, match=re.escape("within ±2**53, got True")):
+        Period(True, 2)
 
 
 def test_integral_years_returns_increasing_ints():
@@ -230,7 +239,7 @@ def test_numbers_of_any_type_are_stored_as_floats():
     "years, values",
     [
         ((2000, 2001, 2002), (1, 2, 3)),
-        ((False, True, 2), (True, 2.0, 3)),
+        ((0, 1, 2), (True, 2.0, 3)),
         ((np.int64(2000), 2001, 2002), (np.float64(0.1), np.float32(0.5), np.float64(3.0))),
         ((2000.0, 2001, 2002), np.array([0.1, 0.2, 0.3])),
     ],
