@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Sequence
-from itertools import islice
+from collections.abc import Iterator, Sequence
 from math import exp
 from typing import Callable, NamedTuple, Union
 
@@ -203,27 +202,29 @@ class Trajectory(Record):
 
     Indexing (an int, negative allowed, or a slice) and iteration build only
     the ``TrajectoryPoint``s they return, from these columns, the scaling and
-    the carbon-cycle parameters; no point is stored. Two trajectories are
-    equal when their scenarios and columns are, so their points are too.
+    the carbon-cycle parameters; no point is stored. A slice or an iteration
+    reads each column once, whole; an int index or ``at_year`` reads one entry
+    of each. Two trajectories are equal when their scenarios and columns are,
+    so their points are too.
     """
 
     __slots__ = _fields = ("scenario", "years", "wealth", "emissions", "deltas")
     scenario: Scenario
-    years: tuple[float, ...]
-    wealth: tuple[float, ...]
-    emissions: tuple[float, ...]
-    deltas: tuple[float, ...]
+    years: Sequence[float]
+    wealth: Sequence[float]
+    emissions: Sequence[float]
+    deltas: Sequence[float]
 
     def __len__(self) -> int:
         return len(self.years)
 
     def __getitem__(self, index: int | slice) -> TrajectoryPoint | tuple[TrajectoryPoint, ...]:
         if isinstance(index, slice):
-            return tuple(map(self._point, range(len(self.years))[index]))
+            return tuple(self._points(index))
         return self._point(range(len(self.years))[index])
 
     def __iter__(self):
-        return map(self._point, range(len(self.years)))
+        return self._points(slice(None))
 
     @property
     def points(self) -> Trajectory:
@@ -234,6 +235,16 @@ class Trajectory(Record):
         s, w, e, d = self.scenario, self.wealth[i], self.emissions[i], self.deltas[i]
         pre, c = s.carbon_params.preindustrial, s.carbon_params.committed_delta(e)
         return TrajectoryPoint(self.years[i], w, s.lambda_ej * w, e, d, c, pre + d, pre + c)
+
+    def _points(self, index: slice) -> Iterator[TrajectoryPoint]:
+        """The points of ``index``, from one slice of each column; ``_point`` builds one."""
+        s = self.scenario
+        lam, params = s.lambda_ej, s.carbon_params
+        pre, committed = params.preindustrial, params.committed_delta
+        for t, w, e, d in zip(self.years[index], self.wealth[index], self.emissions[index],
+                              self.deltas[index]):
+            c = committed(e)
+            yield TrajectoryPoint(t, w, lam * w, e, d, c, pre + d, pre + c)
 
     def at_year(self, year: float) -> TrajectoryPoint:
         """The point at the grid time within 1e-9 yr of ``year``."""
@@ -339,24 +350,86 @@ def _exp_tables(scale: float, rate: float, h: float, points: int) -> tuple[list,
     return outer, inner
 
 
-def _exp_column(scale: float, rate: float, h: float, points: int) -> list[float]:
-    """``scale*exp(rate*i*h)`` for ``i < points``, the products of ``_exp_tables``."""
-    outer, inner = _exp_tables(scale, rate, h, points)
-    column = [o * x for o in outer for x in inner]
-    del column[points:]
-    return column
+class _ProductColumn(Sequence):
+    """A wealth or emissions column, each entry made from ``_exp_tables`` when read.
+
+    The column is one or more phases ``(count, w_outer, w_inner, carbon)``, the first
+    ``count`` entries of each phase's tables in turn: a run has one phase, and a
+    steady state two. Entry ``i = k*B + j`` (``B = _EXP_BLOCK``) of a phase is
+    ``w_outer[k]*w_inner[j]`` for wealth, and for emissions, whose ``carbon`` is
+    ``(lam, c_outer, c_inner)`` and not None, ``lam*(c_outer[k]*c_inner[j])*(w_outer[k]
+    *w_inner[j])``: the operands and order of ``_columns``' delta pass, so every
+    entry has its bits. An int index makes one entry; iteration, a slice (a tuple),
+    equality and the hash make the whole column in one pass per phase. The column
+    equals any sequence of the same floats, and hashes as their tuple.
+    """
+
+    __slots__ = ("_points", "_phases")
+
+    def __init__(self, *phases: tuple) -> None:
+        self._points, self._phases = sum([phase[0] for phase in phases]), phases
+
+    def __len__(self) -> int:
+        return self._points
+
+    def __getitem__(self, index: int | slice) -> float | tuple[float, ...]:
+        if isinstance(index, slice):
+            return tuple(self._values()[index])
+        i = range(self._points)[index]
+        for count, w_outer, w_inner, carbon in self._phases:
+            if i < count:
+                break
+            i -= count
+        k, j = divmod(i, _EXP_BLOCK)
+        w = w_outer[k] * w_inner[j]
+        if carbon is None:
+            return w
+        lam, c_outer, c_inner = carbon
+        return lam * (c_outer[k] * c_inner[j]) * w
+
+    def __iter__(self) -> Iterator[float]:
+        return iter(self._values())
+
+    def _values(self) -> list[float]:
+        """The column: each phase's whole blocks made in one comprehension, cut to its count."""
+        column = []
+        for count, w_outer, w_inner, carbon in self._phases:
+            if carbon is None:
+                values = [wo * wx for wo in w_outer for wx in w_inner]
+            else:
+                lam, c_outer, c_inner = carbon
+                inners = list(zip(w_inner, c_inner))
+                values = [lam * (co * cx) * (wo * wx)
+                          for wo, co in zip(w_outer, c_outer) for wx, cx in inners]
+            del values[count:]
+            column += values
+        return column
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(other) == self._points and self._values() == list(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._values()))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self._values()))
+
+    def __reduce__(self):
+        return self.__class__, self._phases
 
 
-def _columns(s: Scenario, n_steps: int, dt: float) -> tuple[tuple[float, ...], ...]:
+def _columns(s: Scenario, n_steps: int, dt: float) -> tuple[Sequence[float], ...]:
     """Years, wealth, emissions and perturbation on the grid start + i*dt.
 
-    Wealth is ``w0*exp(eta_w*i*dt)`` from ``_exp_column``. Emissions are
-    ``lambda*c*W``, made in one pass from the two ``_exp_tables`` of the
-    carbonization ``c0*exp(eta_c*i*dt)`` and the wealth column, so no
-    carbonization column is built. The years come from ``_grid``, which
-    reuses them across runs on one (start, dt) without changing a bit. The
-    emissions grow at eta_w + eta_c, so each RK4 step is the same affine map
-    ``_rk4_affine`` of the perturbation and the step's starting emissions.
+    Only the perturbation is made here, in one pass over the two ``_exp_tables``
+    of wealth ``w0*exp(eta_w*i*dt)`` and of carbonization ``c0*exp(eta_c*i*dt)``:
+    each step takes the emissions ``lambda*c*W`` of its start from the four
+    tables and applies ``_rk4_affine``'s map to them, since the emissions grow
+    at eta_w + eta_c. Wealth and emissions are ``_ProductColumn``s over the same
+    tables, made when read. The years come from ``_grid``, which reuses them
+    across runs on one (start, dt) without changing a bit.
     """
     start, w0, eta_w = s.start_year, s.w0, s.eta_w
     lam, c0, eta_c = s.lambda_ej, s.c0, s.eta_c
@@ -372,7 +445,7 @@ def _columns(s: Scenario, n_steps: int, dt: float) -> tuple[tuple[float, ...], .
     years = _grid(start, dt, points)
     params = s.carbon_params
     try:
-        wealth = tuple(_exp_column(w0, eta_w, dt, points))
+        w_outer, w_inner = _exp_tables(w0, eta_w, dt, points)
         c_outer, c_inner = _exp_tables(c0, eta_c, dt, points)
         # The map's source grows at eta_w + eta_c, which can overflow over one
         # step even where neither column does.
@@ -382,13 +455,17 @@ def _columns(s: Scenario, n_steps: int, dt: float) -> tuple[tuple[float, ...], .
             f"wealth or carbonization growth overflows a float over a"
             f" {years[-1] - start:g}-year horizon at eta_w={eta_w!r}, eta_c={eta_c!r}"
         ) from None
-    # One wealth iterator for all blocks: zip takes the inner factor first, so
-    # a full block ends without taking a wealth point.
-    w_points = iter(wealth)
-    emissions = tuple([lam * (o * x) * w for o in c_outer for x, w in zip(c_inner, w_points)])
+    wealth = _ProductColumn((points, w_outer, w_inner, None))
+    emissions = _ProductColumn((points, w_outer, w_inner, (lam, c_outer, c_inner)))
+    # Whole blocks, then cut to the grid: the up to 32 updates past its end are
+    # dropped unread, and one that overflows there is only an inf or a nan.
+    inners = list(zip(w_inner, c_inner))
     d = s.delta0
-    deltas = [d, *[d := d + (a * d + p * e) for e in islice(emissions, n_steps)]]
-    if d != d or emissions[-1] != emissions[-1]:  # nan: one check for the whole run
+    deltas = [d, *[d := d + (a * d + p * (lam * (co * cx) * (wo * wx)))
+                   for wo, co in zip(w_outer, c_outer) for wx, cx in inners]]
+    del deltas[points:]
+    d, e = deltas[-1], emissions[-1]
+    if d != d or e != e:  # nan: one check for the whole run
         if any(e != e for e in emissions):
             raise DomainError(
                 f"emissions lambda*c*W are 0 times inf where wealth or carbonization"
@@ -407,18 +484,16 @@ def run_scenario(s: Scenario) -> Trajectory:
     split into ``ceil(horizon/dt)`` equal steps (see ``time_grid``).
     Wealth and carbonization follow their closed forms, each point the
     product of two factors from short ``exp`` tables (``_exp_tables``), so a
-    run's points do not depend on its horizon; the emissions lambda*c*W are
-    made in one pass from the carbonization tables and the wealth column,
-    and no carbonization column is kept. The concentration
+    run's points do not depend on its horizon. The concentration
     perturbation takes classical RK4 steps along the exponential emissions
-    path; each step is applied as RK4's one-step affine map (``_rk4_affine``),
-    whose two coefficients are computed once per run, so no midpoint
-    emissions are sampled. The grid's years are reused across runs with the
-    same start and step (``_grid``), with the same bits as a grid built
-    afresh.
-    The trajectory holds only these columns and is itself the sequence of its
-    points: it builds no ``TrajectoryPoint`` until one is indexed, iterated or
-    read through ``at_year``.
+    path lambda*c*W; each step is applied as RK4's one-step affine map
+    (``_rk4_affine``), whose two coefficients are computed once per run, so
+    no midpoint emissions are sampled. The grid's years are reused across
+    runs with the same start and step (``_grid``), with the same bits as a
+    grid built afresh. Only the years and the perturbation are stored: the
+    wealth and emissions columns are made from the tables when read, and the
+    trajectory, the sequence of its points, builds no ``TrajectoryPoint``
+    until one is indexed, iterated or read through ``at_year``.
     """
     return Trajectory(s, *_columns(s, *time_grid(s.horizon_years, s.dt)))
 
@@ -551,7 +626,7 @@ def steady_state_commitment(
         raise DomainError("freeze year precedes the scenario start")
     tail_steps = time_grid(settle_years, s.dt)[0]
     span = freeze_year - s.start_year
-    head = _columns(s, time_grid(span, s.dt)[0], s.dt)
+    years, wealth, emissions, deltas = _columns(s, time_grid(span, s.dt)[0], s.dt)
     try:  # the head's grid may end up to 1e-9 yr short of the freeze year
         w_freeze, c_freeze = s.w0 * exp(s.eta_w * span), s.c0 * exp(s.eta_c * span)
     except OverflowError:
@@ -566,14 +641,19 @@ def steady_state_commitment(
         c0=c_freeze,
         eta_w=0.0,
         eta_c=0.0,
-        delta0=head[-1][-1],
+        delta0=deltas[-1],
     )
-    tail = _columns(frozen, tail_steps, s.dt)
+    tail_years, tail_wealth, tail_emissions, tail_deltas = _columns(frozen, tail_steps, s.dt)
+    # The head's last point is the tail's first. Wealth and emissions stay made when
+    # read: each is the head's one phase less that point, then the tail's phase.
+    wealth, emissions = (_ProductColumn((len(head) - 1, *head._phases[0][1:]), *tail._phases)
+                         for head, tail in ((wealth, tail_wealth), (emissions, tail_emissions)))
     return SteadyStateResult(
-        trajectory=Trajectory(frozen, *(a[:-1] + b for a, b in zip(head, tail))),
+        trajectory=Trajectory(frozen, (*years[:-1], *tail_years), wealth, emissions,
+                              (*deltas[:-1], *tail_deltas)),
         freeze_year=freeze_year,
         freeze_wealth=frozen.w0,
-        asymptote_delta=s.carbon_params.committed_delta(tail[2][0]),
+        asymptote_delta=s.carbon_params.committed_delta(tail_emissions[0]),
     )
 
 

@@ -56,9 +56,12 @@ KIND_UNITS: dict[SeriesKind, frozenset[Unit]] = {
 def integral(year) -> bool:
     """Whether ``year`` is a year, the package's one rule for it: an int, or a number equal
     to one (2000.0, not 2000.5, "2000" or True), within ±2**53, the years a float time grid
-    holds exactly. A bool is refused as ``reconstruction.json`` refuses ``true``."""
+    holds exactly. A bool is refused as ``reconstruction.json`` refuses ``true``: Python's
+    by its type, and numpy's ``bool_``, which is no int (``operator.index`` refuses it),
+    because it has no negative (``-np.True_`` raises TypeError), so no span of years can
+    be taken from it."""
     try:
-        return type(year) is not bool and int(year) == year and abs(year) <= 2**53
+        return type(year) is not bool and int(year) == year and abs(-year) <= 2**53
     except (TypeError, ValueError, OverflowError):
         return False
 

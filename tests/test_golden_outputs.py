@@ -14,7 +14,7 @@ moved by at most 4.2e-16 relative), and the ``tables`` and ``report``
 manifests when they began to record kappa_x and W(1). ``project/trajectory.csv``
 and ``project/spinup.csv`` were re-recorded again when the wealth and
 carbonization columns began to be built from two short ``exp`` tables
-(``projection._exp_column``) in place of one ``exp`` of ``year - start`` per
+(``projection._exp_tables``) in place of one ``exp`` of ``year - start`` per
 point: 465 and 405 of their cells moved, each by at most 4.5e-16 relative,
 and the spin-up manifest's delta0 did not move. ``project/curve.csv``
 was re-recorded when ``committed_curve`` began to compute each point as

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import sys
 import threading
@@ -296,13 +297,20 @@ def assert_exp_column(column, scale, rate, h):
         assert abs(Decimal(value) - exact) <= Decimal(bound) * exact, (i, value, exact)
 
 
+def exp_products(scale, rate, h, points):
+    """``scale*exp(rate*i*h)`` for ``i < points``: every product ``outer[k]*inner[j]`` of
+    ``_exp_tables``, made eagerly."""
+    outer, inner = projection._exp_tables(scale, rate, h, points)
+    return [o * x for o in outer for x in inner][:points]
+
+
 def _expected_columns(s, n_steps, dt):
     """Years ``start + i*dt``; wealth and carbonization checked against the exact
     closed forms; emissions ``lambda*c*W`` from those columns; the delta column
     from one RK4 step per grid step along the closed-form emissions."""
     years = tuple([s.start_year + i * dt for i in range(n_steps + 1)])
-    wealth = projection._exp_column(s.w0, s.eta_w, dt, n_steps + 1)
-    carbonization = projection._exp_column(s.c0, s.eta_c, dt, n_steps + 1)
+    wealth = exp_products(s.w0, s.eta_w, dt, n_steps + 1)
+    carbonization = exp_products(s.c0, s.eta_c, dt, n_steps + 1)
     assert_exp_column(wealth, s.w0, s.eta_w, dt)
     assert_exp_column(carbonization, s.c0, s.eta_c, dt)
     emissions = tuple([s.lambda_ej * c * w for c, w in zip(carbonization, wealth)])
@@ -361,23 +369,37 @@ def test_columns_call_exp_per_block_not_per_point(monkeypatch):
         assert len(calls) == 2 * per_column, points
 
 
-def _emissions_over_factor_columns(s, points, dt):
-    """``lambda*c*W`` over the wealth and carbonization columns of ``_exp_column``."""
-    wealth = projection._exp_column(s.w0, s.eta_w, dt, points)
-    carbonization = projection._exp_column(s.c0, s.eta_c, dt, points)
-    assert len(wealth) == len(carbonization) == points
-    return tuple([s.lambda_ej * c * w for c, w in zip(carbonization, wealth)])
+def _eager_columns(s, points, dt):
+    """Wealth, emissions and delta made eagerly, the engine's operands in its order: each
+    column whole, the emissions ``lambda*c*W`` over the wealth and carbonization columns
+    of ``exp_products``, and delta one update per step over the emissions."""
+    wealth = exp_products(s.w0, s.eta_w, dt, points)
+    carbonization = exp_products(s.c0, s.eta_c, dt, points)
+    emissions = [s.lambda_ej * c * w for c, w in zip(carbonization, wealth)]
+    params = s.carbon_params
+    a, p = projection._rk4_affine(dt, params.kappa_a, params.sigma, s.eta_w + s.eta_c)
+    deltas = [s.delta0]
+    for e in emissions[:-1]:
+        deltas.append(deltas[-1] + (a * deltas[-1] + p * e))
+    return wealth, emissions, deltas
 
 
-@pytest.mark.parametrize("points", [1, 2, 31, 32, 33, 64, 65, 161])
+def _hex(*columns):
+    return [list(map(float.hex, column)) for column in columns]
+
+
+@pytest.mark.parametrize("points", [1, 2, 31, 32, 33, 64, 65, 161, 20001])
 def test_fused_emissions_pass_ends_each_block_at_the_right_point(points):
-    """The emissions come from the carbonization tables and a wealth iterator shared
-    by the blocks: around each block edge they keep every point and take no extra."""
+    """The delta pass takes each step's emissions from the four ``exp`` tables in whole
+    blocks and is cut to the grid; wealth and emissions are made from the tables when
+    read. Around each block edge all three keep every point, to the bit, and no more."""
     s = scenario(eta_c=-0.013)
     trajectory = projection.Trajectory(s, *projection._columns(s, points - 1, 0.25))
-    assert len(trajectory.emissions) == points
-    expected = _emissions_over_factor_columns(s, points, 0.25)
-    assert list(map(float.hex, trajectory.emissions)) == list(map(float.hex, expected))
+    columns = (trajectory.wealth, trajectory.emissions, trajectory.deltas)
+    assert list(map(len, columns)) == [points] * 3
+    assert _hex(*columns) == _hex(*_eager_columns(s, points, 0.25))
+    assert _hex([trajectory.wealth[-1], trajectory.emissions[-1]]) == _hex(
+        [column[-1] for column in _eager_columns(s, points, 0.25)[:2]])
 
 
 def test_fused_emissions_pass_over_a_steady_state_run():
@@ -385,10 +407,75 @@ def test_fused_emissions_pass_over_a_steady_state_run():
     a multiple of the block."""
     s = scenario(eta_c=-0.013)
     trajectory = steady_state_commitment(s, freeze_year=2027.25, settle_years=20.5).trajectory
-    head = _emissions_over_factor_columns(s, 42, 0.25)
-    tail = _emissions_over_factor_columns(trajectory.scenario, 83, 0.25)
-    assert len(trajectory.emissions) == 41 + 83
-    assert list(map(float.hex, trajectory.emissions)) == list(map(float.hex, head[:-1] + tail))
+    head = _eager_columns(s, 42, 0.25)
+    tail = _eager_columns(trajectory.scenario, 83, 0.25)
+    for got, a, b in zip((trajectory.wealth, trajectory.emissions), head, tail):
+        assert len(got) == 41 + 83
+        assert _hex(got) == _hex(a[:-1] + b)
+        assert _hex([got[i] for i in range(39, 45)]) == _hex((a[:-1] + b)[39:45])
+
+
+def test_product_columns_are_read_only_sequences_of_their_floats():
+    s = scenario(eta_c=-0.013, horizon_years=10.0)
+    runs = (run_scenario(s), steady_state_commitment(s, 2021.0, 6.25).trajectory)
+    for trajectory in runs:
+        for column in (trajectory.wealth, trajectory.emissions):
+            values = tuple(column)
+            assert len(column) == len(values) == len(trajectory) == 41 + (trajectory is runs[1])
+            assert [column[i] for i in range(len(column))] == list(values)  # across phases too
+            assert column[-1] == values[-1] and column[-len(column)] == values[0]
+            for index in (len(column), -len(column) - 1):
+                with pytest.raises(IndexError):
+                    column[index]
+            assert column[3:35:2] == values[3:35:2] and column[::-1] == values[::-1]
+            assert column[90:] == () and type(column[:2]) is tuple
+            assert column == values and values == column and column == list(values)
+            assert not column != values and column != values[:-1] and column != (0.0,) * 41
+            assert hash(column) == hash(values) and repr(column) == repr(values)
+            with pytest.raises(TypeError):
+                column[0] = 0.0
+    assert runs[0].wealth != runs[1].wealth
+
+
+def test_a_trajectory_survives_a_pickle_round_trip():
+    s = scenario(eta_c=-0.013)
+    for trajectory in (run_scenario(s), steady_state_commitment(s, 2030.0, 20.0).trajectory):
+        copy = pickle.loads(pickle.dumps(trajectory))
+        assert copy == trajectory and hash(copy) == hash(trajectory)
+        assert list(copy) == list(trajectory)
+
+
+def test_a_run_equals_the_trajectory_of_its_columns_as_tuples():
+    s = scenario(eta_c=-0.013, dt=0.3)
+    trajectory = run_scenario(s)
+    columns = (trajectory.years, trajectory.wealth, trajectory.emissions, trajectory.deltas)
+    eager = projection.Trajectory(s, *map(tuple, columns))
+    assert trajectory == eager and eager == trajectory
+    assert hash(trajectory) == hash(eager) and list(trajectory) == list(eager)
+    assert trajectory != projection.Trajectory(s, *map(tuple, columns[:3]), (0.0,) * len(eager))
+
+
+def test_reading_a_trajectory_makes_each_column_once_or_one_entry(monkeypatch):
+    """Iteration, slices and ``first_crossing`` make a column in one pass; an int index
+    and ``at_year`` make one entry. None reads a column entry by entry."""
+    made, read = [], []
+    column = projection._ProductColumn
+    values, getitem = column._values, column.__getitem__
+    monkeypatch.setattr(column, "_values", lambda self: made.append(self) or values(self))
+    monkeypatch.setattr(column, "__getitem__",
+                        lambda self, index: read.append(index) or getitem(self, index))
+    trajectory = run_scenario(scenario(eta_c=-0.013))
+    assert (made, read) == ([], [-1])  # the nan check's last emission
+    for reading, columns in ((lambda: list(trajectory), 2), (lambda: trajectory[2:40], 2),
+                             (lambda: trajectory.first_crossing(1e6), 1)):
+        made.clear()
+        reading()
+        assert len(made) == columns
+    made.clear()
+    read.clear()
+    trajectory.at_year(2030.0)
+    trajectory[-1]
+    assert (made, read) == ([], [52, 52, 160, 160])
 
 
 def test_growth_just_past_the_float_range_is_refused():

@@ -108,6 +108,20 @@ def test_a_bool_is_not_a_year():
         Period(True, 2)
 
 
+def test_a_numpy_bool_is_not_a_year():
+    """``integral(np.True_)`` was True: ``Period(np.True_, 2)`` was 1-2, and a series with
+    years ``(np.False_, np.True_, 2)`` stored years 0, 1, 2."""
+    np = pytest.importorskip("numpy")
+    assert not integral(np.True_) and not integral(np.False_)
+    with pytest.raises(DomainError, match=re.escape(f"within ±2**53, got {np.False_!r}")):
+        AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (np.False_, np.True_, 2), (1.0, 2.0, 3.0))
+    with pytest.raises(InvalidPeriod, match=re.escape(f"within ±2**53, got {np.True_!r}")):
+        Period(np.True_, 2)
+    with pytest.raises(DomainError, match=re.escape(f"got {np.True_!r}")):
+        integral_years([np.True_, 2])
+    assert integral(np.float64(2017.0)) and integral(np.int32(-2017))
+
+
 def test_integral_years_returns_increasing_ints():
     years = (1, 2, 3)
     assert integral_years(years) is years
