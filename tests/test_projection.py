@@ -396,10 +396,11 @@ def test_fused_emissions_pass_ends_each_block_at_the_right_point(points):
     s = scenario(eta_c=-0.013)
     trajectory = projection.Trajectory(s, *projection._columns(s, points - 1, 0.25))
     columns = (trajectory.wealth, trajectory.emissions, trajectory.deltas)
+    eager = _eager_columns(s, points, 0.25)
     assert list(map(len, columns)) == [points] * 3
-    assert _hex(*columns) == _hex(*_eager_columns(s, points, 0.25))
+    assert _hex(*columns) == _hex(*eager)
     assert _hex([trajectory.wealth[-1], trajectory.emissions[-1]]) == _hex(
-        [column[-1] for column in _eager_columns(s, points, 0.25)[:2]])
+        [eager[0][-1], eager[1][-1]])
 
 
 def test_fused_emissions_pass_over_a_steady_state_run():
