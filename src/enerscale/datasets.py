@@ -108,8 +108,7 @@ def preset_scenario(
     baseline. With ``spinup`` the perturbation is instead integrated from the
     observed emissions record.
     """
-    from .carbon import CarbonCycleParams
-    from .projection import Scenario, historical_spinup_delta
+    from .projection import CarbonCycleParams, Scenario, historical_spinup_delta
 
     if name not in PRESETS:
         raise DomainError(f"unknown preset {name!r}; choose from {list(PRESETS)}")

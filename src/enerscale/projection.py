@@ -166,9 +166,14 @@ class Scenario(Record):
         super().__init__(
             start_year, horizon_years, w0, lambda_gw, c0, eta_w, eta_c, delta0, carbon_params, dt
         )
-        not_finite = [name for name in self._fields if name != "carbon_params"
-                      and not finite(getattr(self, name))]
-        if not_finite:
+        try:
+            all_finite = all(map(math.isfinite, (start_year, horizon_years, w0, lambda_gw, c0,
+                                                 eta_w, eta_c, delta0, dt)))
+        except (OverflowError, TypeError):  # a value that finite refuses
+            all_finite = False
+        if not all_finite:
+            not_finite = [name for name in self._fields if name != "carbon_params"
+                          and not finite(getattr(self, name))]
             raise DomainError(f"scenario fields must be finite: {', '.join(not_finite)}")
         if horizon_years <= 0:
             raise DomainError("horizon must be positive")
@@ -232,7 +237,11 @@ class Trajectory(Record):
         return self
 
     def _point(self, i: int) -> TrajectoryPoint:
-        s, w, e, d = self.scenario, self.wealth[i], self.emissions[i], self.deltas[i]
+        s, emissions, d = self.scenario, self.emissions, self.deltas[i]
+        if isinstance(emissions, _ProductColumn):  # its entry carries the wealth it is made of
+            w, e = emissions._entry(i)
+        else:
+            w, e = self.wealth[i], emissions[i]
         pre, c = s.carbon_params.preindustrial, s.carbon_params.committed_delta(e)
         return TrajectoryPoint(self.years[i], w, s.lambda_ej * w, e, d, c, pre + d, pre + c)
 
@@ -343,7 +352,10 @@ def _exp_tables(scale: float, rate: float, h: float, points: int) -> tuple[list,
     ``i`` alone, so a run's points are the first points of any longer run at the
     same step. One more ``exp``, of the last offset, raises OverflowError
     when the last factor overflows; a product past the float range is inf.
+    At rate 0 every ``exp`` would be ``exp(±0.0) = 1.0``, so none is called.
     """
+    if not rate:
+        return [scale * 1.0] * -(-points // _EXP_BLOCK), [1.0] * min(_EXP_BLOCK, points)
     exp(rate * ((points - 1) * h))  # raises OverflowError past the float range
     inner = [exp(rate * (j * h)) for j in range(min(_EXP_BLOCK, points))]
     outer = [scale * exp(rate * (k * h)) for k in range(0, points, _EXP_BLOCK)]
@@ -375,6 +387,10 @@ class _ProductColumn(Sequence):
     def __getitem__(self, index: int | slice) -> float | tuple[float, ...]:
         if isinstance(index, slice):
             return tuple(self._values()[index])
+        return self._entry(index)[1]
+
+    def _entry(self, index: int) -> tuple[float, float]:
+        """Wealth and this column's entry at the int ``index``, from one wealth product."""
         i = range(self._points)[index]
         for count, w_outer, w_inner, carbon in self._phases:
             if i < count:
@@ -383,9 +399,9 @@ class _ProductColumn(Sequence):
         k, j = divmod(i, _EXP_BLOCK)
         w = w_outer[k] * w_inner[j]
         if carbon is None:
-            return w
+            return w, w
         lam, c_outer, c_inner = carbon
-        return lam * (c_outer[k] * c_inner[j]) * w
+        return w, lam * (c_outer[k] * c_inner[j]) * w
 
     def __iter__(self) -> Iterator[float]:
         return iter(self._values())
@@ -427,8 +443,10 @@ def _columns(s: Scenario, n_steps: int, dt: float) -> tuple[Sequence[float], ...
     of wealth ``w0*exp(eta_w*i*dt)`` and of carbonization ``c0*exp(eta_c*i*dt)``:
     each step takes the emissions ``lambda*c*W`` of its start from the four
     tables and applies ``_rk4_affine``'s map to them, since the emissions grow
-    at eta_w + eta_c. Wealth and emissions are ``_ProductColumn``s over the same
-    tables, made when read. The years come from ``_grid``, which reuses them
+    at eta_w + eta_c. A constant source (eta_w == eta_c == 0) has every emission
+    equal to the first, so a step there is one multiply-add, ``d + (a*d + p*e)``
+    with ``p*e`` made once. Wealth and emissions are ``_ProductColumn``s over the
+    same tables, made when read. The years come from ``_grid``, which reuses them
     across runs on one (start, dt) without changing a bit.
     """
     start, w0, eta_w = s.start_year, s.w0, s.eta_w
@@ -457,14 +475,20 @@ def _columns(s: Scenario, n_steps: int, dt: float) -> tuple[Sequence[float], ...
         ) from None
     wealth = _ProductColumn((points, w_outer, w_inner, None))
     emissions = _ProductColumn((points, w_outer, w_inner, (lam, c_outer, c_inner)))
-    # Whole blocks, then cut to the grid: the up to 32 updates past its end are
-    # dropped unread, and one that overflows there is only an inf or a nan.
-    inners = list(zip(w_inner, c_inner))
     d = s.delta0
-    deltas = [d, *[d := d + (a * d + p * (lam * (co * cx) * (wo * wx)))
-                   for wo, co in zip(w_outer, c_outer) for wx, cx in inners]]
-    del deltas[points:]
-    d, e = deltas[-1], emissions[-1]
+    if eta_w == eta_c == 0:  # a constant source: every emission is the first
+        e = emissions[0]
+        pe = p * e
+        deltas = [d, *[d := d + (a * d + pe) for _ in range(n_steps)]]
+    else:
+        # Whole blocks, then cut to the grid: the up to 32 updates past its end are
+        # dropped unread, and one that overflows there is only an inf or a nan.
+        inners = list(zip(w_inner, c_inner))
+        deltas = [d, *[d := d + (a * d + p * (lam * (co * cx) * (wo * wx)))
+                       for wo, co in zip(w_outer, c_outer) for wx, cx in inners]]
+        del deltas[points:]
+        e = emissions[-1]
+    d = deltas[-1]
     if d != d or e != e:  # nan: one check for the whole run
         if any(e != e for e in emissions):
             raise DomainError(
@@ -649,8 +673,8 @@ def steady_state_commitment(
     wealth, emissions = (_ProductColumn((len(head) - 1, *head._phases[0][1:]), *tail._phases)
                          for head, tail in ((wealth, tail_wealth), (emissions, tail_emissions)))
     return SteadyStateResult(
-        trajectory=Trajectory(frozen, (*years[:-1], *tail_years), wealth, emissions,
-                              (*deltas[:-1], *tail_deltas)),
+        trajectory=Trajectory(frozen, years[:-1] + tail_years, wealth, emissions,
+                              deltas[:-1] + tail_deltas),
         freeze_year=freeze_year,
         freeze_wealth=frozen.w0,
         asymptote_delta=s.carbon_params.committed_delta(tail_emissions[0]),

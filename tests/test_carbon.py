@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -254,6 +255,19 @@ def test_a_non_positive_scaling_is_refused(lam):
         max_carbonization_coefficient(scale)
     with pytest.raises(DomainError, match="scaling must be positive"):
         max_carbonization(Quantity(100.0, Unit.PPMV), w, scale)
+
+
+def test_a_scaling_too_small_for_a_finite_coefficient_is_refused():
+    """sigma/(kappa*lambda) used to return inf for 1e-310 GW per T$; ``max_carbonization``
+    takes the coefficient, so it refuses such a scaling with the same message."""
+    w = Quantity(3000.0, Unit.TUSD)
+    for tiny in (1e-310, 5e-324):
+        scale = Quantity(tiny, Unit.GW_PER_TUSD)
+        message = re.escape(f"sigma/(kappa*lambda) is not finite for the scaling {tiny!r}")
+        with pytest.raises(DomainError, match=message):
+            max_carbonization_coefficient(scale)
+        with pytest.raises(DomainError, match=message):
+            max_carbonization(Quantity(100.0, Unit.PPMV), w, scale)
 
 
 def test_committed_equilibrium_refuses_wealth_not_in_tusd():

@@ -297,10 +297,18 @@ def assert_exp_column(column, scale, rate, h):
         assert abs(Decimal(value) - exact) <= Decimal(bound) * exact, (i, value, exact)
 
 
+def exp_tables(scale, rate, h, points):
+    """``_exp_tables``' factors with an ``exp`` call for each, at rate 0 too."""
+    block = projection._EXP_BLOCK
+    inner = [math.exp(rate * (j * h)) for j in range(min(block, points))]
+    outer = [scale * math.exp(rate * (k * h)) for k in range(0, points, block)]
+    return outer, inner
+
+
 def exp_products(scale, rate, h, points):
     """``scale*exp(rate*i*h)`` for ``i < points``: every product ``outer[k]*inner[j]`` of
-    ``_exp_tables``, made eagerly."""
-    outer, inner = projection._exp_tables(scale, rate, h, points)
+    ``exp_tables``, made eagerly."""
+    outer, inner = exp_tables(scale, rate, h, points)
     return [o * x for o in outer for x in inner][:points]
 
 
@@ -342,14 +350,15 @@ def test_columns_equal_scalar_closed_forms_bit_for_bit(dt, eta_c):
     assert_columns_match(run_scenario(s), expected)
 
 
+@pytest.mark.parametrize("settle", [20.0, 300.0])
 @pytest.mark.parametrize("dt", [1.0, 0.3, 0.25])
-def test_steady_state_columns_equal_scalar_closed_forms_bit_for_bit(dt):
+def test_steady_state_columns_equal_scalar_closed_forms_bit_for_bit(dt, settle):
     s = scenario(eta_c=-0.013, dt=dt)
-    result = steady_state_commitment(s, freeze_year=2030.0, settle_years=20.0)
+    result = steady_state_commitment(s, freeze_year=2030.0, settle_years=settle)
     frozen = result.trajectory.scenario
     head = _expected_columns(s, time_grid(13.0, dt)[0], dt)
     assert frozen.delta0 == pytest.approx(head[-1][-1], rel=MAP_REL_TOL)
-    tail = _expected_columns(frozen, time_grid(20.0, dt)[0], dt)
+    tail = _expected_columns(frozen, time_grid(settle, dt)[0], dt)
     assert_columns_match(result.trajectory, tuple(a[:-1] + b for a, b in zip(head, tail)))
 
 
@@ -367,6 +376,18 @@ def test_columns_call_exp_per_block_not_per_point(monkeypatch):
         projection._columns(scenario(eta_c=-0.013), points - 1, 0.01)
         per_column = 1 + min(block, points) + math.ceil(points / block)
         assert len(calls) == 2 * per_column, points
+
+
+@pytest.mark.parametrize("rate", [0.0, -0.0, 0], ids=["zero", "negative-zero", "int-zero"])
+@pytest.mark.parametrize("scale, h", [(3400.0, 0.25), (3400, 0.01), (7, 1)])
+def test_exp_tables_at_rate_zero_call_no_exp(monkeypatch, rate, scale, h):
+    """Every factor at rate 0 is ``exp(±0.0) = 1.0``, so the tables are made without it."""
+    calls = []
+    monkeypatch.setattr(projection, "exp", lambda x: calls.append(x) or math.exp(x))
+    for points in (1, 2, 31, 32, 33, 161, 20001):
+        outer, inner = projection._exp_tables(scale, rate, h, points)
+        assert _hex(outer, inner) == _hex(*exp_tables(scale, rate, h, points)), points
+    assert calls == []
 
 
 def _eager_columns(s, points, dt):
@@ -401,6 +422,30 @@ def test_fused_emissions_pass_ends_each_block_at_the_right_point(points):
     assert _hex(*columns) == _hex(*eager)
     assert _hex([trajectory.wealth[-1], trajectory.emissions[-1]]) == _hex(
         [eager[0][-1], eager[1][-1]])
+    point = trajectory[-1]
+    assert _hex([point.wealth, point.emissions_gtc]) == _hex([eager[0][-1], eager[1][-1]])
+
+
+@pytest.mark.parametrize("rate", [0.0, -0.0, 0], ids=["zero", "negative-zero", "int-zero"])
+@pytest.mark.parametrize("w0, c0", [(3400.0, 0.0162), (3400, 1)], ids=["float", "int"])
+@pytest.mark.parametrize("points", [1, 2, 31, 32, 33, 161, 20001])
+def test_a_constant_source_steps_as_the_eager_columns(points, w0, c0, rate):
+    """With no growth every emission is the first, and a step is ``d + (a*d + p*e)``
+    with ``p*e`` made once: the same bits as the eager update over each emission."""
+    s = scenario(w0=w0, c0=c0, eta_w=rate, eta_c=rate)
+    trajectory = projection.Trajectory(s, *projection._columns(s, points - 1, 0.25))
+    columns = (trajectory.wealth, trajectory.emissions, trajectory.deltas)
+    assert list(map(len, columns)) == [points] * 3
+    assert _hex(*columns) == _hex(*_eager_columns(s, points, 0.25))
+
+
+def test_a_constant_source_past_the_float_range_keeps_an_infinite_perturbation():
+    """lambda*c*W overflows to inf at every point: the first step makes delta inf, and the
+    map's d + a*d then makes nan, which the run reads as inf, as a growing run does."""
+    for w0 in (1e300, 1e308):
+        trajectory = run_scenario(scenario(w0=w0, c0=1e10, eta_w=0.0, horizon_years=10.0))
+        assert trajectory.deltas == (131.76, *[math.inf] * 40)
+        assert set(trajectory.emissions) == {math.inf} and math.isfinite(trajectory.wealth[-1])
 
 
 def test_fused_emissions_pass_over_a_steady_state_run():
@@ -414,6 +459,9 @@ def test_fused_emissions_pass_over_a_steady_state_run():
         assert len(got) == 41 + 83
         assert _hex(got) == _hex(a[:-1] + b)
         assert _hex([got[i] for i in range(39, 45)]) == _hex((a[:-1] + b)[39:45])
+    points = [trajectory[i] for i in range(39, 45)]
+    assert _hex([p.wealth for p in points], [p.emissions_gtc for p in points]) == _hex(
+        *((a[:-1] + b)[39:45] for a, b in zip(head[:2], tail[:2])))
 
 
 def test_product_columns_are_read_only_sequences_of_their_floats():
@@ -453,18 +501,20 @@ def test_a_run_equals_the_trajectory_of_its_columns_as_tuples():
     eager = projection.Trajectory(s, *map(tuple, columns))
     assert trajectory == eager and eager == trajectory
     assert hash(trajectory) == hash(eager) and list(trajectory) == list(eager)
+    assert [eager[i] for i in (0, 52, -1)] == [trajectory[i] for i in (0, 52, -1)]
     assert trajectory != projection.Trajectory(s, *map(tuple, columns[:3]), (0.0,) * len(eager))
 
 
 def test_reading_a_trajectory_makes_each_column_once_or_one_entry(monkeypatch):
     """Iteration, slices and ``first_crossing`` make a column in one pass; an int index
-    and ``at_year`` make one entry. None reads a column entry by entry."""
+    and ``at_year`` make one entry, its wealth and emissions from one lookup. None reads
+    a column entry by entry."""
     made, read = [], []
     column = projection._ProductColumn
-    values, getitem = column._values, column.__getitem__
+    values, entry = column._values, column._entry
     monkeypatch.setattr(column, "_values", lambda self: made.append(self) or values(self))
-    monkeypatch.setattr(column, "__getitem__",
-                        lambda self, index: read.append(index) or getitem(self, index))
+    monkeypatch.setattr(column, "_entry",
+                        lambda self, index: read.append(index) or entry(self, index))
     trajectory = run_scenario(scenario(eta_c=-0.013))
     assert (made, read) == ([], [-1])  # the nan check's last emission
     for reading, columns in ((lambda: list(trajectory), 2), (lambda: trajectory[2:40], 2),
@@ -476,7 +526,7 @@ def test_reading_a_trajectory_makes_each_column_once_or_one_entry(monkeypatch):
     read.clear()
     trajectory.at_year(2030.0)
     trajectory[-1]
-    assert (made, read) == ([], [52, 52, 160, 160])
+    assert (made, read) == ([], [52, 160])
 
 
 def test_growth_just_past_the_float_range_is_refused():

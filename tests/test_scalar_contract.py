@@ -43,7 +43,6 @@ from enerscale.projection import (
     committed_curve,
     halving_time,
     historical_spinup_delta,
-    max_carbonization_coefficient,
     required_clean_capacity,
     run_scenario,
     steady_state_commitment,
@@ -60,7 +59,7 @@ from enerscale.reconstruction import (
 from enerscale.records import Record
 from enerscale.scaling import scaling_stats, w1_sensitivity
 from enerscale.series import KIND_UNITS, AnnualSeries, Period, SeriesKind
-from enerscale.units import Quantity, Unit, to_unit
+from enerscale.units import Quantity, Unit, finite, to_unit
 
 #: An int whose decimal digits ``repr`` refuses to format (more than 4300 of them).
 PAST_STR_LIMIT = 10**5000
@@ -259,6 +258,56 @@ def sometimes_wild(valid):
     return st.integers(0, 3).flatmap(lambda i: numbers if i == 0 else valid)
 
 
+#: The other scenario fields: a valid value three times in four, otherwise any of
+#: ``numbers`` (text, bytes, None and ints too large for a float among them).
+start_years = sometimes_wild(st.one_of(st.sampled_from([2017.0, 0.0, -1e4, 1e15]),
+                                       st.floats(-1e4, 1e4)))
+scalings = sometimes_wild(positives)
+initial_deltas = sometimes_wild(st.one_of(st.just(0.0), positives))
+
+
+@given(start_years, scalings, scalings, initial_deltas, growth_rates, growth_rates, spans,
+       steps, initial_wealth)
+def test_runs_over_every_scenario_field(start, lambda_gw, c0, delta0, eta_w, eta_c, span,
+                                        dt, w0):
+    """Every field of the scenario is drawn; a run and a steady state frozen halfway
+    through it give typed errors or columns with no NaN."""
+    try:
+        s = Scenario(start, span, w0, lambda_gw, c0, eta_w, eta_c, delta0, dt=dt)
+        trajectory = run_scenario(s)
+    except EnerscaleError:
+        return
+    assert_no_nan_column(trajectory)
+    try:
+        result = steady_state_commitment(s, start + span / 2, span)
+    except EnerscaleError:
+        return
+    assert_no_nan_column(result.trajectory)
+
+
+SCENARIO_NUMBERS = ("start_year", "horizon_years", "w0", "lambda_gw", "c0", "eta_w", "eta_c",
+                    "delta0", "dt")
+VALID_SCENARIO = (2017.0, 40.0, 3400.0, 5.7, 0.0162, 0.024, 0.0, 131.76, 0.25)
+
+
+@given(st.lists(st.tuples(st.booleans(), numbers), min_size=9, max_size=9))
+def test_a_scenario_names_each_field_that_is_not_a_finite_number(draws):
+    """Each field is valid or drawn from ``numbers``; the error names every field that
+    ``units.finite`` refuses, in field order, and no other error mentions the fields."""
+    values = [value if drawn else valid for (drawn, value), valid in zip(draws, VALID_SCENARIO)]
+    refused = [name for name, value in zip(SCENARIO_NUMBERS, values) if not finite(value)]
+    *fields, dt = values
+    try:
+        Scenario(*fields, dt=dt)
+        message = None
+    except DomainError as error:
+        message = str(error)
+    if refused:
+        assert message == f"scenario fields must be finite: {', '.join(refused)}"
+    else:
+        assert message is None or not message.startswith("scenario fields")
+
+
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 #: Valid (sigma, kappa_a, preindustrial), the sink rate outside its band too: the defaults,
@@ -350,13 +399,6 @@ def test_an_int_past_the_str_limit_is_named_by_its_size(call, sign):
     """Formatting such an int into the message used to raise ValueError instead."""
     with pytest.raises(EnerscaleError, match="<int of 16610 bits>"):
         call(sign * PAST_STR_LIMIT)
-
-
-def test_max_carbonization_coefficient_of_a_tiny_scaling_is_refused():
-    """sigma/(kappa*lambda) used to return inf for 1e-310 GW per T$."""
-    for tiny in (1e-310, 5e-324):
-        with pytest.raises(DomainError, match="sigma/\\(kappa\\*lambda\\) is not finite"):
-            max_carbonization_coefficient(Quantity(tiny, Unit.GW_PER_TUSD))
 
 
 @pytest.mark.parametrize("values", [(1e-300, 1e300), (1e300, 1e-300)])
