@@ -237,11 +237,11 @@ class Trajectory(Record):
         return self
 
     def _point(self, i: int) -> TrajectoryPoint:
-        s, emissions, d = self.scenario, self.emissions, self.deltas[i]
-        if isinstance(emissions, _ProductColumn):  # its entry carries the wealth it is made of
-            w, e = emissions._entry(i)
+        s, wealth, emissions, d = self.scenario, self.wealth, self.emissions, self.deltas[i]
+        if wealth.__class__ is emissions.__class__ is _ProductColumn:  # a run's own columns
+            w, e = emissions._entry(i)  # the entry carries the wealth it is made of
         else:
-            w, e = self.wealth[i], emissions[i]
+            w, e = wealth[i], emissions[i]
         pre, c = s.carbon_params.preindustrial, s.carbon_params.committed_delta(e)
         return TrajectoryPoint(self.years[i], w, s.lambda_ej * w, e, d, c, pre + d, pre + c)
 

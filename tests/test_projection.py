@@ -350,16 +350,16 @@ def test_columns_equal_scalar_closed_forms_bit_for_bit(dt, eta_c):
     assert_columns_match(run_scenario(s), expected)
 
 
-@pytest.mark.parametrize("settle", [20.0, 300.0])
 @pytest.mark.parametrize("dt", [1.0, 0.3, 0.25])
-def test_steady_state_columns_equal_scalar_closed_forms_bit_for_bit(dt, settle):
+def test_steady_state_columns_equal_scalar_closed_forms_bit_for_bit(dt):
     s = scenario(eta_c=-0.013, dt=dt)
-    result = steady_state_commitment(s, freeze_year=2030.0, settle_years=settle)
-    frozen = result.trajectory.scenario
     head = _expected_columns(s, time_grid(13.0, dt)[0], dt)
-    assert frozen.delta0 == pytest.approx(head[-1][-1], rel=MAP_REL_TOL)
-    tail = _expected_columns(frozen, time_grid(settle, dt)[0], dt)
-    assert_columns_match(result.trajectory, tuple(a[:-1] + b for a, b in zip(head, tail)))
+    for settle in (20.0, 300.0):
+        result = steady_state_commitment(s, freeze_year=2030.0, settle_years=settle)
+        frozen = result.trajectory.scenario
+        assert frozen.delta0 == pytest.approx(head[-1][-1], rel=MAP_REL_TOL)
+        tail = _expected_columns(frozen, time_grid(settle, dt)[0], dt)
+        assert_columns_match(result.trajectory, tuple(a[:-1] + b for a, b in zip(head, tail)))
 
 
 def test_columns_call_exp_per_block_not_per_point(monkeypatch):
@@ -503,6 +503,8 @@ def test_a_run_equals_the_trajectory_of_its_columns_as_tuples():
     assert hash(trajectory) == hash(eager) and list(trajectory) == list(eager)
     assert [eager[i] for i in (0, 52, -1)] == [trajectory[i] for i in (0, 52, -1)]
     assert trajectory != projection.Trajectory(s, *map(tuple, columns[:3]), (0.0,) * len(eager))
+    doubled = trajectory._replace(wealth=tuple(2.0 * w for w in trajectory.wealth))
+    assert [doubled[i] for i in (0, 52, -1)] == [list(doubled)[i] for i in (0, 52, -1)]
 
 
 def test_reading_a_trajectory_makes_each_column_once_or_one_entry(monkeypatch):
