@@ -85,32 +85,51 @@ class NaturalCubicSpline:
         self._m = m
 
     def __call__(self, xq: Iterable[float]) -> list[float]:
-        x, y, h, m = self._x, self._y, self._h, self._m
+        x = self._x
         last = len(x) - 2
         out = []
+        run = []  # the queries since the last interval lookup, all in interval i
+        i = 0
         left, right = x[-1], x[0]  # an empty interval: the first query looks one up
         try:
             for q in xq:
                 if not left <= q < right:
+                    # The run is evaluated before this query's range check, so a
+                    # query that is not a number fails first, as one at a time.
+                    out += self._segment(i, run)
+                    run = []
                     if not x[0] <= q <= x[-1]:
                         raise DomainError("spline evaluated outside its knot range")
                     # Sorted queries mostly stay in one interval, so it is looked
                     # up only on leaving it; searching x[1:-1] puts the right end
                     # in the last interval.
                     i = bisect_right(x, q, 1, last + 1) - 1
-                    x0, x1, hi = x[i], x[i + 1], h[i]
-                    y0, y1, m0, m1 = y[i], y[i + 1], m[i], m[i + 1]
-                    h2 = hi * hi  # hi**2 would raise OverflowError, not give inf
-                    left, right = x0, x1 if i < last else math.nextafter(x1, math.inf)
-                a = (x1 - q) / hi
-                b = (q - x0) / hi
-                out.append(a * y0 + b * y1 + ((a**3 - a) * m0 + (b**3 - b) * m1) * h2 / 6.0)
+                    left, right = x[i], x[i + 1] if i < last else math.nextafter(x[-1], math.inf)
+                run.append(q)
+            out += self._segment(i, run)
         except TypeError:  # text, None or another value that is not a number
             raise DomainError("spline queries must be numbers") from None
-        # A finite sum has no inf or NaN term; only an overflowing one needs the full check.
-        if not math.isfinite(sum(out)) and not all(map(math.isfinite, out)):
+        if not _all_finite(out):
             raise DomainError("spline value overflows a float")
         return out
+
+    def _segment(self, i: int, queries: Iterable[float]) -> list[float]:
+        """The cubic of knot interval ``i`` at each of ``queries``, which are not checked."""
+        x0, x1, hi = self._x[i], self._x[i + 1], self._h[i]
+        y0, y1, m0, m1 = self._y[i], self._y[i + 1], self._m[i], self._m[i + 1]
+        h2 = hi * hi  # hi**2 would raise OverflowError, not give inf
+        return [
+            a * y0 + b * y1 + ((a**3 - a) * m0 + (b**3 - b) * m1) * h2 / 6.0
+            for q in queries
+            for a in [(x1 - q) / hi]
+            for b in [(q - x0) / hi]
+        ]
+
+
+def _all_finite(values: Sequence[float]) -> bool:
+    """Whether every value is finite; a finite sum has no inf or NaN term, so only an
+    overflowing one needs the full check."""
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 
 class PppMerRatio(Record):
@@ -174,18 +193,25 @@ def spline_infill(sparse: AnnualSeries) -> AnnualSeries:
     """Evaluate a natural cubic spline through the knots at every integer year.
 
     The spline is fit to ln(value) and the result exponentiated, which keeps
-    the infill positive (see the module notes). Knots are reproduced exactly.
+    the infill positive (see the module notes). Knots are reproduced exactly:
+    each interval's interior years are evaluated and a knot keeps its own value
+    (exp of its log round-trips only to ~1 ulp).
     """
-    y = sparse.values
-    spline = NaturalCubicSpline(sparse.years, list(map(math.log, y)))
-    years = range(sparse.first_year, sparse.last_year + 1)
-    values = map(math.exp, spline(years))
-    # Re-impose knot values exactly: exp(log) round-trips only to ~1 ulp.
-    by_year = dict(zip(sparse.years, y))
+    knots, y = sparse.years, sparse.values
+    spline = NaturalCubicSpline(knots, list(map(math.log, y)))
+    gaps = [
+        spline._segment(i, range(k0 + 1, k1)) for i, (k0, k1) in enumerate(zip(knots, knots[1:]))
+    ]
+    if not all(map(_all_finite, gaps)):
+        raise DomainError("spline value overflows a float")
+    values = [y[0]]
     try:
-        return sparse.with_data(years, tuple(map(by_year.get, years, values)))
+        for gap, knot in zip(gaps, y[1:]):
+            values += map(math.exp, gap)
+            values.append(knot)
     except OverflowError:  # exp of a log-spline value past ln(max float)
         raise DomainError("spline infill overflows a float") from None
+    return sparse.with_data(range(knots[0], knots[-1] + 1), values)
 
 
 def _year_one_production(gdp: AnnualSeries, pop_growth: float) -> float:

@@ -73,6 +73,9 @@ def floats(values: Iterable[float], what: str) -> tuple[float, ...]:
         values = tuple(values)
     except TypeError:
         raise DomainError(f"{what} must be a sequence of numbers, got {shown(values)}") from None
+    all_float = set(map(type, values)) == {float}
+    if all_float and math.isfinite(sum(values)):  # a finite sum has no inf or NaN term
+        return values
     try:
         all_finite = all(map(math.isfinite, values))
     except (OverflowError, TypeError):  # a value that finite refuses
@@ -80,7 +83,7 @@ def floats(values: Iterable[float], what: str) -> tuple[float, ...]:
     if not all_finite:
         bad = next(v for v in values if not finite(v))
         raise DomainError(f"{what} must be finite numbers, got {shown(bad)}")
-    return values if set(map(type, values)) == {float} else tuple(map(float, values))
+    return values if all_float else tuple(map(float, values))
 
 
 def shown(value: object) -> str:

@@ -455,6 +455,17 @@ def test_validate_contiguous_is_empty():
     assert report.coverage == Period(1980, 2017)
 
 
+@pytest.mark.parametrize("years, coverage", [((1990,), None), ((1990, 1992), [1990, 1992])])
+def test_validation_report_to_dict(years, coverage):
+    """A one-year series covers no period; the file format keeps the fixed counts."""
+    s = AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, years, tuple(1.0 for _ in years))
+    gaps = [[1991, 1991]] if len(years) > 1 else []
+    assert validate(s).to_dict() == {
+        "gaps": gaps, "nonpositive_count": 0, "duplicate_years": [],
+        "coverage": coverage, "empty": not gaps,
+    }
+
+
 def test_validate_reports_gap():
     years = [y for y in range(1990, 2001) if y not in (1995, 1996, 1997)]
     s = AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, tuple(years), tuple(1.0 for _ in years))

@@ -440,3 +440,11 @@ def test_every_defaulted_parameter_is_set_outside_the_tests():
 ])
 def test_the_unset_option_check_sees_positions_keywords_and_classes(source, unset):
     assert unset_options({"m": source}, [source]) == unset
+
+
+def test_the_spline_cubic_is_written_once():
+    """``NaturalCubicSpline._segment`` is the one copy of the cubic; the infill and each
+    query run go through it."""
+    counts = {path.name: path.read_text(encoding="utf-8").count("(a**3 - a)")
+              for path in PACKAGE.glob("*.py")}
+    assert {name: n for name, n in counts.items() if n} == {"reconstruction.py": 1}

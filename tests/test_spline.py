@@ -1,5 +1,10 @@
+import math
+from itertools import accumulate
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enerscale.errors import DomainError, TooFewPoints
 from enerscale.reconstruction import NaturalCubicSpline, ppp_to_mer, spline_infill
@@ -206,3 +211,53 @@ def test_spline_infill_whose_exp_overflows_is_refused():
                           (1e308, 1e-300, 1e308, 1e308))
     with pytest.raises(DomainError, match="spline infill overflows"):
         spline_infill(sparse)
+
+
+@st.composite
+def sparse_series(draw):
+    """Sparse series: adjacent-year knots next to wide gaps, years on both sides of 0."""
+    gaps = draw(st.lists(st.one_of(st.just(1), st.integers(1, 600)), min_size=3, max_size=20))
+    years = list(accumulate(gaps, initial=draw(st.integers(-5000, 3000))))
+    values = draw(st.lists(st.floats(1e-12, 1e12), min_size=len(years), max_size=len(years)))
+    return AnnualSeries(SeriesKind.GDP_PPP, Unit.TUSD_PER_YR, years, values)
+
+
+def hex_values(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse=sparse_series())
+def test_spline_infill_is_the_per_year_log_spline_with_the_knots_kept(sparse):
+    """Each infilled year is exp of the spline evaluated at that year alone, bit for bit,
+    and each knot year keeps its own value. An exp past the float range is refused, and
+    so is one that underflows to 0 (a wide gap beside a steep knot can dip that far)."""
+    spline = NaturalCubicSpline(sparse.years, [math.log(v) for v in sparse.values])
+    knots = dict(zip(sparse.years, sparse.values))
+    years = range(sparse.first_year, sparse.last_year + 1)
+    try:
+        expected = [knots[q] if q in knots else math.exp(spline([q])[0]) for q in years]
+    except OverflowError:
+        with pytest.raises(DomainError, match="^spline infill overflows a float$"):
+            spline_infill(sparse)
+        return
+    if min(expected) == 0.0:
+        with pytest.raises(DomainError, match="^gdp_ppp values must be strictly positive$"):
+            spline_infill(sparse)
+        return
+    out = spline_infill(sparse)
+    assert out.years == tuple(years)
+    assert hex_values(out.values) == hex_values(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse=sparse_series(), data=st.data())
+def test_shuffled_queries_with_repeats_give_the_per_query_values(sparse, data):
+    first, last = sparse.first_year, sparse.last_year
+    spline = NaturalCubicSpline(sparse.years, [math.log(v) for v in sparse.values])
+    queries = data.draw(st.lists(
+        st.one_of(st.sampled_from(sparse.years), st.integers(first, last), st.floats(first, last)),
+        min_size=1, max_size=40,
+    ))
+    queries = data.draw(st.permutations(queries + queries[::2]))
+    assert hex_values(spline(queries)) == hex_values(spline([q])[0] for q in queries)

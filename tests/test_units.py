@@ -166,7 +166,20 @@ def test_floats_keeps_an_all_float_tuple_and_converts_other_numbers():
     assert floats((), "x") == ()
 
 
+def test_floats_keeps_an_all_float_tuple_whose_sum_overflows():
+    """A finite sum is the fast check; a sum that overflows is checked value by value."""
+    values = (1.7e308, 1.7e308)
+    assert floats(values, "x") is values
+
+
+def test_floats_converts_a_mixed_int_and_float_tuple():
+    converted = floats((1, 2.5, -3), "x")
+    assert converted == (1.0, 2.5, -3.0) and all(type(v) is float for v in converted)
+
+
 @pytest.mark.parametrize("values, shown", [
+    ((1.0, math.inf), "inf"),
+    ((math.nan, 1.0), "nan"),
     ((1.0, "1.5"), "'1.5'"),
     ([2, None], "None"),
     ((1.0, math.nan, "x"), "nan"),
