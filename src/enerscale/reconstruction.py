@@ -199,15 +199,15 @@ def spline_infill(sparse: AnnualSeries) -> AnnualSeries:
     """
     knots, y = sparse.years, sparse.values
     spline = NaturalCubicSpline(knots, list(map(math.log, y)))
-    gaps = [
+    interiors = [
         spline._segment(i, range(k0 + 1, k1)) for i, (k0, k1) in enumerate(zip(knots, knots[1:]))
     ]
-    if not all(map(_all_finite, gaps)):
+    if not all(map(_all_finite, interiors)):
         raise DomainError("spline value overflows a float")
     values = [y[0]]
     try:
-        for gap, knot in zip(gaps, y[1:]):
-            values += map(math.exp, gap)
+        for logs, knot in zip(interiors, y[1:]):
+            values += map(math.exp, logs)
             values.append(knot)
     except OverflowError:  # exp of a log-spline value past ln(max float)
         raise DomainError("spline infill overflows a float") from None

@@ -159,22 +159,13 @@ def test_finite_is_false_for_a_value_that_is_not_a_finite_number(value):
 
 
 def test_floats_keeps_an_all_float_tuple_and_converts_other_numbers():
-    values = (1.0, 2.5)
-    assert floats(values, "x") is values
-    converted = floats([1, True, 2.5], "x")
-    assert converted == (1.0, 1.0, 2.5) and all(type(v) is float for v in converted)
-    assert floats((), "x") == ()
-
-
-def test_floats_keeps_an_all_float_tuple_whose_sum_overflows():
     """A finite sum is the fast check; a sum that overflows is checked value by value."""
-    values = (1.7e308, 1.7e308)
-    assert floats(values, "x") is values
-
-
-def test_floats_converts_a_mixed_int_and_float_tuple():
-    converted = floats((1, 2.5, -3), "x")
-    assert converted == (1.0, 2.5, -3.0) and all(type(v) is float for v in converted)
+    for values in ((1.0, 2.5), (1.7e308, 1.7e308)):
+        assert floats(values, "x") is values
+    for values, expected in (([1, True, 2.5], (1.0, 1.0, 2.5)), ((1, 2.5, -3), (1.0, 2.5, -3.0))):
+        converted = floats(values, "x")
+        assert converted == expected and all(type(v) is float for v in converted)
+    assert floats((), "x") == ()
 
 
 @pytest.mark.parametrize("values, shown", [
