@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
@@ -51,7 +50,7 @@ except ImportError:
 # Model modules are imported inside the command that uses them, so each
 # process loads only what its subcommand needs.
 from . import __version__, datasets
-from .errors import DomainError, EnerscaleError, ParseError
+from .errors import DomainError, EnerscaleError
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -228,21 +227,14 @@ def _cmd_ingest(args, manifest: RunManifest) -> tuple[str, int]:
 
 def _cmd_reconstruct(args, manifest: RunManifest) -> tuple[str, int]:
     from .ingestion import write_series
+    from .reconstruction import RECONSTRUCTION_CSVS, RECONSTRUCTION_JSON, reconstruction_payload
 
     manifest.add_series_inputs()
     recon = datasets.baseline()
     out_dir: Path = args.out_dir
-    manifest.add_output(write_series(recon.gdp, out_dir / "gdp_annual.csv", value_column="gdp"))
-    manifest.add_output(
-        write_series(recon.wealth.series, out_dir / "wealth.csv", value_column="wealth")
-    )
-    manifest.write_json(out_dir / "reconstruction.json", {
-        "w1_tusd": recon.w1.value,
-        "kappa_x": recon.ratio.value,
-        "kappa_x_window": [recon.ratio.window.start_year, recon.ratio.window.end_year],
-        "spline_knot_years": list(recon.spline_knot_years),
-        "method": recon.wealth.method,
-    })
+    for (name, _, _, column), series in zip(RECONSTRUCTION_CSVS, (recon.gdp, recon.wealth.series)):
+        manifest.add_output(write_series(series, out_dir / name, value_column=column))
+    manifest.write_json(out_dir / RECONSTRUCTION_JSON, reconstruction_payload(recon))
     return "", EXIT_OK
 
 
@@ -265,60 +257,26 @@ def _cmd_calibrate(args, manifest: RunManifest) -> tuple[str, int]:
     return text, EXIT_OK
 
 
-def _tables_inputs(data_dir: Path | None, manifest: RunManifest):
-    """Snapshot plus either recomputed or on-disk reconstruction outputs."""
-    from .ingestion import canonical_descriptor, json_field, json_number, json_years, load_series
-    from .reconstruction import PppMerRatio, ReconstructionResult, WealthSeries
-    from .series import Period, SeriesKind
-    from .units import Quantity, Unit
-
-    snapshot = datasets.load_snapshot()
-    manifest.add_series_inputs()
-    if data_dir is None:
-        return snapshot, datasets.baseline()
-    for required in ("gdp_annual.csv", "wealth.csv", "reconstruction.json"):
-        if not (data_dir / required).exists():
-            raise EnerscaleError(
-                f"missing reconstruction output {data_dir / required}; run `enerscale reconstruct`"
-            )
-        manifest.add_input(data_dir / required)
-    gdp = load_series(canonical_descriptor(data_dir / "gdp_annual.csv",
-                                           SeriesKind.GDP_MER, Unit.TUSD_PER_YR, "gdp"))
-    wealth_series = load_series(canonical_descriptor(data_dir / "wealth.csv",
-                                                     SeriesKind.WEALTH, Unit.TUSD, "wealth"))
-    prov_path = data_dir / "reconstruction.json"
-    try:
-        prov = json.loads(prov_path.read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"{prov_path} is not valid JSON: {exc}") from None
-    field = functools.partial(json_field, str(prov_path), prov)
-    wealth = WealthSeries(
-        series=wealth_series,
-        w1=Quantity(field("w1_tusd", json_number), Unit.TUSD),
-        method=prov.get("method", "loaded from disk"),
-    )
-    window = field("kappa_x_window", lambda years: Period(*json_years(years)))
-    recon = ReconstructionResult(
-        gdp=gdp,
-        wealth=wealth,
-        ratio=PppMerRatio(field("kappa_x", json_number), window),
-        spline_knot_years=field("spline_knot_years", json_years, ()),
-    )
-    return snapshot, recon
-
-
 def _record_reconstruction(manifest: RunManifest, recon) -> None:
-    """Record the run's kappa_x and W(1), keyed as in ``reconstruction.json``."""
-    manifest.parameters["reconstruction"] = {
-        "kappa_x": recon.ratio.value,
-        "w1_tusd": recon.w1.value,
-    }
+    """Record the run's kappa_x and W(1), keyed as in its ``reconstruction_payload``."""
+    from .reconstruction import reconstruction_payload
+
+    payload = reconstruction_payload(recon)
+    manifest.parameters["reconstruction"] = {key: payload[key] for key in ("kappa_x", "w1_tusd")}
 
 
 def _cmd_tables(args, manifest: RunManifest) -> tuple[str, int]:
     from . import tables
+    from .reconstruction import RECONSTRUCTION_FILES, load_reconstruction
 
-    snapshot, recon = _tables_inputs(args.data_dir, manifest)
+    snapshot = datasets.load_snapshot()
+    manifest.add_series_inputs()
+    if args.data_dir is None:
+        recon = datasets.baseline()
+    else:
+        recon = load_reconstruction(args.data_dir)
+        for name in RECONSTRUCTION_FILES:
+            manifest.add_input(args.data_dir / name)
     _record_reconstruction(manifest, recon)
     result = tables.build_table(args.table, snapshot, recon)
     stem = args.out_dir / f"table{args.table}"
@@ -330,7 +288,7 @@ def _cmd_tables(args, manifest: RunManifest) -> tuple[str, int]:
 
 def _cmd_project(args, manifest: RunManifest) -> tuple[str, int]:
     from .carbon import CarbonCycleParams
-    from .projection import MAX_GRID_POINTS, Scenario, committed_curve, run_scenario, time_grid
+    from .projection import Scenario, committed_curve, curve_grid, run_scenario, time_grid
     from .units import Quantity, Unit
 
     run = (_EC if args.curve else _ET) if args.preset is None else (_PC if args.curve else _PT)
@@ -369,16 +327,8 @@ def _cmd_project(args, manifest: RunManifest) -> tuple[str, int]:
     if args.curve:
         source = args if args.preset is None else scenario
         recorded = {"lambda_gw": source.lambda_gw, "c0": source.c0}
-        not_finite = [flag for flag, value in (("--from-w", args.from_w), ("--to-w", args.to_w))
-                      if not math.isfinite(value)]
-        if not_finite:
-            raise EnerscaleError(f"curve bounds must be finite: {', '.join(not_finite)}")
-        if args.from_w <= 0 or args.to_w <= args.from_w or not 2 <= args.points <= MAX_GRID_POINTS:
-            raise EnerscaleError(f"curve needs 0 < from-w < to-w and 2 to {MAX_GRID_POINTS} points")
-        step = (args.to_w - args.from_w) / (args.points - 1)
-        w_values = [args.from_w + i * step for i in range(args.points)]
         pairs = committed_curve(
-            w_values,
+            curve_grid(args.from_w, args.to_w, args.points),
             Quantity(source.lambda_gw, Unit.GW_PER_TUSD),
             Quantity(source.c0, Unit.GTC_PER_EJ),
             params,

@@ -313,7 +313,7 @@ def json_field(where: str, record, key: str, convert, default=None):
         raise SchemaError(f"{where} has a missing or invalid {key!r}") from None
 
 
-def _exactly(kind: type):
+def exactly(kind: type):
     """Converter that passes a JSON value through only if it already is a ``kind``."""
 
     def check(value):
@@ -359,14 +359,14 @@ def load_manifest(path: Path | str) -> dict[str, ManifestEntry]:
     for name, spec in raw.items():
         field = functools.partial(json_field, f"manifest entry {name!r}", spec)
         descriptor = DataSourceDescriptor(
-            path=path.parent / field("path", _exactly(str)),
+            path=path.parent / field("path", exactly(str)),
             kind=field("kind", SeriesKind),
             unit=field("unit", Unit),
-            year_column=field("year_column", _exactly(str), "year"),
-            value_column=field("value_column", _exactly(str), "value"),
+            year_column=field("year_column", exactly(str), "year"),
+            value_column=field("value_column", exactly(str), "value"),
             scale=field("scale", json_number, 1.0),
         )
         entries[name] = ManifestEntry(
-            name=name, descriptor=descriptor, contiguous=field("contiguous", _exactly(bool), True)
+            name=name, descriptor=descriptor, contiguous=field("contiguous", exactly(bool), True)
         )
     return entries

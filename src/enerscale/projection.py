@@ -575,6 +575,21 @@ def committed_curve(
     return [(w, params.committed_delta(per_tusd * w)) for w in w_values]
 
 
+def curve_grid(from_w: float, to_w: float, points: int) -> list[float]:
+    """``points`` evenly spaced W from ``from_w`` to ``to_w``, T$2010, for ``committed_curve``.
+
+    Bounds that are not finite, or not 0 < from_w < to_w, and a count outside 2 to
+    ``MAX_GRID_POINTS`` are refused before any point is built."""
+    not_finite = [name for name, value in (("from_w", from_w), ("to_w", to_w))
+                  if not finite(value)]
+    if not_finite:
+        raise DomainError(f"curve bounds must be finite: {', '.join(not_finite)}")
+    if not (0 < from_w < to_w and integral(points) and 2 <= points <= MAX_GRID_POINTS):
+        raise DomainError(f"curve needs 0 < from_w < to_w and 2 to {MAX_GRID_POINTS} points")
+    step = (to_w - from_w) / (points - 1)
+    return [from_w + i * step for i in range(int(points))]
+
+
 def committed_equilibrium(
     w: Quantity,
     scale: Quantity,

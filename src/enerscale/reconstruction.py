@@ -14,22 +14,33 @@ Numerical choices that are not forced by the data:
   is no derivative information at either end of the record.
 * Discrete integration is the annual left sum ``W(t) = W(1) + sum(Y(1..t))``,
   so the first difference of W recovers Y exactly.
+
+The directory a result is saved in (``enerscale reconstruct``, ``tables --data-dir``)
+is declared here alone, from ``RECONSTRUCTION_CSVS`` to ``load_reconstruction``.
 """
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 import operator
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, repeat
+from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import (
     DomainError,
+    EnerscaleError,
     GapError,
     KindError,
     MissingYearOne,
+    ParseError,
     TooFewPoints,
+)
+from .ingestion import (
+    canonical_descriptor, exactly, json_field, json_number, json_years, load_series,
 )
 from .records import Record
 from .series import AnnualSeries, Period, SeriesKind, mean, period_values
@@ -211,7 +222,10 @@ def spline_infill(sparse: AnnualSeries) -> AnnualSeries:
             values.append(knot)
     except OverflowError:  # exp of a log-spline value past ln(max float)
         raise DomainError("spline infill overflows a float") from None
-    return sparse.with_data(range(knots[0], knots[-1] + 1), values)
+    try:
+        return sparse.with_data(range(knots[0], knots[-1] + 1), values)
+    except DomainError:  # the values are finite and the knots positive: an exp gave 0
+        raise DomainError("spline infill underflows a float") from None
 
 
 def _year_one_production(gdp: AnnualSeries, pop_growth: float) -> float:
@@ -333,4 +347,64 @@ def build_wealth(
         wealth=wealth,
         ratio=ratio,
         spline_knot_years=historical_ppp.years,
+    )
+
+
+#: The series files of a saved result, production then wealth, each as (file name, kind,
+#: unit, value column) in ``ingestion.write_series``'s format.
+RECONSTRUCTION_CSVS = (
+    ("gdp_annual.csv", SeriesKind.GDP_MER, Unit.TUSD_PER_YR, "gdp"),
+    ("wealth.csv", SeriesKind.WEALTH, Unit.TUSD, "wealth"),
+)
+
+#: The file of a saved result's ``reconstruction_payload``.
+RECONSTRUCTION_JSON = "reconstruction.json"
+
+#: Every file of a saved result, in the order ``load_reconstruction`` checks them.
+RECONSTRUCTION_FILES = (*(name for name, *_ in RECONSTRUCTION_CSVS), RECONSTRUCTION_JSON)
+
+
+def reconstruction_payload(recon: ReconstructionResult) -> dict:
+    """The JSON of ``RECONSTRUCTION_JSON``: W(1), kappa_x and its window, the spline knot
+    years and W's method."""
+    return {
+        "w1_tusd": recon.w1.value,
+        "kappa_x": recon.ratio.value,
+        "kappa_x_window": [recon.ratio.window.start_year, recon.ratio.window.end_year],
+        "spline_knot_years": list(recon.spline_knot_years),
+        "method": recon.wealth.method,
+    }
+
+
+def load_reconstruction(directory: Path) -> ReconstructionResult:
+    """The result saved in ``directory`` as ``RECONSTRUCTION_FILES``.
+
+    A missing file raises ``EnerscaleError``, a series any error of ``load_series``, JSON
+    that does not parse ``ParseError``, and a missing or invalid key ``SchemaError``
+    naming it. ``method`` defaults to "loaded from disk", ``spline_knot_years`` to ().
+    """
+    for name in RECONSTRUCTION_FILES:
+        if not (directory / name).exists():
+            raise EnerscaleError(
+                f"missing reconstruction output {directory / name}; run `enerscale reconstruct`"
+            )
+    gdp, wealth_series = (load_series(canonical_descriptor(directory / name, kind, unit, column))
+                          for name, kind, unit, column in RECONSTRUCTION_CSVS)
+    path = directory / RECONSTRUCTION_JSON
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path} is not valid JSON: {exc}") from None
+    field = functools.partial(json_field, str(path), payload)
+    wealth = WealthSeries(
+        series=wealth_series,
+        w1=Quantity(field("w1_tusd", json_number), Unit.TUSD),
+        method=field("method", exactly(str), "loaded from disk"),
+    )
+    window = field("kappa_x_window", lambda years: Period(*json_years(years)))
+    return ReconstructionResult(
+        gdp=gdp,
+        wealth=wealth,
+        ratio=PppMerRatio(field("kappa_x", json_number), window),
+        spline_knot_years=field("spline_knot_years", json_years, ()),
     )

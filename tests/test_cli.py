@@ -19,6 +19,7 @@ from enerscale import cli, datasets
 from enerscale.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, _json_text, main
 from enerscale.errors import DomainError
 from enerscale.ingestion import canonical_descriptor, load_series
+from enerscale.reconstruction import load_reconstruction
 from enerscale.series import SeriesKind
 from enerscale.units import Unit
 
@@ -73,13 +74,22 @@ def test_ingest_gap_series_exits_2(tmp_path, capsys):
 def test_reconstruct_outputs(tmp_path, recon):
     out = tmp_path / "recon"
     assert main(["reconstruct", "--out-dir", str(out)]) == EXIT_OK
-    gdp = load_series(canonical_descriptor(out / "gdp_annual.csv",
-                                           SeriesKind.GDP_MER, Unit.TUSD_PER_YR, "gdp"))
-    assert gdp == recon.gdp
-    prov = json.loads((out / "reconstruction.json").read_text())
-    assert prov["w1_tusd"] == pytest.approx(250.0, abs=5.0)
-    assert prov["kappa_x"] == pytest.approx(1.205, abs=0.01)
-    assert prov["spline_knot_years"][0] == 1
+    loaded = load_reconstruction(out)
+    assert loaded.gdp == recon.gdp
+    assert loaded.w1.value == pytest.approx(250.0, abs=5.0)
+    assert loaded.ratio.value == pytest.approx(1.205, abs=0.01)
+    assert loaded.spline_knot_years[0] == 1
+
+
+def test_a_reconstruct_directory_loads_back_to_the_baseline_bit_for_bit(tmp_path, recon):
+    out = tmp_path / "recon"
+    assert main(["reconstruct", "--out-dir", str(out)]) == EXIT_OK
+    loaded = load_reconstruction(out)
+    assert loaded == recon
+    for got, want in ((loaded.gdp, recon.gdp), (loaded.wealth.series, recon.wealth.series)):
+        assert list(map(float.hex, got.values)) == list(map(float.hex, want.values))
+    assert loaded.w1.value.hex() == recon.w1.value.hex()
+    assert loaded.ratio.value.hex() == recon.ratio.value.hex()
 
 
 # ----------------------------------------------------------------- calibrate
@@ -209,6 +219,10 @@ def test_tables_missing_reconstruction_inputs(tmp_path, capsys):
                      id="spline_knot_years-past-2**53"),
         pytest.param('{"w1_tusd": 50.0, "kappa_x": 1.5, "kappa_x_window": [1992, 1970]}',
                      "'kappa_x_window'", id="kappa_x_window-reversed"),
+        pytest.param('{"w1_tusd": 50.0, "kappa_x": 1.5, "kappa_x_window": [1970, 1992],'
+                     ' "method": 5}', "'method'", id="method-number"),
+        pytest.param('{"w1_tusd": 50.0, "kappa_x": 1.5, "kappa_x_window": [1970, 1992],'
+                     ' "method": null}', "'method'", id="method-null"),
     ],
 )
 def test_tables_rejects_malformed_reconstruction_json(tmp_path, capsys, text, message):
@@ -338,7 +352,8 @@ def test_project_curve_rejects_non_finite_bounds(tmp_path, capsys, flag, value):
     code = main(["project", "--preset", "paper-2017", "--curve", flag, value,
                  "--out", str(tmp_path / "curve.csv")])
     assert code == EXIT_RUNTIME
-    assert capsys.readouterr().err == f"error: curve bounds must be finite: {flag}\n"
+    name = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == f"error: curve bounds must be finite: {name}\n"
     assert list(tmp_path.iterdir()) == []
 
 

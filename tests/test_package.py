@@ -152,6 +152,40 @@ def test_the_gw_ej_check_sees_the_name_and_the_literal(source, uses):
     assert gw_ej_factor_uses(source) == uses
 
 
+#: The file names of a ``reconstruct`` directory, declared in ``reconstruction`` alone.
+LAYOUT_FILES = ("reconstruction.json", "gdp_annual.csv", "wealth.csv")
+
+
+def layout_file_uses(source: str):
+    """Line numbers in ``source`` of a string that is one of ``LAYOUT_FILES`` or a path
+    ending in one; a mention inside longer text, such as a docstring, does not count."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and any(node.value == name or node.value.endswith("/" + name) for name in LAYOUT_FILES)
+    ]
+
+
+def test_only_reconstruction_names_the_reconstruct_files():
+    """One module owns the ``reconstruct`` directory's format; the others use its names."""
+    package = Path(enerscale.__file__).parent
+    found = {path.stem: layout_file_uses(path.read_text(encoding="utf-8"))
+             for path in package.glob("*.py")}
+    assert {stem for stem, lines in found.items() if lines} == {"reconstruction"}
+
+
+@pytest.mark.parametrize("source, uses", [
+    ("p = d / 'reconstruction.json'", [1]),
+    ("x = 1\nfiles = ('gdp_annual.csv', 'wealth.csv')", [2, 2]),
+    ("p = f'{d}/wealth.csv'", [1]),
+    ('"""Reads wealth.csv back."""', []),
+    ("p = d / 'wealth.csv.bak'", []),
+    ("p = d / 'real_wealth.csv'", []),
+])
+def test_the_layout_check_sees_each_file_name(source, uses):
+    assert layout_file_uses(source) == uses
+
+
 TEXT_TYPES = {"str", "bytes", "bytearray"}
 INT_TYPES = {"int", "bool"}
 
@@ -332,8 +366,8 @@ UNSET_KEPT = {
     "projection.step_atmosphere(dt)": "the criterion 07, 09 and 10 tests call it",
     "projection.committed_equilibrium(params)": "the criterion 07, 09 and 10 tests call it",
     "projection.max_carbonization(params)": "the criterion 07, 09 and 10 tests call it",
-    "ingestion.json_field(default)": "load_manifest and cli._tables_inputs set it through"
-    " functools.partial",
+    "ingestion.json_field(default)": "load_manifest and reconstruction.load_reconstruction"
+    " set it through functools.partial",
 }
 
 

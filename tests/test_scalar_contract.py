@@ -11,6 +11,7 @@ column past the float range (the CLI's writer refuses the inf), never a NaN.
 """
 
 import csv
+import json
 import math
 import re
 import sys
@@ -20,7 +21,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from enerscale import datasets
 from enerscale.carbon import CarbonCycleParams
+from enerscale.cli import main
 from enerscale.errors import DomainError, EnerscaleError
 from enerscale.growth import (
     CarbonizationEstimate,
@@ -37,10 +40,12 @@ from enerscale.ingestion import (
     write_series,
 )
 from enerscale.projection import (
+    MAX_GRID_POINTS,
     AtmosphereState,
     CapacityRequirement,
     Scenario,
     committed_curve,
+    curve_grid,
     halving_time,
     historical_spinup_delta,
     required_clean_capacity,
@@ -54,6 +59,8 @@ from enerscale.reconstruction import (
     PppMerRatio,
     WealthSeries,
     calibrate_initial_wealth,
+    load_reconstruction,
+    reconstruction_payload,
     spline_infill,
 )
 from enerscale.records import Record
@@ -356,6 +363,13 @@ def test_committed_curve(w_values, scale, c, carbon, scale_unit):
                                         CarbonCycleParams(*carbon, True))))
 
 
+@given(numbers, numbers,
+       st.one_of(st.integers(-3, 60),
+                 st.sampled_from([2.0, 2.5, True, None, "3", math.nan, MAX_GRID_POINTS + 1])))
+def test_curve_grid(from_w, to_w, points):
+    check(lambda: tuple(curve_grid(from_w, to_w, points)))
+
+
 @given(st.one_of(st.lists(positives, min_size=1, max_size=12),
                  st.lists(st.sampled_from([1e300, 1.7e308]), min_size=3, max_size=12)),
        carbon_params, sometimes_wild(st.one_of(st.just(0.0), positives)),
@@ -526,6 +540,8 @@ SCALAR_CHECKS = {
     "descriptor-scale": lambda v: DataSourceDescriptor("x.csv", SeriesKind.ENERGY,
                                                        Unit.EJ_PER_YR, scale=v),
     "to_unit": lambda v: to_unit(v, Unit.GW, Unit.EJ_PER_YR),
+    "curve_grid-from_w": lambda v: curve_grid(v, 5000.0, 50),
+    "curve_grid-to_w": lambda v: curve_grid(100.0, v, 50),
 }
 
 
@@ -605,3 +621,38 @@ def test_write_series_then_load_series_is_bit_exact(tmp_path_factory, kind, data
     assert back.years == tuple(years)
     assert list(map(float.hex, back.values)) == list(map(float.hex, values))
 
+
+#: Any JSON value, nested a little: what a hand-edited ``reconstruction.json`` may hold.
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.floats(), st.integers(), st.integers(min_value=2**1024),
+              st.text(max_size=3), st.lists(st.integers(-3000, 3000), max_size=4)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+#: ``reconstruction.json``'s keys, and a drawn value that removes its key.
+RECONSTRUCTION_KEYS = ("kappa_x", "kappa_x_window", "method", "spline_knot_years", "w1_tusd")
+ABSENT = object()
+
+
+@pytest.fixture(scope="module")
+def reconstruct_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("reconstruct")
+    assert main(["reconstruct", "--out-dir", str(directory)]) == 0
+    return directory
+
+
+@given(st.sampled_from(RECONSTRUCTION_KEYS), st.one_of(json_values, st.just(ABSENT)))
+def test_load_reconstruction_with_any_json_value_at_a_key(reconstruct_dir, key, value):
+    """Each of ``reconstruction.json``'s keys set to any JSON value, or removed, fails only
+    with an ``EnerscaleError``, and a result it loads is finite."""
+    payload = reconstruction_payload(datasets.baseline())
+    assert sorted(payload) == list(RECONSTRUCTION_KEYS)
+    if value is ABSENT:
+        del payload[key]
+    else:
+        payload[key] = value
+    (reconstruct_dir / "reconstruction.json").write_text(json.dumps(payload), encoding="utf-8")
+    check(load_reconstruction, reconstruct_dir)

@@ -3,7 +3,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enerscale.errors import DomainError, TooFewPoints
@@ -228,6 +228,8 @@ def hex_values(values):
 
 @settings(max_examples=200, deadline=None)
 @given(sparse=sparse_series())
+@example(sparse=AnnualSeries(SeriesKind.GDP_PPP, Unit.TUSD_PER_YR, (0, 236, 237, 238),
+                             (1.0, 1.0, 59874.14171519782, 1.0)))  # dips below 5e-324
 def test_spline_infill_is_the_per_year_log_spline_with_the_knots_kept(sparse):
     """Each infilled year is exp of the spline evaluated at that year alone, bit for bit,
     and each knot year keeps its own value. An exp past the float range is refused, and
@@ -242,7 +244,7 @@ def test_spline_infill_is_the_per_year_log_spline_with_the_knots_kept(sparse):
             spline_infill(sparse)
         return
     if min(expected) == 0.0:
-        with pytest.raises(DomainError, match="^gdp_ppp values must be strictly positive$"):
+        with pytest.raises(DomainError, match="^spline infill underflows a float$"):
             spline_infill(sparse)
         return
     out = spline_infill(sparse)
