@@ -103,9 +103,8 @@ def load_series(d: DataSourceDescriptor) -> AnnualSeries:
 
     A plain file (see ``_plain_columns``) is split in one pass, with no list
     per row. Any other file, or one whose columns ``_columns`` refuses, is
-    read again by ``csv.reader``, whose columns are parsed and checked whole;
-    only when that fails are the rows walked one by one, so a bad file raises
-    its first bad row's error. Both paths give the same series and errors.
+    read again by ``csv.reader`` and its rows walked one by one, so a bad file
+    raises its first bad row's error. Both paths give the same series and errors.
     """
     try:
         handle = open(d.path, "rb")
@@ -187,24 +186,21 @@ def _csv_columns(d: DataSourceDescriptor, data: bytes) -> tuple[list[int], list[
         raise ParseError(f"{d.path}: reading stopped at row {len(rows) + 2}: {exc}") from None
     if not rows:
         raise ParseError(f"{d.path}: no data rows")
-    raw_years = map(operator.itemgetter(at[0]), rows)
-    raw_values = map(operator.itemgetter(at[1]), rows)
-    return _columns(d, raw_years, raw_values) or _walk_rows(d, rows, *at)
+    return _walk_rows(d, rows, *at)
 
 
 def _columns(
     d: DataSourceDescriptor, raw_years: Iterable[str], raw_values: Iterable[str]
 ) -> tuple[list[int], list[float]] | None:
-    """The year and scaled value columns, parsed from their cells and checked whole.
+    """A plain file's year and scaled value columns, parsed from their cells and checked whole.
 
-    Returns None when a row is short (an ``IndexError`` from ``raw_years`` or
-    ``raw_values``), a cell does not parse, or a scaled value is not finite or
-    not positive; ``_walk_rows`` then finds it.
+    Returns None when a cell does not parse, or a scaled value is not finite or not
+    positive; ``_csv_columns`` then walks the rows to find it.
     """
     try:
         years = list(map(int, raw_years))
         values = list(map(float, raw_values))
-    except (IndexError, ValueError):
+    except ValueError:
         return None
     if d.scale != 1.0:
         values = list(map(operator.mul, values, itertools.repeat(d.scale)))

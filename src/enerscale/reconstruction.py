@@ -40,7 +40,7 @@ from .errors import (
     TooFewPoints,
 )
 from .ingestion import (
-    canonical_descriptor, exactly, json_field, json_number, json_years, load_series,
+    canonical_descriptor, json_field, json_number, json_years, load_series,
 )
 from .records import Record
 from .series import AnnualSeries, Period, SeriesKind, mean, period_values
@@ -165,21 +165,21 @@ def _check_wealth(values: Sequence[float], w1: float) -> None:
 
 
 class WealthSeries(Record):
-    """Cumulative production W(t) with its initialization and provenance.
+    """Cumulative production W(t) with its initialization W(1), made by ``method``.
 
-    Every W, accumulated or read from disk, is checked here for W's invariants.
+    Every W, accumulated by ``cumulative_production``, is checked here for W's invariants.
     """
 
-    __slots__ = _fields = ("series", "w1", "method")
+    __slots__ = _fields = ("series", "w1")
     series: AnnualSeries
     w1: Quantity
-    method: str
+    method = "annual left sum of production"
 
-    def __init__(self, series: AnnualSeries, w1: Quantity, method: str) -> None:
+    def __init__(self, series: AnnualSeries, w1: Quantity) -> None:
         if series.kind is not SeriesKind.WEALTH:
             raise KindError("WealthSeries wraps a series of kind 'wealth'")
         _check_wealth(series.values, w1.value)
-        super().__init__(series, w1, method)
+        super().__init__(series, w1)
 
 
 def estimate_ppp_mer_ratio(
@@ -297,7 +297,7 @@ def cumulative_production(
         keep = slice(bisect_left(years, period.start_year), bisect_right(years, period.end_year))
         years, wealth = years[keep], wealth[keep]
     series = AnnualSeries(SeriesKind.WEALTH, Unit.TUSD, years, wealth)
-    return WealthSeries(series=series, w1=w1, method="annual left sum of production")
+    return WealthSeries(series=series, w1=w1)
 
 
 class ReconstructionResult(Record):
@@ -360,8 +360,9 @@ RECONSTRUCTION_CSVS = (
 #: The file of a saved result's ``reconstruction_payload``.
 RECONSTRUCTION_JSON = "reconstruction.json"
 
-#: Every file of a saved result, in the order ``load_reconstruction`` checks them.
-RECONSTRUCTION_FILES = (*(name for name, *_ in RECONSTRUCTION_CSVS), RECONSTRUCTION_JSON)
+#: The files ``load_reconstruction`` reads, in the order it checks them; it recomputes W and
+#: W(1), so ``wealth.csv`` and the JSON's ``w1_tusd`` and ``method`` are for readers only.
+RECONSTRUCTION_FILES = (RECONSTRUCTION_CSVS[0][0], RECONSTRUCTION_JSON)
 
 
 def reconstruction_payload(recon: ReconstructionResult) -> dict:
@@ -377,30 +378,27 @@ def reconstruction_payload(recon: ReconstructionResult) -> dict:
 
 
 def load_reconstruction(directory: Path) -> ReconstructionResult:
-    """The result saved in ``directory`` as ``RECONSTRUCTION_FILES``.
+    """The result saved in ``directory`` as ``RECONSTRUCTION_FILES``, with W(1) and W made
+    from its production as ``build_wealth`` makes them.
 
-    A missing file raises ``EnerscaleError``, a series any error of ``load_series``, JSON
-    that does not parse ``ParseError``, and a missing or invalid key ``SchemaError``
-    naming it. ``method`` defaults to "loaded from disk", ``spline_knot_years`` to ().
+    A missing file raises ``EnerscaleError``, the production any error of ``load_series``
+    or of making W, JSON that does not parse ``ParseError``, and a missing or invalid key
+    ``SchemaError`` naming it. ``spline_knot_years`` defaults to ().
     """
     for name in RECONSTRUCTION_FILES:
         if not (directory / name).exists():
             raise EnerscaleError(
                 f"missing reconstruction output {directory / name}; run `enerscale reconstruct`"
             )
-    gdp, wealth_series = (load_series(canonical_descriptor(directory / name, kind, unit, column))
-                          for name, kind, unit, column in RECONSTRUCTION_CSVS)
+    name, *spec = RECONSTRUCTION_CSVS[0]
+    gdp = load_series(canonical_descriptor(directory / name, *spec))
+    wealth = cumulative_production(gdp, calibrate_initial_wealth(gdp))
     path = directory / RECONSTRUCTION_JSON
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
     field = functools.partial(json_field, str(path), payload)
-    wealth = WealthSeries(
-        series=wealth_series,
-        w1=Quantity(field("w1_tusd", json_number), Unit.TUSD),
-        method=field("method", exactly(str), "loaded from disk"),
-    )
     window = field("kappa_x_window", lambda years: Period(*json_years(years)))
     return ReconstructionResult(
         gdp=gdp,

@@ -36,7 +36,7 @@ class SeriesKind(str, Enum):
     WEALTH = "wealth"
     SCALING = "scaling"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return self.value
 
 

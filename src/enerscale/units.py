@@ -38,7 +38,7 @@ class Unit(str, Enum):
     GW_PER_TUSD = "GW/T$2010"
     EJ_PER_YR_PER_TUSD = "(EJ/yr)/T$2010"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return self.value
 
 

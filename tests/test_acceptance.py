@@ -341,7 +341,6 @@ def test_criterion_10_identity_suite():
     wealth = WealthSeries(
         AnnualSeries(SeriesKind.WEALTH, Unit.TUSD, years, wealth_values),
         Quantity(wealth_values[0] / 2, Unit.TUSD),
-        "synthetic",
     )
     energy = AnnualSeries(
         SeriesKind.ENERGY, Unit.GW, years, tuple(lambda0 * w for w in wealth_values)

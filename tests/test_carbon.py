@@ -217,7 +217,7 @@ def test_wealth_per_ppmv_snapshot_calibration(snapshot, recon):
 def test_carbonization_window_missing_the_wealth_names_the_window(snapshot):
     """The caller's message, as when the window was sliced inside the same ``try``."""
     early = AnnualSeries(SeriesKind.WEALTH, Unit.TUSD, (1900, 1901), (10.0, 11.0))
-    wealth = WealthSeries(early, Quantity(5.0, Unit.TUSD), "synthetic")
+    wealth = WealthSeries(early, Quantity(5.0, Unit.TUSD))
     with pytest.raises(EmptySlice, match="no emissions/wealth overlap inside 1980-2010"):
         carbonization(snapshot.emissions, snapshot.energy, Period(1980, 2010), wealth=wealth)
 
@@ -235,7 +235,7 @@ def test_carbonization_refuses_a_window_short_of_the_period(snapshot, recon, sho
     emissions = cut(snapshot.emissions, 2005) if short == "emissions" else snapshot.emissions
     wealth = recon.wealth
     if short == "wealth":
-        wealth = WealthSeries(cut(wealth.series, 2005), wealth.w1, wealth.method)
+        wealth = WealthSeries(cut(wealth.series, 2005), wealth.w1)
     with pytest.raises(EmptySlice, match=message):
         carbonization(emissions, snapshot.energy, Period(2000, 2010), wealth=wealth)
 
@@ -342,7 +342,7 @@ def test_exact_carbonization_recovered():
                              tuple(0.02 * v for v in energy.values))
     wealth = AnnualSeries(SeriesKind.WEALTH, Unit.TUSD, years,
                           tuple(3000.0 + 100.0 * i for i in range(10)))
-    wealth = WealthSeries(wealth, Quantity(1.0, Unit.TUSD), "synthetic")
+    wealth = WealthSeries(wealth, Quantity(1.0, Unit.TUSD))
     est = carbonization(emissions, energy, Period(2000, 2009), wealth)
     assert est.c == pytest.approx(0.02, rel=1e-12)
     assert est.eta_c == pytest.approx(0.0, abs=1e-14)

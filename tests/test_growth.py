@@ -76,7 +76,7 @@ def linear_wealth(years, factor=1.0):
     years = (years[0] - 1, *years)
     values = [factor * (100.0 + i) for i in range(len(years))]
     return WealthSeries(series(SeriesKind.WEALTH, Unit.TUSD, years, values),
-                        Quantity(values[0], Unit.TUSD), "synthetic")
+                        Quantity(values[0], Unit.TUSD))
 
 
 def test_productivity_simple_division():
@@ -167,7 +167,7 @@ def test_innovation_rate_names_a_wealth_gap_the_year_before_the_period():
     gdp = series(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, years, [50.0 + i for i in range(5)])
     w = linear_wealth((1998, *years)).series
     wealth = WealthSeries(w.with_data(w.years[:1] + w.years[2:], w.values[:1] + w.values[2:]),
-                          Quantity(w.values[0], Unit.TUSD), "synthetic")
+                          Quantity(w.values[0], Unit.TUSD))
     message = "wealth series for eta_i over 2000-2004 has 5 of the 6 years of 1999-2004; 1999 is"
     with pytest.raises(EmptySlice, match=message):
         rates_table(gdp, energy, wealth, [Period(2000, 2004)])
@@ -204,7 +204,7 @@ def accumulated_wealth(gdp):
         w.append(w[-1] + y)
     years = (gdp.first_year - 1, *gdp.years)
     return WealthSeries(series(SeriesKind.WEALTH, Unit.TUSD, years, w),
-                        Quantity(1.0, Unit.TUSD), "synthetic")
+                        Quantity(1.0, Unit.TUSD))
 
 
 @given(pair=paired_positive_series())
@@ -228,7 +228,7 @@ def test_discretization_bound_on_cumulative_consistent_data():
     energy = series(SeriesKind.ENERGY, Unit.GW, years, [lam_gw * wi for wi in w])
     wealth = WealthSeries(
         series(SeriesKind.WEALTH, Unit.TUSD, (0, *years), [w[0] / r, *w]),
-        Quantity(w[0] / r, Unit.TUSD), "synthetic",
+        Quantity(w[0] / r, Unit.TUSD),
     )
     (row,) = rates_table(gdp, energy, wealth, [Period(1, 40)])
     assert abs(row.eta_e - row.lambda_eps) <= 0.6 * row.eta_e**2
@@ -243,7 +243,6 @@ def synthetic_continuous_model(eta=0.02, lam_gw=5.0, n=30):
     wealth = WealthSeries(
         AnnualSeries(SeriesKind.WEALTH, Unit.TUSD, years, tuple(w_values)),
         Quantity(w_values[0] * 0.5, Unit.TUSD),
-        "synthetic",
     )
     gdp = series(SeriesKind.GDP_MER, Unit.TUSD_PER_YR, years, [eta * w for w in w_values])
     energy = series(SeriesKind.ENERGY, Unit.GW, years, [lam_gw * w for w in w_values])

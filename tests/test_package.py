@@ -306,16 +306,16 @@ def test_the_rename_check_sees_only_a_bare_forwarding_call(source, renames):
 SERIES_READS = {"aligned_values", "value_at", "has_year"}
 
 
-def series_readers(source: str) -> set[str]:
-    """Names of the top-level functions (or classes) in ``source`` that call a
-    ``SERIES_READS`` name, as ``f(...)`` or ``x.f(...)``, anywhere in their body."""
+def callers(source: str, names: set[str]) -> set[str]:
+    """Names of the top-level functions (or classes) in ``source`` that call one of
+    ``names``, as ``f(...)`` or ``x.f(...)``, anywhere in their body."""
     found = set()
     for top in ast.parse(source).body:
         for node in ast.walk(top):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in SERIES_READS:
+                if name in names:
                     found.add(getattr(top, "name", "<module>"))
     return found
 
@@ -325,7 +325,7 @@ def test_analysis_modules_read_series_only_through_their_readers():
     scaling series aligns two series, and only year 1's production is looked up."""
     root = Path(enerscale.__file__).parent
     readers = {
-        module: series_readers((root / module).read_text(encoding="utf-8"))
+        module: callers((root / module).read_text(encoding="utf-8"), SERIES_READS)
         for module in ("growth.py", "scaling.py", "reconstruction.py")
     }
     assert readers == {
@@ -346,7 +346,29 @@ def test_analysis_modules_read_series_only_through_their_readers():
     ("def rate(s):\n    return s.values[0]", set()),
 ])
 def test_the_series_read_check_names_each_caller(source, readers):
-    assert series_readers(source) == readers
+    assert callers(source, SERIES_READS) == readers
+
+
+def test_only_cumulative_production_makes_a_wealth_series():
+    """W is made from production in one place; a loaded result recomputes it there too."""
+    makers = {path.stem: callers(path.read_text(encoding="utf-8"), {"WealthSeries"})
+              for path in Path(enerscale.__file__).parent.glob("*.py")}
+    assert {stem: found for stem, found in makers.items() if found} == {
+        "reconstruction": {"cumulative_production"},
+    }
+
+
+@pytest.mark.parametrize("source, makers", [
+    ("def cumulative_production(gdp, w1):\n    return WealthSeries(s, w1)",
+     {"cumulative_production"}),
+    ("def load(d):\n    return reconstruction.WealthSeries(s, w1)", {"load"}),
+    ("class Loader:\n    def load(self):\n        return WealthSeries(s, w1)", {"Loader"}),
+    ("w = WealthSeries(s, w1)", {"<module>"}),
+    ("def f(w: WealthSeries) -> WealthSeries:\n    return w", set()),
+    ('"""Makes a WealthSeries(...)."""', set()),
+])
+def test_the_wealth_series_check_names_each_maker(source, makers):
+    assert callers(source, {"WealthSeries"}) == makers
 
 
 PACKAGE = Path(enerscale.__file__).parent

@@ -187,7 +187,7 @@ def test_cumulative_production_refuses_a_bad_initial_stock(w1, error, message):
 ], ids=["kind", "below-w1"])
 def test_wealth_series_refuses_a_series_that_is_not_wealth_above_w1(series, error, message):
     with pytest.raises(error, match=message):
-        WealthSeries(series, Quantity(2.0, Unit.TUSD), "synthetic")
+        WealthSeries(series, Quantity(2.0, Unit.TUSD))
 
 
 @pytest.mark.parametrize(
@@ -201,7 +201,7 @@ def test_windowed_wealth_is_the_whole_series_cut_to_the_period(recon, period):
     lo = max(period.start_year, s.first_year) - s.first_year
     hi = min(period.end_year, s.last_year) - s.first_year + 1
     assert window.series == s.with_data(s.years[lo:hi], s.values[lo:hi])
-    assert (window.w1, window.method) == (whole.w1, whole.method)
+    assert window.w1 == whole.w1
 
 
 @pytest.mark.parametrize("period", [Period(2020, 2030), Period(-10, 0)], ids=str)

@@ -32,7 +32,7 @@ from enerscale.units import Quantity, Unit
 P = Period(1980, 2017)
 ENERGY = AnnualSeries(SeriesKind.ENERGY, Unit.EJ_PER_YR, (2000, 2001), (1.0, 2.0))
 WEALTH = WealthSeries(AnnualSeries(SeriesKind.WEALTH, Unit.TUSD, (1, 2), (50.0, 51.0)),
-                      Quantity(50.0, Unit.TUSD), "test")
+                      Quantity(50.0, Unit.TUSD))
 RATIO = PppMerRatio(1.5, P)
 PARAMS = CarbonCycleParams(sigma=0.02)
 SCENARIO = Scenario(2017.0, 40.0, 3000.0, 0.006, 0.018, 0.024)
@@ -50,7 +50,7 @@ RECORDS = [
     (ManifestEntry, dict(name="energy", descriptor=DESCRIPTOR, contiguous=False)),
     (ValidationReport, dict(gaps=((3, 4),), coverage=P)),
     (PppMerRatio, dict(value=1.5, window=P)),
-    (WealthSeries, dict(series=WEALTH.series, w1=WEALTH.w1, method="test")),
+    (WealthSeries, dict(series=WEALTH.series, w1=WEALTH.w1)),
     (ReconstructionResult, dict(gdp=ENERGY, wealth=WEALTH, ratio=RATIO,
                                 spline_knot_years=(1, 1000))),
     (ScalingEstimate, dict(period=P, mean=Quantity(6.0, Unit.GW_PER_TUSD),

@@ -186,7 +186,7 @@ def growth_inputs(draw):
         energy=drawn(SeriesKind.ENERGY, draw(st.sampled_from([Unit.EJ_PER_YR, Unit.GW]))),
         emissions=drawn(SeriesKind.EMISSIONS, Unit.GTC_PER_YR),
         pop=drawn(SeriesKind.POPULATION, Unit.PERSONS),
-        wealth=WealthSeries(wealth, Quantity(w[0], Unit.TUSD), "drawn"),
+        wealth=WealthSeries(wealth, Quantity(w[0], Unit.TUSD)),
         p=Period(2000, 1999 + n),
     )
 
@@ -440,7 +440,7 @@ def series_from_2000(kind, unit, values):
 def wealth_from(first_year, values):
     series = AnnualSeries(SeriesKind.WEALTH, Unit.TUSD, range(first_year, first_year + len(values)),
                           values)
-    return WealthSeries(series, Quantity(values[0], Unit.TUSD), "synthetic")
+    return WealthSeries(series, Quantity(values[0], Unit.TUSD))
 
 
 RATIO_CASES = {

@@ -20,7 +20,7 @@ from enerscale.units import EJ_PER_YR_PER_GW, Quantity, Unit, finite, shown
 
 def synthetic_wealth(years, values):
     series = AnnualSeries(SeriesKind.WEALTH, Unit.TUSD, tuple(years), tuple(values))
-    return WealthSeries(series, Quantity(values[0] * 0.5, Unit.TUSD), "synthetic")
+    return WealthSeries(series, Quantity(values[0] * 0.5, Unit.TUSD))
 
 
 def exact_scaling_pair(lambda_gw=4.0, n=20):

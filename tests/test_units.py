@@ -5,9 +5,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from enerscale.errors import DomainError, IncompatibleUnits, KindError
+from enerscale.series import SeriesKind
 from enerscale.units import EJ_PER_YR_PER_GW, Quantity, Unit, finite, floats, to_unit
 
 CONVERTIBLE_PAIRS = [(Unit.GW, Unit.EJ_PER_YR), (Unit.EJ_PER_YR, Unit.GW)]
+
+
+@pytest.mark.parametrize("member", [*Unit, *SeriesKind], ids=repr)
+def test_a_tag_prints_as_its_value(member):
+    """``str`` and f-strings give the tag itself, not ``Unit.GW``."""
+    assert str(member) == f"{member}" == member.value
 
 
 def test_gw_to_ej_definitional_constant():
