@@ -15,11 +15,11 @@ import math
 from typing import Sequence
 
 from .carbon import CarbonCycleParams
-from .errors import DomainError
+from .errors import DomainError, KindError
 from .reconstruction import WealthSeries
 from .records import Record
 from .scaling import scaling_series, scaling_stats
-from .series import AnnualSeries, Period, mean, period_values, sample_std
+from .series import AnnualSeries, Period, SeriesKind, mean, period_values, sample_std
 from .units import Unit, finite, shown, to_unit
 
 
@@ -83,6 +83,9 @@ def rates_table(
     the productivity Y/E (EJ/yr per T$ times T$ per EJ, a rate per year), is
     also the energy-demand growth implied by a constant scaling.
     """
+    if (gdp.kind, energy.kind) != (SeriesKind.GDP_MER, SeriesKind.ENERGY):
+        raise KindError("rates_table expects gdp_mer and energy series,"
+                        f" got {gdp.kind.value} and {energy.kind.value}")
     lam_series = scaling_series(energy, wealth)
     full = Period(lam_series.first_year, lam_series.last_year)
     scale = scaling_stats(lam_series, full).mean
@@ -144,6 +147,9 @@ def carbonization(
     ``lambda_c`` converts with the kappa_a of the default ``CarbonCycleParams()``.
     Raises EmptySlice unless both ratios hold every year of ``p``.
     """
+    if (emissions.kind, energy.kind) != (SeriesKind.EMISSIONS, SeriesKind.ENERGY):
+        raise KindError("carbonization expects emissions and energy series,"
+                        f" got {emissions.kind.value} and {energy.kind.value}")
     intensity = period_values(emissions, p, "carbonization series", per=energy)
     eta_c = _log_rate(intensity, p)
     per_wealth = period_values(emissions, p, "emissions/wealth overlap", per=wealth.series)
@@ -200,6 +206,11 @@ def kaya_decomposition(
 
     Raises EmptySlice unless every series holds every year of ``p``.
     """
+    kinds = (pop.kind, gdp.kind, energy.kind, emissions.kind)
+    if kinds != (SeriesKind.POPULATION, SeriesKind.GDP_MER, SeriesKind.ENERGY,
+                 SeriesKind.EMISSIONS):
+        raise KindError("kaya_decomposition expects population, gdp_mer, energy and emissions"
+                        f" series, got {', '.join(kind.value for kind in kinds)}")
     return KayaComponents(
         period=p,
         eta_pop=growth_rate(pop, p),

@@ -27,7 +27,7 @@ from typing import Iterable
 from .errors import DomainError, EnerscaleError, ParseError, SchemaError
 from .records import Record
 from .series import AnnualSeries, Period, SeriesKind, integral_years
-from .units import Unit, finite, shown
+from .units import Unit, all_finite, finite, shown
 
 
 class DataSourceDescriptor(Record):
@@ -204,7 +204,7 @@ def _columns(
         return None
     if d.scale != 1.0:
         values = list(map(operator.mul, values, itertools.repeat(d.scale)))
-    if not all(map(math.isfinite, values)) or min(values) <= 0.0:
+    if not all_finite(values) or min(values) <= 0.0:
         return None
     return years, values
 

@@ -21,8 +21,8 @@ from .records import Record
 from .series import AnnualSeries, SeriesKind, integral
 from .units import DAYS_PER_YEAR, Quantity, Unit, finite, floats, shown, to_unit
 
-#: Most grid points a run may ask for: each column holds a float object and a
-#: pointer, ~32 bytes, per point, so one column at the cap takes ~320 MB.
+#: Most grid points a run may ask for: a run stores only its perturbation, a float
+#: object and a pointer (~32 bytes) per point, so ~320 MB at the cap.
 MAX_GRID_POINTS = 10**7
 
 _NEGATIVE_PERTURBATION = "concentration perturbation cannot be negative"
@@ -166,14 +166,9 @@ class Scenario(Record):
         super().__init__(
             start_year, horizon_years, w0, lambda_gw, c0, eta_w, eta_c, delta0, carbon_params, dt
         )
-        try:
-            all_finite = all(map(math.isfinite, (start_year, horizon_years, w0, lambda_gw, c0,
-                                                 eta_w, eta_c, delta0, dt)))
-        except (OverflowError, TypeError):  # a value that finite refuses
-            all_finite = False
-        if not all_finite:
-            not_finite = [name for name in self._fields if name != "carbon_params"
-                          and not finite(getattr(self, name))]
+        not_finite = [name for name in self._fields if name != "carbon_params"
+                      and not finite(getattr(self, name))]
+        if not_finite:
             raise DomainError(f"scenario fields must be finite: {', '.join(not_finite)}")
         if horizon_years <= 0:
             raise DomainError("horizon must be positive")
@@ -301,40 +296,6 @@ def time_grid(horizon_years: float, dt: float) -> tuple[int, float]:
     return n_steps, horizon_years / n_steps
 
 
-#: Most grid points the grid cache holds in all, each a year (a float and a
-#: pointer, ~32 bytes): ~2 MB.
-_GRID_BUDGET = 2**16
-
-#: (type(start), start, type(dt), dt) -> the longest grid of years built so far
-#: for that key; least recently used first. The types are part of the key
-#: because an int start and step give int years.
-_grids: dict = {}
-
-
-def _grid(start: float, dt: float, points: int) -> tuple[float, ...]:
-    """The first ``points`` years ``start + i*dt``.
-
-    Every year is computed from its own ``i`` alone, so a grid read from the
-    cache (a prefix of a longer one, or one extended by the missing ``i``)
-    has the bits of one built afresh, whatever runs came before. A grid is
-    kept only while the cache's grids hold at most ``_GRID_BUDGET`` points in
-    all; the least recently used goes first, and a longer grid is never kept.
-    Each read or write of the cache is one dict operation on the cache or on
-    a copy of it, so two threads can at worst build one grid twice.
-    """
-    key = (start.__class__, start, dt.__class__, dt)
-    years = _grids.pop(key, ())
-    if len(years) < points:
-        years += tuple([start + i * dt for i in range(len(years), points)])
-    if len(years) <= _GRID_BUDGET:
-        _grids[key] = years
-        for old in list(_grids):  # least recently used first
-            if sum(map(len, list(_grids.values()))) <= _GRID_BUDGET:
-                break
-            _grids.pop(old, None)
-    return years[:points]
-
-
 #: Block length of ``_exp_tables``: its tables hold ``_EXP_BLOCK`` and
 #: ``points/_EXP_BLOCK`` factors. 32 and 64 were equally fast on the long runs
 #: of a sweep; 32 makes fewer ``exp`` calls for a run of a few hundred points.
@@ -362,18 +323,13 @@ def _exp_tables(scale: float, rate: float, h: float, points: int) -> tuple[list,
     return outer, inner
 
 
-class _ProductColumn(Sequence):
-    """A wealth or emissions column, each entry made from ``_exp_tables`` when read.
+class _Column(Sequence):
+    """A run's column, made when read from its phases: one for a run, two for a steady state.
 
-    The column is one or more phases ``(count, w_outer, w_inner, carbon)``, the first
-    ``count`` entries of each phase's tables in turn: a run has one phase, and a
-    steady state two. Entry ``i = k*B + j`` (``B = _EXP_BLOCK``) of a phase is
-    ``w_outer[k]*w_inner[j]`` for wealth, and for emissions, whose ``carbon`` is
-    ``(lam, c_outer, c_inner)`` and not None, ``lam*(c_outer[k]*c_inner[j])*(w_outer[k]
-    *w_inner[j])``: the operands and order of ``_columns``' delta pass, so every
-    entry has its bits. An int index makes one entry; iteration, a slice (a tuple),
-    equality and the hash make the whole column in one pass per phase. The column
-    equals any sequence of the same floats, and hashes as their tuple.
+    Each phase is a tuple whose first item is its count of entries. An int index makes one
+    entry (``_at``); iteration, a slice (a tuple), equality and the hash make the whole
+    column (``_values``). The column equals any sequence of the same floats, and hashes as
+    their tuple.
     """
 
     __slots__ = ("_points", "_phases")
@@ -387,39 +343,19 @@ class _ProductColumn(Sequence):
     def __getitem__(self, index: int | slice) -> float | tuple[float, ...]:
         if isinstance(index, slice):
             return tuple(self._values()[index])
-        return self._entry(index)[1]
+        return self._at(index)
 
-    def _entry(self, index: int) -> tuple[float, float]:
-        """Wealth and this column's entry at the int ``index``, from one wealth product."""
+    def _phase(self, index: int) -> tuple[tuple, int]:
+        """The phase of the entry at the int ``index``, and its index in that phase."""
         i = range(self._points)[index]
-        for count, w_outer, w_inner, carbon in self._phases:
-            if i < count:
+        for phase in self._phases:
+            if i < phase[0]:
                 break
-            i -= count
-        k, j = divmod(i, _EXP_BLOCK)
-        w = w_outer[k] * w_inner[j]
-        if carbon is None:
-            return w, w
-        lam, c_outer, c_inner = carbon
-        return w, lam * (c_outer[k] * c_inner[j]) * w
+            i -= phase[0]
+        return phase, i
 
     def __iter__(self) -> Iterator[float]:
         return iter(self._values())
-
-    def _values(self) -> list[float]:
-        """The column: each phase's whole blocks made in one comprehension, cut to its count."""
-        column = []
-        for count, w_outer, w_inner, carbon in self._phases:
-            if carbon is None:
-                values = [wo * wx for wo in w_outer for wx in w_inner]
-            else:
-                lam, c_outer, c_inner = carbon
-                inners = list(zip(w_inner, c_inner))
-                values = [lam * (co * cx) * (wo * wx)
-                          for wo, co in zip(w_outer, c_outer) for wx, cx in inners]
-            del values[count:]
-            column += values
-        return column
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequence):
@@ -436,6 +372,64 @@ class _ProductColumn(Sequence):
         return self.__class__, self._phases
 
 
+class _YearColumn(_Column):
+    """A run's years: phases ``(count, start, dt)``, whose entry ``i`` is ``start + i*dt``.
+
+    An int start and step give int years, and a run's years are the first of any longer
+    run's on the same (start, dt)."""
+
+    __slots__ = ()
+
+    def _at(self, index: int) -> float:
+        (_, start, dt), i = self._phase(index)
+        return start + i * dt
+
+    def _values(self) -> list[float]:
+        return [start + i * dt for count, start, dt in self._phases for i in range(count)]
+
+
+class _ProductColumn(_Column):
+    """A wealth or emissions column, each entry made from ``_exp_tables`` when read.
+
+    Its phases are ``(count, w_outer, w_inner, carbon)``, the first ``count`` entries of
+    each phase's tables. Entry ``i = k*B + j`` (``B = _EXP_BLOCK``) of a phase is
+    ``w_outer[k]*w_inner[j]`` for wealth, and for emissions, whose ``carbon`` is
+    ``(lam, c_outer, c_inner)`` and not None, ``lam*(c_outer[k]*c_inner[j])*(w_outer[k]
+    *w_inner[j])``: the operands and order of ``_columns``' delta pass, so every entry
+    has its bits.
+    """
+
+    __slots__ = ()
+
+    def _at(self, index: int) -> float:
+        return self._entry(index)[1]
+
+    def _entry(self, index: int) -> tuple[float, float]:
+        """Wealth and this column's entry at the int ``index``, from one wealth product."""
+        (_, w_outer, w_inner, carbon), i = self._phase(index)
+        k, j = divmod(i, _EXP_BLOCK)
+        w = w_outer[k] * w_inner[j]
+        if carbon is None:
+            return w, w
+        lam, c_outer, c_inner = carbon
+        return w, lam * (c_outer[k] * c_inner[j]) * w
+
+    def _values(self) -> list[float]:
+        """The column: each phase's whole blocks made in one comprehension, cut to its count."""
+        column = []
+        for count, w_outer, w_inner, carbon in self._phases:
+            if carbon is None:
+                values = [wo * wx for wo in w_outer for wx in w_inner]
+            else:
+                lam, c_outer, c_inner = carbon
+                inners = list(zip(w_inner, c_inner))
+                values = [lam * (co * cx) * (wo * wx)
+                          for wo, co in zip(w_outer, c_outer) for wx, cx in inners]
+            del values[count:]
+            column += values
+        return column
+
+
 def _columns(s: Scenario, n_steps: int, dt: float) -> tuple[Sequence[float], ...]:
     """Years, wealth, emissions and perturbation on the grid start + i*dt.
 
@@ -446,8 +440,7 @@ def _columns(s: Scenario, n_steps: int, dt: float) -> tuple[Sequence[float], ...
     at eta_w + eta_c. A constant source (eta_w == eta_c == 0) has every emission
     equal to the first, so a step there is one multiply-add, ``d + (a*d + p*e)``
     with ``p*e`` made once. Wealth and emissions are ``_ProductColumn``s over the
-    same tables, made when read. The years come from ``_grid``, which reuses them
-    across runs on one (start, dt) without changing a bit.
+    same tables, and the years a ``_YearColumn``; all three are made when read.
     """
     start, w0, eta_w = s.start_year, s.w0, s.eta_w
     lam, c0, eta_c = s.lambda_ej, s.c0, s.eta_c
@@ -460,7 +453,7 @@ def _columns(s: Scenario, n_steps: int, dt: float) -> tuple[Sequence[float], ...
             " have strictly increasing years"
         )
     points = n_steps + 1
-    years = _grid(start, dt, points)
+    years = _YearColumn((points, start, dt))
     params = s.carbon_params
     try:
         w_outer, w_inner = _exp_tables(w0, eta_w, dt, points)
@@ -512,12 +505,11 @@ def run_scenario(s: Scenario) -> Trajectory:
     perturbation takes classical RK4 steps along the exponential emissions
     path lambda*c*W; each step is applied as RK4's one-step affine map
     (``_rk4_affine``), whose two coefficients are computed once per run, so
-    no midpoint emissions are sampled. The grid's years are reused across
-    runs with the same start and step (``_grid``), with the same bits as a
-    grid built afresh. Only the years and the perturbation are stored: the
-    wealth and emissions columns are made from the tables when read, and the
-    trajectory, the sequence of its points, builds no ``TrajectoryPoint``
-    until one is indexed, iterated or read through ``at_year``.
+    no midpoint emissions are sampled. Only the perturbation is stored: the
+    years are made from the start and the step, and the wealth and emissions
+    from the tables, when read, and the trajectory, the sequence of its
+    points, builds no ``TrajectoryPoint`` until one is indexed, iterated or
+    read through ``at_year``.
     """
     return Trajectory(s, *_columns(s, *time_grid(s.horizon_years, s.dt)))
 
@@ -683,13 +675,13 @@ def steady_state_commitment(
         delta0=deltas[-1],
     )
     tail_years, tail_wealth, tail_emissions, tail_deltas = _columns(frozen, tail_steps, s.dt)
-    # The head's last point is the tail's first. Wealth and emissions stay made when
-    # read: each is the head's one phase less that point, then the tail's phase.
-    wealth, emissions = (_ProductColumn((len(head) - 1, *head._phases[0][1:]), *tail._phases)
-                         for head, tail in ((wealth, tail_wealth), (emissions, tail_emissions)))
+    # The head's last point is the tail's first. Years, wealth and emissions stay made
+    # when read: each is the head's one phase less that point, then the tail's phase.
+    years, wealth, emissions = (
+        head.__class__((len(head) - 1, *head._phases[0][1:]), *tail._phases)
+        for head, tail in ((years, tail_years), (wealth, tail_wealth), (emissions, tail_emissions)))
     return SteadyStateResult(
-        trajectory=Trajectory(frozen, years[:-1] + tail_years, wealth, emissions,
-                              deltas[:-1] + tail_deltas),
+        trajectory=Trajectory(frozen, years, wealth, emissions, deltas[:-1] + tail_deltas),
         freeze_year=freeze_year,
         freeze_wealth=frozen.w0,
         asymptote_delta=s.carbon_params.committed_delta(tail_emissions[0]),

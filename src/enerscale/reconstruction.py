@@ -44,7 +44,7 @@ from .ingestion import (
 )
 from .records import Record
 from .series import AnnualSeries, Period, SeriesKind, mean, period_values
-from .units import Quantity, Unit, finite, floats, shown
+from .units import Quantity, Unit, all_finite, finite, floats, shown
 
 #: Ancient population growth rate (fraction/yr): ~10 million more people per
 #: century on a base of ~170 million around year 1 CE.
@@ -88,7 +88,7 @@ class NaturalCubicSpline:
         m[n - 2] = rhs[-1] / diag[-1]
         for i in range(n - 3, 0, -1):
             m[i] = (rhs[i - 1] - h[i] * m[i + 1]) / diag[i - 1]
-        if not all(map(math.isfinite, m)):
+        if not all_finite(m):
             raise DomainError("spline second derivatives overflow a float")
         self._x = x
         self._y = y
@@ -120,7 +120,7 @@ class NaturalCubicSpline:
             out += self._segment(i, run)
         except TypeError:  # text, None or another value that is not a number
             raise DomainError("spline queries must be numbers") from None
-        if not _all_finite(out):
+        if not all_finite(out):
             raise DomainError("spline value overflows a float")
         return out
 
@@ -135,12 +135,6 @@ class NaturalCubicSpline:
             for a in [(x1 - q) / hi]
             for b in [(q - x0) / hi]
         ]
-
-
-def _all_finite(values: Sequence[float]) -> bool:
-    """Whether every value is finite; a finite sum has no inf or NaN term, so only an
-    overflowing one needs the full check."""
-    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 
 class PppMerRatio(Record):
@@ -189,6 +183,9 @@ def estimate_ppp_mer_ratio(
 
     Raises EmptySlice unless both series hold every year of ``window``.
     """
+    if (ppp.kind, mer.kind) != (SeriesKind.GDP_PPP, SeriesKind.GDP_MER):
+        raise KindError("estimate_ppp_mer_ratio expects gdp_ppp and gdp_mer series,"
+                        f" got {ppp.kind.value} and {mer.kind.value}")
     ratios = period_values(ppp, window, "PPP/MER overlap", per=mer)
     return PppMerRatio(value=mean(ratios), window=window)
 
@@ -213,7 +210,7 @@ def spline_infill(sparse: AnnualSeries) -> AnnualSeries:
     interiors = [
         spline._segment(i, range(k0 + 1, k1)) for i, (k0, k1) in enumerate(zip(knots, knots[1:]))
     ]
-    if not all(map(_all_finite, interiors)):
+    if not all(map(all_finite, interiors)):
         raise DomainError("spline value overflows a float")
     values = [y[0]]
     try:

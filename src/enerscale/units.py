@@ -1,5 +1,5 @@
 """Unit tags, the scalar Quantity type, the fixed conversion table, and the
-package's one rule for what a number is (``finite`` and ``floats``).
+package's one rule for what a number is (``finite``, ``all_finite`` and ``floats``).
 
 Canonical internal units are T$2010/yr for production, EJ/yr for energy,
 GtC/yr for emissions and ppmv for concentration; gigawatts appear only at
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import DomainError, IncompatibleUnits, KindError
 from .records import Record
@@ -61,6 +61,11 @@ def finite(value: object) -> bool:
         return False
 
 
+def all_finite(values: Sequence[float]) -> bool:
+    """Whether every float of ``values`` is finite: a finite sum has no inf or NaN term."""
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
 def floats(values: Iterable[float], what: str) -> tuple[float, ...]:
     """``values`` as a tuple of finite floats; an all-float tuple is returned as it is.
 
@@ -73,17 +78,12 @@ def floats(values: Iterable[float], what: str) -> tuple[float, ...]:
         values = tuple(values)
     except TypeError:
         raise DomainError(f"{what} must be a sequence of numbers, got {shown(values)}") from None
-    all_float = set(map(type, values)) == {float}
-    if all_float and math.isfinite(sum(values)):  # a finite sum has no inf or NaN term
+    if set(map(type, values)) == {float} and all_finite(values):
         return values
-    try:
-        all_finite = all(map(math.isfinite, values))
-    except (OverflowError, TypeError):  # a value that finite refuses
-        all_finite = False
-    if not all_finite:
-        bad = next(v for v in values if not finite(v))
-        raise DomainError(f"{what} must be finite numbers, got {shown(bad)}")
-    return values if all_float else tuple(map(float, values))
+    for value in values:
+        if not finite(value):
+            raise DomainError(f"{what} must be finite numbers, got {shown(value)}")
+    return tuple(map(float, values))
 
 
 def shown(value: object) -> str:

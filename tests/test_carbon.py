@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enerscale.carbon import SIGMA_BAND, CarbonCycleParams
-from enerscale.errors import DomainError, EmptySlice
+from enerscale.errors import DomainError, EmptySlice, KindError
 from enerscale.growth import CarbonizationEstimate, carbonization, kaya_decomposition
 from enerscale.projection import (
     _RK4_STABILITY_LIMIT,
@@ -240,6 +240,15 @@ def test_carbonization_refuses_a_window_short_of_the_period(snapshot, recon, sho
         carbonization(emissions, snapshot.energy, Period(2000, 2010), wealth=wealth)
 
 
+def test_carbonization_refuses_swapped_series(snapshot, recon):
+    """Energy passed as emissions and emissions as energy used to give c = 59.8 GtC/EJ over
+    1980-2017, not 0.0167."""
+    with pytest.raises(KindError, match="expects emissions and energy series, got energy and"
+                                        " emissions"):
+        carbonization(snapshot.energy, snapshot.emissions, Period(1980, 2017),
+                      wealth=recon.wealth)
+
+
 def test_max_carbonization_coefficient_value():
     # 0.023 / (0.47 * 5.9 * 0.031536) by hand = 0.263
     coeff = max_carbonization_coefficient(Quantity(5.9, Unit.GW_PER_TUSD))
@@ -454,6 +463,14 @@ def test_kaya_refuses_the_bundled_population_without_1995(snapshot, recon):
     )
     with pytest.raises(EmptySlice, match="population series .* of 1980-2017; 1995 is missing"):
         kaya_decomposition(population, recon.gdp, snapshot.energy, snapshot.emissions,
+                           Period(1980, 2017))
+
+
+def test_kaya_refuses_swapped_population_and_energy(snapshot, recon):
+    """The bundled energy passed as population and population as energy used to give rates."""
+    with pytest.raises(KindError, match="expects population, gdp_mer, energy and emissions"
+                                        " series, got energy, gdp_mer, population, emissions"):
+        kaya_decomposition(snapshot.energy, recon.gdp, snapshot.population, snapshot.emissions,
                            Period(1980, 2017))
 
 

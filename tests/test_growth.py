@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from enerscale.carbon import CarbonCycleParams
-from enerscale.errors import DomainError, EmptySlice, InvalidPeriod
+from enerscale.errors import DomainError, EmptySlice, InvalidPeriod, KindError
 from enerscale.growth import (
     CarbonizationEstimate,
     RatesRow,
@@ -131,6 +131,13 @@ def test_scaled_productivity_refuses_a_window_short_of_the_period(years):
     energy = series(SeriesKind.ENERGY, Unit.EJ_PER_YR, full, (10.0, 11.0, 12.0, 13.0))
     with pytest.raises(EmptySlice, match="productivity series has 3 of the 4 years of 2000-2003"):
         rates_table(gdp, energy, linear_wealth(tuple(full)), [Period(2000, 2003)])
+
+
+def test_rates_table_refuses_ppp_production(snapshot, recon):
+    """The bundled PPP series passed as production used to give rates over 1980-1990."""
+    with pytest.raises(KindError, match="expects gdp_mer and energy series, got gdp_ppp and"
+                                        " energy"):
+        rates_table(snapshot.gdp_ppp, snapshot.energy, recon.wealth, [Period(1980, 1990)])
 
 
 # -------------------------------------------------------------- innovation

@@ -14,10 +14,11 @@ from enerscale.reconstruction import build_wealth
 from enerscale.scaling import w1_sensitivity
 
 #: Relative tolerance of every relation. The worst departure measured on the bundled
-#: snapshot is 1.5e-13 (table 2's eta_i at k = 1.37).
+#: snapshot is 1.5e-13 (table 2's eta_i at GDP x 1.37); with energy or emissions x k it
+#: is 1.2e-14 (table 1's trend at energy x 1000).
 TOL = 1e-12
 
-#: The factors both GDP series are multiplied by.
+#: The factors a series is multiplied by.
 FACTORS = (1.37, 1000.0)
 
 #: Each table's power of k per numeric column, after the period column: table 1's mean,
@@ -29,6 +30,26 @@ TABLE_POWERS = {
     3: (-1, -1, 0, 0, 0),
     4: (0, 0, 0, 0),
     5: (1,),
+}
+
+#: The same with only energy multiplied: table 1's mean, std and CI go as k, and nothing
+#: else moves (lambda_eps is E/W times Y/E, and lambda_c reads no energy).
+ENERGY_POWERS = {
+    1: (1, 1, 1, 0),
+    2: (0, 0, 0, 0, 0, 0, 0),
+    3: (0, 0, 0, 0, 0),
+    4: (0, 0, 0, 0),
+    5: (0,),
+}
+
+#: The same with only emissions multiplied: table 3's lambda_c and its std go as k,
+#: table 5's coefficient as 1/k, and every rate and trend does not move.
+EMISSIONS_POWERS = {
+    1: (0, 0, 0, 0),
+    2: (0, 0, 0, 0, 0, 0, 0),
+    3: (1, 1, 0, 0, 0),
+    4: (0, 0, 0, 0),
+    5: (-1,),
 }
 
 
@@ -71,18 +92,50 @@ def test_gdp_times_k_multiplies_w_by_k(gdp_times_k, recon, tol):
 def test_gdp_times_k_moves_each_table_column_by_its_power(gdp_times_k, snapshot, recon,
                                                           table, tol):
     k, snap, rk = gdp_times_k
-    base = tables.build_table(table, snapshot, recon)
-    moved = tables.build_table(table, snap, rk)
+    assert_columns_move_by_their_powers(table, TABLE_POWERS[table], (snapshot, recon),
+                                        (snap, rk), k, tol)
+
+
+def assert_columns_move_by_their_powers(table, powers, inputs, moved_inputs, k, tol):
+    """Each numeric cell of ``table`` built from ``moved_inputs`` is its cell built from
+    ``inputs`` times k to its column's power in ``powers``, to ``tol``."""
+    base = tables.build_table(table, *inputs)
+    moved = tables.build_table(table, *moved_inputs)
     assert moved.header == base.header
     assert [row[0] for row in moved.rows] == [row[0] for row in base.rows]
     departures = {
         (row[0], column): departure(got, want, k, power)
         for row, base_row in zip(moved.rows, base.rows)
-        for column, power, got, want in zip(base.header[1:], TABLE_POWERS[table], row[1:],
-                                            base_row[1:])
+        for column, power, got, want in zip(base.header[1:], powers, row[1:], base_row[1:])
     }
-    assert len(departures) == len(base.rows) * len(TABLE_POWERS[table])
+    assert len(departures) == len(base.rows) * len(powers)
     assert {cell: d for cell, d in departures.items() if d > tol} == {}
+
+
+@pytest.mark.parametrize("tol", [TOL], ids=lambda tol: f"tol={tol!r}")
+@pytest.mark.parametrize("table", ENERGY_POWERS, ids=lambda t: f"table{t}")
+@pytest.mark.parametrize("k", FACTORS, ids=lambda k: f"k={k!r}")
+def test_energy_times_k_moves_each_table_column_by_its_power(snapshot, recon, k, table, tol):
+    moved = snapshot._replace(energy=scaled(snapshot.energy, k))
+    assert_columns_move_by_their_powers(table, ENERGY_POWERS[table], (snapshot, recon),
+                                        (moved, recon), k, tol)
+
+
+@pytest.mark.parametrize("tol", [TOL], ids=lambda tol: f"tol={tol!r}")
+@pytest.mark.parametrize("table", EMISSIONS_POWERS, ids=lambda t: f"table{t}")
+@pytest.mark.parametrize("k", FACTORS, ids=lambda k: f"k={k!r}")
+def test_emissions_times_k_moves_each_table_column_by_its_power(snapshot, recon, k, table,
+                                                                tol):
+    moved = snapshot._replace(emissions=scaled(snapshot.emissions, k))
+    assert_columns_move_by_their_powers(table, EMISSIONS_POWERS[table], (snapshot, recon),
+                                        (moved, recon), k, tol)
+
+
+@pytest.mark.parametrize("table", [1, 2, 4], ids=lambda t: f"table{t}")
+def test_emissions_times_k_leaves_the_tables_that_read_no_emissions_bit_for_bit(snapshot, recon,
+                                                                                table):
+    moved = snapshot._replace(emissions=scaled(snapshot.emissions, 1.37))
+    assert tables.build_table(table, moved, recon) == tables.build_table(table, snapshot, recon)
 
 
 @pytest.mark.parametrize("tol", [TOL], ids=lambda tol: f"tol={tol!r}")
@@ -95,4 +148,16 @@ def test_gdp_times_k_moves_the_w1_sensitivity_by_its_power(gdp_times_k, snapshot
     moved = w1_sensitivity(rk.gdp, snap.energy, rk.w1, factor)
     for name in ("mean", "std", "ci95_halfwidth"):
         assert departure(getattr(moved, name).value, getattr(base, name).value, k, -1) <= tol
+    assert departure(moved.trend_per_year, base.trend_per_year, k, 0) <= tol
+
+
+@pytest.mark.parametrize("tol", [TOL], ids=lambda tol: f"tol={tol!r}")
+@pytest.mark.parametrize("factor", [0.5, 2.0], ids=lambda f: f"w1x{f!r}")
+@pytest.mark.parametrize("k", FACTORS, ids=lambda k: f"k={k!r}")
+def test_energy_times_k_moves_the_w1_sensitivity_by_its_power(snapshot, recon, k, factor, tol):
+    """The statistics of lambda = E/W go as k, and its trend does not move."""
+    base = w1_sensitivity(recon.gdp, snapshot.energy, recon.w1, factor)
+    moved = w1_sensitivity(recon.gdp, scaled(snapshot.energy, k), recon.w1, factor)
+    for name in ("mean", "std", "ci95_halfwidth"):
+        assert departure(getattr(moved, name).value, getattr(base, name).value, k, 1) <= tol
     assert departure(moved.trend_per_year, base.trend_per_year, k, 0) <= tol

@@ -504,3 +504,127 @@ def test_the_spline_cubic_is_written_once():
     counts = {path.name: path.read_text(encoding="utf-8").count("(a**3 - a)")
               for path in PACKAGE.glob("*.py")}
     assert {name: n for name, n in counts.items() if n} == {"reconstruction.py": 1}
+
+
+#: Methods that change a list, dict, set or deque in place.
+MUTATORS = {"append", "appendleft", "extend", "insert", "pop", "popitem", "clear", "update",
+            "setdefault", "add", "discard", "remove", "sort", "reverse", "move_to_end"}
+
+#: Decorators that keep a function's results across calls.
+CACHES = {"lru_cache", "cache", "cached_property"}
+
+
+def scope(nodes):
+    """The nodes of one scope: ``nodes`` and everything under them outside a nested def,
+    lambda or class, whose node is yielded but not its body."""
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def bound(nodes) -> set[str]:
+    """The names that the scope of ``nodes`` binds: assigned, deleted, imported, defined,
+    or a parameter."""
+    names = set()
+    for node in scope(nodes):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).partition(".")[0])
+    return names
+
+
+def process_state(source: str) -> set[tuple[str, str]]:
+    """``(function, what)`` for each way a function in ``source`` keeps state past its call.
+
+    ``what`` is a cache decorator's name, ``global n`` for a ``global`` statement, or the
+    module-level name (``globals()`` for the module's own dict) that the function stores
+    into (``n[k] = v``, ``n.a = v``, ``n[k] += v``), deletes from, or changes with a
+    ``MUTATORS`` method; ``n.a[k]`` and ``n.a.append`` count as ``n``. A name that the
+    function, or a function around it, binds is its own, and is not module state.
+    """
+    tree = ast.parse(source)
+    module = bound(tree.body) | {"globals()"}
+    found = set()
+
+    def root(node):
+        while isinstance(node, (ast.Attribute, ast.Subscript)):
+            node = node.value
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "globals":
+            return "globals()"
+        return getattr(node, "id", None)
+
+    def visit(nodes, prefix, outer):
+        for node in scope(nodes):
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.", outer)
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = f"{prefix}{node.name}"
+            for decorator in node.decorator_list:
+                decorator = getattr(decorator, "func", decorator)
+                cache = getattr(decorator, "id", getattr(decorator, "attr", None))
+                if cache in CACHES:
+                    found.add((name, cache))
+            body = [node.args, *node.body]
+            declared = {n for s in scope(body) if isinstance(s, ast.Global) for n in s.names}
+            found.update((name, f"global {n}") for n in declared)
+            local = outer | bound(body) - declared
+            for inner in scope(body):
+                if isinstance(inner, (ast.Attribute, ast.Subscript)):
+                    target = inner if not isinstance(inner.ctx, ast.Load) else None
+                elif isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute):
+                    target = inner.func.value if inner.func.attr in MUTATORS else None
+                else:
+                    target = None
+                if target is not None and root(target) in module - local:
+                    found.add((name, root(target)))
+            visit(node.body, f"{name}.<locals>.", local)
+
+    visit(tree.body, "", set())
+    return found
+
+
+def test_no_function_keeps_process_state():
+    """A call leaves nothing behind for the next: the only state that outlives one is the
+    two cached loads of the bundled data and the public names ``__init__`` binds lazily."""
+    found = {(path.stem, *state) for path in PACKAGE.glob("*.py")
+             for state in process_state(path.read_text(encoding="utf-8"))}
+    assert found == {
+        ("datasets", "load_snapshot", "lru_cache"),
+        ("datasets", "baseline", "lru_cache"),
+        ("__init__", "__getattr__", "globals()"),
+    }
+
+
+@pytest.mark.parametrize("source, state", [
+    ("_c = {}\ndef f(k):\n    _c[k] = 1", {("f", "_c")}),
+    ("_c = {}\ndef f(k):\n    del _c[k]", {("f", "_c")}),
+    ("_c = {}\ndef f(k):\n    _c[k] += 1", {("f", "_c")}),
+    ("_c = []\ndef f(k):\n    _c.append(k)", {("f", "_c")}),
+    ("_c = {}\ndef f(k):\n    return _c.pop(k, ())", {("f", "_c")}),
+    ("import os\ndef f():\n    os.environ['X'] = '1'", {("f", "os")}),
+    ("class C:\n    seen = []\n    def f(self):\n        C.seen.append(self)", {("C.f", "C")}),
+    ("def f(name):\n    globals()[name] = 1", {("f", "globals()")}),
+    ("n = 0\ndef f():\n    global n\n    n += 1", {("f", "global n")}),
+    ("def f():\n    def g(k):\n        _c[k] = 1\n    return g\n_c = {}",
+     {("f.<locals>.g", "_c")}),
+    ("@functools.lru_cache(maxsize=1)\ndef f():\n    pass", {("f", "lru_cache")}),
+    ("@cache\ndef f():\n    pass", {("f", "cache")}),
+    ("_c = {}\ndef f(k):\n    return _c.get(k)", set()),
+    ("_c = {}\ndef f(_c):\n    _c[1] = 2", set()),
+    ("_c = {}\ndef f():\n    _c = {}\n    _c[1] = 2", set()),
+    ("def f():\n    c = {}\n    def g(k):\n        c[k] = 1\n    return g", set()),
+    ("def f(self, k):\n    self.seen[k] = 1", set()),
+    ("_c = {}\n_c[1] = 2", set()),
+    ("def f(k):\n    _c[k] = 1", set()),
+])
+def test_the_process_state_check_sees_each_store_outside_a_call(source, state):
+    assert process_state(source) == state

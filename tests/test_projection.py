@@ -2,7 +2,6 @@ import math
 import pickle
 import random
 import sys
-import threading
 from decimal import Decimal, localcontext
 from functools import partial
 
@@ -468,7 +467,7 @@ def test_product_columns_are_read_only_sequences_of_their_floats():
     s = scenario(eta_c=-0.013, horizon_years=10.0)
     runs = (run_scenario(s), steady_state_commitment(s, 2021.0, 6.25).trajectory)
     for trajectory in runs:
-        for column in (trajectory.wealth, trajectory.emissions):
+        for column in (trajectory.years, trajectory.wealth, trajectory.emissions):
             values = tuple(column)
             assert len(column) == len(values) == len(trajectory) == 41 + (trajectory is runs[1])
             assert [column[i] for i in range(len(column))] == list(values)  # across phases too
@@ -514,7 +513,7 @@ def test_reading_a_trajectory_makes_each_column_once_or_one_entry(monkeypatch):
     made, read = [], []
     column = projection._ProductColumn
     values, entry = column._values, column._entry
-    monkeypatch.setattr(column, "_values", lambda self: made.append(self) or values(self))
+    monkeypatch.setattr(column, "_values", lambda self: made.append(id(self)) or values(self))
     monkeypatch.setattr(column, "_entry",
                         lambda self, index: read.append(index) or entry(self, index))
     trajectory = run_scenario(scenario(eta_c=-0.013))
@@ -669,18 +668,10 @@ def test_commitment_dominates_realized_path(eta_w, eta_c, delta0_frac):
         assert point.delta_co2 <= point.committed_delta * (1.0 + 1e-12)
 
 
-# ------------------------------------------------------------------ grid cache
+# ------------------------------------------------------------------ year columns
 
-CACHE_HORIZONS = (40.0, 100.0, 200.0)
-CACHE_DTS = (1.0, 0.5, 0.4, 0.3, 0.25, 0.1, 0.01)
-
-
-@pytest.fixture
-def grids(monkeypatch):
-    """An empty grid cache for the test, the module's own restored after it."""
-    cache = {}
-    monkeypatch.setattr(projection, "_grids", cache)
-    return cache
+GRID_HORIZONS = (40.0, 100.0, 200.0)
+GRID_DTS = (1.0, 0.5, 0.4, 0.3, 0.25, 0.1, 0.01)
 
 
 def _hex_columns(h, dt):
@@ -691,89 +682,52 @@ def _hex_columns(h, dt):
             for t in runs]
 
 
-def test_cached_grids_give_a_cold_caches_columns_in_any_order(grids):
-    # dt 0.3 and 0.4 do not divide the horizons: those runs step by h/n, each its own key.
-    cases = [(h, dt) for h in CACHE_HORIZONS for dt in CACHE_DTS]
-    cold = {}
-    for case in cases:
-        grids.clear()
-        cold[case] = _hex_columns(*case)
-    grids.clear()
+def test_a_runs_columns_do_not_depend_on_the_runs_before_it():
+    # dt 0.3 and 0.4 do not divide the horizons: those runs step by h/n.
+    cases = [(h, dt) for h in GRID_HORIZONS for dt in GRID_DTS]
+    first = {case: _hex_columns(*case) for case in cases}
     for seed in (1, 2):
         order = random.Random(seed).sample(cases, len(cases))
         for case in order:
-            assert _hex_columns(*case) == cold[case], case
+            assert _hex_columns(*case) == first[case], case
 
 
-def test_a_short_run_is_unchanged_by_a_longer_run_on_its_grid(grids):
+def test_a_short_run_is_unchanged_by_a_longer_run_on_its_grid():
     before = run_scenario(scenario(horizon_years=40.0, dt=0.01))
     run_scenario(scenario(horizon_years=200.0, dt=0.01))
     after = run_scenario(scenario(horizon_years=40.0, dt=0.01))
     assert after == before
-    assert len(grids) == 1 and len(next(iter(grids.values()))) == 20001
 
 
-def test_a_run_is_the_prefix_of_a_longer_run_on_a_cold_cache(grids):
+def test_a_run_is_the_prefix_of_a_longer_run():
     short = run_scenario(scenario(horizon_years=40.0, dt=0.01, eta_c=-0.013))
-    grids.clear()
     long = run_scenario(scenario(horizon_years=200.0, dt=0.01, eta_c=-0.013))
     assert len(short) == 4001
     for name in ("years", "wealth", "emissions", "deltas"):
         assert getattr(short, name) == getattr(long, name)[:4001], name
 
 
-def test_grid_cache_stays_within_its_budget(grids):
-    budget = projection._GRID_BUDGET
-    for i in range(60):  # 60 distinct grids of 2,001 points each
-        start = 2000.0 + i
-        run_scenario(scenario(start_year=start, horizon_years=100.0, dt=0.05))
-        assert sum(map(len, grids.values())) <= budget
-    # The least recently used grids went first.
-    assert (float, 2059.0, float, 0.05) in grids and (float, 2000.0, float, 0.05) not in grids
-    longest = run_scenario(scenario(horizon_years=budget, dt=1.0, eta_w=0.001))
-    assert longest.years[-1] == 2017.0 + budget
-    # A grid longer than the budget is not kept, and evicts nothing.
-    assert (float, 2017.0, float, 1.0) not in grids and (float, 2059.0, float, 0.05) in grids
-
-
-def test_threads_sharing_the_grid_cache_get_a_cold_caches_columns(grids, monkeypatch):
-    # The cases' grids hold 2,940 points in all, so the threads also evict.
-    monkeypatch.setattr(projection, "_GRID_BUDGET", 2000)
-    cases = [scenario(start_year=start, horizon_years=h, dt=dt)
-             for start in (2017.0, 2031.0) for dt in (0.05, 0.3) for h in (20.0, 60.0)]
-    cold = []
-    for s in cases:
-        grids.clear()
-        cold.append(run_scenario(s))
-    grids.clear()
-    wrong, runs = [], []
-
-    def worker(seed):
-        for i in random.Random(seed).choices(range(len(cases)), k=40):
-            if run_scenario(cases[i]) != cold[i]:
-                wrong.append(cases[i])
-            runs.append(i)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert wrong == [] and len(runs) == 6 * 40
-    assert sum(map(len, grids.values())) <= projection._GRID_BUDGET
-
-
-def test_an_int_grid_is_not_served_to_a_float_run(grids):
+def test_an_int_grid_is_not_served_to_a_float_run():
     s = scenario(start_year=2017, dt=1, horizon_years=5.0)
     assert [type(t) for t in run_scenario(s).years] == [int] * 6
     floats = run_scenario(s._replace(start_year=2017.0, dt=1.0)).years
     assert [type(t) for t in floats] == [float] * 6
+
+
+@pytest.mark.parametrize("dt", [0.3, 0.25])
+def test_at_year_finds_each_year_on_both_sides_of_a_steady_states_freeze(dt):
+    """The head's years are start + i*dt, the tail's freeze_year + i*dt; at dt 0.3 the
+    head's last year, 2026.9, falls short of the freeze year 2027."""
+    s = scenario(eta_c=-0.013, dt=dt)
+    trajectory = steady_state_commitment(s, 2027.0, 6.0).trajectory
+    head, tail = time_grid(10.0, dt)[0], time_grid(6.0, dt)[0] + 1
+    years = [2017.0 + i * dt for i in range(head)] + [2027.0 + i * dt for i in range(tail)]
+    assert _hex(trajectory.years) == _hex(years)
+    for i in range(head - 2, head + 3):
+        point = trajectory.at_year(years[i])
+        assert point == trajectory[i] and point.year.hex() == years[i].hex()
+    with pytest.raises(DomainError, match="no step at year"):
+        trajectory.at_year(2027.0 + dt / 2)
 
 
 # ------------------------------------------------------------- committed curve

@@ -60,6 +60,13 @@ def test_ratio_refuses_a_window_short_of_a_year(snapshot):
         estimate_ppp_mer_ratio(short, snapshot.gdp_mer, Period(1970, 1992))
 
 
+def test_ratio_refuses_swapped_series(snapshot):
+    """MER passed as PPP and PPP as MER used to give kappa_x = 0.830, not 1.205."""
+    with pytest.raises(KindError, match="expects gdp_ppp and gdp_mer series, got gdp_mer and"
+                                        " gdp_ppp"):
+        estimate_ppp_mer_ratio(snapshot.gdp_mer, snapshot.gdp_ppp, Period(1970, 1992))
+
+
 def test_ratio_must_be_positive():
     with pytest.raises(DomainError):
         PppMerRatio(0.0, Period(1970, 1992))
